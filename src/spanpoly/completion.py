@@ -468,15 +468,7 @@ def hom_bijection_dual(xcat: IndexedCategory, o: CompletionObject,
         coh_inv = invert_gmap(coh) if isinstance(coh, GMap) else coh
         zeta2 = xcat.fiber_comp(zeta, coh_inv)
         images.append(CompletionMorphism(w, zeta2))
-    ok_len = len(lhs) == len(rhs)
-    ok_into = all(any(im == rh for rh in rhs) for im in images)
-    ok_inj = len(set((im[0].table, _mor_key(im[1])) for im in images)) == len(images)
-    checks = (
-        Check("counts", ok_len, f"{len(lhs)} vs {len(rhs)}"),
-        Check("lands-in-target", ok_into),
-        Check("injective", ok_inj),
-    )
-    return Report("hom-bijection-dual", checks)
+    return Report("hom-bijection-dual", _bijection_checks(lhs, rhs, images))
 
 
 def completion_iso(xcat: IndexedCategory, o: CompletionObject,
@@ -522,16 +514,19 @@ def hom_bijection(xcat: IndexedCategory, o: CompletionObject,
                   klass: MorphismClass = ALL_MAPS) -> Report:
     """The adjunction bijection between hom-sets, exhibited and verified."""
     lhs, rhs, images = hom_bijection_map(xcat, o, o2, r, klass)
-    ok_len = len(lhs) == len(rhs)
-    ok_into = all(any(im == rh for rh in rhs) for im in images)
-    ok_inj = len(set((im[0].table, _mor_key(im[1])) for im in images)) == len(images)
-    checks = (
-        Check("counts", ok_len, f"{len(lhs)} vs {len(rhs)}"),
-        Check("lands-in-target", ok_into),
-        Check("injective", ok_inj),
+    return Report("hom-bijection", _bijection_checks(lhs, rhs, images),
+                  (f"hom sizes {len(lhs)}={len(rhs)}" if len(lhs) == len(rhs)
+                   else "size mismatch",))
+
+
+def _bijection_checks(lhs: list, rhs: list, images: list) -> tuple[Check, ...]:
+    """The transported images form a bijection lhs -> rhs: equal sizes, into rhs, injective."""
+    keys = {(im[0].table, _mor_key(im[1])) for im in images}
+    return (
+        Check("counts", len(lhs) == len(rhs), f"{len(lhs)} vs {len(rhs)}"),
+        Check("lands-in-target", all(any(im == rh for rh in rhs) for im in images)),
+        Check("injective", len(keys) == len(images)),
     )
-    return Report("hom-bijection", checks,
-                  (f"hom sizes {len(lhs)}={len(rhs)}" if ok_len else "size mismatch",))
 
 
 def _mor_key(m) -> object:

@@ -7,6 +7,11 @@ descriptors are sorted lexicographically, then points are grouped by orbit
 tagging order, all left-summand points first, so that injections are plain
 shifts.  All values are immutable; every operation is pure.
 
+Iso classes of G-sets, slices and spans are decided in one place.
+`orbit_labels` gives each orbit one label (stabilizer, leg values), and
+`from_labels` rebuilds the canonical representative from labels; it is also
+the only builder of coset G-sets (`coset_gset` wraps it).
+
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially, so it runs behind a configurable size guard
 (DEFAULT_MAX_POINTS).
@@ -166,25 +171,12 @@ def initial_gset(group: FiniteGroup) -> GSet:
     return GSet(group, 0, tuple(() for _ in group.elements()))
 
 def regular_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, group.order,
-                tuple(tuple(group.op(g, x) for x in group.elements())
-                      for g in group.elements()))
+    """G acting on itself by left multiplication: the cosets of the trivial subgroup."""
+    return coset_gset(group, (group.identity,))
 
 def coset_gset(group: FiniteGroup, subgroup: Iterable[int]) -> GSet:
     """The transitive G-set of left cosets gH, cosets ordered by least element."""
-    h = frozenset(subgroup)
-    cosets = []
-    seen: set[frozenset[int]] = set()
-    for g in group.elements():
-        c = frozenset(group.op(g, a) for a in h)
-        if c not in seen:
-            seen.add(c)
-            cosets.append(c)
-    cosets.sort(key=min)
-    index = {c: i for i, c in enumerate(cosets)}
-    action = tuple(tuple(index[frozenset(group.op(g, a) for a in c)] for c in cosets)
-                   for g in group.elements())
-    return GSet(group, len(cosets), action)
+    return from_labels(group, (), ((subgroup, ()),))[0]
 
 def unique_to_terminal(x: GSet) -> GMap:
     return GMap(x, terminal_gset(x.group), (0,) * x.size)
@@ -194,7 +186,7 @@ def unique_from_initial(x: GSet) -> GMap:
 
 
 # ---------------------------------------------------------------------------
-# orbits, stabilizers, canonical forms
+# orbits, stabilizers, labels and rebuilding from labels
 # ---------------------------------------------------------------------------
 
 def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
@@ -211,30 +203,91 @@ def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
 
 
 def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
-    return tuple(g for g in x.group.elements() if x.act(g, p) == p)
+    return tuple(g for g, row in enumerate(x.action) if row[p] == p)
+
+
+def _coset_reps(group: FiniteGroup, h: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The least element of each left coset gh, ascending, and each element's coset index."""
+    coset = [-1] * group.order
+    reps: list[int] = []
+    for g in group.elements():
+        if coset[g] < 0:
+            row = group.mult[g]
+            for a in h:
+                coset[row[a]] = len(reps)
+            reps.append(g)
+    return reps, coset
 
 
 def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     """One label per orbit: min over its points of (stabilizer, leg values).
 
-    Two G-sets carrying the same legs are isomorphic compatibly with the legs
-    iff their label multisets agree, which makes this the canonical form used
-    for iso pre-screening of G-sets, slices, and spans.
+    This is the one canonical form of the library.  Two G-sets carrying
+    legs into the same G-sets are isomorphic compatibly with the legs iff
+    their label multisets agree, so the labels decide iso classes of G-sets,
+    slices (one leg) and spans (two legs), and `from_labels` rebuilds the
+    canonical representative from them.  Each orbit is visited once from a
+    representative p with stabilizer H: the point g.p, for g the least
+    element of a coset gH, has stabilizer gHg^-1.
     """
+    group = x.group
+    mult, inverse = group.mult, group.inverse
+    seen = [False] * x.size
     out = []
-    for orb in orbits(x):
-        out.append(min((stabilizer(x, p), tuple(leg.table[p] for leg in legs))
-                       for p in orb))
+    for p in x.points():
+        if seen[p]:
+            continue
+        h = stabilizer(x, p)
+        best = None
+        for g in _coset_reps(group, h)[0]:
+            q = x.action[g][p]
+            seen[q] = True
+            row, ginv = mult[g], inverse[g]
+            cand = (tuple(sorted(mult[row[a]][ginv] for a in h)),
+                    tuple(leg.table[q] for leg in legs))
+            if best is None or cand < best:
+                best = cand
+        out.append(best)
     return tuple(sorted(out))
 
 
+def from_labels(group: FiniteGroup, cods: Sequence[GSet],
+                labels: Iterable[tuple]) -> tuple[GSet, tuple[GMap, ...]]:
+    """The G-set and legs into cods rebuilt from orbit labels, in label order.
+
+    A label (stabilizer H, leg values v) contributes the orbit of left
+    cosets gH, ordered by their least element g; that point's legs take the
+    values g.v, so H must fix v.  The labels need not be canonical; fed
+    `orbit_labels`, this returns the canonical representative, so identical
+    label multisets rebuild identical G-sets and legs.
+    """
+    rows: list[list[int]] = [[] for _ in group.elements()]
+    tables: list[list[int]] = [[] for _ in cods]
+    size = 0
+    for stab, values in labels:
+        reps, coset = _coset_reps(group, tuple(stab))
+        for g, row in enumerate(rows):
+            mg = group.mult[g]
+            row.extend(size + coset[mg[r]] for r in reps)
+        for cod, v, table in zip(cods, values, tables):
+            table.extend(cod.action[r][v] for r in reps)
+        size += len(reps)
+    apex = GSet(group, size, tuple(tuple(row) for row in rows))
+    return apex, tuple(GMap(apex, cod, tuple(t)) for cod, t in zip(cods, tables))
+
+
+def render_labels(labels: Iterable[tuple]) -> str:
+    """Orbit labels as text: stab[...] per orbit, then @ and the leg values if any."""
+    return ";".join(f"stab{list(s)}" + (f"@{','.join(map(str, v))}" if v else "")
+                    for s, v in labels)
+
+
 def canonical_form(x: GSet) -> str:
-    labs = ";".join(f"stab{list(s)}" for s, _ in orbit_labels(x))
-    return f"{x.group.name}[{x.size}]{{{labs}}}"
+    return f"{x.group.name}[{x.size}]{{{render_labels(orbit_labels(x))}}}"
 
 
 def slice_canonical_form(a: SliceObject) -> str:
-    labs = ";".join(f"stab{list(s)}@{v[0]}" for s, v in orbit_labels(a.total, (a.arrow,)))
+    labs = render_labels(orbit_labels(a.total, (a.arrow,)))
     return f"{a.base.group.name}[{a.size}/{a.base.size}]{{{labs}}}"
 
 

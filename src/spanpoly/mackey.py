@@ -14,8 +14,8 @@ product of X with the coordinate set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .calib import ALL_MAPS, MorphismClass
 from .errors import BoundaryMismatch, InvalidStructure
@@ -23,10 +23,11 @@ from .finact import (
     GMap,
     GSet,
     SliceObject,
-    build_gset,
     compose_gmaps,
     coproduct,
     delta,
+    from_labels,
+    orbit_labels,
     orbits,
     product,
     sigma,
@@ -46,46 +47,31 @@ from .util_linear import Matrix, lin_map, mat_add, mat_compose, mat_equal, mat_i
 AtomLabel = tuple  # ((stabilizer elements...), point of the base)
 
 
-def atom_label(group: FiniteGroup, h: Sequence[int], base: GSet, x: int) -> AtomLabel:
-    """Canonical label of the transitive slice with stabilizer h over x."""
-    hs = frozenset(h)
-    best = None
-    for g in group.elements():
-        ginv = group.inv(g)
-        conj = tuple(sorted(group.op(group.op(g, a), ginv) for a in hs))
-        cand = (conj, base.act(g, x))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def atoms(base: GSet) -> tuple[AtomLabel, ...]:
-    """Iso classes of transitive G-sets over the base, canonically sorted."""
+    """Iso classes of transitive G-sets over the base, canonically sorted.
+
+    Every transitive G-set over the base is G/H over an orbit representative
+    x with H inside the stabilizer of x; the labels of these pieces, less
+    duplicates, are the atoms.
+    """
     group = base.group
-    out = set()
-    for x in base.points():
-        stab = frozenset(stabilizer(base, x))
-        for h in subgroups(group):
-            if h <= stab:
-                out.add(atom_label(group, h, base, x))
-    return tuple(sorted(out))
+    pieces = []
+    for orb in orbits(base):
+        stab = frozenset(stabilizer(base, orb[0]))
+        pieces.extend((h, (orb[0],)) for h in subgroups(group) if h <= stab)
+    _, (arrow,) = from_labels(group, (base,), pieces)
+    return tuple(sorted(set(_atom_labels(arrow))))
+
+
+def _atom_labels(arrow: GMap) -> list[AtomLabel]:
+    """The orbit labels of a slice, one leg value unwrapped: (stabilizer, point)."""
+    return [(s, v) for s, (v,) in orbit_labels(arrow.dom, (arrow,))]
 
 
 def atom_slice(base: GSet, label: AtomLabel) -> SliceObject:
     """The canonical representative slice of an atom: cosets of its stabilizer."""
-    group = base.group
-    h, x0 = frozenset(label[0]), label[1]
-    seen = set()
-    elems = []
-    for g in group.elements():
-        c = tuple(sorted(group.op(g, a) for a in h))
-        if c not in seen:
-            seen.add(c)
-            elems.append(c)
-    built = build_gset(group, elems,
-                       lambda g, c: tuple(sorted(group.op(g, a) for a in c)))
-    table = tuple(base.act(min(c), x0) for c in built.elems)
-    return SliceObject(GMap(built.gset, base, table))
+    _, (arrow,) = from_labels(base.group, (base,), ((label[0], (label[1],)),))
+    return SliceObject(arrow)
 
 
 def vectorize_slice(a: SliceObject, gens: Optional[tuple[AtomLabel, ...]] = None) -> tuple[int, ...]:
@@ -93,72 +79,17 @@ def vectorize_slice(a: SliceObject, gens: Optional[tuple[AtomLabel, ...]] = None
     if gens is None:
         gens = atoms(a.base)
     counts = {g: 0 for g in gens}
-    total, arrow = a.total, a.arrow
-    for orb in orbits(total):
-        p = orb[0]
-        lab = atom_label(total.group, stabilizer(total, p), a.base, arrow.table[p])
+    for lab in _atom_labels(a.arrow):
         if lab not in counts:
             raise InvalidStructure("slice decomposes outside the generator list")
         counts[lab] += 1
     return tuple(counts[g] for g in gens)
 
 
-def slice_from_labels(base: GSet, labels: Sequence[AtomLabel]) -> SliceObject:
-    """Canonical multi-orbit slice with the given atom labels (with multiplicity)."""
-    group = base.group
-    elems = []
-    for i, lab in enumerate(labels):
-        h = frozenset(lab[0])
-        seen = set()
-        for g in group.elements():
-            c = tuple(sorted(group.op(g, a) for a in h))
-            if c not in seen:
-                seen.add(c)
-                elems.append((i, c))
-    built = build_gset(group, elems,
-                       lambda g, e: (e[0], tuple(sorted(group.op(g, a) for a in e[1]))))
-    table = tuple(base.act(min(c), labels[i][1]) for (i, c) in built.elems)
-    return SliceObject(GMap(built.gset, base, table))
-
-
 def canonical_slice(a: SliceObject) -> SliceObject:
     """The canonical representative of the iso class of a slice."""
-    labels = []
-    for orb in orbits(a.total):
-        p = orb[0]
-        labels.append(atom_label(a.total.group, stabilizer(a.total, p),
-                                 a.base, a.arrow.table[p]))
-    return slice_from_labels(a.base, tuple(sorted(labels)))
-
-
-# ---------------------------------------------------------------------------
-# commutative monoid spec
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CommMonoid:
-    name: str
-    add: Callable = field(compare=False)
-    zero: object = 0
-    sample_elements: tuple = (0, 1, 2)
-
-
-def vector_monoid(n: int) -> CommMonoid:
-    zero = (0,) * n
-    samples = (zero, tuple(1 for _ in range(n)), tuple(range(n)))
-    return CommMonoid(f"N^{n}", lambda a, b: tuple(x + y for x, y in zip(a, b)),
-                      zero, samples)
-
-
-def check_comm_monoid(m: CommMonoid) -> Report:
-    xs = m.sample_elements
-    checks = [
-        Check("commutativity", all(m.add(a, b) == m.add(b, a) for a in xs for b in xs)),
-        Check("associativity", all(m.add(m.add(a, b), c) == m.add(a, m.add(b, c))
-                                   for a in xs for b in xs for c in xs)),
-        Check("unit", all(m.add(a, m.zero) == a for a in xs)),
-    ]
-    return Report(f"comm-monoid:{m.name}", tuple(checks))
+    _, (arrow,) = from_labels(a.base.group, (a.base,), orbit_labels(a.total, (a.arrow,)))
+    return SliceObject(arrow)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +111,6 @@ class MackeyFunctor:
     def tr_matrix(self, u: GMap) -> Matrix:
         """Linear map value(dom u) -> value(cod u)."""
         raise NotImplementedError
-
-    def value_monoid(self, x: GSet) -> CommMonoid:
-        return vector_monoid(len(self.value_gens(x)))
 
 
 class BurnsideMackey(MackeyFunctor):

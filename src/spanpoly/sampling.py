@@ -16,6 +16,7 @@ from .finact import (
     compose_gmaps,
     coproduct,
     coset_gset,
+    from_labels,
     initial_gset,
     product,
     relabel_gset,
@@ -23,7 +24,7 @@ from .finact import (
     terminal_gset,
 )
 from .groups import FiniteGroup, subgroups
-from .mackey import atom_label, slice_from_labels
+from .mackey import canonical_slice
 from .poly import Polynomial, polynomial
 from .spans import Span
 
@@ -62,7 +63,7 @@ def random_gset_with_fixed_point(rng: Rng, group: FiniteGroup, max_size: int) ->
 def random_slice(rng: Rng, base: GSet, max_size: int,
                  allow_empty: bool = True) -> SliceObject:
     """A random slice over the base, assembled from random transitive pieces."""
-    labels = []
+    pieces = []
     size = 0
     n_orbits = rng.randint(0 if allow_empty else 1, 3)
     for _ in range(n_orbits):
@@ -76,8 +77,9 @@ def random_slice(rng: Rng, base: GSet, max_size: int,
         if size + orb_size > max_size:
             continue
         size += orb_size
-        labels.append(atom_label(base.group, h, base, x))
-    return slice_from_labels(base, tuple(sorted(labels)))
+        pieces.append((h, (x,)))
+    _, (arrow,) = from_labels(base.group, (base,), pieces)
+    return canonical_slice(SliceObject(arrow))
 
 
 def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
@@ -92,7 +94,7 @@ def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
                                                 for q in range(copy.size))))
 
 
-def random_gmap(rng: Rng, x: GSet, y: GSet, tries: int = 8) -> Optional[GMap]:
+def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:
     """A random equivariant map, or None when none exists."""
     from .finact import orbits, transporters
     orbs = orbits(x)

@@ -9,7 +9,7 @@ are concrete values and morphisms between them are searched on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .calib import ALL_MAPS, MorphismClass
 from .errors import BoundaryMismatch, ClassViolation, GroupMismatch, InvalidStructure
@@ -17,14 +17,15 @@ from .finact import (
     CoproductDiagram,
     GMap,
     GSet,
-    build_gset,
     compose_gmaps,
     coproduct,
     equivariant_isos,
+    from_labels,
     identity_gmap,
     initial_gset,
     orbit_labels,
     pullback,
+    render_labels,
     sum_gmap,
 )
 from .groups import FiniteGroup
@@ -176,41 +177,8 @@ def span_iso(p: Span, q: Span) -> Optional[GMap]:
 
 
 def span_canonical_form(p: Span) -> str:
-    labs = ";".join(f"stab{list(s)}@{v[0]},{v[1]}" for s, v in span_labels(p))
-    return (f"{p.group.name}[{p.src.size}<-{p.apex.size}->{p.tgt.size}]{{{labs}}}")
-
-
-def span_from_labels(group: FiniteGroup, src: GSet, tgt: GSet,
-                     labels: Sequence[tuple]) -> Span:
-    """The canonical representative span with the given orbit labels.
-
-    Each label ((stabilizer...), (u0, v0)) contributes the coset orbit of its
-    stabilizer, with legs sending a coset to its least element acting on
-    (u0, v0).  Identical label multisets rebuild identical spans.
-    """
-    elems = []
-    for i, (stab, _) in enumerate(labels):
-        h = frozenset(stab)
-        seen = set()
-        for g in group.elements():
-            c = tuple(sorted(group.op(g, a) for a in h))
-            if c not in seen:
-                seen.add(c)
-                elems.append((i, c))
-
-    def act(g: int, e):
-        i, c = e
-        return (i, tuple(sorted(group.op(g, a) for a in c)))
-
-    built = build_gset(group, elems, act)
-    ltab, rtab = [], []
-    for i, c in built.elems:
-        g = min(c)
-        u0, v0 = labels[i][1]
-        ltab.append(src.act(g, u0))
-        rtab.append(tgt.act(g, v0))
-    return Span(GMap(built.gset, src, tuple(ltab)),
-                GMap(built.gset, tgt, tuple(rtab)))
+    labs = render_labels(span_labels(p))
+    return f"{p.group.name}[{p.src.size}<-{p.apex.size}->{p.tgt.size}]{{{labs}}}"
 
 
 @dataclass(frozen=True)
@@ -230,7 +198,9 @@ class SpanIsoClass:
 
 
 def span_class(p: Span) -> SpanIsoClass:
-    rep = span_from_labels(p.group, p.src, p.tgt, span_labels(p))
+    """The iso class of a span, with the representative rebuilt from its labels."""
+    _, (left, right) = from_labels(p.group, (p.src, p.tgt), span_labels(p))
+    rep = Span(left, right)
     return SpanIsoClass(rep, span_canonical_form(rep))
 
 
@@ -238,10 +208,6 @@ def cl_compose(c1: SpanIsoClass, c2: SpanIsoClass,
                rclass: MorphismClass = ALL_MAPS) -> SpanIsoClass:
     """Compose representatives, then canonicalize."""
     return span_class(compose_spans(c1.rep, c2.rep, rclass))
-
-
-def identity_class(u: GSet) -> SpanIsoClass:
-    return span_class(identity_span(u))
 
 
 # ---------------------------------------------------------------------------

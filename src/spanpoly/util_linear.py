@@ -44,10 +44,6 @@ def mat_identity(n: int) -> LinMap:
                               for i in range(n)))
 
 
-def mat_zero(src: int, tgt: int) -> LinMap:
-    return LinMap(src, tgt, tuple((0,) * tgt for _ in range(src)))
-
-
 def mat_apply(m: LinMap, v: Sequence[int]) -> tuple[int, ...]:
     return m(v)
 

@@ -7,8 +7,8 @@ fields.  References between entries are by name.  Groups may be given by a
 full multiplication table or by permutation generators; G-set actions may
 be given as a full table or per generator.
 
-Builtin names (triv, C2, C3, C4, S3 and derived point/regular objects) are
-preloaded so the command-line tools work without any files.
+Builtin names (triv, C2, C3, C4, S3, S4 and derived point/regular objects)
+are preloaded so the command-line tools work without any files.
 """
 from __future__ import annotations
 

@@ -23,11 +23,9 @@ from spanpoly.mackey import (
     burnside_table_double_cosets,
     canonical_slice,
     check_additivity,
-    check_comm_monoid,
     check_double_coset,
     check_functoriality,
     eval_span,
-    vector_monoid,
     vectorize_slice,
 )
 from spanpoly.sampling import (
@@ -289,8 +287,3 @@ def test_box_symmetry_and_bilinearity(c2, f2, pt2, rng):
     out_sw = pairing_sw.pair(n1, m1)
     assert out == tuple(tuple(out_sw[j][i] for j in range(len(out_sw)))
                         for i in range(len(out)))
-
-
-def test_comm_monoid_spec(c2):
-    rep = check_comm_monoid(vector_monoid(3))
-    assert rep.passed

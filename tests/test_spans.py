@@ -6,11 +6,16 @@ from spanpoly.errors import BoundaryMismatch, ClassViolation
 from spanpoly.finact import (
     compose_gmaps,
     coproduct,
+    from_labels,
     identity_gmap,
     initial_gset,
+    orbit_labels,
     orbits,
+    slice_iso,
     unique_to_terminal,
 )
+from spanpoly.groups import symmetric_group
+from spanpoly.mackey import canonical_slice
 from spanpoly.spans import (
     Span,
     associator,
@@ -29,7 +34,6 @@ from spanpoly.spans import (
     span,
     span_canonical_form,
     span_class,
-    span_from_labels,
     span_iso,
     span_labels,
     upper_star,
@@ -37,7 +41,9 @@ from spanpoly.spans import (
 from spanpoly.sampling import (
     random_gset,
     random_map_into,
+    random_slice,
     random_span,
+    shuffle_slice,
     shuffle_span,
 )
 
@@ -267,8 +273,20 @@ def test_span_morphism_search(c2, f2, pt2, u2):
     assert all(is_span_morphism(double, free, f) for f in incoming)
 
 
-def test_canonical_representative_rebuilds(c2, rng):
-    p = random_span(rng, random_gset(rng, c2, 5), random_gset(rng, c2, 5), 6)
-    rep = span_from_labels(p.group, p.src, p.tgt, span_labels(p))
-    assert span_iso(rep, p) is not None
-    assert span_labels(rep) == span_labels(p)
+def test_canonical_representative_rebuilds(c2, s3, rng):
+    for group in (c2, s3, symmetric_group(4)):
+        for _ in range(4):
+            x = random_gset(rng, group, 6)
+            p = shuffle_span(rng, random_span(rng, x, random_gset(rng, group, 6), 8))
+            labels = span_labels(p)
+            _, (left, right) = from_labels(group, (p.src, p.tgt), labels)
+            rep = Span(left, right)
+            assert span_iso(rep, p) is not None
+            assert span_labels(rep) == labels
+            assert span_class(rep).rep == rep == span_class(p).rep
+            # slices: labels, rebuild, labels again; rebuilding is idempotent
+            a = shuffle_slice(rng, random_slice(rng, x, 8, allow_empty=False))
+            c = canonical_slice(a)
+            assert slice_iso(c, a) is not None
+            assert orbit_labels(c.total, (c.arrow,)) == orbit_labels(a.total, (a.arrow,))
+            assert canonical_slice(c) == c
