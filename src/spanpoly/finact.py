@@ -1,16 +1,22 @@
 """Finite G-sets, equivariant maps, and the limit/colimit machinery of the base category.
 
 Points of a G-set are 0-based contiguous indices.  Every constructed G-set
-(pullback, product, dependent product) is renumbered canonically: element
-descriptors are sorted lexicographically, then points are grouped by orbit
-(orbits ordered by their least descriptor).  Coproducts instead keep the
-tagging order, all left-summand points first, so that injections are plain
-shifts.  All values are immutable; every operation is pure.
+(pullback, product, dependent product) comes from the one builder
+`build_gset`: element descriptors are sorted lexicographically, each group
+element's images of all descriptors are read off the factors' action rows
+in one pass, and points are grouped by orbit (orbits ordered by their least
+descriptor).  A binary product is the pullback over the terminal G-set.
+Coproducts instead keep the tagging order, all left-summand points first,
+so that injections are plain shifts.  All values are immutable; every
+operation is pure.
 
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
 `from_labels` rebuilds the canonical representative from labels; it is also
-the only builder of coset G-sets (`coset_gset` wraps it).
+the only builder of coset G-sets (`coset_gset` wraps it).  Equivariant maps
+are searched orbit by orbit: `orbit_candidates` lists the admissible images
+of each orbit's least point, and the map enumeration, counting, iso search
+and random sampling all start from it.
 
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially, so it runs behind a configurable size guard
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BoundaryMismatch,
@@ -149,11 +155,6 @@ def compose_gmaps(g: GMap, f: GMap) -> GMap:
     if f.cod != g.dom:
         raise BoundaryMismatch("compose_gmaps: codomain of f is not domain of g")
     return GMap(f.dom, g.cod, tuple(g.table[y] for y in f.table))
-
-
-def slice_obj(arrow: GMap) -> SliceObject:
-    arrow.validate()
-    return SliceObject(arrow)
 
 
 def slice_identity(u: GSet) -> SliceObject:
@@ -292,19 +293,11 @@ def slice_canonical_form(a: SliceObject) -> str:
 
 
 def transporters(x: GSet, orb: Sequence[int]) -> dict[int, int]:
-    """For each point of the orbit, one group element moving the least point there."""
+    """For each point of the orbit, the least group element moving the least point there."""
     rep = orb[0]
-    out = {rep: x.group.identity}
-    frontier = [rep]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in x.group.elements():
-                q = x.act(g, p)
-                if q not in out:
-                    out[q] = x.group.op(g, out[p])
-                    nxt.append(q)
-        frontier = nxt
+    out: dict[int, int] = {}
+    for g, row in enumerate(x.action):
+        out.setdefault(row[rep], g)
     return out
 
 
@@ -312,39 +305,52 @@ def transporters(x: GSet, orb: Sequence[int]) -> dict[int, int]:
 # equivariant map / iso search
 # ---------------------------------------------------------------------------
 
-def equivariant_maps(x: GSet, y: GSet,
-                     constraint: Optional[Callable[[int, int], bool]] = None,
+Constraint = Optional[Callable[[int, int], bool]]
+
+
+def orbit_candidates(x: GSet, y: GSet, constraint: Constraint = None
+                     ) -> list[tuple[tuple[int, ...], dict[int, int], list[int]]]:
+    """Per orbit of x: the orbit, its transporters, and the admissible images of its least point.
+
+    An equivariant map x -> y is fixed by choosing, independently for each
+    orbit, an image q of its least point p with stab(q) containing stab(p);
+    the point t.p then goes to t.q, whichever transporter t is used.  An
+    image is admissible when constraint(p, q) also holds.  Candidates are
+    ascending, so every search built on them enumerates in the same order.
+    """
+    if x.group != y.group:
+        raise GroupMismatch("equivariant maps over different groups")
+    ystabs = [frozenset(stabilizer(y, q)) for q in y.points()]
+    out = []
+    for o in orbits(x):
+        rep = o[0]
+        st = frozenset(stabilizer(x, rep))
+        out.append((o, transporters(x, o),
+                    [q for q, sq in enumerate(ystabs)
+                     if st <= sq and (constraint is None or constraint(rep, q))]))
+    return out
+
+
+def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None,
                      limit: Optional[int] = None) -> Iterator[GMap]:
     """All equivariant maps x -> y, optionally point-constrained.
 
-    A map is fixed by choosing, for each orbit representative p, an image
-    with stabilizer containing stab(p); the orbit choices are independent.
-    The constraint must itself be equivariant-compatible; it is re-checked
-    on whole orbits for safety.
+    The orbit choices of `orbit_candidates` are independent.  The constraint
+    must itself be equivariant-compatible; it is re-checked on whole orbits
+    for safety.
     """
-    if x.group != y.group:
-        raise GroupMismatch("equivariant_maps over different groups")
-    orbs = orbits(x)
-    trans = [transporters(x, o) for o in orbs]
-    percand = []
-    for o in orbs:
-        rep = o[0]
-        st = set(stabilizer(x, rep))
-        cands = [q for q in y.points()
-                 if st <= set(stabilizer(y, q))
-                 and (constraint is None or constraint(rep, q))]
-        percand.append(cands)
+    percand = orbit_candidates(x, y, constraint)
     count = 1
-    for c in percand:
+    for _, _, c in percand:
         count *= len(c)
         if count == 0:
             return
     if limit is not None and count > limit:
         raise ResourceLimit(f"{count} equivariant maps exceed limit {limit}")
-    for choice in itertools.product(*percand):
+    for choice in itertools.product(*(c for _, _, c in percand)):
         table = [0] * x.size
         ok = True
-        for o, t, q0 in zip(orbs, trans, choice):
+        for (o, t, _), q0 in zip(percand, choice):
             for p in o:
                 q = y.act(t[p], q0)
                 if constraint is not None and not constraint(p, q):
@@ -357,44 +363,34 @@ def equivariant_maps(x: GSet, y: GSet,
             yield GMap(x, y, tuple(table))
 
 
-def count_equivariant_maps(x: GSet, y: GSet,
-                           constraint: Optional[Callable[[int, int], bool]] = None) -> int:
+def count_equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> int:
     total = 1
-    for o in orbits(x):
-        rep = o[0]
-        st = set(stabilizer(x, rep))
-        n = sum(1 for q in y.points()
-                if st <= set(stabilizer(y, q))
-                and (constraint is None or constraint(rep, q)))
-        total *= n
+    for _, _, c in orbit_candidates(x, y, constraint):
+        total *= len(c)
     return total
 
 
-def equivariant_isos(x: GSet, y: GSet,
-                     constraint: Optional[Callable[[int, int], bool]] = None) -> Iterator[GMap]:
+def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
     """All equivariant bijections x -> y compatible with the constraint.
 
     Backtracks over orbit-to-orbit assignments; within an orbit the map is
-    forced by the image of the representative (stabilizers must coincide).
+    forced by the image of the least point.  A candidate image whose
+    stabilizer is strictly larger maps the orbit onto a smaller one, so the
+    injectivity test rejects it.
     """
     if x.group != y.group:
         raise GroupMismatch("equivariant_isos over different groups")
     if x.size != y.size:
         return
-    orbs = orbits(x)
-    trans = [transporters(x, o) for o in orbs]
+    percand = orbit_candidates(x, y, constraint)
 
     def extend(i: int, used: set[int], table: list[int]) -> Iterator[GMap]:
-        if i == len(orbs):
+        if i == len(percand):
             yield GMap(x, y, tuple(table))
             return
-        o, t = orbs[i], trans[i]
-        rep = o[0]
-        st = stabilizer(x, rep)
-        for q0 in y.points():
-            if q0 in used or stabilizer(y, q0) != st:
-                continue
-            if constraint is not None and not constraint(rep, q0):
+        o, t, cands = percand[i]
+        for q0 in cands:
+            if q0 in used:
                 continue
             img = []
             ok = True
@@ -409,7 +405,6 @@ def equivariant_isos(x: GSet, y: GSet,
             for p, q in zip(o, img):
                 table[p] = q
             yield from extend(i + 1, used | set(img), table)
-        return
 
     yield from extend(0, set(), [0] * x.size)
 
@@ -456,58 +451,77 @@ def relabel_gset(x: GSet, perm: Sequence[int]) -> tuple[GSet, GMap]:
 
 
 # ---------------------------------------------------------------------------
-# canonical construction helper
+# constructed G-sets
 # ---------------------------------------------------------------------------
 
+class BuiltGSet(NamedTuple):
+    gset: GSet
+    elems: tuple
+
+
+def build_gset(group: FiniteGroup, elems: Sequence,
+               images: Callable[[int], Iterable],
+               max_points: Optional[int] = None) -> BuiltGSet:
+    """Materialize a G-set from descriptors, numbered canonically.
+
+    elems lists the descriptors, distinct and ascending.  images(g) lists
+    the descriptor of g.e for each e of elems, in the same order; it is
+    called once per group element.  Points are then grouped by orbit,
+    orbits ordered by their least descriptor; elems of the result lists the
+    descriptor of each point.
+    """
+    limit = DEFAULT_MAX_POINTS if max_points is None else max_points
+    n = len(elems)
+    if n > limit:
+        raise ResourceLimit(f"constructed G-set would have {n} > {limit} points")
+    pos = {e: i for i, e in enumerate(elems)}
+    raw = [list(map(pos.__getitem__, images(g))) for g in group.elements()]
+    seen = [False] * n
+    order: list[int] = []
+    for i in range(n):
+        if not seen[i]:
+            orb = sorted({row[i] for row in raw})
+            for j in orb:
+                seen[j] = True
+            order.extend(orb)
+    newpos = [0] * n
+    for new, old in enumerate(order):
+        newpos[old] = new
+    action = tuple(tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in raw)
+    return BuiltGSet(GSet(group, n, action), tuple(map(elems.__getitem__, order)))
+
+
 class Construction:
-    """A constructed G-set remembering the descriptor of each point."""
+    """A constructed G-set (see `build_gset`) that finds the point of a descriptor."""
 
     __slots__ = ("gset", "elems", "_index")
 
-    def __init__(self, gset_: GSet, elems: tuple):
-        self.gset = gset_
-        self.elems = elems
-        self._index = {e: i for i, e in enumerate(elems)}
+    def __init__(self, group: FiniteGroup, elems: Sequence,
+                 images: Callable[[int], Iterable], max_points: Optional[int] = None):
+        self.gset, self.elems = build_gset(group, elems, images, max_points)
+        self._index = {e: i for i, e in enumerate(self.elems)}
 
     def index_of(self, e) -> int:
         return self._index[e]
 
 
-def build_gset(group: FiniteGroup, elems: Iterable, act_elem: Callable,
-               orbit_sort: bool = True,
-               max_points: Optional[int] = None) -> Construction:
-    """Materialize a G-set from descriptors and an action on descriptors."""
-    limit = DEFAULT_MAX_POINTS if max_points is None else max_points
-    ordered = sorted(set(elems))
-    if len(ordered) > limit:
-        raise ResourceLimit(f"constructed G-set would have {len(ordered)} > {limit} points")
-    pos = {e: i for i, e in enumerate(ordered)}
-    n = len(ordered)
-    raw = [[pos[act_elem(g, e)] for e in ordered] for g in group.elements()]
-    if orbit_sort:
-        seen = [False] * n
-        order: list[int] = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orb = sorted({raw[g][i] for g in group.elements()})
-            for j in orb:
-                seen[j] = True
-            order.extend(orb)
-    else:
-        order = list(range(n))
-    newpos = [0] * n
-    for new, old in enumerate(order):
-        newpos[old] = new
-    action = tuple(tuple(newpos[raw[g][old]] for old in order)
-                   for g in group.elements())
-    out = GSet(group, n, action)
-    return Construction(out, tuple(ordered[old] for old in order))
-
-
 # ---------------------------------------------------------------------------
 # pullbacks
 # ---------------------------------------------------------------------------
+
+def _fibers(f: GMap) -> list[list[int]]:
+    """The preimage of each point of the codomain, ascending."""
+    out: list[list[int]] = [[] for _ in f.cod.points()]
+    for p, y in enumerate(f.table):
+        out[y].append(p)
+    return out
+
+
+def _matching_pairs(f: GMap, g: GMap) -> list[tuple[int, int]]:
+    """The pairs (a, b) with f(a) = g(b), ascending, joined fiber by fiber."""
+    over = _fibers(g)
+    return [(a, b) for a, v in enumerate(f.table) for b in over[v]]
+
 
 class Pullback(Construction):
     """Canonical pullback of a cospan; descriptors are pairs (a, b)."""
@@ -520,14 +534,12 @@ class Pullback(Construction):
         if f.cod != g.cod:
             raise BoundaryMismatch("pullback needs a common codomain")
         xa, xb = f.dom, g.dom
-        elems = [(a, b) for a in xa.points() for b in xb.points()
-                 if f.table[a] == g.table[b]]
-        built = build_gset(f.group, elems,
-                           lambda h, e: (xa.act(h, e[0]), xb.act(h, e[1])),
-                           max_points=max_points)
-        self.gset = built.gset
-        self.elems = built.elems
-        self._index = built._index
+        elems = _matching_pairs(f, g)
+        left, right = [a for a, _ in elems], [b for _, b in elems]
+        super().__init__(f.group, elems,
+                         lambda h: zip(map(xa.action[h].__getitem__, left),
+                                       map(xb.action[h].__getitem__, right)),
+                         max_points)
         self.f = f
         self.g = g
         self.proj1 = GMap(self.gset, xa, tuple(e[0] for e in self.elems))
@@ -561,9 +573,7 @@ def is_pullback_square(f: GMap, g: GMap, p1: GMap, p2: GMap) -> bool:
     pairs = [(p1.table[x], p2.table[x]) for x in p1.dom.points()]
     if len(set(pairs)) != len(pairs):
         return False
-    want = {(a, b) for a in f.dom.points() for b in g.dom.points()
-            if f.table[a] == g.table[b]}
-    return set(pairs) == want
+    return set(pairs) == set(_matching_pairs(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -615,37 +625,22 @@ def codiagonal(x: GSet) -> tuple[CoproductDiagram, GMap]:
     return cop, cop.cotuple(identity_gmap(x), identity_gmap(x))
 
 
-class ProductDiagram(Construction):
-    """Binary product; descriptors are pairs, canonically renumbered."""
+class ProductDiagram(Pullback):
+    """Binary product: the pullback of the maps to the terminal G-set."""
 
-    __slots__ = ("left", "right", "proj1", "proj2")
+    __slots__ = ()
 
     def __init__(self, x: GSet, y: GSet, max_points: Optional[int] = None):
         if x.group != y.group:
             raise GroupMismatch("product over different groups")
-        built = build_gset(x.group,
-                           ((a, b) for a in x.points() for b in y.points()),
-                           lambda g, e: (x.act(g, e[0]), y.act(g, e[1])),
-                           max_points=max_points)
-        self.gset = built.gset
-        self.elems = built.elems
-        self._index = built._index
-        self.left, self.right = x, y
-        self.proj1 = GMap(self.gset, x, tuple(e[0] for e in self.elems))
-        self.proj2 = GMap(self.gset, y, tuple(e[1] for e in self.elems))
+        super().__init__(unique_to_terminal(x), unique_to_terminal(y), max_points)
 
     @property
     def prod(self) -> GSet:
         return self.gset
 
     def pairing(self, f: GMap, g: GMap) -> GMap:
-        if f.dom != g.dom:
-            raise BoundaryMismatch("pairing legs have different domains")
-        if f.cod != self.left or g.cod != self.right:
-            raise BoundaryMismatch("pairing legs do not match the factors")
-        return GMap(f.dom, self.gset,
-                    tuple(self.index_of((f.table[t], g.table[t]))
-                          for t in range(f.dom.size)))
+        return self.mediator(f, g)
 
 
 def product(x: GSet, y: GSet, max_points: Optional[int] = None) -> ProductDiagram:
@@ -698,18 +693,21 @@ class PiData:
     The fiber over x in U is the set of sections s of a over the fiber
     u^-1(x); descriptors are (x, values), values listed against the
     ascending order of u^-1(x).  The action conjugates sections.
+    fiber_pos[p] is the position of p in its fiber.
     """
 
-    __slots__ = ("u", "a", "con", "slice", "fibers")
+    __slots__ = ("u", "a", "con", "slice", "fibers", "fiber_pos")
 
     def __init__(self, u: GMap, a: SliceObject, max_points: Optional[int] = None):
         if a.base != u.dom:
             raise BoundaryMismatch("pi: slice is not over the domain of u")
         s, uu = u.dom, u.cod
         limit = DEFAULT_MAX_POINTS if max_points is None else max_points
-        fibers = [tuple(p for p in s.points() if u.table[p] == x) for x in uu.points()]
-        pre = [tuple(q for q in a.total.points() if a.arrow.table[q] == p)
-               for p in s.points()]
+        fibers, pre = _fibers(u), _fibers(a.arrow)
+        fiber_pos = [0] * s.size
+        for fib in fibers:
+            for i, p in enumerate(fib):
+                fiber_pos[p] = i
         total = 0
         for x in uu.points():
             cnt = 1
@@ -723,25 +721,22 @@ class PiData:
             for sec in itertools.product(*(pre[p] for p in fibers[x])):
                 elems.append((x, sec))
 
-        def act_sec(g: int, e):
-            x, sec = e
-            x2 = uu.act(g, x)
-            ginv = s.group.inv(g)
-            vals = []
-            for q in fibers[x2]:
-                p = s.act(ginv, q)
-                vals.append(a.total.act(g, sec[fibers[x].index(p)]))
-            return (x2, tuple(vals))
+        def images(g: int):
+            # g sends the section sec over u^-1(x) to the section over
+            # u^-1(g.x) whose value at q is g.sec(g^-1.q)
+            back, ra, ru = s.action[s.group.inv(g)], a.total.action[g], uu.action[g]
+            pick = [[fiber_pos[back[q]] for q in fibers[ru[x]]] for x in uu.points()]
+            return [(ru[x], tuple(map(ra.__getitem__, map(sec.__getitem__, pick[x]))))
+                    for x, sec in elems]
 
-        self.con = build_gset(s.group, elems, act_sec, max_points=max_points)
-        self.u, self.a, self.fibers = u, a, fibers
+        self.con = Construction(s.group, elems, images, max_points)
+        self.u, self.a, self.fibers, self.fiber_pos = u, a, fibers, fiber_pos
         self.slice = SliceObject(GMap(self.con.gset, uu,
                                       tuple(e[0] for e in self.con.elems)))
 
     def section_value(self, idx: int, p: int) -> int:
         """Value of the section numbered idx at fiber point p."""
-        x, sec = self.con.elems[idx]
-        return sec[self.fibers[x].index(p)]
+        return self.con.elems[idx][1][self.fiber_pos[p]]
 
     def index_of_section(self, x: int, values: tuple[int, ...]) -> int:
         return self.con.index_of((x, values))
@@ -782,12 +777,6 @@ class SectionEvalData:
         # evaluation triangle: a after e equals the projection to S
         if compose_gmaps(a.arrow, e).table != pull.proj2.table:
             raise InvalidStructure("evaluation triangle failed to commute")
-
-
-def counit_e(u: GMap, a: SliceObject, max_points: Optional[int] = None) -> tuple[GMap, GMap]:
-    """The section-evaluation counit e : P -> A and projection ubar : P -> B."""
-    d = SectionEvalData(u, a, max_points=max_points)
-    return d.e, d.ubar
 
 
 def section_eval(u: GMap, a: SliceObject, max_points: Optional[int] = None) -> SectionEvalData:
@@ -926,7 +915,7 @@ class CoproductPullbackData:
 
     @staticmethod
     def _part(r: GSet, pts: list[int], f: GMap, summand: GSet, shift: int):
-        built = build_gset(r.group, pts, lambda g, p: r.act(g, p))
+        built = build_gset(r.group, pts, lambda g: map(r.action[g].__getitem__, pts))
         incl = GMap(built.gset, r, built.elems)
         over = GMap(built.gset, summand,
                     tuple(f.table[p] - shift for p in built.elems))

@@ -64,6 +64,8 @@ def _table_to_group(name: str, mult: Sequence[Sequence[int]],
                     generators: tuple[int, ...] = ()) -> FiniteGroup:
     n = len(mult)
     mult_t = tuple(tuple(int(x) for x in row) for row in mult)
+    if any(len(row) != n or not all(0 <= x < n for x in row) for row in mult_t):
+        raise InvalidStructure(f"multiplication table is not {n} x {n} with entries in 0..{n - 1}")
     identity = None
     for e in range(n):
         if all(mult_t[e][a] == a and mult_t[a][e] == a for a in range(n)):

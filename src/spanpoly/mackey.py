@@ -151,20 +151,22 @@ class FixedPointMackey(MackeyFunctor):
         self.name = f"fixed-point[{group.name},k={self.coords.size}]"
 
     def _gens(self, x: GSet):
+        """The product x * coords, its orbits, and the orbit index of each point."""
         pr = product(x, self.coords)
-        return pr, orbits(pr.prod)
+        orbs = orbits(pr.prod)
+        orbit_of = [0] * pr.prod.size
+        for i, o in enumerate(orbs):
+            for p in o:
+                orbit_of[p] = i
+        return pr, orbs, orbit_of
 
     def value_gens(self, x: GSet) -> tuple:
-        pr, orbs = self._gens(x)
+        pr, orbs, _ = self._gens(x)
         return tuple(pr.elems[o[0]] for o in orbs)
 
     def res_matrix(self, f: GMap) -> Matrix:
-        prb, orbs_b = self._gens(f.cod)
-        pra, orbs_a = self._gens(f.dom)
-        orbit_of_b = {}
-        for i, o in enumerate(orbs_b):
-            for p in o:
-                orbit_of_b[p] = i
+        prb, orbs_b, orbit_of_b = self._gens(f.cod)
+        pra, orbs_a, _ = self._gens(f.dom)
         rows = []
         for i, _ in enumerate(orbs_b):
             row = [0] * len(orbs_a)
@@ -176,12 +178,8 @@ class FixedPointMackey(MackeyFunctor):
         return lin_map(rows, len(orbs_b), len(orbs_a))
 
     def tr_matrix(self, u: GMap) -> Matrix:
-        pra, orbs_a = self._gens(u.dom)
-        prb, orbs_b = self._gens(u.cod)
-        orbit_of_a = {}
-        for i, o in enumerate(orbs_a):
-            for p in o:
-                orbit_of_a[p] = i
+        pra, orbs_a, orbit_of_a = self._gens(u.dom)
+        prb, orbs_b, _ = self._gens(u.cod)
         rows = []
         for i, _ in enumerate(orbs_a):
             row = [0] * len(orbs_b)

@@ -18,6 +18,7 @@ from .finact import (
     coset_gset,
     from_labels,
     initial_gset,
+    orbit_candidates,
     product,
     relabel_gset,
     stabilizer,
@@ -96,17 +97,11 @@ def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
 
 def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:
     """A random equivariant map, or None when none exists."""
-    from .finact import orbits, transporters
-    orbs = orbits(x)
     table = [0] * x.size
-    for orb in orbs:
-        rep = orb[0]
-        st = set(stabilizer(x, rep))
-        cands = [q for q in y.points() if st <= set(stabilizer(y, q))]
+    for orb, tr, cands in orbit_candidates(x, y):
         if not cands:
             return None
         q0 = rng.choice(cands)
-        tr = transporters(x, orb)
         for p in orb:
             table[p] = y.act(tr[p], q0)
     return GMap(x, y, tuple(table))

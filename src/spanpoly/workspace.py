@@ -110,10 +110,13 @@ def _need(obj: dict, key: str, where: str):
 
 def _parse_group(obj: dict) -> FiniteGroup:
     name = _need(obj, "name", "group entry")
-    if "mult" in obj:
-        return group_from_table(name, obj["mult"])
-    if "generators" in obj:
-        return group_from_permutations(name, obj["generators"])
+    try:
+        if "mult" in obj:
+            return group_from_table(name, obj["mult"])
+        if "generators" in obj:
+            return group_from_permutations(name, obj["generators"])
+    except Exception as exc:
+        raise WorkspaceError(f"group {name!r}: {exc}") from exc
     raise WorkspaceError(f"group {name!r}: need 'mult' or 'generators'")
 
 
@@ -121,6 +124,10 @@ def _action_from_generators(group: FiniteGroup, size: int,
                             gen_perms: list[list[int]]) -> list[list[int]]:
     if len(gen_perms) != len(group.generators):
         raise WorkspaceError("action_by_generator length does not match the group's generators")
+    for perm in gen_perms:
+        if sorted(perm) != list(range(size)):
+            raise WorkspaceError(f"action_by_generator row {perm!r} is not a permutation "
+                                 f"of 0..{size - 1}")
     known: dict[int, list[int]] = {group.identity: list(range(size))}
     frontier = [group.identity]
     while frontier:
@@ -140,17 +147,17 @@ def _action_from_generators(group: FiniteGroup, size: int,
 def _parse_gset(obj: dict, ws: Workspace) -> GSet:
     name = _need(obj, "name", "gset entry")
     group = ws.group(_need(obj, "group", f"gset {name!r}"))
-    size = int(_need(obj, "size", f"gset {name!r}"))
-    if "action" in obj:
-        action = obj["action"]
-    elif "action_by_generator" in obj:
-        if not group.generators:
-            raise WorkspaceError(
-                f"gset {name!r}: group {group.name!r} has no designated generators")
-        action = _action_from_generators(group, size, obj["action_by_generator"])
-    else:
+    size = _need(obj, "size", f"gset {name!r}")
+    if "action" not in obj and "action_by_generator" not in obj:
         raise WorkspaceError(f"gset {name!r}: need 'action' or 'action_by_generator'")
     try:
+        size = int(size)
+        if "action" in obj:
+            action = obj["action"]
+        elif not group.generators:
+            raise WorkspaceError(f"group {group.name!r} has no designated generators")
+        else:
+            action = _action_from_generators(group, size, obj["action_by_generator"])
         return gset(group, size, action)
     except Exception as exc:
         raise WorkspaceError(f"gset {name!r}: {exc}") from exc

@@ -14,7 +14,6 @@ from spanpoly.finact import (
     compose_gmaps,
     coproduct,
     coproduct_pullback_decompose,
-    counit_e,
     delta,
     equivariant_maps,
     gmap,
@@ -235,8 +234,8 @@ def test_pi_resource_guard(c2, f2, u2):
 
 def test_counit_identity_is_iso(f2, rng):
     a = random_slice(rng, f2, 6)
-    e, ubar = counit_e(identity_gmap(f2), a)
-    assert e.is_bijective()
+    pw = section_eval(identity_gmap(f2), a)
+    assert pw.e.is_bijective() and pw.ubar.is_bijective()
 
 
 def test_counit_triangle_and_surjectivity(c2, f2, u2):

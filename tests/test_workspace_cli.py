@@ -157,6 +157,22 @@ def test_cli_structured_error_on_malformed_file(tmp_path, capsys):
     assert "invalid JSON" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("entry, named", [
+    ({"kind": "group", "name": "Ragged", "mult": [[0, 1], [1]]}, "group 'Ragged'"),
+    ({"kind": "gset", "name": "X", "group": "C2", "size": "two",
+      "action": [[0, 1], [1, 0]]}, "gset 'X'"),
+    ({"kind": "gset", "name": "Y", "group": "C2", "size": 2,
+      "action_by_generator": [[0]]}, "gset 'Y'"),
+], ids=["ragged-mult", "non-integer-size", "generator-row-not-a-permutation"])
+def test_cli_structured_error_on_malformed_entry(tmp_path, capsys, entry, named):
+    _write(tmp_path, "bad.json", entry)
+    code = main(["validate", "--workspace", str(tmp_path), "--format", "json"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "WorkspaceError"
+    assert doc["error"]["message"].startswith(named)
+
+
 def test_cli_structured_error_on_bad_input_json(capsys):
     code = main(["eval", "--functor", "burnside", "--group", "C2",
                  "--span", "C2.free-span", "--input", "[1, 2",
