@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -498,8 +499,11 @@ class Construction:
 
     def __init__(self, group: FiniteGroup, elems: Sequence,
                  images: Callable[[int], Iterable], max_points: Optional[int] = None):
-        self.gset, self.elems = build_gset(group, elems, images, max_points)
-        self._index = {e: i for i, e in enumerate(self.elems)}
+        self._set(*build_gset(group, elems, images, max_points))
+
+    def _set(self, gset: GSet, elems: tuple) -> None:
+        self.gset, self.elems = gset, elems
+        self._index = {e: i for i, e in enumerate(elems)}
 
     def index_of(self, e) -> int:
         return self._index[e]
@@ -517,10 +521,14 @@ def _fibers(f: GMap) -> list[list[int]]:
     return out
 
 
-def _matching_pairs(f: GMap, g: GMap) -> list[tuple[int, int]]:
-    """The pairs (a, b) with f(a) = g(b), ascending, joined fiber by fiber."""
+def _matching_pairs(f: GMap, g: GMap) -> tuple[list[int], list[int]]:
+    """The pairs (a, b) with f(a) = g(b), ascending, joined fiber by fiber.
+
+    Returns the list of their a's and the list of their b's.
+    """
     over = _fibers(g)
-    return [(a, b) for a, v in enumerate(f.table) for b in over[v]]
+    return ([a for a, v in enumerate(f.table) for _ in over[v]],
+            [b for v in f.table for b in over[v]])
 
 
 class Pullback(Construction):
@@ -534,12 +542,17 @@ class Pullback(Construction):
         if f.cod != g.cod:
             raise BoundaryMismatch("pullback needs a common codomain")
         xa, xb = f.dom, g.dom
-        elems = _matching_pairs(f, g)
-        left, right = [a for a, _ in elems], [b for _, b in elems]
-        super().__init__(f.group, elems,
-                         lambda h: zip(map(xa.action[h].__getitem__, left),
-                                       map(xb.action[h].__getitem__, right)),
-                         max_points)
+        nb = xb.size
+        left, right = _matching_pairs(f, g)
+
+        # the pair (a, b) is built as the integer code a * |B| + b; codes
+        # ascend with the pairs, and h.(a, b) has code h.a * |B| + h.b
+        def images(h: int):
+            scaled = [p * nb for p in xa.action[h]]
+            return map(add, map(scaled.__getitem__, left), map(xb.action[h].__getitem__, right))
+
+        built = build_gset(f.group, [a * nb + b for a, b in zip(left, right)], images, max_points)
+        self._set(built.gset, tuple(divmod(c, nb) for c in built.elems))
         self.f = f
         self.g = g
         self.proj1 = GMap(self.gset, xa, tuple(e[0] for e in self.elems))
@@ -573,7 +586,7 @@ def is_pullback_square(f: GMap, g: GMap, p1: GMap, p2: GMap) -> bool:
     pairs = [(p1.table[x], p2.table[x]) for x in p1.dom.points()]
     if len(set(pairs)) != len(pairs):
         return False
-    return set(pairs) == set(_matching_pairs(f, g))
+    return set(pairs) == set(zip(*_matching_pairs(f, g)))
 
 
 # ---------------------------------------------------------------------------

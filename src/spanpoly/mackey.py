@@ -34,7 +34,13 @@ from .finact import (
     stabilizer,
     terminal_gset,
 )
-from .groups import FiniteGroup, double_cosets, subgroup_class_key, subgroups
+from .groups import (
+    FiniteGroup,
+    double_cosets,
+    generating_set,
+    subgroup_class_key,
+    subgroups,
+)
 from .report import Check, Report
 from .spans import Span, compose_spans
 from .util_linear import Matrix, lin_map, mat_add, mat_compose, mat_equal, mat_identity
@@ -309,44 +315,44 @@ def burnside_table(group: FiniteGroup) -> BurnsideTable:
 
 
 def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
-    """Independent route: raw pair enumeration with a union-find orbit count.
+    """Independent route: raw pair enumeration with a generator-driven orbit search.
 
-    Builds each product of transitive actions as a plain set of coset pairs,
-    partitions it into orbits by union-find, and classifies each orbit by
-    the conjugacy class of a directly computed point stabilizer.  Shares no
+    Numbers the pairs of each product of transitive actions a * |Y| + b,
+    finds the orbits as the components of the graph that the generators'
+    action rows draw on the pairs, and classifies each orbit by the
+    conjugacy class of a directly computed point stabilizer.  Shares no
     code with the slice machinery above.
     """
     pt = terminal_gset(group)
     labs = atoms(pt)
     reps = [atom_slice(pt, l) for l in labs]
-    class_of = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
+    index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
+    class_of = {h: index[subgroup_class_key(group, h)] for h in subgroups(group)}
+    gens = generating_set(group)
 
     def orbit_classes(x: GSet, y: GSet) -> list[int]:
-        n = x.size * y.size
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-        for a in range(x.size):
-            for b in range(y.size):
-                i = a * y.size + b
-                for g in group.elements():
-                    union(i, x.act(g, a) * y.size + y.act(g, b))
+        ny = y.size
+        moves = [(x.action[s], y.action[s]) for s in gens]
+        seen = [False] * (x.size * ny)
         out = []
-        for root in sorted({find(i) for i in range(n)}):
-            a, b = divmod(root, y.size)
+        # an orbit is a component under the generators; scanning codes in
+        # ascending order meets each one first at its least code
+        for root in range(len(seen)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [root]
+            while stack:
+                a, b = divmod(stack.pop(), ny)
+                for xs, ys in moves:
+                    j = xs[a] * ny + ys[b]
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+            a, b = divmod(root, ny)
             stab = frozenset(g for g in group.elements()
-                             if x.act(g, a) == a and y.act(g, b) == b)
-            out.append(class_of[subgroup_class_key(group, stab)])
+                             if x.action[g][a] == a and y.action[g][b] == b)
+            out.append(class_of[stab])
         return out
 
     entries = []

@@ -108,8 +108,16 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _need_name(obj: dict, key: str, where: str) -> str:
+    """A field holding a name: the entry's own or a reference to another entry."""
+    value = _need(obj, key, where)
+    if not isinstance(value, str):
+        raise WorkspaceError(f"{where}: field {key!r} must be a name, not {value!r}")
+    return value
+
+
 def _parse_group(obj: dict) -> FiniteGroup:
-    name = _need(obj, "name", "group entry")
+    name = _need_name(obj, "name", "group entry")
     try:
         if "mult" in obj:
             return group_from_table(name, obj["mult"])
@@ -145,8 +153,8 @@ def _action_from_generators(group: FiniteGroup, size: int,
 
 
 def _parse_gset(obj: dict, ws: Workspace) -> GSet:
-    name = _need(obj, "name", "gset entry")
-    group = ws.group(_need(obj, "group", f"gset {name!r}"))
+    name = _need_name(obj, "name", "gset entry")
+    group = ws.group(_need_name(obj, "group", f"gset {name!r}"))
     size = _need(obj, "size", f"gset {name!r}")
     if "action" not in obj and "action_by_generator" not in obj:
         raise WorkspaceError(f"gset {name!r}: need 'action' or 'action_by_generator'")
@@ -164,9 +172,9 @@ def _parse_gset(obj: dict, ws: Workspace) -> GSet:
 
 
 def _parse_gmap(obj: dict, ws: Workspace) -> GMap:
-    name = _need(obj, "name", "gmap entry")
-    dom = ws.gset(_need(obj, "dom", f"gmap {name!r}"))
-    cod = ws.gset(_need(obj, "cod", f"gmap {name!r}"))
+    name = _need_name(obj, "name", "gmap entry")
+    dom = ws.gset(_need_name(obj, "dom", f"gmap {name!r}"))
+    cod = ws.gset(_need_name(obj, "cod", f"gmap {name!r}"))
     try:
         return gmap(dom, cod, _need(obj, "table", f"gmap {name!r}"))
     except Exception as exc:
@@ -178,7 +186,7 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
     ws = ws if ws is not None else builtin_workspace()
     by_kind: dict[str, list[dict]] = {}
     for e in entries:
-        if not isinstance(e, dict) or "kind" not in e:
+        if not isinstance(e, dict) or not isinstance(e.get("kind"), str):
             raise WorkspaceError(f"entry without a 'kind': {e!r}")
         by_kind.setdefault(e["kind"], []).append(e)
     unknown = set(by_kind) - {"group", "gset", "gmap", "span", "poly", "class"}
@@ -191,26 +199,30 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
     for e in by_kind.get("gmap", ()):
         ws.gmaps[e["name"]] = _parse_gmap(e, ws)
     for e in by_kind.get("span", ()):
-        name = _need(e, "name", "span entry")
-        left = ws.gmap(_need(e, "left", f"span {name!r}"))
-        right = ws.gmap(_need(e, "right", f"span {name!r}"))
+        name = _need_name(e, "name", "span entry")
+        left = ws.gmap(_need_name(e, "left", f"span {name!r}"))
+        right = ws.gmap(_need_name(e, "right", f"span {name!r}"))
         try:
             ws.spans[name] = span(left, right,
                                   ws.morphism_class(e.get("class", "all")))
         except Exception as exc:
             raise WorkspaceError(f"span {name!r}: {exc}") from exc
     for e in by_kind.get("poly", ()):
-        name = _need(e, "name", "poly entry")
+        name = _need_name(e, "name", "poly entry")
         try:
             ws.polys[name] = polynomial(
-                ws.gmap(_need(e, "r", f"poly {name!r}")),
-                ws.gmap(_need(e, "n", f"poly {name!r}")),
-                ws.gmap(_need(e, "t", f"poly {name!r}")))
+                ws.gmap(_need_name(e, "r", f"poly {name!r}")),
+                ws.gmap(_need_name(e, "n", f"poly {name!r}")),
+                ws.gmap(_need_name(e, "t", f"poly {name!r}")))
         except Exception as exc:
             raise WorkspaceError(f"poly {name!r}: {exc}") from exc
     for e in by_kind.get("class", ()):
-        name = _need(e, "name", "class entry")
-        maps = [ws.gmap(n) for n in _need(e, "maps", f"class {name!r}")]
+        name = _need_name(e, "name", "class entry")
+        maps = _need(e, "maps", f"class {name!r}")
+        if not isinstance(maps, list) or not all(isinstance(n, str) for n in maps):
+            raise WorkspaceError(f"class {name!r}: field 'maps' must be a list of names, "
+                                 f"not {maps!r}")
+        maps = [ws.gmap(n) for n in maps]
         ws.classes[name] = whitelist_class(
             name, maps, bool(e.get("closed_under_coproducts", False)))
     return ws

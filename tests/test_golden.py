@@ -6,12 +6,14 @@ representatives, and the coset G-sets of S4.  They also pin the
 constructions of `finact` (pullback, product and dependent-product
 descriptors with their actions, the coproduct-pullback parts), the
 enumeration order of the equivariant map and iso searches, and seeded
-`random_gmap` draws.  A G-set is pinned by its size and the rows of the
+`random_gmap` draws, and the sha256 of the cross-checked Burnside tables
+of A4, D8 and A5 given by permutation generators.  A G-set is pinned by its size and the rows of the
 group's generators, which determine a valid action.  Inputs are built
 explicitly (no sampler) and relabelled, so that the canonical outputs do
 not simply echo their input.
 """
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -301,6 +303,30 @@ def test_golden_burnside_generators():
                    "S3.free-span", "--input", "[1, 0, 2, 1]", "--format", "json"])
     assert rc == 0
     assert json.loads(buf.getvalue()) == GOLDEN_GENERATORS
+
+
+# group -> (permutation generators, sha256 of `burnside --cross-check --format json`)
+GOLDEN_BURNSIDE = {
+    "A4": ([[1, 2, 0, 3], [1, 0, 3, 2]],
+           "fce54b40c8177bcf1993f20484c76f6bc95f72a60c4875cea13f62e1a20cbcba"),
+    "D8": ([[1, 2, 3, 0], [2, 1, 0, 3]],
+           "3efaa91954f40d874654ea9121f9484bda90c10a0e9bf27cef2f0664a65c95f2"),
+    "A5": ([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
+           "07268ff9ebceed6b0d46eac184245de97ec49b132022a49f5140002c97543708"),
+}
+
+
+def test_golden_burnside_cross_check(tmp_path):
+    (tmp_path / "groups.json").write_text(json.dumps(
+        [{"kind": "group", "name": name, "generators": gens}
+         for name, (gens, _) in GOLDEN_BURNSIDE.items()]))
+    for name, (_, want) in GOLDEN_BURNSIDE.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(["burnside", "--workspace", str(tmp_path), "--group", name,
+                       "--cross-check", "--format", "json"])
+        assert rc == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, name
 
 
 def test_golden_canonical_forms_and_representatives():

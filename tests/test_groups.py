@@ -3,8 +3,10 @@ from hypothesis import given, strategies as st
 
 from spanpoly.errors import InvalidStructure
 from spanpoly.groups import (
+    BUILTIN_GROUPS,
     cyclic_group,
     double_cosets,
+    generating_set,
     group_from_permutations,
     group_from_table,
     subgroup_class_key,
@@ -51,6 +53,69 @@ def test_subgroup_counts():
     assert len(subgroups(cyclic_group(4))) == 3
     assert len(subgroups(symmetric_group(3))) == 6
     assert len(subgroup_class_reps(symmetric_group(3))) == 4
+
+
+# Permutation generators (image lists on 0..n-1) of groups beyond the builtins.
+PERM_GENERATORS = {
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D8": [[1, 2, 3, 0], [2, 1, 0, 3]],
+    "C2^4": [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+             [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
+    "A5": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
+    "S4xC2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+}
+
+
+def _perm_group(name):
+    return group_from_permutations(name, PERM_GENERATORS[name])
+
+
+def _naive_closure(g, seed):
+    """The subgroup generated by seed, closing under all pairwise products."""
+    cur = set(seed) | {g.identity}
+    while True:
+        new = {g.op(a, b) for a in cur for b in cur} - cur
+        if not new:
+            return frozenset(cur)
+        cur |= new
+
+
+@pytest.mark.parametrize("name, count", [
+    ("S4", 30), ("A4", 10), ("D8", 10), ("C2^4", 67), ("A5", 59), ("S5", 156),
+])
+def test_textbook_subgroup_counts(name, count):
+    g = symmetric_group(int(name[1])) if name in ("S4", "S5") else _perm_group(name)
+    assert len(subgroups(g)) == count
+
+
+def test_subgroups_match_naive_closure():
+    g = _perm_group("S4xC2")
+    found = {_naive_closure(g, ())}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for x in g.elements():
+            k = _naive_closure(g, h | {x})
+            if k not in found:
+                found.add(k)
+                frontier.append(k)
+    assert subgroups(g) == tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+@pytest.mark.parametrize("g", [ctor() for ctor in BUILTIN_GROUPS.values()]
+                         + [group_from_table("S3t", symmetric_group(3).mult)],
+                         ids=list(BUILTIN_GROUPS) + ["S3-table"])
+def test_generating_set_generates(g):
+    gens = generating_set(g)
+    assert _naive_closure(g, gens) == frozenset(g.elements())
+    if g.generators:
+        assert gens == g.generators
+
+
+def test_generating_set_leaves_table_groups_without_generators():
+    g = group_from_table("S3t", symmetric_group(3).mult)
+    assert len(generating_set(g)) == 2
+    assert g.generators == ()
 
 
 def test_subgroup_class_key_conjugation_invariant():

@@ -11,7 +11,7 @@ from spanpoly.finact import (
     terminal_gset,
     unique_to_terminal,
 )
-from spanpoly.groups import cyclic_group
+from spanpoly.groups import cyclic_group, group_from_permutations, group_from_table
 from spanpoly.mackey import (
     BurnsideMackey,
     FixedPointMackey,
@@ -173,6 +173,21 @@ def test_burnside_routes_agree(triv, c2, c3, s3):
         b = burnside_table_bruteforce(group)
         c = burnside_table_double_cosets(group)
         assert a.entries == b.entries == c.entries
+
+
+def test_burnside_routes_agree_without_designated_generators(s3):
+    """The oracle's orbit search needs generators; a table group has none given."""
+    g = group_from_table("S3t", s3.mult)
+    assert g.generators == ()
+    a = burnside_table(g)
+    assert a == burnside_table_bruteforce(g) == burnside_table_double_cosets(g)
+
+
+def test_burnside_routes_agree_on_a5():
+    a5 = group_from_permutations("A5", [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+    a = burnside_table(a5)
+    assert len(a.atom_names) == 9
+    assert a == burnside_table_bruteforce(a5) == burnside_table_double_cosets(a5)
 
 
 def test_burnside_s3_known_values(s3):

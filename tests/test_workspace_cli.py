@@ -163,7 +163,12 @@ def test_cli_structured_error_on_malformed_file(tmp_path, capsys):
       "action": [[0, 1], [1, 0]]}, "gset 'X'"),
     ({"kind": "gset", "name": "Y", "group": "C2", "size": 2,
       "action_by_generator": [[0]]}, "gset 'Y'"),
-], ids=["ragged-mult", "non-integer-size", "generator-row-not-a-permutation"])
+    ({"kind": "class", "name": "K", "maps": 5}, "class 'K'"),
+    ({"kind": "gmap", "name": "F", "dom": ["C2.pt"], "cod": "C2.pt",
+      "table": [0]}, "gmap 'F'"),
+    ({"kind": ["gset"], "name": "Z"}, "entry without a 'kind'"),
+], ids=["ragged-mult", "non-integer-size", "generator-row-not-a-permutation",
+        "class-maps-not-a-list", "reference-not-a-name", "kind-not-a-name"])
 def test_cli_structured_error_on_malformed_entry(tmp_path, capsys, entry, named):
     _write(tmp_path, "bad.json", entry)
     code = main(["validate", "--workspace", str(tmp_path), "--format", "json"])
