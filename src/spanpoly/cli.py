@@ -2,8 +2,8 @@
 
 All output is deterministic for fixed inputs and seeds; JSON output uses
 sorted keys.  Exit status: 0 success / all checks passed, 1 a check suite
-failed, 2 bad input.  Malformed inputs produce a structured error object,
-never a bare traceback.
+or a cross-check failed, 2 bad input.  Malformed inputs produce a
+structured error object, never a bare traceback.
 """
 from __future__ import annotations
 
@@ -111,13 +111,29 @@ def cmd_check(args) -> int:
                                         args.max_size, rclass))
 
 
+def _emit_error(args, kind: str, message: str) -> None:
+    if getattr(args, "format", "text") == "json":
+        sys.stdout.write(dump_json({"error": {"type": kind, "message": message}}))
+    else:
+        sys.stdout.write(f"error [{kind}]: {message}\n")
+
+
 def cmd_burnside(args) -> int:
     group = _workspace(args).group(args.group)
     table = burnside_table(group)
     if args.cross_check:
         other = burnside_table_bruteforce(group)
-        if table.entries != other.entries:
-            raise SpanPolyError("burnside table routes disagree")
+        names = table.atom_names
+        bad = [(i, j) for i, row in enumerate(table.entries)
+               for j, v in enumerate(row) if v != other.entries[i][j]]
+        if bad:
+            # a failed check on valid input: exit 1, not the bad-input 2
+            i, j = bad[0]
+            _emit_error(args, "CrossCheckFailed",
+                        f"burnside table routes disagree at {names[i]} x {names[j]}: "
+                        f"engine {list(table.entries[i][j])}, "
+                        f"orbit oracle {list(other.entries[i][j])}")
+            return 1
     _emit(args, table.render_text(), table.to_dict())
     return 0
 
@@ -230,19 +246,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SpanPolyError as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        if getattr(args, "format", "text") == "json":
-            sys.stdout.write(dump_json(err))
-        else:
-            sys.stdout.write(f"error [{type(exc).__name__}]: {exc}\n")
-        return 2
-    except json.JSONDecodeError as exc:
-        err = {"error": {"type": "JSONDecodeError", "message": str(exc)}}
-        if getattr(args, "format", "text") == "json":
-            sys.stdout.write(dump_json(err))
-        else:
-            sys.stdout.write(f"error [JSONDecodeError]: {exc}\n")
+    except (SpanPolyError, json.JSONDecodeError) as exc:
+        _emit_error(args, type(exc).__name__, str(exc))
         return 2
 
 

@@ -7,10 +7,15 @@ by restriction along the left leg followed by transfer along the right one
 (the reversed-span convention gives the contravariant reading).
 
 The Burnside instance takes a G-set to the free monoid on its atoms, the
-iso classes of transitive G-sets over it.  The fixed-point instance is
-parametrized by a G-set of coordinates: its value on X is the monoid of
-equivariant natural-vector-valued functions, free on the orbits of the
-product of X with the coordinate set.
+iso classes of transitive G-sets over it.  At the point its value is the
+Burnside ring, whose multiplication table is computed in mark coordinates:
+a G-set X has the mark vector of fixed-point counts |X^H| over the subgroup
+classes, the mark vector of a product is the pointwise product, and the
+table of marks is triangular, so a mark vector decomposes into atoms by
+back-substitution (Burnside and Pfeiffer, Exp. Math. 1997).  The
+fixed-point instance is parametrized by a G-set of coordinates: its value on
+X is the monoid of equivariant natural-vector-valued functions, free on the
+orbits of the product of X with the coordinate set.
 """
 from __future__ import annotations
 
@@ -297,21 +302,74 @@ def _atom_names(group: FiniteGroup, labs: Sequence[AtomLabel]) -> tuple[str, ...
     return tuple(names)
 
 
+def _exact(num: int, den: int) -> int:
+    """num / den as a natural number; anything else breaks a mark identity."""
+    q, r = divmod(num, den)
+    if r or q < 0:
+        raise InvalidStructure(f"marks do not decompose: {num} / {den} is not a natural number")
+    return q
+
+
+def table_of_marks(group: FiniteGroup,
+                   hs: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+    """Marks of the coset actions on a list of subgroups: marks[i][j] = |(G/H_i)^{H_j}|.
+
+    marks[i][j] = #{g : g^-1 H_j g <= H_i} / |H_i|.  The conjugate g^-1 H_j g
+    depends only on the right coset H_j g, so each conjugate is formed once
+    per right coset, counted |H_j| times, and tested against every H_i.
+    """
+    mult, inv = group.mult, group.inverse
+    marks = [[0] * len(hs) for _ in hs]
+    for j, hj in enumerate(hs):
+        counts: dict[frozenset[int], int] = {}
+        covered = [False] * group.order
+        for g in group.elements():
+            if covered[g]:
+                continue
+            for h in hj:
+                covered[mult[h][g]] = True
+            row = mult[inv[g]]
+            conj = frozenset(mult[row[h]][g] for h in hj)
+            counts[conj] = counts.get(conj, 0) + len(hj)
+        for i, hi in enumerate(hs):
+            if len(hi) % len(hj) == 0:
+                marks[i][j] = _exact(sum(c for k, c in counts.items() if k <= hi), len(hi))
+    return tuple(tuple(row) for row in marks)
+
+
 def burnside_table(group: FiniteGroup) -> BurnsideTable:
-    """Multiplication table of the Burnside ring via actual products of actions."""
-    pt = terminal_gset(group)
-    labs = atoms(pt)
-    reps = [atom_slice(pt, l) for l in labs]
-    entries = []
-    for a in reps:
-        row = []
-        for b in reps:
-            pr = product(a.total, b.total)
-            row.append(vectorize_slice(
-                SliceObject(GMap(pr.prod, pt, (0,) * pr.prod.size)), labs))
-        entries.append(tuple(row))
-    sizes = tuple(r.total.size for r in reps)
-    return BurnsideTable(group.name, _atom_names(group, labs), sizes, tuple(entries))
+    """Multiplication table of the Burnside ring, computed in mark coordinates.
+
+    The mark vector of a product of atoms is the pointwise product of their
+    rows in the table of marks.  marks[i][j] vanishes unless H_j is
+    subconjugate to H_i, so the atom coefficients come out by
+    back-substitution from the largest subgroups down: each coefficient is
+    what the rows already found leave in its column, divided exactly by its
+    diagonal mark |N_G(H_j) : H_j|, and its own row is then subtracted.
+    Builds no G-set beyond the atom labels of the point.
+    """
+    labs = atoms(terminal_gset(group))
+    hs = [frozenset(l[0]) for l in labs]
+    marks = table_of_marks(group, hs)
+    n = len(hs)
+    order = sorted(range(n), key=lambda j: -len(hs[j]))
+    below = [[(k, mk) for k, mk in enumerate(row) if k != j and mk]
+             for j, row in enumerate(marks)]
+    entries = [[()] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            m = [x * y for x, y in zip(marks[a], marks[b])]
+            c = [0] * n
+            for j in order:
+                # m[j] is what the rows of larger subgroups leave in column j
+                if m[j]:
+                    c[j] = q = _exact(m[j], marks[j][j])
+                    for k, mk in below[j]:
+                        m[k] -= q * mk
+            entries[a][b] = entries[b][a] = tuple(c)
+    sizes = tuple(group.order // len(h) for h in hs)
+    return BurnsideTable(group.name, _atom_names(group, labs), sizes,
+                         tuple(tuple(row) for row in entries))
 
 
 def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:

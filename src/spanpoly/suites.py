@@ -215,6 +215,7 @@ def suite_mackey(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     t1 = mackey.burnside_table(group)
     t2 = mackey.burnside_table_bruteforce(group)
     t3 = mackey.burnside_table_double_cosets(group)
+    # historical check names, kept so that reports stay byte-identical
     reports.append(Report("burnside-routes",
                           (Check("product-vs-unionfind", t1.entries == t2.entries),
                            Check("product-vs-double-cosets", t1.entries == t3.entries))))

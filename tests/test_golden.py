@@ -7,10 +7,10 @@ constructions of `finact` (pullback, product and dependent-product
 descriptors with their actions, the coproduct-pullback parts), the
 enumeration order of the equivariant map and iso searches, and seeded
 `random_gmap` draws, and the sha256 of the cross-checked Burnside tables
-of A4, D8 and A5 given by permutation generators.  A G-set is pinned by its size and the rows of the
-group's generators, which determine a valid action.  Inputs are built
-explicitly (no sampler) and relabelled, so that the canonical outputs do
-not simply echo their input.
+of A4, D8, A5, C2^4 and S4xC2 given by permutation generators.  A G-set is
+pinned by its size and the rows of the group's generators, which determine
+a valid action.  Inputs are built explicitly (no sampler) and relabelled,
+so that the canonical outputs do not simply echo their input.
 """
 import contextlib
 import hashlib
@@ -313,6 +313,11 @@ GOLDEN_BURNSIDE = {
            "3efaa91954f40d874654ea9121f9484bda90c10a0e9bf27cef2f0664a65c95f2"),
     "A5": ([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
            "07268ff9ebceed6b0d46eac184245de97ec49b132022a49f5140002c97543708"),
+    "C2^4": ([[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+              [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
+             "48cd84c1a8ddfc7c2d10132ad3167b150743b93d38839e53a9ba28e8f9a60c38"),
+    "S4xC2": ([[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+              "9b8c4a31d3d70bd3ab2b4b010d9118ee5fc3a37fc0b72340d11544779636d2ab"),
 }
 
 

@@ -1,6 +1,7 @@
 """Mackey instances: evaluation, exchange laws, Burnside tables, box pairing."""
 
 from spanpoly.finact import (
+    GMap,
     SliceObject,
     compose_gmaps,
     coproduct,
@@ -11,7 +12,12 @@ from spanpoly.finact import (
     terminal_gset,
     unique_to_terminal,
 )
-from spanpoly.groups import cyclic_group, group_from_permutations, group_from_table
+from spanpoly.groups import (
+    cyclic_group,
+    group_from_permutations,
+    group_from_table,
+    symmetric_group,
+)
 from spanpoly.mackey import (
     BurnsideMackey,
     FixedPointMackey,
@@ -26,6 +32,7 @@ from spanpoly.mackey import (
     check_double_coset,
     check_functoriality,
     eval_span,
+    table_of_marks,
     vectorize_slice,
 )
 from spanpoly.sampling import (
@@ -168,11 +175,11 @@ def test_burnside_c2_exact(c2):
 
 def test_burnside_routes_agree(triv, c2, c3, s3):
     c4 = cyclic_group(4)
-    for group in (triv, c2, c3, c4, s3):
+    for group in (triv, c2, c3, c4, s3, symmetric_group(5)):
         a = burnside_table(group)
         b = burnside_table_bruteforce(group)
         c = burnside_table_double_cosets(group)
-        assert a.entries == b.entries == c.entries
+        assert a == b == c, group.name
 
 
 def test_burnside_routes_agree_without_designated_generators(s3):
@@ -230,6 +237,60 @@ def test_burnside_table_ring_laws(c2, s3):
                 for k2 in range(n):
                     assert mul_vec(mul_vec(basis[i], basis[j]), basis[k2]) == \
                         mul_vec(basis[i], mul_vec(basis[j], basis[k2]))
+
+
+def test_product_of_atoms_matches_burnside_table(s3):
+    """The engine builds no products; certify `finact.product` against its table."""
+    d8 = group_from_permutations("D8", [[1, 2, 3, 0], [2, 1, 0, 3]])
+    for group in (s3, symmetric_group(4), d8):
+        pt = terminal_gset(group)
+        labs = atoms(pt)
+        reps = [atom_slice(pt, l) for l in labs]
+        t = burnside_table(group)
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                pr = product(a.total, b.total)
+                over_pt = SliceObject(GMap(pr.prod, pt, (0,) * pr.prod.size))
+                assert vectorize_slice(over_pt, labs) == t.entries[i][j], (group.name, i, j)
+
+
+def _atom_subgroups(group):
+    return [frozenset(l[0]) for l in atoms(terminal_gset(group))]
+
+
+def test_marks_s3_textbook(s3):
+    hs = _atom_subgroups(s3)
+    marks = table_of_marks(s3, hs)
+    by_order = sorted(range(len(hs)), key=lambda i: len(hs[i]))
+    # rows G/1, G/C2, G/C3, G/S3; columns the subgroups 1, C2, C3, S3
+    assert [len(hs[i]) for i in by_order] == [1, 2, 3, 6]
+    assert [[marks[i][j] for j in by_order] for i in by_order] == [
+        [6, 0, 0, 0],
+        [3, 1, 0, 0],
+        [2, 0, 2, 0],
+        [1, 1, 1, 1],
+    ]
+
+
+def test_marks_invariants():
+    s4xc2 = group_from_permutations(
+        "S4xC2", [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]])
+    a5 = group_from_permutations("A5", [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+    for group in (symmetric_group(4), a5, s4xc2):
+        hs = _atom_subgroups(group)
+        marks = table_of_marks(group, hs)
+        trivial = hs.index(frozenset({group.identity}))
+
+        def conj(h, x):
+            return frozenset(group.op(group.op(x, a), group.inv(x)) for a in h)
+
+        for i, hi in enumerate(hs):
+            normalizer = [x for x in group.elements() if conj(hi, x) == hi]
+            assert marks[i][i] == len(normalizer) // len(hi), (group.name, i)
+            assert marks[i][trivial] == group.order // len(hi), (group.name, i)
+            for j, hj in enumerate(hs):
+                subconjugate = any(conj(hj, x) <= hi for x in group.elements())
+                assert (marks[i][j] != 0) == subconjugate, (group.name, i, j)
 
 
 def test_table_render_deterministic(s3):

@@ -263,3 +263,29 @@ def test_cli_check_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(suites_mod.SUITES, "lextensive", fake)
     code = main(["check", "--suite", "lextensive", "--group", "C2"])
     assert code == 1
+
+
+def test_cli_burnside_cross_check_failure_exit_code(capsys, monkeypatch):
+    """Routes that disagree on valid input fail the check (1), not the input (2)."""
+    import dataclasses
+
+    import spanpoly.cli as cli_mod
+    from spanpoly.groups import symmetric_group
+    from spanpoly.mackey import burnside_table, burnside_table_bruteforce
+
+    def perturbed(group):
+        t = burnside_table_bruteforce(group)
+        rows = [list(row) for row in t.entries]
+        v = rows[1][2]
+        rows[1][2] = (v[0] + 1,) + v[1:]
+        return dataclasses.replace(t, entries=tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(cli_mod, "burnside_table_bruteforce", perturbed)
+    names = burnside_table(symmetric_group(3)).atom_names
+    assert main(["burnside", "--group", "S3", "--cross-check", "--format", "json"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert f"{names[1]} x {names[2]}" in err["message"]
+    assert main(["burnside", "--group", "S3", "--cross-check"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error [CrossCheckFailed]: ") and f"{names[1]} x {names[2]}" in out
