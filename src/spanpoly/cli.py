@@ -90,8 +90,11 @@ def cmd_compose(args) -> int:
                 + "\n".join(f"  {s['rule']} @ {s['pos']}: {' '.join(s['after'])}"
                             for s in transcript))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(obj))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dump_json(obj))
+        except OSError as exc:
+            raise SpanPolyError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     _emit(args, text, obj)
     return 0
 
@@ -138,6 +141,15 @@ def cmd_burnside(args) -> int:
     return 0
 
 
+def _vector(value, length: int) -> tuple:
+    """The --input value as a vector of length integers."""
+    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        raise SpanPolyError(f"--input must be a JSON list of integers, not {value!r}")
+    if len(value) != length:
+        raise SpanPolyError(f"--input has {len(value)} values, expected {length}")
+    return tuple(value)
+
+
 def cmd_eval(args) -> int:
     ws = _workspace(args)
     group = ws.group(args.group)
@@ -154,7 +166,7 @@ def cmd_eval(args) -> int:
         sr = builtin_semiring(args.functor.split(":", 1)[1])
         t = SemiringTambara(sr)
         p = ws.poly(args.poly)
-        out = eval_poly(t, p, tuple(value))
+        out = eval_poly(t, p, _vector(value, p.src.size))
         _emit(args, f"value: {list(out)}", {"value": list(out)})
         return 0
     elif args.functor == "tambara-burnside":
@@ -179,7 +191,7 @@ def cmd_eval(args) -> int:
         raise SpanPolyError("mackey evaluation needs --span")
     p = ws.span(args.span)
     mat = eval_span(m, p)
-    vec = mat_apply(mat, tuple(value))
+    vec = mat_apply(mat, _vector(value, mat.src))
     gens = m.value_gens(p.tgt)
     _emit(args, f"value: {list(vec)} over generators {list(map(str, gens))}",
           {"value": list(vec), "generators": [str(g) for g in gens]})

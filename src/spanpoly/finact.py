@@ -2,13 +2,14 @@
 
 Points of a G-set are 0-based contiguous indices.  Every constructed G-set
 (pullback, product, dependent product) comes from the one builder
-`build_gset`: element descriptors are sorted lexicographically, each group
-element's images of all descriptors are read off the factors' action rows
-in one pass, and points are grouped by orbit (orbits ordered by their least
-descriptor).  A binary product is the pullback over the terminal G-set.
-Coproducts instead keep the tagging order, all left-summand points first,
-so that injections are plain shifts.  All values are immutable; every
-operation is pure.
+`build_gset`: element descriptors are sorted lexicographically, the images
+of all descriptors are read off the factors' action rows for the group's
+generators only, points are grouped by orbit (orbits ordered by their least
+descriptor), and the rows of the other group elements are composed from
+the generator rows (`action_from_generator_rows`).  A binary product is
+the pullback over the terminal G-set.  Coproducts instead keep the tagging
+order, all left-summand points first, so that injections are plain shifts.
+All values are immutable; every operation is pure.
 
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     InvalidStructure,
     ResourceLimit,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generating_set
 
 DEFAULT_MAX_POINTS = 10 ** 6
 
@@ -59,21 +60,32 @@ class GSet:
         return range(self.size)
 
     def validate(self) -> None:
-        n = self.group.order
-        if len(self.action) != n or any(len(row) != self.size for row in self.action):
+        """Check the action laws, composing with the generators only.
+
+        If the identity fixes every point, each generator s acts by a
+        permutation and row[s.h] = row[s] after row[h] for every h, then
+        every row is a composite of generator rows and row[g.h] = row[g]
+        after row[h] for all g and h.
+        """
+        n, size = self.group.order, self.size
+        if len(self.action) != n or any(
+                len(row) != size or (size and not 0 <= min(row) <= max(row) < size)
+                for row in self.action):
             raise InvalidStructure("action table has wrong shape")
         e = self.group.identity
-        for x in range(self.size):
+        for x in range(size):
             if self.action[e][x] != x:
                 raise InvalidStructure(f"identity does not fix point {x}")
-        for g in range(n):
-            if sorted(self.action[g]) != list(range(self.size)):
+        mult = self.group.mult
+        for g in generating_set(self.group):
+            grow = self.action[g]
+            if sorted(grow) != list(range(size)):
                 raise InvalidStructure(f"element {g} does not act by a permutation")
-            for h in range(n):
-                gh = self.group.op(g, h)
-                for x in range(self.size):
-                    if self.action[g][self.action[h][x]] != self.action[gh][x]:
-                        raise InvalidStructure(f"action not compatible at (g={g},h={h},x={x})")
+            for h, hrow in enumerate(self.action):
+                ghrow = self.action[mult[g][h]]
+                if any(map(ne, map(grow.__getitem__, hrow), ghrow)):
+                    x = next(x for x in range(size) if grow[hrow[x]] != ghrow[x])
+                    raise InvalidStructure(f"action not compatible at (g={g},h={h},x={x})")
 
 
 @dataclass(frozen=True)
@@ -98,10 +110,13 @@ class GMap:
             raise InvalidStructure("table length != domain size")
         if any(not (0 <= y < self.cod.size) for y in self.table):
             raise InvalidStructure("table value out of codomain range")
-        for g in self.group.elements():
-            for x in range(self.dom.size):
-                if self.table[self.dom.act(g, x)] != self.cod.act(g, self.table[x]):
-                    raise InvalidStructure(f"map not equivariant at (g={g},x={x})")
+        # commuting with the generators' actions is commuting with all products
+        table = self.table
+        for g in generating_set(self.group):
+            drow, crow = self.dom.action[g], self.cod.action[g]
+            if any(map(ne, map(table.__getitem__, drow), map(crow.__getitem__, table))):
+                x = next(x for x in range(self.dom.size) if table[drow[x]] != crow[table[x]])
+                raise InvalidStructure(f"map not equivariant at (g={g},x={x})")
 
     def is_identity(self) -> bool:
         return self.dom == self.cod and self.table == tuple(range(self.dom.size))
@@ -136,13 +151,13 @@ class SliceObject:
 
 
 def gset(group: FiniteGroup, size: int, action: Sequence[Sequence[int]]) -> GSet:
-    x = GSet(group, size, tuple(tuple(int(v) for v in row) for row in action))
+    x = GSet(group, size, tuple(tuple(map(int, row)) for row in action))
     x.validate()
     return x
 
 
 def gmap(dom: GSet, cod: GSet, table: Sequence[int]) -> GMap:
-    f = GMap(dom, cod, tuple(int(v) for v in table))
+    f = GMap(dom, cod, tuple(map(int, table)))
     f.validate()
     return f
 
@@ -155,7 +170,7 @@ def compose_gmaps(g: GMap, f: GMap) -> GMap:
     """g after f."""
     if f.cod != g.dom:
         raise BoundaryMismatch("compose_gmaps: codomain of f is not domain of g")
-    return GMap(f.dom, g.cod, tuple(g.table[y] for y in f.table))
+    return GMap(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def slice_identity(u: GSet) -> SliceObject:
@@ -460,35 +475,69 @@ class BuiltGSet(NamedTuple):
     elems: tuple
 
 
+def action_from_generator_rows(group: FiniteGroup, size: int, gens: Sequence[int],
+                               rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The full action table on size points from the rows of the generators gens.
+
+    Every other row is a composite, row[s.h] = row[s] after row[h], reached
+    by a breadth-first search from the identity row.  Raises
+    InvalidStructure if the generators do not reach every group element.
+    """
+    mult = group.mult
+    known: dict[int, tuple[int, ...]] = {group.identity: tuple(range(size))}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            hrow = known[h]
+            for s, row in zip(gens, rows):
+                sh = mult[s][h]
+                if sh not in known:
+                    known[sh] = tuple(map(row.__getitem__, hrow))
+                    nxt.append(sh)
+        frontier = nxt
+    if len(known) != group.order:
+        raise InvalidStructure("generators do not generate the whole group")
+    return tuple(map(known.__getitem__, group.elements()))
+
+
 def build_gset(group: FiniteGroup, elems: Sequence,
                images: Callable[[int], Iterable],
                max_points: Optional[int] = None) -> BuiltGSet:
     """Materialize a G-set from descriptors, numbered canonically.
 
-    elems lists the descriptors, distinct and ascending.  images(g) lists
-    the descriptor of g.e for each e of elems, in the same order; it is
-    called once per group element.  Points are then grouped by orbit,
-    orbits ordered by their least descriptor; elems of the result lists the
-    descriptor of each point.
+    elems lists the descriptors, distinct and ascending.  images(s) lists
+    the descriptor of s.e for each e of elems, in the same order; it is
+    called once per generator s of `generating_set(group)`, and the other
+    rows are composed from those.  Points are grouped by orbit, each found
+    by a search along the generator rows, orbits ordered by their least
+    descriptor; elems of the result lists the descriptor of each point.
     """
     limit = DEFAULT_MAX_POINTS if max_points is None else max_points
     n = len(elems)
     if n > limit:
         raise ResourceLimit(f"constructed G-set would have {n} > {limit} points")
-    pos = {e: i for i, e in enumerate(elems)}
-    raw = [list(map(pos.__getitem__, images(g))) for g in group.elements()]
+    gens = generating_set(group)
+    pos = dict(zip(elems, range(n)))
+    raw = [list(map(pos.__getitem__, images(s))) for s in gens]
     seen = [False] * n
     order: list[int] = []
     for i in range(n):
         if not seen[i]:
-            orb = sorted({row[i] for row in raw})
+            seen[i] = True
+            orb = [i]
             for j in orb:
-                seen[j] = True
-            order.extend(orb)
+                for row in raw:
+                    k = row[j]
+                    if not seen[k]:
+                        seen[k] = True
+                        orb.append(k)
+            order.extend(sorted(orb))
     newpos = [0] * n
     for new, old in enumerate(order):
         newpos[old] = new
-    action = tuple(tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in raw)
+    rows = [tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in raw]
+    action = action_from_generator_rows(group, n, gens, rows)
     return BuiltGSet(GSet(group, n, action), tuple(map(elems.__getitem__, order)))
 
 
@@ -503,7 +552,7 @@ class Construction:
 
     def _set(self, gset: GSet, elems: tuple) -> None:
         self.gset, self.elems = gset, elems
-        self._index = {e: i for i, e in enumerate(elems)}
+        self._index = dict(zip(elems, range(len(elems))))
 
     def index_of(self, e) -> int:
         return self._index[e]
@@ -555,8 +604,8 @@ class Pullback(Construction):
         self._set(built.gset, tuple(divmod(c, nb) for c in built.elems))
         self.f = f
         self.g = g
-        self.proj1 = GMap(self.gset, xa, tuple(e[0] for e in self.elems))
-        self.proj2 = GMap(self.gset, xb, tuple(e[1] for e in self.elems))
+        self.proj1 = GMap(self.gset, xa, tuple(map(itemgetter(0), self.elems)))
+        self.proj2 = GMap(self.gset, xb, tuple(map(itemgetter(1), self.elems)))
 
     @property
     def apex(self) -> GSet:

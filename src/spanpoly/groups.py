@@ -4,7 +4,10 @@ Elements are the indices 0..order-1 with 0 the identity whenever a group is
 built through the constructors here.  A generators-as-permutations input
 format is compiled down to a table, so everything downstream only ever sees
 tables.  Subgroups are found by closing generator sets, so groups of order
-up to 120 are in reach: `subgroups` of S5 takes under 1 s.
+up to 120 are in reach: `subgroups` of S5 takes under 1 s.  Tables from
+outside (`group_from_table`) are checked for every group law; tables
+compiled from permutations or addition mod n are associative by
+construction, so only their identity and inverses are checked.
 """
 from __future__ import annotations
 
@@ -80,20 +83,22 @@ def _table_to_group(name: str, mult: Sequence[Sequence[int]],
         if len(inv) != 1:
             raise InvalidStructure(f"element {a} has no unique inverse")
         inverse.append(inv[0])
-    g = FiniteGroup(name, mult_t, identity, tuple(inverse), generators)
-    g.validate()
-    return g
+    return FiniteGroup(name, mult_t, identity, tuple(inverse), generators)
 
 
 def group_from_table(name: str, mult: Sequence[Sequence[int]]) -> FiniteGroup:
-    return _table_to_group(name, mult)
+    """A group from an outside table, with every law rechecked by `validate`."""
+    g = _table_to_group(name, mult)
+    g.validate()
+    return g
 
 
 def group_from_permutations(name: str, gens: Sequence[Sequence[int]]) -> FiniteGroup:
     """Compile permutation generators (images lists on 0..n-1) to a table.
 
     The generated permutation group is enumerated by closure; the identity
-    gets index 0 and the given generators keep stable indices.
+    gets index 0 and the given generators keep stable indices.  Composition
+    of permutations is associative, so the table is not rechecked for it.
     """
     if not gens:
         raise InvalidStructure("need at least one generator (use trivial_group() instead)")
@@ -135,7 +140,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise InvalidStructure("cyclic group needs n >= 1")
     if n == 1:
         return trivial_group()
-    mult = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mult = [[(a + b) % n for b in range(n)] for a in range(n)]  # associative: no recheck
     return _table_to_group(f"C{n}", mult, generators=(1,))
 
 

@@ -9,6 +9,11 @@ be given as a full table or per generator.
 
 Builtin names (triv, C2, C3, C4, S3, S4 and derived point/regular objects)
 are preloaded so the command-line tools work without any files.
+
+Serialized spans and polynomials (the `compose` output) are self-contained:
+the group object carries its table and `generator_elements`, and each G-set
+is written by its size and `action_by_generator`, one row per element of
+`generator_elements`.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from .errors import WorkspaceError
 from .finact import (
     GMap,
     GSet,
+    action_from_generator_rows,
     gmap,
     gset,
     identity_gmap,
@@ -32,6 +38,7 @@ from .finact import (
 from .groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
+    generating_set,
     group_from_permutations,
     group_from_table,
 )
@@ -129,27 +136,15 @@ def _parse_group(obj: dict) -> FiniteGroup:
 
 
 def _action_from_generators(group: FiniteGroup, size: int,
-                            gen_perms: list[list[int]]) -> list[list[int]]:
+                            gen_perms: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     if len(gen_perms) != len(group.generators):
         raise WorkspaceError("action_by_generator length does not match the group's generators")
     for perm in gen_perms:
         if sorted(perm) != list(range(size)):
             raise WorkspaceError(f"action_by_generator row {perm!r} is not a permutation "
                                  f"of 0..{size - 1}")
-    known: dict[int, list[int]] = {group.identity: list(range(size))}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen_idx, perm in zip(group.generators, gen_perms):
-                h = group.op(gen_idx, g)
-                if h not in known:
-                    known[h] = [perm[v] for v in known[g]]
-                    nxt.append(h)
-        frontier = nxt
-    if len(known) != group.order:
-        raise WorkspaceError("generators do not generate the whole group")
-    return [known[g] for g in group.elements()]
+    return action_from_generator_rows(group, size, group.generators,
+                                      [[int(v) for v in perm] for perm in gen_perms])
 
 
 def _parse_gset(obj: dict, ws: Workspace) -> GSet:
@@ -255,12 +250,14 @@ def load_dir(path: str) -> Workspace:
 # ---------------------------------------------------------------------------
 
 def group_to_obj(g: FiniteGroup) -> dict:
-    return {"name": g.name, "order": g.order, "mult": [list(r) for r in g.mult]}
+    return {"name": g.name, "order": g.order, "mult": [list(r) for r in g.mult],
+            "generator_elements": list(generating_set(g))}
 
 
 def gset_to_obj(x: GSet) -> dict:
+    """The size and one action row per element of the group's `generator_elements`."""
     return {"group": x.group.name, "size": x.size,
-            "action": [list(r) for r in x.action]}
+            "action_by_generator": [list(x.action[s]) for s in generating_set(x.group)]}
 
 
 def gmap_to_obj(f: GMap) -> dict:

@@ -1,5 +1,15 @@
 """Shared construction helpers for the tests."""
-from spanpoly.finact import GMap, GSet
+import itertools
+
+from spanpoly.finact import (
+    GMap,
+    GSet,
+    coproduct,
+    coset_gset,
+    count_equivariant_maps,
+    equivariant_maps,
+    terminal_gset,
+)
 
 
 def tset(group, n: int) -> GSet:
@@ -10,3 +20,17 @@ def tset(group, n: int) -> GSet:
 
 def tmap(group, dom_size: int, cod_size: int, table) -> GMap:
     return GMap(tset(group, dom_size), tset(group, cod_size), tuple(table))
+
+
+def coset_sum(group, reps, picks):
+    """The sum of coset G-sets G/H, H = reps[i] for i in picks, plus a point."""
+    x = terminal_gset(group)
+    for i in picks:
+        x = coproduct(coset_gset(group, reps[i]), x).sum
+    return x
+
+
+def seeded_map(rng, x, y):
+    """A seeded choice among the equivariant maps x -> y."""
+    k = rng.randrange(count_equivariant_maps(x, y))
+    return next(itertools.islice(equivariant_maps(x, y), k, None))

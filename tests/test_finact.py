@@ -17,6 +17,7 @@ from spanpoly.finact import (
     delta,
     equivariant_maps,
     gmap,
+    gset,
     identity_gmap,
     initial_gset,
     is_pullback_square,
@@ -39,8 +40,17 @@ from spanpoly.finact import (
     unique_from_initial,
     unique_to_terminal,
 )
-from spanpoly.groups import cyclic_group, symmetric_group
+from spanpoly.groups import (
+    cyclic_group,
+    generating_set,
+    group_from_table,
+    subgroup_class_reps,
+    symmetric_group,
+    trivial_group,
+)
 from spanpoly.sampling import random_gset, random_map_into, random_slice
+
+from helpers import coset_sum, seeded_map
 
 
 
@@ -432,6 +442,38 @@ def test_gmap_validation(c2, f2, pt2):
     gmap(f2, pt2, (0, 0)).validate()
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda row: row.reverse(), "action not compatible"),
+    (lambda row: row.__setitem__(0, -1), "wrong shape"),
+], ids=["permuted", "out-of-range"])
+def test_gset_validation_covers_non_generator_rows(change, message):
+    """validate composes with the generators only, yet every row is checked."""
+    s3 = symmetric_group(3)
+    reg = regular_gset(s3)
+    g = next(g for g in s3.elements() if g != s3.identity and g not in generating_set(s3))
+    rows = [list(r) for r in reg.action]
+    change(rows[g])
+    with pytest.raises(InvalidStructure, match=message):
+        gset(s3, reg.size, rows)
+
+
+def test_gmap_validation_covers_non_generator_elements():
+    """validate checks the generators only; on every bijection of the regular
+    S3-set it must agree with a check over all group elements."""
+    s3 = symmetric_group(3)
+    reg = regular_gset(s3)
+    accepted = 0
+    for table in itertools.permutations(reg.points()):
+        if all(table[reg.act(g, p)] == reg.act(g, table[p])
+               for g in s3.elements() for p in reg.points()):
+            gmap(reg, reg, table)
+            accepted += 1
+        else:
+            with pytest.raises(InvalidStructure):
+                gmap(reg, reg, table)
+    assert accepted == s3.order
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=500))
 def test_random_slices_validate(seed):
@@ -443,3 +485,55 @@ def test_random_slices_validate(seed):
     d = delta(unique_to_terminal(base) if base.size else identity_gmap(base),
               SliceObject(unique_to_terminal(base))) if base.size else None
     assert sum(1 for _ in orbits(s.total)) == len(orbit_labels(s.total))
+
+
+# ---------------------------------------------------------------------------
+# the generator-row builder against every group element
+# ---------------------------------------------------------------------------
+
+def _naive_rows(con, act):
+    """The action row of every group element, from act(g, descriptor)."""
+    index = {e: i for i, e in enumerate(con.elems)}
+    return [tuple(index[act(g, e)] for e in con.elems) for g in con.gset.group.elements()]
+
+
+def _pair_act(x, y):
+    """g acting on a pair (a, b) of points of x and y."""
+    return lambda g, e: (x.act(g, e[0]), y.act(g, e[1]))
+
+
+def _pi_act(u, a):
+    """g acting on a section (x, values) over the ascending fiber u^-1(x)."""
+    fib = [[p for p in u.dom.points() if u.table[p] == x] for x in u.cod.points()]
+
+    def act(g, e):
+        x, sec = e
+        gx, ginv = u.cod.act(g, x), u.group.inv(g)
+        return gx, tuple(a.total.act(g, sec[fib[x].index(u.dom.act(ginv, q))])
+                         for q in fib[gx])
+    return act
+
+
+@pytest.mark.parametrize("group", [
+    trivial_group(), symmetric_group(3), symmetric_group(4),
+    group_from_table("S3t", symmetric_group(3).mult)], ids=["triv", "S3", "S4", "S3-table"])
+@pytest.mark.parametrize("seed", range(3))
+def test_built_action_matches_every_group_element(group, seed):
+    """build_gset reads only the generators' images; every other row must still be right."""
+    rng = random.Random(seed)
+    reps = subgroup_class_reps(group)
+
+    def sum_of(k):
+        return coset_sum(group, reps, [rng.randrange(len(reps)) for _ in range(k)])
+
+    base = sum_of(1)
+    f = seeded_map(rng, sum_of(2), base)
+    g = seeded_map(rng, sum_of(2), base)
+    # a slice with a point over every point of f.dom, so that sections exist
+    cop = coproduct(f.dom, sum_of(1))
+    a = SliceObject(cop.cotuple(identity_gmap(f.dom), seeded_map(rng, cop.right, f.dom)))
+    pb, pr, pd = pullback(f, g), product(f.dom, base), pi(f, a)
+    assert list(pb.gset.action) == _naive_rows(pb, _pair_act(f.dom, g.dom))
+    assert list(pr.gset.action) == _naive_rows(pr, _pair_act(f.dom, base))
+    assert pd.con.gset.size > 0
+    assert list(pd.con.gset.action) == _naive_rows(pd.con, _pi_act(f, a))

@@ -15,7 +15,6 @@ so that the canonical outputs do not simply echo their input.
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import random
 
@@ -27,7 +26,6 @@ from spanpoly.finact import (
     codiagonal,
     coproduct,
     coproduct_pullback_decompose,
-    count_equivariant_maps,
     coset_gset,
     equivariant_isos,
     equivariant_maps,
@@ -38,30 +36,17 @@ from spanpoly.finact import (
     slice_canonical_form,
     slice_homs,
     slice_isos,
-    terminal_gset,
 )
 from spanpoly.groups import subgroup_class_reps, symmetric_group
 from spanpoly.mackey import canonical_slice
 from spanpoly.sampling import random_gmap
 from spanpoly.spans import Span, span_canonical_form, span_class
 
+from helpers import coset_sum, seeded_map
+
 
 def _pin(x):
     return (x.size, tuple(x.action[g] for g in x.group.generators))
-
-
-def _sum(group, reps, picks):
-    """The sum of coset G-sets G/H, H = reps[i] for i in picks, plus a point."""
-    x = terminal_gset(group)
-    for i in picks:
-        x = coproduct(coset_gset(group, reps[i]), x).sum
-    return x
-
-
-def _pick(rng, x, y):
-    """A seeded choice among the equivariant maps x -> y."""
-    k = rng.randrange(count_equivariant_maps(x, y))
-    return next(itertools.islice(equivariant_maps(x, y), k, None))
 
 
 def _shuffled(rng, f):
@@ -77,9 +62,9 @@ def _samples(group, base, total, seed):
     """A base G-set, a slice over it and a span on it, on a shuffled apex."""
     rng = random.Random(seed)
     reps = subgroup_class_reps(group)
-    x = _sum(group, reps, base)
-    arrow = _shuffled(rng, _pick(rng, _sum(group, reps, total), x))
-    return x, SliceObject(arrow), Span(arrow, _pick(rng, arrow.dom, x))
+    x = coset_sum(group, reps, base)
+    arrow = _shuffled(rng, seeded_map(rng, coset_sum(group, reps, total), x))
+    return x, SliceObject(arrow), Span(arrow, seeded_map(rng, arrow.dom, x))
 
 
 def _tables(maps):
@@ -90,14 +75,14 @@ def _constructions(group, base, left, right, k, seed):
     """Constructions and map searches on a cospan f, g of sums of cosets."""
     rng = random.Random(seed)
     reps = subgroup_class_reps(group)
-    x = _sum(group, reps, base)
-    f = _pick(rng, _sum(group, reps, left), x)
-    g = _pick(rng, _sum(group, reps, right), x)
+    x = coset_sum(group, reps, base)
+    f = seeded_map(rng, coset_sum(group, reps, left), x)
+    g = seeded_map(rng, coset_sum(group, reps, right), x)
     pb = pullback(f, g)
     pr = product(g.dom, coset_gset(group, reps[k]))
     pd = pi(g, SliceObject(codiagonal(g.dom)[1]))
     cop = coproduct(x, g.dom)
-    d = coproduct_pullback_decompose(_pick(rng, f.dom, cop.sum), cop)
+    d = coproduct_pullback_decompose(seeded_map(rng, f.dom, cop.sum), cop)
     f2 = _shuffled(rng, f)
     draws = [random_gmap(rng, f.dom, g.dom).table for _ in range(4)]
     return {

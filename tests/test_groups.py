@@ -35,6 +35,20 @@ def test_bad_table_rejected():
         group_from_table("bad", [[0, 1], [1, 1]])
 
 
+# A loop of order 5: identity 0, every element its own two-sided inverse,
+# each row and column a permutation, yet (1*1)*2 = 2 while 1*(1*2) = 4.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_non_associative_loop_rejected():
+    with pytest.raises(InvalidStructure, match="associativity"):
+        group_from_table("loop5", LOOP5)
+
+
 def test_from_permutations_matches_cyclic():
     c3 = group_from_permutations("Z3", [[1, 2, 0]])
     assert c3.order == 3
@@ -55,8 +69,10 @@ def test_subgroup_counts():
     assert len(subgroup_class_reps(symmetric_group(3))) == 4
 
 
-# Permutation generators (image lists on 0..n-1) of groups beyond the builtins.
+# Permutation generators (image lists on 0..n-1): those of the builtin S4 and
+# the standard ones of the benchmark's workspace groups.
 PERM_GENERATORS = {
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
     "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
     "D8": [[1, 2, 3, 0], [2, 1, 0, 3]],
     "C2^4": [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
@@ -86,6 +102,15 @@ def _naive_closure(g, seed):
 def test_textbook_subgroup_counts(name, count):
     g = symmetric_group(int(name[1])) if name in ("S4", "S5") else _perm_group(name)
     assert len(subgroups(g)) == count
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S4xC2"])
+def test_permutation_groups_are_associative(name):
+    """Compiled tables skip the associativity recheck; check it here on all triples."""
+    g = _perm_group(name)
+    m, n = g.mult, g.order
+    assert all(m[m[a][b]][c] == m[a][m[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
 
 
 def test_subgroups_match_naive_closure():

@@ -187,6 +187,23 @@ def test_cli_structured_error_on_bad_input_json(capsys):
     assert doc["error"]["type"] == "JSONDecodeError"
 
 
+EVAL_BURNSIDE = ["eval", "--functor", "burnside", "--group", "C2", "--span", "C2.free-span"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (EVAL_BURNSIDE + ["--input", "5"], "--input must be a JSON list of integers"),
+    (EVAL_BURNSIDE + ["--input", "[1, 2, 3]"], "--input has 3 values, expected 2"),
+    (["compose", "--kind", "poly", "C2.free-poly", "C2.free-poly", "--out", "{missing}"],
+     "cannot write --out"),
+], ids=["input-not-a-list", "input-wrong-length", "out-in-missing-directory"])
+def test_cli_structured_error_on_bad_argument(tmp_path, capsys, argv, message):
+    argv = [a.format(missing=tmp_path / "missing" / "x.json") for a in argv]
+    assert main(argv + ["--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "SpanPolyError"
+    assert doc["error"]["message"].startswith(message)
+
+
 def test_cli_compose_with_identity_span(capsys):
     assert main(["compose", "--kind", "span", "C2.free-span", "C2.id-span-pt",
                  "--format", "json"]) == 0
