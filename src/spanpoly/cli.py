@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 from . import __version__
 from .errors import SpanPolyError
@@ -45,15 +46,16 @@ def _workspace(args) -> Workspace:
     return builtin_workspace()
 
 
-def _emit(args, text_rendering: str, obj: dict) -> None:
+def _emit(args, text: Callable[[], str], obj: Callable[[], dict]) -> None:
+    """Write the rendering `--format` asks for; only that one is built."""
     if args.format == "json":
-        sys.stdout.write(dump_json(obj))
+        sys.stdout.write(dump_json(obj()))
     else:
-        sys.stdout.write(text_rendering + "\n")
+        sys.stdout.write(text() + "\n")
 
 
 def _emit_report(args, rep: Report) -> int:
-    _emit(args, rep.render_text(), rep.to_dict())
+    _emit(args, rep.render_text, rep.to_dict)
     return 0 if rep.passed else 1
 
 
@@ -65,9 +67,9 @@ def cmd_validate(args) -> int:
         f.validate()
     counts = {k: len(getattr(ws, k)) for k in
               ("groups", "gsets", "gmaps", "spans", "polys", "classes")}
-    _emit(args, "workspace ok: " +
+    _emit(args, lambda: "workspace ok: " +
           ", ".join(f"{v} {k}" for k, v in sorted(counts.items())),
-          {"ok": True, "counts": counts})
+          lambda: {"ok": True, "counts": counts})
     return 0
 
 
@@ -89,13 +91,14 @@ def cmd_compose(args) -> int:
                 f"-> {out.n.cod.size} -> {out.tgt.size}\n"
                 + "\n".join(f"  {s['rule']} @ {s['pos']}: {' '.join(s['after'])}"
                             for s in transcript))
+    encoded = dump_json(obj) if args.out or args.format == "json" else ""
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dump_json(obj))
+                fh.write(encoded)
         except OSError as exc:
             raise SpanPolyError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-    _emit(args, text, obj)
+    sys.stdout.write(encoded if args.format == "json" else text + "\n")
     return 0
 
 
@@ -137,7 +140,7 @@ def cmd_burnside(args) -> int:
                         f"engine {list(table.entries[i][j])}, "
                         f"orbit oracle {list(other.entries[i][j])}")
             return 1
-    _emit(args, table.render_text(), table.to_dict())
+    _emit(args, table.render_text, table.to_dict)
     return 0
 
 
@@ -167,7 +170,7 @@ def cmd_eval(args) -> int:
         t = SemiringTambara(sr)
         p = ws.poly(args.poly)
         out = eval_poly(t, p, _vector(value, p.src.size))
-        _emit(args, f"value: {list(out)}", {"value": list(out)})
+        _emit(args, lambda: f"value: {list(out)}", lambda: {"value": list(out)})
         return 0
     elif args.functor == "tambara-burnside":
         if not args.poly or not args.slice_input:
@@ -182,8 +185,8 @@ def cmd_eval(args) -> int:
         from .mackey import canonical_slice
         out = eval_poly(t, p, canonical_slice(_Slice(probe)))
         form = slice_canonical_form(out)
-        _emit(args, f"value class: {form}",
-              {"value_class": form, "total_size": out.size})
+        _emit(args, lambda: f"value class: {form}",
+              lambda: {"value_class": form, "total_size": out.size})
         return 0
     else:
         raise SpanPolyError(f"unknown functor {args.functor!r}")
@@ -193,12 +196,14 @@ def cmd_eval(args) -> int:
     mat = eval_span(m, p)
     vec = mat_apply(mat, _vector(value, mat.src))
     gens = m.value_gens(p.tgt)
-    _emit(args, f"value: {list(vec)} over generators {list(map(str, gens))}",
-          {"value": list(vec), "generators": [str(g) for g in gens]})
+    _emit(args, lambda: f"value: {list(vec)} over generators {list(map(str, gens))}",
+          lambda: {"value": list(vec), "generators": [str(g) for g in gens]})
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="spanpoly",
         description="spans, polynomials, and functor evaluation over finite group actions")
@@ -254,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SpanPolyError, json.JSONDecodeError) as exc:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, itemgetter, ne
+from operator import add, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -601,11 +601,14 @@ class Pullback(Construction):
             return map(add, map(scaled.__getitem__, left), map(xb.action[h].__getitem__, right))
 
         built = build_gset(f.group, [a * nb + b for a, b in zip(left, right)], images, max_points)
-        self._set(built.gset, tuple(divmod(c, nb) for c in built.elems))
+        codes = built.elems
+        to_a = tuple([c // nb for c in codes])
+        to_b = tuple([c % nb for c in codes])
+        self._set(built.gset, tuple(zip(to_a, to_b)))
         self.f = f
         self.g = g
-        self.proj1 = GMap(self.gset, xa, tuple(map(itemgetter(0), self.elems)))
-        self.proj2 = GMap(self.gset, xb, tuple(map(itemgetter(1), self.elems)))
+        self.proj1 = GMap(self.gset, xa, to_a)
+        self.proj2 = GMap(self.gset, xb, to_b)
 
     @property
     def apex(self) -> GSet:

@@ -14,13 +14,20 @@ Serialized spans and polynomials (the `compose` output) are self-contained:
 the group object carries its table and `generator_elements`, and each G-set
 is written by its size and `action_by_generator`, one row per element of
 `generator_elements`.
+
+Every JSON document the command line writes goes through `dump_json`: its
+bytes are those of json.dumps(obj, sort_keys=True, indent=2) plus a
+trailing newline (two-space indent, sorted keys, every non-ASCII
+character written as a JSON escape, empty containers as [] and {}).
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Optional
 
 from .calib import MorphismClass, whitelist_class
 from .errors import WorkspaceError
@@ -88,6 +95,18 @@ class Workspace:
 
 
 def builtin_workspace() -> Workspace:
+    """A fresh workspace holding the builtin objects.
+
+    The objects are built once per process and shared, since they are
+    immutable; the dicts are copies, since `load_entries` adds to the
+    workspace it is given.
+    """
+    shared = _builtin_objects()
+    return Workspace(*(dict(getattr(shared, f.name)) for f in fields(Workspace)))
+
+
+@lru_cache(maxsize=None)
+def _builtin_objects() -> Workspace:
     ws = Workspace()
     for gname, ctor in BUILTIN_GROUPS.items():
         g = ctor()
@@ -275,5 +294,46 @@ def poly_to_obj(p: Polynomial) -> dict:
             "r": gmap_to_obj(p.r), "n": gmap_to_obj(p.n), "t": gmap_to_obj(p.t)}
 
 
+# the scalar types of the command line's output; a container holding only
+# these is encoded in one call of the C encoder
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> Callable[[object], str]:
+    """A one-line C encoder whose item separator breaks and indents to `depth`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _encode(obj, depth: int) -> str:
+    """`obj` as json.dumps(obj, sort_keys=True, indent=2) writes it at nesting `depth`."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        values, brackets = obj, "[]"
+    elif isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        values, brackets = obj.values(), "{}"
+    else:
+        return _flat_encoder(depth)(obj)
+    inner = depth + 1
+    if _SCALARS.issuperset(map(type, values)):
+        body = _flat_encoder(inner)(obj)[1:-1]
+    else:
+        sep = ",\n" + "  " * inner
+        if brackets == "[]":
+            body = sep.join([_encode(v, inner) for v in obj])
+        else:
+            body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                             for k, v in sorted(obj.items())])
+    return f"{brackets[0]}\n{'  ' * inner}{body}\n{'  ' * depth}{brackets[1]}"
+
+
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as json.dumps(obj, sort_keys=True, indent=2) + "\\n" writes it, byte for byte.
+
+    json's indenting encoder is pure Python; this one recurses in Python only
+    through containers that hold containers.  Keys must be strings.
+    """
+    return _encode(obj, 0) + "\n"

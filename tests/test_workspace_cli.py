@@ -1,7 +1,11 @@
 """Workspace loading and the command-line driver."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spanpoly.cli import main
 from spanpoly.errors import WorkspaceError
@@ -27,6 +31,20 @@ def test_builtin_workspace_contents():
     assert ws.gset("C2.regular").size == 2
     assert ws.span("C2.free-span").apex.size == 2
     assert ws.poly("S3.free-poly").n.dom.size == 6
+
+
+def test_builtin_workspace_is_fresh_each_time():
+    """Entries loaded into one builtin workspace do not reach the next one."""
+    first = builtin_workspace()
+    load_entries([{"kind": "group", "name": "Z2", "generators": [[1, 0]]},
+                  {"kind": "gset", "name": "C2.pt", "group": "Z2", "size": 1,
+                   "action": [[0], [0]]}], first)
+    assert first.gset("C2.pt").group.name == "Z2"
+    load_entries([{"kind": "group", "name": "Z3", "generators": [[1, 2, 0]]}])
+    second = builtin_workspace()
+    assert "Z2" not in second.groups and "Z3" not in second.groups
+    assert second.gset("C2.pt").group.name == "C2"
+    assert second.gset("C2.pt") is builtin_workspace().gset("C2.pt")
 
 
 def test_load_custom_workspace(tmp_path):
@@ -82,9 +100,71 @@ def test_serialization_roundtrip():
     json.loads(dump_json(obj))
 
 
+def _stdlib_dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=8))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=5)),
+    max_leaves=40)
+
+
+@given(_json_trees)
+def test_dump_json_matches_stdlib(obj):
+    assert dump_json(obj) == _stdlib_dump(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    [1, [2], {}], [[1, 2], 3, "x", None, True, {"k": [False]}],
+    {"\u00e9t\u00e9": "caf\u00e9 \u2603 \U0001d11e", "z": ["\u00fc", "\u4e2d"]},
+    {"q\"uote": "back\\slash\n\ttab\x00\x1f\x7f", "\n": ["\r", "/"]},
+    {"deep": {"er": {"est": [[[0, -1]], [[2 ** 70]]]}}},
+], ids=["empty-dict", "empty-list", "empty-tuple", "nested-empties", "mixed-list",
+        "mixed-scalars-and-containers", "non-ascii", "escapes", "deep"])
+def test_dump_json_matches_stdlib_on_edge_cases(obj):
+    assert dump_json(obj) == _stdlib_dump(obj)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["burnside", "--group", "S4", "--cross-check"],
+    ["compose", "--kind", "poly", "S3.free-poly", "S3.free-poly"],
+    ["check", "--suite", "cb", "--group", "S3"],
+], ids=["burnside", "compose", "check"])
+def test_cli_json_output_is_stdlib_rendering(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == _stdlib_dump(json.loads(out))
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """Each main() call answers as a fresh process would, whatever ran before it."""
+    _write(tmp_path, "extra.json", [
+        {"kind": "group", "name": "Z2", "generators": [[1, 0]]},
+        {"kind": "gset", "name": "C2.regular", "group": "Z2", "size": 1,
+         "action": [[0], [0]]}])
+    runs = [["validate", "--workspace", str(tmp_path), "--format", "json"],
+            ["validate", "--format", "json"],
+            ["compose", "--kind", "poly", "C2.free-poly", "C2.free-poly", "--format", "json"],
+            ["burnside", "--group", "S3"],
+            ["check", "--suite", "cb", "--group", "C3", "--format", "json"],
+            ["compose", "--kind", "span", "C2.free-span", "C2.free-span"]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "spanpoly.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 def test_cli_validate(capsys):
     assert main(["validate"]) == 0
