@@ -66,13 +66,6 @@ ISO_MAPS = MorphismClass("iso", lambda f: f.is_bijective())
 BUILTIN_CLASSES = {c.name: c for c in (ALL_MAPS, INJECTIVE_MAPS, SURJECTIVE_MAPS, ISO_MAPS)}
 
 
-def builtin_class(name: str) -> MorphismClass:
-    try:
-        return BUILTIN_CLASSES[name]
-    except KeyError:
-        raise InvalidStructure(f"unknown builtin class {name!r}") from None
-
-
 def whitelist_class(name: str, maps: Sequence[GMap],
                     closed_under_coproducts: bool = False) -> MorphismClass:
     """A class given by a finite whitelist of map descriptors."""

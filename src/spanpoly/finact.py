@@ -14,7 +14,8 @@ All values are immutable; every operation is pure.
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
 `from_labels` rebuilds the canonical representative from labels; it is also
-the only builder of coset G-sets (`coset_gset` wraps it).  Equivariant maps
+the only builder of coset G-sets (`coset_gset` wraps it); both read coset
+tables from `FiniteGroup.data`, the one per-group cache.  Equivariant maps
 are searched orbit by orbit: `orbit_candidates` lists the admissible images
 of each orbit's least point, and the map enumeration, counting, iso search
 and random sampling all start from it.
@@ -193,7 +194,7 @@ def regular_gset(group: FiniteGroup) -> GSet:
 
 def coset_gset(group: FiniteGroup, subgroup: Iterable[int]) -> GSet:
     """The transitive G-set of left cosets gH, cosets ordered by least element."""
-    return from_labels(group, (), ((subgroup, ()),))[0]
+    return from_labels(group, (), ((frozenset(subgroup), ()),))[0]
 
 def unique_to_terminal(x: GSet) -> GMap:
     return GMap(x, terminal_gset(x.group), (0,) * x.size)
@@ -223,19 +224,6 @@ def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
     return tuple(g for g, row in enumerate(x.action) if row[p] == p)
 
 
-def _coset_reps(group: FiniteGroup, h: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The least element of each left coset gh, ascending, and each element's coset index."""
-    coset = [-1] * group.order
-    reps: list[int] = []
-    for g in group.elements():
-        if coset[g] < 0:
-            row = group.mult[g]
-            for a in h:
-                coset[row[a]] = len(reps)
-            reps.append(g)
-    return reps, coset
-
-
 def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     """One label per orbit: min over its points of (stabilizer, leg values).
 
@@ -244,27 +232,20 @@ def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     their label multisets agree, so the labels decide iso classes of G-sets,
     slices (one leg) and spans (two legs), and `from_labels` rebuilds the
     canonical representative from them.  Each orbit is visited once from a
-    representative p with stabilizer H: the point g.p, for g the least
-    element of a coset gH, has stabilizer gHg^-1.
+    representative p with stabilizer H: the point r.p, for r the least
+    element of a coset rH, has stabilizer rHr^-1 (`GroupData.cosets`).
     """
-    group = x.group
-    mult, inverse = group.mult, group.inverse
+    cosets = x.group.data.cosets
     seen = [False] * x.size
     out = []
     for p in x.points():
         if seen[p]:
             continue
-        h = stabilizer(x, p)
-        best = None
-        for g in _coset_reps(group, h)[0]:
-            q = x.action[g][p]
+        c = cosets(stabilizer(x, p))
+        qs = [x.action[r][p] for r in c.reps]
+        for q in qs:
             seen[q] = True
-            row, ginv = mult[g], inverse[g]
-            cand = (tuple(sorted(mult[row[a]][ginv] for a in h)),
-                    tuple(leg.table[q] for leg in legs))
-            if best is None or cand < best:
-                best = cand
-        out.append(best)
+        out.append(min(zip(c.conj, [tuple([leg.table[q] for leg in legs]) for q in qs])))
     return tuple(sorted(out))
 
 
@@ -276,19 +257,20 @@ def from_labels(group: FiniteGroup, cods: Sequence[GSet],
     cosets gH, ordered by their least element g; that point's legs take the
     values g.v, so H must fix v.  The labels need not be canonical; fed
     `orbit_labels`, this returns the canonical representative, so identical
-    label multisets rebuild identical G-sets and legs.
+    label multisets rebuild identical G-sets and legs.  H is a tuple or a
+    frozenset (see `GroupData.cosets`).
     """
+    cosets = group.data.cosets
     rows: list[list[int]] = [[] for _ in group.elements()]
     tables: list[list[int]] = [[] for _ in cods]
     size = 0
     for stab, values in labels:
-        reps, coset = _coset_reps(group, tuple(stab))
-        for g, row in enumerate(rows):
-            mg = group.mult[g]
-            row.extend(size + coset[mg[r]] for r in reps)
+        c = cosets(stab)
+        for row, crow in zip(rows, c.rows):
+            row.extend(map(size.__add__, crow))
         for cod, v, table in zip(cods, values, tables):
-            table.extend(cod.action[r][v] for r in reps)
-        size += len(reps)
+            table.extend(cod.action[r][v] for r in c.reps)
+        size += len(c.reps)
     apex = GSet(group, size, tuple(tuple(row) for row in rows))
     return apex, tuple(GMap(apex, cod, tuple(t)) for cod, t in zip(cods, tables))
 
@@ -542,7 +524,7 @@ def build_gset(group: FiniteGroup, elems: Sequence,
 
 
 class Construction:
-    """A constructed G-set (see `build_gset`) that finds the point of a descriptor."""
+    """A constructed G-set (see `build_gset`); `index_of` indexes its descriptors on first use."""
 
     __slots__ = ("gset", "elems", "_index")
 
@@ -551,10 +533,11 @@ class Construction:
         self._set(*build_gset(group, elems, images, max_points))
 
     def _set(self, gset: GSet, elems: tuple) -> None:
-        self.gset, self.elems = gset, elems
-        self._index = dict(zip(elems, range(len(elems))))
+        self.gset, self.elems, self._index = gset, elems, None
 
     def index_of(self, e) -> int:
+        if self._index is None:
+            self._index = dict(zip(self.elems, range(len(self.elems))))
         return self._index[e]
 
 

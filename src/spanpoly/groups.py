@@ -8,12 +8,14 @@ up to 120 are in reach: `subgroups` of S5 takes under 1 s.  Tables from
 outside (`group_from_table`) are checked for every group law; tables
 compiled from permutations or addition mod n are associative by
 construction, so only their identity and inverses are checked.
+`FiniteGroup.data` (`GroupData`) is the one per-group cache.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property
+from operator import ne
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidStructure
 
@@ -45,6 +47,11 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    @cached_property
+    def data(self) -> GroupData:
+        """The one per-group cache; stored in the instance dict, outside equality and hash."""
+        return GroupData(self)
+
     def validate(self) -> None:
         n = self.order
         if n == 0:
@@ -57,11 +64,17 @@ class FiniteGroup:
                 raise InvalidStructure(f"identity law fails at element {a}")
             if self.mult[a][self.inverse[a]] != e or self.mult[self.inverse[a]][a] != e:
                 raise InvalidStructure(f"inverse law fails at element {a}")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
-                        raise InvalidStructure(f"associativity fails at ({a},{b},{c})")
+        # Light's test: the a with (xa)y = x(ay) for all x, y form a submagma
+        # holding the identity, so checking a generating set checks all of G
+        # (Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2)
+        mult = self.mult
+        for a in generating_set(self):
+            arow = mult[a]
+            for x, xrow in enumerate(mult):
+                xarow = mult[xrow[a]]
+                if any(map(ne, xarow, map(xrow.__getitem__, arow))):
+                    y = next(y for y in range(n) if xarow[y] != xrow[arow[y]])
+                    raise InvalidStructure(f"associativity fails at ({x},{a},{y})")
 
 
 def _table_to_group(name: str, mult: Sequence[Sequence[int]],
@@ -198,68 +211,118 @@ def _closure(g: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
-def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """A generating set: the designated generators, else a greedy one.
-
-    The greedy set adds, in ascending order, each element not yet in the
-    closure of the elements added before it.
+class Cosets(NamedTuple):
+    """The left cosets of a subgroup H: reps[i] is the least element of coset i,
+    ascending; coset[g] is the coset of g; rows[g][i] is the coset of g.reps[i]
+    (the action table of G/H); conj[i] is sorted(reps[i] H reps[i]^-1).
     """
-    if g.generators:
-        return g.generators
-    gens: tuple[int, ...] = ()
-    closed = _closure(g, gens)
-    for x in g.elements():
-        if x not in closed:
-            gens += (x,)
-            closed = _closure(g, gens)
-    return gens
+
+    reps: tuple[int, ...]
+    coset: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    conj: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def subgroups(g: FiniteGroup) -> tuple[frozenset[int], ...]:
-    """All subgroups, found by closing each known subgroup with one extra element.
-
-    Each found subgroup keeps the generators it was closed from, so
-    extending it by x closes those generators and x.  Elements of one coset
-    xH give the same extension, so one x per coset is tried.
+class GroupData:
+    """Derived data of one group's table, computed on first use and kept; a race
+    can only compute an equal entry twice, so no lock is needed.
     """
-    trivial = _closure(g, ())
-    found = {trivial}
-    frontier = [(trivial, ())]
-    while frontier:
-        h, hgens = frontier.pop()
-        tried = [False] * g.order
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self._cosets: dict[tuple[int, ...] | frozenset[int], Cosets] = {}
+
+    @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """The designated generators, else a greedy set: each element not closed by those before."""
+        g = self.group
+        if g.generators:
+            return g.generators
+        gens: tuple[int, ...] = ()
+        closed = _closure(g, gens)
         for x in g.elements():
-            if x in h or tried[x]:
-                continue
-            row = g.mult[x]
-            for a in h:
-                tried[row[a]] = True
-            kgens = hgens + (x,)
-            k = _closure(g, kgens)
-            if k not in found:
-                found.add(k)
-                frontier.append((k, kgens))
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+            if x not in closed:
+                gens += (x,)
+                closed = _closure(g, gens)
+        return gens
+
+    @cached_property
+    def subgroups(self) -> tuple[frozenset[int], ...]:
+        """All subgroups, found by closing each known subgroup with one extra element.
+
+        Each found subgroup keeps the generators it was closed from, so
+        extending it by x closes those generators and x.  Elements of one
+        coset xH give the same extension, so one x per coset is tried.
+        """
+        g = self.group
+        trivial = _closure(g, ())
+        found = {trivial}
+        frontier = [(trivial, ())]
+        while frontier:
+            h, hgens = frontier.pop()
+            tried = [False] * g.order
+            for x in g.elements():
+                if x in h or tried[x]:
+                    continue
+                row = g.mult[x]
+                for a in h:
+                    tried[row[a]] = True
+                kgens = hgens + (x,)
+                k = _closure(g, kgens)
+                if k not in found:
+                    found.add(k)
+                    frontier.append((k, kgens))
+        return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+    @cached_property
+    def subgroup_class_reps(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted({min(self.cosets(h).conj) for h in self.subgroups},
+                            key=lambda t: (len(t), t)))
+
+    def cosets(self, h: tuple[int, ...] | frozenset[int]) -> Cosets:
+        """The cosets of the subgroup h, memoized under h and under its sorted tuple."""
+        c = self._cosets.get(h)
+        if c is None:
+            key = tuple(sorted(h))
+            c = self._cosets.get(key)
+            if c is None:
+                mult, inverse = self.group.mult, self.group.inverse
+                coset = [-1] * len(mult)
+                reps: list[int] = []
+                for g, row in enumerate(mult):
+                    if coset[g] < 0:
+                        for a in key:
+                            coset[row[a]] = len(reps)
+                        reps.append(g)
+                c = self._cosets[key] = Cosets(
+                    tuple(reps), tuple(coset),
+                    tuple(tuple([coset[row[r]] for r in reps]) for row in mult),
+                    tuple(tuple(sorted([mult[mult[r][a]][inverse[r]] for a in key]))
+                          for r in reps))
+            self._cosets[h] = c
+        return c
 
 
-def conjugate_subgroup(g: FiniteGroup, h: frozenset[int], x: int) -> frozenset[int]:
-    xinv = g.inv(x)
-    return frozenset(g.op(g.op(x, a), xinv) for a in h)
+def generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """A generating set: the designated generators, else a greedy one."""
+    return g.data.generating_set
 
 
-def subgroup_class_key(g: FiniteGroup, h: Iterable[int]) -> tuple[int, ...]:
-    """Canonical label for the conjugacy class of a subgroup."""
-    hs = frozenset(h)
-    return min(tuple(sorted(conjugate_subgroup(g, hs, x))) for x in g.elements())
+def subgroups(g: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """All subgroups, sorted by order, then by elements."""
+    return g.data.subgroups
 
 
-@lru_cache(maxsize=None)
+def subgroup_class_key(g: FiniteGroup, h: tuple[int, ...] | frozenset[int]) -> tuple[int, ...]:
+    """Canonical label for the conjugacy class of a subgroup: its least sorted conjugate.
+
+    xHx^-1 = rHr^-1 for r the least element of xH, so the coset reps suffice."""
+    return min(g.data.cosets(h).conj)
+
+
 def subgroup_class_reps(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """One canonical representative per conjugacy class of subgroups, sorted."""
-    return tuple(sorted({subgroup_class_key(g, h) for h in subgroups(g)},
-                        key=lambda t: (len(t), t)))
+    return g.data.subgroup_class_reps
 
 
 def double_cosets(g: FiniteGroup, h: frozenset[int], k: frozenset[int]) -> list[frozenset[int]]:

@@ -19,6 +19,7 @@ orbits of the product of X with the coordinate set.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,13 +66,18 @@ def atoms(base: GSet) -> tuple[AtomLabel, ...]:
     x with H inside the stabilizer of x; the labels of these pieces, less
     duplicates, are the atoms.
     """
-    group = base.group
-    pieces = []
+    hs = subgroups(base.group)
+    labs = set()
     for orb in orbits(base):
         stab = frozenset(stabilizer(base, orb[0]))
-        pieces.extend((h, (orb[0],)) for h in subgroups(group) if h <= stab)
-    _, (arrow,) = from_labels(group, (base,), pieces)
-    return tuple(sorted(set(_atom_labels(arrow))))
+        labs.update(atom_label(base, h, orb[0]) for h in hs if h <= stab)
+    return tuple(sorted(labs))
+
+
+def atom_label(base: GSet, h: frozenset[int], x: int) -> AtomLabel:
+    """The atom of G/H over the base by rH -> r.x, for H fixing x: its `orbit_labels` label."""
+    c = base.group.data.cosets(h)
+    return min(zip(c.conj, [base.action[r][x] for r in c.reps]))
 
 
 def _atom_labels(arrow: GMap) -> list[AtomLabel]:
@@ -314,26 +320,18 @@ def table_of_marks(group: FiniteGroup,
                    hs: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
     """Marks of the coset actions on a list of subgroups: marks[i][j] = |(G/H_i)^{H_j}|.
 
-    marks[i][j] = #{g : g^-1 H_j g <= H_i} / |H_i|.  The conjugate g^-1 H_j g
-    depends only on the right coset H_j g, so each conjugate is formed once
-    per right coset, counted |H_j| times, and tested against every H_i.
+    marks[i][j] = #{x : x H_j x^-1 <= H_i} / |H_i|.  The conjugate x H_j x^-1
+    depends only on the left coset x H_j, so each conjugate is read once per
+    coset from `GroupData.cosets`, counted |H_j| times, and tested against every H_i.
     """
-    mult, inv = group.mult, group.inverse
+    cosets = group.data.cosets
     marks = [[0] * len(hs) for _ in hs]
     for j, hj in enumerate(hs):
-        counts: dict[frozenset[int], int] = {}
-        covered = [False] * group.order
-        for g in group.elements():
-            if covered[g]:
-                continue
-            for h in hj:
-                covered[mult[h][g]] = True
-            row = mult[inv[g]]
-            conj = frozenset(mult[row[h]][g] for h in hj)
-            counts[conj] = counts.get(conj, 0) + len(hj)
+        counts = Counter(map(frozenset, cosets(hj).conj))
         for i, hi in enumerate(hs):
             if len(hi) % len(hj) == 0:
-                marks[i][j] = _exact(sum(c for k, c in counts.items() if k <= hi), len(hi))
+                marks[i][j] = _exact(len(hj) * sum(c for k, c in counts.items() if k <= hi),
+                                     len(hi))
     return tuple(tuple(row) for row in marks)
 
 

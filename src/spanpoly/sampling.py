@@ -25,7 +25,7 @@ from .finact import (
     terminal_gset,
 )
 from .groups import FiniteGroup, subgroups
-from .mackey import canonical_slice
+from .mackey import atom_label
 from .poly import Polynomial, polynomial
 from .spans import Span
 
@@ -78,9 +78,11 @@ def random_slice(rng: Rng, base: GSet, max_size: int,
         if size + orb_size > max_size:
             continue
         size += orb_size
-        pieces.append((h, (x,)))
-    _, (arrow,) = from_labels(base.group, (base,), pieces)
-    return canonical_slice(SliceObject(arrow))
+        s, v = atom_label(base, h, x)
+        pieces.append((s, (v,)))
+    # sorted piece labels are the orbit labels: the canonical representative
+    _, (arrow,) = from_labels(base.group, (base,), sorted(pieces))
+    return SliceObject(arrow)
 
 
 def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:

@@ -7,7 +7,8 @@ constructions of `finact` (pullback, product and dependent-product
 descriptors with their actions, the coproduct-pullback parts), the
 enumeration order of the equivariant map and iso searches, and seeded
 `random_gmap` draws, and the sha256 of the cross-checked Burnside tables
-of A4, D8, A5, C2^4 and S4xC2 given by permutation generators.  A G-set is
+of A4, D8, A5, C2^4 and S4xC2 given by permutation generators, and the
+sha256 of the `check` reports of every builtin group and suite.  A G-set is
 pinned by its size and the rows of the group's generators, which determine
 a valid action.  Inputs are built explicitly (no sampler) and relabelled,
 so that the canonical outputs do not simply echo their input.
@@ -344,3 +345,77 @@ def test_golden_finact_constructions_and_searches():
         got = _constructions(symmetric_group(int(name[1])), *case)
         for key, want in GOLDEN_FINACT[name].items():
             assert got[key] == want, (name, key)
+
+
+# "<group> <suite>" -> sha256 of `check --suite <suite> --group <group> --seed k
+# --max-size 6 --format json` for k = 0, 1, concatenated.  S4 distlaw is left
+# out: its anchored instance stops at the size guard (exit 2).
+GOLDEN_SUITES = {
+    "triv cb": "c77a27dbf400bd507c84275c98ec094110472e2df8f4925205ece44a7dae8793",
+    "triv compat": "135da0a338ca1bf7b11c90a6e5202571a3ca2aa1a42db288b1f4efbce49fca59",
+    "triv distlaw": "3fcbe546a4acd963385b6ecd1cda773e4846f0a89c1ac172a633481bbef9708c",
+    "triv lextensive": "cc28956ceeced9680f57e625f98f36a9c40625d650534db045e7300dcbb601e1",
+    "triv mackey": "ad1b28adfc8f23755dc1c3e65a6a2cf509687eca3793d33470b091f99c651edf",
+    "triv plycorrespondence": "93e442b327001e00cff67cf565d990a7a7cebdcce6a691d7c993c743985d9ba3",
+    "triv protocalib": "42e22a4dda1e8504e44b8c5e0fa9e0e584ad6c5ac8d9759ed6504c42552de5cb",
+    "triv span-laws": "b4389701d4f1f350ac619978d26555d322f5e404cf0697c6f6028131f0ade94c",
+    "triv tambara": "2dd6995d7b7c4f38a0e543de7c10353763f7534db7c46b2e067bf7c88bde8116",
+    "C2 cb": "234c5889c3cfd24ba863c56de37906f6a60555ad932c5570b9ac2bba3e5611a6",
+    "C2 compat": "9ea3a5479837afab66310b1af3aabb5012c1bd0a76f7be52aaa263b1873ba7f7",
+    "C2 distlaw": "a5d8443e2912c8eb725bc8e0c12df203c5fbacfbcf3ae54734ead481c27af0da",
+    "C2 lextensive": "275158822f820ad07f36fded9d3c3c7f793d25f353558ac274b2f598c1f7e366",
+    "C2 mackey": "b56a0649c4c45fc7654f0f8d7fe506495e6db9a607e88fb6fd5c3149441f08d7",
+    "C2 plycorrespondence": "ca1dd1b2ce1b454ad78bda78c3c722d456de36078b5d5994582a5f552e2bcc7d",
+    "C2 protocalib": "cf68331c7f51b881075dcb4672054929dab64c3434f3ffa8bbd0fea54a395eaa",
+    "C2 span-laws": "36350f8f97710fb120edae31366df45566598fb3973535984cf7a1ce0512cb6b",
+    "C2 tambara": "c9b9ff1baa3e4bb4cae400ecc3779c0df3a9ace23761961754475a162c362e25",
+    "C3 cb": "882f1b8784783a437130dc687a96d9517d8da4ef8ba7c532e6d714118625ab18",
+    "C3 compat": "f2151726cabf8e210c93678c353c44f8821c343b0a4948058ae91121ccb54846",
+    "C3 distlaw": "6e0a27e501f902e1891c55f74fb6d165d75c3272c4bd6c98679df562830f5c30",
+    "C3 lextensive": "630b7ce2246cc63720dd037872fa8f9915bf807ec828575593bc1702229b436e",
+    "C3 mackey": "197bd82c4a36e4ee9d13fea4af2740a89076c7746e4380cd9e03e373fcf224e5",
+    "C3 plycorrespondence": "1298ceeb7adeab07740a685760d7d4ce91951ba6046c0b9a1c87704e28390207",
+    "C3 protocalib": "19ad8c2f0fd692914b489845c47ef9faf8ac5393b5bb0041126742d1cfb09123",
+    "C3 span-laws": "d2690979ac6fd52b37884470f9ed81a2604df52c4eb859c0cb77aee4b25d1027",
+    "C3 tambara": "4c0f4b3028861e39be519e5fd4f44e3a93da3c85806e4ad1af08e303a206982d",
+    "C4 cb": "32e6d903767f2cc8bb1bf68d870479ebc80fdf635c634a91ff001e171e2648a7",
+    "C4 compat": "ff921e50b1dcfc2b771d98594ccc6f92deb08a540aae5405c669d9ee32861d3c",
+    "C4 distlaw": "f30ed6f1a4c1c3c7669be9d1feb5bd2acac33102de2af0f58f4ebde93824e577",
+    "C4 lextensive": "cf7283197a355a1f796c6709a7af00eafb4b099fbd7703948d6aac675907925f",
+    "C4 mackey": "e50182c49f99bb23627ab739af9a27f993fd81bdfb22bb8667130c676145dd87",
+    "C4 plycorrespondence": "89caca20e0706b803f92f00fb74cc0cb0f70b227c51f7e5f8da5f527ce6630af",
+    "C4 protocalib": "e97f33fb6267d140674ad7f44fce8c177531f46f855edf6a702599d976d5f38e",
+    "C4 span-laws": "f6b721c867fd20edf9c8972289091ffc2016197c93d4cd8ded06c42f0e2d6bcd",
+    "C4 tambara": "5549d6ca053a3e91adaa73c94ce1b9471b4efbabce5414c15aabc5f1e45becfb",
+    "S3 cb": "de91f3042b389b9dbe4fdf89493f5a43dcf4c07f776355d0dc4e52a29db490f6",
+    "S3 compat": "6d376cf43907b5e2e09863f29e8cf3b11af7717b6dfea4f9ec378fbffedf0c77",
+    "S3 distlaw": "49d6fc05e8dca829c8a605e212608f92200c16ded705bb9bd28dd8095efde516",
+    "S3 lextensive": "b5ee9666fd1dc7cdbeb8dd8c59cd83578a45d7664447a04a6fbc00d56583fe09",
+    "S3 mackey": "e1dc5eccd6eb0d93010fd2e023a277cb265084c4d87445b0f28bf47e11df71cc",
+    "S3 plycorrespondence": "be721e93cbf1e9b90dce3ae15b2a53c01573d1ae7d2d75303cf68f4167acc096",
+    "S3 protocalib": "44146af589111217896b6f5d0e435ddde6ea1e10230f45c834f1ee037ead5651",
+    "S3 span-laws": "f1feb033882d8ad8a55c83623efaa307ded9cc9d41cd49a72fbcb9d241ac0fdc",
+    "S3 tambara": "a93231e7c640642b1705aff4bf5ce5a3b60dd8d4ddb8721e291e45090e9a65fd",
+    "S4 cb": "10de3ec52f844175b87737f6b00c95693eedbfd4233bc8b677df4510608e28c5",
+    "S4 compat": "1cada932f758c7f95f8f3d65da28ddbfc34b3e059a211541fe501d56c78f8cbd",
+    "S4 lextensive": "422da2738b0673a5e49ed30d846c1b12f56b018803fd51814a220208c8077517",
+    "S4 mackey": "5602da62e41e8ef66181799c95d4f855b8c4f41e4222068d1730c1dd4230c75a",
+    "S4 plycorrespondence": "1f76efe4f492787c6372e51aef573798eae11489b038148ae895edb6e45bf10f",
+    "S4 protocalib": "a1bd5272184242274102fb9d09742a61b41db4950a9e67f5bf6cc631f599f47f",
+    "S4 span-laws": "ce8c8367443e6431f62ab951bda5b950402a197c1c2d53ba41c06d902f6519f0",
+    "S4 tambara": "911fed6a548d4daf99bb4b6fa473cd2955a2a8fe50f55a5b14ba35074c824494",
+}
+
+
+def test_golden_suite_reports():
+    for key, want in GOLDEN_SUITES.items():
+        group, suite = key.split()
+        digest = hashlib.sha256()
+        for seed in (0, 1):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = main(["check", "--suite", suite, "--group", group, "--seed", str(seed),
+                           "--max-size", "6", "--format", "json"])
+            assert rc in (0, 1), (key, seed)
+            digest.update(buf.getvalue().encode())
+        assert digest.hexdigest() == want, key

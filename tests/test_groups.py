@@ -15,6 +15,7 @@ from spanpoly.groups import (
     symmetric_group,
     trivial_group,
 )
+from spanpoly.groups import _table_to_group
 
 
 def test_builtin_orders():
@@ -47,6 +48,18 @@ LOOP5 = [[0, 1, 2, 3, 4],
 def test_non_associative_loop_rejected():
     with pytest.raises(InvalidStructure, match="associativity"):
         group_from_table("loop5", LOOP5)
+
+
+def test_associativity_failure_off_the_first_generator_rejected():
+    """C2 x LOOP5, element i + 2l for (i, l): the first generator (1, 0) is
+    associative with everything, so only a later generator exposes the loop."""
+    m = [[(i ^ j) + 2 * LOOP5[l][k] for k in range(5) for j in range(2)]
+         for l in range(5) for i in range(2)]
+    a = generating_set(_table_to_group("c2xloop5", m))[0]
+    assert a == 1
+    assert all(m[m[x][a]][y] == m[x][m[a][y]] for x in range(10) for y in range(10))
+    with pytest.raises(InvalidStructure, match="associativity"):
+        group_from_table("c2xloop5", m)
 
 
 def test_from_permutations_matches_cyclic():
@@ -170,3 +183,37 @@ def test_cyclic_group_laws(n, data):
     assert g.op(g.op(a, b), c) == g.op(a, g.op(b, c))
     assert g.op(a, g.inv(a)) == g.identity
     assert g.op(g.identity, a) == a
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D8", "A5", "S3-table"])
+def test_coset_tables_match_naive(name):
+    if name == "S3-table":
+        g = group_from_table("S3t", symmetric_group(3).mult)
+    elif name == "S3":
+        g = symmetric_group(3)
+    else:
+        g = _perm_group(name)
+    for h in subgroups(g):
+        c = g.data.cosets(h)
+        left = {x: frozenset(g.op(x, a) for a in h) for x in g.elements()}
+        assert list(c.reps) == sorted({min(k) for k in left.values()})
+        for x in g.elements():
+            assert left[c.reps[c.coset[x]]] == left[x]
+            for i, r in enumerate(c.reps):
+                assert left[c.reps[c.rows[x][i]]] == left[g.op(x, r)]
+        for r, conj in zip(c.reps, c.conj):
+            assert conj == tuple(sorted(g.op(g.op(r, a), g.inv(r)) for a in h))
+        naive_key = min(tuple(sorted(g.op(g.op(x, a), g.inv(x)) for a in h))
+                        for x in g.elements())
+        assert subgroup_class_key(g, h) == naive_key
+        # one entry serves every spelling of the subgroup
+        assert g.data.cosets(tuple(sorted(h))) is c
+
+
+def test_equal_groups_compare_and_hash_equal():
+    a, b = symmetric_group(4), symmetric_group(4)
+    assert a is not b
+    subgroups(a)
+    a.data.cosets(frozenset({a.identity}))
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1

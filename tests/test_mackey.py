@@ -1,14 +1,22 @@
 """Mackey instances: evaluation, exchange laws, Burnside tables, box pairing."""
 
+import random
+
+import pytest
+
 from spanpoly.finact import (
     GMap,
     SliceObject,
     compose_gmaps,
     coproduct,
+    from_labels,
     identity_gmap,
     initial_gset,
+    orbit_labels,
+    orbits,
     product,
     slice_identity,
+    stabilizer,
     terminal_gset,
     unique_to_terminal,
 )
@@ -16,6 +24,7 @@ from spanpoly.groups import (
     cyclic_group,
     group_from_permutations,
     group_from_table,
+    subgroups,
     symmetric_group,
 )
 from spanpoly.mackey import (
@@ -57,6 +66,32 @@ def test_atoms_rebuild_and_vectorize(c2, rng):
         rep = atom_slice(base, lab)
         vec = vectorize_slice(rep)
         assert sum(vec) == 1 and vec[atoms(base).index(lab)] == 1
+
+
+@pytest.mark.parametrize("group", [cyclic_group(4), symmetric_group(3), symmetric_group(4)],
+                         ids=["C4", "S3", "S4"])
+def test_atoms_match_labels_of_rebuilt_pieces(group):
+    """atoms labels each piece directly; the reference builds every piece and labels it."""
+    rng = random.Random(f"atoms/{group.name}")
+    for _ in range(6):
+        base = random_gset(rng, group, 12)
+        pieces = []
+        for orb in orbits(base):
+            stab = frozenset(stabilizer(base, orb[0]))
+            pieces.extend((h, (orb[0],)) for h in subgroups(group) if h <= stab)
+        _, (arrow,) = from_labels(group, (base,), pieces)
+        want = sorted({(s, v) for s, (v,) in orbit_labels(arrow.dom, (arrow,))})
+        assert atoms(base) == tuple(want)
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_random_slice_is_canonical(seed):
+    rng = random.Random(seed)
+    group = (cyclic_group(4), symmetric_group(3), symmetric_group(4))[seed % 3]
+    base = random_gset(rng, group, 8)
+    for _ in range(4):
+        a = random_slice(rng, base, 24, allow_empty=False)
+        assert canonical_slice(a) == a
 
 
 def test_canonical_slice_idempotent(c2, rng):
