@@ -103,6 +103,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_size < 0:
+        raise SpanPolyError(f"--max-size must be >= 0, not {args.max_size}")
     ws = _workspace(args)
     group = ws.group(args.group)
     rclass = None
@@ -144,10 +146,15 @@ def cmd_burnside(args) -> int:
     return 0
 
 
-def _vector(value, length: int) -> tuple:
-    """The --input value as a vector of length integers."""
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-        raise SpanPolyError(f"--input must be a JSON list of integers, not {value!r}")
+_NATURAL_INPUT = ("integers >= 0", lambda v: type(v) is int and v >= 0)
+_BOOLEAN_INPUT = ("true/false values", lambda v: type(v) is bool)
+
+
+def _vector(value, length: int, domain=_NATURAL_INPUT) -> tuple:
+    """The --input value as a vector of length values in the functor's domain."""
+    name, member = domain
+    if not isinstance(value, list) or not all(map(member, value)):
+        raise SpanPolyError(f"--input must be a JSON list of {name}, not {value!r}")
     if len(value) != length:
         raise SpanPolyError(f"--input has {len(value)} values, expected {length}")
     return tuple(value)
@@ -169,7 +176,8 @@ def cmd_eval(args) -> int:
         sr = builtin_semiring(args.functor.split(":", 1)[1])
         t = SemiringTambara(sr)
         p = ws.poly(args.poly)
-        out = eval_poly(t, p, _vector(value, p.src.size))
+        domain = _BOOLEAN_INPUT if args.functor == "semiring:booleans" else _NATURAL_INPUT
+        out = eval_poly(t, p, _vector(value, p.src.size, domain))
         _emit(args, lambda: f"value: {list(out)}", lambda: {"value": list(out)})
         return 0
     elif args.functor == "tambara-burnside":

@@ -18,7 +18,19 @@ class ClassViolation(SpanPolyError):
 
 
 class ResourceLimit(SpanPolyError):
-    """A construction would exceed the configured size bound."""
+    """A construction would exceed the configured size bound.
+
+    The G-set construction guards fill `construction`, `sizes` (its input
+    sizes by name), `projected` (the count it would reach) and `limit` (the
+    guard value), and name all four in the message; other guards leave them None.
+    """
+
+    def __init__(self, message: str, construction: str | None = None,
+                 sizes: dict[str, int] | None = None, projected: int | None = None,
+                 limit: int | None = None):
+        super().__init__(message)
+        self.construction, self.sizes = construction, sizes
+        self.projected, self.limit = projected, limit
 
 
 class InvalidStructure(SpanPolyError):

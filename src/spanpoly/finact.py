@@ -1,15 +1,20 @@
 """Finite G-sets, equivariant maps, and the limit/colimit machinery of the base category.
 
-Points of a G-set are 0-based contiguous indices.  Every constructed G-set
-(pullback, product, dependent product) comes from the one builder
-`build_gset`: element descriptors are sorted lexicographically, the images
-of all descriptors are read off the factors' action rows for the group's
-generators only, points are grouped by orbit (orbits ordered by their least
-descriptor), and the rows of the other group elements are composed from
-the generator rows (`action_from_generator_rows`).  A binary product is
-the pullback over the terminal G-set.  Coproducts instead keep the tagging
-order, all left-summand points first, so that injections are plain shifts.
-All values are immutable; every operation is pure.
+Points of a G-set are 0-based contiguous indices.  A G-set stores one
+action row per element of the group's `generating_set`, in that order;
+these rows fix the action.  `orbits` searches along them, and
+`point_images` composes the images g.p of one point along the group's
+breadth-first words (`GroupData.words`); stabilizers, transporters, orbit
+labels and leg values are read off those images.  The full table
+`GSet.action` is derived on first use, for outside readers and validation.
+Every constructed G-set (pullback, product, dependent product) comes from
+the one builder `build_gset`: element descriptors are sorted
+lexicographically, their images under each generator are read off the
+factors' rows, and points are grouped by orbit (orbits ordered by their
+least descriptor).  A binary product is the pullback over the terminal
+G-set.  Coproducts instead keep the tagging order, all left-summand points
+first, so that injections are plain shifts.  All values are immutable;
+every operation is pure.
 
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
@@ -27,7 +32,9 @@ and can explode exponentially, so it runs behind a configurable size guard
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -42,17 +49,34 @@ from .groups import FiniteGroup, generating_set
 DEFAULT_MAX_POINTS = 10 ** 6
 
 
+def _over_limit(construction: str, unit: str, sizes: dict[str, int],
+                projected: int, limit: int) -> ResourceLimit:
+    shown = ", ".join(f"{k}={v}" for k, v in sizes.items())
+    return ResourceLimit(f"{construction} ({shown}) would have {projected} {unit}, "
+                         f"over the limit {limit}", construction, sizes, projected, limit)
+
+
 # ---------------------------------------------------------------------------
 # core value types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GSet:
-    """A finite set with a group action; action[g][x] is g acting on point x."""
+    """A finite set with a group action, stored as one row per generator.
+
+    rows[k][x] is gens[k] acting on point x, for gens = `generating_set`.
+    The full table, action[g][x] = g.x, is derived on first use and kept
+    outside equality and hash; the library's algorithms read `rows` or
+    `point_images` instead.
+    """
 
     group: FiniteGroup
     size: int
-    action: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def action(self) -> tuple[tuple[int, ...], ...]:
+        return action_from_generator_rows(self.group, self.size, self.rows)
 
     def act(self, g: int, x: int) -> int:
         return self.action[g][x]
@@ -61,32 +85,23 @@ class GSet:
         return range(self.size)
 
     def validate(self) -> None:
-        """Check the action laws, composing with the generators only.
+        """Check that the rows are one permutation per generator and define an action.
 
-        If the identity fixes every point, each generator s acts by a
-        permutation and row[s.h] = row[s] after row[h] for every h, then
-        every row is a composite of generator rows and row[g.h] = row[g]
-        after row[h] for all g and h.
+        The derived table has row[g] = row[s] after row[h] for each word
+        (g, s, h) of `GroupData.words`; it is an action iff that holds for
+        every generator s and every element h.
         """
-        n, size = self.group.order, self.size
-        if len(self.action) != n or any(
-                len(row) != size or (size and not 0 <= min(row) <= max(row) < size)
-                for row in self.action):
-            raise InvalidStructure("action table has wrong shape")
-        e = self.group.identity
-        for x in range(size):
-            if self.action[e][x] != x:
-                raise InvalidStructure(f"identity does not fix point {x}")
-        mult = self.group.mult
-        for g in generating_set(self.group):
-            grow = self.action[g]
-            if sorted(grow) != list(range(size)):
-                raise InvalidStructure(f"element {g} does not act by a permutation")
-            for h, hrow in enumerate(self.action):
-                ghrow = self.action[mult[g][h]]
-                if any(map(ne, map(grow.__getitem__, hrow), ghrow)):
-                    x = next(x for x in range(size) if grow[hrow[x]] != ghrow[x])
-                    raise InvalidStructure(f"action not compatible at (g={g},h={h},x={x})")
+        gens, size = generating_set(self.group), self.size
+        if len(self.rows) != len(gens) or any(sorted(row) != list(range(size))
+                                              for row in self.rows):
+            raise InvalidStructure("action needs one permutation row per generator")
+        action, mult = self.action, self.group.mult
+        for s, srow in zip(gens, self.rows):
+            for h, hrow in enumerate(action):
+                shrow = action[mult[s][h]]
+                if any(map(ne, map(srow.__getitem__, hrow), shrow)):
+                    x = next(x for x in range(size) if srow[hrow[x]] != shrow[x])
+                    raise InvalidStructure(f"action not compatible at (g={s},h={h},x={x})")
 
 
 @dataclass(frozen=True)
@@ -113,8 +128,7 @@ class GMap:
             raise InvalidStructure("table value out of codomain range")
         # commuting with the generators' actions is commuting with all products
         table = self.table
-        for g in generating_set(self.group):
-            drow, crow = self.dom.action[g], self.cod.action[g]
+        for g, drow, crow in zip(generating_set(self.group), self.dom.rows, self.cod.rows):
             if any(map(ne, map(table.__getitem__, drow), map(crow.__getitem__, table))):
                 x = next(x for x in range(self.dom.size) if table[drow[x]] != crow[table[x]])
                 raise InvalidStructure(f"map not equivariant at (g={g},x={x})")
@@ -152,8 +166,17 @@ class SliceObject:
 
 
 def gset(group: FiniteGroup, size: int, action: Sequence[Sequence[int]]) -> GSet:
-    x = GSet(group, size, tuple(tuple(map(int, row)) for row in action))
+    """The G-set with the full action table action, checked on every row."""
+    table = tuple(tuple(map(int, row)) for row in action)
+    if len(table) != group.order or any(
+            len(row) != size or (size and not 0 <= min(row) <= max(row) < size)
+            for row in table):
+        raise InvalidStructure("action table has wrong shape")
+    x = GSet(group, size, tuple(table[s] for s in generating_set(group)))
     x.validate()
+    g = next((g for g, row in enumerate(x.action) if row != table[g]), None)
+    if g is not None:
+        raise InvalidStructure(f"action not compatible with the generator rows at element {g}")
     return x
 
 
@@ -183,10 +206,10 @@ def slice_identity(u: GSet) -> SliceObject:
 # ---------------------------------------------------------------------------
 
 def terminal_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, 1, tuple((0,) for _ in group.elements()))
+    return GSet(group, 1, ((0,),) * len(generating_set(group)))
 
 def initial_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, 0, tuple(() for _ in group.elements()))
+    return GSet(group, 0, ((),) * len(generating_set(group)))
 
 def regular_gset(group: FiniteGroup) -> GSet:
     """G acting on itself by left multiplication: the cosets of the trivial subgroup."""
@@ -207,21 +230,40 @@ def unique_from_initial(x: GSet) -> GMap:
 # orbits, stabilizers, labels and rebuilding from labels
 # ---------------------------------------------------------------------------
 
-def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * x.size
+def _orbit_search(size: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits of the permutations rows on size points, each ascending,
+    ordered by least point: the components of the graph the rows draw."""
+    seen = [False] * size
     out = []
-    for p in range(x.size):
-        if seen[p]:
-            continue
-        orb = sorted({x.act(g, p) for g in x.group.elements()})
-        for q in orb:
-            seen[q] = True
-        out.append(tuple(orb))
-    return tuple(out)
+    for i in range(size):
+        if not seen[i]:
+            seen[i] = True
+            orb = [i]
+            for j in orb:
+                for row in rows:
+                    k = row[j]
+                    if not seen[k]:
+                        seen[k] = True
+                        orb.append(k)
+            out.append(sorted(orb))
+    return out
+
+
+def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _orbit_search(x.size, x.rows)))
+
+
+def point_images(x: GSet, p: int) -> list[int]:
+    """g.p for every group element g, composed along `GroupData.words`."""
+    words, rows = x.group.data.words, x.rows
+    img = [p] * (len(words) + 1)
+    for g, k, h in words:
+        img[g] = rows[k][img[h]]
+    return img
 
 
 def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
-    return tuple(g for g, row in enumerate(x.action) if row[p] == p)
+    return tuple(g for g, q in enumerate(point_images(x, p)) if q == p)
 
 
 def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
@@ -241,8 +283,9 @@ def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     for p in x.points():
         if seen[p]:
             continue
-        c = cosets(stabilizer(x, p))
-        qs = [x.action[r][p] for r in c.reps]
+        img = point_images(x, p)
+        c = cosets(tuple(g for g, q in enumerate(img) if q == p))
+        qs = [img[r] for r in c.reps]
         for q in qs:
             seen[q] = True
         out.append(min(zip(c.conj, [tuple([leg.table[q] for leg in legs]) for q in qs])))
@@ -260,16 +303,16 @@ def from_labels(group: FiniteGroup, cods: Sequence[GSet],
     label multisets rebuild identical G-sets and legs.  H is a tuple or a
     frozenset (see `GroupData.cosets`).
     """
-    cosets = group.data.cosets
-    rows: list[list[int]] = [[] for _ in group.elements()]
+    cosets, gens = group.data.cosets, generating_set(group)
+    rows: list[list[int]] = [[] for _ in gens]
     tables: list[list[int]] = [[] for _ in cods]
     size = 0
     for stab, values in labels:
         c = cosets(stab)
-        for row, crow in zip(rows, c.rows):
-            row.extend(map(size.__add__, crow))
+        for row, s in zip(rows, gens):
+            row.extend(map(size.__add__, c.rows[s]))
         for cod, v, table in zip(cods, values, tables):
-            table.extend(cod.action[r][v] for r in c.reps)
+            table.extend(map(point_images(cod, v).__getitem__, c.reps))
         size += len(c.reps)
     apex = GSet(group, size, tuple(tuple(row) for row in rows))
     return apex, tuple(GMap(apex, cod, tuple(t)) for cod, t in zip(cods, tables))
@@ -292,10 +335,9 @@ def slice_canonical_form(a: SliceObject) -> str:
 
 def transporters(x: GSet, orb: Sequence[int]) -> dict[int, int]:
     """For each point of the orbit, the least group element moving the least point there."""
-    rep = orb[0]
     out: dict[int, int] = {}
-    for g, row in enumerate(x.action):
-        out.setdefault(row[rep], g)
+    for g, q in enumerate(point_images(x, orb[0])):
+        out.setdefault(q, g)
     return out
 
 
@@ -344,13 +386,15 @@ def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None,
         if count == 0:
             return
     if limit is not None and count > limit:
-        raise ResourceLimit(f"{count} equivariant maps exceed limit {limit}")
+        raise _over_limit("equivariant maps", "maps", {"dom": x.size, "cod": y.size}, count, limit)
+    moved = {q: point_images(y, q) for _, _, c in percand for q in c}
     for choice in itertools.product(*(c for _, _, c in percand)):
         table = [0] * x.size
         ok = True
         for (o, t, _), q0 in zip(percand, choice):
+            img = moved[q0]
             for p in o:
-                q = y.act(t[p], q0)
+                q = img[t[p]]
                 if constraint is not None and not constraint(p, q):
                     ok = False
                     break
@@ -381,6 +425,7 @@ def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterato
     if x.size != y.size:
         return
     percand = orbit_candidates(x, y, constraint)
+    moved = {q: point_images(y, q) for _, _, c in percand for q in c}
 
     def extend(i: int, used: set[int], table: list[int]) -> Iterator[GMap]:
         if i == len(percand):
@@ -393,7 +438,7 @@ def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterato
             img = []
             ok = True
             for p in o:
-                q = y.act(t[p], q0)
+                q = moved[q0][t[p]]
                 if q in used or (constraint is not None and not constraint(p, q)):
                     ok = False
                     break
@@ -442,9 +487,7 @@ def relabel_gset(x: GSet, perm: Sequence[int]) -> tuple[GSet, GMap]:
     inv = [0] * x.size
     for p, q in enumerate(perm):
         inv[q] = p
-    action = tuple(tuple(perm[x.act(g, inv[q])] for q in range(x.size))
-                   for g in x.group.elements())
-    y = GSet(x.group, x.size, action)
+    y = GSet(x.group, x.size, tuple(tuple(perm[row[p]] for p in inv) for row in x.rows))
     return y, GMap(x, y, tuple(perm))
 
 
@@ -457,30 +500,19 @@ class BuiltGSet(NamedTuple):
     elems: tuple
 
 
-def action_from_generator_rows(group: FiniteGroup, size: int, gens: Sequence[int],
+def action_from_generator_rows(group: FiniteGroup, size: int,
                                rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The full action table on size points from the rows of the generators gens.
+    """The full action table on size points from one row per generator.
 
-    Every other row is a composite, row[s.h] = row[s] after row[h], reached
-    by a breadth-first search from the identity row.  Raises
-    InvalidStructure if the generators do not reach every group element.
+    Every other row is a composite, row[s.h] = row[s] after row[h], taken
+    in the order of `GroupData.words`.  Raises InvalidStructure if the
+    generators do not reach every group element.
     """
-    mult = group.mult
-    known: dict[int, tuple[int, ...]] = {group.identity: tuple(range(size))}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            hrow = known[h]
-            for s, row in zip(gens, rows):
-                sh = mult[s][h]
-                if sh not in known:
-                    known[sh] = tuple(map(row.__getitem__, hrow))
-                    nxt.append(sh)
-        frontier = nxt
-    if len(known) != group.order:
-        raise InvalidStructure("generators do not generate the whole group")
-    return tuple(map(known.__getitem__, group.elements()))
+    full: list = [None] * group.order
+    full[group.identity] = tuple(range(size))
+    for g, k, h in group.data.words:
+        full[g] = tuple(map(rows[k].__getitem__, full[h]))
+    return tuple(full)
 
 
 def build_gset(group: FiniteGroup, elems: Sequence,
@@ -488,39 +520,26 @@ def build_gset(group: FiniteGroup, elems: Sequence,
                max_points: Optional[int] = None) -> BuiltGSet:
     """Materialize a G-set from descriptors, numbered canonically.
 
-    elems lists the descriptors, distinct and ascending.  images(s) lists
-    the descriptor of s.e for each e of elems, in the same order; it is
-    called once per generator s of `generating_set(group)`, and the other
-    rows are composed from those.  Points are grouped by orbit, each found
-    by a search along the generator rows, orbits ordered by their least
-    descriptor; elems of the result lists the descriptor of each point.
+    elems lists the descriptors, distinct and ascending.  images(k) lists
+    the descriptor of s.e for each e of elems, in the same order, for s the
+    k-th element of `generating_set(group)`; it is called once per
+    generator, and those rows are the G-set's rows.  Points are grouped by
+    orbit, each found by a search along the generator rows, orbits ordered
+    by their least descriptor; elems of the result lists the descriptor of
+    each point.
     """
     limit = DEFAULT_MAX_POINTS if max_points is None else max_points
     n = len(elems)
     if n > limit:
-        raise ResourceLimit(f"constructed G-set would have {n} > {limit} points")
-    gens = generating_set(group)
+        raise _over_limit("G-set construction", "points", {"descriptors": n}, n, limit)
     pos = dict(zip(elems, range(n)))
-    raw = [list(map(pos.__getitem__, images(s))) for s in gens]
-    seen = [False] * n
-    order: list[int] = []
-    for i in range(n):
-        if not seen[i]:
-            seen[i] = True
-            orb = [i]
-            for j in orb:
-                for row in raw:
-                    k = row[j]
-                    if not seen[k]:
-                        seen[k] = True
-                        orb.append(k)
-            order.extend(sorted(orb))
+    raw = [list(map(pos.__getitem__, images(k))) for k in range(len(generating_set(group)))]
+    order = [i for orb in _orbit_search(n, raw) for i in orb]
     newpos = [0] * n
     for new, old in enumerate(order):
         newpos[old] = new
-    rows = [tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in raw]
-    action = action_from_generator_rows(group, n, gens, rows)
-    return BuiltGSet(GSet(group, n, action), tuple(map(elems.__getitem__, order)))
+    rows = tuple(tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in raw)
+    return BuiltGSet(GSet(group, n, rows), tuple(map(elems.__getitem__, order)))
 
 
 class Construction:
@@ -578,10 +597,10 @@ class Pullback(Construction):
         left, right = _matching_pairs(f, g)
 
         # the pair (a, b) is built as the integer code a * |B| + b; codes
-        # ascend with the pairs, and h.(a, b) has code h.a * |B| + h.b
-        def images(h: int):
-            scaled = [p * nb for p in xa.action[h]]
-            return map(add, map(scaled.__getitem__, left), map(xb.action[h].__getitem__, right))
+        # ascend with the pairs, and s.(a, b) has code s.a * |B| + s.b
+        def images(k: int):
+            scaled = [p * nb for p in xa.rows[k]]
+            return map(add, map(scaled.__getitem__, left), map(xb.rows[k].__getitem__, right))
 
         built = build_gset(f.group, [a * nb + b for a, b in zip(left, right)], images, max_points)
         codes = built.elems
@@ -637,10 +656,9 @@ class CoproductDiagram:
         if x.group != y.group:
             raise GroupMismatch("coproduct over different groups")
         nx = x.size
-        action = tuple(tuple(list(x.action[g]) + [nx + q for q in y.action[g]])
-                       for g in x.group.elements())
+        rows = tuple(xrow + tuple(map(nx.__add__, yrow)) for xrow, yrow in zip(x.rows, y.rows))
         self.left, self.right = x, y
-        self.sum = GSet(x.group, nx + y.size, action)
+        self.sum = GSet(x.group, nx + y.size, rows)
         self.inj1 = GMap(x, self.sum, tuple(range(nx)))
         self.inj2 = GMap(y, self.sum, tuple(range(nx, nx + y.size)))
 
@@ -756,23 +774,21 @@ class PiData:
         for fib in fibers:
             for i, p in enumerate(fib):
                 fiber_pos[p] = i
-        total = 0
-        for x in uu.points():
-            cnt = 1
-            for p in fibers[x]:
-                cnt *= len(pre[p])
-            total += cnt
-            if total > limit:
-                raise ResourceLimit(f"dependent product exceeds {limit} sections")
+        total = sum(math.prod(len(pre[p]) for p in fib) for fib in fibers)
+        if total > limit:
+            raise _over_limit("dependent product", "sections",
+                              {"dom": s.size, "cod": uu.size, "slice": a.total.size}, total, limit)
         elems = []
         for x in uu.points():
             for sec in itertools.product(*(pre[p] for p in fibers[x])):
                 elems.append((x, sec))
 
-        def images(g: int):
-            # g sends the section sec over u^-1(x) to the section over
-            # u^-1(g.x) whose value at q is g.sec(g^-1.q)
-            back, ra, ru = s.action[s.group.inv(g)], a.total.action[g], uu.action[g]
+        def images(k: int):
+            # a generator g sends the section sec over u^-1(x) to the section
+            # over u^-1(g.x) whose value at q is g.sec(g^-1.q); sorting the
+            # points by their image under g lists g^-1.q at q
+            ra, ru = a.total.rows[k], uu.rows[k]
+            back = sorted(s.points(), key=s.rows[k].__getitem__)
             pick = [[fiber_pos[back[q]] for q in fibers[ru[x]]] for x in uu.points()]
             return [(ru[x], tuple(map(ra.__getitem__, map(sec.__getitem__, pick[x]))))
                     for x, sec in elems]
@@ -963,7 +979,7 @@ class CoproductPullbackData:
 
     @staticmethod
     def _part(r: GSet, pts: list[int], f: GMap, summand: GSet, shift: int):
-        built = build_gset(r.group, pts, lambda g: map(r.action[g].__getitem__, pts))
+        built = build_gset(r.group, pts, lambda k: map(r.rows[k].__getitem__, pts))
         incl = GMap(built.gset, r, built.elems)
         over = GMap(built.gset, summand,
                     tuple(f.table[p] - shift for p in built.elems))

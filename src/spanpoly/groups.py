@@ -247,6 +247,26 @@ class GroupData:
         return gens
 
     @cached_property
+    def words(self) -> tuple[tuple[int, int, int], ...]:
+        """(g, k, h) with g = gens[k].h, one per element g but the identity, found
+        breadth first from it, so each h is the identity or an earlier g.
+        Raises InvalidStructure if the generators do not reach every element."""
+        mult, gens = self.group.mult, self.generating_set
+        reached = [self.group.identity]
+        seen = set(reached)
+        out = []
+        for h in reached:
+            for k, s in enumerate(gens):
+                g = mult[s][h]
+                if g not in seen:
+                    seen.add(g)
+                    reached.append(g)
+                    out.append((g, k, h))
+        if len(reached) != len(mult):
+            raise InvalidStructure("generators do not generate the whole group")
+        return tuple(out)
+
+    @cached_property
     def subgroups(self) -> tuple[frozenset[int], ...]:
         """All subgroups, found by closing each known subgroup with one extra element.
 

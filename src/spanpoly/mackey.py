@@ -35,6 +35,7 @@ from .finact import (
     from_labels,
     orbit_labels,
     orbits,
+    point_images,
     product,
     sigma,
     stabilizer,
@@ -43,7 +44,6 @@ from .finact import (
 from .groups import (
     FiniteGroup,
     double_cosets,
-    generating_set,
     subgroup_class_key,
     subgroups,
 )
@@ -77,7 +77,7 @@ def atoms(base: GSet) -> tuple[AtomLabel, ...]:
 def atom_label(base: GSet, h: frozenset[int], x: int) -> AtomLabel:
     """The atom of G/H over the base by rH -> r.x, for H fixing x: its `orbit_labels` label."""
     c = base.group.data.cosets(h)
-    return min(zip(c.conj, [base.action[r][x] for r in c.reps]))
+    return min(zip(c.conj, map(point_images(base, x).__getitem__, c.reps)))
 
 
 def _atom_labels(arrow: GMap) -> list[AtomLabel]:
@@ -384,11 +384,10 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
     reps = [atom_slice(pt, l) for l in labs]
     index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
     class_of = {h: index[subgroup_class_key(group, h)] for h in subgroups(group)}
-    gens = generating_set(group)
 
     def orbit_classes(x: GSet, y: GSet) -> list[int]:
         ny = y.size
-        moves = [(x.action[s], y.action[s]) for s in gens]
+        moves = list(zip(x.rows, y.rows))
         seen = [False] * (x.size * ny)
         out = []
         # an orbit is a component under the generators; scanning codes in

@@ -530,7 +530,7 @@ def check_poly_oracle(p: Polynomial, q: Polynomial,
 
 def forget_gset(x: GSet) -> GSet:
     t = trivial_group()
-    return GSet(t, x.size, (tuple(range(x.size)),))
+    return GSet(t, x.size, ())
 
 
 def forget_gmap(f: GMap) -> GMap:

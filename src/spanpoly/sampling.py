@@ -15,10 +15,10 @@ from .finact import (
     SliceObject,
     compose_gmaps,
     coproduct,
-    coset_gset,
     from_labels,
     initial_gset,
     orbit_candidates,
+    point_images,
     product,
     relabel_gset,
     stabilizer,
@@ -38,22 +38,17 @@ def random_subgroup(rng: Rng, group: FiniteGroup) -> frozenset[int]:
 
 def random_gset(rng: Rng, group: FiniteGroup, max_size: int,
                 min_orbits: int = 1) -> GSet:
-    """A sum of random coset orbits within the size budget."""
+    """A sum of random coset orbits within the size budget, in draw order."""
     if max_size <= 0:
         return initial_gset(group)
-    out: Optional[GSet] = None
-    target = rng.randint(min_orbits, max(min_orbits, 3))
-    for _ in range(target):
+    labels: list[tuple] = []
+    for _ in range(rng.randint(min_orbits, max(min_orbits, 3))):
         h = random_subgroup(rng, group)
-        orb = coset_gset(group, h)
-        if out is not None and out.size + orb.size > max_size:
-            continue
-        if out is None and orb.size > max_size:
-            continue
-        out = orb if out is None else coproduct(out, orb).sum
-    if out is None:
-        out = terminal_gset(group)
-    return out
+        if sum(group.order // len(k) for k, _ in labels) + group.order // len(h) <= max_size:
+            labels.append((h, ()))
+    if not labels:
+        return terminal_gset(group)
+    return from_labels(group, (), labels)[0]
 
 
 def random_gset_with_fixed_point(rng: Rng, group: FiniteGroup, max_size: int) -> GSet:
@@ -103,9 +98,9 @@ def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:
     for orb, tr, cands in orbit_candidates(x, y):
         if not cands:
             return None
-        q0 = rng.choice(cands)
+        img = point_images(y, rng.choice(cands))
         for p in orb:
-            table[p] = y.act(tr[p], q0)
+            table[p] = img[tr[p]]
     return GMap(x, y, tuple(table))
 
 
@@ -156,7 +151,7 @@ def random_trivial_polynomial(rng: Rng, x_size: int, y_size: int,
     """Random polynomial over the one-point group with plain-set boundaries."""
     assert group.order == 1
     def tset(n: int) -> GSet:
-        return GSet(group, n, (tuple(range(n)),))
+        return GSet(group, n, ())
     x, y = tset(x_size), tset(y_size)
     b = tset(rng.randint(1, max_size))
     a = tset(rng.randint(0, max_size))

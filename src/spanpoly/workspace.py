@@ -34,7 +34,6 @@ from .errors import WorkspaceError
 from .finact import (
     GMap,
     GSet,
-    action_from_generator_rows,
     gmap,
     gset,
     identity_gmap,
@@ -154,16 +153,15 @@ def _parse_group(obj: dict) -> FiniteGroup:
     raise WorkspaceError(f"group {name!r}: need 'mult' or 'generators'")
 
 
-def _action_from_generators(group: FiniteGroup, size: int,
-                            gen_perms: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+def _generator_rows(group: FiniteGroup, size: int,
+                    gen_perms: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     if len(gen_perms) != len(group.generators):
         raise WorkspaceError("action_by_generator length does not match the group's generators")
     for perm in gen_perms:
         if sorted(perm) != list(range(size)):
             raise WorkspaceError(f"action_by_generator row {perm!r} is not a permutation "
                                  f"of 0..{size - 1}")
-    return action_from_generator_rows(group, size, group.generators,
-                                      [[int(v) for v in perm] for perm in gen_perms])
+    return tuple(tuple(int(v) for v in perm) for perm in gen_perms)
 
 
 def _parse_gset(obj: dict, ws: Workspace) -> GSet:
@@ -175,12 +173,12 @@ def _parse_gset(obj: dict, ws: Workspace) -> GSet:
     try:
         size = int(size)
         if "action" in obj:
-            action = obj["action"]
-        elif not group.generators:
+            return gset(group, size, obj["action"])
+        if not group.generators:
             raise WorkspaceError(f"group {group.name!r} has no designated generators")
-        else:
-            action = _action_from_generators(group, size, obj["action_by_generator"])
-        return gset(group, size, action)
+        x = GSet(group, size, _generator_rows(group, size, obj["action_by_generator"]))
+        x.validate()
+        return x
     except Exception as exc:
         raise WorkspaceError(f"gset {name!r}: {exc}") from exc
 
@@ -276,7 +274,7 @@ def group_to_obj(g: FiniteGroup) -> dict:
 def gset_to_obj(x: GSet) -> dict:
     """The size and one action row per element of the group's `generator_elements`."""
     return {"group": x.group.name, "size": x.size,
-            "action_by_generator": [list(x.action[s]) for s in generating_set(x.group)]}
+            "action_by_generator": list(map(list, x.rows))}
 
 
 def gmap_to_obj(f: GMap) -> dict:

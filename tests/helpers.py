@@ -15,7 +15,7 @@ from spanpoly.finact import (
 def tset(group, n: int) -> GSet:
     """Plain finite set as a trivial-group action."""
     assert group.order == 1
-    return GSet(group, n, (tuple(range(n)),))
+    return GSet(group, n, ())
 
 
 def tmap(group, dom_size: int, cod_size: int, table) -> GMap:

@@ -273,9 +273,18 @@ EVAL_BURNSIDE = ["eval", "--functor", "burnside", "--group", "C2", "--span", "C2
 @pytest.mark.parametrize("argv, message", [
     (EVAL_BURNSIDE + ["--input", "5"], "--input must be a JSON list of integers"),
     (EVAL_BURNSIDE + ["--input", "[1, 2, 3]"], "--input has 3 values, expected 2"),
+    (EVAL_BURNSIDE + ["--input", "[0, -1]"], "--input must be a JSON list of integers >= 0"),
+    (["eval", "--functor", "semiring:naturals", "--group", "triv", "--poly", "triv.free-poly",
+      "--input", "[-2]"], "--input must be a JSON list of integers >= 0"),
+    (["eval", "--functor", "semiring:booleans", "--group", "triv", "--poly", "triv.free-poly",
+      "--input", "[5]"], "--input must be a JSON list of true/false values"),
+    (["check", "--suite", "span-laws", "--group", "C2", "--max-size", "-4"],
+     "--max-size must be >= 0, not -4"),
     (["compose", "--kind", "poly", "C2.free-poly", "C2.free-poly", "--out", "{missing}"],
      "cannot write --out"),
-], ids=["input-not-a-list", "input-wrong-length", "out-in-missing-directory"])
+], ids=["input-not-a-list", "input-wrong-length", "burnside-input-negative",
+        "naturals-input-negative", "booleans-input-not-a-boolean", "max-size-negative",
+        "out-in-missing-directory"])
 def test_cli_structured_error_on_bad_argument(tmp_path, capsys, argv, message):
     argv = [a.format(missing=tmp_path / "missing" / "x.json") for a in argv]
     assert main(argv + ["--format", "json"]) == 2
