@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from . import finact
 from .calib import ALL_MAPS, MorphismClass
 from .errors import BoundaryMismatch, ClassViolation, InvalidStructure, ResourceLimit
 from .finact import (
@@ -27,11 +28,11 @@ from .finact import (
     GMap,
     GSet,
     SliceObject,
+    codiagonal,
     compose_gmaps,
     coproduct,
     delta_data,
     equivariant_maps,
-    count_equivariant_maps,
     identity_gmap,
     pi_slice,
     product,
@@ -45,9 +46,7 @@ from .finact import (
     sum_gmap,
 )
 from .report import Check, Report
-from .spans import Span
-
-HOM_LIMIT = 200_000
+from .spans import Span, compose_spans
 
 
 def invert_gmap(f: GMap) -> GMap:
@@ -168,14 +167,9 @@ class SliceIndexed(IndexedCategory):
     lifted map, with dependent sum and product as the two adjoints.
     """
 
-    def __init__(self, at: Optional[GSet] = None, name: Optional[str] = None,
-                 hom_limit: int = HOM_LIMIT):
+    def __init__(self, at: Optional[GSet] = None):
         self.at = at
-        self.hom_limit = hom_limit
-        if name is not None:
-            self.name = name
-        else:
-            self.name = "slices" if at is None else f"hom-into-K[{at.size}]"
+        self.name = "slices" if at is None else f"hom-into-K[{at.size}]"
 
     def carrier(self, u: GSet) -> GSet:
         if self.at is None:
@@ -195,10 +189,6 @@ class SliceIndexed(IndexedCategory):
         return slice_canonical_form(x)
 
     def fiber_hom(self, a, b):
-        n = count_equivariant_maps(a.total, b.total,
-                                   lambda p, q: b.arrow.table[q] == a.arrow.table[p])
-        if n > self.hom_limit:
-            raise ResourceLimit(f"fiber hom-set has {n} > {self.hom_limit} elements")
         return list(slice_homs(a, b))
 
     def fiber_id(self, a):
@@ -374,23 +364,18 @@ def product_from_family(xcat: IndexedCategory, o: CompletionObject,
 # ---------------------------------------------------------------------------
 
 def completion_homs(xcat: IndexedCategory, o: CompletionObject,
-                    o2: CompletionObject,
-                    limit: int = HOM_LIMIT) -> list[CompletionMorphism]:
+                    o2: CompletionObject) -> list[CompletionMorphism]:
     """All morphisms (w, xi) from o to o2 in the coproduct completion."""
     if o.base != o2.base:
         raise BoundaryMismatch("completion_homs: different bases")
     out = []
     u1, u2 = o.u.table, o2.u.table
-    constraint = lambda p, q: u2[q] == u1[p]
-    n_legs = count_equivariant_maps(o.stage, o2.stage, constraint)
-    if n_legs > limit:
-        raise ResourceLimit(f"{n_legs} candidate legs exceed limit {limit}")
-    for w in equivariant_maps(o.stage, o2.stage, constraint):
+    for w in equivariant_maps(o.stage, o2.stage, lambda p, q: u2[q] == u1[p]):
         xw = xcat.act_obj(w, o2.x)
         for xi in xcat.fiber_hom(o.x, xw):
             out.append(CompletionMorphism(w, xi))
-            if len(out) > limit:
-                raise ResourceLimit(f"completion hom-set exceeds limit {limit}")
+            if len(out) > finact.MAX_MAPS:
+                raise ResourceLimit(f"completion hom-set exceeds limit {finact.MAX_MAPS}")
     return out
 
 
@@ -424,8 +409,7 @@ def reindex_mor(xcat: IndexedCategory, r: GMap,
 
 
 def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
-                         o2: CompletionObject,
-                         limit: int = HOM_LIMIT) -> list[CompletionMorphism]:
+                         o2: CompletionObject) -> list[CompletionMorphism]:
     """Morphisms o -> o2 of the product completion: legs point backwards.
 
     A morphism is (w : S2 -> S1 with u1.w = u2, zeta : X(w)(x1) -> x2).
@@ -434,16 +418,12 @@ def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
         raise BoundaryMismatch("completion_homs_dual: different bases")
     out = []
     u1, u2 = o.u.table, o2.u.table
-    constraint = lambda p, q: u1[q] == u2[p]
-    n_legs = count_equivariant_maps(o2.stage, o.stage, constraint)
-    if n_legs > limit:
-        raise ResourceLimit(f"{n_legs} candidate legs exceed limit {limit}")
-    for w in equivariant_maps(o2.stage, o.stage, constraint):
+    for w in equivariant_maps(o2.stage, o.stage, lambda p, q: u1[q] == u2[p]):
         xw = xcat.act_obj(w, o.x)
         for zeta in xcat.fiber_hom(xw, o2.x):
             out.append(CompletionMorphism(w, zeta))
-            if len(out) > limit:
-                raise ResourceLimit(f"dual hom-set exceeds limit {limit}")
+            if len(out) > finact.MAX_MAPS:
+                raise ResourceLimit(f"dual hom-set exceeds limit {finact.MAX_MAPS}")
     return out
 
 
@@ -586,7 +566,6 @@ def check_CB_fiber(xcat: IndexedCategory, f: GMap, g: GMap, samples: Sequence,
 
 def fiber_coproduct(xcat: IndexedCategory, u: GSet, x, y):
     """Binary coproduct of two fiber objects, pushed along the codiagonal."""
-    from .finact import codiagonal
     cop, nabla = codiagonal(u)
     return xcat.push_obj(nabla, xcat.sum_obj(cop, x, y))
 
@@ -648,7 +627,6 @@ def check_extension_composition(xcat: IndexedCategory, p: Span, q: Span,
                                 probes: Sequence,
                                 klass: MorphismClass = ALL_MAPS) -> Report:
     """Composition preservation of the span action on probe objects."""
-    from .spans import compose_spans
     pq = compose_spans(p, q, klass)
     ext_pq = SpanExtension(xcat, pq, klass)
     ext_p = SpanExtension(xcat, p, klass)

@@ -18,11 +18,12 @@ class ClassViolation(SpanPolyError):
 
 
 class ResourceLimit(SpanPolyError):
-    """A construction would exceed the configured size bound.
+    """A construction would exceed a size guard, `finact.MAX_POINTS` or `finact.MAX_MAPS`.
 
-    The G-set construction guards fill `construction`, `sizes` (its input
-    sizes by name), `projected` (the count it would reach) and `limit` (the
-    guard value), and name all four in the message; other guards leave them None.
+    The guards of `build_gset`, the dependent product and equivariant-map
+    enumeration fill `construction`, `sizes` (its input sizes by name),
+    `projected` (the count it would reach) and `limit` (the guard value),
+    and name all four in the message; the completion hom-set totals leave them None.
     """
 
     def __init__(self, message: str, construction: str | None = None,

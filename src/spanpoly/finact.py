@@ -26,8 +26,10 @@ of each orbit's least point, and the map enumeration, counting, iso search
 and random sampling all start from it.
 
 The dependent-product construction `pi` enumerates sections fiber by fiber
-and can explode exponentially, so it runs behind a configurable size guard
-(DEFAULT_MAX_POINTS).
+and can explode exponentially.  Two module constants bound the work, read
+when a guarded call runs: MAX_POINTS caps the points of every constructed
+G-set and the sections of a dependent product, MAX_MAPS the count of an
+equivariant-map enumeration.  There is no per-call override.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ from .errors import (
 )
 from .groups import FiniteGroup, generating_set
 
-DEFAULT_MAX_POINTS = 10 ** 6
+MAX_POINTS = 10 ** 6
+MAX_MAPS = 200_000
 
 
 def _over_limit(construction: str, unit: str, sizes: dict[str, int],
@@ -371,13 +374,13 @@ def orbit_candidates(x: GSet, y: GSet, constraint: Constraint = None
     return out
 
 
-def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None,
-                     limit: Optional[int] = None) -> Iterator[GMap]:
+def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
     """All equivariant maps x -> y, optionally point-constrained.
 
     The orbit choices of `orbit_candidates` are independent.  The constraint
     must itself be equivariant-compatible; it is re-checked on whole orbits
-    for safety.
+    for safety.  More than MAX_MAPS candidate choices raise ResourceLimit
+    before the first map is yielded.
     """
     percand = orbit_candidates(x, y, constraint)
     count = 1
@@ -385,8 +388,9 @@ def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None,
         count *= len(c)
         if count == 0:
             return
-    if limit is not None and count > limit:
-        raise _over_limit("equivariant maps", "maps", {"dom": x.size, "cod": y.size}, count, limit)
+    if count > MAX_MAPS:
+        raise _over_limit("equivariant maps", "maps", {"dom": x.size, "cod": y.size},
+                          count, MAX_MAPS)
     moved = {q: point_images(y, q) for _, _, c in percand for q in c}
     for choice in itertools.product(*(c for _, _, c in percand)):
         table = [0] * x.size
@@ -516,8 +520,7 @@ def action_from_generator_rows(group: FiniteGroup, size: int,
 
 
 def build_gset(group: FiniteGroup, elems: Sequence,
-               images: Callable[[int], Iterable],
-               max_points: Optional[int] = None) -> BuiltGSet:
+               images: Callable[[int], Iterable]) -> BuiltGSet:
     """Materialize a G-set from descriptors, numbered canonically.
 
     elems lists the descriptors, distinct and ascending.  images(k) lists
@@ -528,10 +531,9 @@ def build_gset(group: FiniteGroup, elems: Sequence,
     by their least descriptor; elems of the result lists the descriptor of
     each point.
     """
-    limit = DEFAULT_MAX_POINTS if max_points is None else max_points
     n = len(elems)
-    if n > limit:
-        raise _over_limit("G-set construction", "points", {"descriptors": n}, n, limit)
+    if n > MAX_POINTS:
+        raise _over_limit("G-set construction", "points", {"descriptors": n}, n, MAX_POINTS)
     pos = dict(zip(elems, range(n)))
     raw = [list(map(pos.__getitem__, images(k))) for k in range(len(generating_set(group)))]
     order = [i for orb in _orbit_search(n, raw) for i in orb]
@@ -548,8 +550,8 @@ class Construction:
     __slots__ = ("gset", "elems", "_index")
 
     def __init__(self, group: FiniteGroup, elems: Sequence,
-                 images: Callable[[int], Iterable], max_points: Optional[int] = None):
-        self._set(*build_gset(group, elems, images, max_points))
+                 images: Callable[[int], Iterable]):
+        self._set(*build_gset(group, elems, images))
 
     def _set(self, gset: GSet, elems: tuple) -> None:
         self.gset, self.elems, self._index = gset, elems, None
@@ -587,7 +589,7 @@ class Pullback(Construction):
 
     __slots__ = ("f", "g", "proj1", "proj2")
 
-    def __init__(self, f: GMap, g: GMap, max_points: Optional[int] = None):
+    def __init__(self, f: GMap, g: GMap):
         if f.group != g.group:
             raise GroupMismatch("pullback over different groups")
         if f.cod != g.cod:
@@ -602,7 +604,7 @@ class Pullback(Construction):
             scaled = [p * nb for p in xa.rows[k]]
             return map(add, map(scaled.__getitem__, left), map(xb.rows[k].__getitem__, right))
 
-        built = build_gset(f.group, [a * nb + b for a, b in zip(left, right)], images, max_points)
+        built = build_gset(f.group, [a * nb + b for a, b in zip(left, right)], images)
         codes = built.elems
         to_a = tuple([c // nb for c in codes])
         to_b = tuple([c % nb for c in codes])
@@ -627,8 +629,8 @@ class Pullback(Construction):
                           for t in range(q1.dom.size)))
 
 
-def pullback(f: GMap, g: GMap, max_points: Optional[int] = None) -> Pullback:
-    return Pullback(f, g, max_points=max_points)
+def pullback(f: GMap, g: GMap) -> Pullback:
+    return Pullback(f, g)
 
 
 def is_pullback_square(f: GMap, g: GMap, p1: GMap, p2: GMap) -> bool:
@@ -696,10 +698,10 @@ class ProductDiagram(Pullback):
 
     __slots__ = ()
 
-    def __init__(self, x: GSet, y: GSet, max_points: Optional[int] = None):
+    def __init__(self, x: GSet, y: GSet):
         if x.group != y.group:
             raise GroupMismatch("product over different groups")
-        super().__init__(unique_to_terminal(x), unique_to_terminal(y), max_points)
+        super().__init__(unique_to_terminal(x), unique_to_terminal(y))
 
     @property
     def prod(self) -> GSet:
@@ -709,8 +711,8 @@ class ProductDiagram(Pullback):
         return self.mediator(f, g)
 
 
-def product(x: GSet, y: GSet, max_points: Optional[int] = None) -> ProductDiagram:
-    return ProductDiagram(x, y, max_points=max_points)
+def product(x: GSet, y: GSet) -> ProductDiagram:
+    return ProductDiagram(x, y)
 
 
 def product_gmap(prod_dom: ProductDiagram, prod_cod: ProductDiagram,
@@ -737,20 +739,20 @@ class DeltaData:
 
     __slots__ = ("pb", "slice", "top")
 
-    def __init__(self, u: GMap, b: SliceObject, max_points: Optional[int] = None):
+    def __init__(self, u: GMap, b: SliceObject):
         if b.base != u.cod:
             raise BoundaryMismatch("delta: slice is not over the codomain of u")
-        self.pb = pullback(b.arrow, u, max_points=max_points)
+        self.pb = pullback(b.arrow, u)
         self.slice = SliceObject(self.pb.proj2)
         self.top = self.pb.proj1
 
 
-def delta_data(u: GMap, b: SliceObject, max_points: Optional[int] = None) -> DeltaData:
-    return DeltaData(u, b, max_points=max_points)
+def delta_data(u: GMap, b: SliceObject) -> DeltaData:
+    return DeltaData(u, b)
 
 
-def delta(u: GMap, b: SliceObject, max_points: Optional[int] = None) -> SliceObject:
-    return DeltaData(u, b, max_points=max_points).slice
+def delta(u: GMap, b: SliceObject) -> SliceObject:
+    return DeltaData(u, b).slice
 
 
 class PiData:
@@ -764,20 +766,20 @@ class PiData:
 
     __slots__ = ("u", "a", "con", "slice", "fibers", "fiber_pos")
 
-    def __init__(self, u: GMap, a: SliceObject, max_points: Optional[int] = None):
+    def __init__(self, u: GMap, a: SliceObject):
         if a.base != u.dom:
             raise BoundaryMismatch("pi: slice is not over the domain of u")
         s, uu = u.dom, u.cod
-        limit = DEFAULT_MAX_POINTS if max_points is None else max_points
         fibers, pre = _fibers(u), _fibers(a.arrow)
         fiber_pos = [0] * s.size
         for fib in fibers:
             for i, p in enumerate(fib):
                 fiber_pos[p] = i
         total = sum(math.prod(len(pre[p]) for p in fib) for fib in fibers)
-        if total > limit:
+        if total > MAX_POINTS:
             raise _over_limit("dependent product", "sections",
-                              {"dom": s.size, "cod": uu.size, "slice": a.total.size}, total, limit)
+                              {"dom": s.size, "cod": uu.size, "slice": a.total.size},
+                              total, MAX_POINTS)
         elems = []
         for x in uu.points():
             for sec in itertools.product(*(pre[p] for p in fibers[x])):
@@ -793,7 +795,7 @@ class PiData:
             return [(ru[x], tuple(map(ra.__getitem__, map(sec.__getitem__, pick[x]))))
                     for x, sec in elems]
 
-        self.con = Construction(s.group, elems, images, max_points)
+        self.con = Construction(s.group, elems, images)
         self.u, self.a, self.fibers, self.fiber_pos = u, a, fibers, fiber_pos
         self.slice = SliceObject(GMap(self.con.gset, uu,
                                       tuple(e[0] for e in self.con.elems)))
@@ -806,12 +808,12 @@ class PiData:
         return self.con.index_of((x, values))
 
 
-def pi(u: GMap, a: SliceObject, max_points: Optional[int] = None) -> PiData:
-    return PiData(u, a, max_points=max_points)
+def pi(u: GMap, a: SliceObject) -> PiData:
+    return PiData(u, a)
 
 
-def pi_slice(u: GMap, a: SliceObject, max_points: Optional[int] = None) -> SliceObject:
-    return PiData(u, a, max_points=max_points).slice
+def pi_slice(u: GMap, a: SliceObject) -> SliceObject:
+    return PiData(u, a).slice
 
 
 class SectionEvalData:
@@ -825,9 +827,9 @@ class SectionEvalData:
 
     __slots__ = ("pidata", "pia", "pull", "ubar", "e", "dslice")
 
-    def __init__(self, u: GMap, a: SliceObject, max_points: Optional[int] = None):
-        pd = PiData(u, a, max_points=max_points)
-        pull = pullback(pd.slice.arrow, u, max_points=max_points)
+    def __init__(self, u: GMap, a: SliceObject):
+        pd = PiData(u, a)
+        pull = pullback(pd.slice.arrow, u)
         table = []
         for (b_idx, s_pt) in pull.elems:
             table.append(pd.section_value(b_idx, s_pt))
@@ -843,8 +845,8 @@ class SectionEvalData:
             raise InvalidStructure("evaluation triangle failed to commute")
 
 
-def section_eval(u: GMap, a: SliceObject, max_points: Optional[int] = None) -> SectionEvalData:
-    return SectionEvalData(u, a, max_points=max_points)
+def section_eval(u: GMap, a: SliceObject) -> SectionEvalData:
+    return SectionEvalData(u, a)
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +858,7 @@ def _tables_equal_identity(table: Sequence[int]) -> bool:
 
 
 def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
-                               samples_cod: Sequence[SliceObject],
-                               max_points: Optional[int] = None) -> "list[tuple[str, bool]]":
+                               samples_cod: Sequence[SliceObject]) -> "list[tuple[str, bool]]":
     """Verify the four unit/counit triangle identities on sample slices.
 
     samples_dom live over dom(u) (probing Sigma_u and Pi_u), samples_cod
@@ -868,17 +869,17 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
     for k, a in enumerate(samples_dom):
         # counit of Sigma -| Delta on Sigma_u a, precomposed with Sigma of the unit
         sa = sigma(u, a)
-        dd = delta_data(u, sa, max_points=max_points)
+        dd = delta_data(u, sa)
         eta = [dd.pb.index_of((x, a.arrow.table[x])) for x in a.total.points()]
         eps = [dd.pb.elems[i][0] for i in range(dd.pb.gset.size)]
         comp = [eps[eta[x]] for x in a.total.points()]
         results.append((f"sigma-delta/left[{k}]", _tables_equal_identity(comp)))
 
         # Pi(counit) after unit on Pi_u a
-        pw = section_eval(u, a, max_points=max_points)
+        pw = section_eval(u, a)
         pia = pw.pia
-        dd2 = delta_data(u, pia, max_points=max_points)
-        pw2 = pi(u, SliceObject(dd2.pb.proj2), max_points=max_points)
+        dd2 = delta_data(u, pia)
+        pw2 = pi(u, SliceObject(dd2.pb.proj2))
         ok = True
         for b_idx in range(pia.total.size):
             x = pia.arrow.table[b_idx]
@@ -895,9 +896,9 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
 
     for k, b in enumerate(samples_cod):
         # Delta(counit) after unit on Delta_u b
-        db = delta_data(u, b, max_points=max_points)
+        db = delta_data(u, b)
         sdb = sigma(u, db.slice)
-        d2 = delta_data(u, sdb, max_points=max_points)
+        d2 = delta_data(u, sdb)
         comp = []
         for i in range(db.pb.gset.size):
             y, s = db.pb.elems[i]
@@ -906,7 +907,7 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
         results.append((f"sigma-delta/right[{k}]", all(comp)))
 
         # counit of Delta -| Pi on Delta_u b, precomposed with Delta of the unit
-        pw = section_eval(u, db.slice, max_points=max_points)
+        pw = section_eval(u, db.slice)
         ok = True
         for i in range(db.pb.gset.size):
             y, s = db.pb.elems[i]

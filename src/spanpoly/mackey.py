@@ -37,6 +37,7 @@ from .finact import (
     orbits,
     point_images,
     product,
+    pullback,
     sigma,
     stabilizer,
     terminal_gset,
@@ -49,7 +50,7 @@ from .groups import (
 )
 from .report import Check, Report
 from .spans import Span, compose_spans
-from .util_linear import Matrix, lin_map, mat_add, mat_compose, mat_equal, mat_identity
+from .util_linear import Matrix, lin_map, mat_add, mat_apply, mat_compose, mat_equal, mat_identity
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,6 @@ def check_functoriality(m: MackeyFunctor, p: Span, q: Span,
 
 def check_double_coset(m: MackeyFunctor, f: GMap, g: GMap) -> Report:
     """Exact exchange of transfer and restriction across a pullback square."""
-    from .finact import pullback
     pb = pullback(f, g)
     lhs = mat_compose(m.tr_matrix(pb.proj2), m.res_matrix(pb.proj1))
     rhs = mat_compose(m.res_matrix(g), m.tr_matrix(f))
@@ -464,7 +464,6 @@ class BoxPairing:
     col_gens: tuple
 
     def pair(self, mv: Sequence[int], nv: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        from .util_linear import mat_apply
         rm = mat_apply(self.res_m, tuple(mv))
         rn = mat_apply(self.res_n, tuple(nv))
         return tuple(tuple(x * y for y in rn) for x in rm)

@@ -90,11 +90,9 @@ def identity_polynomial(x: GSet) -> Polynomial:
     return Polynomial(i, i, i)
 
 
-def apply_polynomial(p: Polynomial, s: SliceObject,
-                     max_points: Optional[int] = None) -> SliceObject:
+def apply_polynomial(p: Polynomial, s: SliceObject) -> SliceObject:
     """The slice action: restriction, dependent product, dependent sum."""
-    return sigma(p.t, pi_slice(p.n, delta(p.r, s, max_points=max_points),
-                               max_points=max_points))
+    return sigma(p.t, pi_slice(p.n, delta(p.r, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +265,7 @@ class DistributeData:
 def distribute(u: GMap, a: GMap,
                lclass: MorphismClass = ALL_MAPS,
                rclass: MorphismClass = ALL_MAPS,
-               probes: Sequence[SliceObject] = (),
-               max_points: Optional[int] = None) -> tuple[DistributeData, Report]:
+               probes: Sequence[SliceObject] = ()) -> tuple[DistributeData, Report]:
     """Exchange a dependent product past a dependent sum, with certificates.
 
     The returned report certifies that pia stays in the right class (the
@@ -280,7 +277,7 @@ def distribute(u: GMap, a: GMap,
     rclass.require(a, "exchange leg a")
     if a.cod != u.dom:
         raise BoundaryMismatch("distribute: a must land in dom(u)")
-    pw = section_eval(u, SliceObject(a), max_points=max_points)
+    pw = section_eval(u, SliceObject(a))
     data = DistributeData(pw.pia.arrow, pw.ubar, pw.e)
     checks = [Check("pia-in-class", rclass(data.pia),
                     "" if rclass(data.pia) else
@@ -288,10 +285,8 @@ def distribute(u: GMap, a: GMap,
     if not rclass(data.pia):
         raise ClassViolation(f"dependent product leaves class {rclass.name}")
     for k, m in enumerate(probes):
-        lhs = pi_slice(u, sigma(a, m), max_points=max_points)
-        rhs = sigma(data.pia,
-                    pi_slice(data.ubar, delta(data.e, m, max_points=max_points),
-                             max_points=max_points))
+        lhs = pi_slice(u, sigma(a, m))
+        rhs = sigma(data.pia, pi_slice(data.ubar, delta(data.e, m)))
         w = slice_iso(lhs, rhs)
         checks.append(Check(f"slice-iso[{k}]", w is not None,
                             "" if w else "exchange routes disagree on probe"))
@@ -336,21 +331,20 @@ def poly_word(p: Polynomial) -> Word:
     return (Gen(SIGMA, p.t), Gen(PI, p.n), Gen(DELTA, p.r))
 
 
-def apply_word(word: Word, s: SliceObject,
-               max_points: Optional[int] = None) -> SliceObject:
+def apply_word(word: Word, s: SliceObject) -> SliceObject:
     """Evaluate a generator word on a slice (rightmost generator first)."""
     for gen in reversed(word):
         if gen.kind == DELTA:
-            s = delta(gen.f, s, max_points=max_points)
+            s = delta(gen.f, s)
         elif gen.kind == SIGMA:
             s = sigma(gen.f, s)
         else:
-            s = pi_slice(gen.f, s, max_points=max_points)
+            s = pi_slice(gen.f, s)
     return s
 
 
-def _rewrite_pair(a: Gen, b: Gen, lclass: MorphismClass, rclass: MorphismClass,
-                  max_points: Optional[int]) -> Optional[tuple[str, tuple[Gen, ...]]]:
+def _rewrite_pair(a: Gen, b: Gen, lclass: MorphismClass,
+                  rclass: MorphismClass) -> Optional[tuple[str, tuple[Gen, ...]]]:
     """One step on the adjacent pair (a, b), b applied first; None if in order."""
     if b.f.is_identity():
         return ("drop-identity", (a,))
@@ -364,7 +358,7 @@ def _rewrite_pair(a: Gen, b: Gen, lclass: MorphismClass, rclass: MorphismClass,
     if _RANK[a.kind] <= _RANK[b.kind]:
         return None
     if a.kind == DELTA:
-        pb = pullback(b.f, a.f, max_points=max_points)
+        pb = pullback(b.f, a.f)
         moved = Gen(b.kind, pb.proj2)
         if b.kind == PI and not lclass(pb.proj2):
             raise ClassViolation("pullback leaves the product-leg class")
@@ -373,15 +367,14 @@ def _rewrite_pair(a: Gen, b: Gen, lclass: MorphismClass, rclass: MorphismClass,
         rule = "exchange-restriction-sum" if b.kind == SIGMA else "exchange-restriction-product"
         return (rule, (moved, Gen(DELTA, pb.proj1)))
     # a is a product, b a sum: the distributive-law step
-    data, _ = distribute(a.f, b.f, lclass, rclass, max_points=max_points)
+    data, _ = distribute(a.f, b.f, lclass, rclass)
     return ("distribute-product-past-sum",
             (Gen(SIGMA, data.pia), Gen(PI, data.ubar), Gen(DELTA, data.e)))
 
 
 def normalize_word(word: Word,
                    lclass: MorphismClass = ALL_MAPS,
-                   rclass: MorphismClass = ALL_MAPS,
-                   max_points: Optional[int] = None) -> tuple[Word, list[dict]]:
+                   rclass: MorphismClass = ALL_MAPS) -> tuple[Word, list[dict]]:
     """Rewrite to the sorted normal form, logging each applied rule."""
     validate_word(word)
     cur = list(word)
@@ -389,7 +382,7 @@ def normalize_word(word: Word,
     while True:
         hit = None
         for i in range(len(cur) - 2, -1, -1):  # innermost (rightmost) pair first
-            step = _rewrite_pair(cur[i], cur[i + 1], lclass, rclass, max_points)
+            step = _rewrite_pair(cur[i], cur[i + 1], lclass, rclass)
             if step is not None:
                 hit = (i, step)
                 break
@@ -445,13 +438,12 @@ def word_to_polynomial(word: Word, src: GSet, tgt: GSet,
 
 def compose_poly(p: Polynomial, q: Polynomial,
                  lclass: MorphismClass = ALL_MAPS,
-                 rclass: MorphismClass = ALL_MAPS,
-                 max_points: Optional[int] = None) -> tuple[Polynomial, list[dict]]:
+                 rclass: MorphismClass = ALL_MAPS) -> tuple[Polynomial, list[dict]]:
     """p : X -/-> Y followed by q : Y -/-> Z, with the rewrite transcript."""
     if p.tgt != q.src:
         raise BoundaryMismatch("compose_poly: boundaries do not match")
     word = poly_word(q) + poly_word(p)
-    normal, transcript = normalize_word(word, lclass, rclass, max_points)
+    normal, transcript = normalize_word(word, lclass, rclass)
     return word_to_polynomial(normal, p.src, q.tgt, lclass, rclass), transcript
 
 
@@ -483,7 +475,7 @@ def eval_semiring(p: Polynomial, q: Sequence, sr: CommSemiring) -> tuple:
     return tuple(out)
 
 
-def _test_families(size: int, sr: CommSemiring, cap: int = 6) -> list[tuple]:
+def _test_families(size: int, sr: CommSemiring) -> list[tuple]:
     families = [tuple(sr.zero for _ in range(size)),
                 tuple(sr.one for _ in range(size))]
     for i in range(size):
@@ -492,7 +484,7 @@ def _test_families(size: int, sr: CommSemiring, cap: int = 6) -> list[tuple]:
     if len(pool) ** size <= 64:
         families.extend(itertools.product(pool, repeat=size))
     else:
-        for shift in range(cap):
+        for shift in range(6):
             families.append(tuple(pool[(j + shift) % len(pool)] for j in range(size)))
     seen, out = set(), []
     for fam in families:
@@ -505,10 +497,9 @@ def _test_families(size: int, sr: CommSemiring, cap: int = 6) -> list[tuple]:
 def check_poly_oracle(p: Polynomial, q: Polynomial,
                       semirings: Sequence[CommSemiring],
                       lclass: MorphismClass = ALL_MAPS,
-                      rclass: MorphismClass = ALL_MAPS,
-                      max_points: Optional[int] = None) -> Report:
+                      rclass: MorphismClass = ALL_MAPS) -> Report:
     """Composite evaluation must match composed evaluations, pointwise."""
-    comp, _ = compose_poly(p, q, lclass, rclass, max_points)
+    comp, _ = compose_poly(p, q, lclass, rclass)
     checks = []
     for sr in semirings:
         ok = True

@@ -36,13 +36,12 @@ def random_subgroup(rng: Rng, group: FiniteGroup) -> frozenset[int]:
     return rng.choice(list(subgroups(group)))
 
 
-def random_gset(rng: Rng, group: FiniteGroup, max_size: int,
-                min_orbits: int = 1) -> GSet:
-    """A sum of random coset orbits within the size budget, in draw order."""
+def random_gset(rng: Rng, group: FiniteGroup, max_size: int) -> GSet:
+    """A sum of 1-3 random coset orbits, each kept if it fits the size budget, in draw order."""
     if max_size <= 0:
         return initial_gset(group)
     labels: list[tuple] = []
-    for _ in range(rng.randint(min_orbits, max(min_orbits, 3))):
+    for _ in range(rng.randint(1, 3)):
         h = random_subgroup(rng, group)
         if sum(group.order // len(k) for k, _ in labels) + group.order // len(h) <= max_size:
             labels.append((h, ()))
@@ -52,7 +51,7 @@ def random_gset(rng: Rng, group: FiniteGroup, max_size: int,
 
 
 def random_gset_with_fixed_point(rng: Rng, group: FiniteGroup, max_size: int) -> GSet:
-    base = random_gset(rng, group, max(0, max_size - 1), min_orbits=1)
+    base = random_gset(rng, group, max(0, max_size - 1))
     return coproduct(base, terminal_gset(group)).sum
 
 
@@ -134,10 +133,9 @@ def random_cospan(rng: Rng, group: FiniteGroup, max_size: int) -> tuple[GMap, GM
     return f, g
 
 
-def random_polynomial(rng: Rng, x: GSet, y: GSet, max_size: int,
-                      tries: int = 20) -> Polynomial:
-    """A random polynomial from x to y; x should contain a fixed point."""
-    for _ in range(tries):
+def random_polynomial(rng: Rng, x: GSet, y: GSet, max_size: int) -> Polynomial:
+    """A random polynomial from x to y, in at most 20 draws; x should contain a fixed point."""
+    for _ in range(20):
         t = random_map_into(rng, y, max_size)
         n = random_map_into(rng, t.dom, max_size)
         r = random_gmap(rng, n.dom, x)

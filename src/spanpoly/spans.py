@@ -20,6 +20,7 @@ from .finact import (
     compose_gmaps,
     coproduct,
     equivariant_isos,
+    equivariant_maps,
     from_labels,
     identity_gmap,
     initial_gset,
@@ -91,11 +92,10 @@ class SpanComposite:
 
     __slots__ = ("span", "pb", "first", "second")
 
-    def __init__(self, p: Span, q: Span, rclass: MorphismClass = ALL_MAPS,
-                 max_points: Optional[int] = None):
+    def __init__(self, p: Span, q: Span, rclass: MorphismClass = ALL_MAPS):
         if p.tgt != q.src:
             raise BoundaryMismatch("span composition: boundaries do not match")
-        pb = pullback(p.right, q.left, max_points=max_points)
+        pb = pullback(p.right, q.left)
         left = compose_gmaps(p.left, pb.proj1)
         right = compose_gmaps(q.right, pb.proj2)
         if not rclass(left):
@@ -114,15 +114,13 @@ class SpanComposite:
         return self.pb.elems
 
 
-def compose_data(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS,
-                 max_points: Optional[int] = None) -> SpanComposite:
-    return SpanComposite(p, q, rclass, max_points=max_points)
+def compose_data(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS) -> SpanComposite:
+    return SpanComposite(p, q, rclass)
 
 
-def compose_spans(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS,
-                  max_points: Optional[int] = None) -> Span:
+def compose_spans(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS) -> Span:
     """p : U -/-> V followed by q : V -/-> W."""
-    return SpanComposite(p, q, rclass, max_points=max_points).span
+    return SpanComposite(p, q, rclass).span
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,6 @@ def span_morphisms(p: Span, q: Span) -> Iterator[GMap]:
     """
     if p.src != q.src or p.tgt != q.tgt:
         raise BoundaryMismatch("span_morphisms needs parallel spans")
-    from .finact import equivariant_maps
     lu, lv = p.left.table, p.right.table
     mu, mv = q.left.table, q.right.table
     return equivariant_maps(p.apex, q.apex,

@@ -22,7 +22,7 @@ from .finact import (
     sum_gmap,
     unique_to_terminal,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, trivial_group
 from .report import Check, Report, merge_reports
 from .sampling import (
     Rng,
@@ -144,7 +144,7 @@ def suite_cb(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     if size_bound <= 0:
         return _empty("cb")
     e = completion.slice_indexed()
-    k = random_gset(rng, group, max(1, size_bound // 2), min_orbits=1)
+    k = random_gset(rng, group, max(1, size_bound // 2))
     rk = completion.representable_indexed(k)
     one = completion.terminal_indexed()
     reports = []
@@ -249,7 +249,6 @@ def suite_tambara(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
               mackey.canonical_slice(random_slice(rng, y, size_bound)))
              for _ in range(3)]
     reports.append(tambara.check_fp_preservation(t, x, y, pairs))
-    from .groups import trivial_group
     triv = trivial_group()
     for k in range(4):
         xs, ys = rng.randint(1, 4), rng.randint(1, 4)
@@ -322,7 +321,6 @@ def suite_plycorrespondence(group: FiniteGroup, rng: Rng, size_bound: int) -> Re
                             "" if ok else f"{len(cells_p)} vs {len(cells_s)}"))
     for k in range(3):
         xs, ys, zs = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
-        from .groups import trivial_group
         p0 = random_trivial_polynomial(rng, xs, ys, 4, trivial_group())
         q0 = random_trivial_polynomial(rng, ys, zs, 4, trivial_group())
         rep = poly.check_poly_oracle(p0, q0, [NATURALS, BOOLEANS])

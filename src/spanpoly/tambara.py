@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .calib import ALL_MAPS, MorphismClass
+from .calib import ALL_MAPS, MorphismClass, inverse_sum
 from .errors import InvalidStructure
 from .finact import (
     CoproductDiagram,
@@ -99,7 +99,6 @@ class BurnsideTambara(TambaraFunctor):
         return slice_canonical_form(v)
 
     def glue(self, cop, vx, vy):
-        from .calib import inverse_sum
         return canonical_slice(inverse_sum(ALL_MAPS, vx, vy))
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
-from .calib import MorphismClass, whitelist_class
+from .calib import BUILTIN_CLASSES, MorphismClass, whitelist_class
 from .errors import WorkspaceError
 from .finact import (
     GMap,
@@ -77,7 +77,6 @@ class Workspace:
         return self._get(self.polys, name, "poly")
 
     def morphism_class(self, name: str) -> MorphismClass:
-        from .calib import BUILTIN_CLASSES
         if name in self.classes:
             return self.classes[name]
         if name in BUILTIN_CLASSES:

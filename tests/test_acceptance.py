@@ -169,7 +169,7 @@ def test_criterion_05_chevalley_beck():
     e_cat = slice_indexed()
     squares, ok_all = 0, True
     for group in (C2, S3):
-        k = random_gset(rng, group, 2, min_orbits=1)
+        k = random_gset(rng, group, 2)
         rk = representable_indexed(k)
         for _ in range(51):
             f, g = random_cospan(rng, group, 4)

@@ -1,6 +1,7 @@
 """Completions of indexed categories: adjoints, exchange laws, span extension."""
 import pytest
 
+from spanpoly import finact
 from spanpoly.completion import (
     CompletionObject,
     check_biproduct_preservation,
@@ -331,24 +332,48 @@ def test_indexed_by_name(c2, f2):
         indexed_by_name("nope")
 
 
-def test_fiber_hom_resource_guard(c2, pt2):
+def _four_points_over(pt):
+    """Four fixed points and their unique map to the point."""
+    four = coproduct(coproduct(pt, pt).sum, coproduct(pt, pt).sum).sum
+    return four, GMap(four, pt, (0,) * 4)
+
+
+def _assert_maps_guard(err, limit):
+    e = err.value
+    assert (e.construction, e.sizes, e.projected, e.limit) == \
+        ("equivariant maps", {"dom": 4, "cod": 4}, 256, limit)  # 4^4 maps over the point
+
+
+def test_fiber_hom_resource_guard(c2, pt2, monkeypatch):
     from spanpoly.errors import ResourceLimit
     from spanpoly.completion import SliceIndexed
-    small = SliceIndexed(hom_limit=10)
-    four = coproduct(coproduct(pt2, pt2).sum, coproduct(pt2, pt2).sum).sum
-    a = SliceObject(GMap(four, pt2, (0,) * 4))
-    b = SliceObject(GMap(four, pt2, (0,) * 4))
-    with pytest.raises(ResourceLimit):
-        small.fiber_hom(a, b)  # 4^4 maps over the point
+    monkeypatch.setattr(finact, "MAX_MAPS", 10)
+    _, leg = _four_points_over(pt2)
+    a = SliceObject(leg)
+    with pytest.raises(ResourceLimit) as err:
+        SliceIndexed().fiber_hom(a, a)
+    _assert_maps_guard(err, 10)
 
 
-def test_completion_homs_resource_guard(e_cat, c2, pt2):
+def test_completion_homs_resource_guard(e_cat, c2, pt2, monkeypatch):
     from spanpoly.errors import ResourceLimit
-    four = coproduct(coproduct(pt2, pt2).sum, coproduct(pt2, pt2).sum).sum
-    o = completion_obj(e_cat, GMap(four, pt2, (0,) * 4), slice_identity(four))
-    o2 = completion_obj(e_cat, GMap(four, pt2, (0,) * 4), slice_identity(four))
-    with pytest.raises(ResourceLimit):
-        completion_homs(e_cat, o, o2, limit=10)
+    from spanpoly.completion import completion_homs_dual
+    four, leg = _four_points_over(pt2)
+    o = completion_obj(e_cat, leg, slice_identity(four))
+    monkeypatch.setattr(finact, "MAX_MAPS", 10)
+    for homs in (completion_homs, completion_homs_dual):
+        with pytest.raises(ResourceLimit) as err:
+            homs(e_cat, o, o)
+        _assert_maps_guard(err, 10)
+    # 4 legs of two fixed points over the point, 16 fiber maps each: only the total is over 20
+    two = coproduct(pt2, pt2).sum
+    o = completion_obj(e_cat, GMap(two, pt2, (0, 0)), SliceObject(finact.codiagonal(two)[1]))
+    monkeypatch.setattr(finact, "MAX_MAPS", 20)
+    for homs in (completion_homs, completion_homs_dual):
+        with pytest.raises(ResourceLimit, match="exceeds limit 20"):
+            homs(e_cat, o, o)
+    monkeypatch.setattr(finact, "MAX_MAPS", 64)
+    assert len(completion_homs(e_cat, o, o)) == len(completion_homs_dual(e_cat, o, o)) == 64
 
 
 def test_fiber_coproduct_universality(e_cat, c2, f2, rng):

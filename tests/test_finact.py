@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spanpoly import finact
 from spanpoly.errors import BoundaryMismatch, InvalidStructure, ResourceLimit
 from spanpoly.finact import (
     GMap,
@@ -235,11 +236,12 @@ def test_pi_of_identity_slice(u2, f2, pt2):
     assert out.size == 1 and out.base == pt2
 
 
-def test_pi_resource_guard(c2, f2, u2):
+def test_pi_resource_guard(c2, f2, u2, monkeypatch):
     cop = coproduct(f2, f2)
     a = SliceObject(cop.cotuple(identity_gmap(f2), identity_gmap(f2)))
+    monkeypatch.setattr(finact, "MAX_POINTS", 3)
     with pytest.raises(ResourceLimit):
-        pi(u2, a, max_points=3)
+        pi(u2, a)
 
 
 def test_counit_identity_is_iso(f2, rng):

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from spanpoly import finact
 from spanpoly.errors import InvalidStructure, ResourceLimit, WorkspaceError
 from spanpoly.finact import (
     GSet,
@@ -221,12 +222,12 @@ def test_equal_gsets_built_apart_compare_and_hash_equal(group):
 # sampling: one from_labels call in draw order
 # ---------------------------------------------------------------------------
 
-def _random_gset_by_coproducts(rng, group, max_size, min_orbits=1):
+def _random_gset_by_coproducts(rng, group, max_size):
     """The former route: one coset G-set per drawn orbit, joined by coproducts."""
     if max_size <= 0:
         return initial_gset(group)
     out = None
-    for _ in range(rng.randint(min_orbits, max(min_orbits, 3))):
+    for _ in range(rng.randint(1, 3)):
         orb = coset_gset(group, random_subgroup(rng, group))
         if (0 if out is None else out.size) + orb.size > max_size:
             continue
@@ -239,11 +240,10 @@ def test_random_gset_matches_coproduct_route(name):
     group = builtin_workspace().group(name)
     for seed in range(60):
         for max_size in (0, 1, 3, 6, 12):
-            for min_orbits in (0, 1, 2):
-                r1, r2 = random.Random(seed), random.Random(seed)
-                x = random_gset(r1, group, max_size, min_orbits)
-                assert x == _random_gset_by_coproducts(r2, group, max_size, min_orbits)
-                assert r1.getstate() == r2.getstate()
+            r1, r2 = random.Random(seed), random.Random(seed)
+            x = random_gset(r1, group, max_size)
+            assert x == _random_gset_by_coproducts(r2, group, max_size)
+            assert r1.getstate() == r2.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -255,40 +255,45 @@ def _fold(x):
     return coproduct(x, x).cotuple(identity_gmap(x), identity_gmap(x))
 
 
-def test_guard_errors_carry_their_fields():
+def test_guard_errors_carry_their_fields(monkeypatch):
     s3 = symmetric_group(3)
     reg = coset_gset(s3, (s3.identity,))
     # one fiber, all 6 points of reg, each with 2 preimages: 2**6 sections
+    fold = SliceObject(_fold(reg))
+    monkeypatch.setattr(finact, "MAX_POINTS", 10)
     with pytest.raises(ResourceLimit) as err:
-        pi(unique_to_terminal(reg), SliceObject(_fold(reg)), max_points=10)
+        pi(unique_to_terminal(reg), fold)
     e = err.value
     assert (e.construction, e.sizes, e.projected, e.limit) == \
         ("dependent product", {"dom": 6, "cod": 1, "slice": 12}, 64, 10)
     assert str(e) == ("dependent product (dom=6, cod=1, slice=12) would have 64 sections, "
                       "over the limit 10")
 
+    monkeypatch.setattr(finact, "MAX_POINTS", 6)
     with pytest.raises(ResourceLimit) as err:
-        build_gset(s3, list(range(7)), lambda k: range(7), max_points=6)
+        build_gset(s3, list(range(7)), lambda k: range(7))
     e = err.value
     assert (e.construction, e.sizes, e.projected, e.limit) == \
         ("G-set construction", {"descriptors": 7}, 7, 6)
     assert "descriptors=7" in str(e) and "7 points" in str(e) and "limit 6" in str(e)
 
+    monkeypatch.setattr(finact, "MAX_MAPS", 5)
     with pytest.raises(ResourceLimit) as err:
-        next(equivariant_maps(reg, reg, limit=5))
+        next(equivariant_maps(reg, reg))
     e = err.value
     assert (e.construction, e.sizes, e.projected, e.limit) == \
         ("equivariant maps", {"dom": 6, "cod": 6}, 6, 5)
     assert "dom=6, cod=6" in str(e) and "6 maps" in str(e) and "limit 5" in str(e)
 
 
-def test_pi_guard_projects_the_whole_count():
+def test_pi_guard_projects_the_whole_count(monkeypatch):
     """The projected count is the full section count, not the first partial sum over the limit."""
     s3 = symmetric_group(3)
     reg = coset_gset(s3, (s3.identity,))
     u = _fold(reg)  # 6 fibers of 2 points each
     a = SliceObject(_fold(u.dom))  # 2 preimages per point: 4 sections per fiber
     assert pi(u, a).con.gset.size == 24
+    monkeypatch.setattr(finact, "MAX_POINTS", 5)
     with pytest.raises(ResourceLimit) as err:
-        pi(u, a, max_points=5)
+        pi(u, a)
     assert (err.value.projected, err.value.limit) == (24, 5)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spanpoly import finact
 from spanpoly.completion import completion_iso, CompletionObject, mu_flatten, reindex, slice_indexed
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
@@ -177,7 +178,7 @@ def test_word_validation(c2, f2, u2):
         normalize_word((Gen("Sigma", u2), Gen("Sigma", u2)))
 
 
-def test_compose_boundary_and_guard(c2, f2, pt2, u2):
+def test_compose_boundary_and_guard(c2, f2, pt2, u2, monkeypatch):
     p = polynomial(u2, identity_gmap(f2), u2)
     bad = identity_polynomial(f2)
     with pytest.raises(BoundaryMismatch):
@@ -185,8 +186,29 @@ def test_compose_boundary_and_guard(c2, f2, pt2, u2):
     # force a product blow-up past a tiny bound
     from spanpoly.errors import ResourceLimit
     big = polynomial(u2, u2, identity_gmap(pt2))
+    monkeypatch.setattr(finact, "MAX_POINTS", 1)
     with pytest.raises(ResourceLimit):
-        compose_poly(polynomial(u2, identity_gmap(f2), u2), big, max_points=1)
+        compose_poly(p, big)
+
+
+def test_morphism_searches_raise_the_maps_guard(c2, pt2, monkeypatch):
+    """Span two-cells and polynomial morphisms enumerate up to MAX_MAPS and raise above it."""
+    from spanpoly.errors import ResourceLimit
+    from spanpoly.finact import GMap
+    from spanpoly.spans import span_morphisms
+    four = coproduct(coproduct(pt2, pt2).sum, coproduct(pt2, pt2).sum).sum
+    leg = GMap(four, pt2, (0,) * 4)
+    s = Span(leg, leg)
+    p = polynomial(leg, leg, identity_gmap(pt2))
+    monkeypatch.setattr(finact, "MAX_MAPS", 256)  # 4^4 apex maps over the point
+    assert len(list(span_morphisms(s, s))) == 256
+    assert len(list(enumerate_poly_morphisms(p, p))) == 256
+    monkeypatch.setattr(finact, "MAX_MAPS", 255)
+    for search in (span_morphisms(s, s), enumerate_poly_morphisms(p, p)):
+        with pytest.raises(ResourceLimit) as err:
+            next(search)
+        assert (err.value.construction, err.value.projected, err.value.limit) == \
+            ("equivariant maps", 256, 255)
 
 
 def test_compose_with_identity(c2, f2, pt2, u2):
@@ -269,22 +291,23 @@ def _random_word(rng, group, length, size):
     return tuple(reversed(gens)), start
 
 
-def test_normalize_random_words(c2, rng):
+def test_normalize_random_words(c2, rng, monkeypatch):
     """Arbitrary generator words normalize to the sorted shape and keep
     their slice action up to iso.  Draws whose dependent products blow past
     the size guard are skipped but must stay a minority."""
     from spanpoly.errors import ResourceLimit
     from spanpoly.poly import _RANK
+    monkeypatch.setattr(finact, "MAX_POINTS", 200_000)
     done = 0
     for _ in range(40):
         word, start = _random_word(rng, c2, rng.randint(1, 5), 3)
         if not word:
             continue
         try:
-            normal, _ = normalize_word(word, max_points=200_000)
+            normal, _ = normalize_word(word)
             probe = random_slice(rng, start, 3)
-            lhs = apply_word(word, probe, max_points=200_000)
-            rhs = apply_word(normal, probe, max_points=200_000)
+            lhs = apply_word(word, probe)
+            rhs = apply_word(normal, probe)
         except ResourceLimit:
             continue
         kinds = [g.kind for g in normal]
