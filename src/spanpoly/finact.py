@@ -4,8 +4,9 @@ Points of a G-set are 0-based contiguous indices.  A G-set stores one
 action row per element of the group's `generating_set`, in that order;
 these rows fix the action.  `orbits` searches along them, and
 `point_images` composes the images g.p of one point along the group's
-breadth-first words (`GroupData.words`); stabilizers, transporters, orbit
-labels and leg values are read off those images.  The full table
+breadth-first words (`GroupData.words`).  `orbit_cosets`, the one reader of
+whole orbits, takes one such pass per orbit and lays its points out along
+the coset table of the least point's stabilizer.  The full table
 `GSet.action` is derived on first use, for outside readers and validation.
 Every constructed G-set (pullback, product, dependent product) comes from
 the one builder `build_gset`: element descriptors are sorted
@@ -19,11 +20,10 @@ every operation is pure.
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
 `from_labels` rebuilds the canonical representative from labels; it is also
-the only builder of coset G-sets (`coset_gset` wraps it); both read coset
-tables from `FiniteGroup.data`, the one per-group cache.  Equivariant maps
+the only builder of coset G-sets (`coset_gset` wraps it).  Equivariant maps
 are searched orbit by orbit: `orbit_candidates` lists the admissible images
-of each orbit's least point, and the map enumeration, counting, iso search
-and random sampling all start from it.
+of each orbit's least point, and map enumeration, iso search and random
+sampling fill each orbit from its image along the coset representatives.
 
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially.  Two module constants bound the work, read
@@ -46,7 +46,7 @@ from .errors import (
     InvalidStructure,
     ResourceLimit,
 )
-from .groups import FiniteGroup, generating_set
+from .groups import Cosets, FiniteGroup, generating_set
 
 MAX_POINTS = 10 ** 6
 MAX_MAPS = 200_000
@@ -269,6 +269,39 @@ def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
     return tuple(g for g, q in enumerate(point_images(x, p)) if q == p)
 
 
+class Orbit(NamedTuple):
+    """One orbit of a G-set, read from its least point; see `orbit_cosets`."""
+
+    rep: int
+    stab: tuple[int, ...]
+    cosets: Cosets
+    points: tuple[int, ...]
+
+
+def orbit_cosets(x: GSet) -> list[Orbit]:
+    """The orbits of x by least point, each read off one `point_images` pass.
+
+    rep is the least point, stab its stabilizer H and cosets
+    `GroupData.cosets(H)`; points[j] = cosets.reps[j].rep has stabilizer
+    cosets.conj[j], and cosets.reps[j] is the least element moving rep there.
+    Anchor at rep: reps[0] is the least element, the identity only when that
+    is element 0.  The one reader of whole orbits; uncached, since most
+    G-sets are read only once."""
+    cosets = x.group.data.cosets
+    seen = [False] * x.size
+    out = []
+    for p in range(x.size):
+        if not seen[p]:
+            img = point_images(x, p)
+            stab = tuple([g for g, q in enumerate(img) if q == p])
+            c = cosets(stab)
+            points = tuple(map(img.__getitem__, c.reps))
+            for q in points:
+                seen[q] = True
+            out.append(Orbit(p, stab, c, points))
+    return out
+
+
 def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     """One label per orbit: min over its points of (stabilizer, leg values).
 
@@ -276,23 +309,11 @@ def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     legs into the same G-sets are isomorphic compatibly with the legs iff
     their label multisets agree, so the labels decide iso classes of G-sets,
     slices (one leg) and spans (two legs), and `from_labels` rebuilds the
-    canonical representative from them.  Each orbit is visited once from a
-    representative p with stabilizer H: the point r.p, for r the least
-    element of a coset rH, has stabilizer rHr^-1 (`GroupData.cosets`).
+    canonical representative from them.
     """
-    cosets = x.group.data.cosets
-    seen = [False] * x.size
-    out = []
-    for p in x.points():
-        if seen[p]:
-            continue
-        img = point_images(x, p)
-        c = cosets(tuple(g for g, q in enumerate(img) if q == p))
-        qs = [img[r] for r in c.reps]
-        for q in qs:
-            seen[q] = True
-        out.append(min(zip(c.conj, [tuple([leg.table[q] for leg in legs]) for q in qs])))
-    return tuple(sorted(out))
+    return tuple(sorted(min(zip(o.cosets.conj, [tuple([leg.table[q] for leg in legs])
+                                                 for q in o.points]))
+                        for o in orbit_cosets(x)))
 
 
 def from_labels(group: FiniteGroup, cods: Sequence[GSet],
@@ -336,14 +357,6 @@ def slice_canonical_form(a: SliceObject) -> str:
     return f"{a.base.group.name}[{a.size}/{a.base.size}]{{{labs}}}"
 
 
-def transporters(x: GSet, orb: Sequence[int]) -> dict[int, int]:
-    """For each point of the orbit, the least group element moving the least point there."""
-    out: dict[int, int] = {}
-    for g, q in enumerate(point_images(x, orb[0])):
-        out.setdefault(q, g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # equivariant map / iso search
 # ---------------------------------------------------------------------------
@@ -352,76 +365,69 @@ Constraint = Optional[Callable[[int, int], bool]]
 
 
 def orbit_candidates(x: GSet, y: GSet, constraint: Constraint = None
-                     ) -> list[tuple[tuple[int, ...], dict[int, int], list[int]]]:
-    """Per orbit of x: the orbit, its transporters, and the admissible images of its least point.
+                     ) -> list[tuple[Orbit, list[int]]]:
+    """Per orbit of x (`orbit_cosets`): the orbit and the admissible images of its least point.
 
     An equivariant map x -> y is fixed by choosing, independently for each
     orbit, an image q of its least point p with stab(q) containing stab(p);
-    the point t.p then goes to t.q, whichever transporter t is used.  An
-    image is admissible when constraint(p, q) also holds.  Candidates are
-    ascending, so every search built on them enumerates in the same order.
+    the orbit's point reps[j].p then goes to reps[j].q.  An image is
+    admissible when constraint(p, q) also holds.  Candidates are ascending,
+    so every search built on them enumerates in the same order.
     """
     if x.group != y.group:
         raise GroupMismatch("equivariant maps over different groups")
-    ystabs = [frozenset(stabilizer(y, q)) for q in y.points()]
+    ystabs: list = [None] * y.size
+    for o in orbit_cosets(y):
+        for q, k in zip(o.points, o.cosets.conj):
+            ystabs[q] = frozenset(k)
     out = []
-    for o in orbits(x):
-        rep = o[0]
-        st = frozenset(stabilizer(x, rep))
-        out.append((o, transporters(x, o),
-                    [q for q, sq in enumerate(ystabs)
-                     if st <= sq and (constraint is None or constraint(rep, q))]))
+    for o in orbit_cosets(x):
+        st, rep = frozenset(o.stab), o.rep
+        out.append((o, [q for q, sq in enumerate(ystabs)
+                        if st <= sq and (constraint is None or constraint(rep, q))]))
     return out
 
 
-def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
-    """All equivariant maps x -> y, optionally point-constrained.
+def _orbit_images(o: Orbit, img: list[int], constraint: Constraint) -> Optional[list[int]]:
+    """t.q for t in o.cosets.reps, img being q's images; None if one breaks the constraint."""
+    qs = list(map(img.__getitem__, o.cosets.reps))
+    if constraint is not None and not all(map(constraint, o.points, qs)):
+        return None
+    return qs
 
-    The orbit choices of `orbit_candidates` are independent.  The constraint
-    must itself be equivariant-compatible; it is re-checked on whole orbits
-    for safety.  More than MAX_MAPS candidate choices raise ResourceLimit
-    before the first map is yielded.
+
+def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
+    """All equivariant maps x -> y, one per choice of `orbit_candidates`.
+
+    The constraint, which must be equivariant-compatible, is re-checked on
+    whole orbits.  More than MAX_MAPS choices raise ResourceLimit before the
+    first map is yielded.
     """
     percand = orbit_candidates(x, y, constraint)
-    count = 1
-    for _, _, c in percand:
-        count *= len(c)
-        if count == 0:
-            return
+    count = math.prod(len(c) for _, c in percand)
+    if count == 0:
+        return
     if count > MAX_MAPS:
         raise _over_limit("equivariant maps", "maps", {"dom": x.size, "cod": y.size},
                           count, MAX_MAPS)
-    moved = {q: point_images(y, q) for _, _, c in percand for q in c}
-    for choice in itertools.product(*(c for _, _, c in percand)):
+    moved = {q: point_images(y, q) for _, c in percand for q in c}
+    for choice in itertools.product(*(c for _, c in percand)):
         table = [0] * x.size
-        ok = True
-        for (o, t, _), q0 in zip(percand, choice):
-            img = moved[q0]
-            for p in o:
-                q = img[t[p]]
-                if constraint is not None and not constraint(p, q):
-                    ok = False
-                    break
-                table[p] = q
-            if not ok:
+        for (o, _), q0 in zip(percand, choice):
+            qs = _orbit_images(o, moved[q0], constraint)
+            if qs is None:
                 break
-        if ok:
+            for p, q in zip(o.points, qs):
+                table[p] = q
+        else:
             yield GMap(x, y, tuple(table))
-
-
-def count_equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> int:
-    total = 1
-    for _, _, c in orbit_candidates(x, y, constraint):
-        total *= len(c)
-    return total
 
 
 def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
     """All equivariant bijections x -> y compatible with the constraint.
 
-    Backtracks over orbit-to-orbit assignments; within an orbit the map is
-    forced by the image of the least point.  A candidate image whose
-    stabilizer is strictly larger maps the orbit onto a smaller one, so the
+    Backtracks over orbit-to-orbit assignments.  A candidate image with a
+    strictly larger stabilizer maps the orbit onto a smaller one, so the
     injectivity test rejects it.
     """
     if x.group != y.group:
@@ -429,29 +435,22 @@ def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterato
     if x.size != y.size:
         return
     percand = orbit_candidates(x, y, constraint)
-    moved = {q: point_images(y, q) for _, _, c in percand for q in c}
+    moved = {q: point_images(y, q) for _, c in percand for q in c}
 
     def extend(i: int, used: set[int], table: list[int]) -> Iterator[GMap]:
         if i == len(percand):
             yield GMap(x, y, tuple(table))
             return
-        o, t, cands = percand[i]
+        o, cands = percand[i]
         for q0 in cands:
             if q0 in used:
                 continue
-            img = []
-            ok = True
-            for p in o:
-                q = moved[q0][t[p]]
-                if q in used or (constraint is not None and not constraint(p, q)):
-                    ok = False
-                    break
-                img.append(q)
-            if not ok or len(set(img)) != len(img):
+            qs = _orbit_images(o, moved[q0], constraint)
+            if qs is None or len(set(qs)) != len(qs) or not used.isdisjoint(qs):
                 continue
-            for p, q in zip(o, img):
+            for p, q in zip(o.points, qs):
                 table[p] = q
-            yield from extend(i + 1, used | set(img), table)
+            yield from extend(i + 1, used | set(qs), table)
 
     yield from extend(0, set(), [0] * x.size)
 

@@ -1,7 +1,8 @@
 """Finite groups given by full multiplication tables.
 
-Elements are the indices 0..order-1 with 0 the identity whenever a group is
-built through the constructors here.  A generators-as-permutations input
+Elements are the indices 0..order-1; 0 is the identity of the builtin and
+permutation groups, while `group_from_table` keeps the table's numbering,
+so its identity may be any element.  A generators-as-permutations input
 format is compiled down to a table, so everything downstream only ever sees
 tables.  Subgroups are found by closing generator sets, so groups of order
 up to 120 are in reach: `subgroups` of S5 takes under 1 s.  Tables from

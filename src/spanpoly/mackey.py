@@ -33,13 +33,12 @@ from .finact import (
     coproduct,
     delta,
     from_labels,
+    orbit_cosets,
     orbit_labels,
     orbits,
-    point_images,
     product,
     pullback,
     sigma,
-    stabilizer,
     terminal_gset,
 )
 from .groups import (
@@ -67,18 +66,19 @@ def atoms(base: GSet) -> tuple[AtomLabel, ...]:
     x with H inside the stabilizer of x; the labels of these pieces, less
     duplicates, are the atoms.
     """
-    hs = subgroups(base.group)
+    group = base.group
     labs = set()
-    for orb in orbits(base):
-        stab = frozenset(stabilizer(base, orb[0]))
-        labs.update(atom_label(base, h, orb[0]) for h in hs if h <= stab)
+    for o in orbit_cosets(base):
+        stab, img = frozenset(o.stab), [o.points[i] for i in o.cosets.coset]  # img[g] = g.rep
+        labs.update(atom_label(group, h, img) for h in subgroups(group) if h <= stab)
     return tuple(sorted(labs))
 
 
-def atom_label(base: GSet, h: frozenset[int], x: int) -> AtomLabel:
-    """The atom of G/H over the base by rH -> r.x, for H fixing x: its `orbit_labels` label."""
-    c = base.group.data.cosets(h)
-    return min(zip(c.conj, map(point_images(base, x).__getitem__, c.reps)))
+def atom_label(group: FiniteGroup, h: frozenset[int], img: Sequence[int]) -> AtomLabel:
+    """The atom of G/H over a G-set by rH -> r.x, for H fixing x and img[g] = g.x:
+    its `orbit_labels` label."""
+    c = group.data.cosets(h)
+    return min(zip(c.conj, map(img.__getitem__, c.reps)))
 
 
 def _atom_labels(arrow: GMap) -> list[AtomLabel]:

@@ -72,7 +72,7 @@ def random_slice(rng: Rng, base: GSet, max_size: int,
         if size + orb_size > max_size:
             continue
         size += orb_size
-        s, v = atom_label(base, h, x)
+        s, v = atom_label(base.group, h, point_images(base, x))
         pieces.append((s, (v,)))
     # sorted piece labels are the orbit labels: the canonical representative
     _, (arrow,) = from_labels(base.group, (base,), sorted(pieces))
@@ -94,12 +94,12 @@ def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
 def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:
     """A random equivariant map, or None when none exists."""
     table = [0] * x.size
-    for orb, tr, cands in orbit_candidates(x, y):
+    for o, cands in orbit_candidates(x, y):
         if not cands:
             return None
         img = point_images(y, rng.choice(cands))
-        for p in orb:
-            table[p] = img[tr[p]]
+        for p, t in zip(o.points, o.cosets.reps):
+            table[p] = img[t]
     return GMap(x, y, tuple(table))
 
 

@@ -1,15 +1,13 @@
 """Shared construction helpers for the tests."""
-import itertools
-
 from spanpoly.finact import (
     GMap,
     GSet,
     coproduct,
     coset_gset,
-    count_equivariant_maps,
     equivariant_maps,
     terminal_gset,
 )
+from spanpoly.groups import group_from_table
 
 
 def tset(group, n: int) -> GSet:
@@ -32,5 +30,14 @@ def coset_sum(group, reps, picks):
 
 def seeded_map(rng, x, y):
     """A seeded choice among the equivariant maps x -> y."""
-    k = rng.randrange(count_equivariant_maps(x, y))
-    return next(itertools.islice(equivariant_maps(x, y), k, None))
+    return rng.choice(list(equivariant_maps(x, y)))
+
+
+def relabelled_group(name, group, perm):
+    """group with element a renamed perm[a], through `group_from_table`."""
+    n = group.order
+    mult = [[0] * n for _ in range(n)]
+    for a, row in enumerate(group.mult):
+        for b, ab in enumerate(row):
+            mult[perm[a]][perm[b]] = perm[ab]
+    return group_from_table(name, mult)

@@ -5,7 +5,7 @@ full table `action` is derived on demand.  Each builder is checked to store
 exactly those rows, and the derived table is checked against the images of
 every group element computed straight from the multiplication table or
 from the factors' actions.  The readers `point_images`, `stabilizer`,
-`orbits` and `transporters` are checked against full-table scans.
+`orbits` and `orbit_cosets` are checked against full-table scans.
 """
 import random
 
@@ -24,6 +24,7 @@ from spanpoly.finact import (
     gset,
     identity_gmap,
     initial_gset,
+    orbit_cosets,
     orbits,
     pi,
     point_images,
@@ -32,7 +33,6 @@ from spanpoly.finact import (
     relabel_gset,
     stabilizer,
     terminal_gset,
-    transporters,
     unique_to_terminal,
 )
 from spanpoly.groups import (
@@ -47,7 +47,7 @@ from spanpoly.groups import (
 from spanpoly.sampling import random_gset, random_subgroup
 from spanpoly.workspace import builtin_workspace, gset_to_obj, load_entries
 
-from helpers import coset_sum, seeded_map
+from helpers import coset_sum, relabelled_group, seeded_map
 
 GROUPS = {
     "triv": trivial_group(),
@@ -55,6 +55,7 @@ GROUPS = {
     "S4": symmetric_group(4),
     "D8": group_from_permutations("D8", [[1, 2, 3, 0], [2, 1, 0, 3]]),
     "S3-table": group_from_table("S3t", symmetric_group(3).mult),
+    "S3-identity-at-3": relabelled_group("S3r", symmetric_group(3), [3, 0, 1, 2, 4, 5]),
 }
 
 
@@ -195,11 +196,16 @@ def test_readers_match_full_table_scans(group, seed):
         assert stabilizer(x, p) == tuple(g for g, row in enumerate(table) if row[p] == p)
     naive_orbits = sorted({tuple(sorted({row[p] for row in table})) for p in x.points()})
     assert orbits(x) == tuple(naive_orbits)
-    for orb in naive_orbits:
-        first = {}
+    records = orbit_cosets(x)
+    assert [(o.rep, sorted(o.points)) for o in records] == [(o[0], list(o)) for o in naive_orbits]
+    for o in records:
+        least = {}  # the least element moving rep to each point
         for g, row in enumerate(table):
-            first.setdefault(row[orb[0]], g)
-        assert transporters(x, orb) == first
+            least.setdefault(row[o.rep], g)
+        assert o.stab == tuple(g for g, row in enumerate(table) if row[o.rep] == o.rep)
+        for q, r, conj in zip(o.points, o.cosets.reps, o.cosets.conj):
+            assert table[r][o.rep] == q and least[q] == r
+            assert conj == tuple(g for g, row in enumerate(table) if row[q] == q)
 
 
 def test_equal_gsets_built_apart_compare_and_hash_equal(group):
