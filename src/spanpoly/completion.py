@@ -363,6 +363,14 @@ def product_from_family(xcat: IndexedCategory, o: CompletionObject,
 # morphisms of the completion
 # ---------------------------------------------------------------------------
 
+def _hom_total_over_limit(construction: str, o: CompletionObject,
+                          o2: CompletionObject) -> ResourceLimit:
+    """The guard on a hom-set total o -> o2, tripped at the first morphism over MAX_MAPS."""
+    limit = finact.MAX_MAPS
+    return ResourceLimit(f"{construction} exceeds limit {limit}", construction,
+                         {"dom": o.stage.size, "cod": o2.stage.size}, limit + 1, limit)
+
+
 def completion_homs(xcat: IndexedCategory, o: CompletionObject,
                     o2: CompletionObject) -> list[CompletionMorphism]:
     """All morphisms (w, xi) from o to o2 in the coproduct completion."""
@@ -375,7 +383,7 @@ def completion_homs(xcat: IndexedCategory, o: CompletionObject,
         for xi in xcat.fiber_hom(o.x, xw):
             out.append(CompletionMorphism(w, xi))
             if len(out) > finact.MAX_MAPS:
-                raise ResourceLimit(f"completion hom-set exceeds limit {finact.MAX_MAPS}")
+                raise _hom_total_over_limit("completion hom-set", o, o2)
     return out
 
 
@@ -423,7 +431,7 @@ def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
         for zeta in xcat.fiber_hom(xw, o2.x):
             out.append(CompletionMorphism(w, zeta))
             if len(out) > finact.MAX_MAPS:
-                raise ResourceLimit(f"dual hom-set exceeds limit {finact.MAX_MAPS}")
+                raise _hom_total_over_limit("dual hom-set", o, o2)
     return out
 
 

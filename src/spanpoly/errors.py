@@ -20,10 +20,12 @@ class ClassViolation(SpanPolyError):
 class ResourceLimit(SpanPolyError):
     """A construction would exceed a size guard, `finact.MAX_POINTS` or `finact.MAX_MAPS`.
 
+    Every guard fills `construction`, `sizes` (its input sizes by name),
+    `projected` (the count it would reach) and `limit` (the guard value).
     The guards of `build_gset`, the dependent product and equivariant-map
-    enumeration fill `construction`, `sizes` (its input sizes by name),
-    `projected` (the count it would reach) and `limit` (the guard value),
-    and name all four in the message; the completion hom-set totals leave them None.
+    enumeration name all four in the message.  The completion hom-set
+    totals stop counting at the first morphism over the limit, so their
+    `projected` is limit + 1 and their message names the limit only.
     """
 
     def __init__(self, message: str, construction: str | None = None,

@@ -8,14 +8,16 @@ breadth-first words (`GroupData.words`).  `orbit_cosets`, the one reader of
 whole orbits, takes one such pass per orbit and lays its points out along
 the coset table of the least point's stabilizer.  The full table
 `GSet.action` is derived on first use, for outside readers and validation.
-Every constructed G-set (pullback, product, dependent product) comes from
-the one builder `build_gset`: element descriptors are sorted
-lexicographically, their images under each generator are read off the
-factors' rows, and points are grouped by orbit (orbits ordered by their
-least descriptor).  A binary product is the pullback over the terminal
-G-set.  Coproducts instead keep the tagging order, all left-summand points
-first, so that injections are plain shifts.  All values are immutable;
-every operation is pure.
+Every constructed G-set (pullback, product, dependent product, the parts
+of a map into a coproduct) comes from the one builder `build_gset`.  Each
+construction numbers its elements by position in ascending descriptor
+order and computes, by arithmetic on its factors' rows, the position of
+each generator's image of each element; the builder groups the points by
+orbit (orbits ordered by their least descriptor, points ascending within
+an orbit).  A binary product is the pullback over the terminal G-set.
+Coproducts instead keep the tagging order, all left-summand points first,
+so that injections are plain shifts.  All values are immutable; every
+operation is pure.
 
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
@@ -233,11 +235,14 @@ def unique_from_initial(x: GSet) -> GMap:
 # orbits, stabilizers, labels and rebuilding from labels
 # ---------------------------------------------------------------------------
 
-def _orbit_search(size: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The orbits of the permutations rows on size points, each ascending,
-    ordered by least point: the components of the graph the rows draw."""
+def _orbit_search(size: int, rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The orbits of the permutations rows on size points: the components of
+    the graph the rows draw.  Returns the points orbit by orbit, each orbit
+    ascending and the orbits ordered by least point, and the start of each
+    orbit in that list.  Flat, so that no list per orbit outlives the search."""
     seen = [False] * size
-    out = []
+    order: list[int] = []
+    starts = []
     for i in range(size):
         if not seen[i]:
             seen[i] = True
@@ -248,12 +253,16 @@ def _orbit_search(size: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
                     if not seen[k]:
                         seen[k] = True
                         orb.append(k)
-            out.append(sorted(orb))
-    return out
+            if len(orb) > 1:
+                orb.sort()
+            starts.append(len(order))
+            order += orb
+    return order, starts
 
 
 def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, _orbit_search(x.size, x.rows)))
+    order, starts = _orbit_search(x.size, x.rows)
+    return tuple(tuple(order[i:j]) for i, j in zip(starts, starts[1:] + [x.size]))
 
 
 def point_images(x: GSet, p: int) -> list[int]:
@@ -500,7 +509,7 @@ def relabel_gset(x: GSet, perm: Sequence[int]) -> tuple[GSet, GMap]:
 
 class BuiltGSet(NamedTuple):
     gset: GSet
-    elems: tuple
+    order: list[int]
 
 
 def action_from_generator_rows(group: FiniteGroup, size: int,
@@ -518,42 +527,50 @@ def action_from_generator_rows(group: FiniteGroup, size: int,
     return tuple(full)
 
 
-def build_gset(group: FiniteGroup, elems: Sequence,
-               images: Callable[[int], Iterable]) -> BuiltGSet:
-    """Materialize a G-set from descriptors, numbered canonically.
-
-    elems lists the descriptors, distinct and ascending.  images(k) lists
-    the descriptor of s.e for each e of elems, in the same order, for s the
-    k-th element of `generating_set(group)`; it is called once per
-    generator, and those rows are the G-set's rows.  Points are grouped by
-    orbit, each found by a search along the generator rows, orbits ordered
-    by their least descriptor; elems of the result lists the descriptor of
-    each point.
-    """
-    n = len(elems)
+def _check_points(n: int) -> None:
     if n > MAX_POINTS:
         raise _over_limit("G-set construction", "points", {"descriptors": n}, n, MAX_POINTS)
-    pos = dict(zip(elems, range(n)))
-    raw = [list(map(pos.__getitem__, images(k))) for k in range(len(generating_set(group)))]
-    order = [i for orb in _orbit_search(n, raw) for i in orb]
+
+
+def build_gset(group: FiniteGroup, n: int, rows: list[Sequence[int]]) -> BuiltGSet:
+    """Materialize a G-set from position rows, numbered canonically.
+
+    The caller numbers its n elements by position, in ascending order of
+    their descriptors; rows[k][i] is the position of s.e for e the element
+    at position i and s the k-th element of `generating_set(group)`.  Points
+    are grouped by orbit, each found by a search along the rows and listed
+    ascending, orbits ordered by their least position; order[j] of the
+    result is the position of point j.
+    """
+    _check_points(n)
+    order = _orbit_search(n, rows)[0]
     newpos = [0] * n
     for new, old in enumerate(order):
         newpos[old] = new
-    rows = tuple(tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in raw)
-    return BuiltGSet(GSet(group, n, rows), tuple(map(elems.__getitem__, order)))
+    out = tuple(tuple(map(newpos.__getitem__, map(row.__getitem__, order))) for row in rows)
+    return BuiltGSet(GSet(group, n, out), order)
 
 
 class Construction:
-    """A constructed G-set (see `build_gset`); `index_of` indexes its descriptors on first use."""
+    """A constructed G-set (see `build_gset`) and the descriptor of each point.
 
-    __slots__ = ("gset", "elems", "_index")
+    A subclass may leave elems None and list the descriptors in
+    `_descriptors` on first read; `index_of` indexes them on first use.
+    """
 
-    def __init__(self, group: FiniteGroup, elems: Sequence,
-                 images: Callable[[int], Iterable]):
-        self._set(*build_gset(group, elems, images))
+    __slots__ = ("gset", "_elems", "_index")
 
-    def _set(self, gset: GSet, elems: tuple) -> None:
-        self.gset, self.elems, self._index = gset, elems, None
+    def __init__(self, gset: GSet, elems: Optional[tuple] = None):
+        self.gset, self._elems, self._index = gset, elems, None
+
+    @property
+    def elems(self) -> tuple:
+        if self._elems is None:
+            self._elems = self._descriptors()
+        return self._elems
+
+    def _descriptors(self) -> tuple:
+        raise NotImplementedError
 
     def index_of(self, e) -> int:
         if self._index is None:
@@ -573,18 +590,22 @@ def _fibers(f: GMap) -> list[list[int]]:
     return out
 
 
-def _matching_pairs(f: GMap, g: GMap) -> tuple[list[int], list[int]]:
-    """The pairs (a, b) with f(a) = g(b), ascending, joined fiber by fiber.
-
-    Returns the list of their a's and the list of their b's.
-    """
-    over = _fibers(g)
-    return ([a for a, v in enumerate(f.table) for _ in over[v]],
-            [b for v in f.table for b in over[v]])
+def _fiber_ranks(fibers: list[list[int]], size: int) -> list[int]:
+    """The position of each of size points in its fiber."""
+    rank = [0] * size
+    for fib in fibers:
+        for i, p in enumerate(fib):
+            rank[p] = i
+    return rank
 
 
 class Pullback(Construction):
-    """Canonical pullback of a cospan; descriptors are pairs (a, b)."""
+    """Canonical pullback of a cospan; descriptors are pairs (a, b), listed on first read.
+
+    Before the orbit renumbering, the pair (a, b) sits at position
+    start[a] + rank[b]: start[a] counts the pairs of every a' < a, and
+    rank[b] is the position of b in its fiber of g.
+    """
 
     __slots__ = ("f", "g", "proj1", "proj2")
 
@@ -594,24 +615,27 @@ class Pullback(Construction):
         if f.cod != g.cod:
             raise BoundaryMismatch("pullback needs a common codomain")
         xa, xb = f.dom, g.dom
-        nb = xb.size
-        left, right = _matching_pairs(f, g)
-
-        # the pair (a, b) is built as the integer code a * |B| + b; codes
-        # ascend with the pairs, and s.(a, b) has code s.a * |B| + s.b
-        def images(k: int):
-            scaled = [p * nb for p in xa.rows[k]]
-            return map(add, map(scaled.__getitem__, left), map(xb.rows[k].__getitem__, right))
-
-        built = build_gset(f.group, [a * nb + b for a, b in zip(left, right)], images)
-        codes = built.elems
-        to_a = tuple([c // nb for c in codes])
-        to_b = tuple([c % nb for c in codes])
-        self._set(built.gset, tuple(zip(to_a, to_b)))
+        over = _fibers(g)
+        counts = [len(over[v]) for v in f.table]
+        start = list(itertools.accumulate(counts, initial=0))
+        n = start[-1]
+        _check_points(n)
+        left = list(itertools.chain.from_iterable(map(itertools.repeat, xa.points(), counts)))
+        right = list(itertools.chain.from_iterable(map(over.__getitem__, f.table)))
+        rank = _fiber_ranks(over, xb.size)
+        # s.(a, b) = (s.a, s.b) sits at start[s.a] + rank[s.b]
+        built = build_gset(f.group, n, [
+            list(map(add, map(list(map(start.__getitem__, ra)).__getitem__, left),
+                     map(list(map(rank.__getitem__, rb)).__getitem__, right)))
+            for ra, rb in zip(xa.rows, xb.rows)])
+        super().__init__(built.gset)
         self.f = f
         self.g = g
-        self.proj1 = GMap(self.gset, xa, to_a)
-        self.proj2 = GMap(self.gset, xb, to_b)
+        self.proj1 = GMap(self.gset, xa, tuple(map(left.__getitem__, built.order)))
+        self.proj2 = GMap(self.gset, xb, tuple(map(right.__getitem__, built.order)))
+
+    def _descriptors(self) -> tuple:
+        return tuple(zip(self.proj1.table, self.proj2.table))
 
     @property
     def apex(self) -> GSet:
@@ -638,10 +662,11 @@ def is_pullback_square(f: GMap, g: GMap, p1: GMap, p2: GMap) -> bool:
         return False
     if compose_gmaps(f, p1).table != compose_gmaps(g, p2).table:
         return False
-    pairs = [(p1.table[x], p2.table[x]) for x in p1.dom.points()]
-    if len(set(pairs)) != len(pairs):
+    pairs = set(zip(p1.table, p2.table))
+    if len(pairs) != p1.dom.size:
         return False
-    return set(pairs) == set(zip(*_matching_pairs(f, g)))
+    over = _fibers(g)
+    return pairs == {(a, b) for a, v in enumerate(f.table) for b in over[v]}
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +785,10 @@ class PiData:
     The fiber over x in U is the set of sections s of a over the fiber
     u^-1(x); descriptors are (x, values), values listed against the
     ascending order of u^-1(x).  The action conjugates sections.
-    fiber_pos[p] is the position of p in its fiber.
+    fiber_pos[p] is the position of p in its fiber.  Before the orbit
+    renumbering, a section over x sits at start[x] plus its values' ranks
+    in their fibers of a, read as mixed-radix digits with the last one
+    fastest (the order of `itertools.product`).
     """
 
     __slots__ = ("u", "a", "con", "slice", "fibers", "fiber_pos")
@@ -770,34 +798,44 @@ class PiData:
             raise BoundaryMismatch("pi: slice is not over the domain of u")
         s, uu = u.dom, u.cod
         fibers, pre = _fibers(u), _fibers(a.arrow)
-        fiber_pos = [0] * s.size
-        for fib in fibers:
-            for i, p in enumerate(fib):
-                fiber_pos[p] = i
-        total = sum(math.prod(len(pre[p]) for p in fib) for fib in fibers)
+        counts = [math.prod(len(pre[p]) for p in fib) for fib in fibers]
+        total = sum(counts)
         if total > MAX_POINTS:
             raise _over_limit("dependent product", "sections",
                               {"dom": s.size, "cod": uu.size, "slice": a.total.size},
                               total, MAX_POINTS)
-        elems = []
-        for x in uu.points():
-            for sec in itertools.product(*(pre[p] for p in fibers[x])):
-                elems.append((x, sec))
-
-        def images(k: int):
-            # a generator g sends the section sec over u^-1(x) to the section
-            # over u^-1(g.x) whose value at q is g.sec(g^-1.q); sorting the
-            # points by their image under g lists g^-1.q at q
-            ra, ru = a.total.rows[k], uu.rows[k]
-            back = sorted(s.points(), key=s.rows[k].__getitem__)
-            pick = [[fiber_pos[back[q]] for q in fibers[ru[x]]] for x in uu.points()]
-            return [(ru[x], tuple(map(ra.__getitem__, map(sec.__getitem__, pick[x]))))
-                    for x, sec in elems]
-
-        self.con = Construction(s.group, elems, images)
+        fiber_pos = _fiber_ranks(fibers, s.size)
+        rank = _fiber_ranks(pre, a.total.size)
+        start = list(itertools.accumulate(counts, initial=0))
+        # weight[p]: the place value of the digit at p, the product of the
+        # radices len(pre[q]) of the later points q of its fiber
+        weight = [0] * s.size
+        for fib in fibers:
+            w = 1
+            for p in reversed(fib):
+                weight[p] = w
+                w *= len(pre[p])
+        rows = []
+        for ra, rs, ru in zip(a.total.rows, s.rows, uu.rows):
+            # a generator g sends the section over u^-1(x) with value v at p
+            # to the section over u^-1(g.x) with value g.v at g.p, so each
+            # digit adds rank[g.v] * weight[g.p] to start[g.x]
+            row: list[int] = []
+            for x, fib in enumerate(fibers):
+                acc = [start[ru[x]]]
+                for p in fib:
+                    w = weight[rs[p]]
+                    digit = [rank[v] * w for v in map(ra.__getitem__, pre[p])]
+                    acc = [c + d for c in acc for d in digit]
+                row += acc
+            rows.append(row)
+        built = build_gset(s.group, total, rows)
+        del rows  # free the raw rows before the descriptors are built
+        elems = [(x, sec) for x, fib in enumerate(fibers)
+                 for sec in itertools.product(*map(pre.__getitem__, fib))]
+        self.con = Construction(built.gset, tuple(map(elems.__getitem__, built.order)))
         self.u, self.a, self.fibers, self.fiber_pos = u, a, fibers, fiber_pos
-        self.slice = SliceObject(GMap(self.con.gset, uu,
-                                      tuple(e[0] for e in self.con.elems)))
+        self.slice = SliceObject(GMap(self.con.gset, uu, tuple([e[0] for e in self.con.elems])))
 
     def section_value(self, idx: int, p: int) -> int:
         """Value of the section numbered idx at fiber point p."""
@@ -829,10 +867,9 @@ class SectionEvalData:
     def __init__(self, u: GMap, a: SliceObject):
         pd = PiData(u, a)
         pull = pullback(pd.slice.arrow, u)
-        table = []
-        for (b_idx, s_pt) in pull.elems:
-            table.append(pd.section_value(b_idx, s_pt))
-        e = GMap(pull.gset, a.total, tuple(table))
+        secs, fiber_pos = [e[1] for e in pd.con.elems], pd.fiber_pos
+        e = GMap(pull.gset, a.total, tuple([secs[b][fiber_pos[p]] for b, p
+                                            in zip(pull.proj1.table, pull.proj2.table)]))
         self.pidata = pd
         self.pia = pd.slice
         self.pull = pull
@@ -974,15 +1011,18 @@ class CoproductPullbackData:
         r = f.dom
         lo = [p for p in r.points() if f.table[p] < split]
         hi = [p for p in r.points() if f.table[p] >= split]
-        self.part1, self.incl1, self.over1 = self._part(r, lo, f, cop.left, 0)
-        self.part2, self.incl2, self.over2 = self._part(r, hi, f, cop.right, split)
+        where = _fiber_ranks([lo, hi], r.size)  # the position of each point in its part
+        self.part1, self.incl1, self.over1 = self._part(r, lo, where, f, cop.left, 0)
+        self.part2, self.incl2, self.over2 = self._part(r, hi, where, f, cop.right, split)
 
     @staticmethod
-    def _part(r: GSet, pts: list[int], f: GMap, summand: GSet, shift: int):
-        built = build_gset(r.group, pts, lambda k: map(r.rows[k].__getitem__, pts))
-        incl = GMap(built.gset, r, built.elems)
-        over = GMap(built.gset, summand,
-                    tuple(f.table[p] - shift for p in built.elems))
+    def _part(r: GSet, pts: list[int], where: list[int], f: GMap, summand: GSet, shift: int):
+        built = build_gset(r.group, len(pts),
+                           [list(map(where.__getitem__, map(row.__getitem__, pts)))
+                            for row in r.rows])
+        elems = tuple(map(pts.__getitem__, built.order))
+        incl = GMap(built.gset, r, elems)
+        over = GMap(built.gset, summand, tuple(f.table[p] - shift for p in elems))
         return built.gset, incl, over
 
 

@@ -157,7 +157,7 @@ def poly_morphism(src: Polynomial, tgt: Polynomial, g: GMap, ell: GMap) -> PolyM
 
 def identity_poly_morphism(p: Polynomial) -> PolyMorphism:
     pb = pullback(p.n, identity_gmap(p.n.cod))
-    ell = GMap(pb.apex, p.n.dom, tuple(e[0] for e in pb.elems))
+    ell = GMap(pb.apex, p.n.dom, pb.proj1.table)
     return poly_morphism(p, p, identity_gmap(p.n.cod), ell)
 
 

@@ -214,14 +214,12 @@ def cl_compose(c1: SpanIsoClass, c2: SpanIsoClass,
 def lunitor(p: Span, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
     """The composite 1 ; p and its canonical iso onto p."""
     comp = compose_data(identity_span(p.src), p, rclass)
-    table = tuple(e[1] for e in comp.elems)
-    return comp, GMap(comp.span.apex, p.apex, table)
+    return comp, GMap(comp.span.apex, p.apex, comp.pb.proj2.table)
 
 
 def runitor(p: Span, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
     comp = compose_data(p, identity_span(p.tgt), rclass)
-    table = tuple(e[0] for e in comp.elems)
-    return comp, GMap(comp.span.apex, p.apex, table)
+    return comp, GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
 
 
 def associator(p: Span, q: Span, r: Span,
@@ -252,7 +250,7 @@ def adjunction_unit(r: GMap, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComp
 def adjunction_counit(r: GMap, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
     """counit : r^* ; r_* => identity span of V."""
     comp = compose_data(upper_star(r, rclass), lower_star(r), rclass)
-    table = tuple(r.table[comp.elems[i][0]] for i in range(comp.span.apex.size))
+    table = tuple(map(r.table.__getitem__, comp.pb.proj1.table))
     return comp, GMap(comp.span.apex, r.cod, table)
 
 

@@ -369,9 +369,15 @@ def test_completion_homs_resource_guard(e_cat, c2, pt2, monkeypatch):
     two = coproduct(pt2, pt2).sum
     o = completion_obj(e_cat, GMap(two, pt2, (0, 0)), SliceObject(finact.codiagonal(two)[1]))
     monkeypatch.setattr(finact, "MAX_MAPS", 20)
-    for homs in (completion_homs, completion_homs_dual):
-        with pytest.raises(ResourceLimit, match="exceeds limit 20"):
+    for homs, name in ((completion_homs, "completion hom-set"),
+                       (completion_homs_dual, "dual hom-set")):
+        with pytest.raises(ResourceLimit, match="exceeds limit 20") as err:
             homs(e_cat, o, o)
+        e = err.value
+        # the total stops at the first morphism over the limit
+        assert (e.construction, e.sizes, e.projected, e.limit) == \
+            (name, {"dom": 2, "cod": 2}, 21, 20)
+        assert str(e) == f"{name} exceeds limit 20"
     monkeypatch.setattr(finact, "MAX_MAPS", 64)
     assert len(completion_homs(e_cat, o, o)) == len(completion_homs_dual(e_cat, o, o)) == 64
 

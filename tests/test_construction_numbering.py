@@ -1,0 +1,181 @@
+"""Constructed G-sets against a reference numbering that shares no code with `build_gset`.
+
+Pullbacks, products, dependent products and the parts of a map into a
+coproduct number their points by position arithmetic.  Here each is rebuilt
+from its descriptors alone: they are sorted, indexed in a dict, moved by one
+generator at a time, and grouped by a breadth-first orbit search written
+below, orbits by least descriptor and points ascending within an orbit.  The
+generator rows, the descriptors and the projection tables must agree.
+"""
+import itertools
+import random
+from collections import deque
+
+import pytest
+
+from spanpoly.finact import (
+    SliceObject,
+    coproduct,
+    coproduct_pullback_decompose,
+    identity_gmap,
+    initial_gset,
+    pi,
+    product,
+    pullback,
+    unique_from_initial,
+)
+from spanpoly.groups import (
+    cyclic_group,
+    generating_set,
+    subgroup_class_reps,
+    symmetric_group,
+    trivial_group,
+)
+
+from helpers import coset_sum, relabelled_group, seeded_map
+
+GROUPS = {
+    "triv": trivial_group(),
+    "C2": cyclic_group(2),
+    "S3": symmetric_group(3),
+    "S4": symmetric_group(4),
+    "S3-identity-at-3": relabelled_group("S3r", symmetric_group(3), [3, 0, 1, 2, 4, 5]),
+    "C4-identity-at-2": relabelled_group("C4r", cyclic_group(4), [2, 0, 3, 1]),
+}
+
+
+def reference(group, descs, act):
+    """The rows and the descriptor of each point of the G-set on descs.
+
+    act(k, d) is the descriptor of the k-th generator acting on d.
+    """
+    descs = sorted(descs)
+    index = {d: i for i, d in enumerate(descs)}
+    raw = [[index[act(k, d)] for d in descs] for k in range(len(generating_set(group)))]
+    order, placed = [], set()
+    for first in range(len(descs)):
+        if first in placed:
+            continue
+        orbit, queue = {first}, deque([first])
+        while queue:
+            i = queue.popleft()
+            for row in raw:
+                if row[i] not in orbit:
+                    orbit.add(row[i])
+                    queue.append(row[i])
+        placed |= orbit
+        order += sorted(orbit)
+    new = {old: i for i, old in enumerate(order)}
+    return tuple(tuple(new[row[old]] for old in order) for row in raw), [descs[i] for i in order]
+
+
+def _pair_act(x, y):
+    return lambda k, d: (x.rows[k][d[0]], y.rows[k][d[1]])
+
+
+def check_pullback(pb, f, g):
+    descs = [(a, b) for a in f.dom.points() for b in g.dom.points() if f.table[a] == g.table[b]]
+    rows, elems = reference(f.group, descs, _pair_act(f.dom, g.dom))
+    assert pb.gset.size == len(elems)
+    assert pb.gset.rows == rows
+    assert list(pb.elems) == elems
+    assert pb.proj1.table == tuple(a for a, _ in elems)
+    assert pb.proj2.table == tuple(b for _, b in elems)
+
+
+def check_product(pr, x, y):
+    rows, elems = reference(x.group, itertools.product(x.points(), y.points()), _pair_act(x, y))
+    assert pr.gset.rows == rows
+    assert list(pr.elems) == elems
+    assert (pr.proj1.table, pr.proj2.table) == (tuple(a for a, _ in elems),
+                                                tuple(b for _, b in elems))
+
+
+def check_pi(u, a):
+    s, uu, total = u.dom, u.cod, a.total
+    fiber = {x: [p for p in s.points() if u.table[p] == x] for x in uu.points()}
+    over = {p: [q for q in total.points() if a.arrow.table[q] == p] for p in s.points()}
+    descs = [(x, sec) for x in uu.points()
+             for sec in itertools.product(*(over[p] for p in fiber[x]))]
+
+    def act(k, d):
+        x, sec = d
+        gx = uu.rows[k][x]
+        moved = {s.rows[k][p]: total.rows[k][v] for p, v in zip(fiber[x], sec)}
+        return gx, tuple(moved[q] for q in fiber[gx])
+
+    rows, elems = reference(u.group, descs, act)
+    pd = pi(u, a)
+    assert pd.con.gset.rows == rows
+    assert list(pd.con.elems) == elems
+    assert pd.slice.arrow.table == tuple(x for x, _ in elems)
+    return len(elems)
+
+
+def check_parts(f, cop):
+    d = coproduct_pullback_decompose(f, cop)
+    r, split = f.dom, cop.left.size
+    for part, incl, over, side, shift in ((d.part1, d.incl1, d.over1, False, 0),
+                                          (d.part2, d.incl2, d.over2, True, split)):
+        descs = [p for p in r.points() if (f.table[p] >= split) == side]
+        rows, elems = reference(r.group, descs, lambda k, p: r.rows[k][p])
+        assert part.rows == rows
+        assert incl.table == tuple(elems)
+        assert over.table == tuple(f.table[p] - shift for p in elems)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+@pytest.mark.parametrize("seed", range(2))
+def test_constructions_match_the_reference(name, seed):
+    group = GROUPS[name]
+    rng = random.Random(f"{name}/{seed}")
+    reps = subgroup_class_reps(group)
+    # coset G-sets of index at most 4 keep the dependent products small
+    small = [i for i, h in enumerate(reps) if group.order // len(h) <= 4]
+
+    def sum_of(k, picks=None):
+        return coset_sum(group, reps, [rng.choice(picks or range(len(reps))) for _ in range(k)])
+
+    x = sum_of(1)
+    f, g = seeded_map(rng, sum_of(2), x), seeded_map(rng, sum_of(1), x)
+    check_pullback(pullback(f, g), f, g)
+    check_pullback(pullback(g, f), g, f)
+    check_product(product(f.dom, g.dom), f.dom, g.dom)
+
+    def onto(base):
+        """A slice over base with a point over every point of base, so that sections exist."""
+        cop = coproduct(base, sum_of(1, small))
+        return SliceObject(cop.cotuple(identity_gmap(base), seeded_map(rng, cop.right, base)))
+
+    u = seeded_map(rng, sum_of(2, small), sum_of(1, small))
+    assert check_pi(u, onto(u.dom)) > 0
+    check_pi(u, SliceObject(seeded_map(rng, sum_of(2, small), u.dom)))
+    cop = coproduct(u.cod, sum_of(1, small))
+    check_pi(cop.inj1, onto(u.cod))  # the points of the right summand have empty fibers
+
+    cop = coproduct(x, sum_of(1))
+    check_parts(seeded_map(rng, sum_of(2), cop.sum), cop)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_empty_constructions_match_the_reference(name):
+    group = GROUPS[name]
+    rng = random.Random(name)
+    reps = subgroup_class_reps(group)
+    x = coset_sum(group, reps, [len(reps) - 1])
+    g = seeded_map(rng, coset_sum(group, reps, [0]), x)
+    empty = unique_from_initial(x)
+    for f1, f2 in ((empty, g), (g, empty)):
+        pb = pullback(f1, f2)
+        assert pb.gset.size == 0
+        check_pullback(pb, f1, f2)
+    check_product(product(initial_gset(group), x), initial_gset(group), x)
+    # an empty slice: no sections over a nonempty fiber, one over an empty fiber
+    cop = coproduct(x, coset_sum(group, reps, []))
+    nothing = SliceObject(unique_from_initial(x))
+    missed = sum(1 for y in x.points() if y not in g.table)
+    assert check_pi(g, SliceObject(unique_from_initial(g.dom))) == missed
+    assert check_pi(cop.inj1, nothing) == cop.right.size
+    # every point over the left summand: the right part is empty
+    check_parts(cop.inj1, cop)
+    check_parts(coproduct(x, x).inj2, coproduct(x, x))

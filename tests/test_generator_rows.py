@@ -277,7 +277,7 @@ def test_guard_errors_carry_their_fields(monkeypatch):
 
     monkeypatch.setattr(finact, "MAX_POINTS", 6)
     with pytest.raises(ResourceLimit) as err:
-        build_gset(s3, list(range(7)), lambda k: range(7))
+        build_gset(s3, 7, [list(range(7))] * len(generating_set(s3)))
     e = err.value
     assert (e.construction, e.sizes, e.projected, e.limit) == \
         ("G-set construction", {"descriptors": 7}, 7, 6)
@@ -290,6 +290,30 @@ def test_guard_errors_carry_their_fields(monkeypatch):
     assert (e.construction, e.sizes, e.projected, e.limit) == \
         ("equivariant maps", {"dom": 6, "cod": 6}, 6, 5)
     assert "dom=6, cod=6" in str(e) and "6 maps" in str(e) and "limit 5" in str(e)
+
+
+def test_pullback_and_product_guards_trip_before_the_pairs(monkeypatch):
+    """The pair count comes from the fiber sizes; the guard trips before any pair is built."""
+    s3 = symmetric_group(3)
+    reg = coset_gset(s3, (s3.identity,))
+    cop, fold = coproduct(reg, reg), _fold(reg)
+    # fold pulled back along itself: 6 fibers of 2 points, 24 pairs; reg x reg: 36 pairs
+    assert pullback(fold, fold).gset.size == 24 and product(reg, reg).gset.size == 36
+
+    def no_build(*args):
+        raise AssertionError("build_gset reached past the guard")
+
+    monkeypatch.setattr(finact, "build_gset", no_build)
+    monkeypatch.setattr(finact, "MAX_POINTS", 20)
+    for build, n in ((lambda: pullback(fold, fold), 24), (lambda: product(reg, reg), 36),
+                     (lambda: product(cop.sum, reg), 72)):
+        with pytest.raises(ResourceLimit) as err:
+            build()
+        e = err.value
+        assert (e.construction, e.sizes, e.projected, e.limit) == \
+            ("G-set construction", {"descriptors": n}, n, 20)
+        assert str(e) == (f"G-set construction (descriptors={n}) would have {n} points, "
+                          "over the limit 20")
 
 
 def test_pi_guard_projects_the_whole_count(monkeypatch):
