@@ -527,7 +527,8 @@ def action_from_generator_rows(group: FiniteGroup, size: int,
     return tuple(full)
 
 
-def _check_points(n: int) -> None:
+def check_points(n: int) -> None:
+    """The size guard of every constructed G-set: n points at most MAX_POINTS."""
     if n > MAX_POINTS:
         raise _over_limit("G-set construction", "points", {"descriptors": n}, n, MAX_POINTS)
 
@@ -542,7 +543,7 @@ def build_gset(group: FiniteGroup, n: int, rows: list[Sequence[int]]) -> BuiltGS
     ascending, orbits ordered by their least position; order[j] of the
     result is the position of point j.
     """
-    _check_points(n)
+    check_points(n)
     order = _orbit_search(n, rows)[0]
     newpos = [0] * n
     for new, old in enumerate(order):
@@ -610,16 +611,16 @@ class Pullback(Construction):
     __slots__ = ("f", "g", "proj1", "proj2")
 
     def __init__(self, f: GMap, g: GMap):
-        if f.group != g.group:
-            raise GroupMismatch("pullback over different groups")
-        if f.cod != g.cod:
+        if f.cod is not g.cod and f.cod != g.cod:
+            if f.group != g.group:
+                raise GroupMismatch("pullback over different groups")
             raise BoundaryMismatch("pullback needs a common codomain")
         xa, xb = f.dom, g.dom
         over = _fibers(g)
         counts = [len(over[v]) for v in f.table]
         start = list(itertools.accumulate(counts, initial=0))
         n = start[-1]
-        _check_points(n)
+        check_points(n)
         left = list(itertools.chain.from_iterable(map(itertools.repeat, xa.points(), counts)))
         right = list(itertools.chain.from_iterable(map(over.__getitem__, f.table)))
         rank = _fiber_ranks(over, xb.size)
@@ -725,7 +726,8 @@ class ProductDiagram(Pullback):
     def __init__(self, x: GSet, y: GSet):
         if x.group != y.group:
             raise GroupMismatch("product over different groups")
-        super().__init__(unique_to_terminal(x), unique_to_terminal(y))
+        pt = terminal_gset(x.group)  # one object: the codomain check passes by identity
+        super().__init__(GMap(x, pt, (0,) * x.size), GMap(y, pt, (0,) * y.size))
 
     @property
     def prod(self) -> GSet:

@@ -7,7 +7,12 @@ by restriction along the left leg followed by transfer along the right one
 (the reversed-span convention gives the contravariant reading).
 
 The Burnside instance takes a G-set to the free monoid on its atoms, the
-iso classes of transitive G-sets over it.  At the point its value is the
+iso classes of transitive G-sets over it.  Restriction and transfer are
+read off orbit records by the double-coset formula, with no pullback or
+slice per atom: restricting the atom G/H -> y along f: X -> Y gives one
+atom G/(H & G_x) -> x for each H-orbit of the fiber f^-1(y), x its least
+point (`restrict_atom`), and transfer along u moves the atom G/H -> x to
+G/H -> u(x).  At the point its value is the
 Burnside ring, whose multiplication table is computed in mark coordinates:
 a G-set X has the mark vector of fixed-point counts |X^H| over the subgroup
 classes, the mark vector of a product is the pointwise product, and the
@@ -15,30 +20,29 @@ table of marks is triangular, so a mark vector decomposes into atoms by
 back-substitution (Burnside and Pfeiffer, Exp. Math. 1997).  The
 fixed-point instance is parametrized by a G-set of coordinates: its value on
 X is the monoid of equivariant natural-vector-valued functions, free on the
-orbits of the product of X with the coordinate set.
+orbits of the product of X with the coordinate set; each orbit is named by
+its least pair, read from the orbits of X without building the product.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .calib import ALL_MAPS, MorphismClass
-from .errors import BoundaryMismatch, InvalidStructure
+from .errors import BoundaryMismatch, GroupMismatch, InvalidStructure
 from .finact import (
     GMap,
     GSet,
     SliceObject,
     compose_gmaps,
     coproduct,
-    delta,
     from_labels,
     orbit_cosets,
     orbit_labels,
-    orbits,
-    product,
+    point_images,
     pullback,
-    sigma,
     terminal_gset,
 )
 from .groups import (
@@ -74,11 +78,31 @@ def atoms(base: GSet) -> tuple[AtomLabel, ...]:
     return tuple(sorted(labs))
 
 
-def atom_label(group: FiniteGroup, h: frozenset[int], img: Sequence[int]) -> AtomLabel:
+def atom_label(group: FiniteGroup, h: tuple[int, ...] | frozenset[int],
+               img: Sequence[int]) -> AtomLabel:
     """The atom of G/H over a G-set by rH -> r.x, for H fixing x and img[g] = g.x:
     its `orbit_labels` label."""
     c = group.data.cosets(h)
     return min(zip(c.conj, map(img.__getitem__, c.reps)))
+
+
+def restrict_atom(f: GMap, atom: AtomLabel) -> list[AtomLabel]:
+    """The atoms of the pullback of the atom G/H -> y along f: X -> Y.
+
+    Double-coset formula: one atom G/(H & G_p) -> p for each H-orbit of the
+    fiber f^-1(y), p its least point.  H is a sorted tuple, so that the
+    stabilizers H & G_p are too.
+    """
+    h, y = atom
+    dom = f.dom
+    covered = set()
+    out = []
+    for p, v in enumerate(f.table):
+        if v == y and p not in covered:
+            img = point_images(dom, p)
+            covered.update(map(img.__getitem__, h))
+            out.append(atom_label(dom.group, tuple([g for g in h if img[g] == p]), img))
+    return out
 
 
 def _atom_labels(arrow: GMap) -> list[AtomLabel]:
@@ -86,10 +110,15 @@ def _atom_labels(arrow: GMap) -> list[AtomLabel]:
     return [(s, v) for s, (v,) in orbit_labels(arrow.dom, (arrow,))]
 
 
+def slice_of_atoms(base: GSet, labels: Iterable[AtomLabel]) -> SliceObject:
+    """The canonical slice over base with one orbit per atom label, in any order."""
+    _, (arrow,) = from_labels(base.group, (base,), sorted((s, (v,)) for s, v in labels))
+    return SliceObject(arrow)
+
+
 def atom_slice(base: GSet, label: AtomLabel) -> SliceObject:
     """The canonical representative slice of an atom: cosets of its stabilizer."""
-    _, (arrow,) = from_labels(base.group, (base,), ((label[0], (label[1],)),))
-    return SliceObject(arrow)
+    return slice_of_atoms(base, (label,))
 
 
 def vectorize_slice(a: SliceObject, gens: Optional[tuple[AtomLabel, ...]] = None) -> tuple[int, ...]:
@@ -145,14 +174,26 @@ class BurnsideMackey(MackeyFunctor):
     def res_matrix(self, f: GMap) -> Matrix:
         src = self.value_gens(f.cod)
         tgt = self.value_gens(f.dom)
-        rows = tuple(vectorize_slice(delta(f, atom_slice(f.cod, g)), tgt) for g in src)
+        index = {g: j for j, g in enumerate(tgt)}
+        rows = []
+        for g in src:
+            row = [0] * len(tgt)
+            for lab in restrict_atom(f, g):
+                row[index[lab]] += 1
+            rows.append(row)
         return lin_map(rows, len(src), len(tgt))
 
     def tr_matrix(self, u: GMap) -> Matrix:
         self.rclass.require(u, "transfer leg")
         src = self.value_gens(u.dom)
         tgt = self.value_gens(u.cod)
-        rows = tuple(vectorize_slice(sigma(u, atom_slice(u.dom, g)), tgt) for g in src)
+        index = {g: j for j, g in enumerate(tgt)}
+        rows = []
+        for h, x in src:
+            # the atom G/H -> x transfers to G/H -> u(x)
+            row = [0] * len(tgt)
+            row[index[atom_label(u.group, h, point_images(u.cod, u.table[x]))]] = 1
+            rows.append(row)
         return lin_map(rows, len(src), len(tgt))
 
 
@@ -160,7 +201,11 @@ class FixedPointMackey(MackeyFunctor):
     """Equivariant functions into natural vectors indexed by a coordinate G-set.
 
     value(X) is free on the orbits of X x coords; restriction precomposes,
-    transfer sums a function over the fibers.
+    transfer sums a function over the fibers.  Each orbit is named by its
+    least pair, read from the orbits of X without building the product:
+    for a = t.r, r the least point of its orbit, the orbit of (a, k) holds
+    (r, t^-1.k), so its least pair is r with the least point of the
+    G_r-orbit of t^-1.k.
     """
 
     def __init__(self, group: FiniteGroup, coords: Optional[GSet] = None):
@@ -168,46 +213,43 @@ class FixedPointMackey(MackeyFunctor):
         self.coords = coords if coords is not None else terminal_gset(group)
         self.name = f"fixed-point[{group.name},k={self.coords.size}]"
 
-    def _gens(self, x: GSet):
-        """The product x * coords, its orbits, and the orbit index of each point."""
-        pr = product(x, self.coords)
-        orbs = orbits(pr.prod)
-        orbit_of = [0] * pr.prod.size
-        for i, o in enumerate(orbs):
-            for p in o:
-                orbit_of[p] = i
-        return pr, orbs, orbit_of
+    def _orbit_pairs(self, x: GSet) -> tuple[list, tuple[tuple[int, int], ...]]:
+        """pairs[a][k], the least pair of the orbit of (a, k) in x * coords, and
+        the ascending list of least pairs: the value generators."""
+        if x.group != self.coords.group:
+            raise GroupMismatch("product over different groups")
+        inverse = x.group.inverse
+        cimg = [point_images(self.coords, k) for k in self.coords.points()]
+        pairs: list = [None] * x.size
+        for o in orbit_cosets(x):
+            low = [min(map(img.__getitem__, o.stab)) for img in cimg]
+            for t, a in zip(o.cosets.reps, o.points):
+                ti = inverse[t]
+                pairs[a] = [(o.rep, low[img[ti]]) for img in cimg]
+        return pairs, tuple(sorted(set(itertools.chain.from_iterable(pairs))))
 
     def value_gens(self, x: GSet) -> tuple:
-        pr, orbs, _ = self._gens(x)
-        return tuple(pr.elems[o[0]] for o in orbs)
+        return self._orbit_pairs(x)[1]
 
     def res_matrix(self, f: GMap) -> Matrix:
-        prb, orbs_b, orbit_of_b = self._gens(f.cod)
-        pra, orbs_a, _ = self._gens(f.dom)
-        rows = []
-        for i, _ in enumerate(orbs_b):
-            row = [0] * len(orbs_a)
-            for j, oa in enumerate(orbs_a):
-                a_pt, k = pra.elems[oa[0]]
-                if orbit_of_b[prb.index_of((f.table[a_pt], k))] == i:
-                    row[j] = 1
-            rows.append(tuple(row))
-        return lin_map(rows, len(orbs_b), len(orbs_a))
+        gens_a = self.value_gens(f.dom)
+        pairs_b, gens_b = self._orbit_pairs(f.cod)
+        index_b = {g: i for i, g in enumerate(gens_b)}
+        rows = [[0] * len(gens_a) for _ in gens_b]
+        for j, (a, k) in enumerate(gens_a):
+            rows[index_b[pairs_b[f.table[a]][k]]][j] = 1
+        return lin_map(rows, len(gens_b), len(gens_a))
 
     def tr_matrix(self, u: GMap) -> Matrix:
-        pra, orbs_a, orbit_of_a = self._gens(u.dom)
-        prb, orbs_b, _ = self._gens(u.cod)
-        rows = []
-        for i, _ in enumerate(orbs_a):
-            row = [0] * len(orbs_b)
-            for j, ob in enumerate(orbs_b):
-                b_pt, k = prb.elems[ob[0]]
-                row[j] = sum(1 for a in u.dom.points()
-                             if u.table[a] == b_pt
-                             and orbit_of_a[pra.index_of((a, k))] == i)
-            rows.append(tuple(row))
-        return lin_map(rows, len(orbs_a), len(orbs_b))
+        pairs_a, gens_a = self._orbit_pairs(u.dom)
+        gens_b = self.value_gens(u.cod)
+        index_a = {g: i for i, g in enumerate(gens_a)}
+        rows = [[0] * len(gens_b) for _ in gens_a]
+        for j, (b, k) in enumerate(gens_b):
+            for a, v in enumerate(u.table):
+                if v == b:
+                    rows[index_a[pairs_a[a][k]]][j] += 1
+        return lin_map(rows, len(gens_a), len(gens_b))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ polynomial composition first.
 
 The slice-class instance manipulates canonical slice representatives rather
 than vectors because the norm is not additive; equality of values is
-equality of canonical forms.  Over the one-point group the semiring
+equality of canonical forms.  Its restriction and transfer act orbit by
+orbit, each orbit an atom, by the double-coset formula of
+`mackey.restrict_atom` and by moving the atom's point, and rebuild the
+canonical slice from the resulting labels once; restriction keeps the size
+guard of the pullback it replaces.  The norm is still the dependent product
+`pi_slice`.  Over the one-point group the semiring
 instance must agree exactly with the independent sum-of-products oracle.
 """
 from __future__ import annotations
@@ -17,20 +22,21 @@ from __future__ import annotations
 from typing import Sequence
 
 from .calib import ALL_MAPS, MorphismClass, inverse_sum
-from .errors import InvalidStructure
+from .errors import BoundaryMismatch, InvalidStructure
 from .finact import (
     CoproductDiagram,
     GMap,
     GSet,
     SliceObject,
+    check_points,
     coproduct,
-    delta,
+    orbit_cosets,
     pi_slice,
-    sigma,
+    point_images,
     slice_canonical_form,
 )
 from .groups import FiniteGroup
-from .mackey import canonical_slice
+from .mackey import atom_label, canonical_slice, restrict_atom, slice_of_atoms
 from .poly import Polynomial, compose_poly, distribute, eval_semiring
 from .report import Check, Report
 from .semirings import CommSemiring
@@ -82,11 +88,24 @@ class BurnsideTambara(TambaraFunctor):
         return isinstance(v, SliceObject) and v.base == x
 
     def res(self, f, v):
-        return canonical_slice(delta(f, v))
+        """Restrict each orbit of v as an atom, by `restrict_atom`."""
+        if v.base is not f.cod and v.base != f.cod:
+            raise BoundaryMismatch("delta: slice is not over the codomain of u")
+        group, arrow = f.group, v.arrow.table
+        labels = [lab for o in orbit_cosets(v.total)
+                  for lab in restrict_atom(f, (o.stab, arrow[o.rep]))]
+        check_points(sum(group.order // len(k) for k, _ in labels))
+        return slice_of_atoms(f.dom, labels)
 
     def tr(self, u, v):
+        """Move each orbit's atom along u: G/H -> x becomes G/H -> u(x)."""
         self.rclass.require(u, "transfer leg")
-        return canonical_slice(sigma(u, v))
+        if v.base is not u.dom and v.base != u.dom:
+            raise BoundaryMismatch("sigma: slice is not over the domain of u")
+        group, arrow = u.group, v.arrow.table
+        return slice_of_atoms(u.cod, [
+            atom_label(group, o.stab, point_images(u.cod, u.table[arrow[o.rep]]))
+            for o in orbit_cosets(v.total)])
 
     def norm(self, n, v):
         self.lclass.require(n, "norm leg")

@@ -95,6 +95,20 @@ def test_pullback_errors(f2, pt2, c3):
         pullback(identity_gmap(f2), identity_gmap(regular_gset(c3)))
 
 
+def test_pullback_boundary_checks_by_identity_then_equality(c2, c3):
+    """Codomains are compared only when they are different objects; an equal
+    copy still pulls back, and a mismatch names the groups before the sets."""
+    from spanpoly.errors import GroupMismatch
+    f = unique_to_terminal(regular_gset(c2))
+    g = unique_to_terminal(regular_gset(c2))
+    assert f.cod is not g.cod and f.cod == g.cod
+    assert pullback(f, g).apex.size == 4
+    with pytest.raises(BoundaryMismatch, match="^pullback needs a common codomain$"):
+        pullback(f, identity_gmap(regular_gset(c2)))
+    with pytest.raises(GroupMismatch, match="^pullback over different groups$"):
+        pullback(f, unique_to_terminal(regular_gset(c3)))
+
+
 def test_pullback_mediator_unique(c2, f2, u2, rng):
     pb = pullback(u2, u2)
     q1 = identity_gmap(f2)
