@@ -611,9 +611,9 @@ class Pullback(Construction):
     __slots__ = ("f", "g", "proj1", "proj2")
 
     def __init__(self, f: GMap, g: GMap):
-        if f.cod is not g.cod and f.cod != g.cod:
-            if f.group != g.group:
-                raise GroupMismatch("pullback over different groups")
+        if f.group != g.group:
+            raise GroupMismatch("pullback over different groups")
+        if f.cod != g.cod:
             raise BoundaryMismatch("pullback needs a common codomain")
         xa, xb = f.dom, g.dom
         over = _fibers(g)
@@ -726,8 +726,7 @@ class ProductDiagram(Pullback):
     def __init__(self, x: GSet, y: GSet):
         if x.group != y.group:
             raise GroupMismatch("product over different groups")
-        pt = terminal_gset(x.group)  # one object: the codomain check passes by identity
-        super().__init__(GMap(x, pt, (0,) * x.size), GMap(y, pt, (0,) * y.size))
+        super().__init__(unique_to_terminal(x), unique_to_terminal(y))
 
     @property
     def prod(self) -> GSet:

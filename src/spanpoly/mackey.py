@@ -12,7 +12,8 @@ read off orbit records by the double-coset formula, with no pullback or
 slice per atom: restricting the atom G/H -> y along f: X -> Y gives one
 atom G/(H & G_x) -> x for each H-orbit of the fiber f^-1(y), x its least
 point (`restrict_atom`), and transfer along u moves the atom G/H -> x to
-G/H -> u(x).  At the point its value is the
+G/H -> u(x); restriction still raises the size guard of each atom's
+pullback.  At the point its value is the
 Burnside ring, whose multiplication table is computed in mark coordinates:
 a G-set X has the mark vector of fixed-point counts |X^H| over the subgroup
 classes, the mark vector of a product is the pointwise product, and the
@@ -21,7 +22,8 @@ back-substitution (Burnside and Pfeiffer, Exp. Math. 1997).  The
 fixed-point instance is parametrized by a G-set of coordinates: its value on
 X is the monoid of equivariant natural-vector-valued functions, free on the
 orbits of the product of X with the coordinate set; each orbit is named by
-its least pair, read from the orbits of X without building the product.
+its least pair, read from the orbits of X without building the product,
+under the product's size guard.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .finact import (
     GMap,
     GSet,
     SliceObject,
+    check_points,
     compose_gmaps,
     coproduct,
     from_labels,
@@ -175,8 +178,11 @@ class BurnsideMackey(MackeyFunctor):
         src = self.value_gens(f.cod)
         tgt = self.value_gens(f.dom)
         index = {g: j for j, g in enumerate(tgt)}
+        fiber, order = Counter(f.table), f.group.order
         rows = []
         for g in src:
+            # the size guard of the pullback of the atom along f
+            check_points(order // len(g[0]) * fiber[g[1]])
             row = [0] * len(tgt)
             for lab in restrict_atom(f, g):
                 row[index[lab]] += 1
@@ -218,6 +224,7 @@ class FixedPointMackey(MackeyFunctor):
         the ascending list of least pairs: the value generators."""
         if x.group != self.coords.group:
             raise GroupMismatch("product over different groups")
+        check_points(x.size * self.coords.size)  # the size guard of the product
         inverse = x.group.inverse
         cimg = [point_images(self.coords, k) for k in self.coords.points()]
         pairs: list = [None] * x.size
@@ -232,8 +239,8 @@ class FixedPointMackey(MackeyFunctor):
         return self._orbit_pairs(x)[1]
 
     def res_matrix(self, f: GMap) -> Matrix:
-        gens_a = self.value_gens(f.dom)
         pairs_b, gens_b = self._orbit_pairs(f.cod)
+        gens_a = self.value_gens(f.dom)
         index_b = {g: i for i, g in enumerate(gens_b)}
         rows = [[0] * len(gens_a) for _ in gens_b]
         for j, (a, k) in enumerate(gens_a):

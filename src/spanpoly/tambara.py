@@ -89,7 +89,7 @@ class BurnsideTambara(TambaraFunctor):
 
     def res(self, f, v):
         """Restrict each orbit of v as an atom, by `restrict_atom`."""
-        if v.base is not f.cod and v.base != f.cod:
+        if v.base != f.cod:
             raise BoundaryMismatch("delta: slice is not over the codomain of u")
         group, arrow = f.group, v.arrow.table
         labels = [lab for o in orbit_cosets(v.total)
@@ -100,7 +100,7 @@ class BurnsideTambara(TambaraFunctor):
     def tr(self, u, v):
         """Move each orbit's atom along u: G/H -> x becomes G/H -> u(x)."""
         self.rclass.require(u, "transfer leg")
-        if v.base is not u.dom and v.base != u.dom:
+        if v.base != u.dom:
             raise BoundaryMismatch("sigma: slice is not over the domain of u")
         group, arrow = u.group, v.arrow.table
         return slice_of_atoms(u.cod, [

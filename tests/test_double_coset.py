@@ -169,6 +169,29 @@ def test_tambara_res_keeps_the_size_guard(monkeypatch):
     assert t.res(f, v).size == n
 
 
+def _guard_error(call):
+    """The message and fields of the ResourceLimit that call raises."""
+    with pytest.raises(ResourceLimit) as exc:
+        call()
+    e = exc.value
+    return str(e), (e.construction, e.sizes, e.projected, e.limit)
+
+
+def test_burnside_res_keeps_the_pullback_size_guard(monkeypatch):
+    """Restriction raises the guard of the first atom pullback over the limit."""
+    s3 = GROUPS["S3"]
+    f = finact.unique_to_terminal(coproduct(regular_gset(s3), regular_gset(s3)).sum)
+    n = max(delta(f, atom_slice(f.cod, g)).size for g in atoms(f.cod))
+    assert n == 72
+    m = BurnsideMackey(s3)
+    monkeypatch.setattr(finact, "MAX_POINTS", n - 1)
+    got = _guard_error(lambda: m.res_matrix(f))
+    assert got[1] == ("G-set construction", {"descriptors": n}, n, n - 1)
+    assert got == _guard_error(lambda: _slice_res_matrix(f))
+    monkeypatch.setattr(finact, "MAX_POINTS", n)
+    assert m.res_matrix(f) == _slice_res_matrix(f)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point functor against a product-based reference
 # ---------------------------------------------------------------------------
@@ -231,6 +254,24 @@ def test_fixed_point_rejects_coordinates_over_another_group():
     m = FixedPointMackey(GROUPS["C2"], terminal_gset(GROUPS["C3"]))
     with pytest.raises(GroupMismatch):
         m.value_gens(terminal_gset(GROUPS["C2"]))
+
+
+def test_fixed_point_keeps_the_product_size_guard(monkeypatch):
+    """Each method raises the guard of the product it no longer builds, at the
+    end the product route reaches first: the codomain for restriction, the
+    domain for the generators and for transfer."""
+    s3 = GROUPS["S3"]
+    coords = regular_gset(s3)
+    f = finact.unique_to_terminal(regular_gset(s3))
+    m, ref = FixedPointMackey(s3, coords), ProductFixedPoint(coords)
+    monkeypatch.setattr(finact, "MAX_POINTS", 5)
+    for method, arg, n in (("value_gens", f.dom, 36), ("res_matrix", f, 6), ("tr_matrix", f, 36)):
+        got = _guard_error(lambda: getattr(m, method)(arg))
+        assert got[1] == ("G-set construction", {"descriptors": n}, n, 5)
+        assert got == _guard_error(lambda: getattr(ref, method)(arg))
+    monkeypatch.setattr(finact, "MAX_POINTS", 36)
+    assert m.res_matrix(f) == ref.res_matrix(f)
+    assert m.tr_matrix(f) == ref.tr_matrix(f)
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,9 @@ def test_pullback_errors(f2, pt2, c3):
         pullback(identity_gmap(f2), identity_gmap(regular_gset(c3)))
 
 
-def test_pullback_boundary_checks_by_identity_then_equality(c2, c3):
-    """Codomains are compared only when they are different objects; an equal
-    copy still pulls back, and a mismatch names the groups before the sets."""
+def test_pullback_boundary_checks(c2, c3):
+    """An equal copy of the codomain still pulls back, and a mismatch names
+    the groups before the sets."""
     from spanpoly.errors import GroupMismatch
     f = unique_to_terminal(regular_gset(c2))
     g = unique_to_terminal(regular_gset(c2))
