@@ -254,10 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a functor on a span or polynomial")
     common(p)
     p.add_argument("--functor", required=True,
-                   help="burnside | fixed-point | semiring:naturals | semiring:booleans")
+                   help="burnside | fixed-point | semiring:naturals | semiring:booleans"
+                        " | tambara-burnside")
     p.add_argument("--group", default="C2")
     p.add_argument("--span", help="span name (mackey functors)")
-    p.add_argument("--poly", help="polynomial name (semiring functors)")
+    p.add_argument("--poly", help="polynomial name (semiring and tambara-burnside functors)")
     p.add_argument("--module", help="coordinate G-set name for fixed-point")
     p.add_argument("--input", help="JSON value vector")
     p.add_argument("--slice-input", dest="slice_input",

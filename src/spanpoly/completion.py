@@ -377,8 +377,7 @@ def completion_homs(xcat: IndexedCategory, o: CompletionObject,
     if o.base != o2.base:
         raise BoundaryMismatch("completion_homs: different bases")
     out = []
-    u1, u2 = o.u.table, o2.u.table
-    for w in equivariant_maps(o.stage, o2.stage, lambda p, q: u2[q] == u1[p]):
+    for w in equivariant_maps(o.stage, o2.stage, ((o.u, o2.u),)):
         xw = xcat.act_obj(w, o2.x)
         for xi in xcat.fiber_hom(o.x, xw):
             out.append(CompletionMorphism(w, xi))
@@ -425,8 +424,7 @@ def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
     if o.base != o2.base:
         raise BoundaryMismatch("completion_homs_dual: different bases")
     out = []
-    u1, u2 = o.u.table, o2.u.table
-    for w in equivariant_maps(o2.stage, o.stage, lambda p, q: u1[q] == u2[p]):
+    for w in equivariant_maps(o2.stage, o.stage, ((o2.u, o.u),)):
         xw = xcat.act_obj(w, o.x)
         for zeta in xcat.fiber_hom(xw, o2.x):
             out.append(CompletionMorphism(w, zeta))

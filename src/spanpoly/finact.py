@@ -23,9 +23,14 @@ Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
 `from_labels` rebuilds the canonical representative from labels; it is also
 the only builder of coset G-sets (`coset_gset` wraps it).  Equivariant maps
-are searched orbit by orbit: `orbit_candidates` lists the admissible images
-of each orbit's least point, and map enumeration, iso search and random
-sampling fill each orbit from its image along the coset representatives.
+f : x -> y are searched orbit by orbit, subject to legs: pairs (a, b) of
+maps out of x and y into a common G-set, with b.f = a required.  Slice maps,
+span two-cells, polynomial morphisms and completion morphisms are all apex
+maps commuting with legs in this sense.  `orbit_candidates` lists the
+admissible images of each orbit's least point, checking the legs at that
+point only (equivariance carries the check to the whole orbit), and map
+enumeration, iso search and random sampling fill each orbit from its image
+along the coset representatives.
 
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially.  Two module constants bound the work, read
@@ -40,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BoundaryMismatch,
@@ -370,49 +375,50 @@ def slice_canonical_form(a: SliceObject) -> str:
 # equivariant map / iso search
 # ---------------------------------------------------------------------------
 
-Constraint = Optional[Callable[[int, int], bool]]
+Legs = Sequence[tuple[GMap, GMap]]
 
 
-def orbit_candidates(x: GSet, y: GSet, constraint: Constraint = None
-                     ) -> list[tuple[Orbit, list[int]]]:
+def orbit_candidates(x: GSet, y: GSet, legs: Legs = ()) -> list[tuple[Orbit, list[int]]]:
     """Per orbit of x (`orbit_cosets`): the orbit and the admissible images of its least point.
 
-    An equivariant map x -> y is fixed by choosing, independently for each
-    orbit, an image q of its least point p with stab(q) containing stab(p);
-    the orbit's point reps[j].p then goes to reps[j].q.  An image is
-    admissible when constraint(p, q) also holds.  Candidates are ascending,
-    so every search built on them enumerates in the same order.
+    An equivariant map f : x -> y is fixed by choosing, independently for
+    each orbit, an image q of its least point p with stab(q) containing
+    stab(p); the orbit's point reps[j].p then goes to reps[j].q.  legs are
+    pairs (a, b) of maps out of x and y into a common G-set, and f must
+    satisfy b.f = a: q is admissible when b(q) = a(p) for every pair.  As a
+    and b are equivariant, agreement at p carries to t.p -> t.q for every t,
+    so one check per orbit covers all of its points.  y's points are indexed
+    once by their leg values; candidates are ascending, so every search built
+    on them enumerates in the same order.
     """
     if x.group != y.group:
         raise GroupMismatch("equivariant maps over different groups")
+    if any(a.dom != x or b.dom != y or a.cod != b.cod for a, b in legs):
+        raise BoundaryMismatch("legs must run from x and y into a common G-set")
     ystabs: list = [None] * y.size
     for o in orbit_cosets(y):
         for q, k in zip(o.points, o.cosets.conj):
             ystabs[q] = frozenset(k)
+    atabs, btabs = [a.table for a, _ in legs], [b.table for _, b in legs]
+    bucket: dict[tuple, list[int]] = {}
+    for q in y.points():
+        bucket.setdefault(tuple([t[q] for t in btabs]), []).append(q)
     out = []
     for o in orbit_cosets(x):
-        st, rep = frozenset(o.stab), o.rep
-        out.append((o, [q for q, sq in enumerate(ystabs)
-                        if st <= sq and (constraint is None or constraint(rep, q))]))
+        st = frozenset(o.stab)
+        out.append((o, [q for q in bucket.get(tuple([t[o.rep] for t in atabs]), ())
+                        if st <= ystabs[q]]))
     return out
 
 
-def _orbit_images(o: Orbit, img: list[int], constraint: Constraint) -> Optional[list[int]]:
-    """t.q for t in o.cosets.reps, img being q's images; None if one breaks the constraint."""
-    qs = list(map(img.__getitem__, o.cosets.reps))
-    if constraint is not None and not all(map(constraint, o.points, qs)):
-        return None
-    return qs
+def equivariant_maps(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
+    """All equivariant maps x -> y commuting with the legs, one per choice of `orbit_candidates`.
 
-
-def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
-    """All equivariant maps x -> y, one per choice of `orbit_candidates`.
-
-    The constraint, which must be equivariant-compatible, is re-checked on
-    whole orbits.  More than MAX_MAPS choices raise ResourceLimit before the
-    first map is yielded.
+    Each orbit is filled from its chosen image along the coset
+    representatives; the legs were checked once per orbit.  More than
+    MAX_MAPS choices raise ResourceLimit before the first map is yielded.
     """
-    percand = orbit_candidates(x, y, constraint)
+    percand = orbit_candidates(x, y, legs)
     count = math.prod(len(c) for _, c in percand)
     if count == 0:
         return
@@ -423,27 +429,25 @@ def equivariant_maps(x: GSet, y: GSet, constraint: Constraint = None) -> Iterato
     for choice in itertools.product(*(c for _, c in percand)):
         table = [0] * x.size
         for (o, _), q0 in zip(percand, choice):
-            qs = _orbit_images(o, moved[q0], constraint)
-            if qs is None:
-                break
-            for p, q in zip(o.points, qs):
-                table[p] = q
-        else:
-            yield GMap(x, y, tuple(table))
+            img = moved[q0]
+            for p, t in zip(o.points, o.cosets.reps):
+                table[p] = img[t]
+        yield GMap(x, y, tuple(table))
 
 
-def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterator[GMap]:
-    """All equivariant bijections x -> y compatible with the constraint.
+def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
+    """All equivariant bijections x -> y commuting with the legs.
 
-    Backtracks over orbit-to-orbit assignments.  A candidate image with a
-    strictly larger stabilizer maps the orbit onto a smaller one, so the
-    injectivity test rejects it.
+    Backtracks over orbit-to-orbit assignments from `orbit_candidates`, so
+    the legs are checked once per orbit.  A candidate image with a strictly
+    larger stabilizer maps the orbit onto a smaller one, so the injectivity
+    test rejects it.
     """
     if x.group != y.group:
         raise GroupMismatch("equivariant_isos over different groups")
     if x.size != y.size:
         return
-    percand = orbit_candidates(x, y, constraint)
+    percand = orbit_candidates(x, y, legs)
     moved = {q: point_images(y, q) for _, c in percand for q in c}
 
     def extend(i: int, used: set[int], table: list[int]) -> Iterator[GMap]:
@@ -454,8 +458,8 @@ def equivariant_isos(x: GSet, y: GSet, constraint: Constraint = None) -> Iterato
         for q0 in cands:
             if q0 in used:
                 continue
-            qs = _orbit_images(o, moved[q0], constraint)
-            if qs is None or len(set(qs)) != len(qs) or not used.isdisjoint(qs):
+            qs = list(map(moved[q0].__getitem__, o.cosets.reps))
+            if len(set(qs)) != len(qs) or not used.isdisjoint(qs):
                 continue
             for p, q in zip(o.points, qs):
                 table[p] = q
@@ -475,15 +479,13 @@ def slice_homs(a: SliceObject, b: SliceObject) -> Iterator[GMap]:
     """Maps between slice objects over the same base."""
     if a.base != b.base:
         raise BoundaryMismatch("slice_homs: different bases")
-    fa, fb = a.arrow.table, b.arrow.table
-    return equivariant_maps(a.total, b.total, lambda p, q: fb[q] == fa[p])
+    return equivariant_maps(a.total, b.total, ((a.arrow, b.arrow),))
 
 
 def slice_isos(a: SliceObject, b: SliceObject) -> Iterator[GMap]:
     if a.base != b.base:
         raise BoundaryMismatch("slice_isos: different bases")
-    fa, fb = a.arrow.table, b.arrow.table
-    return equivariant_isos(a.total, b.total, lambda p, q: fb[q] == fa[p])
+    return equivariant_isos(a.total, b.total, ((a.arrow, b.arrow),))
 
 
 def slice_iso(a: SliceObject, b: SliceObject) -> Optional[GMap]:
@@ -743,6 +745,10 @@ def product(x: GSet, y: GSet) -> ProductDiagram:
 def product_gmap(prod_dom: ProductDiagram, prod_cod: ProductDiagram,
                  f: GMap, g: GMap) -> GMap:
     """f x g between constructed products."""
+    if f.dom != prod_dom.proj1.cod or g.dom != prod_dom.proj2.cod:
+        raise BoundaryMismatch("product_gmap domains do not match")
+    if f.cod != prod_cod.proj1.cod or g.cod != prod_cod.proj2.cod:
+        raise BoundaryMismatch("product_gmap codomains do not match")
     table = tuple(prod_cod.index_of((f.table[e[0]], g.table[e[1]]))
                   for e in prod_dom.elems)
     return GMap(prod_dom.prod, prod_cod.prod, table)
@@ -837,10 +843,6 @@ class PiData:
         self.con = Construction(built.gset, tuple(map(elems.__getitem__, built.order)))
         self.u, self.a, self.fibers, self.fiber_pos = u, a, fibers, fiber_pos
         self.slice = SliceObject(GMap(self.con.gset, uu, tuple([e[0] for e in self.con.elems])))
-
-    def section_value(self, idx: int, p: int) -> int:
-        """Value of the section numbered idx at fiber point p."""
-        return self.con.elems[idx][1][self.fiber_pos[p]]
 
     def index_of_section(self, x: int, values: tuple[int, ...]) -> int:
         return self.con.index_of((x, values))

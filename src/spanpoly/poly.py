@@ -163,15 +163,10 @@ def identity_poly_morphism(p: Polynomial) -> PolyMorphism:
 
 def enumerate_poly_morphisms(src: Polynomial, tgt: Polynomial) -> Iterator[PolyMorphism]:
     """All morphisms between two parallel polynomials (small inputs only)."""
-    t1, t2 = src.t.table, tgt.t.table
-    for g in equivariant_maps(src.n.cod, tgt.n.cod, lambda b, b2: t2[b2] == t1[b]):
+    for g in equivariant_maps(src.n.cod, tgt.n.cod, ((src.t, tgt.t),)):
         pb = pullback(tgt.n, g)
-        want_b = pb.proj2.table
-        want_x = tuple(tgt.r.table[a2] for a2 in pb.proj1.table)
-        n1, r1 = src.n.table, src.r.table
-        for ell in equivariant_maps(
-                pb.apex, src.n.dom,
-                lambda pp, aa: n1[aa] == want_b[pp] and r1[aa] == want_x[pp]):
+        legs = ((pb.proj2, src.n), (compose_gmaps(tgt.r, pb.proj1), src.r))
+        for ell in equivariant_maps(pb.apex, src.n.dom, legs):
             yield PolyMorphism(src, tgt, g, ell)
 
 
@@ -209,17 +204,11 @@ def translate_2cell_inverse(c: SpanSpan2Cell,
 
 def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[SpanSpan2Cell]:
     """All two-cells between span-of-spans presentations (small inputs only)."""
-    t1 = s1.right.right.table
-    t2 = s2.right.right.table
-    n1, r1 = s1.left.left.table, s1.left.right.table
-    for g in equivariant_maps(s1.apex, s2.apex, lambda b, b2: t2[b2] == t1[b]):
+    for g in equivariant_maps(s1.apex, s2.apex, ((s1.right.right, s2.right.right),)):
         pb = pullback(s2.left.left, g)
         comp = Span(pb.proj2, compose_gmaps(s2.left.right, pb.proj1))
-        want_b = pb.proj2.table
-        want_x = comp.right.table
-        for lam in equivariant_maps(
-                pb.apex, s1.left.apex,
-                lambda pp, aa: n1[aa] == want_b[pp] and r1[aa] == want_x[pp]):
+        legs = ((comp.left, s1.left.left), (comp.right, s1.left.right))
+        for lam in equivariant_maps(pb.apex, s1.left.apex, legs):
             yield SpanSpan2Cell(s1, s2, g, comp, lam)
 
 
@@ -231,15 +220,11 @@ def poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[GMap, GMap]]:
     """Legwise isos (phiA, phiB) commuting with r, n, t and fixing the ends."""
     if p.src != q.src or p.tgt != q.tgt:
         return None
-    tp, tq = p.t.table, q.t.table
     if orbit_labels(p.n.cod, (p.t,)) != orbit_labels(q.n.cod, (q.t,)):
         return None
-    for phi_b in equivariant_isos(p.n.cod, q.n.cod, lambda b, b2: tq[b2] == tp[b]):
-        rp, rq = p.r.table, q.r.table
-        np_, nq = p.n.table, q.n.table
-        phi_a = next(equivariant_isos(
-            p.n.dom, q.n.dom,
-            lambda a, a2: rq[a2] == rp[a] and nq[a2] == phi_b.table[np_[a]]), None)
+    for phi_b in equivariant_isos(p.n.cod, q.n.cod, ((p.t, q.t),)):
+        legs = ((p.r, q.r), (compose_gmaps(phi_b, p.n), q.n))
+        phi_a = next(equivariant_isos(p.n.dom, q.n.dom, legs), None)
         if phi_a is not None:
             return phi_a, phi_b
     return None

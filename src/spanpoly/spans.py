@@ -90,7 +90,7 @@ def empty_span(u: GSet, v: GSet) -> Span:
 class SpanComposite:
     """A composed span remembering the pullback its apex came from."""
 
-    __slots__ = ("span", "pb", "first", "second")
+    __slots__ = ("span", "pb")
 
     def __init__(self, p: Span, q: Span, rclass: MorphismClass = ALL_MAPS):
         if p.tgt != q.src:
@@ -103,8 +103,6 @@ class SpanComposite:
                 f"composite left leg escapes class {rclass.name}: protocalibration inconsistency")
         self.span = Span(left, right)
         self.pb = pb
-        self.first = p
-        self.second = q
 
     def index_of(self, pair: tuple[int, int]) -> int:
         return self.pb.index_of(pair)
@@ -145,19 +143,13 @@ def span_morphisms(p: Span, q: Span) -> Iterator[GMap]:
     """
     if p.src != q.src or p.tgt != q.tgt:
         raise BoundaryMismatch("span_morphisms needs parallel spans")
-    lu, lv = p.left.table, p.right.table
-    mu, mv = q.left.table, q.right.table
-    return equivariant_maps(p.apex, q.apex,
-                            lambda a, b: mu[b] == lu[a] and mv[b] == lv[a])
+    return equivariant_maps(p.apex, q.apex, ((p.left, q.left), (p.right, q.right)))
 
 
 def span_isos(p: Span, q: Span) -> Iterator[GMap]:
     if p.src != q.src or p.tgt != q.tgt:
         raise BoundaryMismatch("span_isos needs parallel spans")
-    lu, lv = p.left.table, p.right.table
-    mu, mv = q.left.table, q.right.table
-    return equivariant_isos(p.apex, q.apex,
-                            lambda a, b: mu[b] == lu[a] and mv[b] == lv[a])
+    return equivariant_isos(p.apex, q.apex, ((p.left, q.left), (p.right, q.right)))
 
 
 def span_labels(p: Span) -> tuple:

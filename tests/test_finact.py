@@ -30,6 +30,7 @@ from spanpoly.finact import (
     pi,
     pi_slice,
     product,
+    product_gmap,
     pullback,
     regular_gset,
     relabel_gset,
@@ -148,6 +149,21 @@ def test_product_pairing(f2):
     pr = product(f2, f2)
     d = pr.pairing(identity_gmap(f2), identity_gmap(f2))
     assert compose_gmaps(pr.proj1, d).table == identity_gmap(f2).table
+
+
+def test_product_gmap_boundary_checks(f2, pt2):
+    pd = product(f2, pt2)
+    f = product_gmap(pd, product(pt2, pt2), unique_to_terminal(f2), identity_gmap(pt2))
+    assert f.table == (0, 0)
+    with pytest.raises(BoundaryMismatch, match="domains"):
+        # g runs from f2, not from the second factor pt2
+        product_gmap(pd, product(pt2, pt2), unique_to_terminal(f2), identity_gmap(f2))
+    with pytest.raises(BoundaryMismatch, match="codomains"):
+        # f lands in f2, not in the first factor pt2 of the codomain
+        product_gmap(pd, product(pt2, pt2), identity_gmap(f2), identity_gmap(pt2))
+    with pytest.raises(BoundaryMismatch, match="domains"):
+        # g runs from the empty G-set
+        product_gmap(pd, product(f2, f2), identity_gmap(f2), unique_from_initial(f2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 """Workspace loading and the command-line driver."""
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from spanpoly import cli
 from spanpoly.cli import main
 from spanpoly.errors import WorkspaceError
 from spanpoly.workspace import (
@@ -218,6 +222,33 @@ def test_cli_eval_semiring_poly(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == [5]
+
+
+def test_cli_eval_tambara_burnside(capsys):
+    assert main(["eval", "--functor", "tambara-burnside", "--group", "C2",
+                 "--poly", "C2.free-poly", "--slice-input", "C2.id_pt",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"value_class": "C2[2/1]{stab[0]@0}", "total_size": 2}
+
+
+def _eval_functor_names():
+    """The string literals cmd_eval compares args.functor against."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli.cmd_eval))):
+        if isinstance(node, ast.Compare) and ast.unparse(node.left) == "args.functor":
+            for c in node.comparators:
+                names |= {n.value for n in ast.walk(c) if isinstance(n, ast.Constant)}
+    return names
+
+
+def test_cli_eval_help_names_every_functor():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    help_ = next(a.help for a in sub.choices["eval"]._actions if a.dest == "functor")
+    names = _eval_functor_names()
+    assert names >= {"burnside", "fixed-point", "tambara-burnside"}
+    assert names <= set(help_.split(" | "))
 
 
 def test_cli_structured_error_on_unknown_name(capsys):
