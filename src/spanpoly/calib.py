@@ -10,7 +10,6 @@ categories instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import BoundaryMismatch, ClassViolation, InvalidStructure
@@ -30,6 +29,7 @@ from .finact import (
     slice_iso,
     sum_gmap,
 )
+from .record import FrozenRecord, Record
 from .report import Check, Report
 
 
@@ -37,8 +37,7 @@ from .report import Check, Report
 # morphism classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MorphismClass:
+class MorphismClass(FrozenRecord, uncompared=("predicate",)):
     """A named, deterministic predicate on equivariant maps.
 
     closed_under_coproducts declares the strong closure the coproduct
@@ -46,9 +45,11 @@ class MorphismClass:
     0 -> U all belong to the class.
     """
 
-    name: str
-    predicate: Callable[[GMap], bool] = field(compare=False)
-    closed_under_coproducts: bool = False
+    __slots__ = ("name", "predicate", "closed_under_coproducts")
+
+    def __init__(self, name: str, predicate: Callable[[GMap], bool],
+                 closed_under_coproducts: bool = False):
+        self._init(name, predicate, closed_under_coproducts)
 
     def __call__(self, f: GMap) -> bool:
         return bool(self.predicate(f))
@@ -229,19 +230,21 @@ def check_extensivity_roundtrip(rclass: MorphismClass, u: GSet, v: GSet,
 # finite categories and groupoid fibrations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FiniteCategory:
+class FiniteCategory(Record):
     """A small category with explicitly tabulated composition.
 
     Arrows are global names; hom(a, b) lists the arrow names from a to b and
     comp[(g, f)] names the composite g after f.
     """
 
-    name: str
-    objects: tuple[str, ...]
-    arrows: dict[str, tuple[str, str]]      # arrow -> (dom, cod)
-    comp: dict[tuple[str, str], str]        # (g, f) -> g.f
-    ids: dict[str, str]                     # object -> identity arrow
+    __slots__ = ("name", "objects", "arrows", "comp", "ids")
+
+    def __init__(self, name: str, objects: tuple[str, ...],
+                 arrows: dict[str, tuple[str, str]],   # arrow -> (dom, cod)
+                 comp: dict[tuple[str, str], str],     # (g, f) -> g.f
+                 ids: dict[str, str]):                 # object -> identity arrow
+        self.name, self.objects, self.arrows, self.comp, self.ids = (
+            name, objects, arrows, comp, ids)
 
     def hom(self, a: str, b: str) -> list[str]:
         return sorted(n for n, (d, c) in self.arrows.items() if d == a and c == b)
@@ -286,14 +289,14 @@ class FiniteCategory:
         return FiniteCategory(self.name + "^op", self.objects, arrows, comp, dict(self.ids))
 
 
-@dataclass
-class FunctorData:
+class FunctorData(Record):
     """A functor between explicitly tabulated finite categories."""
 
-    dom: FiniteCategory
-    cod: FiniteCategory
-    obj_map: dict[str, str]
-    arr_map: dict[str, str]
+    __slots__ = ("dom", "cod", "obj_map", "arr_map")
+
+    def __init__(self, dom: FiniteCategory, cod: FiniteCategory,
+                 obj_map: dict[str, str], arr_map: dict[str, str]):
+        self.dom, self.cod, self.obj_map, self.arr_map = dom, cod, obj_map, arr_map
 
     def validate(self) -> None:
         for obj, i in self.dom.ids.items():

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import __version__
-from .errors import SpanPolyError
+from .errors import ResourceLimit, SpanPolyError
 from .finact import terminal_gset
 from .mackey import (
     BurnsideMackey,
@@ -119,9 +119,10 @@ def cmd_check(args) -> int:
                                         args.max_size, rclass))
 
 
-def _emit_error(args, kind: str, message: str) -> None:
+def _emit_error(args, kind: str, message: str, **fields) -> None:
+    """The error as text, or as a JSON object carrying fields beside type and message."""
     if getattr(args, "format", "text") == "json":
-        sys.stdout.write(dump_json({"error": {"type": kind, "message": message}}))
+        sys.stdout.write(dump_json({"error": {"type": kind, "message": message, **fields}}))
     else:
         sys.stdout.write(f"error [{kind}]: {message}\n")
 
@@ -267,12 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_GUARD_FIELDS = ("construction", "sizes", "projected", "limit")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SpanPolyError, json.JSONDecodeError) as exc:
-        _emit_error(args, type(exc).__name__, str(exc))
+        fields = ({name: getattr(exc, name) for name in _GUARD_FIELDS}
+                  if isinstance(exc, ResourceLimit) else {})
+        _emit_error(args, type(exc).__name__, str(exc), **fields)
         return 2
 
 

@@ -17,7 +17,6 @@ one side, a right adjoint on the other).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import finact
@@ -45,6 +44,7 @@ from .finact import (
     slice_isos,
     sum_gmap,
 )
+from .record import FrozenRecord
 from .report import Check, Report
 from .spans import Span, compose_spans
 
@@ -278,12 +278,13 @@ def indexed_by_name(name: str, at: Optional[GSet] = None) -> IndexedCategory:
 # completion objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompletionObject:
+class CompletionObject(FrozenRecord):
     """A leg u : S -> U in the flagged class together with x in X(S)."""
 
-    u: GMap
-    x: object
+    __slots__ = ("u", "x")
+
+    def __init__(self, u: GMap, x: object):
+        self._init(u, x)
 
     @property
     def base(self) -> GSet:

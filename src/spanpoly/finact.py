@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ne
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -54,6 +53,7 @@ from .errors import (
     ResourceLimit,
 )
 from .groups import Cosets, FiniteGroup, generating_set
+from .record import FrozenRecord
 
 MAX_POINTS = 10 ** 6
 MAX_MAPS = 200_000
@@ -70,8 +70,7 @@ def _over_limit(construction: str, unit: str, sizes: dict[str, int],
 # core value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(FrozenRecord):
     """A finite set with a group action, stored as one row per generator.
 
     rows[k][x] is gens[k] acting on point x, for gens = `generating_set`.
@@ -80,9 +79,24 @@ class GSet:
     `point_images` instead.
     """
 
-    group: FiniteGroup
-    size: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "size", "rows", "__dict__")
+
+    def __init__(self, group: FiniteGroup, size: int, rows: tuple[tuple[int, ...], ...]):
+        set_group, set_size, set_rows = self._setters
+        set_group(self, group)
+        set_size(self, size)
+        set_rows(self, rows)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group == other.group and self.size == other.size
+                and self.rows == other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.size, self.rows))
 
     @cached_property
     def action(self) -> tuple[tuple[int, ...], ...]:
@@ -114,13 +128,26 @@ class GSet:
                     raise InvalidStructure(f"action not compatible at (g={s},h={h},x={x})")
 
 
-@dataclass(frozen=True)
-class GMap:
+class GMap(FrozenRecord):
     """An equivariant map, stored as a point table."""
 
-    dom: GSet
-    cod: GSet
-    table: tuple[int, ...]
+    __slots__ = ("dom", "cod", "table")
+
+    def __init__(self, dom: GSet, cod: GSet, table: tuple[int, ...]):
+        set_dom, set_cod, set_table = self._setters
+        set_dom(self, dom)
+        set_cod(self, cod)
+        set_table(self, table)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.table))
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -156,11 +183,23 @@ class GMap:
         return self.is_injective() and self.is_surjective()
 
 
-@dataclass(frozen=True)
-class SliceObject:
+class SliceObject(FrozenRecord):
     """An object of the slice over arrow.cod: a G-set together with a map down."""
 
-    arrow: GMap
+    __slots__ = ("arrow",)
+
+    def __init__(self, arrow: GMap):
+        self._setters[0](self, arrow)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arrow == other.arrow
+
+    def __hash__(self) -> int:
+        return hash((self.arrow,))
 
     @property
     def base(self) -> GSet:

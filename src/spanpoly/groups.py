@@ -13,27 +13,38 @@ construction, so only their identity and inverses are checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidStructure
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(FrozenRecord):
     """A finite group as a multiplication table.
 
     mult[a][b] is the product a*b.  identity and inverse are stored rather
     than recomputed; validate() rechecks every law.
     """
 
-    name: str
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    generators: tuple[int, ...] = field(default=())
+    __slots__ = ("name", "mult", "identity", "inverse", "generators", "__dict__")
+
+    def __init__(self, name: str, mult: tuple[tuple[int, ...], ...], identity: int,
+                 inverse: tuple[int, ...], generators: tuple[int, ...] = ()):
+        self._init(name, mult, identity, inverse, generators)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.mult == other.mult
+                and self.identity == other.identity and self.inverse == other.inverse
+                and self.generators == other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.mult, self.identity, self.inverse, self.generators))
 
     @property
     def order(self) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .calib import ALL_MAPS, MorphismClass
@@ -54,6 +53,7 @@ from .groups import (
     subgroup_class_key,
     subgroups,
 )
+from .record import FrozenRecord, Record
 from .report import Check, Report
 from .spans import Span, compose_spans
 from .util_linear import Matrix, lin_map, mat_add, mat_apply, mat_compose, mat_equal, mat_identity
@@ -311,12 +311,13 @@ def check_additivity(m: MackeyFunctor, x: GSet, y: GSet) -> Report:
 # the Burnside multiplication table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BurnsideTable:
-    group_name: str
-    atom_names: tuple[str, ...]
-    atom_sizes: tuple[int, ...]
-    entries: tuple[tuple[tuple[int, ...], ...], ...]  # entries[i][j] over atoms
+class BurnsideTable(FrozenRecord):
+    __slots__ = ("group_name", "atom_names", "atom_sizes", "entries")
+
+    def __init__(self, group_name: str, atom_names: tuple[str, ...],
+                 atom_sizes: tuple[int, ...],
+                 entries: tuple[tuple[tuple[int, ...], ...], ...]):  # entries[i][j] over atoms
+        self._init(group_name, atom_names, atom_sizes, entries)
 
     def render_text(self) -> str:
         def fmt(vec):
@@ -499,18 +500,16 @@ def burnside_table_double_cosets(group: FiniteGroup) -> BurnsideTable:
 # external box pairing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoxPairing:
+class BoxPairing(Record):
     """Kronecker pairing of two functors' restrictions along a slice over X x Y."""
 
-    m: MackeyFunctor
-    n: MackeyFunctor
-    a: GMap  # S -> X
-    b: GMap  # S -> Y
-    res_m: Matrix
-    res_n: Matrix
-    row_gens: tuple
-    col_gens: tuple
+    __slots__ = ("m", "n", "a", "b", "res_m", "res_n", "row_gens", "col_gens")
+
+    def __init__(self, m: MackeyFunctor, n: MackeyFunctor,
+                 a: GMap, b: GMap,  # S -> X, S -> Y
+                 res_m: Matrix, res_n: Matrix, row_gens: tuple, col_gens: tuple):
+        self.m, self.n, self.a, self.b = m, n, a, b
+        self.res_m, self.res_n, self.row_gens, self.col_gens = res_m, res_n, row_gens, col_gens
 
     def pair(self, mv: Sequence[int], nv: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         rm = mat_apply(self.res_m, tuple(mv))

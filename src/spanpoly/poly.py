@@ -21,7 +21,6 @@ independent sum-of-products evaluator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .calib import ALL_MAPS, MorphismClass
@@ -43,6 +42,7 @@ from .finact import (
     slice_iso,
 )
 from .groups import FiniteGroup, trivial_group
+from .record import FrozenRecord
 from .report import Check, Report
 from .semirings import CommSemiring
 from .spans import Span
@@ -52,13 +52,13 @@ from .spans import Span
 # polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(FrozenRecord):
     """r : A -> X (restriction), n : A -> B (product leg), t : B -> Y (sum leg)."""
 
-    r: GMap
-    n: GMap
-    t: GMap
+    __slots__ = ("r", "n", "t")
+
+    def __init__(self, r: GMap, n: GMap, t: GMap):
+        self._init(r, n, t)
 
     @property
     def src(self) -> GSet:
@@ -99,13 +99,13 @@ def apply_polynomial(p: Polynomial, s: SliceObject) -> SliceObject:
 # the span-of-spans presentation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpanOfSpans:
+class SpanOfSpans(FrozenRecord):
     """Outer span with inner-span legs: left = (n, A, r) : B -> X, right = (1, B, t) : B -> Y."""
 
-    apex: GSet
-    left: Span
-    right: Span
+    __slots__ = ("apex", "left", "right")
+
+    def __init__(self, apex: GSet, left: Span, right: Span):
+        self._init(apex, left, right)
 
 
 def poly_to_spanspan(p: Polynomial) -> SpanOfSpans:
@@ -123,8 +123,7 @@ def spanspan_to_poly(s: SpanOfSpans,
     return polynomial(s.left.right, s.left.left, s.right.right, lclass, rclass)
 
 
-@dataclass(frozen=True)
-class PolyMorphism:
+class PolyMorphism(FrozenRecord):
     """A morphism of parallel polynomials: g on sum legs, ell off the pullback.
 
     P is the canonical pullback of tgt.n against g, with projections
@@ -132,10 +131,10 @@ class PolyMorphism:
     r.ell = r'.(P -> A').
     """
 
-    src: Polynomial
-    tgt: Polynomial
-    g: GMap
-    ell: GMap
+    __slots__ = ("src", "tgt", "g", "ell")
+
+    def __init__(self, src: Polynomial, tgt: Polynomial, g: GMap, ell: GMap):
+        self._init(src, tgt, g, ell)
 
 
 def poly_morphism(src: Polynomial, tgt: Polynomial, g: GMap, ell: GMap) -> PolyMorphism:
@@ -170,8 +169,7 @@ def enumerate_poly_morphisms(src: Polynomial, tgt: Polynomial) -> Iterator[PolyM
             yield PolyMorphism(src, tgt, g, ell)
 
 
-@dataclass(frozen=True)
-class SpanSpan2Cell:
+class SpanSpan2Cell(FrozenRecord):
     """Two-cell data in the span-of-spans picture.
 
     apex_map is the plain map between outer apexes (presented through an
@@ -179,11 +177,11 @@ class SpanSpan2Cell:
     and lam is the reversed-direction comparison off the canonical pullback.
     """
 
-    src: SpanOfSpans
-    tgt: SpanOfSpans
-    apex_map: GMap
-    composite: Span
-    lam: GMap
+    __slots__ = ("src", "tgt", "apex_map", "composite", "lam")
+
+    def __init__(self, src: SpanOfSpans, tgt: SpanOfSpans, apex_map: GMap,
+                 composite: Span, lam: GMap):
+        self._init(src, tgt, apex_map, composite, lam)
 
 
 def translate_2cell(m: PolyMorphism) -> SpanSpan2Cell:
@@ -234,17 +232,17 @@ def poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[GMap, GMap]]:
 # the distributive-law step
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistributeData:
+class DistributeData(FrozenRecord):
     """Product-past-sum exchange data for u : S -> U and a : A -> S.
 
     pia : B -> U is the dependent product of a along u; P is its pullback
     back over S with ubar : P -> B, and e : P -> A evaluates sections.
     """
 
-    pia: GMap
-    ubar: GMap
-    e: GMap
+    __slots__ = ("pia", "ubar", "e")
+
+    def __init__(self, pia: GMap, ubar: GMap, e: GMap):
+        self._init(pia, ubar, e)
 
 
 def distribute(u: GMap, a: GMap,
@@ -286,10 +284,11 @@ DELTA, PI, SIGMA = "Delta", "Pi", "Sigma"
 _RANK = {SIGMA: 0, PI: 1, DELTA: 2}
 
 
-@dataclass(frozen=True)
-class Gen:
-    kind: str
-    f: GMap
+class Gen(FrozenRecord):
+    __slots__ = ("kind", "f")
+
+    def __init__(self, kind: str, f: GMap):
+        self._init(kind, f)
 
     @property
     def in_obj(self) -> GSet:

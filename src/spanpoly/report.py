@@ -7,21 +7,24 @@ output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(FrozenRecord):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        set_name, set_passed, set_detail = self._setters
+        set_name(self, name)
+        set_passed(self, passed)
+        set_detail(self, detail)
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple[Check, ...]
-    notes: tuple[str, ...] = field(default=())
+class Report(FrozenRecord):
+    __slots__ = ("title", "checks", "notes")
+
+    def __init__(self, title: str, checks: tuple[Check, ...], notes: tuple[str, ...] = ()):
+        self._init(title, checks, notes)
 
     @property
     def passed(self) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .errors import InvalidStructure
 from .finact import (
     GMap,
     GSet,
@@ -147,7 +148,8 @@ def random_polynomial(rng: Rng, x: GSet, y: GSet, max_size: int) -> Polynomial:
 def random_trivial_polynomial(rng: Rng, x_size: int, y_size: int,
                               max_size: int, group: FiniteGroup) -> Polynomial:
     """Random polynomial over the one-point group with plain-set boundaries."""
-    assert group.order == 1
+    if group.order != 1:
+        raise InvalidStructure("a plain-set polynomial needs the trivial group")
     def tset(n: int) -> GSet:
         return GSet(group, n, ())
     x, y = tset(x_size), tset(y_size)

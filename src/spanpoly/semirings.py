@@ -1,21 +1,19 @@
 """Commutative semirings used by the evaluation oracles."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InvalidStructure
+from .record import FrozenRecord
 from .report import Check, Report
 
 
-@dataclass(frozen=True)
-class CommSemiring:
-    name: str
-    add: Callable = field(compare=False)
-    mul: Callable = field(compare=False)
-    zero: object = 0
-    one: object = 1
-    sample_elements: tuple = (0, 1)
+class CommSemiring(FrozenRecord, uncompared=("add", "mul")):
+    __slots__ = ("name", "add", "mul", "zero", "one", "sample_elements")
+
+    def __init__(self, name: str, add: Callable, mul: Callable, zero: object = 0,
+                 one: object = 1, sample_elements: tuple = (0, 1)):
+        self._init(name, add, mul, zero, one, sample_elements)
 
     def sum(self, xs) -> object:
         out = self.zero

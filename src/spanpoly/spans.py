@@ -8,7 +8,6 @@ are concrete values and morphisms between them are searched on demand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .calib import ALL_MAPS, MorphismClass
@@ -30,15 +29,19 @@ from .finact import (
     sum_gmap,
 )
 from .groups import FiniteGroup
+from .record import FrozenRecord
 from .report import Check, Report
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(FrozenRecord):
     """left : S -> U (the flagged leg), right : S -> V."""
 
-    left: GMap
-    right: GMap
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: GMap, right: GMap):
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
 
     @property
     def apex(self) -> GSet:
@@ -170,12 +173,13 @@ def span_canonical_form(p: Span) -> str:
     return f"{p.group.name}[{p.src.size}<-{p.apex.size}->{p.tgt.size}]{{{labs}}}"
 
 
-@dataclass(frozen=True)
-class SpanIsoClass:
+class SpanIsoClass(FrozenRecord):
     """An isomorphism class of spans, held by canonical representative."""
 
-    rep: Span
-    form: str
+    __slots__ = ("rep", "form")
+
+    def __init__(self, rep: Span, form: str):
+        self._init(rep, form)
 
     @property
     def src(self) -> GSet:

@@ -7,19 +7,18 @@ of source generator i.  Everything is integer-exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .record import FrozenRecord
 
-@dataclass(frozen=True)
-class LinMap:
-    src: int
-    tgt: int
-    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.rows) != self.src or any(len(r) != self.tgt for r in self.rows):
+class LinMap(FrozenRecord):
+    __slots__ = ("src", "tgt", "rows")
+
+    def __init__(self, src: int, tgt: int, rows: tuple[tuple[int, ...], ...]):
+        if len(rows) != src or any(len(r) != tgt for r in rows):
             raise ValueError("linear map rows do not match the declared shape")
+        self._init(src, tgt, rows)
 
     def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.src:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
@@ -49,17 +48,24 @@ from .groups import (
     group_from_table,
 )
 from .poly import Polynomial, polynomial
+from .record import Record
 from .spans import Span, span
 
 
-@dataclass
-class Workspace:
-    groups: dict[str, FiniteGroup] = field(default_factory=dict)
-    gsets: dict[str, GSet] = field(default_factory=dict)
-    gmaps: dict[str, GMap] = field(default_factory=dict)
-    spans: dict[str, Span] = field(default_factory=dict)
-    polys: dict[str, Polynomial] = field(default_factory=dict)
-    classes: dict[str, MorphismClass] = field(default_factory=dict)
+class Workspace(Record):
+    __slots__ = ("groups", "gsets", "gmaps", "spans", "polys", "classes")
+
+    def __init__(self, groups: dict[str, FiniteGroup] | None = None,
+                 gsets: dict[str, GSet] | None = None, gmaps: dict[str, GMap] | None = None,
+                 spans: dict[str, Span] | None = None,
+                 polys: dict[str, Polynomial] | None = None,
+                 classes: dict[str, MorphismClass] | None = None):
+        self.groups = {} if groups is None else groups
+        self.gsets = {} if gsets is None else gsets
+        self.gmaps = {} if gmaps is None else gmaps
+        self.spans = {} if spans is None else spans
+        self.polys = {} if polys is None else polys
+        self.classes = {} if classes is None else classes
 
     def group(self, name: str) -> FiniteGroup:
         return self._get(self.groups, name, "group")
@@ -100,7 +106,7 @@ def builtin_workspace() -> Workspace:
     workspace it is given.
     """
     shared = _builtin_objects()
-    return Workspace(*(dict(getattr(shared, f.name)) for f in fields(Workspace)))
+    return Workspace(*(dict(getattr(shared, name)) for name in Workspace._fields))
 
 
 @lru_cache(maxsize=None)

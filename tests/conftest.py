@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+# keep the helpers' own asserts under python -O, as pytest does for test modules
+pytest.register_assert_rewrite("helpers")
+
 from spanpoly.finact import regular_gset, terminal_gset, unique_to_terminal
 from spanpoly.groups import cyclic_group, symmetric_group, trivial_group
 

@@ -382,6 +382,12 @@ def test_oracle_hypothesis(seed):
     assert check_poly_oracle(p, q, [NATURALS, BOOLEANS]).passed
 
 
+def test_random_trivial_polynomial_rejects_a_nontrivial_group(c2, rng):
+    """The group check raises, so it holds under python -O too."""
+    with pytest.raises(InvalidStructure, match="trivial group"):
+        random_trivial_polynomial(rng, 2, 2, 3, c2)
+
+
 def test_forgetful_pass_commutes(c2, rng):
     for _ in range(5):
         x = random_gset_with_fixed_point(rng, c2, 3)

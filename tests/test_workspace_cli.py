@@ -324,6 +324,29 @@ def test_cli_structured_error_on_bad_argument(tmp_path, capsys, argv, message):
     assert doc["error"]["message"].startswith(message)
 
 
+def test_cli_resource_limit_error_carries_the_guard_fields(capsys):
+    """A tripped size guard names its construction, sizes, count and limit in JSON."""
+    argv = ["check", "--suite", "distlaw", "--group", "S4"]
+    assert main(argv + ["--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ResourceLimit"
+    assert (err["construction"], err["sizes"], err["projected"], err["limit"]) == (
+        "dependent product", {"dom": 24, "cod": 1, "slice": 48}, 16777216, 1000000)
+    assert err["message"].endswith("16777216 sections, over the limit 1000000")
+    assert main(argv) == 2
+    assert capsys.readouterr().out == f"error [ResourceLimit]: {err['message']}\n"
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """A fresh `import spanpoly.cli` loads neither `dataclasses` nor `inspect`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, spanpoly.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert fresh.stdout == "[]\n"
+
+
 def test_cli_compose_with_identity_span(capsys):
     assert main(["compose", "--kind", "span", "C2.free-span", "C2.id-span-pt",
                  "--format", "json"]) == 0
@@ -404,18 +427,17 @@ def test_cli_check_failure_exit_code(capsys, monkeypatch):
 
 def test_cli_burnside_cross_check_failure_exit_code(capsys, monkeypatch):
     """Routes that disagree on valid input fail the check (1), not the input (2)."""
-    import dataclasses
-
     import spanpoly.cli as cli_mod
     from spanpoly.groups import symmetric_group
-    from spanpoly.mackey import burnside_table, burnside_table_bruteforce
+    from spanpoly.mackey import BurnsideTable, burnside_table, burnside_table_bruteforce
 
     def perturbed(group):
         t = burnside_table_bruteforce(group)
         rows = [list(row) for row in t.entries]
         v = rows[1][2]
         rows[1][2] = (v[0] + 1,) + v[1:]
-        return dataclasses.replace(t, entries=tuple(tuple(row) for row in rows))
+        return BurnsideTable(t.group_name, t.atom_names, t.atom_sizes,
+                             tuple(tuple(row) for row in rows))
 
     monkeypatch.setattr(cli_mod, "burnside_table_bruteforce", perturbed)
     names = burnside_table(symmetric_group(3)).atom_names
