@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run every law-check suite across the builtin groups and print a summary.
 
+A suite that stops with an error (a tripped size guard, say) prints an
+[ERR ] line with the error's type and message and counts as failing; the
+remaining suites still run, and the exit status is 1.
+
 Usage:
   python scripts/run_checks.py [--seed N] [--max-size K] [--groups C2,S3]
 """
@@ -8,6 +12,7 @@ import argparse
 import sys
 import time
 
+from spanpoly.errors import SpanPolyError
 from spanpoly.groups import builtin_group
 from spanpoly.suites import SUITES, run_suite
 
@@ -25,7 +30,14 @@ def main() -> int:
     for group in groups:
         for suite in sorted(SUITES):
             t0 = time.monotonic()
-            rep = run_suite(suite, group, args.seed, args.max_size)
+            try:
+                rep = run_suite(suite, group, args.seed, args.max_size)
+            except SpanPolyError as exc:
+                # a tripped guard fails this suite; the sweep goes on
+                print(f"[ERR ] {group.name:>4} {suite:<18} "
+                      f"{type(exc).__name__}: {exc}  {time.monotonic() - t0:5.2f}s")
+                failures += 1
+                continue
             mark = "ok  " if rep.passed else "FAIL"
             n_ok = sum(c.passed for c in rep.checks)
             print(f"[{mark}] {group.name:>4} {suite:<18} "

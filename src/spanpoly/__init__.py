@@ -74,22 +74,17 @@ from .completion import (
     completion_homs_dual,
     completion_iso,
     completion_obj,
-    coreindex,
     extend_to_spans,
     fiber_coproduct,
     hom_bijection,
     hom_bijection_dual,
-    indexed_by_name,
     mu_flatten,
-    product_from_family,
     pushforward,
     reindex,
     representable_indexed,
     slice_indexed,
-    sum_from_family,
     terminal_indexed,
     unit_eta,
-    unit_rho,
 )
 from .semirings import BOOLEANS, NATURALS, CommSemiring
 from .spans import (

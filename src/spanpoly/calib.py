@@ -1,35 +1,31 @@
-"""Morphism classes as checkable predicates, plus finite-category fibration tests.
+"""Morphism classes as checkable predicates, and their closure checks.
 
 A morphism class is certified on finite sample families only; the axioms
 quantify over the whole category, so a report records the samples it
 inspected and never claims more.  The groupoid-(op)fibration condition is
-vacuous over a plain category of G-sets (every morphism qualifies), so the
-structural checker for it operates on explicitly presented finite
-categories instead.
+vacuous over a plain category of G-sets (every morphism qualifies), so a
+protocalibration report records it as automatic.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Sequence
 
-from .errors import BoundaryMismatch, ClassViolation, InvalidStructure
+from .errors import BoundaryMismatch, ClassViolation
 from .finact import (
     GMap,
-    GSet,
     SliceObject,
     compose_gmaps,
     coproduct,
-    delta,
     identity_gmap,
     pi_slice,
     product,
     product_gmap,
     pullback,
     relabel_gset,
-    slice_iso,
     sum_gmap,
 )
-from .record import FrozenRecord, Record
+from .record import FrozenRecord
 from .report import Check, Report
 
 
@@ -180,24 +176,9 @@ def check_product_closure(rclass: MorphismClass, f: GMap, f2: GMap) -> bool:
     return rclass(product_gmap(pd, pc, f, f2))
 
 
-def check_coproduct_closure(rclass: MorphismClass, f: GMap, f2: GMap) -> bool:
-    cd = coproduct(f.dom, f2.dom)
-    cc = coproduct(f.cod, f2.cod)
-    return rclass(sum_gmap(cd, cc, f, f2))
-
-
 # ---------------------------------------------------------------------------
-# extensivity comparison
+# sums of slices
 # ---------------------------------------------------------------------------
-
-def extensivity_comparison(rclass: MorphismClass, u: GSet, v: GSet,
-                           w: SliceObject) -> tuple[SliceObject, SliceObject]:
-    """Split a slice over U+V into its restrictions over U and over V."""
-    cop = coproduct(u, v)
-    if w.base != cop.sum:
-        raise BoundaryMismatch("slice is not over the constructed coproduct U+V")
-    return delta(cop.inj1, w), delta(cop.inj2, w)
-
 
 def inverse_sum(rclass: MorphismClass, a: SliceObject, b: SliceObject) -> SliceObject:
     """Reassemble slices over U and V into the slice a+b over U+V."""
@@ -209,200 +190,3 @@ def inverse_sum(rclass: MorphismClass, a: SliceObject, b: SliceObject) -> SliceO
             raise ClassViolation(
                 f"class {rclass.name} declared coproduct-closed but rejects a sum")
     return SliceObject(arrow)
-
-
-def check_extensivity_roundtrip(rclass: MorphismClass, u: GSet, v: GSet,
-                                w: SliceObject) -> Report:
-    a, b = extensivity_comparison(rclass, u, v, w)
-    back = inverse_sum(rclass, a, b)
-    iso1 = slice_iso(back, w)
-    checks = [Check("roundtrip/sum-of-parts", iso1 is not None,
-                    "" if iso1 else "no slice iso back to the original")]
-    a2, b2 = extensivity_comparison(rclass, u, v, back)
-    iso2 = slice_iso(a2, a)
-    iso3 = slice_iso(b2, b)
-    checks.append(Check("roundtrip/parts-of-sum", iso2 is not None and iso3 is not None,
-                        "" if (iso2 and iso3) else "components drift under the round trip"))
-    return Report("extensivity", tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# finite categories and groupoid fibrations
-# ---------------------------------------------------------------------------
-
-class FiniteCategory(Record):
-    """A small category with explicitly tabulated composition.
-
-    Arrows are global names; hom(a, b) lists the arrow names from a to b and
-    comp[(g, f)] names the composite g after f.
-    """
-
-    __slots__ = ("name", "objects", "arrows", "comp", "ids")
-
-    def __init__(self, name: str, objects: tuple[str, ...],
-                 arrows: dict[str, tuple[str, str]],   # arrow -> (dom, cod)
-                 comp: dict[tuple[str, str], str],     # (g, f) -> g.f
-                 ids: dict[str, str]):                 # object -> identity arrow
-        self.name, self.objects, self.arrows, self.comp, self.ids = (
-            name, objects, arrows, comp, ids)
-
-    def hom(self, a: str, b: str) -> list[str]:
-        return sorted(n for n, (d, c) in self.arrows.items() if d == a and c == b)
-
-    def dom(self, f: str) -> str:
-        return self.arrows[f][0]
-
-    def cod(self, f: str) -> str:
-        return self.arrows[f][1]
-
-    def compose(self, g: str, f: str) -> str:
-        return self.comp[(g, f)]
-
-    def is_iso(self, f: str) -> bool:
-        a, b = self.arrows[f]
-        return any(self.compose(g, f) == self.ids[a] and self.compose(f, g) == self.ids[b]
-                   for g in self.hom(b, a))
-
-    def validate(self) -> None:
-        for obj, i in self.ids.items():
-            if self.arrows[i] != (obj, obj):
-                raise InvalidStructure(f"identity of {obj} has wrong boundary")
-        for f, (a, b) in self.arrows.items():
-            if self.compose(f, self.ids[a]) != f or self.compose(self.ids[b], f) != f:
-                raise InvalidStructure(f"identity law fails at {f}")
-        for f, (a, b) in self.arrows.items():
-            for g, (b2, c) in self.arrows.items():
-                if b2 != b:
-                    continue
-                gf = self.compose(g, f)
-                if self.arrows[gf] != (a, c):
-                    raise InvalidStructure(f"composite {g}.{f} has wrong boundary")
-                for h, (c2, _) in self.arrows.items():
-                    if c2 != c:
-                        continue
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
-                        raise InvalidStructure(f"associativity fails at {h}.{g}.{f}")
-
-    def op(self) -> "FiniteCategory":
-        arrows = {n: (c, d) for n, (d, c) in self.arrows.items()}
-        comp = {(f, g): h for (g, f), h in self.comp.items()}
-        return FiniteCategory(self.name + "^op", self.objects, arrows, comp, dict(self.ids))
-
-
-class FunctorData(Record):
-    """A functor between explicitly tabulated finite categories."""
-
-    __slots__ = ("dom", "cod", "obj_map", "arr_map")
-
-    def __init__(self, dom: FiniteCategory, cod: FiniteCategory,
-                 obj_map: dict[str, str], arr_map: dict[str, str]):
-        self.dom, self.cod, self.obj_map, self.arr_map = dom, cod, obj_map, arr_map
-
-    def validate(self) -> None:
-        for obj, i in self.dom.ids.items():
-            if self.arr_map[i] != self.cod.ids[self.obj_map[obj]]:
-                raise InvalidStructure(f"functor breaks identity of {obj}")
-        for f, (a, b) in self.dom.arrows.items():
-            fa, fb = self.cod.arrows[self.arr_map[f]]
-            if (fa, fb) != (self.obj_map[a], self.obj_map[b]):
-                raise InvalidStructure(f"functor breaks boundary of {f}")
-            for g, (b2, _) in self.dom.arrows.items():
-                if b2 != b:
-                    continue
-                if self.arr_map[self.dom.compose(g, f)] != \
-                        self.cod.compose(self.arr_map[g], self.arr_map[f]):
-                    raise InvalidStructure(f"functor breaks composite {g}.{f}")
-
-    def op(self) -> "FunctorData":
-        return FunctorData(self.dom.op(), self.cod.op(), dict(self.obj_map), dict(self.arr_map))
-
-
-def is_cartesian(p: FunctorData, kappa: str) -> bool:
-    """Whether the hom-set square of kappa is a pullback for every test object."""
-    e, b = p.dom, p.cod
-    z, x = e.arrows[kappa]
-    for k in e.objects:
-        pairs = {}
-        for alpha in e.hom(k, x):
-            for beta in b.hom(p.obj_map[k], p.obj_map[z]):
-                if b.compose(p.arr_map[kappa], beta) == p.arr_map[alpha]:
-                    pairs.setdefault((alpha, beta), 0)
-        hits: dict[tuple[str, str], int] = {key: 0 for key in pairs}
-        for gamma in e.hom(k, z):
-            key = (e.compose(kappa, gamma), p.arr_map[gamma])
-            if key not in hits:
-                return False
-            hits[key] += 1
-        if any(n != 1 for n in hits.values()):
-            return False
-    return True
-
-
-def is_groupoid_fibration(p: FunctorData) -> bool:
-    """Every morphism cartesian, and every map into a p-image lifts up to iso."""
-    e, b = p.dom, p.cod
-    if not all(is_cartesian(p, kappa) for kappa in e.arrows):
-        return False
-    for x in e.objects:
-        px = p.obj_map[x]
-        for bb in b.objects:
-            for phi in b.hom(bb, px):
-                found = False
-                for kappa, (z, x2) in e.arrows.items():
-                    if x2 != x:
-                        continue
-                    for j in b.hom(bb, p.obj_map[z]):
-                        if b.is_iso(j) and b.compose(p.arr_map[kappa], j) == phi:
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    return False
-    return True
-
-
-def is_groupoid_opfibration(p: FunctorData) -> bool:
-    return is_groupoid_fibration(p.op())
-
-
-# small builtin categories for tests and demos
-
-def terminal_category() -> FiniteCategory:
-    c = FiniteCategory("1", ("*",), {"id*": ("*", "*")}, {("id*", "id*"): "id*"},
-                       {"*": "id*"})
-    c.validate()
-    return c
-
-
-def interval_category() -> FiniteCategory:
-    arrows = {"id0": ("0", "0"), "id1": ("1", "1"), "a": ("0", "1")}
-    comp = {("id0", "id0"): "id0", ("id1", "id1"): "id1",
-            ("a", "id0"): "a", ("id1", "a"): "a"}
-    c = FiniteCategory("2", ("0", "1"), arrows, comp, {"0": "id0", "1": "id1"})
-    c.validate()
-    return c
-
-
-def discrete_category(n: int) -> FiniteCategory:
-    objs = tuple(str(i) for i in range(n))
-    arrows = {f"id{i}": (str(i), str(i)) for i in range(n)}
-    comp = {(f"id{i}", f"id{i}"): f"id{i}" for i in range(n)}
-    c = FiniteCategory(f"disc{n}", objs, arrows, comp,
-                       {str(i): f"id{i}" for i in range(n)})
-    c.validate()
-    return c
-
-
-def constant_functor(dom: FiniteCategory, cod: FiniteCategory, obj: str) -> FunctorData:
-    f = FunctorData(dom, cod,
-                    {a: obj for a in dom.objects},
-                    {n: cod.ids[obj] for n in dom.arrows})
-    f.validate()
-    return f
-
-
-def identity_functor(c: FiniteCategory) -> FunctorData:
-    f = FunctorData(c, c, {a: a for a in c.objects}, {n: n for n in c.arrows})
-    f.validate()
-    return f

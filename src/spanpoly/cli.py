@@ -109,6 +109,9 @@ def cmd_check(args) -> int:
     group = ws.group(args.group)
     rclass = None
     if args.morphism_class:
+        if args.suite not in ("protocalib", "all"):
+            raise SpanPolyError("--class applies only to --suite protocalib or all, "
+                                f"not {args.suite}")
         rclass = ws.morphism_class(args.morphism_class)
     if args.suite == "all":
         from .report import merge_reports
@@ -174,6 +177,8 @@ def cmd_eval(args) -> int:
         coords = ws.gset(args.module) if args.module else terminal_gset(group)
         m = FixedPointMackey(group, coords)
     elif args.functor in ("semiring:naturals", "semiring:booleans"):
+        if not args.poly:
+            raise SpanPolyError("semiring evaluation needs --poly")
         sr = builtin_semiring(args.functor.split(":", 1)[1])
         t = SemiringTambara(sr)
         p = ws.poly(args.poly)
@@ -242,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--class", dest="morphism_class", default=None,
-                   help="extra morphism class to certify (builtin or workspace name)")
+                   help="extra morphism class to certify (builtin or workspace name);"
+                        " protocalib and all only")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("burnside", help="multiplication table of the Burnside ring")

@@ -261,19 +261,6 @@ def representable_indexed(k: GSet) -> SliceIndexed:
     return SliceIndexed(at=k)
 
 
-def indexed_by_name(name: str, at: Optional[GSet] = None) -> IndexedCategory:
-    """Builtin indexed categories by name: terminal | slice | representable."""
-    if name == "terminal":
-        return terminal_indexed()
-    if name == "slice":
-        return slice_indexed()
-    if name == "representable":
-        if at is None:
-            raise InvalidStructure("representable indexed category needs a G-set")
-        return representable_indexed(at)
-    raise InvalidStructure(f"unknown indexed category {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # completion objects
 # ---------------------------------------------------------------------------
@@ -319,10 +306,6 @@ def reindex(xcat: IndexedCategory, r: GMap, o: CompletionObject) -> CompletionOb
     return CompletionObject(pb.proj2, xcat.act_obj(pb.proj1, o.x))
 
 
-# reindexing in the product completion has the identical object formula
-coreindex = reindex
-
-
 def pushforward(xcat: IndexedCategory, r: GMap, o: CompletionObject,
                 klass: MorphismClass = ALL_MAPS) -> CompletionObject:
     """Left adjoint to reindex along a class map: compose the leg."""
@@ -336,28 +319,11 @@ def unit_eta(u: GSet, x) -> CompletionObject:
     return CompletionObject(identity_gmap(u), x)
 
 
-unit_rho = unit_eta  # the product-completion unit has the same object part
-
-
 def mu_flatten(o: CompletionObject) -> CompletionObject:
     """Flatten an object of the double completion by composing its legs."""
     if not isinstance(o.x, CompletionObject):
         raise InvalidStructure("mu_flatten expects a completion object of completion objects")
     return CompletionObject(compose_gmaps(o.u, o.x.u), o.x.x)
-
-
-def sum_from_family(xcat: IndexedCategory, o: CompletionObject,
-                    klass: MorphismClass = ALL_MAPS):
-    """The coproduct the completion freely added: push the object along its leg."""
-    klass.require(o.u, "family leg")
-    return xcat.push_obj(o.u, o.x)
-
-
-def product_from_family(xcat: IndexedCategory, o: CompletionObject,
-                        lclass: MorphismClass = ALL_MAPS):
-    """Dual assignment for the product completion: the dependent product."""
-    lclass.require(o.u, "family leg")
-    return xcat.norm_obj(o.u, o.x)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,12 @@ from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .calib import ALL_MAPS, MorphismClass
-from .errors import BoundaryMismatch, GroupMismatch, InvalidStructure
+from .errors import GroupMismatch, InvalidStructure
 from .finact import (
     GMap,
     GSet,
     SliceObject,
     check_points,
-    compose_gmaps,
     coproduct,
     from_labels,
     orbit_cosets,
@@ -53,10 +52,10 @@ from .groups import (
     subgroup_class_key,
     subgroups,
 )
-from .record import FrozenRecord, Record
+from .record import FrozenRecord
 from .report import Check, Report
 from .spans import Span, compose_spans
-from .util_linear import Matrix, lin_map, mat_add, mat_apply, mat_compose, mat_equal, mat_identity
+from .util_linear import Matrix, lin_map, mat_add, mat_compose, mat_equal, mat_identity
 
 
 # ---------------------------------------------------------------------------
@@ -494,39 +493,3 @@ def burnside_table_double_cosets(group: FiniteGroup) -> BurnsideTable:
         entries.append(tuple(row))
     sizes = tuple(group.order // len(l[0]) for l in labs)
     return BurnsideTable(group.name, _atom_names(group, labs), sizes, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# external box pairing
-# ---------------------------------------------------------------------------
-
-class BoxPairing(Record):
-    """Kronecker pairing of two functors' restrictions along a slice over X x Y."""
-
-    __slots__ = ("m", "n", "a", "b", "res_m", "res_n", "row_gens", "col_gens")
-
-    def __init__(self, m: MackeyFunctor, n: MackeyFunctor,
-                 a: GMap, b: GMap,  # S -> X, S -> Y
-                 res_m: Matrix, res_n: Matrix, row_gens: tuple, col_gens: tuple):
-        self.m, self.n, self.a, self.b = m, n, a, b
-        self.res_m, self.res_n, self.row_gens, self.col_gens = res_m, res_n, row_gens, col_gens
-
-    def pair(self, mv: Sequence[int], nv: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        rm = mat_apply(self.res_m, tuple(mv))
-        rn = mat_apply(self.res_n, tuple(nv))
-        return tuple(tuple(x * y for y in rn) for x in rm)
-
-
-def box_product(m: MackeyFunctor, n: MackeyFunctor, s: SliceObject, pr) -> BoxPairing:
-    """Pair two free-valued functors along the two projections of a slice over X x Y.
-
-    pr is the product diagram the slice lives over; its composites with the
-    slice arrow restrict each functor to the slice's total space, and
-    elements pair by the Kronecker product of the restricted vectors.
-    """
-    if s.base != pr.prod:
-        raise BoundaryMismatch("slice is not over the given product")
-    a = compose_gmaps(pr.proj1, s.arrow)
-    b = compose_gmaps(pr.proj2, s.arrow)
-    return BoxPairing(m, n, a, b, m.res_matrix(a), n.res_matrix(b),
-                      m.value_gens(s.total), n.value_gens(s.total))

@@ -197,12 +197,6 @@ def span_class(p: Span) -> SpanIsoClass:
     return SpanIsoClass(rep, span_canonical_form(rep))
 
 
-def cl_compose(c1: SpanIsoClass, c2: SpanIsoClass,
-               rclass: MorphismClass = ALL_MAPS) -> SpanIsoClass:
-    """Compose representatives, then canonicalize."""
-    return span_class(compose_spans(c1.rep, c2.rep, rclass))
-
-
 # ---------------------------------------------------------------------------
 # canonical coherence cells
 # ---------------------------------------------------------------------------

@@ -3,6 +3,14 @@
 Each suite draws a deterministic sample family from a seeded generator,
 runs the relevant harnesses, and merges their reports.  A size bound of
 zero yields an empty (vacuously passing) report.
+
+`objective` checks that the indexed categories of `completion` (slices,
+slices over - x K, the terminal one) behave as objective Mackey functors:
+the span action composes and its cocompleteness gate passes, restriction
+to a coproduct U+V is an equivalence onto pairs (local biproducts), fiber
+coproducts are universal, and pushforward is adjoint to reindexing on both
+completions.  It also runs the Sigma -| Delta -| Pi triangles and the
+semiring laws of the evaluation oracles.
 """
 from __future__ import annotations
 
@@ -11,7 +19,9 @@ from typing import Callable
 
 from . import calib, completion, mackey, poly, spans, tambara
 from .calib import ALL_MAPS, INJECTIVE_MAPS, ISO_MAPS, SURJECTIVE_MAPS, MorphismClass
+from .errors import ClassViolation
 from .finact import (
+    check_adjunction_triangles,
     compose_gmaps,
     coproduct,
     coproduct_pullback_decompose,
@@ -37,7 +47,7 @@ from .sampling import (
     random_trivial_polynomial,
     shuffle_span,
 )
-from .semirings import BOOLEANS, NATURALS
+from .semirings import BOOLEANS, NATURALS, check_semiring_laws
 
 
 def _empty(name: str) -> Report:
@@ -296,6 +306,62 @@ def suite_lextensive(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     return Report("lextensive", tuple(checks))
 
 
+def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
+    if size_bound <= 0:
+        return _empty("objective")
+    small = max(1, size_bound // 2)
+    e = completion.slice_indexed()
+    rk = completion.representable_indexed(random_gset(rng, group, small))
+    reports = []
+    for _ in range(3):
+        u, v, w = (random_gset(rng, group, size_bound) for _ in range(3))
+        p = random_span(rng, u, v, size_bound)
+        q = random_span(rng, v, w, size_bound)
+        probes = [random_slice(rng, w, size_bound) for _ in range(2)]
+        reports.append(completion.check_extension_composition(e, p, q, probes))
+    # the gate probes the exchange square of f and g before it extends the span
+    f, g = random_cospan(rng, group, size_bound)
+    try:
+        completion.extend_to_spans(e, spans.Span(f, f), probe_squares=[(f, g)],
+                                   probe_objects=[random_slice(rng, f.dom, size_bound)])
+        gate = Check("extend-to-spans", True)
+    except ClassViolation as exc:
+        gate = Check("extend-to-spans", False, str(exc))
+    reports.append(Report("cocompleteness-gate", (gate,)))
+    u = random_gset(rng, group, size_bound)
+    v = random_gset(rng, group, size_bound)
+    for xcat in (e, rk):
+        pairs = [(random_slice(rng, xcat.carrier(u), size_bound),
+                  random_slice(rng, xcat.carrier(v), size_bound)) for _ in range(2)]
+        reports.append(completion.check_biproduct_preservation(xcat, u, v, pairs))
+    reports.append(completion.check_biproduct_preservation(
+        completion.terminal_indexed(), u, v, [("*", "*")]))
+    x, y = (random_slice(rng, u, size_bound) for _ in range(2))
+    targets = [random_slice(rng, u, size_bound) for _ in range(2)]
+    reports.append(completion.check_fiber_coproduct(e, u, x, y, targets))
+    for _ in range(2):
+        r = random_map_into(rng, random_gset(rng, group, size_bound), size_bound,
+                            allow_empty=False)
+        leg = random_map_into(rng, r.dom, size_bound)
+        o = completion.completion_obj(e, leg, random_slice(rng, leg.dom, size_bound))
+        leg2 = random_map_into(rng, r.cod, size_bound)
+        o2 = completion.completion_obj(e, leg2, random_slice(rng, leg2.dom, size_bound))
+        reports.append(completion.hom_bijection(e, o, o2, r))
+        reports.append(completion.hom_bijection_dual(e, o, o2, r))
+    # half size: the Delta -| Pi triangles take a dependent product of a dependent product
+    triangles = []
+    for k in range(2):
+        w = random_gset(rng, group, small)
+        u = random_map_into(rng, w, small, allow_empty=False)
+        doms = [random_slice(rng, u.dom, small) for _ in range(2)]
+        cods = [random_slice(rng, w, small) for _ in range(2)]
+        triangles += [Check(f"u[{k}]/{name}", ok)
+                      for name, ok in check_adjunction_triangles(u, doms, cods)]
+    reports.append(Report("adjunction-triangles", tuple(triangles)))
+    reports += [check_semiring_laws(sr) for sr in (NATURALS, BOOLEANS)]
+    return merge_reports("objective", reports)
+
+
 def suite_plycorrespondence(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     if size_bound <= 0:
         return _empty("plycorrespondence")
@@ -337,6 +403,7 @@ SUITES: dict[str, Callable[[FiniteGroup, Rng, int], Report]] = {
     "mackey": suite_mackey,
     "tambara": suite_tambara,
     "lextensive": suite_lextensive,
+    "objective": suite_objective,
     "plycorrespondence": suite_plycorrespondence,
 }
 

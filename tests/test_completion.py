@@ -16,17 +16,14 @@ from spanpoly.completion import (
     hom_bijection,
     hom_bijection_map,
     mu_flatten,
-    product_from_family,
     pushforward,
     reindex,
     reindex_mor,
     representable_indexed,
     slice_indexed,
-    sum_from_family,
     SpanExtension,
     terminal_indexed,
     unit_eta,
-    unit_rho,
 )
 from spanpoly.errors import BoundaryMismatch
 from spanpoly.finact import (
@@ -217,13 +214,14 @@ def test_unit_and_mu_monad_laws(e_cat, c2, f2, rng):
 def test_sum_and_product_from_family(e_cat, c2, f2, pt2, u2, rng):
     a = random_slice(rng, f2, 4)
     o = completion_obj(e_cat, u2, a)
-    s = sum_from_family(e_cat, o)
+    s = e_cat.push_obj(o.u, o.x)
     assert slice_iso(s, sigma(u2, a)) is not None
-    p = product_from_family(e_cat, o)
+    p = e_cat.norm_obj(o.u, o.x)
     assert slice_iso(p, pi_slice(u2, a)) is not None
-    # rho then the product assignment is the identity up to iso
+    # the unit then the product assignment is the identity up to iso
     x = random_slice(rng, f2, 4)
-    assert slice_iso(product_from_family(e_cat, unit_rho(f2, x)), x) is not None
+    one = unit_eta(f2, x)
+    assert slice_iso(e_cat.norm_obj(one.u, one.x), x) is not None
 
 
 def test_dual_cb_fiber(e_cat, c2, rng):
@@ -318,18 +316,6 @@ def test_dual_cb_fiber_representable(c2, rng):
     xs = [random_slice(rng, rk.carrier(f.dom), 3) for _ in range(2)]
     assert check_CB_fiber(rk, f, g, xs, mode="norm").passed
     assert check_CB_fiber(rk, f, g, xs, mode="push").passed
-
-
-def test_indexed_by_name(c2, f2):
-    from spanpoly.completion import indexed_by_name
-    from spanpoly.errors import InvalidStructure
-    assert indexed_by_name("terminal").name == "terminal"
-    assert indexed_by_name("slice").name == "slices"
-    assert indexed_by_name("representable", f2).carrier(f2).size == 4
-    with pytest.raises(InvalidStructure):
-        indexed_by_name("representable")
-    with pytest.raises(InvalidStructure):
-        indexed_by_name("nope")
 
 
 def _four_points_over(pt):

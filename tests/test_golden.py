@@ -356,6 +356,7 @@ GOLDEN_SUITES = {
     "triv distlaw": "3fcbe546a4acd963385b6ecd1cda773e4846f0a89c1ac172a633481bbef9708c",
     "triv lextensive": "cc28956ceeced9680f57e625f98f36a9c40625d650534db045e7300dcbb601e1",
     "triv mackey": "ad1b28adfc8f23755dc1c3e65a6a2cf509687eca3793d33470b091f99c651edf",
+    "triv objective": "6b9f182e7e21bda144cacbfeae5217b2853a0f9b8ae89eb9c1116831e1a31853",
     "triv plycorrespondence": "93e442b327001e00cff67cf565d990a7a7cebdcce6a691d7c993c743985d9ba3",
     "triv protocalib": "42e22a4dda1e8504e44b8c5e0fa9e0e584ad6c5ac8d9759ed6504c42552de5cb",
     "triv span-laws": "b4389701d4f1f350ac619978d26555d322f5e404cf0697c6f6028131f0ade94c",
@@ -365,6 +366,7 @@ GOLDEN_SUITES = {
     "C2 distlaw": "a5d8443e2912c8eb725bc8e0c12df203c5fbacfbcf3ae54734ead481c27af0da",
     "C2 lextensive": "275158822f820ad07f36fded9d3c3c7f793d25f353558ac274b2f598c1f7e366",
     "C2 mackey": "b56a0649c4c45fc7654f0f8d7fe506495e6db9a607e88fb6fd5c3149441f08d7",
+    "C2 objective": "b7ed5b623d11043cd75fc405cd420f62d4568b7970b4b745ae6063f2b07d0e33",
     "C2 plycorrespondence": "ca1dd1b2ce1b454ad78bda78c3c722d456de36078b5d5994582a5f552e2bcc7d",
     "C2 protocalib": "cf68331c7f51b881075dcb4672054929dab64c3434f3ffa8bbd0fea54a395eaa",
     "C2 span-laws": "36350f8f97710fb120edae31366df45566598fb3973535984cf7a1ce0512cb6b",
@@ -374,6 +376,7 @@ GOLDEN_SUITES = {
     "C3 distlaw": "6e0a27e501f902e1891c55f74fb6d165d75c3272c4bd6c98679df562830f5c30",
     "C3 lextensive": "630b7ce2246cc63720dd037872fa8f9915bf807ec828575593bc1702229b436e",
     "C3 mackey": "197bd82c4a36e4ee9d13fea4af2740a89076c7746e4380cd9e03e373fcf224e5",
+    "C3 objective": "7a80a1ed3639da0a755153d8990ce5634978d44803a92ad9445cd25fa0748f03",
     "C3 plycorrespondence": "1298ceeb7adeab07740a685760d7d4ce91951ba6046c0b9a1c87704e28390207",
     "C3 protocalib": "19ad8c2f0fd692914b489845c47ef9faf8ac5393b5bb0041126742d1cfb09123",
     "C3 span-laws": "d2690979ac6fd52b37884470f9ed81a2604df52c4eb859c0cb77aee4b25d1027",
@@ -383,6 +386,7 @@ GOLDEN_SUITES = {
     "C4 distlaw": "f30ed6f1a4c1c3c7669be9d1feb5bd2acac33102de2af0f58f4ebde93824e577",
     "C4 lextensive": "cf7283197a355a1f796c6709a7af00eafb4b099fbd7703948d6aac675907925f",
     "C4 mackey": "e50182c49f99bb23627ab739af9a27f993fd81bdfb22bb8667130c676145dd87",
+    "C4 objective": "349c677f70d12c6fed2f5e8c0a5ec543d14c7ec501fa811d2de233c47c317e78",
     "C4 plycorrespondence": "89caca20e0706b803f92f00fb74cc0cb0f70b227c51f7e5f8da5f527ce6630af",
     "C4 protocalib": "e97f33fb6267d140674ad7f44fce8c177531f46f855edf6a702599d976d5f38e",
     "C4 span-laws": "f6b721c867fd20edf9c8972289091ffc2016197c93d4cd8ded06c42f0e2d6bcd",
@@ -392,6 +396,7 @@ GOLDEN_SUITES = {
     "S3 distlaw": "49d6fc05e8dca829c8a605e212608f92200c16ded705bb9bd28dd8095efde516",
     "S3 lextensive": "b5ee9666fd1dc7cdbeb8dd8c59cd83578a45d7664447a04a6fbc00d56583fe09",
     "S3 mackey": "e1dc5eccd6eb0d93010fd2e023a277cb265084c4d87445b0f28bf47e11df71cc",
+    "S3 objective": "d4931710e8a883f79c401df1939479a463c0666a9d7766488af168a09242ee62",
     "S3 plycorrespondence": "be721e93cbf1e9b90dce3ae15b2a53c01573d1ae7d2d75303cf68f4167acc096",
     "S3 protocalib": "44146af589111217896b6f5d0e435ddde6ea1e10230f45c834f1ee037ead5651",
     "S3 span-laws": "f1feb033882d8ad8a55c83623efaa307ded9cc9d41cd49a72fbcb9d241ac0fdc",
@@ -400,6 +405,7 @@ GOLDEN_SUITES = {
     "S4 compat": "1cada932f758c7f95f8f3d65da28ddbfc34b3e059a211541fe501d56c78f8cbd",
     "S4 lextensive": "422da2738b0673a5e49ed30d846c1b12f56b018803fd51814a220208c8077517",
     "S4 mackey": "5602da62e41e8ef66181799c95d4f855b8c4f41e4222068d1730c1dd4230c75a",
+    "S4 objective": "326db8606f101170c692bae35833558e0b14f0aabe8c5d6cbe197e4eac05c5fc",
     "S4 plycorrespondence": "1f76efe4f492787c6372e51aef573798eae11489b038148ae895edb6e45bf10f",
     "S4 protocalib": "a1bd5272184242274102fb9d09742a61b41db4950a9e67f5bf6cc631f599f47f",
     "S4 span-laws": "ce8c8367443e6431f62ab951bda5b950402a197c1c2d53ba41c06d902f6519f0",

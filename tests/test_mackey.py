@@ -1,4 +1,4 @@
-"""Mackey instances: evaluation, exchange laws, Burnside tables, box pairing."""
+"""Mackey instances: evaluation, exchange laws, Burnside tables."""
 
 import random
 
@@ -7,18 +7,14 @@ import pytest
 from spanpoly.finact import (
     GMap,
     SliceObject,
-    compose_gmaps,
     coproduct,
     from_labels,
-    identity_gmap,
     initial_gset,
     orbit_labels,
     orbits,
     product,
-    slice_identity,
     stabilizer,
     terminal_gset,
-    unique_to_terminal,
 )
 from spanpoly.groups import (
     cyclic_group,
@@ -32,7 +28,6 @@ from spanpoly.mackey import (
     FixedPointMackey,
     atom_slice,
     atoms,
-    box_product,
     burnside_table,
     burnside_table_bruteforce,
     burnside_table_double_cosets,
@@ -332,69 +327,3 @@ def test_table_render_deterministic(s3):
     a = burnside_table(s3).render_text()
     b = burnside_table(s3).render_text()
     assert a == b and "Burnside ring of S3" in a
-
-
-# ---------------------------------------------------------------------------
-# box pairing
-# ---------------------------------------------------------------------------
-
-def test_box_trivial_group_is_multiplication(triv):
-    b = BurnsideMackey(triv)
-    pt = terminal_gset(triv)
-    pr = product(pt, pt)
-    s = slice_identity(pr.prod)
-    pairing = box_product(b, b, s, pr)
-    for m in range(4):
-        for n in range(4):
-            out = pairing.pair((m,), (n,))
-            assert sum(sum(r) for r in out) == m * n
-
-
-def test_box_unit_recovers(c2, f2, pt2):
-    """Pairing with the Burnside unit along a graph slice recovers the functor.
-
-    The slice is the graph of the identity of the free orbit inside F x pt;
-    the free orbit has a single atom over itself, so the unit side
-    contributes coefficient one and the pairing reduces to restriction.
-    """
-    b = BurnsideMackey(c2)
-    pr = product(f2, pt2)
-    graph = pr.pairing(identity_gmap(f2), unique_to_terminal(f2))
-    s = SliceObject(graph)
-    pairing = box_product(b, b, s, pr)
-    gens_x = atoms(f2)
-    gens_pt = atoms(pt2)
-    unit = tuple(1 if g == (tuple(c2.elements()), 0) else 0 for g in gens_pt)
-    nvec = mat_apply(b.res_matrix(compose_gmaps(pr.proj2, graph)), unit)
-    assert nvec == (1,)  # single atom of F over itself, multiplicity one
-    a = compose_gmaps(pr.proj1, graph)
-    res_a = b.res_matrix(a)
-    for i in range(len(gens_x)):
-        basis = tuple(1 if j == i else 0 for j in range(len(gens_x)))
-        out = pairing.pair(basis, unit)
-        assert tuple(row[0] for row in out) == mat_apply(res_a, basis)
-
-
-def test_box_symmetry_and_bilinearity(c2, f2, pt2, rng):
-    b = BurnsideMackey(c2)
-    fp = FixedPointMackey(c2)
-    pr = product(f2, pt2)
-    s = random_slice(rng, pr.prod, 4, allow_empty=False)
-    pairing = box_product(b, fp, s, pr)
-    gx, gy = len(atoms(f2)), len(fp.value_gens(pt2))
-    m1 = tuple(rng.randint(0, 2) for _ in range(gx))
-    m2 = tuple(rng.randint(0, 2) for _ in range(gx))
-    n1 = tuple(rng.randint(0, 2) for _ in range(gy))
-    add = lambda a, b_: tuple(x + y for x, y in zip(a, b_))
-    lhs = pairing.pair(add(m1, m2), n1)
-    r1, r2 = pairing.pair(m1, n1), pairing.pair(m2, n1)
-    assert lhs == tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(r1, r2))
-    # symmetry via the swapped product
-    pr_sw = product(pt2, f2)
-    sw_arrow = pr_sw.pairing(compose_gmaps(pr.proj2, s.arrow),
-                             compose_gmaps(pr.proj1, s.arrow))
-    pairing_sw = box_product(fp, b, SliceObject(sw_arrow), pr_sw)
-    out = pairing.pair(m1, n1)
-    out_sw = pairing_sw.pair(n1, m1)
-    assert out == tuple(tuple(out_sw[j][i] for j in range(len(out_sw)))
-                        for i in range(len(out)))

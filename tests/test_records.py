@@ -10,11 +10,11 @@ import pickle
 
 import pytest
 
-from spanpoly.calib import FiniteCategory, FunctorData, MorphismClass, discrete_category
+from spanpoly.calib import MorphismClass
 from spanpoly.completion import CompletionObject
 from spanpoly.finact import GMap, GSet, SliceObject, identity_gmap, regular_gset
 from spanpoly.groups import FiniteGroup, cyclic_group
-from spanpoly.mackey import BoxPairing, BurnsideMackey, BurnsideTable
+from spanpoly.mackey import BurnsideTable
 from spanpoly.poly import (
     DistributeData,
     Gen,
@@ -52,10 +52,6 @@ def _poly():
 
 def _spanspan():
     return SpanOfSpans(_gset(), _span(), _span())
-
-
-# Mackey functors compare by identity, so both pairings share this one
-_MACKEY = BurnsideMackey(cyclic_group(2))
 
 
 # class, factory of its field values, every field in order, the compared fields
@@ -100,15 +96,6 @@ FROZEN = [
 MUTABLE = [
     (Workspace, lambda: ({"C2": _group()}, {"x": _gset()}, {"f": _gmap()}, {}, {}, {}),
      ("groups", "gsets", "gmaps", "spans", "polys", "classes")),
-    (FiniteCategory, lambda: ("1", ("*",), {"id": ("*", "*")}, {("id", "id"): "id"},
-                              {"*": "id"}),
-     ("name", "objects", "arrows", "comp", "ids")),
-    (FunctorData, lambda: (discrete_category(1), discrete_category(1), {"0": "0"},
-                           {"id0": "id0"}),
-     ("dom", "cod", "obj_map", "arr_map")),
-    (BoxPairing, lambda: (_MACKEY, _MACKEY, _gmap(),
-                          _gmap(), LinMap(1, 1, ((1,),)), LinMap(1, 1, ((1,),)), (0,), (0,)),
-     ("m", "n", "a", "b", "res_m", "res_n", "row_gens", "col_gens")),
 ]
 
 ALL = [(cls, make, fields) for cls, make, fields, _ in FROZEN] + MUTABLE
@@ -178,8 +165,7 @@ def test_repr_matches_the_dataclass_format(cls, make, fields):
 def test_copy_and_pickle_round_trip(cls, make, fields):
     a = cls(*make())
     assert type(copy.copy(a)) is cls and copy.copy(a) == a
-    if cls is not BoxPairing:  # its functors compare by identity
-        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_records_of_different_classes_never_compare_equal():

@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from spanpoly import cli
 from spanpoly.cli import main
 from spanpoly.errors import WorkspaceError
+from spanpoly.suites import SUITES
 from spanpoly.workspace import (
     builtin_workspace,
     dump_json,
@@ -251,6 +253,13 @@ def test_cli_eval_help_names_every_functor():
     assert names <= set(help_.split(" | "))
 
 
+def test_readme_suites_list_names_every_suite():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        listed = fh.read().split("\nSuites: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == sorted(SUITES) + ["all"]
+
+
 def test_cli_structured_error_on_unknown_name(capsys):
     code = main(["compose", "--kind", "span", "nope", "C2.free-span",
                  "--format", "json"])
@@ -313,9 +322,13 @@ EVAL_BURNSIDE = ["eval", "--functor", "burnside", "--group", "C2", "--span", "C2
      "--max-size must be >= 0, not -4"),
     (["compose", "--kind", "poly", "C2.free-poly", "C2.free-poly", "--out", "{missing}"],
      "cannot write --out"),
+    (["check", "--suite", "mackey", "--group", "C2", "--class", "surjective"],
+     "--class applies only to --suite protocalib or all, not mackey"),
+    (["eval", "--functor", "semiring:naturals", "--group", "triv", "--input", "[5]"],
+     "semiring evaluation needs --poly"),
 ], ids=["input-not-a-list", "input-wrong-length", "burnside-input-negative",
         "naturals-input-negative", "booleans-input-not-a-boolean", "max-size-negative",
-        "out-in-missing-directory"])
+        "out-in-missing-directory", "class-outside-protocalib", "semiring-without-poly"])
 def test_cli_structured_error_on_bad_argument(tmp_path, capsys, argv, message):
     argv = [a.format(missing=tmp_path / "missing" / "x.json") for a in argv]
     assert main(argv + ["--format", "json"]) == 2
@@ -380,6 +393,28 @@ def test_cli_class_flag_with_whitelist(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     failing = [c for c in doc["checks"] if not c["passed"]]
     assert failing and all("mine" in c["name"] for c in failing)
+
+
+def test_cli_class_flag_with_all_suites(capsys):
+    assert main(["check", "--suite", "all", "--group", "C2", "--class", "surjective",
+                 "--max-size", "3", "--format", "json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert any(n.startswith("protocalib/protocalibration:surjective/") for n in names)
+
+
+def test_run_checks_script_reports_a_suite_error_and_goes_on():
+    """A tripped guard in one suite is an [ERR ] line; the suites after it still run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run([sys.executable, os.path.join(root, "scripts", "run_checks.py"),
+                          "--groups", "S4"], capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert run.returncode == 1, run.stderr
+    lines = run.stdout.splitlines()
+    errors = [line for line in lines if line.startswith("[ERR ]")]
+    assert len(errors) == 1 and "S4 distlaw" in errors[0]
+    assert "ResourceLimit: dependent product" in errors[0]
+    assert sum(line.startswith("[ok  ]") for line in lines) == len(SUITES) - 1
+    assert lines[-1] == "1 failing suites"
 
 
 def test_cli_custom_group_everywhere(tmp_path, capsys):
