@@ -91,29 +91,28 @@ class FiniteGroup(FrozenRecord):
 
 def _table_to_group(name: str, mult: Sequence[Sequence[int]],
                     generators: tuple[int, ...] = ()) -> FiniteGroup:
+    """The group of a table of ints, its identity and inverses found and checked
+    on whole rows and columns; associativity is left to `validate`."""
+    mult = tuple(map(tuple, mult))
     n = len(mult)
-    mult_t = tuple(tuple(int(x) for x in row) for row in mult)
-    if any(len(row) != n or not all(0 <= x < n for x in row) for row in mult_t):
+    if any(len(row) != n or min(row) < 0 or max(row) >= n for row in mult):
         raise InvalidStructure(f"multiplication table is not {n} x {n} with entries in 0..{n - 1}")
-    identity = None
-    for e in range(n):
-        if all(mult_t[e][a] == a and mult_t[a][e] == a for a in range(n)):
-            identity = e
-            break
+    ident = tuple(range(n))
+    columns = list(zip(*mult))
+    identity = next((e for e in ident if mult[e] == ident and columns[e] == ident), None)
     if identity is None:
         raise InvalidStructure("table has no identity element")
     inverse = []
-    for a in range(n):
-        inv = [b for b in range(n) if mult_t[a][b] == identity]
-        if len(inv) != 1:
+    for a, row in enumerate(mult):
+        if row.count(identity) != 1:
             raise InvalidStructure(f"element {a} has no unique inverse")
-        inverse.append(inv[0])
-    return FiniteGroup(name, mult_t, identity, tuple(inverse), generators)
+        inverse.append(row.index(identity))
+    return FiniteGroup(name, mult, identity, tuple(inverse), generators)
 
 
 def group_from_table(name: str, mult: Sequence[Sequence[int]]) -> FiniteGroup:
     """A group from an outside table, with every law rechecked by `validate`."""
-    g = _table_to_group(name, mult)
+    g = _table_to_group(name, [tuple(map(int, row)) for row in mult])
     g.validate()
     return g
 
@@ -121,39 +120,44 @@ def group_from_table(name: str, mult: Sequence[Sequence[int]]) -> FiniteGroup:
 def group_from_permutations(name: str, gens: Sequence[Sequence[int]]) -> FiniteGroup:
     """Compile permutation generators (images lists on 0..n-1) to a table.
 
-    The generated permutation group is enumerated by closure; the identity
-    gets index 0 and the given generators keep stable indices.  Composition
-    of permutations is associative, so the table is not rechecked for it.
+    The generated permutation group is enumerated by a breadth-first closure
+    that composes each generator p after each element a found,
+    `tuple(map(p.__getitem__, a))`; the identity gets index 0, the other
+    elements follow in sorted order, and the generators become the group's
+    designated generators.  Those k*n compositions also give each generator's
+    left-multiplication row left_p, and the table is built row by row along
+    the closure's words, row(p after a) = left_p after row(a): one C-level
+    map per row instead of n^2 compositions.  Composition of permutations is
+    associative, so the table is not rechecked for it.
     """
     if not gens:
         raise InvalidStructure("need at least one generator (use trivial_group() instead)")
     deg = len(gens[0])
     perms = []
     for p in gens:
-        if sorted(p) != list(range(deg)):
+        if not all(type(v) is int for v in p) or sorted(p) != list(range(deg)):
             raise InvalidStructure(f"{p!r} is not a permutation of 0..{deg - 1}")
         perms.append(tuple(p))
     ident = tuple(range(deg))
-    elems = [ident]
+    reached = [ident]
     seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for p in perms:
-                q = tuple(p[a[i]] for i in range(deg))  # p after a
-                if q not in seen:
-                    seen.add(q)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    elems = [ident] + sorted(e for e in elems if e != ident)
+    images: list[dict] = [{} for _ in perms]  # images[k][a] = perms[k] after a
+    words = []  # (q, k, a) with q = perms[k] after a, breadth first
+    for a in reached:
+        for k, p in enumerate(perms):
+            q = images[k][a] = tuple(map(p.__getitem__, a))
+            if q not in seen:
+                seen.add(q)
+                reached.append(q)
+                words.append((q, k, a))
+    elems = [ident] + sorted(reached[1:])
     index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    mult = [[index[tuple(elems[a][elems[b][i]] for i in range(deg))] for b in range(n)]
-            for a in range(n)]
-    gen_idx = tuple(index[p] for p in perms)
-    return _table_to_group(name, mult, gen_idx)
+    lefts = [tuple(map(index.__getitem__, map(image.__getitem__, elems))) for image in images]
+    rows: list = [None] * len(elems)
+    rows[0] = tuple(range(len(elems)))
+    for q, k, a in words:
+        rows[index[q]] = tuple(map(lefts[k].__getitem__, rows[index[a]]))
+    return _table_to_group(name, rows, tuple(index[p] for p in perms))
 
 
 def trivial_group() -> FiniteGroup:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .calib import ALL_MAPS, MorphismClass
@@ -420,55 +421,44 @@ def burnside_table(group: FiniteGroup) -> BurnsideTable:
 
 
 def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
-    """Independent route: raw pair enumeration with a generator-driven orbit search.
+    """Independent route: raw pair enumeration, each orbit read off the action tables.
 
-    Numbers the pairs of each product of transitive actions a * |Y| + b,
-    finds the orbits as the components of the graph that the generators'
-    action rows draw on the pairs, and classifies each orbit by the
-    conjugacy class of a directly computed point stabilizer.  Shares no
-    code with the slice machinery above.
+    For every ordered pair of atoms X, Y (each computed on its own, never
+    mirrored from Y, X), numbers the pairs of X * Y by a * |Y| + b and scans
+    every code in ascending order.  An unseen code is the least of its
+    orbit, and the orbit is its images (g.a, g.b) under every group element
+    g, read from the points' columns of the full action tables in one
+    C-level map.  Each orbit is classified by the conjugacy class of its
+    pair stabilizer stab(a) & stab(b), from point stabilizers built once
+    per atom.  Shares no code with the marks or the slice machinery above.
     """
     pt = terminal_gset(group)
     labs = atoms(pt)
-    reps = [atom_slice(pt, l) for l in labs]
+    reps = [atom_slice(pt, l).total for l in labs]
     index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
     class_of = {h: index[subgroup_class_key(group, h)] for h in subgroups(group)}
-
-    def orbit_classes(x: GSet, y: GSet) -> list[int]:
-        ny = y.size
-        moves = list(zip(x.rows, y.rows))
-        seen = [False] * (x.size * ny)
-        out = []
-        # an orbit is a component under the generators; scanning codes in
-        # ascending order meets each one first at its least code
-        for root in range(len(seen)):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack = [root]
-            while stack:
-                a, b = divmod(stack.pop(), ny)
-                for xs, ys in moves:
-                    j = xs[a] * ny + ys[b]
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            a, b = divmod(root, ny)
-            stab = frozenset(g for g in group.elements()
-                             if x.action[g][a] == a and y.action[g][b] == b)
-            out.append(class_of[stab])
-        return out
+    elements = group.elements()
+    # columns[i][a][g] = g.a in atom i; stabs[i][a] = the stabilizer of a
+    columns = [list(zip(*x.action)) for x in reps]
+    stabs = [[frozenset(itertools.compress(elements, map(a.__eq__, col)))
+              for a, col in enumerate(cols)] for cols in columns]
 
     entries = []
-    for ra in reps:
+    for xcols, xstabs in zip(columns, stabs):
         row = []
-        for rb in reps:
+        for ycols, ystabs in zip(columns, stabs):
+            ny = len(ycols)
             vec = [0] * len(labs)
-            for c in orbit_classes(ra.total, rb.total):
-                vec[c] += 1
+            seen: set[int] = set()
+            # filterfalse reads `seen` as the scan goes, so each root is the
+            # least code of an orbit not met before
+            for root in itertools.filterfalse(seen.__contains__, range(len(xcols) * ny)):
+                a, b = divmod(root, ny)
+                seen.update(map(add, map(mul, xcols[a], itertools.repeat(ny)), ycols[b]))
+                vec[class_of[xstabs[a] & ystabs[b]]] += 1
             row.append(tuple(vec))
         entries.append(tuple(row))
-    sizes = tuple(r.total.size for r in reps)
+    sizes = tuple(x.size for x in reps)
     return BurnsideTable(group.name, _atom_names(group, labs), sizes, tuple(entries))
 
 

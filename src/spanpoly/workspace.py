@@ -146,16 +146,42 @@ def _need_name(obj: dict, key: str, where: str) -> str:
     return value
 
 
+_INT_SHAPES = ("an integer", "a list of integers", "a list of lists of integers")
+
+
+def _need_ints(obj: dict, key: str, where: str, depth: int):
+    """A field holding a JSON integer (depth 0), a list of them (1) or a list of such lists (2).
+
+    Nothing is coerced: a float, a string or a bool where an integer belongs
+    is an error naming the entry and the field.
+    """
+    value = _need(obj, key, where)
+    items = [value]
+    for level in range(depth, -1, -1):
+        kind = list if level else int
+        bad = [v for v in items if type(v) is not kind]
+        if bad:
+            raise WorkspaceError(f"{where}: field {key!r} must be {_INT_SHAPES[depth]}; "
+                                 f"found {bad[0]!r}")
+        if level:
+            items = [v for row in items for v in row]
+    return value
+
+
 def _parse_group(obj: dict) -> FiniteGroup:
     name = _need_name(obj, "name", "group entry")
+    where = f"group {name!r}"
+    if "mult" in obj:
+        build, field = group_from_table, "mult"
+    elif "generators" in obj:
+        build, field = group_from_permutations, "generators"
+    else:
+        raise WorkspaceError(f"{where}: need 'mult' or 'generators'")
+    table = _need_ints(obj, field, where, 2)
     try:
-        if "mult" in obj:
-            return group_from_table(name, obj["mult"])
-        if "generators" in obj:
-            return group_from_permutations(name, obj["generators"])
+        return build(name, table)
     except Exception as exc:
-        raise WorkspaceError(f"group {name!r}: {exc}") from exc
-    raise WorkspaceError(f"group {name!r}: need 'mult' or 'generators'")
+        raise WorkspaceError(f"{where}: {exc}") from exc
 
 
 def _generator_rows(group: FiniteGroup, size: int,
@@ -166,36 +192,40 @@ def _generator_rows(group: FiniteGroup, size: int,
         if sorted(perm) != list(range(size)):
             raise WorkspaceError(f"action_by_generator row {perm!r} is not a permutation "
                                  f"of 0..{size - 1}")
-    return tuple(tuple(int(v) for v in perm) for perm in gen_perms)
+    return tuple(map(tuple, gen_perms))
 
 
 def _parse_gset(obj: dict, ws: Workspace) -> GSet:
     name = _need_name(obj, "name", "gset entry")
-    group = ws.group(_need_name(obj, "group", f"gset {name!r}"))
-    size = _need(obj, "size", f"gset {name!r}")
-    if "action" not in obj and "action_by_generator" not in obj:
-        raise WorkspaceError(f"gset {name!r}: need 'action' or 'action_by_generator'")
+    where = f"gset {name!r}"
+    group = ws.group(_need_name(obj, "group", where))
+    size = _need_ints(obj, "size", where, 0)
+    field = "action" if "action" in obj else "action_by_generator"
+    if field not in obj:
+        raise WorkspaceError(f"{where}: need 'action' or 'action_by_generator'")
+    table = _need_ints(obj, field, where, 2)
     try:
-        size = int(size)
-        if "action" in obj:
-            return gset(group, size, obj["action"])
+        if field == "action":
+            return gset(group, size, table)
         if not group.generators:
             raise WorkspaceError(f"group {group.name!r} has no designated generators")
-        x = GSet(group, size, _generator_rows(group, size, obj["action_by_generator"]))
+        x = GSet(group, size, _generator_rows(group, size, table))
         x.validate()
         return x
     except Exception as exc:
-        raise WorkspaceError(f"gset {name!r}: {exc}") from exc
+        raise WorkspaceError(f"{where}: {exc}") from exc
 
 
 def _parse_gmap(obj: dict, ws: Workspace) -> GMap:
     name = _need_name(obj, "name", "gmap entry")
-    dom = ws.gset(_need_name(obj, "dom", f"gmap {name!r}"))
-    cod = ws.gset(_need_name(obj, "cod", f"gmap {name!r}"))
+    where = f"gmap {name!r}"
+    dom = ws.gset(_need_name(obj, "dom", where))
+    cod = ws.gset(_need_name(obj, "cod", where))
+    table = _need_ints(obj, "table", where, 1)
     try:
-        return gmap(dom, cod, _need(obj, "table", f"gmap {name!r}"))
+        return gmap(dom, cod, table)
     except Exception as exc:
-        raise WorkspaceError(f"gmap {name!r}: {exc}") from exc
+        raise WorkspaceError(f"{where}: {exc}") from exc
 
 
 def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspace:

@@ -62,6 +62,39 @@ def test_associativity_failure_off_the_first_generator_rejected():
         group_from_table("c2xloop5", m)
 
 
+NOT_2X2 = "multiplication table is not 2 x 2 with entries in 0..1"
+
+
+# (table, message of `_table_to_group` or None, message of `group_from_table`);
+# a table with several faults reports the first of shape, identity, inverses
+@pytest.mark.parametrize("mult, raw, checked", [
+    ([[0, 1], [1]], NOT_2X2, NOT_2X2),
+    ([[0, 1], [1, 0], [0, 1]], "multiplication table is not 3 x 3 with entries in 0..2", None),
+    ([[0, 1], [1, 2]], NOT_2X2, NOT_2X2),
+    ([[0, 1], [-1, 0]], NOT_2X2, NOT_2X2),
+    ([[0, 2], [2, 2]], NOT_2X2, NOT_2X2),
+    ([], "table has no identity element", None),
+    ([[0, 0], [0, 0]], "table has no identity element", None),
+    ([[1, 1], [1, 1]], "table has no identity element", None),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "element 1 has no unique inverse", None),
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], "element 1 has no unique inverse", None),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], None, "inverse law fails at element 1"),
+    (LOOP5, None, "associativity fails at (1,1,2)"),
+], ids=["ragged-row", "extra-row", "entry-too-large", "entry-negative", "shape-before-identity",
+        "empty", "no-identity", "identity-before-inverses", "two-inverses", "no-inverse",
+        "left-inverse-only", "not-associative"])
+def test_table_errors(mult, raw, checked):
+    if raw is None:
+        _table_to_group("t", mult)
+    else:
+        with pytest.raises(InvalidStructure) as err:
+            _table_to_group("t", mult)
+        assert str(err.value) == raw
+    with pytest.raises(InvalidStructure) as err:
+        group_from_table("t", mult)
+    assert str(err.value) == (checked or raw)
+
+
 def test_from_permutations_matches_cyclic():
     c3 = group_from_permutations("Z3", [[1, 2, 0]])
     assert c3.order == 3
@@ -92,11 +125,45 @@ PERM_GENERATORS = {
              [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
     "A5": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
     "S4xC2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+    "A6": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]],
 }
 
 
 def _perm_group(name):
     return group_from_permutations(name, PERM_GENERATORS[name])
+
+
+def _naive_permutation_table(gens):
+    """The elements generated by gens, the identity first and the rest sorted,
+    and the table whose entry (a, b) is the index of a after b."""
+    ident = tuple(range(len(gens[0])))
+    found = {ident}
+    frontier = [ident]
+    while frontier:
+        new = {tuple(p[i] for i in a) for a in frontier for p in gens} - found
+        found |= new
+        frontier = list(new)
+    elems = [ident] + sorted(found - {ident})
+    index = {e: i for i, e in enumerate(elems)}
+    return elems, [[index[tuple(a[i] for i in b)] for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("name", ["D8", "A4", "C2^4", "A5", "S4xC2", "A6"])
+def test_from_permutations_matches_naive_table(name):
+    gens = PERM_GENERATORS[name]
+    elems, mult = _naive_permutation_table(gens)
+    g = _perm_group(name)
+    assert g.mult == tuple(map(tuple, mult))
+    assert g.identity == 0
+    assert all(mult[a][g.inverse[a]] == 0 for a in range(len(elems)))
+    assert g.generators == tuple(elems.index(tuple(p)) for p in gens)
+
+
+@pytest.mark.parametrize("gens", [[[1, 0], [0, 1, 2]], [[1.0, 0]], [[True, False]], [[0, 0]]],
+                         ids=["mixed-degrees", "float", "bool", "repeated-point"])
+def test_from_permutations_rejects_non_permutations(gens):
+    with pytest.raises(InvalidStructure, match="is not a permutation of 0..1"):
+        group_from_permutations("bad", gens)
 
 
 def _naive_closure(g, seed):

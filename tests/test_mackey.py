@@ -20,6 +20,7 @@ from spanpoly.groups import (
     cyclic_group,
     group_from_permutations,
     group_from_table,
+    subgroup_class_key,
     subgroups,
     symmetric_group,
 )
@@ -48,6 +49,8 @@ from spanpoly.sampling import (
 )
 from spanpoly.spans import Span, compose_spans, identity_span
 from spanpoly.util_linear import mat_apply, mat_identity
+
+from helpers import relabelled_group
 
 
 def test_atoms_of_point(c2, s3):
@@ -225,6 +228,56 @@ def test_burnside_routes_agree_on_a5():
     a = burnside_table(a5)
     assert len(a.atom_names) == 9
     assert a == burnside_table_bruteforce(a5) == burnside_table_double_cosets(a5)
+
+
+def _naive_burnside_entries(group):
+    """Entry (i, j) counts the orbits of G/H_i x G/H_j, found as a set of
+    frozensets of pairs of left cosets, each under the conjugacy class of
+    the stabilizer of one of its pairs; H_i runs over the table's atoms."""
+    labs = atoms(terminal_gset(group))
+    index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
+    elements = list(group.elements())
+
+    def act(g, coset):
+        return frozenset(group.op(g, x) for x in coset)
+
+    moves = []  # per atom, per element g: coset -> g.coset
+    for l in labs:
+        cosets = {frozenset(group.op(x, h) for h in l[0]) for x in elements}
+        moves.append([{c: act(g, c) for c in cosets} for g in elements])
+    entries = []
+    for mi in moves:
+        row = []
+        for mj in moves:
+            orbits = {frozenset((gi[c], gj[d]) for gi, gj in zip(mi, mj))
+                      for c in mi[0] for d in mj[0]}
+            vec = [0] * len(labs)
+            for orbit in orbits:
+                c, d = next(iter(orbit))
+                stab = frozenset(g for g, gi, gj in zip(elements, mi, mj)
+                                 if gi[c] == c and gj[d] == d)
+                vec[index[subgroup_class_key(group, stab)]] += 1
+            row.append(tuple(vec))
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+NAIVE_ORACLE_GROUPS = {
+    "D8": lambda: group_from_permutations("D8", [[1, 2, 3, 0], [2, 1, 0, 3]]),
+    "A4": lambda: group_from_permutations("A4", [[1, 2, 0, 3], [1, 0, 3, 2]]),
+    "C2^4": lambda: group_from_permutations("C2^4", [
+        [1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+        [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]),
+    "S3-identity-at-3": lambda: relabelled_group("S3r", symmetric_group(3), [3, 0, 1, 2, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("name", list(NAIVE_ORACLE_GROUPS))
+def test_bruteforce_oracle_matches_naive_orbit_count(name):
+    """Each orbit is classified by its pair stabilizer stab(a) & stab(b): on
+    these groups a classification by stab(a) alone gives other entries."""
+    group = NAIVE_ORACLE_GROUPS[name]()
+    assert burnside_table_bruteforce(group).entries == _naive_burnside_entries(group)
 
 
 def test_burnside_s3_known_values(s3):

@@ -298,6 +298,50 @@ def test_cli_structured_error_on_malformed_entry(tmp_path, capsys, entry, named)
     assert doc["error"]["message"].startswith(named)
 
 
+# (entry name, field, shape, entry with the value v in that field, a valid v)
+INTEGER_FIELDS = [
+    ("gset 'X'", "size", "an integer",
+     lambda v: {"kind": "gset", "name": "X", "group": "C2", "size": v,
+                "action": [[0, 1], [1, 0]]}, 2),
+    ("gset 'X'", "action", "a list of lists of integers",
+     lambda v: {"kind": "gset", "name": "X", "group": "C2", "size": 2,
+                "action": [[0, 1], [v, 0]]}, 1),
+    ("gset 'X'", "action_by_generator", "a list of lists of integers",
+     lambda v: {"kind": "gset", "name": "X", "group": "C2", "size": 2,
+                "action_by_generator": [[v, 0]]}, 1),
+    ("gmap 'F'", "table", "a list of integers",
+     lambda v: {"kind": "gmap", "name": "F", "dom": "C2.regular", "cod": "C2.pt",
+                "table": [0, v]}, 0),
+    ("group 'G'", "generators", "a list of lists of integers",
+     lambda v: {"kind": "group", "name": "G", "generators": [[v, 0]]}, 1),
+    ("group 'G'", "mult", "a list of lists of integers",
+     lambda v: {"kind": "group", "name": "G", "mult": [[0, 1], [1, v]]}, 0),
+]
+INTEGER_FIELD_IDS = [f"{case[0].split()[0]}-{case[1]}" for case in INTEGER_FIELDS]
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, "1", True, None, [1]],
+                         ids=["float", "integral-float", "string", "bool", "null", "list"])
+@pytest.mark.parametrize("named, field, shape, entry, good", INTEGER_FIELDS,
+                         ids=INTEGER_FIELD_IDS)
+def test_cli_structured_error_on_non_integer_field(tmp_path, capsys, named, field, shape,
+                                                   entry, good, bad):
+    load_entries([entry(good)])
+    _write(tmp_path, "bad.json", entry(bad))
+    code = main(["validate", "--workspace", str(tmp_path), "--format", "json"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "WorkspaceError"
+    assert doc["error"]["message"] == f"{named}: field {field!r} must be {shape}; found {bad!r}"
+
+
+def test_mixed_generator_list_is_a_workspace_error():
+    with pytest.raises(WorkspaceError) as err:
+        load_entries([{"kind": "group", "name": "G", "generators": [[0, "a"]]}])
+    assert str(err.value) == ("group 'G': field 'generators' must be a list of lists "
+                              "of integers; found 'a'")
+
+
 def test_cli_structured_error_on_bad_input_json(capsys):
     code = main(["eval", "--functor", "burnside", "--group", "C2",
                  "--span", "C2.free-span", "--input", "[1, 2",
