@@ -164,6 +164,14 @@ def _vector(value, length: int, domain=_NATURAL_INPUT) -> tuple:
     return tuple(value)
 
 
+def _over(group, kind: str, name: str, value):
+    """value, the span, polynomial or G-set called name, if it lives over group."""
+    if value.group != group:
+        raise SpanPolyError(f"{kind} {name!r} is over {value.group.name}, "
+                            f"not over --group {group.name}")
+    return value
+
+
 def cmd_eval(args) -> int:
     ws = _workspace(args)
     group = ws.group(args.group)
@@ -174,14 +182,15 @@ def cmd_eval(args) -> int:
     if args.functor == "burnside":
         m = BurnsideMackey(group)
     elif args.functor == "fixed-point":
-        coords = ws.gset(args.module) if args.module else terminal_gset(group)
+        coords = (_over(group, "G-set", args.module, ws.gset(args.module)) if args.module
+                  else terminal_gset(group))
         m = FixedPointMackey(group, coords)
     elif args.functor in ("semiring:naturals", "semiring:booleans"):
         if not args.poly:
             raise SpanPolyError("semiring evaluation needs --poly")
         sr = builtin_semiring(args.functor.split(":", 1)[1])
         t = SemiringTambara(sr)
-        p = ws.poly(args.poly)
+        p = _over(group, "polynomial", args.poly, ws.poly(args.poly))
         domain = _BOOLEAN_INPUT if args.functor == "semiring:booleans" else _NATURAL_INPUT
         out = eval_poly(t, p, _vector(value, p.src.size, domain))
         _emit(args, lambda: f"value: {list(out)}", lambda: {"value": list(out)})
@@ -191,7 +200,7 @@ def cmd_eval(args) -> int:
             raise SpanPolyError(
                 "tambara-burnside evaluation needs --poly and --slice-input <gmap name>")
         t = BurnsideTambara(group)
-        p = ws.poly(args.poly)
+        p = _over(group, "polynomial", args.poly, ws.poly(args.poly))
         probe = ws.gmap(args.slice_input)
         if probe.cod != p.src:
             raise SpanPolyError("slice input must map into the polynomial's source")
@@ -206,7 +215,7 @@ def cmd_eval(args) -> int:
         raise SpanPolyError(f"unknown functor {args.functor!r}")
     if not args.span:
         raise SpanPolyError("mackey evaluation needs --span")
-    p = ws.span(args.span)
+    p = _over(group, "span", args.span, ws.span(args.span))
     mat = eval_span(m, p)
     vec = mat_apply(mat, _vector(value, mat.src))
     gens = m.value_gens(p.tgt)

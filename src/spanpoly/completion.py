@@ -210,7 +210,8 @@ class SliceIndexed(IndexedCategory):
         lf = self.lift(f)
         da = delta_data(lf, a)
         db = delta_data(lf, b)
-        table = tuple(db.pb.index_of((m.table[p], v)) for (p, v) in da.pb.elems)
+        table = tuple(map(db.pb.index_of, map(m.table.__getitem__, da.pb.proj1.table),
+                          da.pb.proj2.table))
         return GMap(da.pb.gset, db.pb.gset, table)
 
     def push_obj(self, f, x):
@@ -225,11 +226,9 @@ class SliceIndexed(IndexedCategory):
         d1 = delta_data(lf, a)
         d2 = delta_data(lg, d1.slice)
         d12 = delta_data(compose_gmaps(lf, lg), a)
-        table = []
-        for (i, w) in d2.pb.elems:
-            xa, _v = d1.pb.elems[i]
-            table.append(d12.pb.index_of((xa, w)))
-        return GMap(d2.pb.gset, d12.pb.gset, tuple(table))
+        table = tuple(map(d12.pb.index_of, map(d1.pb.proj1.table.__getitem__, d2.pb.proj1.table),
+                          d2.pb.proj2.table))
+        return GMap(d2.pb.gset, d12.pb.gset, table)
 
     def sum_obj(self, cop, a, b):
         if self.at is None:
@@ -239,14 +238,10 @@ class SliceIndexed(IndexedCategory):
         pv = product(cop.right, self.at)
         psum = product(cop.sum, self.at)
         cd = coproduct(a.total, b.total)
-        table = []
-        for p in a.total.points():
-            u_pt, k = pu.elems[a.arrow.table[p]]
-            table.append(psum.index_of((cop.inj1.table[u_pt], k)))
-        for p in b.total.points():
-            v_pt, k = pv.elems[b.arrow.table[p]]
-            table.append(psum.index_of((cop.inj2.table[v_pt], k)))
-        return SliceObject(GMap(cd.sum, psum.prod, tuple(table)))
+        table = tuple(psum.index_of(inj.table[pr.proj1.table[i]], pr.proj2.table[i])
+                      for pr, inj, s in ((pu, cop.inj1, a), (pv, cop.inj2, b))
+                      for i in s.arrow.table)
+        return SliceObject(GMap(cd.sum, psum.prod, table))
 
 
 def terminal_indexed() -> TerminalIndexed:

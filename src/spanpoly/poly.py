@@ -34,7 +34,6 @@ from .finact import (
     equivariant_isos,
     equivariant_maps,
     identity_gmap,
-    orbit_labels,
     section_eval,
     pi_slice,
     pullback,
@@ -217,8 +216,6 @@ def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[Span
 def poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[GMap, GMap]]:
     """Legwise isos (phiA, phiB) commuting with r, n, t and fixing the ends."""
     if p.src != q.src or p.tgt != q.tgt:
-        return None
-    if orbit_labels(p.n.cod, (p.t,)) != orbit_labels(q.n.cod, (q.t,)):
         return None
     for phi_b in equivariant_isos(p.n.cod, q.n.cod, ((p.t, q.t),)):
         legs = ((p.r, q.r), (compose_gmaps(phi_b, p.n), q.n))

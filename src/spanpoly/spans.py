@@ -107,13 +107,6 @@ class SpanComposite:
         self.span = Span(left, right)
         self.pb = pb
 
-    def index_of(self, pair: tuple[int, int]) -> int:
-        return self.pb.index_of(pair)
-
-    @property
-    def elems(self):
-        return self.pb.elems
-
 
 def compose_data(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS) -> SpanComposite:
     return SpanComposite(p, q, rclass)
@@ -160,11 +153,7 @@ def span_labels(p: Span) -> tuple:
 
 
 def span_iso(p: Span, q: Span) -> Optional[GMap]:
-    """An apex iso commuting with both legs, or None; labels pre-screen."""
-    if p.src != q.src or p.tgt != q.tgt:
-        raise BoundaryMismatch("span_iso needs parallel spans")
-    if span_labels(p) != span_labels(q):
-        return None
+    """An apex iso commuting with both legs, or None."""
     return next(span_isos(p, q), None)
 
 
@@ -219,11 +208,10 @@ def associator(p: Span, q: Span, r: Span,
     left = compose_data(pq.span, r, rclass)
     qr = compose_data(q, r, rclass)
     right = compose_data(p, qr.span, rclass)
-    table = []
-    for (pq_idx, w) in left.elems:
-        s, t = pq.elems[pq_idx]
-        table.append(right.index_of((s, qr.index_of((t, w)))))
-    return left, right, GMap(left.span.apex, right.span.apex, tuple(table))
+    ps, qt = pq.pb.proj1.table, pq.pb.proj2.table
+    table = tuple(right.pb.index_of(ps[i], qr.pb.index_of(qt[i], w))
+                  for i, w in zip(left.pb.proj1.table, left.pb.proj2.table))
+    return left, right, GMap(left.span.apex, right.span.apex, table)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +221,7 @@ def associator(p: Span, q: Span, r: Span,
 def adjunction_unit(r: GMap, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
     """unit : identity span of U => r_* ; r^*  (the kernel-pair diagonal)."""
     comp = compose_data(lower_star(r), upper_star(r, rclass), rclass)
-    table = tuple(comp.index_of((x, x)) for x in r.dom.points())
+    table = tuple(comp.pb.index_of(x, x) for x in r.dom.points())
     return comp, GMap(r.dom, comp.span.apex, table)
 
 
@@ -254,6 +242,7 @@ def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
     g = upper_star(r, rclass)
     k = compose_data(f, g, rclass)          # r_* ; r^*, kernel pair
     r2 = compose_data(g, f, rclass)         # r^* ; r_*
+    ka, kb = k.pb.proj1.table, k.pb.proj2.table
     _, eta = adjunction_unit(r, rclass)
     _, eps = adjunction_counit(r, rclass)
 
@@ -268,17 +257,15 @@ def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
     c2 = compose_data(k.span, f, rclass)
     c3 = compose_data(f, r2.span, rclass)
     c4 = compose_data(f, identity_span(r.cod), rclass)
+    (x1, s1), (k2, s2), (a3, p3), (c4s, _) = (
+        (c.pb.proj1.table, c.pb.proj2.table) for c in (c1, c2, c3, c4))
     ok = True
     for s in r.dom.points():
-        i1 = c1.index_of((s, s))
-        x, s1 = c1.elems[i1]
-        i2 = c2.index_of((eta.table[x], s1))
-        k_idx, s2 = c2.elems[i2]
-        a, b = k.elems[k_idx]
-        i3 = c3.index_of((a, r2.index_of((b, s2))))
-        a2, p_idx = c3.elems[i3]
-        i4 = c4.index_of((a2, eps.table[p_idx]))
-        if c4.elems[i4][0] != s:
+        i1 = c1.pb.index_of(s, s)
+        i2 = c2.pb.index_of(eta.table[x1[i1]], s1[i1])
+        i3 = c3.pb.index_of(ka[k2[i2]], r2.pb.index_of(kb[k2[i2]], s2[i2]))
+        i4 = c4.pb.index_of(a3[i3], eps.table[p3[i3]])
+        if c4s[i4] != s:
             ok = False
             break
     checks.append(Check("triangle-lower", ok))
@@ -288,17 +275,15 @@ def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
     d2 = compose_data(g, k.span, rclass)
     d3 = compose_data(r2.span, g, rclass)
     d4 = compose_data(identity_span(r.cod), g, rclass)
+    (t1, x1), (t2, k2), (p3, b3), (_, d4t) = (
+        (d.pb.proj1.table, d.pb.proj2.table) for d in (d1, d2, d3, d4))
     ok = True
     for t in r.dom.points():
-        i1 = d1.index_of((t, t))
-        t1, x = d1.elems[i1]
-        i2 = d2.index_of((t1, eta.table[x]))
-        t2, k_idx = d2.elems[i2]
-        a, b = k.elems[k_idx]
-        i3 = d3.index_of((r2.index_of((t2, a)), b))
-        p_idx, b2 = d3.elems[i3]
-        i4 = d4.index_of((eps.table[p_idx], b2))
-        if d4.elems[i4][1] != t:
+        i1 = d1.pb.index_of(t, t)
+        i2 = d2.pb.index_of(t1[i1], eta.table[x1[i1]])
+        i3 = d3.pb.index_of(r2.pb.index_of(t2[i2], ka[k2[i2]]), kb[k2[i2]])
+        i4 = d4.pb.index_of(eps.table[p3[i3]], b3[i3])
+        if d4t[i4] != t:
             ok = False
             break
     checks.append(Check("triangle-upper", ok))
@@ -313,7 +298,7 @@ def decompose(p: Span, rclass: MorphismClass = ALL_MAPS) -> tuple[GMap, GMap, GM
     """Write p as its legs (u, v) with a certificate iso  (v_* after u^*) ~ p."""
     u, v = p.left, p.right
     comp = compose_data(upper_star(u, rclass), lower_star(v), rclass)
-    cert = GMap(comp.span.apex, p.apex, tuple(e[0] for e in comp.elems))
+    cert = GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
     if not is_span_morphism(comp.span, p, cert) or not cert.is_bijective():
         raise InvalidStructure("decomposition certificate failed")
     return u, v, cert

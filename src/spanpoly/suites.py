@@ -306,6 +306,19 @@ def suite_lextensive(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     return Report("lextensive", tuple(checks))
 
 
+def _adjunction_triangles(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
+    """The Sigma -| Delta -| Pi triangles on two maps u and two slices at each end."""
+    triangles = []
+    for k in range(2):
+        w = random_gset(rng, group, size_bound)
+        u = random_map_into(rng, w, size_bound, allow_empty=False)
+        doms = [random_slice(rng, u.dom, size_bound) for _ in range(2)]
+        cods = [random_slice(rng, w, size_bound) for _ in range(2)]
+        triangles += [Check(f"u[{k}]/{name}", ok)
+                      for name, ok in check_adjunction_triangles(u, doms, cods)]
+    return Report("adjunction-triangles", tuple(triangles))
+
+
 def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     if size_bound <= 0:
         return _empty("objective")
@@ -348,16 +361,8 @@ def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         o2 = completion.completion_obj(e, leg2, random_slice(rng, leg2.dom, size_bound))
         reports.append(completion.hom_bijection(e, o, o2, r))
         reports.append(completion.hom_bijection_dual(e, o, o2, r))
-    # half size: the Delta -| Pi triangles take a dependent product of a dependent product
-    triangles = []
-    for k in range(2):
-        w = random_gset(rng, group, small)
-        u = random_map_into(rng, w, small, allow_empty=False)
-        doms = [random_slice(rng, u.dom, small) for _ in range(2)]
-        cods = [random_slice(rng, w, small) for _ in range(2)]
-        triangles += [Check(f"u[{k}]/{name}", ok)
-                      for name, ok in check_adjunction_triangles(u, doms, cods)]
-    reports.append(Report("adjunction-triangles", tuple(triangles)))
+    # half size, as pinned: at full size, S3 seed 2's Pi_u Delta_u b passes MAX_POINTS
+    reports.append(_adjunction_triangles(group, rng, small))
     reports += [check_semiring_laws(sr) for sr in (NATURALS, BOOLEANS)]
     return merge_reports("objective", reports)
 

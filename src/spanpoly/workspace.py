@@ -338,29 +338,31 @@ def _flat_encoder(depth: int) -> Callable[[object], str]:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def _encode(obj, depth: int) -> str:
-    """`obj` as json.dumps(obj, sort_keys=True, indent=2) writes it at nesting `depth`."""
+def _encode(obj, depth: int, end: str = "") -> str:
+    """`obj` as json.dumps(obj, sort_keys=True, indent=2) writes it at `depth`, then end."""
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            return "[]" + end
         values, brackets = obj, "[]"
     elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            return "{}" + end
         values, brackets = obj.values(), "{}"
     else:
-        return _flat_encoder(depth)(obj)
+        return _flat_encoder(depth)(obj) + end
     inner = depth + 1
     if _SCALARS.issuperset(map(type, values)):
         body = _flat_encoder(inner)(obj)[1:-1]
+        return f"{brackets[0]}\n{'  ' * inner}{body}\n{'  ' * depth}{brackets[1]}{end}"
+    if brackets == "[]":
+        parts = [_encode(v, inner) for v in obj]
     else:
-        sep = ",\n" + "  " * inner
-        if brackets == "[]":
-            body = sep.join([_encode(v, inner) for v in obj])
-        else:
-            body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
-                             for k, v in sorted(obj.items())])
-    return f"{brackets[0]}\n{'  ' * inner}{body}\n{'  ' * depth}{brackets[1]}"
+        parts = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                 for k, v in sorted(obj.items())]
+    # open and close on the first and last part, so that the whole is copied once
+    parts[0] = f"{brackets[0]}\n{'  ' * inner}{parts[0]}"
+    parts[-1] = f"{parts[-1]}\n{'  ' * depth}{brackets[1]}{end}"
+    return (",\n" + "  " * inner).join(parts)
 
 
 def dump_json(obj: dict) -> str:
@@ -369,4 +371,4 @@ def dump_json(obj: dict) -> str:
     json's indenting encoder is pure Python; this one recurses in Python only
     through containers that hold containers.  Keys must be strings.
     """
-    return _encode(obj, 0) + "\n"
+    return _encode(obj, 0, "\n")

@@ -41,3 +41,17 @@ def relabelled_group(name, group, perm):
         for b, ab in enumerate(row):
             mult[perm[a]][perm[b]] = perm[ab]
     return group_from_table(name, mult)
+
+
+def pairs(pb):
+    """The pair (a, b) of each point of a pullback or product, read off its projections."""
+    return list(zip(pb.proj1.table, pb.proj2.table))
+
+
+def sections(pd):
+    """The descriptor (x, values) of each point of a dependent product.
+
+    values lists the section's value at each point of the fiber over x, ascending.
+    """
+    return [(x, pd.section_values([b] * len(pd.fibers[x]), pd.fibers[x]))
+            for b, x in enumerate(pd.slice.arrow.table)]

@@ -1,11 +1,16 @@
 """Constructed G-sets against a reference numbering that shares no code with `build_gset`.
 
 Pullbacks, products, dependent products and the parts of a map into a
-coproduct number their points by position arithmetic.  Here each is rebuilt
-from its descriptors alone: they are sorted, indexed in a dict, moved by one
-generator at a time, and grouped by a breadth-first orbit search written
-below, orbits by least descriptor and points ascending within an orbit.  The
-generator rows, the descriptors and the projection tables must agree.
+coproduct number their points by position arithmetic, and find a point the
+same way.  Here each is rebuilt from descriptors alone (pairs (a, b),
+sections (x, values), points of a part): they are sorted, indexed in a dict,
+moved by one generator at a time, and grouped by a breadth-first orbit
+search written below, orbits by least descriptor and points ascending within
+an orbit.  The generator rows and the projection tables must agree, the
+lookups `index_of` and `index_of_section` must find the reference descriptor
+at position i at point i, the reader `section_values` must give back its
+values, and a pair or section that is not in the construction must raise
+KeyError.
 """
 import itertools
 import random
@@ -73,22 +78,31 @@ def _pair_act(x, y):
     return lambda k, d: (x.rows[k][d[0]], y.rows[k][d[1]])
 
 
+def check_pairs(pb, x, y, elems):
+    """pb's projections and index_of against the reference pairs elems on x and y."""
+    assert pb.proj1.table == tuple(a for a, _ in elems)
+    assert pb.proj2.table == tuple(b for _, b in elems)
+    assert [pb.index_of(a, b) for a, b in elems] == list(range(len(elems)))
+    members = set(elems)
+    outside = [(a, b) for a in range(-1, x.size + 1) for b in range(-1, y.size + 1)
+               if (a, b) not in members]
+    for a, b in outside:
+        with pytest.raises(KeyError):
+            pb.index_of(a, b)
+
+
 def check_pullback(pb, f, g):
     descs = [(a, b) for a in f.dom.points() for b in g.dom.points() if f.table[a] == g.table[b]]
     rows, elems = reference(f.group, descs, _pair_act(f.dom, g.dom))
     assert pb.gset.size == len(elems)
     assert pb.gset.rows == rows
-    assert list(pb.elems) == elems
-    assert pb.proj1.table == tuple(a for a, _ in elems)
-    assert pb.proj2.table == tuple(b for _, b in elems)
+    check_pairs(pb, f.dom, g.dom, elems)
 
 
 def check_product(pr, x, y):
     rows, elems = reference(x.group, itertools.product(x.points(), y.points()), _pair_act(x, y))
     assert pr.gset.rows == rows
-    assert list(pr.elems) == elems
-    assert (pr.proj1.table, pr.proj2.table) == (tuple(a for a, _ in elems),
-                                                tuple(b for _, b in elems))
+    check_pairs(pr, x, y, elems)
 
 
 def check_pi(u, a):
@@ -107,8 +121,30 @@ def check_pi(u, a):
     rows, elems = reference(u.group, descs, act)
     pd = pi(u, a)
     assert pd.con.gset.rows == rows
-    assert list(pd.con.elems) == elems
     assert pd.slice.arrow.table == tuple(x for x, _ in elems)
+    assert [pd.index_of_section(x, sec) for x, sec in elems] == list(range(len(elems)))
+    assert [pd.section_values([b] * len(fiber[x]), fiber[x])
+            for b, (x, sec) in enumerate(elems)] == [sec for _, sec in elems]
+    # not sections: one value moved off its fiber point, a value too many or
+    # too few, a base point out of range
+    for x, sec in elems:
+        for k, p in enumerate(fiber[x]):
+            for v in total.points():
+                if a.arrow.table[v] != p:
+                    with pytest.raises(KeyError):
+                        pd.index_of_section(x, sec[:k] + (v,) + sec[k + 1:])
+        for wrong in (sec + (0,), sec[1:]):
+            if wrong != sec:
+                with pytest.raises(KeyError):
+                    pd.index_of_section(x, wrong)
+    for x in (-1, uu.size):
+        with pytest.raises(KeyError):
+            pd.index_of_section(x, ())
+    for b, (x, _) in enumerate(elems):
+        for p in s.points():
+            if u.table[p] != x:
+                with pytest.raises(KeyError):
+                    pd.section_values([b], [p])
     return len(elems)
 
 

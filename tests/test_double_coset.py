@@ -37,7 +37,7 @@ from spanpoly.sampling import random_gmap, random_gset, random_map_into, random_
 from spanpoly.tambara import BurnsideTambara
 from spanpoly.util_linear import lin_map
 
-from helpers import relabelled_group
+from helpers import pairs, relabelled_group
 
 GROUPS = {
     "triv": trivial_group(),
@@ -204,11 +204,12 @@ class ProductFixedPoint:
 
     def _gens(self, x):
         pr = product(x, self.coords)
+        descs = pairs(pr)
         orbit_of = {}
         for i, o in enumerate(orbits(pr.prod)):
             for p in o:
-                orbit_of[pr.elems[p]] = i
-        gens = tuple(pr.elems[o[0]] for o in orbits(pr.prod))
+                orbit_of[descs[p]] = i
+        gens = tuple(descs[o[0]] for o in orbits(pr.prod))
         return gens, orbit_of
 
     def value_gens(self, x):

@@ -52,7 +52,7 @@ from spanpoly.groups import (
 )
 from spanpoly.sampling import random_gset, random_map_into, random_slice
 
-from helpers import coset_sum, seeded_map
+from helpers import coset_sum, pairs, sections, seeded_map
 
 
 
@@ -304,6 +304,32 @@ def test_adjunction_triangles_free(c2, f2, u2, pt2, rng):
     assert all(ok for _, ok in res)
 
 
+def _wrong_evaluation(monkeypatch, wrong):
+    """Have section_eval hand out e replaced by wrong(e)."""
+    real = finact.section_eval
+
+    def patched(u, a):
+        pw = real(u, a)
+        pw.e = GMap(pw.e.dom, pw.e.cod, wrong(pw.e.table))
+        return pw
+    monkeypatch.setattr(finact, "section_eval", patched)
+
+
+@pytest.mark.parametrize("wrong", [
+    # swap the two copies of f2: each value stays over its point, but in the other copy
+    lambda table: tuple((v + 2) % 4 for v in table),
+    # every value in the first copy over the first point: no longer a section
+    lambda table: (0,) * len(table),
+], ids=["swapped-within-fibers", "not-a-section"])
+def test_delta_pi_right_fails_on_a_wrong_evaluation(f2, u2, monkeypatch, wrong):
+    cop = coproduct(f2, f2)
+    a = SliceObject(cop.cotuple(identity_gmap(f2), identity_gmap(f2)))
+    assert dict(check_adjunction_triangles(u2, [a], []))["delta-pi/right[0]"]
+    _wrong_evaluation(monkeypatch, wrong)
+    assert dict(check_adjunction_triangles(u2, [a], [])) == {
+        "sigma-delta/left[0]": True, "delta-pi/right[0]": False}
+
+
 def test_adjunction_triangles_random(c2, rng):
     for _ in range(20):
         w = random_gset(rng, c2, 5)
@@ -523,10 +549,10 @@ def test_random_slices_validate(seed):
 # the generator-row builder against every group element
 # ---------------------------------------------------------------------------
 
-def _naive_rows(con, act):
-    """The action row of every group element, from act(g, descriptor)."""
-    index = {e: i for i, e in enumerate(con.elems)}
-    return [tuple(index[act(g, e)] for e in con.elems) for g in con.gset.group.elements()]
+def _naive_rows(x, descs, act):
+    """The action row of every group element on x, from act(g, descriptor)."""
+    index = {e: i for i, e in enumerate(descs)}
+    return [tuple(index[act(g, e)] for e in descs) for g in x.group.elements()]
 
 
 def _pair_act(x, y):
@@ -565,7 +591,7 @@ def test_built_action_matches_every_group_element(group, seed):
     cop = coproduct(f.dom, sum_of(1))
     a = SliceObject(cop.cotuple(identity_gmap(f.dom), seeded_map(rng, cop.right, f.dom)))
     pb, pr, pd = pullback(f, g), product(f.dom, base), pi(f, a)
-    assert list(pb.gset.action) == _naive_rows(pb, _pair_act(f.dom, g.dom))
-    assert list(pr.gset.action) == _naive_rows(pr, _pair_act(f.dom, base))
+    assert list(pb.gset.action) == _naive_rows(pb.gset, pairs(pb), _pair_act(f.dom, g.dom))
+    assert list(pr.gset.action) == _naive_rows(pr.gset, pairs(pr), _pair_act(f.dom, base))
     assert pd.con.gset.size > 0
-    assert list(pd.con.gset.action) == _naive_rows(pd.con, _pi_act(f, a))
+    assert list(pd.con.gset.action) == _naive_rows(pd.con.gset, sections(pd), _pi_act(f, a))

@@ -47,7 +47,7 @@ from spanpoly.groups import (
 from spanpoly.sampling import random_gset, random_subgroup
 from spanpoly.workspace import builtin_workspace, gset_to_obj, load_entries
 
-from helpers import coset_sum, relabelled_group, seeded_map
+from helpers import coset_sum, pairs, relabelled_group, sections, seeded_map
 
 GROUPS = {
     "triv": trivial_group(),
@@ -130,9 +130,10 @@ def test_builders_store_generator_rows(group, seed):
 
     f, g = seeded_map(rng, sum_of(2), y), seeded_map(rng, sum_of(2), y)
     for con, (a, b) in ((pullback(f, g), (f.dom, g.dom)), (product(x, y), (x, y))):
-        index = {e: i for i, e in enumerate(con.elems)}
+        descs = pairs(con)
+        index = {e: i for i, e in enumerate(descs)}
         _assert_generator_rows(con.gset, [[index[(a.act(h, e[0]), b.act(h, e[1]))]
-                                           for e in con.elems] for h in group.elements()])
+                                           for e in descs] for h in group.elements()])
 
     cop = coproduct(f.dom, sum_of(1))
     s = SliceObject(cop.cotuple(identity_gmap(f.dom), seeded_map(rng, cop.right, f.dom)))
@@ -144,8 +145,9 @@ def test_builders_store_generator_rows(group, seed):
         hu = f.cod.act(h, u)
         return hu, tuple(s.total.act(h, sec[fib[u].index(f.dom.act(group.inv(h), q))])
                          for q in fib[hu])
-    index = {e: i for i, e in enumerate(pd.con.elems)}
-    _assert_generator_rows(pd.con.gset, [[index[act(h, e)] for e in pd.con.elems]
+    descs = sections(pd)
+    index = {e: i for i, e in enumerate(descs)}
+    _assert_generator_rows(pd.con.gset, [[index[act(h, e)] for e in descs]
                                          for h in group.elements()])
 
 

@@ -43,7 +43,7 @@ from spanpoly.mackey import canonical_slice
 from spanpoly.sampling import random_gmap
 from spanpoly.spans import Span, span_canonical_form, span_class
 
-from helpers import coset_sum, seeded_map
+from helpers import coset_sum, pairs, sections, seeded_map
 
 
 def _pin(x):
@@ -87,9 +87,9 @@ def _constructions(group, base, left, right, k, seed):
     f2 = _shuffled(rng, f)
     draws = [random_gmap(rng, f.dom, g.dom).table for _ in range(4)]
     return {
-        "pullback": (pb.elems, _pin(pb.gset)),
-        "product": (pr.elems, _pin(pr.gset)),
-        "pi": (pd.con.elems, _pin(pd.con.gset)),
+        "pullback": (tuple(pairs(pb)), _pin(pb.gset)),
+        "product": (tuple(pairs(pr)), _pin(pr.gset)),
+        "pi": (tuple(sections(pd)), _pin(pd.con.gset)),
         "decompose": (_pin(d.part1), d.incl1.table, _pin(d.part2), d.incl2.table),
         "maps": (_tables(equivariant_maps(f.dom, g.dom)),
                  _tables(slice_homs(SliceObject(f), SliceObject(g)))),

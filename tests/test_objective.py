@@ -1,10 +1,20 @@
 """The `objective` suite: it passes on every builtin group, and it is not vacuous."""
+from collections import Counter
+
 import pytest
 
-from spanpoly import completion
+from spanpoly import completion, suites
 from spanpoly.cli import main
 from spanpoly.completion import SliceIndexed
-from spanpoly.finact import SliceObject, compose_gmaps
+from spanpoly.errors import ResourceLimit
+from spanpoly.finact import (
+    MAX_POINTS,
+    SliceObject,
+    check_adjunction_triangles,
+    compose_gmaps,
+    delta_data,
+    pi_slice,
+)
 from spanpoly.groups import BUILTIN_GROUPS, builtin_group
 from spanpoly.report import Check, Report
 from spanpoly.suites import run_suite
@@ -58,3 +68,49 @@ def test_objective_suite_records_a_failed_cocompleteness_gate(monkeypatch):
     rep = run_suite("objective", builtin_group("C2"), 0, 6)
     assert [c.name for c in rep.failures()] == ["cocompleteness-gate/extend-to-spans"]
     assert "cannot extend to spans" in rep.failures()[0].detail
+
+
+def _pi_of_pi_sections(u, a):
+    """The sections of Pi_u Delta_u Pi_u a: over x, c ** |u^-1(x)| for c the
+    sections of a over u^-1(x)."""
+    sections, fiber = Counter(pi_slice(u, a).arrow.table), Counter(u.table)
+    return sum(sections[x] ** fiber[x] for x in u.cod.points())
+
+
+def _full_size_draws(seed, monkeypatch):
+    """The triangle samples (u, doms, cods) of the S3 `objective` suite at
+    size bound 12, drawn at the full bound instead of half of it."""
+    draw, draws = suites._adjunction_triangles, []
+
+    def record(u, doms, cods):
+        draws.append((u, doms, cods))
+        return []
+
+    monkeypatch.setattr(suites, "check_adjunction_triangles", record)
+    monkeypatch.setattr(suites, "_adjunction_triangles",
+                        lambda group, rng, size_bound: draw(group, rng, 12))
+    run_suite("objective", builtin_group("S3"), seed, 12)
+    return draws
+
+
+def test_adjunction_triangles_pass_at_full_size_on_s3_seed_0(monkeypatch):
+    """A domain slice here has a Pi of a Pi over MAX_POINTS; the check builds none."""
+    draws = _full_size_draws(0, monkeypatch)
+    assert max(_pi_of_pi_sections(u, a)
+               for u, doms, _ in draws for a in doms) == 5_308_416 > MAX_POINTS
+    for u, doms, cods in draws:
+        assert all(ok for _, ok in check_adjunction_triangles(u, doms, cods))
+
+
+def test_adjunction_triangles_at_full_size_on_s3_seed_2(monkeypatch):
+    """Every triangle passes but delta-pi/left on the second map's second
+    codomain slice b: Pi_u Delta_u b, the object that triangle is stated on,
+    has 11 ** 8 sections, and the size guard stops it."""
+    (u0, doms0, cods0), (u, doms, (b0, b)) = _full_size_draws(2, monkeypatch)
+    assert all(ok for _, ok in check_adjunction_triangles(u0, doms0, cods0))
+    assert all(ok for _, ok in check_adjunction_triangles(u, doms, [b0]))
+    with pytest.raises(ResourceLimit) as err:
+        check_adjunction_triangles(u, [], [b])
+    assert (err.value.construction, err.value.projected) == ("dependent product", 11 ** 8)
+    assert err.value.sizes == {"dom": u.dom.size, "cod": u.cod.size,
+                               "slice": delta_data(u, b).pb.gset.size}

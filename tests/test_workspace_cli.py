@@ -381,6 +381,23 @@ def test_cli_structured_error_on_bad_argument(tmp_path, capsys, argv, message):
     assert doc["error"]["message"].startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--functor", "burnside", "--group", "C3", "--span", "C2.free-span", "--input", "[0, 1]"],
+     "span 'C2.free-span' is over C2, not over --group C3"),
+    (["--functor", "fixed-point", "--group", "C2", "--module", "S3.pt",
+      "--span", "C2.free-span", "--input", "[3]"],
+     "G-set 'S3.pt' is over S3, not over --group C2"),
+    (["--functor", "semiring:naturals", "--group", "C2", "--poly", "triv.free-poly",
+      "--input", "[5]"], "polynomial 'triv.free-poly' is over triv, not over --group C2"),
+    (["--functor", "tambara-burnside", "--group", "S4", "--poly", "C2.free-poly",
+      "--slice-input", "C2.id_pt"], "polynomial 'C2.free-poly' is over C2, not over --group S4"),
+], ids=["mackey", "fixed-point-module", "semiring", "tambara-burnside"])
+def test_cli_eval_refuses_a_value_over_another_group(capsys, argv, message):
+    assert main(["eval"] + argv + ["--format", "json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["message"]) == ("SpanPolyError", message)
+
+
 def test_cli_resource_limit_error_carries_the_guard_fields(capsys):
     """A tripped size guard names its construction, sizes, count and limit in JSON."""
     argv = ["check", "--suite", "distlaw", "--group", "S4"]
