@@ -3,12 +3,15 @@
 
 A suite that stops with an error (a tripped size guard, say) prints an
 [ERR ] line with the error's type and message and counts as failing; the
-remaining suites still run, and the exit status is 1.
+remaining suites still run, and the exit status is 1.  The last line is
+the process's peak resident set size, so a sweep's log shows what its
+suite runs kept alive.
 
 Usage:
   python scripts/run_checks.py [--seed N] [--max-size K] [--groups C2,S3]
 """
 import argparse
+import resource
 import sys
 import time
 
@@ -46,6 +49,8 @@ def main() -> int:
                 print(rep.render_text())
             failures += 0 if rep.passed else 1
     print(f"{failures} failing suites" if failures else "all suites passed")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return 1 if failures else 0
 
 

@@ -44,6 +44,11 @@ class FiniteGroup(FrozenRecord):
                 and self.generators == other.generators)
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # computed once: every G-set's hash hashes its group's table
         return hash((self.name, self.mult, self.identity, self.inverse, self.generators))
 
     @property

@@ -38,6 +38,8 @@ from .finact import (
     GMap,
     GSet,
     SliceObject,
+    _shared,
+    _size_of_key,
     check_points,
     coproduct,
     from_labels,
@@ -71,8 +73,12 @@ def atoms(base: GSet) -> tuple[AtomLabel, ...]:
 
     Every transitive G-set over the base is G/H over an orbit representative
     x with H inside the stabilizer of x; the labels of these pieces, less
-    duplicates, are the atoms.
+    duplicates, are the atoms.  Shared within a `finact.sharing` scope.
     """
+    return _shared(_atoms, _size_of_key, base)
+
+
+def _atoms(base: GSet) -> tuple[AtomLabel, ...]:
     group = base.group
     labs = set()
     for o in orbit_cosets(base):

@@ -2,7 +2,8 @@
 
 Each suite draws a deterministic sample family from a seeded generator,
 runs the relevant harnesses, and merges their reports.  A size bound of
-zero yields an empty (vacuously passing) report.
+zero yields an empty (vacuously passing) report.  `run_suite` runs each
+suite in its own `finact.sharing` scope.
 
 `objective` checks that the indexed categories of `completion` (slices,
 slices over - x K, the terminal one) behave as objective Mackey functors:
@@ -28,6 +29,7 @@ from .finact import (
     identity_gmap,
     lextensive_factor,
     regular_gset,
+    sharing,
     slice_identity,
     sum_gmap,
     unique_to_terminal,
@@ -418,9 +420,10 @@ def run_suite(name: str, group: FiniteGroup, seed: int, size_bound: int,
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     rng = random.Random(seed)
-    if name == "protocalib" and rclass is not None:
-        rep = suite_protocalib(group, rng, size_bound, extra_class=rclass)
-    else:
-        rep = SUITES[name](group, rng, size_bound)
+    with sharing():
+        if name == "protocalib" and rclass is not None:
+            rep = suite_protocalib(group, rng, size_bound, extra_class=rclass)
+        else:
+            rep = SUITES[name](group, rng, size_bound)
     return Report(rep.title, rep.checks,
                   rep.notes + (f"group={group.name} seed={seed} size_bound={size_bound}",))

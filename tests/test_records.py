@@ -192,6 +192,16 @@ def test_caches_stay_outside_equality_and_hash():
     g, h = _group(), cyclic_group(2)
     g.data.subgroups
     assert "data" in vars(g) and g == h and hash(g) == hash(h)
+    # the group's hash is computed once and stored beside its data
+    g = cyclic_group(3)
+    fields = hash((g.name, g.mult, g.identity, g.inverse, g.generators))
+    assert "_hash" not in vars(g)
+    assert hash(g) == fields and vars(g)["_hash"] == fields
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == fields
+    stale = cyclic_group(3)
+    vars(stale)["_hash"] = fields + 1
+    assert stale == g and "_hash" not in repr(stale)
 
 
 def test_linear_map_shape_is_checked():

@@ -475,7 +475,8 @@ def test_run_checks_script_reports_a_suite_error_and_goes_on():
     assert len(errors) == 1 and "S4 distlaw" in errors[0]
     assert "ResourceLimit: dependent product" in errors[0]
     assert sum(line.startswith("[ok  ]") for line in lines) == len(SUITES) - 1
-    assert lines[-1] == "1 failing suites"
+    assert lines[-2] == "1 failing suites"
+    assert re.fullmatch(r"peak RSS \d+\.\d MB", lines[-1])
 
 
 def test_cli_custom_group_everywhere(tmp_path, capsys):
