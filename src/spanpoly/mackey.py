@@ -344,11 +344,13 @@ class BurnsideTable(FrozenRecord):
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
+        """The table as JSON data; equal entries are one tuple, which `dump_json` encodes at most twice."""
+        one: dict[tuple[int, ...], tuple[int, ...]] = {}
         return {
             "group": self.group_name,
             "atoms": [{"name": n, "size": s}
                       for n, s in zip(self.atom_names, self.atom_sizes)],
-            "table": [[list(v) for v in row] for row in self.entries],
+            "table": [[one.setdefault(v, v) for v in row] for row in self.entries],
         }
 
 

@@ -338,8 +338,13 @@ def _flat_encoder(depth: int) -> Callable[[object], str]:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def _encode(obj, depth: int, end: str = "") -> str:
-    """`obj` as json.dumps(obj, sort_keys=True, indent=2) writes it at `depth`, then end."""
+def _encode(obj, depth: int, flat: dict, end: str = "") -> str:
+    """`obj` as json.dumps(obj, sort_keys=True, indent=2) writes it at `depth`, then end.
+
+    flat maps (id, depth) of each container of scalars encoded so far to
+    None, or to its text once it has been met twice: a container met a third
+    time at the same depth is not encoded again.  The key is the object's
+    identity, not its value, as (1, 0) == (True, False)."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]" + end
@@ -350,14 +355,22 @@ def _encode(obj, depth: int, end: str = "") -> str:
         values, brackets = obj.values(), "{}"
     else:
         return _flat_encoder(depth)(obj) + end
+    key = id(obj), depth
+    text = flat.get(key)
+    if text is not None:
+        return text + end
     inner = depth + 1
     if _SCALARS.issuperset(map(type, values)):
         body = _flat_encoder(inner)(obj)[1:-1]
-        return f"{brackets[0]}\n{'  ' * inner}{body}\n{'  ' * depth}{brackets[1]}{end}"
+        text = f"{brackets[0]}\n{'  ' * inner}{body}\n{'  ' * depth}{brackets[1]}"
+        # kept from the second encoding on: a container met once holds no
+        # text beyond its parent's join
+        flat[key] = text if key in flat else None
+        return text + end
     if brackets == "[]":
-        parts = [_encode(v, inner) for v in obj]
+        parts = [_encode(v, inner, flat) for v in obj]
     else:
-        parts = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+        parts = [f"{encode_basestring_ascii(k)}: {_encode(v, inner, flat)}"
                  for k, v in sorted(obj.items())]
     # open and close on the first and last part, so that the whole is copied once
     parts[0] = f"{brackets[0]}\n{'  ' * inner}{parts[0]}"
@@ -369,6 +382,8 @@ def dump_json(obj: dict) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) + "\\n" writes it, byte for byte.
 
     json's indenting encoder is pure Python; this one recurses in Python only
-    through containers that hold containers.  Keys must be strings.
+    through containers that hold containers, and encodes a container of
+    scalars that obj holds many times at one depth at most twice there.
+    Keys must be strings.
     """
-    return _encode(obj, 0, "\n")
+    return _encode(obj, 0, {}, "\n")

@@ -124,16 +124,34 @@ def test_dump_json_matches_stdlib(obj):
     assert dump_json(obj) == _stdlib_dump(obj)
 
 
+# tuple objects that dump_json meets more than twice at one depth; the
+# last two are equal, and so hash alike, but encode differently
+_SHARED, _INTS, _BOOLS = (3, "x", None), (1, 0), (True, False)
+
+
 @pytest.mark.parametrize("obj", [
     {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}]},
     [1, [2], {}], [[1, 2], 3, "x", None, True, {"k": [False]}],
     {"\u00e9t\u00e9": "caf\u00e9 \u2603 \U0001d11e", "z": ["\u00fc", "\u4e2d"]},
     {"q\"uote": "back\\slash\n\ttab\x00\x1f\x7f", "\n": ["\r", "/"]},
     {"deep": {"er": {"est": [[[0, -1]], [[2 ** 70]]]}}},
+    {"a": _SHARED, "b": [_SHARED, [_SHARED, {"c": _SHARED}], _SHARED, _SHARED]},
+    [_INTS, _BOOLS, _INTS, [1, 0], _BOOLS, _INTS, _BOOLS, [True, False]],
 ], ids=["empty-dict", "empty-list", "empty-tuple", "nested-empties", "mixed-list",
-        "mixed-scalars-and-containers", "non-ascii", "escapes", "deep"])
+        "mixed-scalars-and-containers", "non-ascii", "escapes", "deep",
+        "one-tuple-at-several-depths", "equal-ints-and-booleans"])
 def test_dump_json_matches_stdlib_on_edge_cases(obj):
     assert dump_json(obj) == _stdlib_dump(obj)
+
+
+def test_burnside_table_passes_equal_vectors_as_one_object():
+    from spanpoly.groups import symmetric_group
+    from spanpoly.mackey import burnside_table
+    table = burnside_table(symmetric_group(4))
+    rows = table.to_dict()["table"]
+    assert rows == [list(map(tuple, row)) for row in table.entries]
+    vectors = [v for row in rows for v in row]
+    assert len({id(v) for v in vectors}) == len(set(vectors)) < len(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +429,37 @@ def test_cli_resource_limit_error_carries_the_guard_fields(capsys):
     assert capsys.readouterr().out == f"error [ResourceLimit]: {err['message']}\n"
 
 
-def test_cli_import_loads_no_dataclass_machinery():
-    """A fresh `import spanpoly.cli` loads neither `dataclasses` nor `inspect`."""
+def _loaded_in_fresh_process(code: str, modules) -> list[str]:
+    """Which of modules are loaded after a fresh interpreter runs code."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, spanpoly.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    code += f"\nimport sys; print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert fresh.stdout == "[]\n"
+    return ast.literal_eval(fresh.stdout)
+
+
+# the modules only `check` and `eval` run; the other commands never load them
+_DEFERRED = tuple(f"spanpoly.{m}" for m in ("suites", "sampling", "completion", "tambara"))
+# the modules perfbench's tracer wraps after `import spanpoly.cli`
+_AT_START = tuple(f"spanpoly.{m}" for m in ("finact", "spans", "mackey", "poly"))
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """A fresh `import spanpoly.cli` loads the engines burnside runs, but not
+    `dataclasses`, `inspect` or the modules only check and eval run."""
+    assert _loaded_in_fresh_process("import spanpoly.cli", (
+        "dataclasses", "inspect") + _AT_START + _DEFERRED) == sorted(_AT_START)
+
+
+def test_burnside_cross_check_loads_no_suite_module():
+    code = ("import contextlib, io, spanpoly.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert spanpoly.cli.main(['burnside', '--group', 'S4', '--cross-check']) == 0")
+    assert _loaded_in_fresh_process(code, _DEFERRED) == []
+
+
+def test_cli_suite_names_are_the_sorted_suites():
+    assert cli.SUITE_NAMES == tuple(sorted(SUITES))
 
 
 def test_cli_compose_with_identity_span(capsys):
