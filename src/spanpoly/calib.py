@@ -34,18 +34,12 @@ from .report import Check, Report
 # ---------------------------------------------------------------------------
 
 class MorphismClass(FrozenRecord, uncompared=("predicate",)):
-    """A named, deterministic predicate on equivariant maps.
+    """A named, deterministic predicate on equivariant maps."""
 
-    closed_under_coproducts declares the strong closure the coproduct
-    machinery needs: sums f+g of members, codiagonals, and initial maps
-    0 -> U all belong to the class.
-    """
+    __slots__ = ("name", "predicate")
 
-    __slots__ = ("name", "predicate", "closed_under_coproducts")
-
-    def __init__(self, name: str, predicate: Callable[[GMap], bool],
-                 closed_under_coproducts: bool = False):
-        self._init(name, predicate, closed_under_coproducts)
+    def __init__(self, name: str, predicate: Callable[[GMap], bool]):
+        self._init(name, predicate)
 
     def __call__(self, f: GMap) -> bool:
         return bool(self.predicate(f))
@@ -55,7 +49,7 @@ class MorphismClass(FrozenRecord, uncompared=("predicate",)):
             raise ClassViolation(f"{what} fails class {self.name!r}")
 
 
-ALL_MAPS = MorphismClass("all", lambda f: True, closed_under_coproducts=True)
+ALL_MAPS = MorphismClass("all", lambda f: True)
 INJECTIVE_MAPS = MorphismClass("injective", lambda f: f.is_injective())
 SURJECTIVE_MAPS = MorphismClass("surjective", lambda f: f.is_surjective())
 ISO_MAPS = MorphismClass("iso", lambda f: f.is_bijective())
@@ -63,12 +57,10 @@ ISO_MAPS = MorphismClass("iso", lambda f: f.is_bijective())
 BUILTIN_CLASSES = {c.name: c for c in (ALL_MAPS, INJECTIVE_MAPS, SURJECTIVE_MAPS, ISO_MAPS)}
 
 
-def whitelist_class(name: str, maps: Sequence[GMap],
-                    closed_under_coproducts: bool = False) -> MorphismClass:
+def whitelist_class(name: str, maps: Sequence[GMap]) -> MorphismClass:
     """A class given by a finite whitelist of map descriptors."""
     frozen = tuple(maps)
-    return MorphismClass(name, lambda f: any(f == m for m in frozen),
-                         closed_under_coproducts=closed_under_coproducts)
+    return MorphismClass(name, lambda f: any(f == m for m in frozen))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +172,8 @@ def check_product_closure(rclass: MorphismClass, f: GMap, f2: GMap) -> bool:
 # sums of slices
 # ---------------------------------------------------------------------------
 
-def inverse_sum(rclass: MorphismClass, a: SliceObject, b: SliceObject) -> SliceObject:
+def inverse_sum(a: SliceObject, b: SliceObject) -> SliceObject:
     """Reassemble slices over U and V into the slice a+b over U+V."""
     cd = coproduct(a.total, b.total)
     cc = coproduct(a.base, b.base)
-    arrow = sum_gmap(cd, cc, a.arrow, b.arrow)
-    if rclass.closed_under_coproducts and rclass(a.arrow) and rclass(b.arrow):
-        if not rclass(arrow):
-            raise ClassViolation(
-                f"class {rclass.name} declared coproduct-closed but rejects a sum")
-    return SliceObject(arrow)
+    return SliceObject(sum_gmap(cd, cc, a.arrow, b.arrow))

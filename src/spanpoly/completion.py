@@ -10,7 +10,7 @@ each G-set K the slices over (- x K), which present the hom into K in a
 form that admits both adjoints to reindexing.
 
 Objects of the coproduct completion over U are pairs (u : S -> U, x in
-X(S)) with the leg in the chosen class; the product completion uses the
+X(S)), any map serving as the leg; the product completion uses the
 same objects with morphisms reversed, so one representation serves both and
 only the adjoints differ (pushforward is a left adjoint to reindexing on
 one side, a right adjoint on the other).
@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import finact
-from .calib import ALL_MAPS, MorphismClass
 from .errors import BoundaryMismatch, ClassViolation, InvalidStructure, ResourceLimit
 from .finact import (
     CoproductDiagram,
@@ -261,7 +260,7 @@ def representable_indexed(k: GSet) -> SliceIndexed:
 # ---------------------------------------------------------------------------
 
 class CompletionObject(FrozenRecord):
-    """A leg u : S -> U in the flagged class together with x in X(S)."""
+    """A leg u : S -> U together with x in X(S)."""
 
     __slots__ = ("u", "x")
 
@@ -285,9 +284,7 @@ class CompletionMorphism(NamedTuple):
     xi: object
 
 
-def completion_obj(xcat: IndexedCategory, u: GMap, x,
-                   klass: MorphismClass = ALL_MAPS) -> CompletionObject:
-    klass.require(u, "completion leg")
+def completion_obj(xcat: IndexedCategory, u: GMap, x) -> CompletionObject:
     if not xcat.validate_obj(u.dom, x):
         raise InvalidStructure(f"object invalid in fiber over {u.dom.size}-point stage")
     return CompletionObject(u, x)
@@ -301,10 +298,8 @@ def reindex(xcat: IndexedCategory, r: GMap, o: CompletionObject) -> CompletionOb
     return CompletionObject(pb.proj2, xcat.act_obj(pb.proj1, o.x))
 
 
-def pushforward(xcat: IndexedCategory, r: GMap, o: CompletionObject,
-                klass: MorphismClass = ALL_MAPS) -> CompletionObject:
-    """Left adjoint to reindex along a class map: compose the leg."""
-    klass.require(r, "pushforward leg")
+def pushforward(xcat: IndexedCategory, r: GMap, o: CompletionObject) -> CompletionObject:
+    """Left adjoint to reindex: compose the leg."""
     if r.dom != o.base:
         raise BoundaryMismatch("pushforward: object is not over dom(r)")
     return CompletionObject(compose_gmaps(r, o.u), o.x)
@@ -396,15 +391,14 @@ def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
 
 
 def hom_bijection_dual(xcat: IndexedCategory, o: CompletionObject,
-                       o2: CompletionObject, r: GMap,
-                       lclass: MorphismClass = ALL_MAPS) -> Report:
+                       o2: CompletionObject, r: GMap) -> Report:
     """Mirror adjunction: pushing the leg is right adjoint to reindexing.
 
     o lives over V = dom(r), o2 over U = cod(r).  Dual morphisms from the
     reindexed o2 to o downstairs correspond to dual morphisms from o2 to
     the pushed o upstairs.
     """
-    pushed = pushforward(xcat, r, o, lclass)
+    pushed = pushforward(xcat, r, o)
     back = reindex(xcat, r, o2)
     lhs = completion_homs_dual(xcat, back, o)
     rhs = completion_homs_dual(xcat, o2, pushed)
@@ -433,8 +427,7 @@ def completion_iso(xcat: IndexedCategory, o: CompletionObject,
 
 
 def hom_bijection_map(xcat: IndexedCategory, o: CompletionObject,
-                      o2: CompletionObject, r: GMap,
-                      klass: MorphismClass = ALL_MAPS):
+                      o2: CompletionObject, r: GMap):
     """The adjunction correspondence on hom-sets, elementwise.
 
     o lives over V = dom(r), o2 over U = cod(r).  Returns (lhs, rhs, images)
@@ -443,7 +436,7 @@ def hom_bijection_map(xcat: IndexedCategory, o: CompletionObject,
     element: the leg pairs into the pullback, the fiber part rides the
     coherence witness.
     """
-    pushed = pushforward(xcat, r, o, klass)
+    pushed = pushforward(xcat, r, o)
     lhs = completion_homs(xcat, pushed, o2)
     back = reindex(xcat, r, o2)
     rhs = completion_homs(xcat, o, back)
@@ -458,10 +451,9 @@ def hom_bijection_map(xcat: IndexedCategory, o: CompletionObject,
 
 
 def hom_bijection(xcat: IndexedCategory, o: CompletionObject,
-                  o2: CompletionObject, r: GMap,
-                  klass: MorphismClass = ALL_MAPS) -> Report:
+                  o2: CompletionObject, r: GMap) -> Report:
     """The adjunction bijection between hom-sets, exhibited and verified."""
-    lhs, rhs, images = hom_bijection_map(xcat, o, o2, r, klass)
+    lhs, rhs, images = hom_bijection_map(xcat, o, o2, r)
     return Report("hom-bijection", _bijection_checks(lhs, rhs, images),
                   (f"hom sizes {len(lhs)}={len(rhs)}" if len(lhs) == len(rhs)
                    else "size mismatch",))
@@ -486,8 +478,7 @@ def _mor_key(m) -> object:
 # ---------------------------------------------------------------------------
 
 def check_CB(xcat: IndexedCategory, f: GMap, g: GMap,
-             samples: Sequence[CompletionObject],
-             klass: MorphismClass = ALL_MAPS) -> Report:
+             samples: Sequence[CompletionObject]) -> Report:
     """Exchange of pushforward and reindexing across a pullback square.
 
     For the square of f : U -> W against g : V -> W, both composite routes
@@ -500,8 +491,8 @@ def check_CB(xcat: IndexedCategory, f: GMap, g: GMap,
     g_f, f_g = pb.proj1, pb.proj2
     checks = []
     for k, o in enumerate(samples):
-        side1 = reindex(xcat, g, pushforward(xcat, f, o, klass))
-        side2 = pushforward(xcat, f_g, reindex(xcat, g_f, o), klass)
+        side1 = reindex(xcat, g, pushforward(xcat, f, o))
+        side2 = pushforward(xcat, f_g, reindex(xcat, g_f, o))
         w = completion_iso(xcat, side1, side2)
         checks.append(Check(f"mate[{k}]", w is not None,
                             "" if w else "no connecting iso found"))
@@ -569,9 +560,7 @@ class SpanExtension:
     right leg and pushing along the left one.
     """
 
-    def __init__(self, xcat: IndexedCategory, p: Span,
-                 klass: MorphismClass = ALL_MAPS):
-        klass.require(p.left, "span left leg")
+    def __init__(self, xcat: IndexedCategory, p: Span):
         self.xcat = xcat
         self.p = p
 
@@ -580,7 +569,6 @@ class SpanExtension:
 
 
 def extend_to_spans(xcat: IndexedCategory, p: Span,
-                    klass: MorphismClass = ALL_MAPS,
                     probe_squares: Sequence[tuple[GMap, GMap]] = (),
                     probe_objects: Sequence = ()) -> SpanExtension:
     """Span action of an indexed category, gated on sampled cocompleteness probes."""
@@ -588,17 +576,15 @@ def extend_to_spans(xcat: IndexedCategory, p: Span,
         rep = check_CB_fiber(xcat, f, g, probe_objects, mode="push")
         if not rep.passed:
             raise ClassViolation("cocompleteness probe failed; cannot extend to spans")
-    return SpanExtension(xcat, p, klass)
+    return SpanExtension(xcat, p)
 
 
 def check_extension_composition(xcat: IndexedCategory, p: Span, q: Span,
-                                probes: Sequence,
-                                klass: MorphismClass = ALL_MAPS) -> Report:
+                                probes: Sequence) -> Report:
     """Composition preservation of the span action on probe objects."""
-    pq = compose_spans(p, q, klass)
-    ext_pq = SpanExtension(xcat, pq, klass)
-    ext_p = SpanExtension(xcat, p, klass)
-    ext_q = SpanExtension(xcat, q, klass)
+    ext_pq = SpanExtension(xcat, compose_spans(p, q))
+    ext_p = SpanExtension(xcat, p)
+    ext_q = SpanExtension(xcat, q)
     checks = []
     for k, x in enumerate(probes):
         a = ext_pq(x)

@@ -14,7 +14,7 @@ class BoundaryMismatch(SpanPolyError):
 
 
 class ClassViolation(SpanPolyError):
-    """A map fails the morphism-class flag required by the operation."""
+    """A map falls outside a required morphism class, or a cocompleteness probe fails."""
 
 
 class ResourceLimit(SpanPolyError):

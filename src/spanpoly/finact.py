@@ -96,7 +96,7 @@ _SCOPE: ContextVar[Optional[dict]] = ContextVar("spanpoly.finact.sharing", defau
 def sharing() -> Iterator[None]:
     """A scope in which equal constructions are built once; a nested scope
     starts empty and restores the outer one on exit.  Never share a call
-    taking an `Rng` or a `MorphismClass` (its predicate is outside equality).
+    taking an `Rng`.
     """
     token = _SCOPE.set({})
     try:

@@ -32,7 +32,6 @@ from collections import Counter
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .calib import ALL_MAPS, MorphismClass
 from .errors import GroupMismatch, InvalidStructure
 from .finact import (
     GMap,
@@ -172,9 +171,8 @@ class MackeyFunctor:
 class BurnsideMackey(MackeyFunctor):
     """Free commutative monoid on the atoms of each G-set."""
 
-    def __init__(self, group: FiniteGroup, rclass: MorphismClass = ALL_MAPS):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.rclass = rclass
         self.name = f"burnside[{group.name}]"
 
     def value_gens(self, x: GSet) -> tuple:
@@ -196,7 +194,6 @@ class BurnsideMackey(MackeyFunctor):
         return lin_map(rows, len(src), len(tgt))
 
     def tr_matrix(self, u: GMap) -> Matrix:
-        self.rclass.require(u, "transfer leg")
         src = self.value_gens(u.dom)
         tgt = self.value_gens(u.cod)
         index = {g: j for j, g in enumerate(tgt)}
@@ -269,18 +266,15 @@ class FixedPointMackey(MackeyFunctor):
 # evaluation and law checks
 # ---------------------------------------------------------------------------
 
-def eval_span(m: MackeyFunctor, p: Span,
-              rclass: MorphismClass = ALL_MAPS) -> Matrix:
+def eval_span(m: MackeyFunctor, p: Span) -> Matrix:
     """Matrix of the span action value(src) -> value(tgt): restrict, then transfer."""
-    rclass.require(p.left, "span left leg")
     return mat_compose(m.tr_matrix(p.right), m.res_matrix(p.left))
 
 
-def check_functoriality(m: MackeyFunctor, p: Span, q: Span,
-                        rclass: MorphismClass = ALL_MAPS) -> Report:
-    comp = compose_spans(p, q, rclass)
-    lhs = eval_span(m, comp, rclass)
-    rhs = mat_compose(eval_span(m, q, rclass), eval_span(m, p, rclass))
+def check_functoriality(m: MackeyFunctor, p: Span, q: Span) -> Report:
+    comp = compose_spans(p, q)
+    lhs = eval_span(m, comp)
+    rhs = mat_compose(eval_span(m, q), eval_span(m, p))
     ok = mat_equal(lhs, rhs)
     return Report(f"mackey-functoriality:{m.name}",
                   (Check("composite-matrix", ok,

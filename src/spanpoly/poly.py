@@ -1,9 +1,11 @@
 """Polynomials of finite G-sets and their composition by term rewriting.
 
 A polynomial X <-r- A -n-> B -t-> Y acts on slices as restriction, then
-dependent product, then dependent sum.  Composition of two polynomials is
-carried out on formal words of those three generators, rewritten to the
-normal shape (sum, product, restriction) by:
+dependent product, then dependent sum.  Every finite equivariant map is
+exponentiable, so any map may be the product leg n, and any the sum leg t;
+classes of maps are certified on samples in `calib`.  Composition of two
+polynomials is carried out on formal words of those three generators,
+rewritten to the normal shape (sum, product, restriction) by:
 
   * fusing adjacent generators of equal kind,
   * exchanging a restriction past a sum or a product across the canonical
@@ -23,8 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .calib import ALL_MAPS, MorphismClass
-from .errors import BoundaryMismatch, ClassViolation, InvalidStructure
+from .errors import BoundaryMismatch, InvalidStructure
 from .finact import (
     GMap,
     GSet,
@@ -72,15 +73,11 @@ class Polynomial(FrozenRecord):
         return self.r.group
 
 
-def polynomial(r: GMap, n: GMap, t: GMap,
-               lclass: MorphismClass = ALL_MAPS,
-               rclass: MorphismClass = ALL_MAPS) -> Polynomial:
+def polynomial(r: GMap, n: GMap, t: GMap) -> Polynomial:
     if r.dom != n.dom:
         raise BoundaryMismatch("polynomial: r and n must share their domain")
     if n.cod != t.dom:
         raise BoundaryMismatch("polynomial: cod(n) must be dom(t)")
-    lclass.require(n, "product leg")
-    rclass.require(t, "sum leg")
     return Polynomial(r, n, t)
 
 
@@ -112,14 +109,12 @@ def poly_to_spanspan(p: Polynomial) -> SpanOfSpans:
     return SpanOfSpans(b, Span(p.n, p.r), Span(identity_gmap(b), p.t))
 
 
-def spanspan_to_poly(s: SpanOfSpans,
-                     lclass: MorphismClass = ALL_MAPS,
-                     rclass: MorphismClass = ALL_MAPS) -> Polynomial:
+def spanspan_to_poly(s: SpanOfSpans) -> Polynomial:
     if s.left.apex != s.left.left.dom or s.left.left.cod != s.apex:
         raise InvalidStructure("left inner span does not hang off the outer apex")
     if not s.right.left.is_identity() or s.right.left.cod != s.apex:
         raise InvalidStructure("right outer leg must be an identity-legged span")
-    return polynomial(s.left.right, s.left.left, s.right.right, lclass, rclass)
+    return polynomial(s.left.right, s.left.left, s.right.right)
 
 
 class PolyMorphism(FrozenRecord):
@@ -191,11 +186,9 @@ def translate_2cell(m: PolyMorphism) -> SpanSpan2Cell:
                          m.g, comp, m.ell)
 
 
-def translate_2cell_inverse(c: SpanSpan2Cell,
-                            lclass: MorphismClass = ALL_MAPS,
-                            rclass: MorphismClass = ALL_MAPS) -> PolyMorphism:
-    src = spanspan_to_poly(c.src, lclass, rclass)
-    tgt = spanspan_to_poly(c.tgt, lclass, rclass)
+def translate_2cell_inverse(c: SpanSpan2Cell) -> PolyMorphism:
+    src = spanspan_to_poly(c.src)
+    tgt = spanspan_to_poly(c.tgt)
     return poly_morphism(src, tgt, c.apex_map, c.lam)
 
 
@@ -243,27 +236,18 @@ class DistributeData(FrozenRecord):
 
 
 def distribute(u: GMap, a: GMap,
-               lclass: MorphismClass = ALL_MAPS,
-               rclass: MorphismClass = ALL_MAPS,
                probes: Sequence[SliceObject] = ()) -> tuple[DistributeData, Report]:
     """Exchange a dependent product past a dependent sum, with certificates.
 
-    The returned report certifies that pia stays in the right class (the
-    compatibility condition) and that on each probe slice m over A the two
+    The returned report certifies that on each probe slice m over A the two
     routes  product(u) . sum(a)  and  sum(pia) . product(ubar) . restrict(e)
     agree up to an explicit slice iso.
     """
-    lclass.require(u, "exchange leg u")
-    rclass.require(a, "exchange leg a")
     if a.cod != u.dom:
         raise BoundaryMismatch("distribute: a must land in dom(u)")
     pw = section_eval(u, SliceObject(a))
     data = DistributeData(pw.pia.arrow, pw.ubar, pw.e)
-    checks = [Check("pia-in-class", rclass(data.pia),
-                    "" if rclass(data.pia) else
-                    f"dependent product leaves class {rclass.name}: compatibility violation")]
-    if not rclass(data.pia):
-        raise ClassViolation(f"dependent product leaves class {rclass.name}")
+    checks = []
     for k, m in enumerate(probes):
         lhs = pi_slice(u, sigma(a, m))
         rhs = sigma(data.pia, pi_slice(data.ubar, delta(data.e, m)))
@@ -324,8 +308,7 @@ def apply_word(word: Word, s: SliceObject) -> SliceObject:
     return s
 
 
-def _rewrite_pair(a: Gen, b: Gen, lclass: MorphismClass,
-                  rclass: MorphismClass) -> Optional[tuple[str, tuple[Gen, ...]]]:
+def _rewrite_pair(a: Gen, b: Gen) -> Optional[tuple[str, tuple[Gen, ...]]]:
     """One step on the adjacent pair (a, b), b applied first; None if in order."""
     if b.f.is_identity():
         return ("drop-identity", (a,))
@@ -340,22 +323,15 @@ def _rewrite_pair(a: Gen, b: Gen, lclass: MorphismClass,
         return None
     if a.kind == DELTA:
         pb = pullback(b.f, a.f)
-        moved = Gen(b.kind, pb.proj2)
-        if b.kind == PI and not lclass(pb.proj2):
-            raise ClassViolation("pullback leaves the product-leg class")
-        if b.kind == SIGMA and not rclass(pb.proj2):
-            raise ClassViolation("pullback leaves the sum-leg class")
         rule = "exchange-restriction-sum" if b.kind == SIGMA else "exchange-restriction-product"
-        return (rule, (moved, Gen(DELTA, pb.proj1)))
+        return (rule, (Gen(b.kind, pb.proj2), Gen(DELTA, pb.proj1)))
     # a is a product, b a sum: the distributive-law step
-    data, _ = distribute(a.f, b.f, lclass, rclass)
+    data, _ = distribute(a.f, b.f)
     return ("distribute-product-past-sum",
             (Gen(SIGMA, data.pia), Gen(PI, data.ubar), Gen(DELTA, data.e)))
 
 
-def normalize_word(word: Word,
-                   lclass: MorphismClass = ALL_MAPS,
-                   rclass: MorphismClass = ALL_MAPS) -> tuple[Word, list[dict]]:
+def normalize_word(word: Word) -> tuple[Word, list[dict]]:
     """Rewrite to the sorted normal form, logging each applied rule."""
     validate_word(word)
     cur = list(word)
@@ -363,7 +339,7 @@ def normalize_word(word: Word,
     while True:
         hit = None
         for i in range(len(cur) - 2, -1, -1):  # innermost (rightmost) pair first
-            step = _rewrite_pair(cur[i], cur[i + 1], lclass, rclass)
+            step = _rewrite_pair(cur[i], cur[i + 1])
             if step is not None:
                 hit = (i, step)
                 break
@@ -389,9 +365,7 @@ def normalize_word(word: Word,
     return tuple(cur), transcript
 
 
-def word_to_polynomial(word: Word, src: GSet, tgt: GSet,
-                       lclass: MorphismClass = ALL_MAPS,
-                       rclass: MorphismClass = ALL_MAPS) -> Polynomial:
+def word_to_polynomial(word: Word, src: GSet, tgt: GSet) -> Polynomial:
     """Read a normalized word off as a polynomial, padding missing generators."""
     kinds = [g.kind for g in word]
     if kinds != sorted(kinds, key=_RANK.get):
@@ -411,21 +385,19 @@ def word_to_polynomial(word: Word, src: GSet, tgt: GSet,
         n = identity_gmap(r.dom)
     if t is None:
         t = identity_gmap(n.cod)
-    out = polynomial(r, n, t, lclass, rclass)
+    out = polynomial(r, n, t)
     if out.src != src or out.tgt != tgt:
         raise InvalidStructure("normalized polynomial has wrong boundary")
     return out
 
 
-def compose_poly(p: Polynomial, q: Polynomial,
-                 lclass: MorphismClass = ALL_MAPS,
-                 rclass: MorphismClass = ALL_MAPS) -> tuple[Polynomial, list[dict]]:
+def compose_poly(p: Polynomial, q: Polynomial) -> tuple[Polynomial, list[dict]]:
     """p : X -/-> Y followed by q : Y -/-> Z, with the rewrite transcript."""
     if p.tgt != q.src:
         raise BoundaryMismatch("compose_poly: boundaries do not match")
     word = poly_word(q) + poly_word(p)
-    normal, transcript = normalize_word(word, lclass, rclass)
-    return word_to_polynomial(normal, p.src, q.tgt, lclass, rclass), transcript
+    normal, transcript = normalize_word(word)
+    return word_to_polynomial(normal, p.src, q.tgt), transcript
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +448,9 @@ def _test_families(size: int, sr: CommSemiring) -> list[tuple]:
 
 
 def check_poly_oracle(p: Polynomial, q: Polynomial,
-                      semirings: Sequence[CommSemiring],
-                      lclass: MorphismClass = ALL_MAPS,
-                      rclass: MorphismClass = ALL_MAPS) -> Report:
+                      semirings: Sequence[CommSemiring]) -> Report:
     """Composite evaluation must match composed evaluations, pointwise."""
-    comp, _ = compose_poly(p, q, lclass, rclass)
+    comp, _ = compose_poly(p, q)
     checks = []
     for sr in semirings:
         ok = True

@@ -1,17 +1,18 @@
 """Spans of finite G-sets, composed by pullback, at desk scale.
 
-A span U <- S -> V carries a class flag on its left leg.  Over a plain
-category the two-cell content degenerates: span morphisms are strictly
-commuting apex maps, and isomorphism classes of spans are decided by an
-orbit-label canonical form.  Hom-categories are never materialized; spans
-are concrete values and morphisms between them are searched on demand.
+A span U <- S -> V is a pair of maps out of its apex S; any map may be a
+leg (a workspace entry may restrict its left leg to a named class, checked
+on load).  Over a plain category the two-cell content degenerates: span
+morphisms are strictly commuting apex maps, and isomorphism classes of
+spans are decided by an orbit-label canonical form.  Hom-categories are
+never materialized; spans are concrete values and morphisms between them
+are searched on demand.
 """
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .calib import ALL_MAPS, MorphismClass
-from .errors import BoundaryMismatch, ClassViolation, GroupMismatch, InvalidStructure
+from .errors import BoundaryMismatch, GroupMismatch, InvalidStructure
 from .finact import (
     CoproductDiagram,
     GMap,
@@ -34,7 +35,7 @@ from .report import Check, Report
 
 
 class Span(FrozenRecord):
-    """left : S -> U (the flagged leg), right : S -> V."""
+    """left : S -> U, right : S -> V."""
 
     __slots__ = ("left", "right")
 
@@ -60,10 +61,9 @@ class Span(FrozenRecord):
         return self.left.group
 
 
-def span(left: GMap, right: GMap, rclass: MorphismClass = ALL_MAPS) -> Span:
+def span(left: GMap, right: GMap) -> Span:
     if left.dom != right.dom:
         raise BoundaryMismatch("span legs must share their domain")
-    rclass.require(left, "left leg")
     return Span(left, right)
 
 
@@ -77,9 +77,8 @@ def lower_star(f: GMap) -> Span:
     return Span(identity_gmap(f.dom), f)
 
 
-def upper_star(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Span:
-    """The right-adjoint presentation (V <-r- U -1-> U); needs r in the class."""
-    rclass.require(r, "upper_star leg")
+def upper_star(r: GMap) -> Span:
+    """The right-adjoint presentation (V <-r- U -1-> U)."""
     return Span(r, identity_gmap(r.dom))
 
 
@@ -95,26 +94,21 @@ class SpanComposite:
 
     __slots__ = ("span", "pb")
 
-    def __init__(self, p: Span, q: Span, rclass: MorphismClass = ALL_MAPS):
+    def __init__(self, p: Span, q: Span):
         if p.tgt != q.src:
             raise BoundaryMismatch("span composition: boundaries do not match")
         pb = pullback(p.right, q.left)
-        left = compose_gmaps(p.left, pb.proj1)
-        right = compose_gmaps(q.right, pb.proj2)
-        if not rclass(left):
-            raise ClassViolation(
-                f"composite left leg escapes class {rclass.name}: protocalibration inconsistency")
-        self.span = Span(left, right)
+        self.span = Span(compose_gmaps(p.left, pb.proj1), compose_gmaps(q.right, pb.proj2))
         self.pb = pb
 
 
-def compose_data(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS) -> SpanComposite:
-    return SpanComposite(p, q, rclass)
+def compose_data(p: Span, q: Span) -> SpanComposite:
+    return SpanComposite(p, q)
 
 
-def compose_spans(p: Span, q: Span, rclass: MorphismClass = ALL_MAPS) -> Span:
+def compose_spans(p: Span, q: Span) -> Span:
     """p : U -/-> V followed by q : V -/-> W."""
-    return SpanComposite(p, q, rclass).span
+    return SpanComposite(p, q).span
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +184,23 @@ def span_class(p: Span) -> SpanIsoClass:
 # canonical coherence cells
 # ---------------------------------------------------------------------------
 
-def lunitor(p: Span, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
+def lunitor(p: Span) -> tuple[SpanComposite, GMap]:
     """The composite 1 ; p and its canonical iso onto p."""
-    comp = compose_data(identity_span(p.src), p, rclass)
+    comp = compose_data(identity_span(p.src), p)
     return comp, GMap(comp.span.apex, p.apex, comp.pb.proj2.table)
 
 
-def runitor(p: Span, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
-    comp = compose_data(p, identity_span(p.tgt), rclass)
+def runitor(p: Span) -> tuple[SpanComposite, GMap]:
+    comp = compose_data(p, identity_span(p.tgt))
     return comp, GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
 
 
-def associator(p: Span, q: Span, r: Span,
-               rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, SpanComposite, GMap]:
+def associator(p: Span, q: Span, r: Span) -> tuple[SpanComposite, SpanComposite, GMap]:
     """Canonical iso apex((p;q);r) -> apex(p;(q;r)) by reassociating pairs."""
-    pq = compose_data(p, q, rclass)
-    left = compose_data(pq.span, r, rclass)
-    qr = compose_data(q, r, rclass)
-    right = compose_data(p, qr.span, rclass)
+    pq = compose_data(p, q)
+    left = compose_data(pq.span, r)
+    qr = compose_data(q, r)
+    right = compose_data(p, qr.span)
     ps, qt = pq.pb.proj1.table, pq.pb.proj2.table
     table = tuple(right.pb.index_of(ps[i], qr.pb.index_of(qt[i], w))
                   for i, w in zip(left.pb.proj1.table, left.pb.proj2.table))
@@ -218,33 +211,33 @@ def associator(p: Span, q: Span, r: Span,
 # the adjunction r_* -| r^*
 # ---------------------------------------------------------------------------
 
-def adjunction_unit(r: GMap, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
+def adjunction_unit(r: GMap) -> tuple[SpanComposite, GMap]:
     """unit : identity span of U => r_* ; r^*  (the kernel-pair diagonal)."""
-    comp = compose_data(lower_star(r), upper_star(r, rclass), rclass)
+    comp = compose_data(lower_star(r), upper_star(r))
     table = tuple(comp.pb.index_of(x, x) for x in r.dom.points())
     return comp, GMap(r.dom, comp.span.apex, table)
 
 
-def adjunction_counit(r: GMap, rclass: MorphismClass = ALL_MAPS) -> tuple[SpanComposite, GMap]:
+def adjunction_counit(r: GMap) -> tuple[SpanComposite, GMap]:
     """counit : r^* ; r_* => identity span of V."""
-    comp = compose_data(upper_star(r, rclass), lower_star(r), rclass)
+    comp = compose_data(upper_star(r), lower_star(r))
     table = tuple(map(r.table.__getitem__, comp.pb.proj1.table))
     return comp, GMap(comp.span.apex, r.cod, table)
 
 
-def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
+def check_adjunction(r: GMap) -> Report:
     """Exact triangle identities for the adjunction of the two presentations of r.
 
     Both composites are chased elementwise through the canonical unitors and
     associator and must come back to the identity on the nose.
     """
     f = lower_star(r)
-    g = upper_star(r, rclass)
-    k = compose_data(f, g, rclass)          # r_* ; r^*, kernel pair
-    r2 = compose_data(g, f, rclass)         # r^* ; r_*
+    g = upper_star(r)
+    k = compose_data(f, g)          # r_* ; r^*, kernel pair
+    r2 = compose_data(g, f)         # r^* ; r_*
     ka, kb = k.pb.proj1.table, k.pb.proj2.table
-    _, eta = adjunction_unit(r, rclass)
-    _, eps = adjunction_counit(r, rclass)
+    _, eta = adjunction_unit(r)
+    _, eps = adjunction_counit(r)
 
     checks = []
     ok_unit = is_span_morphism(identity_span(r.dom), k.span, eta)
@@ -253,10 +246,10 @@ def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
     checks.append(Check("counit-is-2cell", ok_counit))
 
     # triangle on r_*: whisker the unit, reassociate, whisker the counit
-    c1 = compose_data(identity_span(r.dom), f, rclass)
-    c2 = compose_data(k.span, f, rclass)
-    c3 = compose_data(f, r2.span, rclass)
-    c4 = compose_data(f, identity_span(r.cod), rclass)
+    c1 = compose_data(identity_span(r.dom), f)
+    c2 = compose_data(k.span, f)
+    c3 = compose_data(f, r2.span)
+    c4 = compose_data(f, identity_span(r.cod))
     (x1, s1), (k2, s2), (a3, p3), (c4s, _) = (
         (c.pb.proj1.table, c.pb.proj2.table) for c in (c1, c2, c3, c4))
     ok = True
@@ -271,10 +264,10 @@ def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
     checks.append(Check("triangle-lower", ok))
 
     # triangle on r^*
-    d1 = compose_data(g, identity_span(r.dom), rclass)
-    d2 = compose_data(g, k.span, rclass)
-    d3 = compose_data(r2.span, g, rclass)
-    d4 = compose_data(identity_span(r.cod), g, rclass)
+    d1 = compose_data(g, identity_span(r.dom))
+    d2 = compose_data(g, k.span)
+    d3 = compose_data(r2.span, g)
+    d4 = compose_data(identity_span(r.cod), g)
     (t1, x1), (t2, k2), (p3, b3), (_, d4t) = (
         (d.pb.proj1.table, d.pb.proj2.table) for d in (d1, d2, d3, d4))
     ok = True
@@ -294,18 +287,17 @@ def check_adjunction(r: GMap, rclass: MorphismClass = ALL_MAPS) -> Report:
 # decomposition and coproducts
 # ---------------------------------------------------------------------------
 
-def decompose(p: Span, rclass: MorphismClass = ALL_MAPS) -> tuple[GMap, GMap, GMap]:
+def decompose(p: Span) -> tuple[GMap, GMap, GMap]:
     """Write p as its legs (u, v) with a certificate iso  (v_* after u^*) ~ p."""
     u, v = p.left, p.right
-    comp = compose_data(upper_star(u, rclass), lower_star(v), rclass)
+    comp = compose_data(upper_star(u), lower_star(v))
     cert = GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
     if not is_span_morphism(comp.span, p, cert) or not cert.is_bijective():
         raise InvalidStructure("decomposition certificate failed")
     return u, v, cert
 
 
-def bicoproduct_cotuple(p: Span, q: Span,
-                        rclass: MorphismClass = ALL_MAPS) -> tuple[Span, CoproductDiagram, CoproductDiagram]:
+def bicoproduct_cotuple(p: Span, q: Span) -> tuple[Span, CoproductDiagram, CoproductDiagram]:
     """Cotuple two spans with a shared target into one from the coproduct.
 
     Returns the span U+V <- S+T -> W together with the base and apex
@@ -313,22 +305,18 @@ def bicoproduct_cotuple(p: Span, q: Span,
     """
     if p.tgt != q.tgt:
         raise BoundaryMismatch("bicoproduct_cotuple needs a shared target")
-    if not rclass.closed_under_coproducts:
-        raise ClassViolation(f"class {rclass.name} is not coproduct-closed")
     base = coproduct(p.src, q.src)
     apexes = coproduct(p.apex, q.apex)
     left = sum_gmap(apexes, base, p.left, q.left)
     right = apexes.cotuple(p.right, q.right)
-    return span(left, right, rclass), base, apexes
+    return Span(left, right), base, apexes
 
 
-def local_coproduct(p: Span, q: Span,
-                    rclass: MorphismClass = ALL_MAPS) -> tuple[Span, GMap, GMap]:
+def local_coproduct(p: Span, q: Span) -> tuple[Span, GMap, GMap]:
     """Coproduct of parallel spans in the hom-category, with its injections."""
     if p.src != q.src or p.tgt != q.tgt:
         raise BoundaryMismatch("local_coproduct needs parallel spans")
     apexes = coproduct(p.apex, q.apex)
     left = apexes.cotuple(p.left, q.left)
     right = apexes.cotuple(p.right, q.right)
-    out = span(left, right, rclass)
-    return out, apexes.inj1, apexes.inj2
+    return Span(left, right), apexes.inj1, apexes.inj2

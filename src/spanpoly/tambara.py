@@ -1,11 +1,11 @@
 """Commutative-semiring-style evaluation of polynomials.
 
-A functor here carries three generator families: restriction along any map,
-transfer along right-class maps, and a multiplicative norm along left-class
-maps.  A polynomial X <-r- A -n-> B -t-> Y evaluates elementwise as
-restriction, then norm, then transfer; that order is fixed by the
-polynomial's shape, and alternative factorizations must be normalized by
-polynomial composition first.
+A functor here carries three generator families, each along any map:
+restriction, additive transfer, and multiplicative norm.  A polynomial
+X <-r- A -n-> B -t-> Y evaluates elementwise as restriction, then norm,
+then transfer; that order is fixed by the polynomial's shape, and
+alternative factorizations must be normalized by polynomial composition
+first.
 
 The slice-class instance manipulates canonical slice representatives rather
 than vectors because the norm is not additive; equality of values is
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .calib import ALL_MAPS, MorphismClass, inverse_sum
+from .calib import inverse_sum
 from .errors import BoundaryMismatch, InvalidStructure
 from .finact import (
     CoproductDiagram,
@@ -76,12 +76,8 @@ class TambaraFunctor:
 class BurnsideTambara(TambaraFunctor):
     """Slice iso-classes with transfer, restriction, and norm from the three adjoints."""
 
-    def __init__(self, group: FiniteGroup,
-                 lclass: MorphismClass = ALL_MAPS,
-                 rclass: MorphismClass = ALL_MAPS):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.lclass = lclass
-        self.rclass = rclass
         self.name = f"burnside-tambara[{group.name}]"
 
     def validate_elem(self, x, v):
@@ -99,7 +95,6 @@ class BurnsideTambara(TambaraFunctor):
 
     def tr(self, u, v):
         """Move each orbit's atom along u: G/H -> x becomes G/H -> u(x)."""
-        self.rclass.require(u, "transfer leg")
         if v.base != u.dom:
             raise BoundaryMismatch("sigma: slice is not over the domain of u")
         group, arrow = u.group, v.arrow.table
@@ -108,7 +103,6 @@ class BurnsideTambara(TambaraFunctor):
             for o in orbit_cosets(v.total)])
 
     def norm(self, n, v):
-        self.lclass.require(n, "norm leg")
         return canonical_slice(pi_slice(n, v))
 
     def eq(self, a, b):
@@ -118,7 +112,7 @@ class BurnsideTambara(TambaraFunctor):
         return slice_canonical_form(v)
 
     def glue(self, cop, vx, vy):
-        return canonical_slice(inverse_sum(ALL_MAPS, vx, vy))
+        return canonical_slice(inverse_sum(vx, vy))
 
 
 class SemiringTambara(TambaraFunctor):
@@ -162,11 +156,9 @@ def eval_poly(t: TambaraFunctor, p: Polynomial, v):
 
 
 def check_tambara_functoriality(t: TambaraFunctor, p: Polynomial, q: Polynomial,
-                                probes: Sequence,
-                                lclass: MorphismClass = ALL_MAPS,
-                                rclass: MorphismClass = ALL_MAPS) -> Report:
+                                probes: Sequence) -> Report:
     """Evaluation of the composed polynomial must match composed evaluations."""
-    comp, _ = compose_poly(p, q, lclass, rclass)
+    comp, _ = compose_poly(p, q)
     checks = []
     for k, v in enumerate(probes):
         lhs = eval_poly(t, comp, v)
@@ -177,9 +169,7 @@ def check_tambara_functoriality(t: TambaraFunctor, p: Polynomial, q: Polynomial,
     return Report(f"tambara-functoriality:{t.name}", tuple(checks))
 
 
-def check_norm_of_sum(t: TambaraFunctor, u: GMap, a: GMap, probes: Sequence,
-                      lclass: MorphismClass = ALL_MAPS,
-                      rclass: MorphismClass = ALL_MAPS) -> Report:
+def check_norm_of_sum(t: TambaraFunctor, u: GMap, a: GMap, probes: Sequence) -> Report:
     """The distributive law, elementwise.
 
     norm(u) . tr(a) must agree with tr(pia) . norm(ubar) . res(e), with the
@@ -187,7 +177,7 @@ def check_norm_of_sum(t: TambaraFunctor, u: GMap, a: GMap, probes: Sequence,
     naturals this is the expansion of a product of sums into a sum of
     products of choices.
     """
-    data, _ = distribute(u, a, lclass, rclass)
+    data, _ = distribute(u, a)
     checks = []
     for k, v in enumerate(probes):
         lhs = t.norm(u, t.tr(a, v))

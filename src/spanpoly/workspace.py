@@ -245,13 +245,21 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
         ws.gsets[e["name"]] = _parse_gset(e, ws)
     for e in by_kind.get("gmap", ()):
         ws.gmaps[e["name"]] = _parse_gmap(e, ws)
+    for e in by_kind.get("class", ()):
+        name = _need_name(e, "name", "class entry")
+        maps = _need(e, "maps", f"class {name!r}")
+        if not isinstance(maps, list) or not all(isinstance(n, str) for n in maps):
+            raise WorkspaceError(f"class {name!r}: field 'maps' must be a list of names, "
+                                 f"not {maps!r}")
+        ws.classes[name] = whitelist_class(name, [ws.gmap(n) for n in maps])
     for e in by_kind.get("span", ()):
         name = _need_name(e, "name", "span entry")
         left = ws.gmap(_need_name(e, "left", f"span {name!r}"))
         right = ws.gmap(_need_name(e, "right", f"span {name!r}"))
         try:
-            ws.spans[name] = span(left, right,
-                                  ws.morphism_class(e.get("class", "all")))
+            if "class" in e:
+                ws.morphism_class(e["class"]).require(left, "left leg")
+            ws.spans[name] = span(left, right)
         except Exception as exc:
             raise WorkspaceError(f"span {name!r}: {exc}") from exc
     for e in by_kind.get("poly", ()):
@@ -263,15 +271,6 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
                 ws.gmap(_need_name(e, "t", f"poly {name!r}")))
         except Exception as exc:
             raise WorkspaceError(f"poly {name!r}: {exc}") from exc
-    for e in by_kind.get("class", ()):
-        name = _need_name(e, "name", "class entry")
-        maps = _need(e, "maps", f"class {name!r}")
-        if not isinstance(maps, list) or not all(isinstance(n, str) for n in maps):
-            raise WorkspaceError(f"class {name!r}: field 'maps' must be a list of names, "
-                                 f"not {maps!r}")
-        maps = [ws.gmap(n) for n in maps]
-        ws.classes[name] = whitelist_class(
-            name, maps, bool(e.get("closed_under_coproducts", False)))
     return ws
 
 

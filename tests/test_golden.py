@@ -8,10 +8,11 @@ descriptors with their actions, the coproduct-pullback parts), the
 enumeration order of the equivariant map and iso searches, and seeded
 `random_gmap` draws, and the sha256 of the cross-checked Burnside tables
 of A4, D8, A5, C2^4 and S4xC2 given by permutation generators, and the
-sha256 of the `check` reports of every builtin group and suite.  A G-set is
-pinned by its size and the rows of the group's generators, which determine
-a valid action.  Inputs are built explicitly (no sampler) and relabelled,
-so that the canonical outputs do not simply echo their input.
+sha256 of the `check` reports of every builtin group and suite and of one
+`check --class` report.  A G-set is pinned by its size and the rows of the
+group's generators, which determine a valid action.  Inputs are built
+explicitly (no sampler) and relabelled, so that the canonical outputs do
+not simply echo their input.
 """
 import contextlib
 import hashlib
@@ -425,3 +426,16 @@ def test_golden_suite_reports():
             assert rc in (0, 1), (key, seed)
             digest.update(buf.getvalue().encode())
         assert digest.hexdigest() == want, key
+
+
+# sha256 of `check --suite protocalib --class surjective --group C2 --seed 0 --format json`
+GOLDEN_CLASS_FLAG = "57b86ad1e6ecb8eb0ce4cf80330d49d516ce6dc2116725c777a7a1c08e52d2e9"
+
+
+def test_golden_class_flag_report():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["check", "--suite", "protocalib", "--class", "surjective", "--group", "C2",
+                   "--seed", "0", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_CLASS_FLAG

@@ -64,8 +64,7 @@ FROZEN = [
     (GMap, lambda: (_gset(), _gset(), (0, 1)), ("dom", "cod", "table"),
      ("dom", "cod", "table")),
     (SliceObject, lambda: (_gmap(),), ("arrow",), ("arrow",)),
-    (MorphismClass, lambda: ("all", bool, True),
-     ("name", "predicate", "closed_under_coproducts"), ("name", "closed_under_coproducts")),
+    (MorphismClass, lambda: ("all", bool), ("name", "predicate"), ("name",)),
     (CommSemiring, lambda: ("naturals", operator.add, operator.mul, 0, 1, (0, 1, 2)),
      ("name", "add", "mul", "zero", "one", "sample_elements"),
      ("name", "zero", "one", "sample_elements")),
@@ -178,7 +177,6 @@ def test_records_of_different_classes_never_compare_equal():
 def test_keyword_arguments_and_defaults():
     assert Check("law", True) == Check(name="law", passed=True, detail="")
     assert Report("t", ()).notes == ()
-    assert MorphismClass("m", bool).closed_under_coproducts is False
     assert CommSemiring("s", max, min).sample_elements == (0, 1)
     assert FiniteGroup("C2", ((0, 1), (1, 0)), 0, (0, 1)).generators == ()
     assert Workspace().groups == {} and Workspace().groups is not Workspace().groups

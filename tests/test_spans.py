@@ -1,8 +1,7 @@
 """Span composition, adjunctions, coproducts, and iso classes."""
 import pytest
 
-from spanpoly.calib import INJECTIVE_MAPS
-from spanpoly.errors import BoundaryMismatch, ClassViolation
+from spanpoly.errors import BoundaryMismatch
 from spanpoly.finact import (
     compose_gmaps,
     coproduct,
@@ -79,12 +78,6 @@ def test_lower_then_upper_is_kernel_pair(c2, f2, u2):
     assert comp.apex.size == 4
 
 
-def test_upper_star_class_flag(c2, f2, u2):
-    with pytest.raises(ClassViolation):
-        upper_star(u2, INJECTIVE_MAPS)
-    upper_star(coproduct(f2, f2).inj1, INJECTIVE_MAPS)
-
-
 def test_span_requires_shared_apex(f2, pt2, u2):
     with pytest.raises(BoundaryMismatch):
         span(u2, identity_gmap(pt2))
@@ -150,12 +143,6 @@ def test_bicoproduct_with_empty_source(c2, f2, pt2, u2, rng):
     back = compose_spans(lower_star(base.inj1), total)
     assert span_iso(back, p) is not None
     assert total.apex.size == p.apex.size
-
-
-def test_bicoproduct_needs_closed_class(c2, f2, pt2, u2):
-    p = Span(u2, u2)
-    with pytest.raises(ClassViolation):
-        bicoproduct_cotuple(p, p, INJECTIVE_MAPS)
 
 
 def test_local_coproduct_unit_and_symmetry(c2, f2, pt2, rng):

@@ -3,8 +3,7 @@ import itertools
 
 import pytest
 
-from spanpoly.calib import INJECTIVE_MAPS
-from spanpoly.errors import ClassViolation, InvalidStructure
+from spanpoly.errors import InvalidStructure
 from spanpoly.finact import (
     SliceObject,
     coproduct,
@@ -174,12 +173,6 @@ def test_fp_preservation(c2, f2, pt2, triv, rng):
     x, y = tset(triv, 2), tset(triv, 3)
     spairs = [((1, 2), (3, 4, 5)), ((0, 0), (1, 0, 1))]
     assert check_fp_preservation(ts, x, y, spairs).passed
-
-
-def test_class_flags_enforced(c2, f2, u2):
-    t = BurnsideTambara(c2, lclass=INJECTIVE_MAPS)
-    with pytest.raises(ClassViolation):
-        t.norm(u2, canonical_slice(slice_identity(f2)))
 
 
 def test_additive_reduct_matches_mackey(c2, rng):

@@ -316,6 +316,34 @@ def test_cli_structured_error_on_malformed_entry(tmp_path, capsys, entry, named)
     assert doc["error"]["message"].startswith(named)
 
 
+def test_cli_span_names_a_workspace_class(tmp_path, capsys):
+    """Classes resolve before spans, so a span may name a class of its own
+    workspace; a span naming no class is unchecked, even when the workspace
+    defines a class called 'all'."""
+    _write(tmp_path, "ws.json", [
+        {"kind": "span", "name": "loop", "left": "C2.regular_to_pt",
+         "right": "C2.regular_to_pt", "class": "mine"},
+        {"kind": "span", "name": "plain", "left": "C2.regular_to_pt",
+         "right": "C2.regular_to_pt"},
+        {"kind": "class", "name": "mine", "maps": ["C2.regular_to_pt"]},
+        {"kind": "class", "name": "all", "maps": []},
+    ])
+    assert main(["validate", "--workspace", str(tmp_path), "--format", "json"]) == 0
+    capsys.readouterr()
+    ws = load_dir(str(tmp_path))
+    assert ws.span("loop").apex.size == ws.span("plain").apex.size == 2
+
+
+def test_cli_span_left_leg_outside_its_class(tmp_path, capsys):
+    _write(tmp_path, "ws.json", {"kind": "span", "name": "loop", "left": "C2.regular_to_pt",
+                                 "right": "C2.regular_to_pt", "class": "injective"})
+    code = main(["validate", "--workspace", str(tmp_path), "--format", "json"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "WorkspaceError"
+    assert doc["error"]["message"] == "span 'loop': left leg fails class 'injective'"
+
+
 # (entry name, field, shape, entry with the value v in that field, a valid v)
 INTEGER_FIELDS = [
     ("gset 'X'", "size", "an integer",
@@ -495,6 +523,15 @@ def test_cli_class_flag_with_whitelist(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     failing = [c for c in doc["checks"] if not c["passed"]]
     assert failing and all("mine" in c["name"] for c in failing)
+
+
+def test_cli_class_flag_names_each_check_once(capsys):
+    """A builtin class given to --class is certified once, with the other builtins."""
+    assert main(["check", "--suite", "protocalib", "--group", "C2", "--class", "surjective",
+                 "--seed", "0", "--format", "json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert any(n.startswith("protocalibration:surjective/") for n in names)
+    assert len(names) == len(set(names))
 
 
 def test_cli_class_flag_with_all_suites(capsys):
