@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import finact
-from .errors import BoundaryMismatch, ClassViolation, InvalidStructure, ResourceLimit
+from .errors import BoundaryMismatch, InvalidStructure, ProbeFailure, ResourceLimit
 from .finact import (
     CoproductDiagram,
     GMap,
@@ -571,11 +571,17 @@ class SpanExtension:
 def extend_to_spans(xcat: IndexedCategory, p: Span,
                     probe_squares: Sequence[tuple[GMap, GMap]] = (),
                     probe_objects: Sequence = ()) -> SpanExtension:
-    """Span action of an indexed category, gated on sampled cocompleteness probes."""
+    """Span action of an indexed category, gated on sampled cocompleteness probes.
+
+    The first failed probe raises ProbeFailure naming it.
+    """
     for (f, g) in probe_squares:
         rep = check_CB_fiber(xcat, f, g, probe_objects, mode="push")
         if not rep.passed:
-            raise ClassViolation("cocompleteness probe failed; cannot extend to spans")
+            failed = rep.failures()[0]
+            probe = f"{rep.title}/{failed.name}"
+            raise ProbeFailure(f"cocompleteness probe {probe} failed ({failed.detail}); "
+                               f"cannot extend to spans", probe)
     return SpanExtension(xcat, p)
 
 

@@ -14,7 +14,15 @@ class BoundaryMismatch(SpanPolyError):
 
 
 class ClassViolation(SpanPolyError):
-    """A map falls outside a required morphism class, or a cocompleteness probe fails."""
+    """A map falls outside a required morphism class."""
+
+
+class ProbeFailure(SpanPolyError):
+    """A sampled probe that gates a construction fails; `probe` names the failed check."""
+
+    def __init__(self, message: str, probe: str | None = None):
+        super().__init__(message)
+        self.probe = probe
 
 
 class ResourceLimit(SpanPolyError):

@@ -2,26 +2,26 @@
 
 Points of a G-set are 0-based contiguous indices.  A G-set stores one
 action row per element of the group's `generating_set`, in that order;
-these rows fix the action.  `orbits` searches along them, and
-`point_images` composes the images g.p of one point along the group's
-breadth-first words (`GroupData.words`).  `orbit_cosets`, the one reader of
-whole orbits, takes one such pass per orbit and lays its points out along
-the coset table of the least point's stabilizer.  The full table
-`GSet.action` is derived on first use, for outside readers and validation.
+these rows fix the action.  `point_images` composes the images g.p of one
+point along the group's breadth-first words (`GroupData.words`).
+`orbit_cosets`, the one reader of whole orbits (`orbits` reads it too),
+takes one such pass per orbit and lays its points out along the coset table
+of the least point's stabilizer.  The full table `GSet.action` is derived
+on first use, for outside readers and validation.
 Every constructed G-set (pullback, product, dependent product, the parts
-of a map into a coproduct) comes from the one builder `build_gset`.  Each
-construction numbers its elements by position arithmetic on its factors (a
-pair (a, b) of a pullback at start[a] + rank[b], a section at start[x]
-plus mixed-radix digits) and computes the same way the position of each
-generator's image of each element; the builder groups the points by orbit
-(orbits ordered by their least position, points ascending within an orbit)
-and returns the point at each position.  That arithmetic is the one way to
-find a point: `Pullback.index_of` and `PiData.index_of_section` run it
-forwards, `PiData.section_values` backwards, and no point keeps a
-descriptor.  A binary product is the pullback over the terminal G-set.
-Coproducts instead keep the tagging order, all left-summand points first,
-so that injections are plain shifts.  All values are immutable; every
-operation is pure.
+of a map into a coproduct) comes from the one builder `build_gset`, and
+its position is its point.  Each construction numbers its elements by
+position arithmetic on its factors and computes the same way the position
+of each generator's image of each element: a pullback's pair (a, b) is the
+point start[a] + rank[b], so pairs come in lexicographic order; a section
+over x is start[x] plus mixed-radix digits, so each fiber's sections come
+in `itertools.product` order; a part of a map into a coproduct keeps its
+points ascending.  That arithmetic is the one way to find a point:
+`Pullback.index_of` and `PiData.index_of_section` run it forwards,
+`PiData.section_values` backwards, and no point keeps a descriptor.  A
+binary product is the pullback over the terminal G-set.  Coproducts keep
+the tagging order, all left-summand points first, so that injections are
+plain shifts.  All values are immutable; every operation is pure.
 
 Iso classes of G-sets, slices and spans are decided in one place.
 `orbit_labels` gives each orbit one label (stabilizer, leg values), and
@@ -333,34 +333,9 @@ def unique_from_initial(x: GSet) -> GMap:
 # orbits, stabilizers, labels and rebuilding from labels
 # ---------------------------------------------------------------------------
 
-def _orbit_search(size: int, rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """The orbits of the permutations rows on size points: the components of
-    the graph the rows draw.  Returns the points orbit by orbit, each orbit
-    ascending and the orbits ordered by least point, and the start of each
-    orbit in that list.  Flat, so that no list per orbit outlives the search."""
-    seen = [False] * size
-    order: list[int] = []
-    starts = []
-    for i in range(size):
-        if not seen[i]:
-            seen[i] = True
-            orb = [i]
-            for j in orb:
-                for row in rows:
-                    k = row[j]
-                    if not seen[k]:
-                        seen[k] = True
-                        orb.append(k)
-            if len(orb) > 1:
-                orb.sort()
-            starts.append(len(order))
-            order += orb
-    return order, starts
-
-
 def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
-    order, starts = _orbit_search(x.size, x.rows)
-    return tuple(tuple(order[i:j]) for i, j in zip(starts, starts[1:] + [x.size]))
+    """The orbits of x by least point, each ascending."""
+    return tuple(tuple(sorted(o.points)) for o in orbit_cosets(x))
 
 
 def point_images(x: GSet, p: int) -> list[int]:
@@ -505,7 +480,8 @@ def orbit_candidates(x: GSet, y: GSet, legs: Legs = ()) -> list[tuple[Orbit, lis
     and b are equivariant, agreement at p carries to t.p -> t.q for every t,
     so one check per orbit covers all of its points.  y's points are indexed
     once by their leg values; candidates are ascending, so every search built
-    on them enumerates in the same order.
+    on them enumerates in the same order.  Orbits with the same stabilizer
+    and leg values at their least points share one candidate list.
     """
     _check_legs(x, y, legs)
     return _candidates(y, legs, orbit_cosets(x), orbit_cosets(y))
@@ -530,10 +506,14 @@ def _candidates(y: GSet, legs: Legs, xorbs: Sequence[Orbit],
     for q in y.points():
         bucket.setdefault(tuple([t[q] for t in btabs]), []).append(q)
     out = []
+    shared: dict[tuple, list[int]] = {}
     for o in xorbs:
-        st = frozenset(o.stab)
-        out.append((o, [q for q in bucket.get(tuple([t[o.rep] for t in atabs]), ())
-                        if st <= ystabs[q]]))
+        key = (tuple([t[o.rep] for t in atabs]), frozenset(o.stab))
+        cands = shared.get(key)
+        if cands is None:
+            st = key[1]
+            cands = shared[key] = [q for q in bucket.get(key[0], ()) if st <= ystabs[q]]
+        out.append((o, cands))
     return out
 
 
@@ -569,7 +549,10 @@ def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     orbit-to-orbit assignments from `orbit_candidates`, so the legs are
     checked once per orbit.  A candidate image with a strictly larger
     stabilizer maps the orbit onto a smaller one, so the injectivity test
-    rejects it.
+    rejects it.  The backtracking keeps one candidate iterator per placed
+    orbit on an explicit stack and one set of used points, undone on
+    backtrack, so it needs no recursion and its memory stays linear in the
+    orbits and points.
     """
     _check_legs(x, y, legs)
     if x.size != y.size:
@@ -578,24 +561,38 @@ def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     if _labels(xorbs, [a for a, _ in legs]) != _labels(yorbs, [b for _, b in legs]):
         return
     percand = _candidates(y, legs, xorbs, yorbs)
-    moved = {q: point_images(y, q) for _, c in percand for q in c}
-
-    def extend(i: int, used: set[int], table: list[int]) -> Iterator[GMap]:
-        if i == len(percand):
-            yield GMap(x, y, tuple(table))
-            return
-        o, cands = percand[i]
-        for q0 in cands:
+    if not percand:
+        yield GMap(x, y, ())
+        return
+    moved: dict[int, list[int]] = {}
+    table = [0] * x.size
+    used: set[int] = set()
+    placed: list[list[int]] = []  # the images of the orbits below the top one
+    stack = [iter(percand[0][1])]
+    while stack:
+        o = percand[len(stack) - 1][0]
+        for q0 in stack[-1]:
             if q0 in used:
                 continue
-            qs = list(map(moved[q0].__getitem__, o.cosets.reps))
-            if len(set(qs)) != len(qs) or not used.isdisjoint(qs):
-                continue
-            for p, q in zip(o.points, qs):
-                table[p] = q
-            yield from extend(i + 1, used | set(qs), table)
-
-    yield from extend(0, set(), [0] * x.size)
+            img = moved.get(q0)
+            if img is None:
+                img = moved[q0] = point_images(y, q0)
+            qs = list(map(img.__getitem__, o.cosets.reps))
+            if len(set(qs)) == len(qs) and used.isdisjoint(qs):
+                break
+        else:
+            stack.pop()
+            if placed:
+                used.difference_update(placed.pop())
+            continue
+        for p, q in zip(o.points, qs):
+            table[p] = q
+        if len(stack) == len(percand):
+            yield GMap(x, y, tuple(table))
+        else:
+            used.update(qs)
+            placed.append(qs)
+            stack.append(iter(percand[len(stack)][1]))
 
 
 def iso_gsets(x: GSet, y: GSet) -> Optional[GMap]:
@@ -636,11 +633,9 @@ def relabel_gset(x: GSet, perm: Sequence[int]) -> tuple[GSet, GMap]:
 # ---------------------------------------------------------------------------
 
 class BuiltGSet(NamedTuple):
-    """A constructed G-set: order[j] is the position of point j, pos[i] the point at position i."""
+    """A constructed G-set, point i being the element at position i."""
 
     gset: GSet
-    order: list[int]
-    pos: list[int]
 
 
 def action_from_generator_rows(group: FiniteGroup, size: int,
@@ -665,22 +660,15 @@ def check_points(n: int) -> None:
 
 
 def build_gset(group: FiniteGroup, n: int, rows: list[Sequence[int]]) -> BuiltGSet:
-    """Materialize a G-set from position rows, numbered canonically.
+    """Materialize a G-set from position rows: the position is the point.
 
     The caller numbers its n elements by position arithmetic;
     rows[k][i] is the position of s.e for e the element at position i and
-    s the k-th element of `generating_set(group)`.  Points are grouped by
-    orbit, each found by a search along the rows and listed ascending,
-    orbits ordered by their least position; order[j] of the result is the
-    position of point j and pos[i] the point at position i.
+    s the k-th element of `generating_set(group)`.  Point i of the result
+    is the element at position i.
     """
     check_points(n)
-    order = _orbit_search(n, rows)[0]
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    out = tuple(tuple(map(pos.__getitem__, map(row.__getitem__, order))) for row in rows)
-    return BuiltGSet(GSet(group, n, out), order, pos)
+    return BuiltGSet(GSet(group, n, tuple(map(tuple, rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +695,13 @@ def _fiber_ranks(fibers: list[list[int]], size: int) -> list[int]:
 class Pullback:
     """Canonical pullback of a cospan: the pairs (a, b) with f(a) = g(b).
 
-    Before the orbit renumbering, the pair (a, b) sits at position
-    start[a] + rank[b]: start[a] counts the pairs of every a' < a, and
-    rank[b] is the position of b in its fiber of g.  `index_of` reads a
-    pair's point off that arithmetic; proj1 and proj2 give each point's pair.
+    The pair (a, b) is the point start[a] + rank[b]: start[a] counts the
+    pairs of every a' < a, and rank[b] is the position of b in its fiber of
+    g, so the pairs come in lexicographic order.  `index_of` reads a pair's
+    point off that arithmetic; proj1 and proj2 give each point's pair.
     """
 
-    __slots__ = ("f", "g", "gset", "proj1", "proj2", "_start", "_rank", "_pos")
+    __slots__ = ("f", "g", "gset", "proj1", "proj2", "_start", "_rank")
 
     def __init__(self, f: GMap, g: GMap):
         if f.group != g.group:
@@ -726,8 +714,8 @@ class Pullback:
         start = list(itertools.accumulate(counts, initial=0))
         n = start[-1]
         check_points(n)
-        left = list(itertools.chain.from_iterable(map(itertools.repeat, xa.points(), counts)))
-        right = list(itertools.chain.from_iterable(map(over.__getitem__, f.table)))
+        left = tuple(itertools.chain.from_iterable(map(itertools.repeat, xa.points(), counts)))
+        right = tuple(itertools.chain.from_iterable(map(over.__getitem__, f.table)))
         rank = _fiber_ranks(over, xb.size)
         # s.(a, b) = (s.a, s.b) sits at start[s.a] + rank[s.b]
         built = build_gset(f.group, n, [
@@ -735,9 +723,9 @@ class Pullback:
                      map(list(map(rank.__getitem__, rb)).__getitem__, right)))
             for ra, rb in zip(xa.rows, xb.rows)])
         self.f, self.g, self.gset = f, g, built.gset
-        self.proj1 = GMap(self.gset, xa, tuple(map(left.__getitem__, built.order)))
-        self.proj2 = GMap(self.gset, xb, tuple(map(right.__getitem__, built.order)))
-        self._start, self._rank, self._pos = start, rank, built.pos
+        self.proj1 = GMap(self.gset, xa, left)
+        self.proj2 = GMap(self.gset, xb, right)
+        self._start, self._rank = start, rank
 
     @property
     def apex(self) -> GSet:
@@ -748,7 +736,7 @@ class Pullback:
         ft, gt = self.f.table, self.g.table
         if not (0 <= a < len(ft) and 0 <= b < len(gt)) or ft[a] != gt[b]:
             raise KeyError((a, b))
-        return self._pos[self._start[a] + self._rank[b]]
+        return self._start[a] + self._rank[b]
 
     def mediator(self, q1: GMap, q2: GMap) -> GMap:
         """The unique map into the apex from a commuting cone (q1, q2)."""
@@ -899,10 +887,10 @@ class PiData:
 
     The fiber over x in U is the set of sections of a over the fiber
     u^-1(x), whose points fibers[x] are listed ascending; the action
-    conjugates sections.  Before the orbit renumbering, a section over x
-    sits at start[x] plus its values' ranks in their fibers of a, read as
-    mixed-radix digits with the last one fastest (the order of
-    `itertools.product`).  `index_of_section` runs that arithmetic forwards
+    conjugates sections.  A section over x is the point start[x] plus its
+    values' ranks in their fibers of a, read as mixed-radix digits with the
+    last one fastest, so each fiber's sections come in the order of
+    `itertools.product`.  `index_of_section` runs that arithmetic forwards
     and `section_values` backwards; con is the `BuiltGSet` of the sections.
     """
 
@@ -947,9 +935,8 @@ class PiData:
         del rows  # free the raw rows before the slice table is built
         self.u, self.a, self.fibers = u, a, fibers
         self._pre, self._start, self._rank, self._weight = pre, start, rank, weight
-        over = list(itertools.chain.from_iterable(map(itertools.repeat, uu.points(), counts)))
-        self.slice = SliceObject(GMap(self.con.gset, uu,
-                                      tuple(map(over.__getitem__, self.con.order))))
+        over = tuple(itertools.chain.from_iterable(map(itertools.repeat, uu.points(), counts)))
+        self.slice = SliceObject(GMap(self.con.gset, uu, over))
 
     def index_of_section(self, x: int, values: Sequence[int]) -> int:
         """The point of the section over x with value values[k] at fibers[x][k], or KeyError."""
@@ -958,15 +945,14 @@ class PiData:
                 not 0 <= v < len(arrow) or arrow[v] != p for p, v in zip(fibers[x], values)):
             raise KeyError((x, tuple(values)))
         rank, weight = self._rank, self._weight
-        return self.con.pos[self._start[x] + sum([rank[v] * weight[p]
-                                                  for p, v in zip(fibers[x], values)])]
+        return self._start[x] + sum([rank[v] * weight[p] for p, v in zip(fibers[x], values)])
 
     def section_values(self, bs: Iterable[int], ps: Iterable[int]) -> tuple[int, ...]:
         """For each i, the value at the point ps[i] of S of the section at point bs[i].
 
         KeyError unless each ps[i] lies in the fiber its section is over.
         """
-        over, ut, order = self.slice.arrow.table, self.u.table, self.con.order
+        over, ut = self.slice.arrow.table, self.u.table
         start, weight, pre = self._start, self._weight, self._pre
         out = []
         for b, p in zip(bs, ps, strict=True):
@@ -974,7 +960,7 @@ class PiData:
             if ut[p] != x:
                 raise KeyError((b, p))
             q = pre[p]
-            out.append(q[(order[b] - start[x]) // weight[p] % len(q)])
+            out.append(q[(b - start[x]) // weight[p] % len(q)])
         return tuple(out)
 
 
@@ -1144,9 +1130,8 @@ class CoproductPullbackData:
         built = build_gset(r.group, len(pts),
                            [list(map(where.__getitem__, map(row.__getitem__, pts)))
                             for row in r.rows])
-        inner = tuple(map(pts.__getitem__, built.order))
-        incl = GMap(built.gset, r, inner)
-        over = GMap(built.gset, summand, tuple(f.table[p] - shift for p in inner))
+        incl = GMap(built.gset, r, tuple(pts))
+        over = GMap(built.gset, summand, tuple(f.table[p] - shift for p in pts))
         return built.gset, incl, over
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import calib, completion, mackey, poly, spans, tambara
 from .calib import ALL_MAPS, INJECTIVE_MAPS, ISO_MAPS, SURJECTIVE_MAPS, MorphismClass
-from .errors import ClassViolation
+from .errors import ProbeFailure
 from .finact import (
     check_adjunction_triangles,
     compose_gmaps,
@@ -342,7 +342,7 @@ def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         completion.extend_to_spans(e, spans.Span(f, f), probe_squares=[(f, g)],
                                    probe_objects=[random_slice(rng, f.dom, size_bound)])
         gate = Check("extend-to-spans", True)
-    except ClassViolation as exc:
+    except ProbeFailure as exc:
         gate = Check("extend-to-spans", False, str(exc))
     reports.append(Report("cocompleteness-gate", (gate,)))
     u = random_gset(rng, group, size_bound)

@@ -247,6 +247,9 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
         ws.gmaps[e["name"]] = _parse_gmap(e, ws)
     for e in by_kind.get("class", ()):
         name = _need_name(e, "name", "class entry")
+        if name in BUILTIN_CLASSES:
+            raise WorkspaceError(f"class {name!r}: the name of a builtin class "
+                                 f"({', '.join(BUILTIN_CLASSES)})")
         maps = _need(e, "maps", f"class {name!r}")
         if not isinstance(maps, list) or not all(isinstance(n, str) for n in maps):
             raise WorkspaceError(f"class {name!r}: field 'maps' must be a list of names, "

@@ -5,7 +5,11 @@ element of `generator_elements`, which the group object lists.  The test
 expands those rows to the full action by a breadth-first search of its
 own and compares them with the composite computed in-process.  Leg tables,
 sizes, the group table, the rewrite transcript and the canonical form are
-pinned by sha256 digests captured before the format change.
+pinned by sha256 digests; these depend on how constructions number their
+points.  Beside them, each composite's iso class is pinned by an invariant
+that no numbering enters (`GOLDEN_CLASSES`), and the seeded composites must
+be isomorphic (`span_iso`, `poly_iso`) to the composites of relabelled
+inputs, so a change of numbering re-pins only `GOLDEN_COMPOSE`.
 """
 import contextlib
 import hashlib
@@ -17,9 +21,10 @@ from collections import deque
 import pytest
 
 from spanpoly.cli import main
+from spanpoly.finact import GMap, orbit_cosets, orbit_labels, relabel_gset, render_labels
 from spanpoly.groups import subgroup_class_reps, symmetric_group
-from spanpoly.poly import compose_poly
-from spanpoly.spans import compose_spans
+from spanpoly.poly import Polynomial, compose_poly, poly_iso
+from spanpoly.spans import Span, compose_spans, span_iso
 from spanpoly.workspace import builtin_workspace, load_dir
 
 from helpers import coset_sum, seeded_map
@@ -58,6 +63,59 @@ def _digest(kind, obj):
               "transcript": obj.get("transcript"),
               "canonical_form": obj.get("canonical_form")}
     return hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+
+
+def _class_digest(kind, out):
+    """sha256 of an iso invariant of a composite that no point numbering enters.
+
+    A span's orbit labels are its iso class.  A polynomial r : A -> X,
+    n : A -> B, t : B -> Y is summed up orbit by orbit of B: the least, over
+    the points b of the orbit, of (stab b, t(b), the sorted pairs (stab a, r(a))
+    of the points a over b).
+    """
+    if kind == "span":
+        text = render_labels(orbit_labels(out.apex, (out.left, out.right)))
+    else:
+        stab_a, stab_b = _stabilizers(out.n.dom), _stabilizers(out.n.cod)
+        over = [[] for _ in out.n.cod.points()]
+        for a, b in enumerate(out.n.table):
+            over[b].append((stab_a[a], out.r.table[a]))
+        text = repr(sorted(min((stab_b[b], out.t.table[b], sorted(over[b])) for b in o.points)
+                           for o in orbit_cosets(out.n.cod)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stabilizers(x):
+    out = [()] * x.size
+    for o in orbit_cosets(x):
+        for p, k in zip(o.points, o.cosets.conj):
+            out[p] = tuple(sorted(k))
+    return out
+
+
+def _shuffled(rng, f, perm=None):
+    """f read on a seeded relabelling of its domain; returns (map, perm)."""
+    if perm is None:
+        perm = list(range(f.dom.size))
+        rng.shuffle(perm)
+    dom, _ = relabel_gset(f.dom, perm)
+    inv = [0] * dom.size
+    for p, q in enumerate(perm):
+        inv[q] = p
+    return GMap(dom, f.cod, tuple(f.table[inv[q]] for q in range(dom.size))), perm
+
+
+def _relabelled(kind, ws, name, rng):
+    """The workspace span or polynomial name with its inner G-sets relabelled."""
+    if kind == "span":
+        p = ws.span(name)
+        left, perm = _shuffled(rng, p.left)
+        return Span(left, _shuffled(rng, p.right, perm)[0])
+    p = ws.poly(name)
+    t, perm_b = _shuffled(rng, p.t)
+    r, perm_a = _shuffled(rng, p.r)
+    n = GMap(r.dom, t.dom, tuple(perm_b[b] for b in _shuffled(rng, p.n, perm_a)[0].table))
+    return Polynomial(r, n, t)
 
 
 def _expand(group_obj, gset_obj):
@@ -117,9 +175,41 @@ GOLDEN_COMPOSE = {
     ('poly', 'S4.free-poly', 'S4.free-poly', None):
         '15043ddba0c6f2a850775c0b68d94c455eb1e0cd9bfa23e9f4112c0c04ecae08',
     ('span', 'p', 'q', 'seeded-S4'):
-        '890ca4085ffeb36f4c7d5a451c3d3c4ce91c716fc6290ea45292060c5ef1c3d5',
+        '194ece6c922ab81c56ad5ffd078592380de7b053e489b2fcf38dbe2c3ebb6b90',
     ('poly', 'P', 'Q', 'seeded-S4'):
-        'a08d7cbc3b742c2db2d678ef6ee5b0aa5ee4e83a5622cc8874570e8c60504221',
+        '5c03469654d7b33fc96a6c24a8035c3f9a8e98eeae97b227873d5b3631c40d24',
+}
+
+# (kind, lhs, rhs, workspace) -> sha256 of `_class_digest`
+GOLDEN_CLASSES = {
+    ('span', 'triv.free-span', 'triv.free-span', None):
+        'a1333fb1d9d232a73baf1c87554f26999d134b9c0ebe994b128bf8cbbfc582b6',
+    ('poly', 'triv.free-poly', 'triv.free-poly', None):
+        '6ca565036f972758d73a4d076aeeb6b0064cab9ac5624a5bad0337264af414fa',
+    ('span', 'C2.free-span', 'C2.free-span', None):
+        'c9523603282a054650ef43549c5cb5281c0d1f0bfc40440969942cd777045f16',
+    ('poly', 'C2.free-poly', 'C2.free-poly', None):
+        '1a2529ced3ef74aa9d42175aff9595ee62649a2a319d0656b6fff4b7b7af1d92',
+    ('span', 'C3.free-span', 'C3.free-span', None):
+        'a3de8b4ba73f4d0dc9da8e855881f7551d89d0a94d2dde96c5393df1574c82b8',
+    ('poly', 'C3.free-poly', 'C3.free-poly', None):
+        '0f8895075d81ff5cfb35e75b86bbc2c09fe46f76431eb074cc497d1b172a6945',
+    ('span', 'C4.free-span', 'C4.free-span', None):
+        '6f6ccd5f14a850c747b38dd1216fb81b9d78a76bc8f3eb784781ef1c4e7d7e16',
+    ('poly', 'C4.free-poly', 'C4.free-poly', None):
+        '1ab89a602e82ae4a3c949d21ca3f7752e6d99408b6cd32f6ce4aefd4743b4cab',
+    ('span', 'S3.free-span', 'S3.free-span', None):
+        '44bf9180328d492bf8bc53486cc87fcbdc4bfe196555f936e90766d30cd385a3',
+    ('poly', 'S3.free-poly', 'S3.free-poly', None):
+        'd4f478da16713e72a9818900a5060f7d2e91a3ba2b441610ca7386e5b75f09d6',
+    ('span', 'S4.free-span', 'S4.free-span', None):
+        '737ae5821359cfa869074aa5f2e6523db73ac119974b1e278733c45ee7d4ce10',
+    ('poly', 'S4.free-poly', 'S4.free-poly', None):
+        '2a1da143341a8899d152fc3c5832679d93a652962ea8cef06908445f42b9fd02',
+    ('span', 'p', 'q', 'seeded-S4'):
+        'a31333b8f440b09ff7045d8ba42419785281d622aa3a6dc620eed96227e9b8f0',
+    ('poly', 'P', 'Q', 'seeded-S4'):
+        '1661a67ea582d78d9ab1e4796681c0d937c7dd76c26a3df5f8402fea31294de3',
 }
 
 SEEDED = {"span": ("p", "q"), "poly": ("P", "Q")}
@@ -146,6 +236,14 @@ def test_compose_output_by_generator(case, seeded_ws):
     else:
         out = compose_poly(ws.poly(lhs), ws.poly(rhs))[0]
     assert _digest(kind, obj) == GOLDEN_COMPOSE[case]
+    assert _class_digest(kind, out) == GOLDEN_CLASSES[case]
+    if ws_name:
+        rng = random.Random(11)
+        lhs2, rhs2 = (_relabelled(kind, ws, name, rng) for name in (lhs, rhs))
+        if kind == "span":
+            assert span_iso(out, compose_spans(lhs2, rhs2)) is not None
+        else:
+            assert poly_iso(out, compose_poly(lhs2, rhs2)[0]) is not None
     for leg in LEGS[kind]:
         for end in ("dom", "cod"):
             x = getattr(getattr(out, leg), end)

@@ -3,18 +3,15 @@
 Pullbacks, products, dependent products and the parts of a map into a
 coproduct number their points by position arithmetic, and find a point the
 same way.  Here each is rebuilt from descriptors alone (pairs (a, b),
-sections (x, values), points of a part): they are sorted, indexed in a dict,
-moved by one generator at a time, and grouped by a breadth-first orbit
-search written below, orbits by least descriptor and points ascending within
-an orbit.  The generator rows and the projection tables must agree, the
-lookups `index_of` and `index_of_section` must find the reference descriptor
-at position i at point i, the reader `section_values` must give back its
-values, and a pair or section that is not in the construction must raise
-KeyError.
+sections (x, values), points of a part): point i is the i-th descriptor in
+sorted order, and each generator row is read by moving every descriptor and
+looking it up in a dict.  The generator rows and the projection tables must
+agree, the lookups `index_of` and `index_of_section` must find descriptor i
+at point i, the reader `section_values` must give back its values, and a
+pair or section that is not in the construction must raise KeyError.
 """
 import itertools
 import random
-from collections import deque
 
 import pytest
 
@@ -56,22 +53,9 @@ def reference(group, descs, act):
     """
     descs = sorted(descs)
     index = {d: i for i, d in enumerate(descs)}
-    raw = [[index[act(k, d)] for d in descs] for k in range(len(generating_set(group)))]
-    order, placed = [], set()
-    for first in range(len(descs)):
-        if first in placed:
-            continue
-        orbit, queue = {first}, deque([first])
-        while queue:
-            i = queue.popleft()
-            for row in raw:
-                if row[i] not in orbit:
-                    orbit.add(row[i])
-                    queue.append(row[i])
-        placed |= orbit
-        order += sorted(orbit)
-    new = {old: i for i, old in enumerate(order)}
-    return tuple(tuple(new[row[old]] for old in order) for row in raw), [descs[i] for i in order]
+    rows = tuple(tuple(index[act(k, d)] for d in descs)
+                 for k in range(len(generating_set(group))))
+    return rows, descs
 
 
 def _pair_act(x, y):

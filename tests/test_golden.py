@@ -155,12 +155,10 @@ GOLDEN_S4_COSETS = [(24,
  (6, ((1, 0, 5, 4, 3, 2), (4, 5, 2, 3, 1, 0))), (4, ((1, 0, 2, 3), (1, 2, 3, 0))),
  (3, ((0, 2, 1), (2, 1, 0))), (2, ((1, 0), (1, 0))), (1, ((0,), (0,)))]
 
-GOLDEN_FINACT = {'S3': {'decompose': ((6, ((2, 3, 0, 1, 5, 4), (3, 2, 5, 4, 0, 1))),
-                      (2, 3, 4, 5, 6, 7), (3, ((1, 0, 2), (0, 1, 2))),
-                      (0, 1, 8)),
+GOLDEN_FINACT = {'S3': {'decompose': ((6, ((2, 3, 0, 1, 5, 4), (3, 2, 5, 4, 0, 1))), (2, 3, 4, 5, 6, 7),
+                      (3, ((1, 0, 2), (0, 1, 2))), (0, 1, 8)),
         'draws': [(6, 6, 5, 4, 5, 3, 4, 3, 6), (6, 6, 3, 3, 4, 4, 5, 5, 6),
-                  (6, 6, 5, 4, 5, 3, 4, 3, 6), (6, 6, 5, 4, 5, 3, 4, 3, 6),
-                  2883690328],
+                  (6, 6, 5, 4, 5, 3, 4, 3, 6), (6, 6, 5, 4, 5, 3, 4, 3, 6), 2883690328],
         'isos': ([(5, 8, 0, 1, 2, 4, 6, 3, 7), (5, 8, 1, 0, 4, 2, 3, 6, 7),
                   (5, 8, 2, 6, 0, 3, 1, 4, 7), (5, 8, 3, 4, 6, 1, 2, 0, 7),
                   (5, 8, 4, 3, 1, 6, 0, 2, 7), (5, 8, 6, 2, 3, 0, 4, 1, 7),
@@ -174,36 +172,33 @@ GOLDEN_FINACT = {'S3': {'decompose': ((6, ((2, 3, 0, 1, 5, 4), (3, 2, 5, 4, 0, 1
                   (6, 6, 4, 5, 3, 5, 3, 4, 6), (6, 6, 5, 4, 5, 3, 4, 3, 6),
                   (6, 6, 6, 6, 6, 6, 6, 6, 6)],
                  [(6, 6, 1, 2, 0, 2, 0, 1, 6)]),
-        'pi': (((0, (0,)), (1, (1,)), (2, (2,)), (0, (7,)), (1, (8,)), (2, (9,)),
+        'pi': (((0, (0,)), (0, (7,)), (1, (1,)), (1, (8,)), (2, (2,)), (2, (9,)),
                 (3, (3, 4, 5, 6)), (3, (3, 4, 5, 13)), (3, (3, 4, 12, 6)),
-                (3, (3, 11, 5, 6)), (3, (10, 4, 5, 6)), (3, (3, 4, 12, 13)),
-                (3, (3, 11, 5, 13)), (3, (10, 4, 5, 13)), (3, (3, 11, 12, 6)),
-                (3, (10, 4, 12, 6)), (3, (10, 11, 5, 6)), (3, (3, 11, 12, 13)),
-                (3, (10, 4, 12, 13)), (3, (10, 11, 5, 13)), (3, (10, 11, 12, 6)),
+                (3, (3, 4, 12, 13)), (3, (3, 11, 5, 6)), (3, (3, 11, 5, 13)),
+                (3, (3, 11, 12, 6)), (3, (3, 11, 12, 13)), (3, (10, 4, 5, 6)),
+                (3, (10, 4, 5, 13)), (3, (10, 4, 12, 6)), (3, (10, 4, 12, 13)),
+                (3, (10, 11, 5, 6)), (3, (10, 11, 5, 13)), (3, (10, 11, 12, 6)),
                 (3, (10, 11, 12, 13))),
                (22,
-                ((1, 0, 2, 4, 3, 5, 6, 7, 8, 10, 9, 11, 13, 12, 15, 14, 16, 18,
-                  17, 19, 20, 21),
-                 (1, 2, 0, 4, 5, 3, 6, 7, 10, 8, 9, 13, 11, 12, 15, 16, 14, 18,
-                  19, 17, 20, 21)))),
-        'product': (((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0),
-                     (3, 1), (4, 0), (4, 1), (5, 0), (5, 1), (6, 0), (6, 1)),
+                ((2, 3, 0, 1, 4, 5, 6, 7, 8, 9, 14, 15, 16, 17, 10, 11, 12, 13, 18, 19, 20,
+                  21),
+                 (2, 3, 4, 5, 0, 1, 6, 7, 14, 15, 8, 9, 16, 17, 10, 11, 18, 19, 12, 13, 20,
+                  21)))),
+        'product': (((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0),
+                     (4, 1), (5, 0), (5, 1), (6, 0), (6, 1)),
                     (14,
                      ((3, 2, 1, 0, 5, 4, 9, 8, 7, 6, 11, 10, 13, 12),
                       (2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7, 12, 13)))),
-        'pullback': (((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (0, 6),
-                      (1, 6), (2, 1), (3, 2), (4, 0), (5, 2), (6, 0), (7, 1),
-                      (8, 3), (8, 4), (8, 5), (8, 6)),
+        'pullback': (((0, 3), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6),
+                      (2, 1), (3, 2), (4, 0), (5, 2), (6, 0), (7, 1), (8, 3), (8, 4),
+                      (8, 5), (8, 6)),
                      (18,
-                      ((4, 3, 5, 1, 0, 2, 7, 6, 10, 11, 8, 9, 13, 12, 15, 14, 16,
-                        17),
-                       (1, 2, 0, 4, 5, 3, 6, 7, 11, 10, 13, 12, 8, 9, 15, 16, 14,
-                        17))))},
+                      ((5, 4, 6, 7, 1, 0, 2, 3, 10, 11, 8, 9, 13, 12, 15, 14, 16, 17),
+                       (1, 2, 0, 3, 5, 6, 4, 7, 11, 10, 13, 12, 8, 9, 15, 16, 14, 17))))},
  'S4': {'decompose': ((8, ((1, 0, 3, 2, 6, 7, 4, 5), (1, 0, 7, 6, 5, 4, 3, 2))),
                       (0, 1, 2, 3, 4, 5, 6, 7), (1, ((0,), (0,))), (8,)),
         'draws': [(0, 0, 2, 3, 1, 3, 1, 2, 0), (0, 0, 4, 4, 4, 4, 4, 4, 4),
-                  (0, 0, 2, 3, 1, 3, 1, 2, 0), (0, 0, 2, 3, 1, 3, 1, 2, 4),
-                  2404381470],
+                  (0, 0, 2, 3, 1, 3, 1, 2, 0), (0, 0, 2, 3, 1, 3, 1, 2, 4), 2404381470],
         'isos': ([(0, 1, 2, 7, 5, 3, 8, 6, 4), (0, 1, 3, 6, 7, 8, 2, 5, 4),
                   (0, 1, 5, 8, 2, 6, 7, 3, 4), (0, 1, 6, 3, 8, 7, 5, 2, 4),
                   (0, 1, 7, 2, 3, 5, 6, 8, 4), (0, 1, 8, 5, 6, 2, 3, 7, 4),
@@ -236,45 +231,38 @@ GOLDEN_FINACT = {'S3': {'decompose': ((6, ((2, 3, 0, 1, 5, 4), (3, 2, 5, 4, 0, 1
                   (4, 4, 2, 3, 1, 3, 1, 2, 0), (4, 4, 2, 3, 1, 3, 1, 2, 4),
                   (4, 4, 3, 2, 3, 1, 2, 1, 0), (4, 4, 3, 2, 3, 1, 2, 1, 4),
                   (4, 4, 4, 4, 4, 4, 4, 4, 0), (4, 4, 4, 4, 4, 4, 4, 4, 4)]),
-        'pi': (((0, ()), (1, ()), (2, ()), (3, (0, 1, 2, 3, 4)),
-                (3, (0, 1, 2, 3, 9)), (3, (0, 1, 2, 8, 4)), (3, (0, 1, 7, 3, 4)),
-                (3, (0, 6, 2, 3, 4)), (3, (0, 1, 2, 8, 9)), (3, (0, 1, 7, 3, 9)),
-                (3, (0, 6, 2, 3, 9)), (3, (0, 1, 7, 8, 4)), (3, (0, 6, 2, 8, 4)),
-                (3, (0, 6, 7, 3, 4)), (3, (0, 1, 7, 8, 9)), (3, (0, 6, 2, 8, 9)),
-                (3, (0, 6, 7, 3, 9)), (3, (0, 6, 7, 8, 4)), (3, (0, 6, 7, 8, 9)),
-                (3, (5, 1, 2, 3, 4)), (3, (5, 1, 2, 3, 9)), (3, (5, 1, 2, 8, 4)),
-                (3, (5, 1, 7, 3, 4)), (3, (5, 6, 2, 3, 4)), (3, (5, 1, 2, 8, 9)),
-                (3, (5, 1, 7, 3, 9)), (3, (5, 6, 2, 3, 9)), (3, (5, 1, 7, 8, 4)),
-                (3, (5, 6, 2, 8, 4)), (3, (5, 6, 7, 3, 4)), (3, (5, 1, 7, 8, 9)),
-                (3, (5, 6, 2, 8, 9)), (3, (5, 6, 7, 3, 9)), (3, (5, 6, 7, 8, 4)),
-                (3, (5, 6, 7, 8, 9))),
+        'pi': (((0, ()), (1, ()), (2, ()), (3, (0, 1, 2, 3, 4)), (3, (0, 1, 2, 3, 9)),
+                (3, (0, 1, 2, 8, 4)), (3, (0, 1, 2, 8, 9)), (3, (0, 1, 7, 3, 4)),
+                (3, (0, 1, 7, 3, 9)), (3, (0, 1, 7, 8, 4)), (3, (0, 1, 7, 8, 9)),
+                (3, (0, 6, 2, 3, 4)), (3, (0, 6, 2, 3, 9)), (3, (0, 6, 2, 8, 4)),
+                (3, (0, 6, 2, 8, 9)), (3, (0, 6, 7, 3, 4)), (3, (0, 6, 7, 3, 9)),
+                (3, (0, 6, 7, 8, 4)), (3, (0, 6, 7, 8, 9)), (3, (5, 1, 2, 3, 4)),
+                (3, (5, 1, 2, 3, 9)), (3, (5, 1, 2, 8, 4)), (3, (5, 1, 2, 8, 9)),
+                (3, (5, 1, 7, 3, 4)), (3, (5, 1, 7, 3, 9)), (3, (5, 1, 7, 8, 4)),
+                (3, (5, 1, 7, 8, 9)), (3, (5, 6, 2, 3, 4)), (3, (5, 6, 2, 3, 9)),
+                (3, (5, 6, 2, 8, 4)), (3, (5, 6, 2, 8, 9)), (3, (5, 6, 7, 3, 4)),
+                (3, (5, 6, 7, 3, 9)), (3, (5, 6, 7, 8, 4)), (3, (5, 6, 7, 8, 9))),
                (35,
-                ((0, 2, 1, 3, 4, 6, 5, 7, 9, 8, 10, 11, 13, 12, 14, 16, 15, 17,
-                  18, 19, 20, 22, 21, 23, 25, 24, 26, 27, 29, 28, 30, 32, 31, 33,
-                  34),
-                 (2, 1, 0, 3, 4, 7, 6, 5, 10, 9, 8, 13, 12, 11, 16, 15, 14, 17,
-                  18, 19, 20, 23, 22, 21, 26, 25, 24, 29, 28, 27, 32, 31, 30, 33,
-                  34)))),
-        'product': (((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0),
-                     (3, 1), (4, 0), (4, 1)),
-                    (10,
-                     ((1, 0, 3, 2, 7, 6, 5, 4, 9, 8),
-                      (1, 0, 7, 6, 5, 4, 3, 2, 9, 8)))),
-        'pullback': (((0, 0), (1, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
-                      (1, 3), (0, 4), (1, 4), (2, 0), (3, 0), (4, 0), (5, 0),
-                      (6, 0), (7, 0), (2, 1), (3, 1), (4, 2), (5, 2), (6, 3),
-                      (7, 3), (2, 2), (3, 3), (4, 1), (5, 3), (6, 1), (7, 2),
-                      (2, 3), (3, 2), (4, 3), (5, 1), (6, 2), (7, 1), (2, 4),
-                      (3, 4), (4, 4), (5, 4), (6, 4), (7, 4), (8, 0), (8, 1),
-                      (8, 2), (8, 3), (8, 4)),
+                ((0, 2, 1, 3, 4, 7, 8, 5, 6, 9, 10, 11, 12, 15, 16, 13, 14, 17, 18, 19, 20,
+                  23, 24, 21, 22, 25, 26, 27, 28, 31, 32, 29, 30, 33, 34),
+                 (2, 1, 0, 3, 4, 11, 12, 7, 8, 15, 16, 5, 6, 13, 14, 9, 10, 17, 18, 19, 20,
+                  27, 28, 23, 24, 31, 32, 21, 22, 29, 30, 25, 26, 33, 34)))),
+        'product': (((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0),
+                     (4, 1)),
+                    (10, ((1, 0, 3, 2, 7, 6, 5, 4, 9, 8), (1, 0, 7, 6, 5, 4, 3, 2, 9, 8)))),
+        'pullback': (((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2),
+                      (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0),
+                      (3, 1), (3, 2), (3, 3), (3, 4), (4, 0), (4, 1), (4, 2), (4, 3),
+                      (4, 4), (5, 0), (5, 1), (5, 2), (5, 3), (5, 4), (6, 0), (6, 1),
+                      (6, 2), (6, 3), (6, 4), (7, 0), (7, 1), (7, 2), (7, 3), (7, 4),
+                      (8, 0), (8, 1), (8, 2), (8, 3), (8, 4)),
                      (45,
-                      ((1, 0, 5, 7, 6, 2, 4, 3, 9, 8, 11, 10, 14, 15, 12, 13, 17,
-                        16, 20, 21, 18, 19, 23, 22, 26, 27, 24, 25, 29, 28, 32,
-                        33, 30, 31, 35, 34, 38, 39, 36, 37, 40, 41, 43, 42, 44),
-                       (1, 0, 7, 6, 5, 4, 3, 2, 9, 8, 15, 14, 13, 12, 11, 10, 21,
-                        20, 19, 18, 17, 16, 27, 26, 25, 24, 23, 22, 33, 32, 31,
-                        30, 29, 28, 39, 38, 37, 36, 35, 34, 40, 43, 42, 41,
-                        44))))}}
+                      ((5, 6, 8, 7, 9, 0, 1, 3, 2, 4, 15, 16, 18, 17, 19, 10, 11, 13, 12,
+                        14, 30, 31, 33, 32, 34, 35, 36, 38, 37, 39, 20, 21, 23, 22, 24, 25,
+                        26, 28, 27, 29, 40, 41, 43, 42, 44),
+                       (5, 8, 7, 6, 9, 0, 3, 2, 1, 4, 35, 38, 37, 36, 39, 30, 33, 32, 31,
+                        34, 25, 28, 27, 26, 29, 20, 23, 22, 21, 24, 15, 18, 17, 16, 19, 10,
+                        13, 12, 11, 14, 40, 43, 42, 41, 44))))}}
 
 # group -> (base summands, total summands, seed), as indices into subgroup_class_reps
 CASES = {"S3": ((1, 1), (0, 1, 1), 1), "S4": ((8, 5), (2, 4, 5), 0)}

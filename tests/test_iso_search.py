@@ -1,0 +1,87 @@
+"""Iso search at scale: many orbits, and composites against relabelled copies.
+
+`equivariant_isos` backtracks over orbits on an explicit stack, so its depth
+is not bounded by the interpreter's recursion limit, and `poly_iso` matches
+the orbits of B one at a time, so it does not enumerate the isos of B that
+fail on A.  Each found iso is checked against the legs it must commute with.
+"""
+import random
+
+from spanpoly.finact import GMap, GSet, compose_gmaps, iso_gsets, regular_gset, relabel_gset
+from spanpoly.groups import cyclic_group, subgroup_class_reps, symmetric_group
+from spanpoly.poly import Polynomial, compose_poly, poly_iso
+from spanpoly.sampling import random_gmap
+from spanpoly.spans import Span, compose_spans, span_iso
+from spanpoly.workspace import load_entries
+
+from helpers import coset_sum
+from test_compose_output import _seeded_s4_entries
+
+
+def _shuffle(rng, x):
+    """A seeded relabelling of x: (copy, perm, inv) with point p of x renamed perm[p]."""
+    perm = list(range(x.size))
+    rng.shuffle(perm)
+    copy, _ = relabel_gset(x, perm)
+    inv = [0] * x.size
+    for p, q in enumerate(perm):
+        inv[q] = p
+    return copy, perm, inv
+
+
+def _moved(f, copy, inv):
+    """f read on the relabelled copy of its domain."""
+    return GMap(copy, f.cod, tuple(f.table[inv[q]] for q in range(copy.size)))
+
+
+def test_iso_gsets_on_5000_free_orbits():
+    c2 = cyclic_group(2)
+    free = regular_gset(c2)
+    x = GSet(c2, 10_000, tuple(tuple(p + 2 * k for k in range(5000) for p in row)
+                               for row in free.rows))
+    y, _, _ = _shuffle(random.Random(0), x)
+    f = iso_gsets(x, y)
+    assert f is not None
+    f.validate()
+    assert f.is_bijective()
+
+
+def test_span_iso_between_a_composite_and_a_relabelled_copy():
+    s3 = symmetric_group(3)
+    reps = subgroup_class_reps(s3)
+    rng = random.Random(3)
+    x, y, z = (coset_sum(s3, reps, picks) for picks in ([2], [1, 3], [3]))
+    a, b = coset_sum(s3, reps, [0, 0, 1, 2] * 6), coset_sum(s3, reps, [0, 1, 1, 2] * 6)
+    p = Span(random_gmap(rng, a, x), random_gmap(rng, a, y))
+    q = Span(random_gmap(rng, b, y), random_gmap(rng, b, z))
+    comp = compose_spans(p, q)
+    assert comp.apex.size > 1500
+    apex, _, inv = _shuffle(rng, comp.apex)
+    copy = Span(_moved(comp.left, apex, inv), _moved(comp.right, apex, inv))
+    f = span_iso(comp, copy)
+    assert f is not None
+    f.validate()
+    assert f.is_bijective()
+    assert compose_gmaps(copy.left, f).table == comp.left.table
+    assert compose_gmaps(copy.right, f).table == comp.right.table
+
+
+def test_poly_iso_between_a_composite_and_a_relabelled_copy():
+    ws = load_entries(_seeded_s4_entries(7))
+    comp = compose_poly(ws.poly("P"), ws.poly("Q"))[0]
+    assert comp.n.dom.size > 10_000
+    rng = random.Random(5)
+    a, _, inv_a = _shuffle(rng, comp.n.dom)
+    b, perm_b, inv_b = _shuffle(rng, comp.n.cod)
+    copy = Polynomial(_moved(comp.r, a, inv_a),
+                      GMap(a, b, tuple(perm_b[comp.n.table[inv_a[q]]] for q in range(a.size))),
+                      _moved(comp.t, b, inv_b))
+    found = poly_iso(comp, copy)
+    assert found is not None
+    phi_a, phi_b = found
+    for phi in found:
+        phi.validate()
+        assert phi.is_bijective()
+    assert compose_gmaps(copy.r, phi_a).table == comp.r.table
+    assert compose_gmaps(copy.t, phi_b).table == comp.t.table
+    assert compose_gmaps(copy.n, phi_a).table == compose_gmaps(phi_b, comp.n).table

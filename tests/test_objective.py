@@ -6,7 +6,7 @@ import pytest
 from spanpoly import completion, suites
 from spanpoly.cli import main
 from spanpoly.completion import SliceIndexed
-from spanpoly.errors import ResourceLimit
+from spanpoly.errors import ClassViolation, ProbeFailure, ResourceLimit
 from spanpoly.finact import (
     MAX_POINTS,
     SliceObject,
@@ -14,9 +14,12 @@ from spanpoly.finact import (
     compose_gmaps,
     delta_data,
     pi_slice,
+    product,
+    slice_identity,
 )
 from spanpoly.groups import BUILTIN_GROUPS, builtin_group
 from spanpoly.report import Check, Report
+from spanpoly.spans import Span
 from spanpoly.suites import run_suite
 
 
@@ -68,6 +71,43 @@ def test_objective_suite_records_a_failed_cocompleteness_gate(monkeypatch):
     rep = run_suite("objective", builtin_group("C2"), 0, 6)
     assert [c.name for c in rep.failures()] == ["cocompleteness-gate/extend-to-spans"]
     assert "cannot extend to spans" in rep.failures()[0].detail
+
+
+class _ForgetfulReindexing(SliceIndexed):
+    """Slices whose reindexing forgets the map: X(f)(x) is dom(f) x total(x)
+    over dom(f).  Pushing forward along f and reindexing along g then do not
+    exchange across a pullback square unless f_g is a bijection."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "forgetful"
+
+    def act_obj(self, f, x):
+        return SliceObject(product(f.dom, x.total).proj1)
+
+
+def test_cocompleteness_gate_names_the_failed_probe(u2, f2):
+    with pytest.raises(ProbeFailure) as caught:
+        completion.extend_to_spans(_ForgetfulReindexing(), Span(u2, u2), probe_squares=[(u2, u2)],
+                                   probe_objects=[slice_identity(f2)])
+    assert caught.value.probe == "CB-fiber-push:forgetful/push-mate[0]"
+    assert str(caught.value) == ("cocompleteness probe CB-fiber-push:forgetful/push-mate[0] "
+                                 "failed (fiber iso missing); cannot extend to spans")
+    assert not isinstance(caught.value, ClassViolation)
+
+
+def test_objective_suite_records_a_gate_failed_on_a_broken_category(monkeypatch):
+    gate = completion.extend_to_spans
+
+    def broken_gate(xcat, p, **probes):
+        return gate(_ForgetfulReindexing(), p, **probes)
+
+    monkeypatch.setattr(completion, "extend_to_spans", broken_gate)
+    # seed 1 draws a gate cospan whose f sends 6 points onto 2, so f_g is no bijection
+    rep = run_suite("objective", builtin_group("C2"), 1, 6)
+    assert [c.name for c in rep.failures()] == ["cocompleteness-gate/extend-to-spans"]
+    assert rep.failures()[0].detail.startswith(
+        "cocompleteness probe CB-fiber-push:forgetful/push-mate[0] failed")
 
 
 def _pi_of_pi_sections(u, a):

@@ -10,7 +10,7 @@ EXPORTS = {
     "calib": ("ALL_MAPS", "INJECTIVE_MAPS", "ISO_MAPS", "SURJECTIVE_MAPS", "MorphismClass",
               "check_compatible_pair", "check_protocalibration"),
     "errors": ("BoundaryMismatch", "ClassViolation", "GroupMismatch", "InvalidStructure",
-               "ResourceLimit", "SpanPolyError", "WorkspaceError"),
+               "ProbeFailure", "ResourceLimit", "SpanPolyError", "WorkspaceError"),
     "finact": ("GMap", "GSet", "SliceObject", "canonical_form", "coproduct", "delta", "gmap",
                "gset", "identity_gmap", "iso_gsets", "pi", "pi_slice", "product", "pullback",
                "regular_gset", "sigma", "slice_iso", "terminal_gset"),

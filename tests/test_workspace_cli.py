@@ -319,19 +319,35 @@ def test_cli_structured_error_on_malformed_entry(tmp_path, capsys, entry, named)
 def test_cli_span_names_a_workspace_class(tmp_path, capsys):
     """Classes resolve before spans, so a span may name a class of its own
     workspace; a span naming no class is unchecked, even when the workspace
-    defines a class called 'all'."""
+    defines a class whose whitelist leaves its legs out."""
     _write(tmp_path, "ws.json", [
         {"kind": "span", "name": "loop", "left": "C2.regular_to_pt",
          "right": "C2.regular_to_pt", "class": "mine"},
         {"kind": "span", "name": "plain", "left": "C2.regular_to_pt",
          "right": "C2.regular_to_pt"},
         {"kind": "class", "name": "mine", "maps": ["C2.regular_to_pt"]},
-        {"kind": "class", "name": "all", "maps": []},
+        {"kind": "class", "name": "none", "maps": []},
     ])
     assert main(["validate", "--workspace", str(tmp_path), "--format", "json"]) == 0
     capsys.readouterr()
     ws = load_dir(str(tmp_path))
     assert ws.span("loop").apex.size == ws.span("plain").apex.size == 2
+
+
+@pytest.mark.parametrize("builtin", ["all", "injective", "surjective", "iso"])
+def test_cli_workspace_class_cannot_shadow_a_builtin(tmp_path, capsys, builtin):
+    """A class entry named like a builtin is refused, so a span whose left leg
+    is not injective cannot pass under a whitelist called 'injective'."""
+    _write(tmp_path, "ws.json", [
+        {"kind": "class", "name": builtin, "maps": ["C2.regular_to_pt"]},
+        {"kind": "span", "name": "loop", "left": "C2.regular_to_pt",
+         "right": "C2.regular_to_pt", "class": builtin},
+    ])
+    code = main(["validate", "--workspace", str(tmp_path), "--format", "json"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "WorkspaceError"
+    assert doc["error"]["message"].startswith(f"class {builtin!r}: the name of a builtin class")
 
 
 def test_cli_span_left_leg_outside_its_class(tmp_path, capsys):
