@@ -5,9 +5,11 @@ objects and finite hom-sets are produced on demand, and to every map a
 reindexing functor.  Values are never materialized: every check below takes
 explicit probe objects and reports exactly what it examined.
 
-Shipped instances: the terminal one, the self-indexing by slices, and for
-each G-set K the slices over (- x K), which present the hom into K in a
-form that admits both adjoints to reindexing.
+Shipped instances, all of them `SliceIndexed`: the self-indexing by slices,
+and for each G-set K the slices over (- x K), which present the hom into K
+in a form that admits both adjoints to reindexing.  The terminal instance
+is the case K = 0: slices over (- x 0) are slices over the empty G-set,
+one object and one morphism in every fiber.
 
 Objects of the coproduct completion over U are pairs (u : S -> U, x in
 X(S)), any map serving as the leg; the product completion uses the
@@ -17,7 +19,7 @@ one side, a right adjoint on the other).
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import finact
 from .errors import BoundaryMismatch, InvalidStructure, ProbeFailure, ResourceLimit
@@ -32,17 +34,18 @@ from .finact import (
     delta_data,
     equivariant_maps,
     identity_gmap,
+    initial_gset,
     pi_slice,
     product,
     product_gmap,
     pullback,
     sigma,
-    slice_canonical_form,
     slice_homs,
     slice_iso,
     slice_isos,
     sum_gmap,
 )
+from .groups import FiniteGroup
 from .record import FrozenRecord
 from .report import Check, Report
 from .spans import Span, compose_spans
@@ -61,114 +64,22 @@ def invert_gmap(f: GMap) -> GMap:
 # indexed categories
 # ---------------------------------------------------------------------------
 
-class IndexedCategory:
-    """Callback bundle presenting a pseudofunctor into categories.
-
-    Fiber objects/morphisms are ordinary Python values; act_obj/act_mor give
-    the reindexing along a map f : V -> U from the U-fiber to the V-fiber.
-    push_obj is a left adjoint to reindexing (when available), norm_obj a
-    right adjoint.  compose_witness returns the coherence iso
-    X(g)(X(f)(a)) -> X(f.g)(a) per probe.
-    """
-
-    name: str = "abstract"
-
-    def validate_obj(self, u: GSet, x) -> bool:
-        raise NotImplementedError
-
-    def obj_form(self, x) -> str:
-        raise NotImplementedError
-
-    def fiber_hom(self, a, b) -> list:
-        raise NotImplementedError
-
-    def fiber_id(self, a):
-        raise NotImplementedError
-
-    def fiber_comp(self, g, f):
-        raise NotImplementedError
-
-    def fiber_iso(self, a, b):
-        raise NotImplementedError
-
-    def fiber_isos(self, a, b) -> Iterator:
-        raise NotImplementedError
-
-    def act_obj(self, f: GMap, x):
-        raise NotImplementedError
-
-    def act_mor(self, f: GMap, a, b, m):
-        raise NotImplementedError
-
-    def push_obj(self, f: GMap, x):
-        raise NotImplementedError("no left adjoint available")
-
-    def norm_obj(self, f: GMap, x):
-        raise NotImplementedError("no right adjoint available")
-
-    def compose_witness(self, f: GMap, g: GMap, a):
-        raise NotImplementedError
-
-    def sum_obj(self, cop: CoproductDiagram, a, b):
-        raise NotImplementedError
-
-
-class TerminalIndexed(IndexedCategory):
-    """One object, one morphism, everywhere."""
-
-    name = "terminal"
-
-    def validate_obj(self, u, x):
-        return x == "*"
-
-    def obj_form(self, x):
-        return "*"
-
-    def fiber_hom(self, a, b):
-        return ["id"]
-
-    def fiber_id(self, a):
-        return "id"
-
-    def fiber_comp(self, g, f):
-        return "id"
-
-    def fiber_iso(self, a, b):
-        return "id"
-
-    def fiber_isos(self, a, b):
-        yield "id"
-
-    def act_obj(self, f, x):
-        return "*"
-
-    def act_mor(self, f, a, b, m):
-        return "id"
-
-    def push_obj(self, f, x):
-        return "*"
-
-    def norm_obj(self, f, x):
-        return "*"
-
-    def compose_witness(self, f, g, a):
-        return "id"
-
-    def sum_obj(self, cop, a, b):
-        return "*"
-
-
-class SliceIndexed(IndexedCategory):
+class SliceIndexed:
     """Slices over carrier(U); with at = K the carrier is the product U x K.
 
-    Objects of the fiber over U are slice objects over the carrier;
-    morphisms are maps over the carrier.  Reindexing pulls back along the
-    lifted map, with dependent sum and product as the two adjoints.
+    The fiber over U has the slice objects over the carrier as objects and
+    the maps over it as morphisms.  act_obj/act_mor reindex along
+    f : V -> U by pulling back along the lifted map; push_obj (dependent
+    sum) and norm_obj (dependent product) are its left and right adjoints.
+    compose_witness is the coherence iso X(g)(X(f)(a)) -> X(fg)(a) and
+    sum_obj glues a pair over U and V into one object over U+V.  With
+    K = 0 every fiber is one object and one morphism: the terminal instance.
     """
 
     def __init__(self, at: Optional[GSet] = None):
         self.at = at
-        self.name = "slices" if at is None else f"hom-into-K[{at.size}]"
+        self.name = ("slices" if at is None else "terminal" if at.size == 0
+                     else f"hom-into-K[{at.size}]")
 
     def carrier(self, u: GSet) -> GSet:
         if self.at is None:
@@ -181,31 +92,22 @@ class SliceIndexed(IndexedCategory):
         return product_gmap(product(f.dom, self.at), product(f.cod, self.at),
                             f, identity_gmap(self.at))
 
-    def validate_obj(self, u, x):
+    def validate_obj(self, u: GSet, x) -> bool:
         return isinstance(x, SliceObject) and x.base == self.carrier(u)
 
-    def obj_form(self, x):
-        return slice_canonical_form(x)
-
-    def fiber_hom(self, a, b):
+    def fiber_hom(self, a: SliceObject, b: SliceObject) -> list[GMap]:
         return list(slice_homs(a, b))
 
-    def fiber_id(self, a):
-        return identity_gmap(a.total)
-
-    def fiber_comp(self, g, f):
+    def fiber_comp(self, g: GMap, f: GMap) -> GMap:
         return compose_gmaps(g, f)
 
-    def fiber_iso(self, a, b):
+    def fiber_iso(self, a: SliceObject, b: SliceObject) -> Optional[GMap]:
         return slice_iso(a, b)
 
-    def fiber_isos(self, a, b):
-        return slice_isos(a, b)
-
-    def act_obj(self, f, x):
+    def act_obj(self, f: GMap, x: SliceObject) -> SliceObject:
         return delta_data(self.lift(f), x).slice
 
-    def act_mor(self, f, a, b, m):
+    def act_mor(self, f: GMap, a: SliceObject, b: SliceObject, m: GMap) -> GMap:
         lf = self.lift(f)
         da = delta_data(lf, a)
         db = delta_data(lf, b)
@@ -213,13 +115,13 @@ class SliceIndexed(IndexedCategory):
                           da.pb.proj2.table))
         return GMap(da.pb.gset, db.pb.gset, table)
 
-    def push_obj(self, f, x):
+    def push_obj(self, f: GMap, x: SliceObject) -> SliceObject:
         return sigma(self.lift(f), x)
 
-    def norm_obj(self, f, x):
+    def norm_obj(self, f: GMap, x: SliceObject) -> SliceObject:
         return pi_slice(self.lift(f), x)
 
-    def compose_witness(self, f, g, a):
+    def compose_witness(self, f: GMap, g: GMap, a: SliceObject) -> GMap:
         """Iso  X(g)(X(f)(a)) -> X(fg)(a)  by flattening nested pullback pairs."""
         lf, lg = self.lift(f), self.lift(g)
         d1 = delta_data(lf, a)
@@ -229,7 +131,7 @@ class SliceIndexed(IndexedCategory):
                           d2.pb.proj2.table))
         return GMap(d2.pb.gset, d12.pb.gset, table)
 
-    def sum_obj(self, cop, a, b):
+    def sum_obj(self, cop: CoproductDiagram, a: SliceObject, b: SliceObject) -> SliceObject:
         if self.at is None:
             cd = coproduct(a.total, b.total)
             return SliceObject(sum_gmap(cd, cop, a.arrow, b.arrow))
@@ -243,8 +145,9 @@ class SliceIndexed(IndexedCategory):
         return SliceObject(GMap(cd.sum, psum.prod, table))
 
 
-def terminal_indexed() -> TerminalIndexed:
-    return TerminalIndexed()
+def terminal_indexed(group: FiniteGroup) -> SliceIndexed:
+    """The terminal indexed category: slices over - x 0, one object per fiber."""
+    return SliceIndexed(at=initial_gset(group))
 
 
 def slice_indexed() -> SliceIndexed:
@@ -281,16 +184,16 @@ class CompletionMorphism(NamedTuple):
     part xi : x -> X(w)(x').  Plain tuples are accepted interchangeably."""
 
     w: GMap
-    xi: object
+    xi: GMap
 
 
-def completion_obj(xcat: IndexedCategory, u: GMap, x) -> CompletionObject:
+def completion_obj(xcat: SliceIndexed, u: GMap, x) -> CompletionObject:
     if not xcat.validate_obj(u.dom, x):
         raise InvalidStructure(f"object invalid in fiber over {u.dom.size}-point stage")
     return CompletionObject(u, x)
 
 
-def reindex(xcat: IndexedCategory, r: GMap, o: CompletionObject) -> CompletionObject:
+def reindex(xcat: SliceIndexed, r: GMap, o: CompletionObject) -> CompletionObject:
     """Pull a completion object over U back along r : V -> U."""
     if r.cod != o.base:
         raise BoundaryMismatch("reindex: map does not land in the object's base")
@@ -298,7 +201,7 @@ def reindex(xcat: IndexedCategory, r: GMap, o: CompletionObject) -> CompletionOb
     return CompletionObject(pb.proj2, xcat.act_obj(pb.proj1, o.x))
 
 
-def pushforward(xcat: IndexedCategory, r: GMap, o: CompletionObject) -> CompletionObject:
+def pushforward(xcat: SliceIndexed, r: GMap, o: CompletionObject) -> CompletionObject:
     """Left adjoint to reindex: compose the leg."""
     if r.dom != o.base:
         raise BoundaryMismatch("pushforward: object is not over dom(r)")
@@ -328,7 +231,7 @@ def _hom_total_over_limit(construction: str, o: CompletionObject,
                          {"dom": o.stage.size, "cod": o2.stage.size}, limit + 1, limit)
 
 
-def completion_homs(xcat: IndexedCategory, o: CompletionObject,
+def completion_homs(xcat: SliceIndexed, o: CompletionObject,
                     o2: CompletionObject) -> list[CompletionMorphism]:
     """All morphisms (w, xi) from o to o2 in the coproduct completion."""
     if o.base != o2.base:
@@ -343,10 +246,10 @@ def completion_homs(xcat: IndexedCategory, o: CompletionObject,
     return out
 
 
-def completion_compose(xcat: IndexedCategory,
+def completion_compose(xcat: SliceIndexed,
                        o1: CompletionObject, o2: CompletionObject, o3: CompletionObject,
-                       m12: tuple[GMap, object],
-                       m23: tuple[GMap, object]) -> tuple[GMap, object]:
+                       m12: tuple[GMap, GMap],
+                       m23: tuple[GMap, GMap]) -> tuple[GMap, GMap]:
     """Composite of completion morphisms o1 -> o2 -> o3 over a common base."""
     w1, xi1 = m12
     w2, xi2 = m23
@@ -356,9 +259,9 @@ def completion_compose(xcat: IndexedCategory,
     return (w, xcat.fiber_comp(coh, xcat.fiber_comp(lifted, xi1)))
 
 
-def reindex_mor(xcat: IndexedCategory, r: GMap,
+def reindex_mor(xcat: SliceIndexed, r: GMap,
                 o2: CompletionObject, o3: CompletionObject,
-                m: tuple[GMap, object]) -> tuple[GMap, object]:
+                m: tuple[GMap, GMap]) -> tuple[GMap, GMap]:
     """Action of reindexing along r on a completion morphism o2 -> o3."""
     w, xi = m
     pb2 = pullback(o2.u, r)
@@ -367,12 +270,12 @@ def reindex_mor(xcat: IndexedCategory, r: GMap,
     step = xcat.act_mor(pb2.proj1, o2.x, xcat.act_obj(w, o3.x), xi)
     c1 = xcat.compose_witness(w, pb2.proj1, o3.x)
     c2 = xcat.compose_witness(pb3.proj1, wbar, o3.x)
-    c2_inv = invert_gmap(c2) if isinstance(c2, GMap) else c2
+    c2_inv = invert_gmap(c2)
     xibar = xcat.fiber_comp(c2_inv, xcat.fiber_comp(c1, step))
     return (wbar, xibar)
 
 
-def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
+def completion_homs_dual(xcat: SliceIndexed, o: CompletionObject,
                          o2: CompletionObject) -> list[CompletionMorphism]:
     """Morphisms o -> o2 of the product completion: legs point backwards.
 
@@ -390,7 +293,7 @@ def completion_homs_dual(xcat: IndexedCategory, o: CompletionObject,
     return out
 
 
-def hom_bijection_dual(xcat: IndexedCategory, o: CompletionObject,
+def hom_bijection_dual(xcat: SliceIndexed, o: CompletionObject,
                        o2: CompletionObject, r: GMap) -> Report:
     """Mirror adjunction: pushing the leg is right adjoint to reindexing.
 
@@ -407,14 +310,14 @@ def hom_bijection_dual(xcat: IndexedCategory, o: CompletionObject,
     for (wt, zeta) in lhs:
         w = compose_gmaps(pb.proj1, wt)
         coh = xcat.compose_witness(pb.proj1, wt, o2.x)
-        coh_inv = invert_gmap(coh) if isinstance(coh, GMap) else coh
+        coh_inv = invert_gmap(coh)
         zeta2 = xcat.fiber_comp(zeta, coh_inv)
         images.append(CompletionMorphism(w, zeta2))
     return Report("hom-bijection-dual", _bijection_checks(lhs, rhs, images))
 
 
-def completion_iso(xcat: IndexedCategory, o: CompletionObject,
-                   o2: CompletionObject) -> Optional[tuple[GMap, object]]:
+def completion_iso(xcat: SliceIndexed, o: CompletionObject,
+                   o2: CompletionObject) -> Optional[tuple[GMap, GMap]]:
     """An invertible (w, xi) between completion objects, or None."""
     if o.base != o2.base:
         return None
@@ -426,7 +329,7 @@ def completion_iso(xcat: IndexedCategory, o: CompletionObject,
     return None
 
 
-def hom_bijection_map(xcat: IndexedCategory, o: CompletionObject,
+def hom_bijection_map(xcat: SliceIndexed, o: CompletionObject,
                       o2: CompletionObject, r: GMap):
     """The adjunction correspondence on hom-sets, elementwise.
 
@@ -445,12 +348,12 @@ def hom_bijection_map(xcat: IndexedCategory, o: CompletionObject,
     for (w, xi) in lhs:
         wt = pb.mediator(w, o.u)
         coh = xcat.compose_witness(pb.proj1, wt, o2.x)
-        xi2 = xcat.fiber_comp(invert_gmap(coh) if isinstance(coh, GMap) else coh, xi)
+        xi2 = xcat.fiber_comp(invert_gmap(coh), xi)
         images.append(CompletionMorphism(wt, xi2))
     return lhs, rhs, images
 
 
-def hom_bijection(xcat: IndexedCategory, o: CompletionObject,
+def hom_bijection(xcat: SliceIndexed, o: CompletionObject,
                   o2: CompletionObject, r: GMap) -> Report:
     """The adjunction bijection between hom-sets, exhibited and verified."""
     lhs, rhs, images = hom_bijection_map(xcat, o, o2, r)
@@ -461,7 +364,7 @@ def hom_bijection(xcat: IndexedCategory, o: CompletionObject,
 
 def _bijection_checks(lhs: list, rhs: list, images: list) -> tuple[Check, ...]:
     """The transported images form a bijection lhs -> rhs: equal sizes, into rhs, injective."""
-    keys = {(im[0].table, _mor_key(im[1])) for im in images}
+    keys = {(im[0].table, im[1].table) for im in images}
     return (
         Check("counts", len(lhs) == len(rhs), f"{len(lhs)} vs {len(rhs)}"),
         Check("lands-in-target", all(any(im == rh for rh in rhs) for im in images)),
@@ -469,15 +372,11 @@ def _bijection_checks(lhs: list, rhs: list, images: list) -> tuple[Check, ...]:
     )
 
 
-def _mor_key(m) -> object:
-    return m.table if isinstance(m, GMap) else m
-
-
 # ---------------------------------------------------------------------------
 # Chevalley-Beck checks
 # ---------------------------------------------------------------------------
 
-def check_CB(xcat: IndexedCategory, f: GMap, g: GMap,
+def check_CB(xcat: SliceIndexed, f: GMap, g: GMap,
              samples: Sequence[CompletionObject]) -> Report:
     """Exchange of pushforward and reindexing across a pullback square.
 
@@ -500,7 +399,7 @@ def check_CB(xcat: IndexedCategory, f: GMap, g: GMap,
                   (f"square {f.dom.size}->{f.cod.size}<-{g.dom.size}, apex {pb.apex.size}",))
 
 
-def check_CB_fiber(xcat: IndexedCategory, f: GMap, g: GMap, samples: Sequence,
+def check_CB_fiber(xcat: SliceIndexed, f: GMap, g: GMap, samples: Sequence,
                    mode: str = "push") -> Report:
     """Fiber-level exchange isos across a pullback square.
 
@@ -523,13 +422,13 @@ def check_CB_fiber(xcat: IndexedCategory, f: GMap, g: GMap, samples: Sequence,
 # finite coproducts inside a fiber, via codiagonals
 # ---------------------------------------------------------------------------
 
-def fiber_coproduct(xcat: IndexedCategory, u: GSet, x, y):
+def fiber_coproduct(xcat: SliceIndexed, u: GSet, x, y):
     """Binary coproduct of two fiber objects, pushed along the codiagonal."""
     cop, nabla = codiagonal(u)
     return xcat.push_obj(nabla, xcat.sum_obj(cop, x, y))
 
 
-def check_fiber_coproduct(xcat: IndexedCategory, u: GSet, x, y,
+def check_fiber_coproduct(xcat: SliceIndexed, u: GSet, x, y,
                           targets: Sequence) -> Report:
     """Probe the coproduct universality of fiber_coproduct against targets.
 
@@ -560,7 +459,7 @@ class SpanExtension:
     right leg and pushing along the left one.
     """
 
-    def __init__(self, xcat: IndexedCategory, p: Span):
+    def __init__(self, xcat: SliceIndexed, p: Span):
         self.xcat = xcat
         self.p = p
 
@@ -568,7 +467,7 @@ class SpanExtension:
         return self.xcat.push_obj(self.p.left, self.xcat.act_obj(self.p.right, x))
 
 
-def extend_to_spans(xcat: IndexedCategory, p: Span,
+def extend_to_spans(xcat: SliceIndexed, p: Span,
                     probe_squares: Sequence[tuple[GMap, GMap]] = (),
                     probe_objects: Sequence = ()) -> SpanExtension:
     """Span action of an indexed category, gated on sampled cocompleteness probes.
@@ -585,7 +484,7 @@ def extend_to_spans(xcat: IndexedCategory, p: Span,
     return SpanExtension(xcat, p)
 
 
-def check_extension_composition(xcat: IndexedCategory, p: Span, q: Span,
+def check_extension_composition(xcat: SliceIndexed, p: Span, q: Span,
                                 probes: Sequence) -> Report:
     """Composition preservation of the span action on probe objects."""
     ext_pq = SpanExtension(xcat, compose_spans(p, q))
@@ -604,7 +503,7 @@ def check_extension_composition(xcat: IndexedCategory, p: Span, q: Span,
 # biproduct preservation
 # ---------------------------------------------------------------------------
 
-def check_biproduct_preservation(xcat: IndexedCategory, u: GSet, v: GSet,
+def check_biproduct_preservation(xcat: SliceIndexed, u: GSet, v: GSet,
                                  sample_pairs: Sequence[tuple]) -> Report:
     """Probe the comparison X(U+V) -> X(U) x X(V) on sample object pairs.
 
@@ -629,8 +528,8 @@ def check_biproduct_preservation(xcat: IndexedCategory, u: GSet, v: GSet,
             za, zb = xcat.act_obj(cop.inj1, z), xcat.act_obj(cop.inj2, z)
             za2, zb2 = xcat.act_obj(cop.inj1, z2), xcat.act_obj(cop.inj2, z2)
             target = len(xcat.fiber_hom(za, za2)) * len(xcat.fiber_hom(zb, zb2))
-            imgs = {( _mor_key(xcat.act_mor(cop.inj1, z, z2, h)),
-                      _mor_key(xcat.act_mor(cop.inj2, z, z2, h))) for h in homs}
+            imgs = {(xcat.act_mor(cop.inj1, z, z2, h).table,
+                     xcat.act_mor(cop.inj2, z, z2, h).table) for h in homs}
             ok = len(homs) == target and len(imgs) == len(homs)
             checks.append(Check(f"full-faithful[{i},{j}]", ok,
                                 "" if ok else f"{len(homs)} homs vs {target} pairs"))

@@ -671,6 +671,17 @@ def build_gset(group: FiniteGroup, n: int, rows: list[Sequence[int]]) -> BuiltGS
     return BuiltGSet(GSet(group, n, tuple(map(tuple, rows))))
 
 
+def sub_gset(x: GSet, pts: Sequence[int]) -> tuple[GSet, GMap]:
+    """The part of x on pts, an action-closed ascending point list, and its inclusion.
+
+    Point i of the part is pts[i], so the part keeps the order of x.
+    """
+    where = {p: i for i, p in enumerate(pts)}
+    built = build_gset(x.group, len(pts),
+                       [list(map(where.__getitem__, map(row.__getitem__, pts))) for row in x.rows])
+    return built.gset, GMap(built.gset, x, tuple(pts))
+
+
 # ---------------------------------------------------------------------------
 # pullbacks
 # ---------------------------------------------------------------------------
@@ -829,9 +840,6 @@ class ProductDiagram(Pullback):
     @property
     def prod(self) -> GSet:
         return self.gset
-
-    def pairing(self, f: GMap, g: GMap) -> GMap:
-        return self.mediator(f, g)
 
 
 def product(x: GSet, y: GSet) -> ProductDiagram:
@@ -1118,21 +1126,12 @@ class CoproductPullbackData:
         if f.cod != cop.sum:
             raise BoundaryMismatch("decompose: codomain is not the given coproduct")
         split = cop.left.size
-        r = f.dom
-        lo = [p for p in r.points() if f.table[p] < split]
-        hi = [p for p in r.points() if f.table[p] >= split]
-        where = _fiber_ranks([lo, hi], r.size)  # the position of each point in its part
-        self.part1, self.incl1, self.over1 = self._part(r, lo, where, f, cop.left, 0)
-        self.part2, self.incl2, self.over2 = self._part(r, hi, where, f, cop.right, split)
-
-    @staticmethod
-    def _part(r: GSet, pts: list[int], where: list[int], f: GMap, summand: GSet, shift: int):
-        built = build_gset(r.group, len(pts),
-                           [list(map(where.__getitem__, map(row.__getitem__, pts)))
-                            for row in r.rows])
-        incl = GMap(built.gset, r, tuple(pts))
-        over = GMap(built.gset, summand, tuple(f.table[p] - shift for p in pts))
-        return built.gset, incl, over
+        lo = [p for p in f.dom.points() if f.table[p] < split]
+        hi = [p for p in f.dom.points() if f.table[p] >= split]
+        self.part1, self.incl1 = sub_gset(f.dom, lo)
+        self.part2, self.incl2 = sub_gset(f.dom, hi)
+        self.over1 = GMap(self.part1, cop.left, tuple(f.table[p] for p in lo))
+        self.over2 = GMap(self.part2, cop.right, tuple(f.table[p] - split for p in hi))
 
 
 def coproduct_pullback_decompose(f: GMap, cop: CoproductDiagram) -> CoproductPullbackData:

@@ -44,6 +44,7 @@ from .finact import (
     pullback,
     sigma,
     slice_iso,
+    sub_gset,
 )
 from .groups import FiniteGroup, trivial_group
 from .record import FrozenRecord
@@ -234,8 +235,8 @@ def poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[GMap, GMap]]:
     taken: set[int] = set()
     for j, (o, cands) in enumerate(orbit_candidates(b, b2, ((p.t, q.t),))):
         pts = over.get(j, [])
-        part = _part(a, pts)
-        r_part = GMap(part, p.src, tuple(map(p.r.table.__getitem__, pts)))
+        part, incl = sub_gset(a, pts)
+        r_part = compose_gmaps(p.r, incl)
         for q0 in cands:
             k = orbit_of[q0]
             if k in taken:
@@ -246,9 +247,8 @@ def poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[GMap, GMap]]:
                 continue  # a larger stabilizer: the orbit would shrink
             if k not in parts2:
                 pts2 = over2.get(k, [])
-                part2 = _part(a2, pts2)
-                parts2[k] = (part2, GMap(part2, q.src, tuple(map(q.r.table.__getitem__, pts2))),
-                             GMap(part2, b2, tuple(map(q.n.table.__getitem__, pts2))), pts2)
+                part2, incl2 = sub_gset(a2, pts2)
+                parts2[k] = (part2, compose_gmaps(q.r, incl2), compose_gmaps(q.n, incl2), pts2)
             part2, r2_part, n2_part, pts2 = parts2[k]
             for y, y2 in zip(o.points, ys):
                 phi_b[y] = y2
@@ -275,12 +275,6 @@ def _over_orbits(p: Polynomial) -> tuple[list[int], dict[int, list[int]]]:
     for x, y in enumerate(p.n.table):
         over.setdefault(orbit_of[y], []).append(x)
     return orbit_of, over
-
-
-def _part(x: GSet, pts: list[int]) -> GSet:
-    """The sub-G-set of x on pts (closed under the action), point i being pts[i]."""
-    where = {p: i for i, p in enumerate(pts)}
-    return GSet(x.group, len(pts), tuple(tuple(where[row[p]] for p in pts) for row in x.rows))
 
 
 # ---------------------------------------------------------------------------

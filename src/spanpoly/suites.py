@@ -6,12 +6,13 @@ zero yields an empty (vacuously passing) report.  `run_suite` runs each
 suite in its own `finact.sharing` scope.
 
 `objective` checks that the indexed categories of `completion` (slices,
-slices over - x K, the terminal one) behave as objective Mackey functors:
-the span action composes and its cocompleteness gate passes, restriction
-to a coproduct U+V is an equivalence onto pairs (local biproducts), fiber
-coproducts are universal, and pushforward is adjoint to reindexing on both
-completions.  It also runs the Sigma -| Delta -| Pi triangles and the
-semiring laws of the evaluation oracles.
+slices over - x K, and the terminal one, slices over - x 0) behave as
+objective Mackey functors: the span action composes and its cocompleteness
+gate passes, restriction to a coproduct U+V is an equivalence onto pairs
+(local biproducts), fiber coproducts are universal, and pushforward is
+adjoint to reindexing on both completions.  It also runs the
+Sigma -| Delta -| Pi triangles and the semiring laws of the evaluation
+oracles.
 """
 from __future__ import annotations
 
@@ -160,7 +161,7 @@ def suite_cb(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     e = completion.slice_indexed()
     k = random_gset(rng, group, max(1, size_bound // 2))
     rk = completion.representable_indexed(k)
-    one = completion.terminal_indexed()
+    one = completion.terminal_indexed(group)
     reports = []
     for i in range(5):
         f, g = random_cospan(rng, group, size_bound)
@@ -174,8 +175,8 @@ def suite_cb(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         xr = random_slice(rng, rk.carrier(leg.dom), size_bound)
         reports.append(completion.check_CB(rk, f, g,
                                            [completion.completion_obj(rk, leg, xr)]))
-        reports.append(completion.check_CB(one, f, g,
-                                           [completion.completion_obj(one, leg, "*")]))
+        reports.append(completion.check_CB(one, f, g, [completion.completion_obj(
+            one, leg, slice_identity(one.carrier(leg.dom)))]))
     for i in range(3):
         f, g = random_cospan(rng, group, size_bound)
         xs = [random_slice(rng, f.dom, size_bound) for _ in range(2)]
@@ -351,8 +352,9 @@ def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         pairs = [(random_slice(rng, xcat.carrier(u), size_bound),
                   random_slice(rng, xcat.carrier(v), size_bound)) for _ in range(2)]
         reports.append(completion.check_biproduct_preservation(xcat, u, v, pairs))
+    one = completion.terminal_indexed(group)
     reports.append(completion.check_biproduct_preservation(
-        completion.terminal_indexed(), u, v, [("*", "*")]))
+        one, u, v, [(slice_identity(one.carrier(u)), slice_identity(one.carrier(v)))]))
     x, y = (random_slice(rng, u, size_bound) for _ in range(2))
     targets = [random_slice(rng, u, size_bound) for _ in range(2)]
     reports.append(completion.check_fiber_coproduct(e, u, x, y, targets))

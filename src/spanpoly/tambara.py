@@ -27,7 +27,6 @@ from .finact import (
     CoproductDiagram,
     GMap,
     GSet,
-    SliceObject,
     check_points,
     coproduct,
     orbit_cosets,
@@ -46,9 +45,6 @@ class TambaraFunctor:
     """Interface: elementwise res / tr / norm with decidable value equality."""
 
     name: str = "abstract"
-
-    def validate_elem(self, x: GSet, v) -> bool:
-        raise NotImplementedError
 
     def res(self, f: GMap, v):
         """value(cod f) -> value(dom f)."""
@@ -79,9 +75,6 @@ class BurnsideTambara(TambaraFunctor):
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.name = f"burnside-tambara[{group.name}]"
-
-    def validate_elem(self, x, v):
-        return isinstance(v, SliceObject) and v.base == x
 
     def res(self, f, v):
         """Restrict each orbit of v as an atom, by `restrict_atom`."""
@@ -125,9 +118,6 @@ class SemiringTambara(TambaraFunctor):
     def _check_group(self, f: GMap) -> None:
         if f.group.order != 1:
             raise InvalidStructure("semiring functor needs the trivial group")
-
-    def validate_elem(self, x, v):
-        return isinstance(v, tuple) and len(v) == x.size
 
     def res(self, f, v):
         self._check_group(f)

@@ -1,4 +1,6 @@
 """Completions of indexed categories: adjoints, exchange laws, span extension."""
+import random
+
 import pytest
 
 from spanpoly import finact
@@ -25,7 +27,7 @@ from spanpoly.completion import (
     terminal_indexed,
     unit_eta,
 )
-from spanpoly.errors import BoundaryMismatch
+from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
     GMap,
     SliceObject,
@@ -41,6 +43,7 @@ from spanpoly.finact import (
     slice_iso,
     unique_from_initial,
 )
+from spanpoly.groups import builtin_group
 from spanpoly.mackey import BurnsideMackey, atoms, eval_span, vectorize_slice
 from spanpoly.sampling import random_cospan, random_gset, random_map_into, random_slice
 from spanpoly.spans import Span
@@ -60,11 +63,35 @@ def test_reindex_identity(e_cat, f2, rng):
 
 
 def test_reindex_terminal_instance(c2, f2, u2):
-    one = terminal_indexed()
-    o = completion_obj(one, u2, "*")
+    one = terminal_indexed(c2)
+    o = completion_obj(one, u2, slice_identity(one.carrier(f2)))
     back = reindex(one, u2, o)
     assert back.stage.size == 4
     assert iso_gsets(back.stage, coproduct(f2, f2).sum) is not None
+    assert back.x == slice_identity(initial_gset(c2))
+
+
+@pytest.mark.parametrize("name", ["C2", "S3", "S4"])
+def test_terminal_instance_is_one_object_and_one_morphism(name):
+    group = builtin_group(name)
+    one = terminal_indexed(group)
+    star = slice_identity(initial_gset(group))
+    empty = GMap(star.total, star.total, ())
+    assert one.name == "terminal"
+    rng = random.Random(0)
+    for _ in range(4):
+        u, v = random_gset(rng, group, 6), random_gset(rng, group, 6)
+        f = random_map_into(rng, u, 6)
+        assert one.carrier(u) == initial_gset(group)
+        # a slice over the empty carrier has an empty total: the one object
+        assert random_slice(rng, one.carrier(u), 6) == star
+        assert one.fiber_hom(star, star) == [empty]
+        assert one.act_obj(f, star) == star
+        assert one.push_obj(f, star) == star
+        assert one.norm_obj(f, star) == star
+        assert one.sum_obj(coproduct(u, v), star, star) == star
+        with pytest.raises(InvalidStructure, match="object invalid"):
+            completion_obj(one, identity_gmap(u), "*")
 
 
 def test_reindex_along_initial(e_cat, c2, f2, rng):
@@ -290,8 +317,9 @@ def test_cocompleteness_probe_gate(e_cat, c2, f2, u2):
 def test_biproduct_preservation_instances(e_cat, c2, f2, pt2, rng):
     pairs = [(random_slice(rng, f2, 4), random_slice(rng, pt2, 4)) for _ in range(2)]
     assert check_biproduct_preservation(e_cat, f2, pt2, pairs).passed
-    one = terminal_indexed()
-    assert check_biproduct_preservation(one, f2, pt2, [("*", "*")]).passed
+    one = terminal_indexed(c2)
+    star_pair = (slice_identity(one.carrier(f2)), slice_identity(one.carrier(pt2)))
+    assert check_biproduct_preservation(one, f2, pt2, [star_pair]).passed
     k = random_gset(rng, c2, 3)
     rk = representable_indexed(k)
     pairs_k = [(random_slice(rng, rk.carrier(f2), 4),
@@ -401,6 +429,5 @@ def test_compose_witness_chases_descriptors(e_cat, c2, f2, u2, rng):
 
 
 def test_completion_obj_validation(e_cat, c2, f2, u2, rng):
-    from spanpoly.errors import InvalidStructure
     with pytest.raises(InvalidStructure):
         completion_obj(e_cat, u2, slice_identity(f2.group and u2.cod))  # wrong stage

@@ -147,7 +147,7 @@ def test_product_free_splits(f2):
 
 def test_product_pairing(f2):
     pr = product(f2, f2)
-    d = pr.pairing(identity_gmap(f2), identity_gmap(f2))
+    d = pr.mediator(identity_gmap(f2), identity_gmap(f2))
     assert compose_gmaps(pr.proj1, d).table == identity_gmap(f2).table
 
 
