@@ -17,9 +17,10 @@ point start[a] + rank[b], so pairs come in lexicographic order; a section
 over x is start[x] plus mixed-radix digits, so each fiber's sections come
 in `itertools.product` order; a part of a map into a coproduct keeps its
 points ascending.  That arithmetic is the one way to find a point:
-`Pullback.index_of` and `PiData.index_of_section` run it forwards,
-`PiData.section_values` backwards, and no point keeps a descriptor.  A
-binary product is the pullback over the terminal G-set.  Coproducts keep
+`Pullback.index_of` and `PiData.index_of_section` run it forwards, the
+evaluation of `SectionEvalData` reads the sections' values off the same
+`itertools.product` order, and no point keeps a descriptor.  A binary
+product is the pullback over the terminal G-set.  Coproducts keep
 the tagging order, all left-summand points first, so that injections are
 plain shifts.  All values are immutable; every operation is pure.
 
@@ -406,9 +407,10 @@ def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
 
 def _labels(orbs: Sequence[Orbit], legs: Sequence[GMap]) -> list[tuple]:
     """`orbit_labels` from the orbit records of `orbit_cosets`, sorted."""
-    return sorted(min(zip(o.cosets.conj, [tuple([leg.table[q] for leg in legs])
-                                          for q in o.points]))
-                  for o in orbs)
+    if not legs:
+        return sorted((min(o.cosets.conj), ()) for o in orbs)
+    values = list(zip(*[leg.table for leg in legs]))
+    return sorted(min(zip(o.cosets.conj, map(values.__getitem__, o.points))) for o in orbs)
 
 
 def from_labels(group: FiniteGroup, cods: Sequence[GSet],
@@ -494,9 +496,13 @@ def _check_legs(x: GSet, y: GSet, legs: Legs) -> None:
         raise BoundaryMismatch("legs must run from x and y into a common G-set")
 
 
-def _candidates(y: GSet, legs: Legs, xorbs: Sequence[Orbit],
-                yorbs: Sequence[Orbit]) -> list[tuple[Orbit, list[int]]]:
-    """`orbit_candidates` from the orbit records of x and y."""
+def _candidates(y: GSet, legs: Legs, xorbs: Sequence[Orbit], yorbs: Sequence[Orbit],
+                exact: bool = False) -> list[tuple[Orbit, list[int]]]:
+    """`orbit_candidates` from the orbit records of x and y.
+
+    With exact, only the q whose stabilizer equals stab(p): the images an
+    injective map can take.
+    """
     ystabs: list = [None] * y.size
     for o in yorbs:
         for q, k in zip(o.points, o.cosets.conj):
@@ -512,7 +518,8 @@ def _candidates(y: GSet, legs: Legs, xorbs: Sequence[Orbit],
         cands = shared.get(key)
         if cands is None:
             st = key[1]
-            cands = shared[key] = [q for q in bucket.get(key[0], ()) if st <= ystabs[q]]
+            cands = shared[key] = [q for q in bucket.get(key[0], ())
+                                   if (st == ystabs[q] if exact else st <= ystabs[q])]
         out.append((o, cands))
     return out
 
@@ -547,12 +554,15 @@ def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     None exists unless x and y have the same `orbit_labels`, read off the
     orbit records the search reads anyway.  Otherwise it backtracks over
     orbit-to-orbit assignments from `orbit_candidates`, so the legs are
-    checked once per orbit.  A candidate image with a strictly larger
-    stabilizer maps the orbit onto a smaller one, so the injectivity test
-    rejects it.  The backtracking keeps one candidate iterator per placed
-    orbit on an explicit stack and one set of used points, undone on
-    backtrack, so it needs no recursion and its memory stays linear in the
-    orbits and points.
+    checked once per orbit.  It keeps only the candidates whose stabilizer
+    equals the orbit's, as a larger one would map the orbit onto a smaller
+    one; so each placed orbit fills a whole orbit of y, and a candidate is
+    free iff it is unused.  The stack holds each placed orbit's place in its
+    candidate list, and one set of used points is undone on backtrack, so
+    no recursion is needed.  Orbits with equal stabilizer and leg values
+    share one candidate list, which keeps the length of its prefix of used
+    points (restored on backtrack); a new orbit starts past it, so many
+    interchangeable orbits are placed in linear time.
     """
     _check_legs(x, y, legs)
     if x.size != y.size:
@@ -560,7 +570,7 @@ def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     xorbs, yorbs = orbit_cosets(x), orbit_cosets(y)
     if _labels(xorbs, [a for a, _ in legs]) != _labels(yorbs, [b for _, b in legs]):
         return
-    percand = _candidates(y, legs, xorbs, yorbs)
+    percand = _candidates(y, legs, xorbs, yorbs, exact=True)
     if not percand:
         yield GMap(x, y, ())
         return
@@ -568,23 +578,36 @@ def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     table = [0] * x.size
     used: set[int] = set()
     placed: list[list[int]] = []  # the images of the orbits below the top one
-    stack = [iter(percand[0][1])]
+    skipped: dict[int, int] = {}  # id of a candidate list -> a prefix of used points
+    # per orbit on the stack: its candidates, the next one to try, and the
+    # length of the list's used prefix before this orbit was entered
+    stack: list[list] = []
+
+    def enter(cands: list[int]) -> None:
+        i = before = skipped.get(id(cands), 0)
+        while i < len(cands) and cands[i] in used:
+            i += 1
+        skipped[id(cands)] = i
+        stack.append([cands, i, before])
+
+    enter(percand[0][1])
     while stack:
-        o = percand[len(stack) - 1][0]
-        for q0 in stack[-1]:
-            if q0 in used:
-                continue
-            img = moved.get(q0)
-            if img is None:
-                img = moved[q0] = point_images(y, q0)
-            qs = list(map(img.__getitem__, o.cosets.reps))
-            if len(set(qs)) == len(qs) and used.isdisjoint(qs):
-                break
-        else:
+        top = stack[-1]
+        cands, i = top[0], top[1]
+        while i < len(cands) and cands[i] in used:
+            i += 1
+        if i == len(cands):
             stack.pop()
+            skipped[id(cands)] = top[2]
             if placed:
                 used.difference_update(placed.pop())
             continue
+        top[1] = i + 1
+        q0, o = cands[i], percand[len(stack) - 1][0]
+        img = moved.get(q0)
+        if img is None:
+            img = moved[q0] = point_images(y, q0)
+        qs = list(map(img.__getitem__, o.cosets.reps))
         for p, q in zip(o.points, qs):
             table[p] = q
         if len(stack) == len(percand):
@@ -592,7 +615,7 @@ def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
         else:
             used.update(qs)
             placed.append(qs)
-            stack.append(iter(percand[len(stack)][1]))
+            enter(percand[len(stack)][1])
 
 
 def iso_gsets(x: GSet, y: GSet) -> Optional[GMap]:
@@ -898,8 +921,8 @@ class PiData:
     conjugates sections.  A section over x is the point start[x] plus its
     values' ranks in their fibers of a, read as mixed-radix digits with the
     last one fastest, so each fiber's sections come in the order of
-    `itertools.product`.  `index_of_section` runs that arithmetic forwards
-    and `section_values` backwards; con is the `BuiltGSet` of the sections.
+    `itertools.product`.  `index_of_section` runs that arithmetic
+    forwards; con is the `BuiltGSet` of the sections.
     """
 
     __slots__ = ("u", "a", "con", "slice", "fibers", "_pre", "_start", "_rank", "_weight")
@@ -955,22 +978,6 @@ class PiData:
         rank, weight = self._rank, self._weight
         return self._start[x] + sum([rank[v] * weight[p] for p, v in zip(fibers[x], values)])
 
-    def section_values(self, bs: Iterable[int], ps: Iterable[int]) -> tuple[int, ...]:
-        """For each i, the value at the point ps[i] of S of the section at point bs[i].
-
-        KeyError unless each ps[i] lies in the fiber its section is over.
-        """
-        over, ut = self.slice.arrow.table, self.u.table
-        start, weight, pre = self._start, self._weight, self._pre
-        out = []
-        for b, p in zip(bs, ps, strict=True):
-            x = over[b]
-            if ut[p] != x:
-                raise KeyError((b, p))
-            q = pre[p]
-            out.append(q[(b - start[x]) // weight[p] % len(q)])
-        return tuple(out)
-
 
 def pi(u: GMap, a: SliceObject) -> PiData:
     return _shared(PiData, _pi_points, u, a)
@@ -998,7 +1005,14 @@ class SectionEvalData:
     def __init__(self, u: GMap, a: SliceObject):
         pd = pi(u, a)
         pull = pullback(pd.slice.arrow, u)
-        e = GMap(pull.gset, a.total, pd.section_values(pull.proj1.table, pull.proj2.table))
+        # the pairs (b, p) come section by section, each section's fiber
+        # points ascending, and the sections over each x in the order of
+        # `itertools.product` over the fibers of a: chained, those products
+        # list e
+        pre = pd._pre
+        e = GMap(pull.gset, a.total, tuple(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.product(*map(pre.__getitem__, fib))
+                                          for fib in pd.fibers))))
         self.pidata = pd
         self.pia = pd.slice
         self.pull = pull

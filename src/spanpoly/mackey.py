@@ -338,7 +338,7 @@ class BurnsideTable(FrozenRecord):
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """The table as JSON data; equal entries are one tuple, which `dump_json` encodes at most twice."""
+        """The table as JSON data; equal entries are one tuple, which `dump_json` encodes once."""
         one: dict[tuple[int, ...], tuple[int, ...]] = {}
         return {
             "group": self.group_name,

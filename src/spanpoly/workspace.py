@@ -26,7 +26,7 @@ import json
 import os
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .calib import BUILTIN_CLASSES, MorphismClass, whitelist_class
 from .errors import WorkspaceError
@@ -314,19 +314,39 @@ def gset_to_obj(x: GSet) -> dict:
             "action_by_generator": list(map(list, x.rows))}
 
 
-def gmap_to_obj(f: GMap) -> dict:
-    return {"dom": gset_to_obj(f.dom), "cod": gset_to_obj(f.cod),
-            "table": list(f.table)}
+def gmap_to_obj(f: GMap, gset_obj: Callable[[GSet], dict]) -> dict:
+    """The map's table and its ends, each written by gset_obj."""
+    return {"dom": gset_obj(f.dom), "cod": gset_obj(f.cod), "table": list(f.table)}
+
+
+def _gset_objects() -> Callable[[GSet], dict]:
+    """`gset_to_obj` with one object per G-set: equal G-sets get the object of the first.
+
+    A document's legs share their ends (a span's apex, a polynomial's A and
+    B), so `dump_json` writes each end's text once.
+    """
+    done: list[tuple[GSet, dict]] = []
+
+    def gset_obj(x: GSet) -> dict:
+        for y, obj in done:
+            if y == x:
+                return obj
+        obj = gset_to_obj(x)
+        done.append((x, obj))
+        return obj
+    return gset_obj
 
 
 def span_to_obj(p: Span) -> dict:
+    one = _gset_objects()
     return {"kind": "span", "group": group_to_obj(p.group),
-            "left": gmap_to_obj(p.left), "right": gmap_to_obj(p.right)}
+            "left": gmap_to_obj(p.left, one), "right": gmap_to_obj(p.right, one)}
 
 
 def poly_to_obj(p: Polynomial) -> dict:
-    return {"kind": "poly", "group": group_to_obj(p.group),
-            "r": gmap_to_obj(p.r), "n": gmap_to_obj(p.n), "t": gmap_to_obj(p.t)}
+    one = _gset_objects()
+    return {"kind": "poly", "group": group_to_obj(p.group), "r": gmap_to_obj(p.r, one),
+            "n": gmap_to_obj(p.n, one), "t": gmap_to_obj(p.t, one)}
 
 
 # the scalar types of the command line's output; a container holding only
@@ -335,57 +355,80 @@ _SCALARS = frozenset((str, int, bool, type(None)))
 
 
 @lru_cache(maxsize=None)
-def _flat_encoder(depth: int) -> Callable[[object], str]:
-    """A one-line C encoder whose item separator breaks and indents to `depth`."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+def _flat_encoder(depth: int) -> Callable[[object, int], Sequence[str]]:
+    """A one-line encoder whose item separator breaks and indents to `depth`.
+
+    It returns the text in pieces.  It is json's C encoder, made with the
+    nine arguments `JSONEncoder.iterencode` passes it (no circular check:
+    it only meets scalars and containers of scalars); without the C module
+    it is `JSONEncoder.encode`.
+    """
+    base = json.JSONEncoder(check_circular=False, sort_keys=True,
+                            separators=(",\n" + "  " * depth, ": "))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return lambda obj, _level: (base.encode(obj),)
+    return make(None, base.default, encode_basestring_ascii, base.indent,
+                base.key_separator, base.item_separator, base.sort_keys,
+                base.skipkeys, base.allow_nan)
 
 
-def _encode(obj, depth: int, flat: dict, end: str = "") -> str:
-    """`obj` as json.dumps(obj, sort_keys=True, indent=2) writes it at `depth`, then end.
+def _write(obj, depth: int, out: list[str], seen: dict) -> None:
+    """Append to out the text json.dumps(obj, sort_keys=True, indent=2) writes for obj at depth.
 
-    flat maps (id, depth) of each container of scalars encoded so far to
-    None, or to its text once it has been met twice: a container met a third
-    time at the same depth is not encoded again.  The key is the object's
-    identity, not its value, as (1, 0) == (True, False)."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]" + end
-        values, brackets = obj, "[]"
-    elif isinstance(obj, dict):
-        if not obj:
-            return "{}" + end
+    seen maps (id, depth) of each container written so far to the pieces of
+    out that hold its text, so a container met again at the same depth is
+    copied piece by piece, not encoded again.  The key is the object's
+    identity, not its value, as (1, 0) == (True, False).
+    """
+    if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
     else:
-        return _flat_encoder(depth)(obj) + end
+        out.append("".join(_flat_encoder(depth)(obj, 0)))
+        return
+    if not obj:
+        out.append(brackets)
+        return
     key = id(obj), depth
-    text = flat.get(key)
-    if text is not None:
-        return text + end
-    inner = depth + 1
+    at = seen.get(key)
+    if at is not None:
+        out += out[at[0]:at[1]]
+        return
+    start, inner = len(out), depth + 1
+    pad, sep = "\n" + "  " * depth, ",\n" + "  " * inner
     if _SCALARS.issuperset(map(type, values)):
-        body = _flat_encoder(inner)(obj)[1:-1]
-        text = f"{brackets[0]}\n{'  ' * inner}{body}\n{'  ' * depth}{brackets[1]}"
-        # kept from the second encoding on: a container met once holds no
-        # text beyond its parent's join
-        flat[key] = text if key in flat else None
-        return text + end
-    if brackets == "[]":
-        parts = [_encode(v, inner, flat) for v in obj]
+        text = "".join(_flat_encoder(inner)(obj, 0))
+        out.append(f"{brackets[0]}{sep[1:]}{text[1:-1]}{pad}{brackets[1]}")
+    elif brackets == "[]":
+        lead = brackets[0] + sep[1:]
+        for v in obj:
+            out.append(lead)
+            lead = sep
+            _write(v, inner, out, seen)
+        out.append(pad + brackets[1])
     else:
-        parts = [f"{encode_basestring_ascii(k)}: {_encode(v, inner, flat)}"
-                 for k, v in sorted(obj.items())]
-    # open and close on the first and last part, so that the whole is copied once
-    parts[0] = f"{brackets[0]}\n{'  ' * inner}{parts[0]}"
-    parts[-1] = f"{parts[-1]}\n{'  ' * depth}{brackets[1]}{end}"
-    return (",\n" + "  " * inner).join(parts)
+        lead = brackets[0] + sep[1:]
+        for k, v in sorted(obj.items()):
+            out.append(f"{lead}{encode_basestring_ascii(k)}: ")
+            lead = sep
+            _write(v, inner, out, seen)
+        out.append(pad + brackets[1])
+    seen[key] = start, len(out)
 
 
 def dump_json(obj: dict) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) + "\\n" writes it, byte for byte.
 
-    json's indenting encoder is pure Python; this one recurses in Python only
-    through containers that hold containers, and encodes a container of
-    scalars that obj holds many times at one depth at most twice there.
-    Keys must be strings.
+    json's indenting encoder is pure Python.  This one recurses in Python
+    only through containers that hold containers, encodes each container of
+    scalars in one call of the C encoder, and appends every piece to one
+    list, joined once at the end.  A container that obj holds more than once
+    at one depth is encoded once; its later copies reuse its pieces.  Keys
+    must be strings.
     """
-    return _encode(obj, 0, {}, "\n")
+    out: list[str] = []
+    _write(obj, 0, out, {})
+    out.append("\n")
+    return "".join(out)

@@ -53,5 +53,22 @@ def sections(pd):
 
     values lists the section's value at each point of the fiber over x, ascending.
     """
-    return [(x, pd.section_values([b] * len(pd.fibers[x]), pd.fibers[x]))
+    return [(x, section_values(pd, [b] * len(pd.fibers[x]), pd.fibers[x]))
             for b, x in enumerate(pd.slice.arrow.table)]
+
+
+def section_values(pd, bs, ps):
+    """For each i, the value at the point ps[i] of S of the section at point bs[i] of `pi`'s pd.
+
+    It runs `PiData.index_of_section`'s arithmetic backwards.  KeyError
+    unless each ps[i] lies in the fiber its section is over.
+    """
+    over, ut = pd.slice.arrow.table, pd.u.table
+    out = []
+    for b, p in zip(bs, ps, strict=True):
+        x = over[b]
+        if ut[p] != x:
+            raise KeyError((b, p))
+        q = pd._pre[p]
+        out.append(q[(b - pd._start[x]) // pd._weight[p] % len(q)])
+    return tuple(out)

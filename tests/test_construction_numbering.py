@@ -7,8 +7,9 @@ sections (x, values), points of a part): point i is the i-th descriptor in
 sorted order, and each generator row is read by moving every descriptor and
 looking it up in a dict.  The generator rows and the projection tables must
 agree, the lookups `index_of` and `index_of_section` must find descriptor i
-at point i, the reader `section_values` must give back its values, and a
-pair or section that is not in the construction must raise KeyError.
+at point i, the test reader `helpers.section_values` must give back its
+values, and a pair or section that is not in the construction must raise
+KeyError.
 """
 import itertools
 import random
@@ -21,9 +22,12 @@ from spanpoly.finact import (
     coproduct_pullback_decompose,
     identity_gmap,
     initial_gset,
+    compose_gmaps,
     pi,
     product,
     pullback,
+    section_eval,
+    sum_gmap,
     unique_from_initial,
 )
 from spanpoly.groups import (
@@ -34,7 +38,7 @@ from spanpoly.groups import (
     trivial_group,
 )
 
-from helpers import coset_sum, relabelled_group, seeded_map
+from helpers import coset_sum, relabelled_group, section_values, seeded_map
 
 GROUPS = {
     "triv": trivial_group(),
@@ -107,7 +111,7 @@ def check_pi(u, a):
     assert pd.con.gset.rows == rows
     assert pd.slice.arrow.table == tuple(x for x, _ in elems)
     assert [pd.index_of_section(x, sec) for x, sec in elems] == list(range(len(elems)))
-    assert [pd.section_values([b] * len(fiber[x]), fiber[x])
+    assert [section_values(pd, [b] * len(fiber[x]), fiber[x])
             for b, (x, sec) in enumerate(elems)] == [sec for _, sec in elems]
     # not sections: one value moved off its fiber point, a value too many or
     # too few, a base point out of range
@@ -128,7 +132,7 @@ def check_pi(u, a):
         for p in s.points():
             if u.table[p] != x:
                 with pytest.raises(KeyError):
-                    pd.section_values([b], [p])
+                    section_values(pd, [b], [p])
     return len(elems)
 
 
@@ -199,3 +203,45 @@ def test_empty_constructions_match_the_reference(name):
     # every point over the left summand: the right part is empty
     check_parts(cop.inj1, cop)
     check_parts(coproduct(x, x).inj2, coproduct(x, x))
+
+
+@pytest.mark.parametrize("name", ["C2", "S3", "S4"])
+@pytest.mark.parametrize("seed", range(3))
+def test_section_evaluation_reads_the_section_values(name, seed):
+    """`section_eval`'s e, read off the section order, against the arithmetic reader.
+
+    u : S1 + S2 -> (U1 + U2) + U3 sends S1 to U1 and S2 to U2, so the points
+    of U3 have empty fibers (one empty section each); a covers S1 and
+    nothing over S2, so the fibers over U2 have no sections.
+    """
+    group = GROUPS[name]
+    rng = random.Random(f"eval/{name}/{seed}")
+    reps = subgroup_class_reps(group)
+    small = [i for i, h in enumerate(reps) if group.order // len(h) <= 4]
+
+    def sum_of(k):
+        return coset_sum(group, reps, [rng.choice(small) for _ in range(k)])
+
+    cs, cu = coproduct(sum_of(1), sum_of(1)), coproduct(sum_of(1), sum_of(1))
+    spread = sum_gmap(cs, cu, seeded_map(rng, cs.left, cu.left),
+                      seeded_map(rng, cs.right, cu.right))
+    ext = coproduct(cu.sum, sum_of(1))
+    u = compose_gmaps(ext.inj1, spread)
+    cover = coproduct(cs.left, sum_of(1))
+    onto = cover.cotuple(identity_gmap(cs.left), seeded_map(rng, cover.right, cs.left))
+    a = SliceObject(compose_gmaps(cs.inj1, onto))
+    assert set(ext.inj2.table).isdisjoint(u.table)
+    assert set(cs.inj2.table).isdisjoint(a.arrow.table)
+    pw = section_eval(u, a)
+    pd, pull = pw.pidata, pw.pull
+    # the points of U with sections are those whose whole fiber lies in S1
+    covered = set(cs.inj1.table)
+    with_sections = {x for x in u.cod.points()
+                     if all(p in covered for p in u.dom.points() if u.table[p] == x)}
+    assert set(pd.slice.arrow.table) == with_sections
+    assert with_sections.issuperset(ext.inj2.table)
+    assert not with_sections.issuperset(u.table[p] for p in cs.inj2.table)
+    assert pull.gset.size > 0
+    assert pw.e.table == section_values(pd, pull.proj1.table, pull.proj2.table)
+    assert compose_gmaps(a.arrow, pw.e).table == pull.proj2.table
+

@@ -1,14 +1,27 @@
 """Iso search at scale: many orbits, and composites against relabelled copies.
 
 `equivariant_isos` backtracks over orbits on an explicit stack, so its depth
-is not bounded by the interpreter's recursion limit, and `poly_iso` matches
-the orbits of B one at a time, so it does not enumerate the isos of B that
-fail on A.  Each found iso is checked against the legs it must commute with.
+is not bounded by the interpreter's recursion limit, and each orbit skips
+the used prefix of its candidate list, so many interchangeable orbits take
+linear time.  `poly_iso` matches the orbits of B one at a time, so it does
+not enumerate the isos of B that fail on A.  Each found iso is checked
+against the legs it must commute with, and the order in which
+`equivariant_isos` lists the isos of seeded searches is pinned.
 """
+import hashlib
 import random
 
-from spanpoly.finact import GMap, GSet, compose_gmaps, iso_gsets, regular_gset, relabel_gset
-from spanpoly.groups import cyclic_group, subgroup_class_reps, symmetric_group
+from spanpoly.finact import (
+    GMap,
+    GSet,
+    compose_gmaps,
+    equivariant_isos,
+    from_labels,
+    iso_gsets,
+    regular_gset,
+    relabel_gset,
+)
+from spanpoly.groups import cyclic_group, subgroup_class_reps, subgroups, symmetric_group
 from spanpoly.poly import Polynomial, compose_poly, poly_iso
 from spanpoly.sampling import random_gmap
 from spanpoly.spans import Span, compose_spans, span_iso
@@ -34,16 +47,63 @@ def _moved(f, copy, inv):
     return GMap(copy, f.cod, tuple(f.table[inv[q]] for q in range(copy.size)))
 
 
-def test_iso_gsets_on_5000_free_orbits():
+def _free_orbits_iso(n):
     c2 = cyclic_group(2)
     free = regular_gset(c2)
-    x = GSet(c2, 10_000, tuple(tuple(p + 2 * k for k in range(5000) for p in row)
-                               for row in free.rows))
+    x = GSet(c2, 2 * n, tuple(tuple(p + 2 * k for k in range(n) for p in row)
+                              for row in free.rows))
     y, _, _ = _shuffle(random.Random(0), x)
     f = iso_gsets(x, y)
     assert f is not None
     f.validate()
     assert f.is_bijective()
+
+
+def test_iso_gsets_on_5000_free_orbits():
+    _free_orbits_iso(5000)
+
+
+def test_iso_gsets_on_20000_free_orbits():
+    _free_orbits_iso(20_000)
+
+
+def _seeded_iso_searches():
+    """Searches on seeded sums of 1-5 coset orbits over C2, S3 and C4 and relabelled copies.
+
+    Each sum is searched against its copy with no legs and, where a seeded
+    map into a sum of 1-2 orbits exists, with that map and its copy as legs.
+    """
+    for group in (cyclic_group(2), symmetric_group(3), cyclic_group(4)):
+        subs = sorted(subgroups(group), key=sorted)
+        for seed in range(40):
+            rng = random.Random(f"{group.name}/{seed}")
+            x = from_labels(group, (), sorted((rng.choice(subs), ())
+                                              for _ in range(rng.randint(1, 5))))[0]
+            perm = list(range(x.size))
+            rng.shuffle(perm)
+            y, _ = relabel_gset(x, perm)
+            inv = [0] * x.size
+            for p, q in enumerate(perm):
+                inv[q] = p
+            yield x, y, ()
+            z = from_labels(group, (), sorted((rng.choice(subs), ())
+                                              for _ in range(rng.randint(1, 2))))[0]
+            f = random_gmap(rng, x, z)
+            if f is not None:
+                yield x, y, ((f, _moved(f, y, inv)),)
+
+
+def test_iso_enumeration_order_is_pinned():
+    digest, searches, isos = hashlib.sha256(), 0, 0
+    for x, y, legs in _seeded_iso_searches():
+        searches += 1
+        for f in equivariant_isos(x, y, legs):
+            digest.update(repr(f.table).encode())
+            isos += 1
+        digest.update(b";")
+    assert (searches, isos) == (197, 4447)
+    assert digest.hexdigest() == (
+        "0732daddd8d08a04484e3f50b051fa515dc3c6140bdad6551b4df9d74163be85")
 
 
 def test_span_iso_between_a_composite_and_a_relabelled_copy():

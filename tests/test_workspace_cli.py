@@ -7,11 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spanpoly import cli
+from spanpoly import cli, workspace
 from spanpoly.cli import main
 from spanpoly.errors import WorkspaceError
 from spanpoly.suites import SUITES
@@ -124,24 +125,76 @@ def test_dump_json_matches_stdlib(obj):
     assert dump_json(obj) == _stdlib_dump(obj)
 
 
-# tuple objects that dump_json meets more than twice at one depth; the
-# last two are equal, and so hash alike, but encode differently
+# objects that dump_json meets more than once at one depth; (1, 0) and
+# (True, False) are equal, and so hash alike, but encode differently
 _SHARED, _INTS, _BOOLS = (3, "x", None), (1, 0), (True, False)
+# a G-set object as `poly_to_obj` passes it, shared by several legs
+_GSET = {"group": "C2", "size": 2, "action_by_generator": [[1, 0]]}
+# a container of containers
+_NESTED = [[1, 2], ("y", [False]), {"k": [None]}]
+
+_EDGE_CASES = {
+    "empty-dict": {}, "empty-list": [], "empty-tuple": (),
+    "nested-empties": {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    "mixed-list": [1, [2], {}],
+    "mixed-scalars-and-containers": [[1, 2], 3, "x", None, True, {"k": [False]}],
+    "non-ascii": {"\u00e9t\u00e9": "caf\u00e9 \u2603 \U0001d11e", "z": ["\u00fc", "\u4e2d"]},
+    "escapes": {"q\"uote": "back\\slash\n\ttab\x00\x1f\x7f", "\n": ["\r", "/"]},
+    "deep": {"deep": {"er": {"est": [[[0, -1]], [[2 ** 70]]]}}},
+    "one-tuple-at-several-depths":
+        {"a": _SHARED, "b": [_SHARED, [_SHARED, {"c": _SHARED}], _SHARED, _SHARED]},
+    "equal-ints-and-booleans": [_INTS, _BOOLS, _INTS, [1, 0], _BOOLS, _INTS, _BOOLS, [True, False]],
+    "dict-shared-by-two-keys": {"r": {"cod": {"size": 0}, "dom": _GSET},
+                                "n": {"dom": _GSET, "cod": _GSET}, "t": {"dom": _GSET}},
+    "shared-container-of-containers": [_NESTED, {"a": _NESTED, "b": _NESTED}, _NESTED],
+    "container-at-two-depths": {"a": _NESTED, "b": [_NESTED, [_NESTED]], "c": _GSET,
+                                "d": [_GSET, _GSET]},
+    "top-level-scalar": 5,
+    "top-level-string": "caf\u00e9 \"x\"",
+    "ints-and-booleans-twice": [_INTS, _BOOLS, [_INTS, _BOOLS], _INTS, _BOOLS],
+}
 
 
-@pytest.mark.parametrize("obj", [
-    {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}]},
-    [1, [2], {}], [[1, 2], 3, "x", None, True, {"k": [False]}],
-    {"\u00e9t\u00e9": "caf\u00e9 \u2603 \U0001d11e", "z": ["\u00fc", "\u4e2d"]},
-    {"q\"uote": "back\\slash\n\ttab\x00\x1f\x7f", "\n": ["\r", "/"]},
-    {"deep": {"er": {"est": [[[0, -1]], [[2 ** 70]]]}}},
-    {"a": _SHARED, "b": [_SHARED, [_SHARED, {"c": _SHARED}], _SHARED, _SHARED]},
-    [_INTS, _BOOLS, _INTS, [1, 0], _BOOLS, _INTS, _BOOLS, [True, False]],
-], ids=["empty-dict", "empty-list", "empty-tuple", "nested-empties", "mixed-list",
-        "mixed-scalars-and-containers", "non-ascii", "escapes", "deep",
-        "one-tuple-at-several-depths", "equal-ints-and-booleans"])
+@pytest.mark.parametrize("obj", list(_EDGE_CASES.values()), ids=list(_EDGE_CASES))
 def test_dump_json_matches_stdlib_on_edge_cases(obj):
     assert dump_json(obj) == _stdlib_dump(obj)
+
+
+@pytest.fixture
+def without_the_c_encoder():
+    """json as without its C module: `dump_json` falls back to `JSONEncoder.encode`."""
+    saved = json.encoder.c_make_encoder
+    json.encoder.c_make_encoder = None
+    workspace._flat_encoder.cache_clear()
+    yield
+    json.encoder.c_make_encoder = saved
+    workspace._flat_encoder.cache_clear()
+
+
+@pytest.mark.parametrize("obj", list(_EDGE_CASES.values()), ids=list(_EDGE_CASES))
+def test_dump_json_matches_stdlib_without_the_c_encoder(without_the_c_encoder, obj):
+    assert isinstance(workspace._flat_encoder(1), types.FunctionType)
+    assert dump_json(obj) == _stdlib_dump(obj)
+
+
+def test_dump_json_encodes_each_row_of_a_composites_shared_gset_once(monkeypatch):
+    """A composite's A is r.dom and n.dom, one object, so each of its rows is encoded once."""
+    from spanpoly.poly import compose_poly
+    ws = builtin_workspace()
+    comp, _ = compose_poly(ws.poly("S3.free-poly"), ws.poly("S3.free-poly"))
+    obj = poly_to_obj(comp)
+    assert obj["r"]["dom"] is obj["n"]["dom"] and obj["n"]["cod"] is obj["t"]["dom"]
+    encoded: list[int] = []
+
+    def counting(depth):
+        encode = flat(depth)
+        return lambda o, level: (encoded.append(id(o)), encode(o, level))[1]
+    flat = workspace._flat_encoder
+    monkeypatch.setattr(workspace, "_flat_encoder", counting)
+    assert dump_json(obj) == _stdlib_dump(obj)
+    rows = obj["r"]["dom"]["action_by_generator"] + obj["n"]["cod"]["action_by_generator"]
+    assert len(rows) >= 2
+    assert [encoded.count(id(row)) for row in rows] == [1] * len(rows)
 
 
 def test_burnside_table_passes_equal_vectors_as_one_object():
