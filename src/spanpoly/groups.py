@@ -368,11 +368,12 @@ def subgroup_class_reps(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 def double_cosets(g: FiniteGroup, h: frozenset[int], k: frozenset[int]) -> list[frozenset[int]]:
     """Partition of the group into H\\-g-/K double cosets."""
+    mult = g.mult
     remaining = set(g.elements())
     out = []
     while remaining:
         x = min(remaining)
-        coset = frozenset(g.op(g.op(a, x), b) for a in h for b in k)
+        coset = frozenset(mult[mult[a][x]][b] for a in h for b in k)
         out.append(coset)
         remaining -= coset
     return out

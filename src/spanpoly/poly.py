@@ -32,19 +32,13 @@ from .finact import (
     SliceObject,
     compose_gmaps,
     delta,
-    equivariant_isos,
     equivariant_maps,
     identity_gmap,
-    orbit_candidates,
-    orbit_cosets,
-    orbit_labels,
-    point_images,
     section_eval,
     pi_slice,
     pullback,
     sigma,
     slice_iso,
-    sub_gset,
 )
 from .groups import FiniteGroup, trivial_group
 from .record import FrozenRecord
@@ -205,76 +199,6 @@ def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[Span
         legs = ((comp.left, s1.left.left), (comp.right, s1.left.right))
         for lam in equivariant_maps(pb.apex, s1.left.apex, legs):
             yield SpanSpan2Cell(s1, s2, g, comp, lam)
-
-
-# ---------------------------------------------------------------------------
-# polynomial isomorphism
-# ---------------------------------------------------------------------------
-
-def poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[GMap, GMap]]:
-    """Legwise isos (phiA, phiB) commuting with r, n, t and fixing the ends.
-
-    phiB is chosen orbit by orbit of B: the least point of each orbit goes to
-    the first admissible image (`orbit_candidates` for the leg t) in an
-    orbit not yet taken over which the parts of A match, that is, the part
-    of A over the orbit has an iso onto the part of A' over the image orbit
-    commuting with r and with phiB after n.  Matching is an equivalence
-    relation on the orbits of B and B', so a first fit never blocks a later
-    orbit: no choice is undone, and the search does not enumerate the isos
-    of B that fail on A.
-    """
-    if p.src != q.src or p.tgt != q.tgt:
-        return None
-    a, b, a2, b2 = p.n.dom, p.n.cod, q.n.dom, q.n.cod
-    if a.size != a2.size or orbit_labels(b, (p.t,)) != orbit_labels(b2, (q.t,)):
-        return None
-    orbit_of, over2 = _over_orbits(q)
-    over = _over_orbits(p)[1]
-    parts2: dict[int, tuple[GSet, GMap, GMap, list[int]]] = {}
-    phi_a, phi_b = [0] * a.size, [0] * b.size
-    taken: set[int] = set()
-    for j, (o, cands) in enumerate(orbit_candidates(b, b2, ((p.t, q.t),))):
-        pts = over.get(j, [])
-        part, incl = sub_gset(a, pts)
-        r_part = compose_gmaps(p.r, incl)
-        for q0 in cands:
-            k = orbit_of[q0]
-            if k in taken:
-                continue
-            img = point_images(b2, q0)
-            ys = list(map(img.__getitem__, o.cosets.reps))
-            if len(set(ys)) != len(ys):
-                continue  # a larger stabilizer: the orbit would shrink
-            if k not in parts2:
-                pts2 = over2.get(k, [])
-                part2, incl2 = sub_gset(a2, pts2)
-                parts2[k] = (part2, compose_gmaps(q.r, incl2), compose_gmaps(q.n, incl2), pts2)
-            part2, r2_part, n2_part, pts2 = parts2[k]
-            for y, y2 in zip(o.points, ys):
-                phi_b[y] = y2
-            n_part = GMap(part, b2, tuple(phi_b[p.n.table[x]] for x in pts))
-            iso = next(equivariant_isos(part, part2, ((r_part, r2_part), (n_part, n2_part))),
-                       None)
-            if iso is not None:
-                for x, i in zip(pts, iso.table):
-                    phi_a[x] = pts2[i]
-                taken.add(k)
-                break
-        else:
-            return None
-    return GMap(a, a2, tuple(phi_a)), GMap(b, b2, tuple(phi_b))
-
-
-def _over_orbits(p: Polynomial) -> tuple[list[int], dict[int, list[int]]]:
-    """The index of each point's orbit in `orbit_cosets(B)`, and the points of A over each."""
-    orbit_of = [0] * p.n.cod.size
-    for k, o in enumerate(orbit_cosets(p.n.cod)):
-        for y in o.points:
-            orbit_of[y] = k
-    over: dict[int, list[int]] = {}
-    for x, y in enumerate(p.n.table):
-        over.setdefault(orbit_of[y], []).append(x)
-    return orbit_of, over
 
 
 # ---------------------------------------------------------------------------

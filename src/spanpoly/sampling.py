@@ -22,7 +22,6 @@ from .finact import (
     point_images,
     product,
     relabel_gset,
-    stabilizer,
     terminal_gset,
 )
 from .groups import FiniteGroup, subgroups
@@ -34,7 +33,7 @@ Rng = random.Random
 
 
 def random_subgroup(rng: Rng, group: FiniteGroup) -> frozenset[int]:
-    return rng.choice(list(subgroups(group)))
+    return rng.choice(subgroups(group))
 
 
 def random_gset(rng: Rng, group: FiniteGroup, max_size: int) -> GSet:
@@ -66,14 +65,15 @@ def random_slice(rng: Rng, base: GSet, max_size: int,
         if base.size == 0:
             break
         x = rng.randrange(base.size)
-        stab = frozenset(stabilizer(base, x))
+        img = point_images(base, x)
+        stab = frozenset(g for g, y in enumerate(img) if y == x)
         options = [h for h in subgroups(base.group) if h <= stab]
         h = rng.choice(options)
         orb_size = base.group.order // len(h)
         if size + orb_size > max_size:
             continue
         size += orb_size
-        s, v = atom_label(base.group, h, point_images(base, x))
+        s, v = atom_label(base.group, h, img)
         pieces.append((s, (v,)))
     # sorted piece labels are the orbit labels: the canonical representative
     _, (arrow,) = from_labels(base.group, (base,), sorted(pieces))

@@ -7,9 +7,10 @@ own and compares them with the composite computed in-process.  Leg tables,
 sizes, the group table, the rewrite transcript and the canonical form are
 pinned by sha256 digests; these depend on how constructions number their
 points.  Beside them, each composite's iso class is pinned by an invariant
-that no numbering enters (`GOLDEN_CLASSES`), and the seeded composites must
-be isomorphic (`span_iso`, `poly_iso`) to the composites of relabelled
-inputs, so a change of numbering re-pins only `GOLDEN_COMPOSE`.
+that no numbering enters (`GOLDEN_CLASSES`: a span's orbit labels, a
+polynomial's `helpers.poly_key`), and the seeded composites must be
+isomorphic to the composites of relabelled inputs (by `span_iso`, and by
+equal ends and keys), so a change of numbering re-pins only `GOLDEN_COMPOSE`.
 """
 import contextlib
 import hashlib
@@ -21,13 +22,13 @@ from collections import deque
 import pytest
 
 from spanpoly.cli import main
-from spanpoly.finact import GMap, orbit_cosets, orbit_labels, relabel_gset, render_labels
+from spanpoly.finact import GMap, orbit_labels, relabel_gset, render_labels
 from spanpoly.groups import subgroup_class_reps, symmetric_group
-from spanpoly.poly import Polynomial, compose_poly, poly_iso
+from spanpoly.poly import Polynomial, compose_poly
 from spanpoly.spans import Span, compose_spans, span_iso
 from spanpoly.workspace import builtin_workspace, load_dir
 
-from helpers import coset_sum, seeded_map
+from helpers import coset_sum, isomorphic_polys, poly_key, seeded_map
 
 LEGS = {"span": ("left", "right"), "poly": ("r", "n", "t")}
 
@@ -68,29 +69,13 @@ def _digest(kind, obj):
 def _class_digest(kind, out):
     """sha256 of an iso invariant of a composite that no point numbering enters.
 
-    A span's orbit labels are its iso class.  A polynomial r : A -> X,
-    n : A -> B, t : B -> Y is summed up orbit by orbit of B: the least, over
-    the points b of the orbit, of (stab b, t(b), the sorted pairs (stab a, r(a))
-    of the points a over b).
+    A span's orbit labels are its iso class; a polynomial's is its `poly_key`.
     """
     if kind == "span":
         text = render_labels(orbit_labels(out.apex, (out.left, out.right)))
     else:
-        stab_a, stab_b = _stabilizers(out.n.dom), _stabilizers(out.n.cod)
-        over = [[] for _ in out.n.cod.points()]
-        for a, b in enumerate(out.n.table):
-            over[b].append((stab_a[a], out.r.table[a]))
-        text = repr(sorted(min((stab_b[b], out.t.table[b], sorted(over[b])) for b in o.points)
-                           for o in orbit_cosets(out.n.cod)))
+        text = repr(poly_key(out))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _stabilizers(x):
-    out = [()] * x.size
-    for o in orbit_cosets(x):
-        for p, k in zip(o.points, o.cosets.conj):
-            out[p] = tuple(sorted(k))
-    return out
 
 
 def _shuffled(rng, f, perm=None):
@@ -243,7 +228,7 @@ def test_compose_output_by_generator(case, seeded_ws):
         if kind == "span":
             assert span_iso(out, compose_spans(lhs2, rhs2)) is not None
         else:
-            assert poly_iso(out, compose_poly(lhs2, rhs2)[0]) is not None
+            assert isomorphic_polys(out, compose_poly(lhs2, rhs2)[0])
     for leg in LEGS[kind]:
         for end in ("dom", "cod"):
             x = getattr(getattr(out, leg), end)

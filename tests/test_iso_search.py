@@ -3,10 +3,10 @@
 `equivariant_isos` backtracks over orbits on an explicit stack, so its depth
 is not bounded by the interpreter's recursion limit, and each orbit skips
 the used prefix of its candidate list, so many interchangeable orbits take
-linear time.  `poly_iso` matches the orbits of B one at a time, so it does
-not enumerate the isos of B that fail on A.  Each found iso is checked
-against the legs it must commute with, and the order in which
-`equivariant_isos` lists the isos of seeded searches is pinned.
+linear time.  Each found iso is checked against the legs it must commute
+with, and the order in which `equivariant_isos` lists the isos of seeded
+searches is pinned.  A polynomial composite is compared with a relabelled
+copy by its ends and `helpers.poly_key`, which needs no search.
 """
 import hashlib
 import random
@@ -19,27 +19,15 @@ from spanpoly.finact import (
     from_labels,
     iso_gsets,
     regular_gset,
-    relabel_gset,
 )
 from spanpoly.groups import cyclic_group, subgroup_class_reps, subgroups, symmetric_group
-from spanpoly.poly import Polynomial, compose_poly, poly_iso
+from spanpoly.poly import compose_poly
 from spanpoly.sampling import random_gmap
 from spanpoly.spans import Span, compose_spans, span_iso
 from spanpoly.workspace import load_entries
 
-from helpers import coset_sum
+from helpers import coset_sum, isomorphic_polys, relabelled_poly, shuffled_gset
 from test_compose_output import _seeded_s4_entries
-
-
-def _shuffle(rng, x):
-    """A seeded relabelling of x: (copy, perm, inv) with point p of x renamed perm[p]."""
-    perm = list(range(x.size))
-    rng.shuffle(perm)
-    copy, _ = relabel_gset(x, perm)
-    inv = [0] * x.size
-    for p, q in enumerate(perm):
-        inv[q] = p
-    return copy, perm, inv
 
 
 def _moved(f, copy, inv):
@@ -52,7 +40,7 @@ def _free_orbits_iso(n):
     free = regular_gset(c2)
     x = GSet(c2, 2 * n, tuple(tuple(p + 2 * k for k in range(n) for p in row)
                               for row in free.rows))
-    y, _, _ = _shuffle(random.Random(0), x)
+    y, _, _ = shuffled_gset(random.Random(0), x)
     f = iso_gsets(x, y)
     assert f is not None
     f.validate()
@@ -79,12 +67,7 @@ def _seeded_iso_searches():
             rng = random.Random(f"{group.name}/{seed}")
             x = from_labels(group, (), sorted((rng.choice(subs), ())
                                               for _ in range(rng.randint(1, 5))))[0]
-            perm = list(range(x.size))
-            rng.shuffle(perm)
-            y, _ = relabel_gset(x, perm)
-            inv = [0] * x.size
-            for p, q in enumerate(perm):
-                inv[q] = p
+            y, _, inv = shuffled_gset(rng, x)
             yield x, y, ()
             z = from_labels(group, (), sorted((rng.choice(subs), ())
                                               for _ in range(rng.randint(1, 2))))[0]
@@ -116,7 +99,7 @@ def test_span_iso_between_a_composite_and_a_relabelled_copy():
     q = Span(random_gmap(rng, b, y), random_gmap(rng, b, z))
     comp = compose_spans(p, q)
     assert comp.apex.size > 1500
-    apex, _, inv = _shuffle(rng, comp.apex)
+    apex, _, inv = shuffled_gset(rng, comp.apex)
     copy = Span(_moved(comp.left, apex, inv), _moved(comp.right, apex, inv))
     f = span_iso(comp, copy)
     assert f is not None
@@ -126,22 +109,10 @@ def test_span_iso_between_a_composite_and_a_relabelled_copy():
     assert compose_gmaps(copy.right, f).table == comp.right.table
 
 
-def test_poly_iso_between_a_composite_and_a_relabelled_copy():
+def test_poly_key_between_a_composite_and_a_relabelled_copy():
     ws = load_entries(_seeded_s4_entries(7))
     comp = compose_poly(ws.poly("P"), ws.poly("Q"))[0]
     assert comp.n.dom.size > 10_000
-    rng = random.Random(5)
-    a, _, inv_a = _shuffle(rng, comp.n.dom)
-    b, perm_b, inv_b = _shuffle(rng, comp.n.cod)
-    copy = Polynomial(_moved(comp.r, a, inv_a),
-                      GMap(a, b, tuple(perm_b[comp.n.table[inv_a[q]]] for q in range(a.size))),
-                      _moved(comp.t, b, inv_b))
-    found = poly_iso(comp, copy)
-    assert found is not None
-    phi_a, phi_b = found
-    for phi in found:
-        phi.validate()
-        assert phi.is_bijective()
-    assert compose_gmaps(copy.r, phi_a).table == comp.r.table
-    assert compose_gmaps(copy.t, phi_b).table == comp.t.table
-    assert compose_gmaps(copy.n, phi_a).table == compose_gmaps(phi_b, comp.n).table
+    copy = relabelled_poly(random.Random(5), comp)
+    assert copy.n.dom != comp.n.dom and copy.n.cod != comp.n.cod
+    assert isomorphic_polys(comp, copy)
