@@ -25,8 +25,8 @@ _EXPORTS = {
     "completion": ("CompletionMorphism", "CompletionObject", "check_CB", "check_CB_fiber",
                    "completion_homs", "completion_homs_dual", "completion_iso",
                    "completion_obj", "extend_to_spans", "fiber_coproduct", "hom_bijection",
-                   "hom_bijection_dual", "mu_flatten", "pushforward", "reindex",
-                   "representable_indexed", "slice_indexed", "terminal_indexed", "unit_eta"),
+                   "hom_bijection_dual", "pushforward", "reindex", "representable_indexed",
+                   "slice_indexed", "terminal_indexed"),
     "semirings": ("BOOLEANS", "NATURALS", "CommSemiring"),
     "spans": ("Span", "compose_spans", "identity_span", "lower_star", "span",
               "span_canonical_form", "span_iso", "upper_star"),

@@ -16,14 +16,12 @@ from .finact import (
     GMap,
     SliceObject,
     compose_gmaps,
-    coproduct,
     identity_gmap,
     pi_slice,
     product,
     product_gmap,
     pullback,
     relabel_gset,
-    sum_gmap,
 )
 from .record import FrozenRecord
 from .report import Check, Report
@@ -166,14 +164,3 @@ def check_product_closure(rclass: MorphismClass, f: GMap, f2: GMap) -> bool:
     pd = product(f.dom, f2.dom)
     pc = product(f.cod, f2.cod)
     return rclass(product_gmap(pd, pc, f, f2))
-
-
-# ---------------------------------------------------------------------------
-# sums of slices
-# ---------------------------------------------------------------------------
-
-def inverse_sum(a: SliceObject, b: SliceObject) -> SliceObject:
-    """Reassemble slices over U and V into the slice a+b over U+V."""
-    cd = coproduct(a.total, b.total)
-    cc = coproduct(a.base, b.base)
-    return SliceObject(sum_gmap(cd, cc, a.arrow, b.arrow))

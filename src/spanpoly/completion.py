@@ -43,7 +43,7 @@ from .finact import (
     slice_homs,
     slice_iso,
     slice_isos,
-    sum_gmap,
+    slice_sum,
 )
 from .groups import FiniteGroup
 from .record import FrozenRecord
@@ -133,8 +133,7 @@ class SliceIndexed:
 
     def sum_obj(self, cop: CoproductDiagram, a: SliceObject, b: SliceObject) -> SliceObject:
         if self.at is None:
-            cd = coproduct(a.total, b.total)
-            return SliceObject(sum_gmap(cd, cop, a.arrow, b.arrow))
+            return slice_sum(cop, a, b)
         pu = product(cop.left, self.at)
         pv = product(cop.right, self.at)
         psum = product(cop.sum, self.at)
@@ -208,17 +207,6 @@ def pushforward(xcat: SliceIndexed, r: GMap, o: CompletionObject) -> CompletionO
     return CompletionObject(compose_gmaps(r, o.u), o.x)
 
 
-def unit_eta(u: GSet, x) -> CompletionObject:
-    return CompletionObject(identity_gmap(u), x)
-
-
-def mu_flatten(o: CompletionObject) -> CompletionObject:
-    """Flatten an object of the double completion by composing its legs."""
-    if not isinstance(o.x, CompletionObject):
-        raise InvalidStructure("mu_flatten expects a completion object of completion objects")
-    return CompletionObject(compose_gmaps(o.u, o.x.u), o.x.x)
-
-
 # ---------------------------------------------------------------------------
 # morphisms of the completion
 # ---------------------------------------------------------------------------
@@ -244,35 +232,6 @@ def completion_homs(xcat: SliceIndexed, o: CompletionObject,
             if len(out) > finact.MAX_MAPS:
                 raise _hom_total_over_limit("completion hom-set", o, o2)
     return out
-
-
-def completion_compose(xcat: SliceIndexed,
-                       o1: CompletionObject, o2: CompletionObject, o3: CompletionObject,
-                       m12: tuple[GMap, GMap],
-                       m23: tuple[GMap, GMap]) -> tuple[GMap, GMap]:
-    """Composite of completion morphisms o1 -> o2 -> o3 over a common base."""
-    w1, xi1 = m12
-    w2, xi2 = m23
-    w = compose_gmaps(w2, w1)
-    lifted = xcat.act_mor(w1, o2.x, xcat.act_obj(w2, o3.x), xi2)
-    coh = xcat.compose_witness(w2, w1, o3.x)
-    return (w, xcat.fiber_comp(coh, xcat.fiber_comp(lifted, xi1)))
-
-
-def reindex_mor(xcat: SliceIndexed, r: GMap,
-                o2: CompletionObject, o3: CompletionObject,
-                m: tuple[GMap, GMap]) -> tuple[GMap, GMap]:
-    """Action of reindexing along r on a completion morphism o2 -> o3."""
-    w, xi = m
-    pb2 = pullback(o2.u, r)
-    pb3 = pullback(o3.u, r)
-    wbar = pb3.mediator(compose_gmaps(w, pb2.proj1), pb2.proj2)
-    step = xcat.act_mor(pb2.proj1, o2.x, xcat.act_obj(w, o3.x), xi)
-    c1 = xcat.compose_witness(w, pb2.proj1, o3.x)
-    c2 = xcat.compose_witness(pb3.proj1, wbar, o3.x)
-    c2_inv = invert_gmap(c2)
-    xibar = xcat.fiber_comp(c2_inv, xcat.fiber_comp(c1, step))
-    return (wbar, xibar)
 
 
 def completion_homs_dual(xcat: SliceIndexed, o: CompletionObject,

@@ -4,10 +4,10 @@ Points of a G-set are 0-based contiguous indices.  A G-set stores one
 action row per element of the group's `generating_set`, in that order;
 these rows fix the action.  `point_images` composes the images g.p of one
 point along the group's breadth-first words (`GroupData.words`).
-`orbit_cosets`, the one reader of whole orbits (`orbits` reads it too),
-takes one such pass per orbit and lays its points out along the coset table
-of the least point's stabilizer.  The full table `GSet.action` is derived
-on first use, for outside readers and validation.
+`orbit_cosets`, the one reader of whole orbits, takes one such pass per
+orbit and lays its points out along the coset table of the least point's
+stabilizer.  The full table `GSet.action` is derived on first use, for
+outside readers and validation.
 Every constructed G-set (pullback, product, dependent product, the parts
 of a map into a coproduct) comes from the one builder `build_gset`, and
 its position is its point.  Each construction numbers its elements by
@@ -326,18 +326,10 @@ def coset_gset(group: FiniteGroup, subgroup: Iterable[int]) -> GSet:
 def unique_to_terminal(x: GSet) -> GMap:
     return GMap(x, terminal_gset(x.group), (0,) * x.size)
 
-def unique_from_initial(x: GSet) -> GMap:
-    return GMap(initial_gset(x.group), x, ())
-
 
 # ---------------------------------------------------------------------------
 # orbits, stabilizers, labels and rebuilding from labels
 # ---------------------------------------------------------------------------
-
-def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
-    """The orbits of x by least point, each ascending."""
-    return tuple(tuple(sorted(o.points)) for o in orbit_cosets(x))
-
 
 def point_images(x: GSet, p: int) -> list[int]:
     """g.p for every group element g, composed along `GroupData.words`."""
@@ -346,10 +338,6 @@ def point_images(x: GSet, p: int) -> list[int]:
     for g, k, h in words:
         img[g] = rows[k][img[h]]
     return img
-
-
-def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
-    return tuple(g for g, q in enumerate(point_images(x, p)) if q == p)
 
 
 class Orbit(NamedTuple):
@@ -843,6 +831,11 @@ def sum_gmap(cop_dom: CoproductDiagram, cop_cod: CoproductDiagram,
     table = tuple(cop_cod.inj1.table[v] for v in f.table) + \
         tuple(cop_cod.inj2.table[v] for v in g.table)
     return GMap(cop_dom.sum, cop_cod.sum, table)
+
+
+def slice_sum(cop: CoproductDiagram, a: SliceObject, b: SliceObject) -> SliceObject:
+    """The slice a + b over cop.sum, from slices a over cop.left and b over cop.right."""
+    return SliceObject(sum_gmap(coproduct(a.total, b.total), cop, a.arrow, b.arrow))
 
 
 def codiagonal(x: GSet) -> tuple[CoproductDiagram, GMap]:

@@ -113,11 +113,6 @@ def restrict_atom(f: GMap, atom: AtomLabel) -> list[AtomLabel]:
     return out
 
 
-def _atom_labels(arrow: GMap) -> list[AtomLabel]:
-    """The orbit labels of a slice, one leg value unwrapped: (stabilizer, point)."""
-    return [(s, v) for s, (v,) in orbit_labels(arrow.dom, (arrow,))]
-
-
 def slice_of_atoms(base: GSet, labels: Iterable[AtomLabel]) -> SliceObject:
     """The canonical slice over base with one orbit per atom label, in any order."""
     _, (arrow,) = from_labels(base.group, (base,), sorted((s, (v,)) for s, v in labels))
@@ -127,18 +122,6 @@ def slice_of_atoms(base: GSet, labels: Iterable[AtomLabel]) -> SliceObject:
 def atom_slice(base: GSet, label: AtomLabel) -> SliceObject:
     """The canonical representative slice of an atom: cosets of its stabilizer."""
     return slice_of_atoms(base, (label,))
-
-
-def vectorize_slice(a: SliceObject, gens: Optional[tuple[AtomLabel, ...]] = None) -> tuple[int, ...]:
-    """Atom-count vector of a slice over the generator list of its base."""
-    if gens is None:
-        gens = atoms(a.base)
-    counts = {g: 0 for g in gens}
-    for lab in _atom_labels(a.arrow):
-        if lab not in counts:
-            raise InvalidStructure("slice decomposes outside the generator list")
-        counts[lab] += 1
-    return tuple(counts[g] for g in gens)
 
 
 def canonical_slice(a: SliceObject) -> SliceObject:

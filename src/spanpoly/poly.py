@@ -40,7 +40,7 @@ from .finact import (
     sigma,
     slice_iso,
 )
-from .groups import FiniteGroup, trivial_group
+from .groups import FiniteGroup
 from .record import FrozenRecord
 from .report import Check, Report
 from .semirings import CommSemiring
@@ -78,16 +78,6 @@ def polynomial(r: GMap, n: GMap, t: GMap) -> Polynomial:
     if n.cod != t.dom:
         raise BoundaryMismatch("polynomial: cod(n) must be dom(t)")
     return Polynomial(r, n, t)
-
-
-def identity_polynomial(x: GSet) -> Polynomial:
-    i = identity_gmap(x)
-    return Polynomial(i, i, i)
-
-
-def apply_polynomial(p: Polynomial, s: SliceObject) -> SliceObject:
-    """The slice action: restriction, dependent product, dependent sum."""
-    return sigma(p.t, pi_slice(p.n, delta(p.r, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +135,6 @@ def poly_morphism(src: Polynomial, tgt: Polynomial, g: GMap, ell: GMap) -> PolyM
     if compose_gmaps(src.r, ell).table != compose_gmaps(tgt.r, pb.proj1).table:
         raise InvalidStructure("poly_morphism: restriction triangle does not commute")
     return PolyMorphism(src, tgt, g, ell)
-
-
-def identity_poly_morphism(p: Polynomial) -> PolyMorphism:
-    pb = pullback(p.n, identity_gmap(p.n.cod))
-    ell = GMap(pb.apex, p.n.dom, pb.proj1.table)
-    return poly_morphism(p, p, identity_gmap(p.n.cod), ell)
 
 
 def enumerate_poly_morphisms(src: Polynomial, tgt: Polynomial) -> Iterator[PolyMorphism]:
@@ -277,18 +261,6 @@ def validate_word(word: Word) -> None:
 
 def poly_word(p: Polynomial) -> Word:
     return (Gen(SIGMA, p.t), Gen(PI, p.n), Gen(DELTA, p.r))
-
-
-def apply_word(word: Word, s: SliceObject) -> SliceObject:
-    """Evaluate a generator word on a slice (rightmost generator first)."""
-    for gen in reversed(word):
-        if gen.kind == DELTA:
-            s = delta(gen.f, s)
-        elif gen.kind == SIGMA:
-            s = sigma(gen.f, s)
-        else:
-            s = pi_slice(gen.f, s)
-    return s
 
 
 def _rewrite_pair(a: Gen, b: Gen) -> Optional[tuple[str, tuple[Gen, ...]]]:
@@ -447,20 +419,3 @@ def check_poly_oracle(p: Polynomial, q: Polynomial,
                 break
         checks.append(Check(f"oracle[{sr.name}]", ok, witness))
     return Report("poly-oracle", tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# forgetting the action
-# ---------------------------------------------------------------------------
-
-def forget_gset(x: GSet) -> GSet:
-    t = trivial_group()
-    return GSet(t, x.size, ())
-
-
-def forget_gmap(f: GMap) -> GMap:
-    return GMap(forget_gset(f.dom), forget_gset(f.cod), f.table)
-
-
-def forget_polynomial(p: Polynomial) -> Polynomial:
-    return Polynomial(forget_gmap(p.r), forget_gmap(p.n), forget_gmap(p.t))

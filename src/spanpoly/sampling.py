@@ -57,7 +57,11 @@ def random_gset_with_fixed_point(rng: Rng, group: FiniteGroup, max_size: int) ->
 
 def random_slice(rng: Rng, base: GSet, max_size: int,
                  allow_empty: bool = True) -> SliceObject:
-    """A random slice over the base, assembled from random transitive pieces."""
+    """A random slice over the base, assembled from random transitive pieces.
+
+    It is the canonical representative of its iso class, so
+    `mackey.canonical_slice` returns it unchanged.
+    """
     pieces = []
     size = 0
     n_orbits = rng.randint(0 if allow_empty else 1, 3)
@@ -78,18 +82,6 @@ def random_slice(rng: Rng, base: GSet, max_size: int,
     # sorted piece labels are the orbit labels: the canonical representative
     _, (arrow,) = from_labels(base.group, (base,), sorted(pieces))
     return SliceObject(arrow)
-
-
-def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
-    """An isomorphic copy of a slice with randomly relabelled total space."""
-    perm = list(range(a.total.size))
-    rng.shuffle(perm)
-    copy, iso = relabel_gset(a.total, perm)
-    inv = [0] * len(perm)
-    for p, q in enumerate(perm):
-        inv[q] = p
-    return SliceObject(GMap(copy, a.base, tuple(a.arrow.table[inv[q]]
-                                                for q in range(copy.size))))
 
 
 def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:

@@ -5,29 +5,24 @@ leg (a workspace entry may restrict its left leg to a named class, checked
 on load).  Over a plain category the two-cell content degenerates: span
 morphisms are strictly commuting apex maps, and isomorphism classes of
 spans are decided by an orbit-label canonical form.  Hom-categories are
-never materialized; spans are concrete values and morphisms between them
-are searched on demand.
+never materialized; spans are concrete values and isomorphisms between
+them are searched on demand.
 """
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .errors import BoundaryMismatch, GroupMismatch, InvalidStructure
+from .errors import BoundaryMismatch
 from .finact import (
-    CoproductDiagram,
     GMap,
     GSet,
     compose_gmaps,
     coproduct,
     equivariant_isos,
-    equivariant_maps,
-    from_labels,
     identity_gmap,
-    initial_gset,
     orbit_labels,
     pullback,
     render_labels,
-    sum_gmap,
 )
 from .groups import FiniteGroup
 from .record import FrozenRecord
@@ -82,13 +77,6 @@ def upper_star(r: GMap) -> Span:
     return Span(r, identity_gmap(r.dom))
 
 
-def empty_span(u: GSet, v: GSet) -> Span:
-    if u.group != v.group:
-        raise GroupMismatch("empty_span over different groups")
-    zero = initial_gset(u.group)
-    return Span(GMap(zero, u, ()), GMap(zero, v, ()))
-
-
 class SpanComposite:
     """A composed span remembering the pullback its apex came from."""
 
@@ -125,17 +113,6 @@ def is_span_morphism(p: Span, q: Span, f: GMap) -> bool:
             and compose_gmaps(q.right, f).table == p.right.table)
 
 
-def span_morphisms(p: Span, q: Span) -> Iterator[GMap]:
-    """All two-cells p => q: apex maps commuting with all four legs.
-
-    The hom-category of parallel spans is presented by this search rather
-    than materialized.
-    """
-    if p.src != q.src or p.tgt != q.tgt:
-        raise BoundaryMismatch("span_morphisms needs parallel spans")
-    return equivariant_maps(p.apex, q.apex, ((p.left, q.left), (p.right, q.right)))
-
-
 def span_isos(p: Span, q: Span) -> Iterator[GMap]:
     if p.src != q.src or p.tgt != q.tgt:
         raise BoundaryMismatch("span_isos needs parallel spans")
@@ -154,30 +131,6 @@ def span_iso(p: Span, q: Span) -> Optional[GMap]:
 def span_canonical_form(p: Span) -> str:
     labs = render_labels(span_labels(p))
     return f"{p.group.name}[{p.src.size}<-{p.apex.size}->{p.tgt.size}]{{{labs}}}"
-
-
-class SpanIsoClass(FrozenRecord):
-    """An isomorphism class of spans, held by canonical representative."""
-
-    __slots__ = ("rep", "form")
-
-    def __init__(self, rep: Span, form: str):
-        self._init(rep, form)
-
-    @property
-    def src(self) -> GSet:
-        return self.rep.src
-
-    @property
-    def tgt(self) -> GSet:
-        return self.rep.tgt
-
-
-def span_class(p: Span) -> SpanIsoClass:
-    """The iso class of a span, with the representative rebuilt from its labels."""
-    _, (left, right) = from_labels(p.group, (p.src, p.tgt), span_labels(p))
-    rep = Span(left, right)
-    return SpanIsoClass(rep, span_canonical_form(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +237,8 @@ def check_adjunction(r: GMap) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# decomposition and coproducts
+# local coproducts
 # ---------------------------------------------------------------------------
-
-def decompose(p: Span) -> tuple[GMap, GMap, GMap]:
-    """Write p as its legs (u, v) with a certificate iso  (v_* after u^*) ~ p."""
-    u, v = p.left, p.right
-    comp = compose_data(upper_star(u), lower_star(v))
-    cert = GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
-    if not is_span_morphism(comp.span, p, cert) or not cert.is_bijective():
-        raise InvalidStructure("decomposition certificate failed")
-    return u, v, cert
-
-
-def bicoproduct_cotuple(p: Span, q: Span) -> tuple[Span, CoproductDiagram, CoproductDiagram]:
-    """Cotuple two spans with a shared target into one from the coproduct.
-
-    Returns the span U+V <- S+T -> W together with the base and apex
-    coproduct diagrams that exhibit it.
-    """
-    if p.tgt != q.tgt:
-        raise BoundaryMismatch("bicoproduct_cotuple needs a shared target")
-    base = coproduct(p.src, q.src)
-    apexes = coproduct(p.apex, q.apex)
-    left = sum_gmap(apexes, base, p.left, q.left)
-    right = apexes.cotuple(p.right, q.right)
-    return Span(left, right), base, apexes
-
 
 def local_coproduct(p: Span, q: Span) -> tuple[Span, GMap, GMap]:
     """Coproduct of parallel spans in the hom-category, with its injections."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .calib import inverse_sum
 from .errors import BoundaryMismatch, InvalidStructure
 from .finact import (
     CoproductDiagram,
@@ -33,6 +32,7 @@ from .finact import (
     pi_slice,
     point_images,
     slice_canonical_form,
+    slice_sum,
 )
 from .groups import FiniteGroup
 from .mackey import atom_label, canonical_slice, restrict_atom, slice_of_atoms
@@ -105,7 +105,7 @@ class BurnsideTambara(TambaraFunctor):
         return slice_canonical_form(v)
 
     def glue(self, cop, vx, vy):
-        return canonical_slice(inverse_sum(vx, vy))
+        return canonical_slice(slice_sum(cop, vx, vy))
 
 
 class SemiringTambara(TambaraFunctor):

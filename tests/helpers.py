@@ -1,17 +1,40 @@
-"""Shared construction helpers for the tests."""
+"""Shared construction helpers for the tests.
+
+Besides small constructions, it holds the helpers that tests use to check
+library code and that no command, suite or script runs: the slice action
+of a polynomial and of a generator word, the forgetful functor to plain
+sets, atom-count vectors, seeded relabellings, the composite and the
+reindexing of completion morphisms, and orbit and stabilizer readers.
+"""
+from typing import Iterator, Optional
+
+from spanpoly.completion import CompletionObject, SliceIndexed, invert_gmap
+from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
     GMap,
     GSet,
+    SliceObject,
+    compose_gmaps,
     coproduct,
     coset_gset,
+    delta,
     equivariant_maps,
+    identity_gmap,
+    initial_gset,
     orbit_cosets,
+    orbit_labels,
+    pi_slice,
+    point_images,
+    pullback,
     relabel_gset,
+    sigma,
     terminal_gset,
 )
-from spanpoly.groups import group_from_table
-from spanpoly.poly import Polynomial
-
+from spanpoly.groups import group_from_table, trivial_group
+from spanpoly.mackey import AtomLabel, atoms
+from spanpoly.poly import DELTA, SIGMA, Polynomial, Word
+from spanpoly.sampling import Rng
+from spanpoly.spans import Span
 
 def tset(group, n: int) -> GSet:
     """Plain finite set as a trivial-group action."""
@@ -152,3 +175,139 @@ def shuffled_gset(rng, x):
     for p, q in enumerate(perm):
         inv[q] = p
     return relabel_gset(x, perm)[0], perm, inv
+
+
+# ---------------------------------------------------------------------------
+# polynomials: the slice action and the forgetful functor
+# ---------------------------------------------------------------------------
+
+def identity_polynomial(x: GSet) -> Polynomial:
+    i = identity_gmap(x)
+    return Polynomial(i, i, i)
+
+
+def apply_polynomial(p: Polynomial, s: SliceObject) -> SliceObject:
+    """The slice action: restriction, dependent product, dependent sum."""
+    return sigma(p.t, pi_slice(p.n, delta(p.r, s)))
+
+
+def apply_word(word: Word, s: SliceObject) -> SliceObject:
+    """Evaluate a generator word on a slice (rightmost generator first)."""
+    for gen in reversed(word):
+        if gen.kind == DELTA:
+            s = delta(gen.f, s)
+        elif gen.kind == SIGMA:
+            s = sigma(gen.f, s)
+        else:
+            s = pi_slice(gen.f, s)
+    return s
+
+
+def forget_gset(x: GSet) -> GSet:
+    t = trivial_group()
+    return GSet(t, x.size, ())
+
+
+def forget_gmap(f: GMap) -> GMap:
+    return GMap(forget_gset(f.dom), forget_gset(f.cod), f.table)
+
+
+def forget_polynomial(p: Polynomial) -> Polynomial:
+    return Polynomial(forget_gmap(p.r), forget_gmap(p.n), forget_gmap(p.t))
+
+
+# ---------------------------------------------------------------------------
+# slices, spans and orbits
+# ---------------------------------------------------------------------------
+
+def _atom_labels(arrow: GMap) -> list[AtomLabel]:
+    """The orbit labels of a slice, one leg value unwrapped: (stabilizer, point)."""
+    return [(s, v) for s, (v,) in orbit_labels(arrow.dom, (arrow,))]
+
+
+def vectorize_slice(a: SliceObject, gens: Optional[tuple[AtomLabel, ...]] = None) -> tuple[int, ...]:
+    """Atom-count vector of a slice over the generator list of its base."""
+    if gens is None:
+        gens = atoms(a.base)
+    counts = {g: 0 for g in gens}
+    for lab in _atom_labels(a.arrow):
+        if lab not in counts:
+            raise InvalidStructure("slice decomposes outside the generator list")
+        counts[lab] += 1
+    return tuple(counts[g] for g in gens)
+
+
+def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
+    """An isomorphic copy of a slice with randomly relabelled total space."""
+    perm = list(range(a.total.size))
+    rng.shuffle(perm)
+    copy, iso = relabel_gset(a.total, perm)
+    inv = [0] * len(perm)
+    for p, q in enumerate(perm):
+        inv[q] = p
+    return SliceObject(GMap(copy, a.base, tuple(a.arrow.table[inv[q]]
+                                                for q in range(copy.size))))
+
+
+def span_morphisms(p: Span, q: Span) -> Iterator[GMap]:
+    """All two-cells p => q: apex maps commuting with all four legs.
+
+    The hom-category of parallel spans is presented by this search rather
+    than materialized.
+    """
+    if p.src != q.src or p.tgt != q.tgt:
+        raise BoundaryMismatch("span_morphisms needs parallel spans")
+    return equivariant_maps(p.apex, q.apex, ((p.left, q.left), (p.right, q.right)))
+
+
+def unique_from_initial(x: GSet) -> GMap:
+    return GMap(initial_gset(x.group), x, ())
+
+
+def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
+    """The orbits of x by least point, each ascending."""
+    return tuple(tuple(sorted(o.points)) for o in orbit_cosets(x))
+
+
+def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
+    return tuple(g for g, q in enumerate(point_images(x, p)) if q == p)
+
+
+# ---------------------------------------------------------------------------
+# completion morphisms
+# ---------------------------------------------------------------------------
+
+def mu_flatten(o: CompletionObject) -> CompletionObject:
+    """Flatten an object of the double completion by composing its legs."""
+    if not isinstance(o.x, CompletionObject):
+        raise InvalidStructure("mu_flatten expects a completion object of completion objects")
+    return CompletionObject(compose_gmaps(o.u, o.x.u), o.x.x)
+
+
+def completion_compose(xcat: SliceIndexed,
+                       o1: CompletionObject, o2: CompletionObject, o3: CompletionObject,
+                       m12: tuple[GMap, GMap],
+                       m23: tuple[GMap, GMap]) -> tuple[GMap, GMap]:
+    """Composite of completion morphisms o1 -> o2 -> o3 over a common base."""
+    w1, xi1 = m12
+    w2, xi2 = m23
+    w = compose_gmaps(w2, w1)
+    lifted = xcat.act_mor(w1, o2.x, xcat.act_obj(w2, o3.x), xi2)
+    coh = xcat.compose_witness(w2, w1, o3.x)
+    return (w, xcat.fiber_comp(coh, xcat.fiber_comp(lifted, xi1)))
+
+
+def reindex_mor(xcat: SliceIndexed, r: GMap,
+                o2: CompletionObject, o3: CompletionObject,
+                m: tuple[GMap, GMap]) -> tuple[GMap, GMap]:
+    """Action of reindexing along r on a completion morphism o2 -> o3."""
+    w, xi = m
+    pb2 = pullback(o2.u, r)
+    pb3 = pullback(o3.u, r)
+    wbar = pb3.mediator(compose_gmaps(w, pb2.proj1), pb2.proj2)
+    step = xcat.act_mor(pb2.proj1, o2.x, xcat.act_obj(w, o3.x), xi)
+    c1 = xcat.compose_witness(w, pb2.proj1, o3.x)
+    c2 = xcat.compose_witness(pb3.proj1, wbar, o3.x)
+    c2_inv = invert_gmap(c2)
+    xibar = xcat.fiber_comp(c2_inv, xcat.fiber_comp(c1, step))
+    return (wbar, xibar)

@@ -10,22 +10,18 @@ from spanpoly.completion import (
     check_CB,
     check_CB_fiber,
     check_extension_composition,
-    completion_compose,
     completion_homs,
     completion_iso,
     completion_obj,
     extend_to_spans,
     hom_bijection,
     hom_bijection_map,
-    mu_flatten,
     pushforward,
     reindex,
-    reindex_mor,
     representable_indexed,
     slice_indexed,
     SpanExtension,
     terminal_indexed,
-    unit_eta,
 )
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
@@ -41,13 +37,21 @@ from spanpoly.finact import (
     sigma,
     slice_identity,
     slice_iso,
-    unique_from_initial,
 )
 from spanpoly.groups import builtin_group
-from spanpoly.mackey import BurnsideMackey, atoms, eval_span, vectorize_slice
+from spanpoly.mackey import BurnsideMackey, atoms, eval_span
 from spanpoly.sampling import random_cospan, random_gset, random_map_into, random_slice
 from spanpoly.spans import Span
 from spanpoly.util_linear import mat_apply
+
+from helpers import (
+    completion_compose,
+    mu_flatten,
+    reindex_mor,
+    shuffle_slice,
+    unique_from_initial,
+    vectorize_slice,
+)
 
 
 @pytest.fixture
@@ -229,7 +233,7 @@ def test_unit_and_mu_monad_laws(e_cat, c2, f2, rng):
     # unit at the completion, then flatten: exact identity
     assert mu_flatten(CompletionObject(identity_gmap(f2), o)) == o
     # completion of the unit, then flatten: exact identity
-    inner = CompletionObject(o.u, unit_eta(o.stage, o.x))
+    inner = CompletionObject(o.u, CompletionObject(identity_gmap(o.stage), o.x))
     assert mu_flatten(inner) == o
     # mu on nested data composes the legs
     leg2 = random_map_into(rng, leg.dom, 4)
@@ -247,7 +251,7 @@ def test_sum_and_product_from_family(e_cat, c2, f2, pt2, u2, rng):
     assert slice_iso(p, pi_slice(u2, a)) is not None
     # the unit then the product assignment is the identity up to iso
     x = random_slice(rng, f2, 4)
-    one = unit_eta(f2, x)
+    one = CompletionObject(identity_gmap(f2), x)
     assert slice_iso(e_cat.norm_obj(one.u, one.x), x) is not None
 
 
@@ -282,7 +286,7 @@ def test_extend_matches_burnside_transfer_restriction(e_cat, c2, f2, pt2, u2):
 
 
 def test_extension_respects_iso_classes(e_cat, c2, rng):
-    from spanpoly.sampling import random_span, shuffle_span, shuffle_slice
+    from spanpoly.sampling import random_span, shuffle_span
     u = random_gset(rng, c2, 4)
     v = random_gset(rng, c2, 4)
     p = random_span(rng, u, v, 4)

@@ -28,7 +28,6 @@ from spanpoly.finact import (
     pullback,
     section_eval,
     sum_gmap,
-    unique_from_initial,
 )
 from spanpoly.groups import (
     cyclic_group,
@@ -38,7 +37,7 @@ from spanpoly.groups import (
     trivial_group,
 )
 
-from helpers import coset_sum, relabelled_group, section_values, seeded_map
+from helpers import coset_sum, relabelled_group, section_values, seeded_map, unique_from_initial
 
 GROUPS = {
     "triv": trivial_group(),

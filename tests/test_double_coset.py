@@ -17,7 +17,6 @@ from spanpoly.finact import (
     coproduct,
     coset_gset,
     delta,
-    orbits,
     product,
     regular_gset,
     sigma,
@@ -31,13 +30,12 @@ from spanpoly.mackey import (
     atoms,
     canonical_slice,
     restrict_atom,
-    vectorize_slice,
 )
-from spanpoly.sampling import random_gmap, random_gset, random_map_into, random_slice, shuffle_slice
+from spanpoly.sampling import random_gmap, random_gset, random_map_into, random_slice
 from spanpoly.tambara import BurnsideTambara
 from spanpoly.util_linear import lin_map
 
-from helpers import pairs, relabelled_group
+from helpers import orbits, pairs, relabelled_group, shuffle_slice, vectorize_slice
 
 GROUPS = {
     "triv": trivial_group(),

@@ -25,7 +25,6 @@ from spanpoly.finact import (
     iso_gsets,
     lextensive_factor,
     orbit_labels,
-    orbits,
     section_eval,
     pi,
     pi_slice,
@@ -39,7 +38,6 @@ from spanpoly.finact import (
     slice_iso,
     sum_gmap,
     terminal_gset,
-    unique_from_initial,
     unique_to_terminal,
 )
 from spanpoly.groups import (
@@ -52,7 +50,7 @@ from spanpoly.groups import (
 )
 from spanpoly.sampling import random_gset, random_map_into, random_slice
 
-from helpers import coset_sum, pairs, sections, seeded_map
+from helpers import coset_sum, orbits, pairs, sections, seeded_map, unique_from_initial
 
 
 

@@ -25,13 +25,11 @@ from spanpoly.finact import (
     identity_gmap,
     initial_gset,
     orbit_cosets,
-    orbits,
     pi,
     point_images,
     product,
     pullback,
     relabel_gset,
-    stabilizer,
     terminal_gset,
     unique_to_terminal,
 )
@@ -47,7 +45,7 @@ from spanpoly.groups import (
 from spanpoly.sampling import random_gset, random_subgroup
 from spanpoly.workspace import builtin_workspace, gset_to_obj, load_entries
 
-from helpers import coset_sum, pairs, relabelled_group, sections, seeded_map
+from helpers import coset_sum, orbits, pairs, relabelled_group, sections, seeded_map, stabilizer
 
 GROUPS = {
     "triv": trivial_group(),

@@ -31,6 +31,7 @@ from spanpoly.finact import (
     coset_gset,
     equivariant_isos,
     equivariant_maps,
+    from_labels,
     pi,
     product,
     pullback,
@@ -42,7 +43,7 @@ from spanpoly.finact import (
 from spanpoly.groups import subgroup_class_reps, symmetric_group
 from spanpoly.mackey import canonical_slice
 from spanpoly.sampling import random_gmap
-from spanpoly.spans import Span, span_canonical_form, span_class
+from spanpoly.spans import Span, span_canonical_form, span_labels
 
 from helpers import coset_sum, pairs, sections, seeded_map
 
@@ -316,9 +317,9 @@ def test_golden_canonical_forms_and_representatives():
                 span_canonical_form(p)) == GOLDEN_FORMS[name]
         c = canonical_slice(a)
         assert (_pin(c.total), c.arrow.table) == GOLDEN_SLICES[name]
-        cl = span_class(p)
-        assert (_pin(cl.rep.apex), cl.rep.left.table, cl.rep.right.table,
-                cl.form) == GOLDEN_SPANS[name]
+        _, (left, right) = from_labels(p.group, (p.src, p.tgt), span_labels(p))
+        assert (_pin(left.dom), left.table, right.table,
+                span_canonical_form(Span(left, right))) == GOLDEN_SPANS[name]
 
 
 def test_golden_s4_coset_tables():

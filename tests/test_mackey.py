@@ -11,12 +11,12 @@ from spanpoly.finact import (
     from_labels,
     initial_gset,
     orbit_labels,
-    orbits,
     product,
-    stabilizer,
     terminal_gset,
 )
 from spanpoly.groups import (
+    BUILTIN_GROUPS,
+    builtin_group,
     cyclic_group,
     group_from_permutations,
     group_from_table,
@@ -38,7 +38,6 @@ from spanpoly.mackey import (
     check_functoriality,
     eval_span,
     table_of_marks,
-    vectorize_slice,
 )
 from spanpoly.sampling import (
     random_cospan,
@@ -50,7 +49,7 @@ from spanpoly.sampling import (
 from spanpoly.spans import Span, compose_spans, identity_span
 from spanpoly.util_linear import mat_apply, mat_identity
 
-from helpers import relabelled_group
+from helpers import orbits, relabelled_group, shuffle_slice, stabilizer, vectorize_slice
 
 
 def test_atoms_of_point(c2, s3):
@@ -92,8 +91,18 @@ def test_random_slice_is_canonical(seed):
         assert canonical_slice(a) == a
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_random_slice_is_canonical_on_every_builtin_group(name):
+    """Seeds 0-39 at size bounds 3, 6 and 12: 120 draws per group, 720 in all."""
+    group = builtin_group(name)
+    for seed in range(40):
+        for size in (3, 6, 12):
+            rng = random.Random(seed)
+            a = random_slice(rng, random_gset(rng, group, size), size)
+            assert canonical_slice(a) == a, (seed, size)
+
+
 def test_canonical_slice_idempotent(c2, rng):
-    from spanpoly.sampling import shuffle_slice
     base = random_gset(rng, c2, 5)
     s = random_slice(rng, base, 5)
     cs = canonical_slice(s)

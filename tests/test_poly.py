@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanpoly import finact
-from spanpoly.completion import completion_iso, CompletionObject, mu_flatten, reindex, slice_indexed
+from spanpoly.completion import completion_iso, CompletionObject, reindex, slice_indexed
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
+    GMap,
     SliceObject,
     compose_gmaps,
     coproduct,
@@ -21,17 +22,13 @@ from spanpoly.finact import (
 from spanpoly.groups import trivial_group
 from spanpoly.poly import (
     Gen,
-    apply_polynomial,
-    apply_word,
     compose_poly,
     distribute,
     enumerate_poly_morphisms,
     enumerate_spanspan_2cells,
     eval_semiring,
-    forget_polynomial,
-    identity_polynomial,
-    identity_poly_morphism,
     normalize_word,
+    poly_morphism,
     poly_to_spanspan,
     poly_word,
     polynomial,
@@ -50,7 +47,17 @@ from spanpoly.sampling import (
 from spanpoly.semirings import BOOLEANS, NATURALS
 from spanpoly.spans import Span, compose_spans, span_iso
 
-from helpers import isomorphic_polys, tmap, tset
+from helpers import (
+    apply_polynomial,
+    apply_word,
+    forget_polynomial,
+    identity_polynomial,
+    isomorphic_polys,
+    mu_flatten,
+    span_morphisms,
+    tmap,
+    tset,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +96,8 @@ def test_spanspan_shape_violation(c2, f2, u2):
 
 def test_identity_2cell_translates(c2, f2, u2):
     p = polynomial(u2, identity_gmap(f2), u2)
-    m = identity_poly_morphism(p)
+    pb = pullback(p.n, identity_gmap(p.n.cod))
+    m = poly_morphism(p, p, identity_gmap(p.n.cod), GMap(pb.apex, p.n.dom, pb.proj1.table))
     cell = translate_2cell(m)
     assert translate_2cell_inverse(cell) == m
 
@@ -193,8 +201,6 @@ def test_compose_boundary_and_guard(c2, f2, pt2, u2, monkeypatch):
 def test_morphism_searches_raise_the_maps_guard(c2, pt2, monkeypatch):
     """Span two-cells and polynomial morphisms enumerate up to MAX_MAPS and raise above it."""
     from spanpoly.errors import ResourceLimit
-    from spanpoly.finact import GMap
-    from spanpoly.spans import span_morphisms
     four = coproduct(coproduct(pt2, pt2).sum, coproduct(pt2, pt2).sum).sum
     leg = GMap(four, pt2, (0,) * 4)
     s = Span(leg, leg)

@@ -25,7 +25,7 @@ from spanpoly.poly import (
 )
 from spanpoly.report import Check, Report
 from spanpoly.semirings import CommSemiring
-from spanpoly.spans import Span, SpanIsoClass
+from spanpoly.spans import Span
 from spanpoly.util_linear import LinMap
 from spanpoly.workspace import Workspace
 
@@ -74,7 +74,6 @@ FROZEN = [
      ("title", "checks", "notes"), ("title", "checks", "notes")),
     (LinMap, lambda: (2, 1, ((1,), (3,))), ("src", "tgt", "rows"), ("src", "tgt", "rows")),
     (Span, lambda: (_gmap(), _gmap()), ("left", "right"), ("left", "right")),
-    (SpanIsoClass, lambda: (_span(), "form"), ("rep", "form"), ("rep", "form")),
     (Polynomial, lambda: (_gmap(), _gmap(), _gmap()), ("r", "n", "t"), ("r", "n", "t")),
     (SpanOfSpans, lambda: (_gset(), _span(), _span()), ("apex", "left", "right"),
      ("apex", "left", "right")),

@@ -3,13 +3,13 @@ import pytest
 
 from spanpoly.errors import BoundaryMismatch
 from spanpoly.finact import (
+    GMap,
     compose_gmaps,
     coproduct,
     from_labels,
     identity_gmap,
     initial_gset,
     orbit_labels,
-    orbits,
     slice_iso,
     unique_to_terminal,
 )
@@ -18,11 +18,9 @@ from spanpoly.mackey import canonical_slice
 from spanpoly.spans import (
     Span,
     associator,
-    bicoproduct_cotuple,
     check_adjunction,
+    compose_data,
     compose_spans,
-    decompose,
-    empty_span,
     identity_span,
     is_span_morphism,
     local_coproduct,
@@ -31,7 +29,6 @@ from spanpoly.spans import (
     runitor,
     span,
     span_canonical_form,
-    span_class,
     span_iso,
     span_labels,
     upper_star,
@@ -41,9 +38,10 @@ from spanpoly.sampling import (
     random_map_into,
     random_slice,
     random_span,
-    shuffle_slice,
     shuffle_span,
 )
+
+from helpers import orbits, shuffle_slice, span_morphisms
 
 
 def test_compose_with_identity(c2, f2, pt2, u2, rng):
@@ -108,46 +106,18 @@ def test_adjunction_random(c2, s3, rng):
 
 
 def test_decompose_roundtrip(c2, f2, pt2, u2, rng):
+    """Each span p is (its right leg)_* after (its left leg)^*, by the first projection."""
     for p in (identity_span(f2), lower_star(u2), random_span(rng, f2, pt2, 6)):
-        u, v, cert = decompose(p)
-        assert (u, v) == (p.left, p.right)
+        comp = compose_data(upper_star(p.left), lower_star(p.right))
+        cert = GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
+        assert is_span_morphism(comp.span, p, cert)
         assert cert.is_bijective()
-
-
-def test_bicoproduct_recovers_components(c2, rng):
-    for _ in range(5):
-        u = random_gset(rng, c2, 5)
-        v = random_gset(rng, c2, 5)
-        w = random_gset(rng, c2, 5)
-        p = random_span(rng, u, w, 5)
-        q = random_span(rng, v, w, 5)
-        total, base, _ = bicoproduct_cotuple(p, q)
-        back_p = compose_spans(lower_star(base.inj1), total)
-        back_q = compose_spans(lower_star(base.inj2), total)
-        assert span_iso(back_p, p) is not None
-        assert span_iso(back_q, q) is not None
-
-
-def test_bicoproduct_of_identities_has_codiagonal_shape(c2, f2):
-    total, base, apexes = bicoproduct_cotuple(identity_span(f2), identity_span(f2))
-    assert total.src.size == 4 and total.apex.size == 4 and total.tgt.size == 2
-    assert total.left.is_bijective()
-    assert total.right.table == apexes.cotuple(identity_gmap(f2),
-                                               identity_gmap(f2)).table
-
-
-def test_bicoproduct_with_empty_source(c2, f2, pt2, u2, rng):
-    p = random_span(rng, f2, pt2, 5)
-    e = empty_span(initial_gset(c2), pt2)
-    total, base, _ = bicoproduct_cotuple(p, e)
-    back = compose_spans(lower_star(base.inj1), total)
-    assert span_iso(back, p) is not None
-    assert total.apex.size == p.apex.size
 
 
 def test_local_coproduct_unit_and_symmetry(c2, f2, pt2, rng):
     p = random_span(rng, f2, pt2, 5)
-    e = empty_span(f2, pt2)
+    zero = initial_gset(c2)
+    e = Span(GMap(zero, f2, ()), GMap(zero, pt2, ()))
     total, i1, i2 = local_coproduct(p, e)
     assert span_iso(total, p) is not None
     q = random_span(rng, f2, pt2, 5)
@@ -233,16 +203,21 @@ def test_class_composition_well_defined(c2, rng):
     w = random_gset(rng, c2, 5)
     p = random_span(rng, u, v, 5)
     q = random_span(rng, v, w, 5)
-    direct = span_class(compose_spans(p, q))
-    via_cls = span_class(compose_spans(span_class(p).rep, span_class(q).rep))
-    assert via_cls.form == direct.form
+    direct = span_canonical_form(compose_spans(p, q))
+    via_cls = span_canonical_form(compose_spans(_rep(p), _rep(q)))
+    assert via_cls == direct
     # different representatives of the same classes compose to the same class
     p2, q2 = shuffle_span(rng, p), shuffle_span(rng, q)
-    assert span_class(compose_spans(span_class(p2).rep, span_class(q2).rep)).form == direct.form
+    assert span_canonical_form(compose_spans(_rep(p2), _rep(q2))) == direct
+
+
+def _rep(p):
+    """The canonical representative of p's iso class, rebuilt from its labels."""
+    _, (left, right) = from_labels(p.group, (p.src, p.tgt), span_labels(p))
+    return Span(left, right)
 
 
 def test_span_morphism_search(c2, f2, pt2, u2):
-    from spanpoly.spans import span_morphisms
     free = Span(u2, u2)
     double, _, _ = local_coproduct(free, free)
     # the free apex is one free orbit: a map is fixed by the image of its
@@ -267,7 +242,7 @@ def test_canonical_representative_rebuilds(c2, s3, rng):
             rep = Span(left, right)
             assert span_iso(rep, p) is not None
             assert span_labels(rep) == labels
-            assert span_class(rep).rep == rep == span_class(p).rep
+            assert _rep(rep) == rep == _rep(p)
             # slices: labels, rebuild, labels again; rebuilding is idempotent
             a = shuffle_slice(rng, random_slice(rng, x, 8, allow_empty=False))
             c = canonical_slice(a)

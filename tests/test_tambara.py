@@ -14,8 +14,8 @@ from spanpoly.finact import (
     terminal_gset,
     unique_to_terminal,
 )
-from spanpoly.mackey import BurnsideMackey, atoms, atom_slice, canonical_slice, vectorize_slice
-from spanpoly.poly import eval_semiring, identity_polynomial, polynomial
+from spanpoly.mackey import BurnsideMackey, atoms, atom_slice, canonical_slice
+from spanpoly.poly import eval_semiring, polynomial
 from spanpoly.sampling import (
     random_gset,
     random_gset_with_fixed_point,
@@ -36,7 +36,7 @@ from spanpoly.tambara import (
 )
 from spanpoly.util_linear import mat_apply
 
-from helpers import tmap, tset
+from helpers import identity_polynomial, tmap, tset, vectorize_slice
 
 
 def test_semiring_laws():
