@@ -42,7 +42,6 @@ from .finact import (
     sigma,
     slice_homs,
     slice_iso,
-    slice_isos,
     slice_sum,
 )
 from .groups import FiniteGroup
@@ -275,19 +274,6 @@ def hom_bijection_dual(xcat: SliceIndexed, o: CompletionObject,
     return Report("hom-bijection-dual", _bijection_checks(lhs, rhs, images))
 
 
-def completion_iso(xcat: SliceIndexed, o: CompletionObject,
-                   o2: CompletionObject) -> Optional[tuple[GMap, GMap]]:
-    """An invertible (w, xi) between completion objects, or None."""
-    if o.base != o2.base:
-        return None
-    for w in slice_isos(SliceObject(o.u), SliceObject(o2.u)):
-        xw = xcat.act_obj(w, o2.x)
-        xi = xcat.fiber_iso(o.x, xw)
-        if xi is not None:
-            return (w, xi)
-    return None
-
-
 def hom_bijection_map(xcat: SliceIndexed, o: CompletionObject,
                       o2: CompletionObject, r: GMap):
     """The adjunction correspondence on hom-sets, elementwise.
@@ -339,9 +325,16 @@ def check_CB(xcat: SliceIndexed, f: GMap, g: GMap,
              samples: Sequence[CompletionObject]) -> Report:
     """Exchange of pushforward and reindexing across a pullback square.
 
-    For the square of f : U -> W against g : V -> W, both composite routes
-    from the completion over U to the completion over V are computed on each
-    sample and an explicit connecting iso is searched.
+    For the square of f : U -> W against g : V -> W, with apex the pairs
+    (y, v), both composite routes from the completion over U to the
+    completion over V are computed on each sample o = (u : S -> U, x).
+    reindex . pushforward lives over the pairs (s, v) with f(u(s)) = g(v),
+    pushforward . reindex over the pairs (s, (y, v)) with u(s) = y.  The
+    check is that the canonical mate (w, xi) is an iso between them:
+    w : (s, v) -> (s, (u(s), v)) is a bijection commuting with the legs,
+    and xi, the inverse of the coherence iso of reindexing along w and then
+    the projection to S, is a bijection from the first side's fiber object
+    onto X(w) of the second's, commuting with their arrows.
     """
     if f.cod != g.cod:
         raise BoundaryMismatch("check_CB needs a cospan")
@@ -351,9 +344,14 @@ def check_CB(xcat: SliceIndexed, f: GMap, g: GMap,
     for k, o in enumerate(samples):
         side1 = reindex(xcat, g, pushforward(xcat, f, o))
         side2 = pushforward(xcat, f_g, reindex(xcat, g_f, o))
-        w = completion_iso(xcat, side1, side2)
-        checks.append(Check(f"mate[{k}]", w is not None,
-                            "" if w else "no connecting iso found"))
+        pb1, pb2 = pullback(compose_gmaps(f, o.u), g), pullback(o.u, g_f)
+        w = pb2.mediator(pb1.proj1, pb.mediator(compose_gmaps(o.u, pb1.proj1), pb1.proj2))
+        coh = xcat.compose_witness(pb2.proj1, w, o.x)
+        xw = xcat.act_obj(w, side2.x)
+        ok = (w.is_bijective() and compose_gmaps(side2.u, w).table == side1.u.table
+              and coh.is_bijective() and (coh.cod, coh.dom) == (side1.x.total, xw.total)
+              and compose_gmaps(xw.arrow, invert_gmap(coh)).table == side1.x.arrow.table)
+        checks.append(Check(f"mate[{k}]", ok, "" if ok else "no connecting iso found"))
     return Report(f"CB:{xcat.name}", tuple(checks),
                   (f"square {f.dom.size}->{f.cod.size}<-{g.dom.size}, apex {pb.apex.size}",))
 

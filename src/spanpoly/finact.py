@@ -25,17 +25,18 @@ the tagging order, all left-summand points first, so that injections are
 plain shifts.  All values are immutable; every operation is pure.
 
 Iso classes of G-sets, slices and spans are decided in one place.
-`orbit_labels` gives each orbit one label (stabilizer, leg values), and
-`from_labels` rebuilds the canonical representative from labels; it is also
-the only builder of coset G-sets (`coset_gset` wraps it).  Equivariant maps
-f : x -> y are searched orbit by orbit, subject to legs: pairs (a, b) of
-maps out of x and y into a common G-set, with b.f = a required.  Slice maps,
-span two-cells, polynomial morphisms and completion morphisms are all apex
-maps commuting with legs in this sense.  `orbit_candidates` lists the
-admissible images of each orbit's least point, checking the legs at that
-point only (equivariance carries the check to the whole orbit), and map
-enumeration, iso search and random sampling fill each orbit from its image
-along the coset representatives.
+`orbit_labels` gives each orbit one label (stabilizer, leg values),
+`equivariant_iso` reads an iso off the labels, and `from_labels` rebuilds
+the canonical representative from labels; it is also the only builder of
+coset G-sets (`coset_gset` wraps it).  Equivariant maps f : x -> y are
+searched orbit by orbit, subject to legs: pairs (a, b) of maps out of x and
+y into a common G-set, with b.f = a required.  Slice maps, span two-cells,
+polynomial morphisms and completion morphisms are all apex maps commuting
+with legs in this sense.  `orbit_candidates` lists the admissible images of
+each orbit's least point, checking the legs at that point only
+(equivariance carries the check to the whole orbit), and map enumeration
+and random sampling fill each orbit from its image along the coset
+representatives.
 
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially.  Two module constants bound the work, read
@@ -387,18 +388,18 @@ def orbit_labels(x: GSet, legs: Sequence[GMap] = ()) -> tuple[tuple, ...]:
     This is the one canonical form of the library.  Two G-sets carrying
     legs into the same G-sets are isomorphic compatibly with the legs iff
     their label multisets agree, so the labels decide iso classes of G-sets,
-    slices (one leg) and spans (two legs), and `from_labels` rebuilds the
-    canonical representative from them.
+    slices (one leg) and spans (two legs), `equivariant_iso` builds an iso
+    from them, and `from_labels` rebuilds the canonical representative.
     """
-    return tuple(_labels(orbit_cosets(x), legs))
+    return tuple([(s, v) for s, v, _ in sorted(_least(x, legs))])
 
 
-def _labels(orbs: Sequence[Orbit], legs: Sequence[GMap]) -> list[tuple]:
-    """`orbit_labels` from the orbit records of `orbit_cosets`, sorted."""
-    if not legs:
-        return sorted((min(o.cosets.conj), ()) for o in orbs)
-    values = list(zip(*[leg.table for leg in legs]))
-    return sorted(min(zip(o.cosets.conj, map(values.__getitem__, o.points))) for o in orbs)
+def _least(x: GSet, legs: Sequence[GMap]) -> list[tuple]:
+    """Per orbit of x (`orbit_cosets`): the least (stabilizer, leg values,
+    point) over its points, whose first two entries are the orbit's label."""
+    values = list(zip(*[leg.table for leg in legs])) if legs else [()] * x.size
+    return [min(zip(o.cosets.conj, map(values.__getitem__, o.points), o.points))
+            for o in orbit_cosets(x)]
 
 
 def from_labels(group: FiniteGroup, cods: Sequence[GSet],
@@ -453,7 +454,7 @@ def slice_canonical_form(a: SliceObject) -> str:
 
 
 # ---------------------------------------------------------------------------
-# equivariant map / iso search
+# equivariant maps and isos
 # ---------------------------------------------------------------------------
 
 Legs = Sequence[tuple[GMap, GMap]]
@@ -474,25 +475,8 @@ def orbit_candidates(x: GSet, y: GSet, legs: Legs = ()) -> list[tuple[Orbit, lis
     and leg values at their least points share one candidate list.
     """
     _check_legs(x, y, legs)
-    return _candidates(y, legs, orbit_cosets(x), orbit_cosets(y))
-
-
-def _check_legs(x: GSet, y: GSet, legs: Legs) -> None:
-    if x.group != y.group:
-        raise GroupMismatch("equivariant maps over different groups")
-    if any(a.dom != x or b.dom != y or a.cod != b.cod for a, b in legs):
-        raise BoundaryMismatch("legs must run from x and y into a common G-set")
-
-
-def _candidates(y: GSet, legs: Legs, xorbs: Sequence[Orbit], yorbs: Sequence[Orbit],
-                exact: bool = False) -> list[tuple[Orbit, list[int]]]:
-    """`orbit_candidates` from the orbit records of x and y.
-
-    With exact, only the q whose stabilizer equals stab(p): the images an
-    injective map can take.
-    """
     ystabs: list = [None] * y.size
-    for o in yorbs:
+    for o in orbit_cosets(y):
         for q, k in zip(o.points, o.cosets.conj):
             ystabs[q] = frozenset(k)
     atabs, btabs = [a.table for a, _ in legs], [b.table for _, b in legs]
@@ -501,15 +485,20 @@ def _candidates(y: GSet, legs: Legs, xorbs: Sequence[Orbit], yorbs: Sequence[Orb
         bucket.setdefault(tuple([t[q] for t in btabs]), []).append(q)
     out = []
     shared: dict[tuple, list[int]] = {}
-    for o in xorbs:
+    for o in orbit_cosets(x):
         key = (tuple([t[o.rep] for t in atabs]), frozenset(o.stab))
         cands = shared.get(key)
         if cands is None:
-            st = key[1]
-            cands = shared[key] = [q for q in bucket.get(key[0], ())
-                                   if (st == ystabs[q] if exact else st <= ystabs[q])]
+            cands = shared[key] = [q for q in bucket.get(key[0], ()) if key[1] <= ystabs[q]]
         out.append((o, cands))
     return out
+
+
+def _check_legs(x: GSet, y: GSet, legs: Legs) -> None:
+    if x.group != y.group:
+        raise GroupMismatch("equivariant maps over different groups")
+    if any(a.dom != x or b.dom != y or a.cod != b.cod for a, b in legs):
+        raise BoundaryMismatch("legs must run from x and y into a common G-set")
 
 
 def equivariant_maps(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
@@ -536,79 +525,31 @@ def equivariant_maps(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
         yield GMap(x, y, tuple(table))
 
 
-def equivariant_isos(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
-    """All equivariant bijections x -> y commuting with the legs.
+def equivariant_iso(x: GSet, y: GSet, legs: Legs = ()) -> Optional[GMap]:
+    """An equivariant bijection x -> y commuting with the legs, or None.
 
-    None exists unless x and y have the same `orbit_labels`, read off the
-    orbit records the search reads anyway.  Otherwise it backtracks over
-    orbit-to-orbit assignments from `orbit_candidates`, so the legs are
-    checked once per orbit.  It keeps only the candidates whose stabilizer
-    equals the orbit's, as a larger one would map the orbit onto a smaller
-    one; so each placed orbit fills a whole orbit of y, and a candidate is
-    free iff it is unused.  The stack holds each placed orbit's place in its
-    candidate list, and one set of used points is undone on backtrack, so
-    no recursion is needed.  Orbits with equal stabilizer and leg values
-    share one candidate list, which keeps the length of its prefix of used
-    points (restored on backtrack); a new orbit starts past it, so many
-    interchangeable orbits are placed in linear time.
+    It exists iff x and y have the same `orbit_labels` under the legs, and
+    then it is read off them: pair the orbits in label order, send each
+    x-orbit's least point p bearing its label to the partner's least point q
+    bearing it, and g.p to g.q for every g.  As p and q have the same
+    stabilizer, this is well defined and bijective on the orbit; as they
+    have the same leg values, it commutes with the legs.
     """
     _check_legs(x, y, legs)
-    if x.size != y.size:
-        return
-    xorbs, yorbs = orbit_cosets(x), orbit_cosets(y)
-    if _labels(xorbs, [a for a, _ in legs]) != _labels(yorbs, [b for _, b in legs]):
-        return
-    percand = _candidates(y, legs, xorbs, yorbs, exact=True)
-    if not percand:
-        yield GMap(x, y, ())
-        return
-    moved: dict[int, list[int]] = {}
+    xs = sorted(_least(x, [a for a, _ in legs]))
+    ys = sorted(_least(y, [b for _, b in legs]))
+    if [t[:2] for t in xs] != [t[:2] for t in ys]:
+        return None
     table = [0] * x.size
-    used: set[int] = set()
-    placed: list[list[int]] = []  # the images of the orbits below the top one
-    skipped: dict[int, int] = {}  # id of a candidate list -> a prefix of used points
-    # per orbit on the stack: its candidates, the next one to try, and the
-    # length of the list's used prefix before this orbit was entered
-    stack: list[list] = []
-
-    def enter(cands: list[int]) -> None:
-        i = before = skipped.get(id(cands), 0)
-        while i < len(cands) and cands[i] in used:
-            i += 1
-        skipped[id(cands)] = i
-        stack.append([cands, i, before])
-
-    enter(percand[0][1])
-    while stack:
-        top = stack[-1]
-        cands, i = top[0], top[1]
-        while i < len(cands) and cands[i] in used:
-            i += 1
-        if i == len(cands):
-            stack.pop()
-            skipped[id(cands)] = top[2]
-            if placed:
-                used.difference_update(placed.pop())
-            continue
-        top[1] = i + 1
-        q0, o = cands[i], percand[len(stack) - 1][0]
-        img = moved.get(q0)
-        if img is None:
-            img = moved[q0] = point_images(y, q0)
-        qs = list(map(img.__getitem__, o.cosets.reps))
-        for p, q in zip(o.points, qs):
-            table[p] = q
-        if len(stack) == len(percand):
-            yield GMap(x, y, tuple(table))
-        else:
-            used.update(qs)
-            placed.append(qs)
-            enter(percand[len(stack)][1])
+    for (_, _, p), (_, _, q) in zip(xs, ys):
+        for gp, gq in zip(point_images(x, p), point_images(y, q)):
+            table[gp] = gq
+    return GMap(x, y, tuple(table))
 
 
 def iso_gsets(x: GSet, y: GSet) -> Optional[GMap]:
     """An equivariant bijection, or None."""
-    return next(equivariant_isos(x, y), None)
+    return equivariant_iso(x, y)
 
 
 def slice_homs(a: SliceObject, b: SliceObject) -> Iterator[GMap]:
@@ -618,14 +559,11 @@ def slice_homs(a: SliceObject, b: SliceObject) -> Iterator[GMap]:
     return equivariant_maps(a.total, b.total, ((a.arrow, b.arrow),))
 
 
-def slice_isos(a: SliceObject, b: SliceObject) -> Iterator[GMap]:
-    if a.base != b.base:
-        raise BoundaryMismatch("slice_isos: different bases")
-    return equivariant_isos(a.total, b.total, ((a.arrow, b.arrow),))
-
-
 def slice_iso(a: SliceObject, b: SliceObject) -> Optional[GMap]:
-    return next(slice_isos(a, b), None)
+    """A bijection of totals over the common base, or None."""
+    if a.base != b.base:
+        raise BoundaryMismatch("slice_iso: different bases")
+    return equivariant_iso(a.total, b.total, ((a.arrow, b.arrow),))
 
 
 def relabel_gset(x: GSet, perm: Sequence[int]) -> tuple[GSet, GMap]:

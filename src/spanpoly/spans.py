@@ -4,13 +4,13 @@ A span U <- S -> V is a pair of maps out of its apex S; any map may be a
 leg (a workspace entry may restrict its left leg to a named class, checked
 on load).  Over a plain category the two-cell content degenerates: span
 morphisms are strictly commuting apex maps, and isomorphism classes of
-spans are decided by an orbit-label canonical form.  Hom-categories are
-never materialized; spans are concrete values and isomorphisms between
-them are searched on demand.
+spans are decided by an orbit-label canonical form, and an iso between
+two spans is read off their labels.  Hom-categories are never
+materialized; spans are concrete values.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import BoundaryMismatch
 from .finact import (
@@ -18,7 +18,7 @@ from .finact import (
     GSet,
     compose_gmaps,
     coproduct,
-    equivariant_isos,
+    equivariant_iso,
     identity_gmap,
     orbit_labels,
     pullback,
@@ -113,19 +113,15 @@ def is_span_morphism(p: Span, q: Span, f: GMap) -> bool:
             and compose_gmaps(q.right, f).table == p.right.table)
 
 
-def span_isos(p: Span, q: Span) -> Iterator[GMap]:
-    if p.src != q.src or p.tgt != q.tgt:
-        raise BoundaryMismatch("span_isos needs parallel spans")
-    return equivariant_isos(p.apex, q.apex, ((p.left, q.left), (p.right, q.right)))
-
-
 def span_labels(p: Span) -> tuple:
     return orbit_labels(p.apex, (p.left, p.right))
 
 
 def span_iso(p: Span, q: Span) -> Optional[GMap]:
     """An apex iso commuting with both legs, or None."""
-    return next(span_isos(p, q), None)
+    if p.src != q.src or p.tgt != q.tgt:
+        raise BoundaryMismatch("span_iso needs parallel spans")
+    return equivariant_iso(p.apex, q.apex, ((p.left, q.left), (p.right, q.right)))
 
 
 def span_canonical_form(p: Span) -> str:

@@ -1,9 +1,10 @@
 """Named law-check suites behind the command-line `check` subcommand.
 
 Each suite draws a deterministic sample family from a seeded generator,
-runs the relevant harnesses, and merges their reports.  A size bound of
-zero yields an empty (vacuously passing) report.  `run_suite` runs each
-suite in its own `finact.sharing` scope.
+runs the relevant harnesses, and merges their reports under its `SUITES`
+name.  `run_suite` runs each suite in its own `finact.sharing` scope; for
+a size bound of zero it runs none and returns an empty (vacuously passing)
+report.
 
 `objective` checks that the indexed categories of `completion` (slices,
 slices over - x K, and the terminal one, slices over - x 0) behave as
@@ -53,14 +54,8 @@ from .sampling import (
 from .semirings import BOOLEANS, NATURALS, check_semiring_laws
 
 
-def _empty(name: str) -> Report:
-    return Report(name, (), ("size bound 0: empty sample family",))
-
-
 def suite_protocalib(group: FiniteGroup, rng: Rng, size_bound: int,
                      extra_class: MorphismClass | None = None) -> Report:
-    if size_bound <= 0:
-        return _empty("protocalib")
     samples = []
     for _ in range(6):
         w = random_gset(rng, group, size_bound)
@@ -86,8 +81,6 @@ def suite_protocalib(group: FiniteGroup, rng: Rng, size_bound: int,
 
 
 def suite_compat(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("compat")
     samples = [random_map_into(rng, random_gset(rng, group, size_bound), size_bound)
                for _ in range(6)]
     pi_samples = []
@@ -116,8 +109,6 @@ def suite_compat(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_span_laws(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("span-laws")
     checks = []
     for k in range(8):
         u = random_gset(rng, group, size_bound)
@@ -156,8 +147,6 @@ def suite_span_laws(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_cb(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("cb")
     e = completion.slice_indexed()
     k = random_gset(rng, group, max(1, size_bound // 2))
     rk = completion.representable_indexed(k)
@@ -186,8 +175,6 @@ def suite_cb(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_distlaw(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("distlaw")
     checks = []
     for k in range(6):
         s = random_gset(rng, group, size_bound)
@@ -208,8 +195,6 @@ def suite_distlaw(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_mackey(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("mackey")
     b = mackey.BurnsideMackey(group)
     fp = mackey.FixedPointMackey(group)
     reports = []
@@ -238,8 +223,6 @@ def suite_mackey(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_tambara(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("tambara")
     reports = []
     t = tambara.BurnsideTambara(group)
     for k in range(4):
@@ -271,8 +254,6 @@ def suite_tambara(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_lextensive(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("lextensive")
     checks = []
     for k in range(6):
         u = random_gset(rng, group, size_bound)
@@ -322,8 +303,6 @@ def _adjunction_triangles(group: FiniteGroup, rng: Rng, size_bound: int) -> Repo
 
 
 def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("objective")
     small = max(1, size_bound // 2)
     e = completion.slice_indexed()
     rk = completion.representable_indexed(random_gset(rng, group, small))
@@ -371,8 +350,6 @@ def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_plycorrespondence(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    if size_bound <= 0:
-        return _empty("plycorrespondence")
     checks = []
     for k in range(10):
         x = random_gset_with_fixed_point(rng, group, size_bound)
@@ -421,10 +398,13 @@ def run_suite(name: str, group: FiniteGroup, seed: int, size_bound: int,
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     rng = random.Random(seed)
-    with sharing():
-        if name == "protocalib" and rclass is not None:
-            rep = suite_protocalib(group, rng, size_bound, extra_class=rclass)
-        else:
-            rep = SUITES[name](group, rng, size_bound)
+    if size_bound <= 0:
+        rep = Report(name, (), ("size bound 0: empty sample family",))
+    else:
+        with sharing():
+            if name == "protocalib" and rclass is not None:
+                rep = suite_protocalib(group, rng, size_bound, extra_class=rclass)
+            else:
+                rep = SUITES[name](group, rng, size_bound)
     return Report(rep.title, rep.checks,
                   rep.notes + (f"group={group.name} seed={seed} size_bound={size_bound}",))

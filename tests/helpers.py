@@ -3,12 +3,20 @@
 Besides small constructions, it holds the helpers that tests use to check
 library code and that no command, suite or script runs: the slice action
 of a polynomial and of a generator word, the forgetful functor to plain
-sets, atom-count vectors, seeded relabellings, the composite and the
-reindexing of completion morphisms, and orbit and stabilizer readers.
+sets, atom-count vectors, seeded relabellings, the list of all isos, the
+composite and the reindexing of completion morphisms, an iso of completion
+objects by brute force, a deliberately broken indexed category, and orbit
+and stabilizer readers.
 """
 from typing import Iterator, Optional
 
-from spanpoly.completion import CompletionObject, SliceIndexed, invert_gmap
+from spanpoly.completion import (
+    CompletionMorphism,
+    CompletionObject,
+    SliceIndexed,
+    completion_homs,
+    invert_gmap,
+)
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
     GMap,
@@ -25,6 +33,7 @@ from spanpoly.finact import (
     orbit_labels,
     pi_slice,
     point_images,
+    product,
     pullback,
     relabel_gset,
     sigma,
@@ -249,6 +258,12 @@ def shuffle_slice(rng: Rng, a: SliceObject) -> SliceObject:
                                                 for q in range(copy.size))))
 
 
+def isos(x: GSet, y: GSet, legs=()) -> list[GMap]:
+    """The equivariant bijections x -> y commuting with the legs: the
+    bijective maps among `equivariant_maps`, in its order."""
+    return [f for f in equivariant_maps(x, y, legs) if f.is_bijective()]
+
+
 def span_morphisms(p: Span, q: Span) -> Iterator[GMap]:
     """All two-cells p => q: apex maps commuting with all four legs.
 
@@ -284,6 +299,14 @@ def mu_flatten(o: CompletionObject) -> CompletionObject:
     return CompletionObject(compose_gmaps(o.u, o.x.u), o.x.x)
 
 
+def completion_iso(xcat: SliceIndexed, o: CompletionObject,
+                   o2: CompletionObject) -> Optional[CompletionMorphism]:
+    """An invertible morphism o -> o2, or None: a pair (w, xi) among
+    `completion_homs` with both parts bijective."""
+    return next((m for m in completion_homs(xcat, o, o2)
+                 if m.w.is_bijective() and m.xi.is_bijective()), None)
+
+
 def completion_compose(xcat: SliceIndexed,
                        o1: CompletionObject, o2: CompletionObject, o3: CompletionObject,
                        m12: tuple[GMap, GMap],
@@ -311,3 +334,16 @@ def reindex_mor(xcat: SliceIndexed, r: GMap,
     c2_inv = invert_gmap(c2)
     xibar = xcat.fiber_comp(c2_inv, xcat.fiber_comp(c1, step))
     return (wbar, xibar)
+
+
+class ForgetfulReindexing(SliceIndexed):
+    """Slices whose reindexing forgets the map: X(f)(x) is dom(f) x total(x)
+    over dom(f).  Pushing forward along f and reindexing along g then do not
+    exchange across a pullback square unless f_g is a bijection."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "forgetful"
+
+    def act_obj(self, f, x):
+        return SliceObject(product(f.dom, x.total).proj1)

@@ -11,7 +11,6 @@ from spanpoly.completion import (
     check_CB_fiber,
     check_extension_composition,
     completion_homs,
-    completion_iso,
     completion_obj,
     extend_to_spans,
     hom_bijection,
@@ -45,7 +44,9 @@ from spanpoly.spans import Span
 from spanpoly.util_linear import mat_apply
 
 from helpers import (
+    ForgetfulReindexing,
     completion_compose,
+    completion_iso,
     mu_flatten,
     reindex_mor,
     shuffle_slice,
@@ -214,6 +215,33 @@ def test_check_cb_random_squares(e_cat, c2, s3, rng):
             leg = random_map_into(rng, f.dom, 4)
             o = completion_obj(e_cat, leg, random_slice(rng, leg.dom, 4))
             assert check_CB(e_cat, f, g, [o]).passed
+
+
+# check_CB's verdict per group and seed on the cospans below: the exchange
+# holds in the slices and fails in the forgetful reindexing on these draws
+FORGETFUL_CB_VERDICTS = {
+    "C2": [True, False, True, False, False, False],
+    "S3": [False, True, False, False, False, False],
+    "C4": [False, False, False, True, True, True],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGETFUL_CB_VERDICTS))
+def test_check_cb_fails_on_a_forgetful_reindexing(e_cat, name):
+    group = builtin_group(name)
+    verdicts = []
+    for seed in range(6):
+        rng = random.Random(f"cb/{name}/{seed}")
+        f, g = random_cospan(rng, group, 6)
+        leg = random_map_into(rng, f.dom, 6)
+        o = CompletionObject(leg, random_slice(rng, leg.dom, 6))
+        assert check_CB(e_cat, f, g, [o]).passed
+        rep = check_CB(ForgetfulReindexing(), f, g, [o])
+        assert [c.name for c in rep.checks] == ["mate[0]"]
+        if not rep.passed:
+            assert rep.checks[0].detail == "no connecting iso found"
+        verdicts.append(rep.passed)
+    assert verdicts == FORGETFUL_CB_VERDICTS[name]
 
 
 def test_check_cb_representable(c2, rng):

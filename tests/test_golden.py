@@ -5,7 +5,7 @@ canonical-form strings, the point tables of canonical slice and span
 representatives, and the coset G-sets of S4.  They also pin the
 constructions of `finact` (pullback, product and dependent-product
 descriptors with their actions, the coproduct-pullback parts), the
-enumeration order of the equivariant map and iso searches, and seeded
+enumeration order of the equivariant maps and of `helpers.isos`, and seeded
 `random_gmap` draws, and the sha256 of the cross-checked Burnside tables
 of A4, D8, A5, C2^4 and S4xC2 given by permutation generators, and the
 sha256 of the `check` reports of every builtin group and suite and of one
@@ -29,7 +29,6 @@ from spanpoly.finact import (
     coproduct,
     coproduct_pullback_decompose,
     coset_gset,
-    equivariant_isos,
     equivariant_maps,
     from_labels,
     pi,
@@ -38,14 +37,13 @@ from spanpoly.finact import (
     relabel_gset,
     slice_canonical_form,
     slice_homs,
-    slice_isos,
 )
 from spanpoly.groups import subgroup_class_reps, symmetric_group
 from spanpoly.mackey import canonical_slice
 from spanpoly.sampling import random_gmap
 from spanpoly.spans import Span, span_canonical_form, span_labels
 
-from helpers import coset_sum, pairs, sections, seeded_map
+from helpers import coset_sum, isos, pairs, sections, seeded_map
 
 
 def _pin(x):
@@ -95,8 +93,7 @@ def _constructions(group, base, left, right, k, seed):
         "decompose": (_pin(d.part1), d.incl1.table, _pin(d.part2), d.incl2.table),
         "maps": (_tables(equivariant_maps(f.dom, g.dom)),
                  _tables(slice_homs(SliceObject(f), SliceObject(g)))),
-        "isos": (_tables(equivariant_isos(f.dom, f2.dom)),
-                 _tables(slice_isos(SliceObject(f), SliceObject(f2)))),
+        "isos": (_tables(isos(f.dom, f2.dom)), _tables(isos(f.dom, f2.dom, ((f, f2),)))),
         "draws": draws + [rng.getrandbits(32)],
     }
 

@@ -16,7 +16,7 @@ import pytest
 from spanpoly import cli
 from spanpoly.finact import (
     GMap,
-    equivariant_isos,
+    equivariant_iso,
     equivariant_maps,
     gset,
     orbit_labels,
@@ -26,7 +26,7 @@ from spanpoly.groups import cyclic_group, subgroups, symmetric_group
 from spanpoly.mackey import atoms
 from spanpoly.sampling import random_gmap, random_gset, random_gset_with_fixed_point
 
-from helpers import relabelled_group
+from helpers import isos, relabelled_group
 
 # name: (builtin group, renaming of its elements)
 CASES = {
@@ -70,11 +70,14 @@ def test_maps_and_isos_match_the_builtin_group(case, seed):
         shuffle = list(range(x.size))
         random.Random(seed).shuffle(shuffle)
         z, _ = relabel_gset(x, shuffle)
-        isos = list(equivariant_isos(x2, _transport(z, copy, perm)))
-        for f in isos:
+        z2 = _transport(z, copy, perm)
+        listed = isos(x2, z2)
+        for f in listed:
             f.validate()
-            assert f.is_bijective()
-        assert isos and [f.table for f in isos] == [f.table for f in equivariant_isos(x, z)]
+        assert listed and [f.table for f in listed] == [f.table for f in isos(x, z)]
+        f = equivariant_iso(x2, z2)
+        f.validate()
+        assert f in listed
 
         for k in range(3):
             f = random_gmap(random.Random(k), x2, y2)

@@ -1,12 +1,10 @@
-"""Iso search at scale: many orbits, and composites against relabelled copies.
+"""Isos at scale: many orbits, and composites against relabelled copies.
 
-`equivariant_isos` backtracks over orbits on an explicit stack, so its depth
-is not bounded by the interpreter's recursion limit, and each orbit skips
-the used prefix of its candidate list, so many interchangeable orbits take
-linear time.  Each found iso is checked against the legs it must commute
-with, and the order in which `equivariant_isos` lists the isos of seeded
-searches is pinned.  A polynomial composite is compared with a relabelled
-copy by its ends and `helpers.poly_key`, which needs no search.
+`equivariant_iso` reads an iso off the orbit labels in one pass, so many
+interchangeable orbits take linear time.  Each found iso is checked against
+the legs it must commute with, and on seeded searches it is one of the isos
+that `helpers.isos` lists, whose order is pinned.  A polynomial composite is
+compared with a relabelled copy by its ends and `helpers.poly_key`.
 """
 import hashlib
 import random
@@ -15,7 +13,7 @@ from spanpoly.finact import (
     GMap,
     GSet,
     compose_gmaps,
-    equivariant_isos,
+    equivariant_iso,
     from_labels,
     iso_gsets,
     regular_gset,
@@ -26,7 +24,7 @@ from spanpoly.sampling import random_gmap
 from spanpoly.spans import Span, compose_spans, span_iso
 from spanpoly.workspace import load_entries
 
-from helpers import coset_sum, isomorphic_polys, relabelled_poly, shuffled_gset
+from helpers import coset_sum, isomorphic_polys, isos, relabelled_poly, shuffled_gset
 from test_compose_output import _seeded_s4_entries
 
 
@@ -77,14 +75,18 @@ def _seeded_iso_searches():
 
 
 def test_iso_enumeration_order_is_pinned():
-    digest, searches, isos = hashlib.sha256(), 0, 0
+    digest, searches, found = hashlib.sha256(), 0, 0
     for x, y, legs in _seeded_iso_searches():
         searches += 1
-        for f in equivariant_isos(x, y, legs):
+        listed = isos(x, y, legs)
+        for f in listed:
             digest.update(repr(f.table).encode())
-            isos += 1
+            found += 1
         digest.update(b";")
-    assert (searches, isos) == (197, 4447)
+        f = equivariant_iso(x, y, legs)
+        f.validate()
+        assert f in listed
+    assert (searches, found) == (197, 4447)
     assert digest.hexdigest() == (
         "0732daddd8d08a04484e3f50b051fa515dc3c6140bdad6551b4df9d74163be85")
 

@@ -1,11 +1,13 @@
-"""Map and iso search under legs, against the unconstrained search filtered by the legs.
+"""Maps and isos under legs, against the unconstrained search filtered by the legs.
 
 A leg pair (a, b) runs from x and y into a common G-set; a map f : x -> y
 qualifies when b.f = a.  The search checks the legs at each orbit's least
 point only, so it must agree, table for table and in the same order, with
-the plain search filtered on every point.  G-sets are drawn with shuffled
-point numbers, so that orbits are not blocks of consecutive points, and
-also over a copy of S3 whose identity is element 3.
+the plain search filtered on every point.  The iso read off the orbit
+labels (`equivariant_iso`, `slice_iso`, `span_iso`) is None iff the
+filtered list of isos is empty, and otherwise one of them.  G-sets are
+drawn with shuffled point numbers, so that orbits are not blocks of
+consecutive points, and also over a copy of S3 whose identity is element 3.
 """
 import random
 
@@ -15,7 +17,7 @@ from spanpoly.errors import BoundaryMismatch
 from spanpoly.finact import (
     SliceObject,
     compose_gmaps,
-    equivariant_isos,
+    equivariant_iso,
     equivariant_maps,
     identity_gmap,
     regular_gset,
@@ -27,7 +29,7 @@ from spanpoly.groups import cyclic_group, symmetric_group, trivial_group
 from spanpoly.sampling import random_gmap, random_gset, random_gset_with_fixed_point
 from spanpoly.spans import Span, span_iso
 
-from helpers import relabelled_group
+from helpers import isos, relabelled_group
 
 GROUPS = {
     "triv": trivial_group(),
@@ -93,18 +95,26 @@ def test_isos_under_legs_are_the_filtered_isos(name):
         x, _ = _shuffled(rng, random_gset(rng, GROUPS[name], 8))
         y, f = _shuffled(rng, x)
         legs = _legs(rng, x, y, f)
-        isos = _tables(equivariant_isos(x, y, legs))
-        assert all(len(set(t)) == len(t) for t in isos)
-        want = _filtered(equivariant_isos, x, y, legs)
-        assert isos == want
-        found.add(bool(isos))
+        listed = _tables(isos(x, y, legs))
+        assert listed == _filtered(isos, x, y, legs)
+        found.add(bool(listed))
+        for some in ((), legs[:1], legs):
+            _assert_one_of(equivariant_iso(x, y, some), _tables(isos(x, y, some)))
         for a, b in legs:
-            one = _filtered(equivariant_isos, x, y, ((a, b),))
-            assert (slice_iso(SliceObject(a), SliceObject(b)) is None) == (not one)
+            _assert_one_of(slice_iso(SliceObject(a), SliceObject(b)),
+                           _filtered(isos, x, y, ((a, b),)))
         if len(legs) == 2:
             (a1, b1), (a2, b2) = legs
-            assert (span_iso(Span(a1, a2), Span(b1, b2)) is None) == (not want)
+            _assert_one_of(span_iso(Span(a1, a2), Span(b1, b2)), listed)
     assert found == {True, False}
+
+
+def _assert_one_of(f, listed):
+    """f is None iff nothing is listed, and else a valid map among the listed tables."""
+    assert (f is None) == (not listed)
+    if f is not None:
+        f.validate()
+        assert f.table in listed
 
 
 def test_legs_must_meet_in_a_common_gset():
@@ -113,4 +123,4 @@ def test_legs_must_meet_in_a_common_gset():
     with pytest.raises(BoundaryMismatch):
         next(equivariant_maps(free, free, ((identity_gmap(free), identity_gmap(pt)),)))
     with pytest.raises(BoundaryMismatch):
-        next(equivariant_isos(free, free, ((identity_gmap(pt), identity_gmap(free)),)))
+        equivariant_iso(free, free, ((identity_gmap(pt), identity_gmap(free)),))

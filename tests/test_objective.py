@@ -14,13 +14,14 @@ from spanpoly.finact import (
     compose_gmaps,
     delta_data,
     pi_slice,
-    product,
     slice_identity,
 )
 from spanpoly.groups import BUILTIN_GROUPS, builtin_group
 from spanpoly.report import Check, Report
 from spanpoly.spans import Span
 from spanpoly.suites import run_suite
+
+from helpers import ForgetfulReindexing
 
 
 @pytest.mark.parametrize("group", sorted(BUILTIN_GROUPS))
@@ -73,22 +74,9 @@ def test_objective_suite_records_a_failed_cocompleteness_gate(monkeypatch):
     assert "cannot extend to spans" in rep.failures()[0].detail
 
 
-class _ForgetfulReindexing(SliceIndexed):
-    """Slices whose reindexing forgets the map: X(f)(x) is dom(f) x total(x)
-    over dom(f).  Pushing forward along f and reindexing along g then do not
-    exchange across a pullback square unless f_g is a bijection."""
-
-    def __init__(self):
-        super().__init__()
-        self.name = "forgetful"
-
-    def act_obj(self, f, x):
-        return SliceObject(product(f.dom, x.total).proj1)
-
-
 def test_cocompleteness_gate_names_the_failed_probe(u2, f2):
     with pytest.raises(ProbeFailure) as caught:
-        completion.extend_to_spans(_ForgetfulReindexing(), Span(u2, u2), probe_squares=[(u2, u2)],
+        completion.extend_to_spans(ForgetfulReindexing(), Span(u2, u2), probe_squares=[(u2, u2)],
                                    probe_objects=[slice_identity(f2)])
     assert caught.value.probe == "CB-fiber-push:forgetful/push-mate[0]"
     assert str(caught.value) == ("cocompleteness probe CB-fiber-push:forgetful/push-mate[0] "
@@ -100,7 +88,7 @@ def test_objective_suite_records_a_gate_failed_on_a_broken_category(monkeypatch)
     gate = completion.extend_to_spans
 
     def broken_gate(xcat, p, **probes):
-        return gate(_ForgetfulReindexing(), p, **probes)
+        return gate(ForgetfulReindexing(), p, **probes)
 
     monkeypatch.setattr(completion, "extend_to_spans", broken_gate)
     # seed 1 draws a gate cospan whose f sends 6 points onto 2, so f_g is no bijection

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanpoly import finact
-from spanpoly.completion import completion_iso, CompletionObject, reindex, slice_indexed
+from spanpoly.completion import CompletionObject, reindex, slice_indexed
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
     GMap,
@@ -50,6 +50,7 @@ from spanpoly.spans import Span, compose_spans, span_iso
 from helpers import (
     apply_polynomial,
     apply_word,
+    completion_iso,
     forget_polynomial,
     identity_polynomial,
     isomorphic_polys,

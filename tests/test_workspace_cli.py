@@ -15,7 +15,8 @@ from hypothesis import given, strategies as st
 from spanpoly import cli, workspace
 from spanpoly.cli import main
 from spanpoly.errors import WorkspaceError
-from spanpoly.suites import SUITES
+from spanpoly.groups import builtin_group
+from spanpoly.suites import SUITES, run_suite
 from spanpoly.workspace import (
     builtin_workspace,
     dump_json,
@@ -655,6 +656,16 @@ def test_cli_check_zero_size_is_empty_pass(capsys):
                  "--max-size", "0", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] and doc["checks"] == []
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_report_is_titled_by_its_name_and_size_zero_runs_no_suite(name, monkeypatch):
+    c2 = builtin_group("C2")
+    assert run_suite(name, c2, 0, 1).title == name
+    monkeypatch.setitem(SUITES, name, None)
+    empty = run_suite(name, c2, 0, 0)
+    assert (empty.title, empty.checks, empty.notes) == (
+        name, (), ("size bound 0: empty sample family", "group=C2 seed=0 size_bound=0"))
 
 
 def test_cli_check_failure_exit_code(capsys, monkeypatch):
