@@ -423,14 +423,14 @@ def _labels_points(out: tuple[GSet, tuple[GMap, ...]], group: FiniteGroup,
 
 def _from_labels(group: FiniteGroup, cods: tuple[GSet, ...],
                  labels: tuple[tuple, ...]) -> tuple[GSet, tuple[GMap, ...]]:
-    cosets, gens = group.data.cosets, generating_set(group)
-    rows: list[list[int]] = [[] for _ in gens]
+    cosets = group.data.cosets
+    rows: list[list[int]] = [[] for _ in generating_set(group)]
     tables: list[list[int]] = [[] for _ in cods]
     size = 0
     for stab, values in labels:
         c = cosets(stab)
-        for row, s in zip(rows, gens):
-            row.extend(map(size.__add__, c.rows[s]))
+        for row, crow in zip(rows, c.rows):
+            row.extend(map(size.__add__, crow))
         for cod, v, table in zip(cods, values, tables):
             table.extend(map(point_images(cod, v).__getitem__, c.reps))
         size += len(c.reps)

@@ -4,8 +4,9 @@ Elements are the indices 0..order-1; 0 is the identity of the builtin and
 permutation groups, while `group_from_table` keeps the table's numbering,
 so its identity may be any element.  A generators-as-permutations input
 format is compiled down to a table, so everything downstream only ever sees
-tables.  Subgroups are found by closing generator sets, so groups of order
-up to 120 are in reach: `subgroups` of S5 takes under 1 s.  Tables from
+tables.  Subgroups are found class by class, by closing generator sets of
+one subgroup per conjugacy class (`GroupData.class_keys`), so groups of
+order 720 are in reach: `subgroups` of S6 takes under 1 s.  Tables from
 outside (`group_from_table`) are checked for every group law; tables
 compiled from permutations or addition mod n are associative by
 construction, so only their identity and inverses are checked.
@@ -234,8 +235,10 @@ def _closure(g: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
 
 class Cosets(NamedTuple):
     """The left cosets of a subgroup H: reps[i] is the least element of coset i,
-    ascending; coset[g] is the coset of g; rows[g][i] is the coset of g.reps[i]
-    (the action table of G/H); conj[i] is sorted(reps[i] H reps[i]^-1).
+    ascending; coset[g] is the coset of g; rows[k][i] is the coset of
+    gens[k].reps[i], one row per element of `generating_set`, as in
+    `GSet.rows` (the generator rows of G/H); conj[i] is
+    sorted(reps[i] H reps[i]^-1).
     """
 
     reps: tuple[int, ...]
@@ -288,16 +291,28 @@ class GroupData:
         return tuple(out)
 
     @cached_property
-    def subgroups(self) -> tuple[frozenset[int], ...]:
-        """All subgroups, found by closing each known subgroup with one extra element.
+    def class_keys(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """Every subgroup, mapped to its class key: its least sorted conjugate.
 
-        Each found subgroup keeps the generators it was closed from, so
-        extending it by x closes those generators and x.  Elements of one
-        coset xH give the same extension, so one x per coset is tried.
+        The lattice is searched class by class.  A subgroup H is extended by
+        one x per left coset xH (elements of one coset give the same
+        extension), closing the generators H was found from with x.  A new
+        subgroup K brings in its whole conjugacy class at once, the orbit of
+        K under conjugation by the generators, each conjugate keyed by the
+        least of them; only K goes on the frontier.  This reaches every
+        subgroup: the extensions of gHg^-1 are the conjugates by g of the
+        extensions of H, so extending one subgroup per class finds a
+        conjugate of every extension, and with it the extension itself.
         """
         g = self.group
+        mult, inverse = g.mult, g.inverse
+        # by_gen[k][a] = s a s^-1 for s = gens[k]
+        by_gen = []
+        for s in self.generating_set:
+            column = [row[inverse[s]] for row in mult]
+            by_gen.append(tuple(map(column.__getitem__, mult[s])))
         trivial = _closure(g, ())
-        found = {trivial}
+        keys = {trivial: (g.identity,)}
         frontier = [(trivial, ())]
         while frontier:
             h, hgens = frontier.pop()
@@ -305,20 +320,36 @@ class GroupData:
             for x in g.elements():
                 if x in h or tried[x]:
                     continue
-                row = g.mult[x]
+                row = mult[x]
                 for a in h:
                     tried[row[a]] = True
                 kgens = hgens + (x,)
                 k = _closure(g, kgens)
-                if k not in found:
-                    found.add(k)
+                if k not in keys:
+                    conjugates, seen = [k], {k}
+                    for c in conjugates:
+                        for by in by_gen:
+                            d = frozenset(map(by.__getitem__, c))
+                            if d not in seen:
+                                seen.add(d)
+                                conjugates.append(d)
+                    key = min(tuple(sorted(c)) for c in conjugates)
+                    keys.update(dict.fromkeys(conjugates, key))
                     frontier.append((k, kgens))
-        return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+        return keys
+
+    @cached_property
+    def subgroups(self) -> tuple[frozenset[int], ...]:
+        """All subgroups, sorted by order, then by elements: the keys of `class_keys`.
+
+        Each is reached by closing a class representative with one more
+        element and then conjugating; no coset table is built on the way.
+        """
+        return tuple(sorted(self.class_keys, key=lambda s: (len(s), sorted(s))))
 
     @cached_property
     def subgroup_class_reps(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({min(self.cosets(h).conj) for h in self.subgroups},
-                            key=lambda t: (len(t), t)))
+        return tuple(sorted(set(self.class_keys.values()), key=lambda t: (len(t), t)))
 
     def cosets(self, h: tuple[int, ...] | frozenset[int]) -> Cosets:
         """The cosets of the subgroup h, memoized under h and under its sorted tuple."""
@@ -337,7 +368,8 @@ class GroupData:
                         reps.append(g)
                 c = self._cosets[key] = Cosets(
                     tuple(reps), tuple(coset),
-                    tuple(tuple([coset[row[r]] for r in reps]) for row in mult),
+                    tuple(tuple([coset[row[r]] for r in reps])
+                          for row in map(mult.__getitem__, self.generating_set)),
                     tuple(tuple(sorted([mult[mult[r][a]][inverse[r]] for a in key]))
                           for r in reps))
             self._cosets[h] = c
@@ -357,8 +389,12 @@ def subgroups(g: FiniteGroup) -> tuple[frozenset[int], ...]:
 def subgroup_class_key(g: FiniteGroup, h: tuple[int, ...] | frozenset[int]) -> tuple[int, ...]:
     """Canonical label for the conjugacy class of a subgroup: its least sorted conjugate.
 
-    xHx^-1 = rHr^-1 for r the least element of xH, so the coset reps suffice."""
-    return min(g.data.cosets(h).conj)
+    A lookup in `GroupData.class_keys`; raises InvalidStructure if h is not a
+    subgroup of g."""
+    key = g.data.class_keys.get(frozenset(h))
+    if key is None:
+        raise InvalidStructure(f"{sorted(h)} is not a subgroup of {g.name}")
+    return key
 
 
 def subgroup_class_reps(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

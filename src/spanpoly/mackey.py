@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import GroupMismatch, InvalidStructure
@@ -406,16 +405,17 @@ def burnside_table(group: FiniteGroup) -> BurnsideTable:
 
 
 def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
-    """Independent route: raw pair enumeration, each orbit read off the action tables.
+    """Independent route: orbits of each product of two atoms, read off the action tables.
 
     For every ordered pair of atoms X, Y (each computed on its own, never
-    mirrored from Y, X), numbers the pairs of X * Y by a * |Y| + b and scans
-    every code in ascending order.  An unseen code is the least of its
-    orbit, and the orbit is its images (g.a, g.b) under every group element
-    g, read from the points' columns of the full action tables in one
-    C-level map.  Each orbit is classified by the conjugacy class of its
-    pair stabilizer stab(a) & stab(b), from point stabilizers built once
-    per atom.  Shares no code with the marks or the slice machinery above.
+    mirrored from Y, X): X is transitive, so every orbit of X * Y meets
+    {x0} * Y, x0 the point 0 of X, and it meets it in one orbit of
+    S = stab(x0) on Y.  So the orbits of X * Y are the S-orbits on Y,
+    each found from its least unseen point y as the images g.y, g in S,
+    read from y's column of the full action table, and classified by the
+    conjugacy class of the pair stabilizer S & stab(y).  Point stabilizers
+    are built once per atom.  Shares no code with the marks or the slice
+    machinery above.
     """
     pt = terminal_gset(group)
     labs = atoms(pt)
@@ -429,18 +429,17 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
               for a, col in enumerate(cols)] for cols in columns]
 
     entries = []
-    for xcols, xstabs in zip(columns, stabs):
+    for xstabs in stabs:
+        s = xstabs[0]
         row = []
         for ycols, ystabs in zip(columns, stabs):
-            ny = len(ycols)
             vec = [0] * len(labs)
             seen: set[int] = set()
-            # filterfalse reads `seen` as the scan goes, so each root is the
-            # least code of an orbit not met before
-            for root in itertools.filterfalse(seen.__contains__, range(len(xcols) * ny)):
-                a, b = divmod(root, ny)
-                seen.update(map(add, map(mul, xcols[a], itertools.repeat(ny)), ycols[b]))
-                vec[class_of[xstabs[a] & ystabs[b]]] += 1
+            # filterfalse reads `seen` as the scan goes, so each y is the
+            # least point of an S-orbit not met before
+            for y in itertools.filterfalse(seen.__contains__, range(len(ycols))):
+                seen.update(map(ycols[y].__getitem__, s))
+                vec[class_of[s & ystabs[y]]] += 1
             row.append(tuple(vec))
         entries.append(tuple(row))
     sizes = tuple(x.size for x in reps)

@@ -5,9 +5,11 @@ library code and that no command, suite or script runs: the slice action
 of a polynomial and of a generator word, the forgetful functor to plain
 sets, atom-count vectors, seeded relabellings, the list of all isos, the
 composite and the reindexing of completion morphisms, an iso of completion
-objects by brute force, a deliberately broken indexed category, and orbit
-and stabilizer readers.
+objects by brute force, a deliberately broken indexed category, orbit
+and stabilizer readers, and a raw pair enumeration of Burnside tables.
 """
+import itertools
+from operator import add, mul
 from typing import Iterator, Optional
 
 from spanpoly.completion import (
@@ -39,8 +41,8 @@ from spanpoly.finact import (
     sigma,
     terminal_gset,
 )
-from spanpoly.groups import group_from_table, trivial_group
-from spanpoly.mackey import AtomLabel, atoms
+from spanpoly.groups import group_from_table, subgroup_class_key, trivial_group
+from spanpoly.mackey import AtomLabel, atom_slice, atoms
 from spanpoly.poly import DELTA, SIGMA, Polynomial, Word
 from spanpoly.sampling import Rng
 from spanpoly.spans import Span
@@ -286,6 +288,43 @@ def orbits(x: GSet) -> tuple[tuple[int, ...], ...]:
 
 def stabilizer(x: GSet, p: int) -> tuple[int, ...]:
     return tuple(g for g, q in enumerate(point_images(x, p)) if q == p)
+
+
+def burnside_pair_codes(group) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Burnside table entries by raw pair enumeration, off the action tables.
+
+    For every ordered pair of atoms X, Y, numbers the pairs of X * Y by
+    a * |Y| + b and scans every code in ascending order.  An unseen code is
+    the least of its orbit, and the orbit is its images (g.a, g.b) under
+    every group element g, read from the points' columns of the full action
+    tables.  Each orbit is classified by the conjugacy class of its pair
+    stabilizer stab(a) & stab(b).
+    """
+    pt = terminal_gset(group)
+    labs = atoms(pt)
+    reps = [atom_slice(pt, l).total for l in labs]
+    index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
+    elements = group.elements()
+    # columns[i][a][g] = g.a in atom i; stabs[i][a] = the stabilizer of a
+    columns = [list(zip(*x.action)) for x in reps]
+    stabs = [[frozenset(itertools.compress(elements, map(a.__eq__, col)))
+              for a, col in enumerate(cols)] for cols in columns]
+    entries = []
+    for xcols, xstabs in zip(columns, stabs):
+        row = []
+        for ycols, ystabs in zip(columns, stabs):
+            ny = len(ycols)
+            vec = [0] * len(labs)
+            seen: set[int] = set()
+            # filterfalse reads `seen` as the scan goes, so each root is the
+            # least code of an orbit not met before
+            for root in itertools.filterfalse(seen.__contains__, range(len(xcols) * ny)):
+                a, b = divmod(root, ny)
+                seen.update(map(add, map(mul, xcols[a], itertools.repeat(ny)), ycols[b]))
+                vec[index[subgroup_class_key(group, xstabs[a] & ystabs[b])]] += 1
+            row.append(tuple(vec))
+        entries.append(tuple(row))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

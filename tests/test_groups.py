@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from spanpoly.errors import InvalidStructure
+from spanpoly.finact import coset_gset
 from spanpoly.groups import (
     BUILTIN_GROUPS,
     cyclic_group,
@@ -126,6 +129,7 @@ PERM_GENERATORS = {
     "A5": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
     "S4xC2": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
     "A6": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]],
+    "S6": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]],
 }
 
 
@@ -178,10 +182,50 @@ def _naive_closure(g, seed):
 
 @pytest.mark.parametrize("name, count", [
     ("S4", 30), ("A4", 10), ("D8", 10), ("C2^4", 67), ("A5", 59), ("S5", 156),
+    ("S4xC2", 98), ("A6", 501), ("S6", 1455),
 ])
 def test_textbook_subgroup_counts(name, count):
     g = symmetric_group(int(name[1])) if name in ("S4", "S5") else _perm_group(name)
     assert len(subgroups(g)) == count
+
+
+@pytest.mark.parametrize("name, count", [
+    ("S4", 11), ("A4", 5), ("D8", 8), ("C2^4", 67), ("A5", 9), ("S5", 19),
+    ("S4xC2", 33), ("A6", 22), ("S6", 56),
+])
+def test_textbook_subgroup_class_counts(name, count):
+    g = symmetric_group(int(name[1])) if name in ("S4", "S5") else _perm_group(name)
+    assert len(subgroup_class_reps(g)) == count
+
+
+def _naive_class_key(g, h):
+    """The least sorted conjugate x h x^-1 over every element x."""
+    return min(tuple(sorted(g.op(g.op(x, a), g.inv(x)) for a in h)) for x in g.elements())
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S4xC2"])
+def test_class_reps_are_the_naive_least_conjugates(name):
+    g = _perm_group(name)
+    keys = {h: _naive_class_key(g, h) for h in subgroups(g)}
+    assert subgroup_class_reps(g) == tuple(sorted(set(keys.values()),
+                                                  key=lambda t: (len(t), t)))
+    assert all(subgroup_class_key(g, h) == k for h, k in keys.items())
+
+
+def test_class_reps_build_no_coset_table():
+    """Classes come out of the lattice search itself: a coset table per
+    subgroup, kept by the memo, took S6's peak RSS to 1 GB."""
+    g = _perm_group("A5")
+    assert len(subgroup_class_reps(g)) == 9
+    assert g.data._cosets == {}
+
+
+@pytest.mark.parametrize("h", [(0, 3), frozenset({0, 1, 2}), (1,)])
+def test_subgroup_class_key_rejects_a_non_subgroup(h):
+    s3 = symmetric_group(3)
+    assert frozenset(h) not in subgroups(s3)
+    with pytest.raises(InvalidStructure, match=re.escape(f"{sorted(h)} is not a subgroup of S3")):
+        subgroup_class_key(s3, h)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "S4xC2"])
@@ -194,17 +238,18 @@ def test_permutation_groups_are_associative(name):
 
 
 def test_subgroups_match_naive_closure():
-    g = _perm_group("S4xC2")
-    found = {_naive_closure(g, ())}
-    frontier = list(found)
-    while frontier:
-        h = frontier.pop()
-        for x in g.elements():
-            k = _naive_closure(g, h | {x})
-            if k not in found:
-                found.add(k)
-                frontier.append(k)
-    assert subgroups(g) == tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+    for name in ("S4xC2", "A5"):
+        g = _perm_group(name)
+        found = {_naive_closure(g, ())}
+        frontier = list(found)
+        while frontier:
+            h = frontier.pop()
+            for x in g.elements():
+                k = _naive_closure(g, h | {x})
+                if k not in found:
+                    found.add(k)
+                    frontier.append(k)
+        assert subgroups(g) == tuple(sorted(found, key=lambda s: (len(s), sorted(s)))), name
 
 
 @pytest.mark.parametrize("g", [ctor() for ctor in BUILTIN_GROUPS.values()]
@@ -260,19 +305,24 @@ def test_coset_tables_match_naive(name):
         g = symmetric_group(3)
     else:
         g = _perm_group(name)
+    gens = generating_set(g)
     for h in subgroups(g):
         c = g.data.cosets(h)
         left = {x: frozenset(g.op(x, a) for a in h) for x in g.elements()}
         assert list(c.reps) == sorted({min(k) for k in left.values()})
+        assert len(c.rows) == len(gens)
+        for s, row in zip(gens, c.rows):
+            for i, r in enumerate(c.reps):
+                assert left[c.reps[row[i]]] == left[g.op(s, r)]
+        # the whole action, derived from the generator rows
+        action = coset_gset(g, h).action
         for x in g.elements():
             assert left[c.reps[c.coset[x]]] == left[x]
             for i, r in enumerate(c.reps):
-                assert left[c.reps[c.rows[x][i]]] == left[g.op(x, r)]
+                assert left[c.reps[action[x][i]]] == left[g.op(x, r)]
         for r, conj in zip(c.reps, c.conj):
             assert conj == tuple(sorted(g.op(g.op(r, a), g.inv(r)) for a in h))
-        naive_key = min(tuple(sorted(g.op(g.op(x, a), g.inv(x)) for a in h))
-                        for x in g.elements())
-        assert subgroup_class_key(g, h) == naive_key
+        assert subgroup_class_key(g, h) == _naive_class_key(g, h)
         # one entry serves every spelling of the subgroup
         assert g.data.cosets(tuple(sorted(h))) is c
 

@@ -49,7 +49,14 @@ from spanpoly.sampling import (
 from spanpoly.spans import Span, compose_spans, identity_span
 from spanpoly.util_linear import mat_apply, mat_identity
 
-from helpers import orbits, relabelled_group, shuffle_slice, stabilizer, vectorize_slice
+from helpers import (
+    burnside_pair_codes,
+    orbits,
+    relabelled_group,
+    shuffle_slice,
+    stabilizer,
+    vectorize_slice,
+)
 
 
 def test_atoms_of_point(c2, s3):
@@ -271,14 +278,32 @@ def _naive_burnside_entries(group):
     return tuple(entries)
 
 
-NAIVE_ORACLE_GROUPS = {
+ORACLE_GROUPS = {
     "D8": lambda: group_from_permutations("D8", [[1, 2, 3, 0], [2, 1, 0, 3]]),
     "A4": lambda: group_from_permutations("A4", [[1, 2, 0, 3], [1, 0, 3, 2]]),
     "C2^4": lambda: group_from_permutations("C2^4", [
         [1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
         [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]),
+    "S4xC2": lambda: group_from_permutations("S4xC2", [
+        [1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]),
+}
+
+NAIVE_ORACLE_GROUPS = {
+    "D8": ORACLE_GROUPS["D8"],
+    "A4": ORACLE_GROUPS["A4"],
+    "C2^4": ORACLE_GROUPS["C2^4"],
     "S3-identity-at-3": lambda: relabelled_group("S3r", symmetric_group(3), [3, 0, 1, 2, 4, 5]),
 }
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D8", "C2^4", "S4xC2"])
+def test_orbit_oracle_matches_the_pair_code_scan(name):
+    """The stabilizer-orbit oracle against the raw pair enumeration it
+    replaced, and against the double-coset route."""
+    group = symmetric_group(4) if name == "S4" else ORACLE_GROUPS[name]()
+    entries = burnside_table_bruteforce(group).entries
+    assert entries == burnside_pair_codes(group)
+    assert entries == burnside_table_double_cosets(group).entries
 
 
 @pytest.mark.parametrize("name", list(NAIVE_ORACLE_GROUPS))
