@@ -52,8 +52,8 @@ def main() -> None:
     cop = coproduct(free, free)
     fold = cop.cotuple(identity_gmap(free), identity_gmap(free))
     data, report = distribute(u, fold, probes=[slice_identity(cop.sum)])
-    print(f"   dependent product has {data.pia.dom.size} sections:"
-          f" {canonical_form(data.pia.dom)}")
+    print(f"   dependent product has {data.pia.size} sections:"
+          f" {canonical_form(data.pia.total)}")
     print(f"   exchange certificates: {'ok' if report.passed else 'FAILED'}")
 
     print("== span composition")

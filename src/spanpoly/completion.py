@@ -31,7 +31,7 @@ from .finact import (
     codiagonal,
     compose_gmaps,
     coproduct,
-    delta_data,
+    delta,
     equivariant_maps,
     identity_gmap,
     initial_gset,
@@ -104,15 +104,15 @@ class SliceIndexed:
         return slice_iso(a, b)
 
     def act_obj(self, f: GMap, x: SliceObject) -> SliceObject:
-        return delta_data(self.lift(f), x).slice
+        return delta(self.lift(f), x)
 
     def act_mor(self, f: GMap, a: SliceObject, b: SliceObject, m: GMap) -> GMap:
         lf = self.lift(f)
-        da = delta_data(lf, a)
-        db = delta_data(lf, b)
-        table = tuple(map(db.pb.index_of, map(m.table.__getitem__, da.pb.proj1.table),
-                          da.pb.proj2.table))
-        return GMap(da.pb.gset, db.pb.gset, table)
+        da = pullback(a.arrow, lf)
+        db = pullback(b.arrow, lf)
+        table = tuple(map(db.index_of, map(m.table.__getitem__, da.proj1.table),
+                          da.proj2.table))
+        return GMap(da.gset, db.gset, table)
 
     def push_obj(self, f: GMap, x: SliceObject) -> SliceObject:
         return sigma(self.lift(f), x)
@@ -123,12 +123,12 @@ class SliceIndexed:
     def compose_witness(self, f: GMap, g: GMap, a: SliceObject) -> GMap:
         """Iso  X(g)(X(f)(a)) -> X(fg)(a)  by flattening nested pullback pairs."""
         lf, lg = self.lift(f), self.lift(g)
-        d1 = delta_data(lf, a)
-        d2 = delta_data(lg, d1.slice)
-        d12 = delta_data(compose_gmaps(lf, lg), a)
-        table = tuple(map(d12.pb.index_of, map(d1.pb.proj1.table.__getitem__, d2.pb.proj1.table),
-                          d2.pb.proj2.table))
-        return GMap(d2.pb.gset, d12.pb.gset, table)
+        d1 = pullback(a.arrow, lf)
+        d2 = pullback(d1.proj2, lg)
+        d12 = pullback(a.arrow, compose_gmaps(lf, lg))
+        table = tuple(map(d12.index_of, map(d1.proj1.table.__getitem__, d2.proj1.table),
+                          d2.proj2.table))
+        return GMap(d2.gset, d12.gset, table)
 
     def sum_obj(self, cop: CoproductDiagram, a: SliceObject, b: SliceObject) -> SliceObject:
         if self.at is None:

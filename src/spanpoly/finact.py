@@ -38,6 +38,10 @@ each orbit's least point, checking the legs at that point only
 and random sampling fill each orbit from its image along the coset
 representatives.
 
+Along u, Sigma_u a composes with u, Delta_u b is `pullback(b.arrow, u)`
+(read as a slice by its second projection; readers of its pairs take the
+`Pullback`), and Pi_u a is `pi`, whose evaluation data `section_eval` holds.
+
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially.  Two module constants bound the work, read
 when a guarded call runs: MAX_POINTS caps the points of every constructed
@@ -823,25 +827,11 @@ def sigma(u: GMap, a: SliceObject) -> SliceObject:
     return SliceObject(compose_gmaps(u, a.arrow))
 
 
-class DeltaData:
-    """Pullback of a slice along u, keeping the top comparison map."""
-
-    __slots__ = ("pb", "slice", "top")
-
-    def __init__(self, u: GMap, b: SliceObject):
-        if b.base != u.cod:
-            raise BoundaryMismatch("delta: slice is not over the codomain of u")
-        self.pb = pullback(b.arrow, u)
-        self.slice = SliceObject(self.pb.proj2)
-        self.top = self.pb.proj1
-
-
-def delta_data(u: GMap, b: SliceObject) -> DeltaData:
-    return DeltaData(u, b)
-
-
 def delta(u: GMap, b: SliceObject) -> SliceObject:
-    return DeltaData(u, b).slice
+    """Right adjoint to sigma: the second projection of `pullback(b.arrow, u)`."""
+    if b.base != u.cod:
+        raise BoundaryMismatch("delta: slice is not over the codomain of u")
+    return SliceObject(pullback(b.arrow, u).proj2)
 
 
 class PiData:
@@ -926,12 +916,12 @@ class SectionEvalData:
     """The evaluation data of the dependent product.
 
     pia     : the slice Pi_u(a) with total space B over U
-    pull    : pullback P of pia along u, with ubar : P -> B
+    pull    : pullback P of pia along u, with ubar : P -> B; its second
+              projection P -> S is Delta_u(Pi_u a)
     e       : P -> A, evaluating a section at the underlying fiber point
-    dslice  : Delta_u(Pi_u a) as a slice over S (the projection P -> S)
     """
 
-    __slots__ = ("pidata", "pia", "pull", "ubar", "e", "dslice")
+    __slots__ = ("pidata", "pia", "pull", "ubar", "e")
 
     def __init__(self, u: GMap, a: SliceObject):
         pd = pi(u, a)
@@ -949,7 +939,6 @@ class SectionEvalData:
         self.pull = pull
         self.ubar = pull.proj1
         self.e = e
-        self.dslice = SliceObject(pull.proj2)
         # evaluation triangle: a after e equals the projection to S
         if compose_gmaps(a.arrow, e).table != pull.proj2.table:
             raise InvalidStructure("evaluation triangle failed to commute")
@@ -983,10 +972,10 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
     results: list[tuple[str, bool]] = []
     for k, a in enumerate(samples_dom):
         # counit of Sigma -| Delta on Sigma_u a, precomposed with Sigma of the unit
-        dd = delta_data(u, sigma(u, a))
-        eps = dd.pb.proj1.table
+        pb = pullback(sigma(u, a).arrow, u)
+        eps = pb.proj1.table
         results.append((f"sigma-delta/left[{k}]", holds(
-            eps[dd.pb.index_of(x, a.arrow.table[x])] == x for x in a.total.points())))
+            eps[pb.index_of(x, a.arrow.table[x])] == x for x in a.total.points())))
 
         # Pi(counit) after unit on Pi_u a: the unit sends b over x to the
         # section p -> (b, p) of Delta_u Pi_u a, and Pi(counit) evaluates it
@@ -999,22 +988,22 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
     for k, b in enumerate(samples_cod):
         # Delta(counit) after unit on Delta_u b: the point i = (y, s) goes to
         # (i, s) and then to (top(i), s)
-        db = delta_data(u, b)
-        d2 = delta_data(u, sigma(u, db.slice))
-        top, over = db.pb.proj1.table, db.pb.proj2.table
-        back1, back2 = d2.pb.proj1.table, d2.pb.proj2.table
-        unit = map(d2.pb.index_of, range(len(over)), over)
+        db = pullback(b.arrow, u)
+        d2 = pullback(compose_gmaps(u, db.proj2), u)
+        top, over = db.proj1.table, db.proj2.table
+        back1, back2 = d2.proj1.table, d2.proj2.table
+        unit = map(d2.index_of, range(len(over)), over)
         results.append((f"sigma-delta/right[{k}]", holds(
-            db.pb.index_of(top[back1[j]], back2[j]) == i for i, j in enumerate(unit))))
+            db.index_of(top[back1[j]], back2[j]) == i for i, j in enumerate(unit))))
 
         # counit of Delta -| Pi on Delta_u b, precomposed with Delta of the unit:
         # (y, s) goes to (the section p -> (y, p) over u(s), s) and is evaluated
-        pw = section_eval(u, db.slice)
+        pw = section_eval(u, SliceObject(db.proj2))
         pd, e, pull = pw.pidata, pw.e.table, pw.pull
 
         def unit_section(y: int, s: int) -> int:
             x = u.table[s]
-            return pd.index_of_section(x, [db.pb.index_of(y, p) for p in pd.fibers[x]])
+            return pd.index_of_section(x, [db.index_of(y, p) for p in pd.fibers[x]])
         results.append((f"delta-pi/left[{k}]", holds(
             e[pull.index_of(unit_section(y, s), s)] == i
             for i, (y, s) in enumerate(zip(top, over)))))

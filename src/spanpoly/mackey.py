@@ -51,6 +51,7 @@ from .groups import (
     FiniteGroup,
     double_cosets,
     subgroup_class_key,
+    subgroup_class_reps,
     subgroups,
 )
 from .record import FrozenRecord
@@ -330,6 +331,13 @@ class BurnsideTable(FrozenRecord):
         }
 
 
+def _point_atoms(group: FiniteGroup) -> list[AtomLabel]:
+    """`atoms(terminal_gset(group))`, read off the subgroup classes: the atom
+    G/H over the point is labelled (class key of H, 0), with no coset table
+    built for a subgroup that is not a class representative."""
+    return [(k, 0) for k in sorted(subgroup_class_reps(group))]
+
+
 def _atom_names(group: FiniteGroup, labs: Sequence[AtomLabel]) -> tuple[str, ...]:
     sizes = [group.order // len(l[0]) for l in labs]
     names = []
@@ -378,9 +386,9 @@ def burnside_table(group: FiniteGroup) -> BurnsideTable:
     back-substitution from the largest subgroups down: each coefficient is
     what the rows already found leave in its column, divided exactly by its
     diagonal mark |N_G(H_j) : H_j|, and its own row is then subtracted.
-    Builds no G-set beyond the atom labels of the point.
+    Builds no G-set.
     """
-    labs = atoms(terminal_gset(group))
+    labs = _point_atoms(group)
     hs = [frozenset(l[0]) for l in labs]
     marks = table_of_marks(group, hs)
     n = len(hs)
@@ -418,7 +426,7 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
     machinery above.
     """
     pt = terminal_gset(group)
-    labs = atoms(pt)
+    labs = _point_atoms(group)
     reps = [atom_slice(pt, l).total for l in labs]
     index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
     class_of = {h: index[subgroup_class_key(group, h)] for h in subgroups(group)}
@@ -448,8 +456,7 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
 
 def burnside_table_double_cosets(group: FiniteGroup) -> BurnsideTable:
     """Third route: the double-coset expansion of products of coset actions."""
-    pt = terminal_gset(group)
-    labs = atoms(pt)
+    labs = _point_atoms(group)
     class_of = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
     entries = []
     for la in labs:

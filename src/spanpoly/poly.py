@@ -29,6 +29,7 @@ from .errors import BoundaryMismatch, InvalidStructure
 from .finact import (
     GMap,
     GSet,
+    SectionEvalData,
     SliceObject,
     compose_gmaps,
     delta,
@@ -189,35 +190,25 @@ def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[Span
 # the distributive-law step
 # ---------------------------------------------------------------------------
 
-class DistributeData(FrozenRecord):
-    """Product-past-sum exchange data for u : S -> U and a : A -> S.
-
-    pia : B -> U is the dependent product of a along u; P is its pullback
-    back over S with ubar : P -> B, and e : P -> A evaluates sections.
-    """
-
-    __slots__ = ("pia", "ubar", "e")
-
-    def __init__(self, pia: GMap, ubar: GMap, e: GMap):
-        self._init(pia, ubar, e)
-
-
 def distribute(u: GMap, a: GMap,
-               probes: Sequence[SliceObject] = ()) -> tuple[DistributeData, Report]:
+               probes: Sequence[SliceObject] = ()) -> tuple[SectionEvalData, Report]:
     """Exchange a dependent product past a dependent sum, with certificates.
 
-    The returned report certifies that on each probe slice m over A the two
-    routes  product(u) . sum(a)  and  sum(pia) . product(ubar) . restrict(e)
-    agree up to an explicit slice iso.
+    For u : S -> U and a : A -> S the exchange data is the section
+    evaluation of a along u (`finact.section_eval`): pia.arrow : B -> U is
+    the dependent product of a along u, ubar : P -> B its pullback back over
+    S, and e : P -> A evaluates sections.  The returned report certifies
+    that on each probe slice m over A the two routes  product(u) . sum(a)
+    and  sum(pia) . product(ubar) . restrict(e)  agree up to an explicit
+    slice iso.
     """
     if a.cod != u.dom:
         raise BoundaryMismatch("distribute: a must land in dom(u)")
-    pw = section_eval(u, SliceObject(a))
-    data = DistributeData(pw.pia.arrow, pw.ubar, pw.e)
+    data = section_eval(u, SliceObject(a))
     checks = []
     for k, m in enumerate(probes):
         lhs = pi_slice(u, sigma(a, m))
-        rhs = sigma(data.pia, pi_slice(data.ubar, delta(data.e, m)))
+        rhs = sigma(data.pia.arrow, pi_slice(data.ubar, delta(data.e, m)))
         w = slice_iso(lhs, rhs)
         checks.append(Check(f"slice-iso[{k}]", w is not None,
                             "" if w else "exchange routes disagree on probe"))
@@ -283,7 +274,7 @@ def _rewrite_pair(a: Gen, b: Gen) -> Optional[tuple[str, tuple[Gen, ...]]]:
     # a is a product, b a sum: the distributive-law step
     data, _ = distribute(a.f, b.f)
     return ("distribute-product-past-sum",
-            (Gen(SIGMA, data.pia), Gen(PI, data.ubar), Gen(DELTA, data.e)))
+            (Gen(SIGMA, data.pia.arrow), Gen(PI, data.ubar), Gen(DELTA, data.e)))
 
 
 def normalize_word(word: Word) -> tuple[Word, list[dict]]:

@@ -190,7 +190,7 @@ def suite_distlaw(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
                     identity_gmap(regular_gset(group)))
     data, rep = poly.distribute(u, a, probes=[slice_identity(cop.sum)])
     checks.append(Check("anchored-free-instance", rep.passed
-                        and data.pia.dom.size == 2 ** regular_gset(group).size))
+                        and data.pia.size == 2 ** regular_gset(group).size))
     return Report("distlaw", tuple(checks))
 
 

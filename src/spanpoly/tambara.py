@@ -171,7 +171,7 @@ def check_norm_of_sum(t: TambaraFunctor, u: GMap, a: GMap, probes: Sequence) -> 
     checks = []
     for k, v in enumerate(probes):
         lhs = t.norm(u, t.tr(a, v))
-        rhs = t.tr(data.pia, t.norm(data.ubar, t.res(data.e, v)))
+        rhs = t.tr(data.pia.arrow, t.norm(data.ubar, t.res(data.e, v)))
         ok = t.eq(lhs, rhs)
         checks.append(Check(f"probe[{k}]", ok,
                             "" if ok else f"{t.describe(lhs)} != {t.describe(rhs)}"))

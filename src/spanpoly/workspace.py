@@ -8,7 +8,9 @@ full multiplication table or by permutation generators; G-set actions may
 be given as a full table or per generator.
 
 Builtin names (triv, C2, C3, C4, S3, S4 and derived point/regular objects)
-are preloaded so the command-line tools work without any files.
+are preloaded so the command-line tools work without any files.  A name is
+taken once within its kind: an entry may not reuse a builtin's name or an
+earlier entry's.
 
 Serialized spans and polynomials (the `compose` output) are self-contained:
 the group object carries its table and `generator_elements`, and each G-set
@@ -168,8 +170,7 @@ def _need_ints(obj: dict, key: str, where: str, depth: int):
     return value
 
 
-def _parse_group(obj: dict) -> FiniteGroup:
-    name = _need_name(obj, "name", "group entry")
+def _parse_group(name: str, obj: dict) -> FiniteGroup:
     where = f"group {name!r}"
     if "mult" in obj:
         build, field = group_from_table, "mult"
@@ -195,8 +196,7 @@ def _generator_rows(group: FiniteGroup, size: int,
     return tuple(map(tuple, gen_perms))
 
 
-def _parse_gset(obj: dict, ws: Workspace) -> GSet:
-    name = _need_name(obj, "name", "gset entry")
+def _parse_gset(name: str, obj: dict, ws: Workspace) -> GSet:
     where = f"gset {name!r}"
     group = ws.group(_need_name(obj, "group", where))
     size = _need_ints(obj, "size", where, 0)
@@ -216,8 +216,7 @@ def _parse_gset(obj: dict, ws: Workspace) -> GSet:
         raise WorkspaceError(f"{where}: {exc}") from exc
 
 
-def _parse_gmap(obj: dict, ws: Workspace) -> GMap:
-    name = _need_name(obj, "name", "gmap entry")
+def _parse_gmap(name: str, obj: dict, ws: Workspace) -> GMap:
     where = f"gmap {name!r}"
     dom = ws.gset(_need_name(obj, "dom", where))
     cod = ws.gset(_need_name(obj, "cod", where))
@@ -228,8 +227,17 @@ def _parse_gmap(obj: dict, ws: Workspace) -> GMap:
         raise WorkspaceError(f"{where}: {exc}") from exc
 
 
+def _new_name(obj: dict, kind: str, taken: dict) -> str:
+    """The entry's name; refused if its kind holds it, from a builtin or an earlier entry."""
+    name = _need_name(obj, "name", f"{kind} entry")
+    if name in taken:
+        raise WorkspaceError(f"{kind} {name!r}: the name is already taken; "
+                             f"names are unique within a kind")
+    return name
+
+
 def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspace:
-    """Resolve a list of entries into a workspace, in dependency order."""
+    """Resolve a list of entries into a workspace, in dependency order; see `_new_name`."""
     ws = ws if ws is not None else builtin_workspace()
     by_kind: dict[str, list[dict]] = {}
     for e in entries:
@@ -240,13 +248,16 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
     if unknown:
         raise WorkspaceError(f"unknown entry kinds: {sorted(unknown)}")
     for e in by_kind.get("group", ()):
-        ws.groups[e["name"]] = _parse_group(e)
+        name = _new_name(e, "group", ws.groups)
+        ws.groups[name] = _parse_group(name, e)
     for e in by_kind.get("gset", ()):
-        ws.gsets[e["name"]] = _parse_gset(e, ws)
+        name = _new_name(e, "gset", ws.gsets)
+        ws.gsets[name] = _parse_gset(name, e, ws)
     for e in by_kind.get("gmap", ()):
-        ws.gmaps[e["name"]] = _parse_gmap(e, ws)
+        name = _new_name(e, "gmap", ws.gmaps)
+        ws.gmaps[name] = _parse_gmap(name, e, ws)
     for e in by_kind.get("class", ()):
-        name = _need_name(e, "name", "class entry")
+        name = _new_name(e, "class", ws.classes)
         if name in BUILTIN_CLASSES:
             raise WorkspaceError(f"class {name!r}: the name of a builtin class "
                                  f"({', '.join(BUILTIN_CLASSES)})")
@@ -256,7 +267,7 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
                                  f"not {maps!r}")
         ws.classes[name] = whitelist_class(name, [ws.gmap(n) for n in maps])
     for e in by_kind.get("span", ()):
-        name = _need_name(e, "name", "span entry")
+        name = _new_name(e, "span", ws.spans)
         left = ws.gmap(_need_name(e, "left", f"span {name!r}"))
         right = ws.gmap(_need_name(e, "right", f"span {name!r}"))
         try:
@@ -266,7 +277,7 @@ def load_entries(entries: list[dict], ws: Optional[Workspace] = None) -> Workspa
         except Exception as exc:
             raise WorkspaceError(f"span {name!r}: {exc}") from exc
     for e in by_kind.get("poly", ()):
-        name = _need_name(e, "name", "poly entry")
+        name = _new_name(e, "poly", ws.polys)
         try:
             ws.polys[name] = polynomial(
                 ws.gmap(_need_name(e, "r", f"poly {name!r}")),

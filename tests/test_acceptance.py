@@ -204,8 +204,8 @@ def test_criterion_06_distributive_law():
     data, rep = distribute(u2, a2, probes=[slice_identity(cop.sum)])
     pt2 = terminal_gset(C2)
     expected = coproduct(coproduct(pt2, pt2).sum, f2).sum
-    anchored = (rep.passed and data.pia.dom.size == 4
-                and canonical_form(data.pia.dom) == canonical_form(expected))
+    anchored = (rep.passed and data.pia.arrow.dom.size == 4
+                and canonical_form(data.pia.arrow.dom) == canonical_form(expected))
     _report(6, f"product-past-sum exchange witnessed on {count} probes + anchor",
             count >= 50 and ok_all and anchored, started)
 

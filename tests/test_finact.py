@@ -272,6 +272,14 @@ def test_pi_resource_guard(c2, f2, u2, monkeypatch):
         pi(u2, a)
 
 
+def test_delta_is_the_second_projection_of_the_pullback(c2, f2, u2, rng):
+    for _ in range(4):
+        b = random_slice(rng, u2.cod, 5)
+        assert delta(u2, b) == SliceObject(pullback(b.arrow, u2).proj2)
+    with pytest.raises(BoundaryMismatch, match="delta: slice is not over the codomain of u"):
+        delta(u2, slice_identity(f2))
+
+
 def test_counit_identity_is_iso(f2, rng):
     a = random_slice(rng, f2, 6)
     pw = section_eval(identity_gmap(f2), a)
@@ -284,7 +292,7 @@ def test_counit_triangle_and_surjectivity(c2, f2, u2):
     pw = section_eval(u2, a)
     # triangle is asserted inside section_eval; evaluation hits every point here
     assert pw.e.is_surjective()
-    assert compose_gmaps(a.arrow, pw.e).table == pw.dslice.arrow.table
+    assert compose_gmaps(a.arrow, pw.e).table == pw.pull.proj2.table
 
 
 def test_adjunction_triangles_identity(f2, rng):

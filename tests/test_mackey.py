@@ -21,12 +21,14 @@ from spanpoly.groups import (
     group_from_permutations,
     group_from_table,
     subgroup_class_key,
+    subgroup_class_reps,
     subgroups,
     symmetric_group,
 )
 from spanpoly.mackey import (
     BurnsideMackey,
     FixedPointMackey,
+    _point_atoms,
     atom_slice,
     atoms,
     burnside_table,
@@ -62,6 +64,16 @@ from helpers import (
 def test_atoms_of_point(c2, s3):
     assert len(atoms(terminal_gset(c2))) == 2
     assert len(atoms(terminal_gset(s3))) == 4
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS) + ["A4", "D8", "C2^4", "A5", "S4xC2"])
+def test_atoms_of_point_are_the_subgroup_classes(name):
+    """The Burnside routes take the atoms of the point as (class key, 0), one per
+    subgroup class, in place of `atoms(terminal_gset(group))`."""
+    group = builtin_group(name) if name in BUILTIN_GROUPS else ORACLE_GROUPS[name]()
+    expected = [(k, 0) for k in sorted(subgroup_class_reps(group))]
+    assert list(atoms(terminal_gset(group))) == expected == _point_atoms(group)
+    assert len(burnside_table(group).atom_names) == len(expected)
 
 
 def test_atoms_rebuild_and_vectorize(c2, rng):
@@ -281,6 +293,7 @@ def _naive_burnside_entries(group):
 ORACLE_GROUPS = {
     "D8": lambda: group_from_permutations("D8", [[1, 2, 3, 0], [2, 1, 0, 3]]),
     "A4": lambda: group_from_permutations("A4", [[1, 2, 0, 3], [1, 0, 3, 2]]),
+    "A5": lambda: group_from_permutations("A5", [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]),
     "C2^4": lambda: group_from_permutations("C2^4", [
         [1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
         [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]),

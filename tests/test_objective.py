@@ -12,8 +12,8 @@ from spanpoly.finact import (
     SliceObject,
     check_adjunction_triangles,
     compose_gmaps,
-    delta_data,
     pi_slice,
+    pullback,
     slice_identity,
 )
 from spanpoly.groups import BUILTIN_GROUPS, builtin_group
@@ -141,4 +141,4 @@ def test_adjunction_triangles_at_full_size_on_s3_seed_2(monkeypatch):
         check_adjunction_triangles(u, [], [b])
     assert (err.value.construction, err.value.projected) == ("dependent product", 11 ** 8)
     assert err.value.sizes == {"dom": u.dom.size, "cod": u.cod.size,
-                               "slice": delta_data(u, b).pb.gset.size}
+                               "slice": pullback(b.arrow, u).gset.size}

@@ -24,9 +24,8 @@ each engine reach its own entry points, so that a vacuous graph fails.
 The library's roots are what runs it: the command line (`cli.main`), the
 suites and `run_suite`, the package's exports and module body, and what the
 scripts and the benchmark import or look up by name.  Every top-level
-definition must be reached from a root, except the names in KEPT, which
-must stay unreached, so that the list can only shrink.  Helpers that only
-tests use live in `tests/helpers.py`.  No module may import a name, from the
+definition must be reached from a root.  Helpers that only tests use live
+in `tests/helpers.py`.  No module may import a name, from the
 package or from the standard library, that it never reads.
 """
 import ast
@@ -53,11 +52,6 @@ ENGINE_PATHS = {
     "mackey.burnside_table": "mackey.table_of_marks",
     "poly.compose_poly": "poly.distribute",
 }
-
-# top-level definitions that no root reaches yet, each kept for named work:
-# the subgroup classes start the lattice up to conjugacy, Mackey functors
-# given as orbit data and small-scope certification (ROADMAP items 3, 7, 15)
-KEPT = frozenset({"groups.subgroup_class_reps"})
 
 # the entry points that run the package, besides what `_roots` reads off
 ENTRY_POINTS = ("cli.main", "suites.SUITES", "suites.run_suite")
@@ -295,14 +289,7 @@ def test_roots_name_package_definitions(graph):
 
 def test_every_definition_is_run_by_the_library(graph, reached):
     edges, _ = graph
-    assert sorted(set(edges) - reached - KEPT) == []
-
-
-@pytest.mark.parametrize("name", sorted(KEPT))
-def test_kept_definitions_have_no_caller(name, graph, reached):
-    edges, _ = graph
-    assert name in edges
-    assert name not in reached
+    assert sorted(set(edges) - reached) == []
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PKG.glob("*.py")))

@@ -15,6 +15,7 @@ from spanpoly.finact import (
     delta,
     identity_gmap,
     pullback,
+    section_eval,
     slice_identity,
     slice_iso,
     terminal_gset,
@@ -40,6 +41,7 @@ from spanpoly.poly import (
 from spanpoly.sampling import (
     random_gset,
     random_gset_with_fixed_point,
+    random_map_into,
     random_polynomial,
     random_slice,
     random_trivial_polynomial,
@@ -122,18 +124,33 @@ def test_2cell_translation_bijective_small(c2, rng):
 # distribute
 # ---------------------------------------------------------------------------
 
+def test_distribute_returns_the_section_evaluation(c2, s3, rng):
+    """The exchange data is the dependent product's own evaluation data."""
+    for group in (c2, s3):
+        for _ in range(3):
+            s = random_gset(rng, group, 4)
+            u = random_map_into(rng, s, 4, allow_empty=False)
+            a = random_map_into(rng, u.dom, 4)
+            data, rep = distribute(u, a, probes=[slice_identity(a.dom)])
+            pw = section_eval(u, SliceObject(a))
+            assert rep.passed
+            assert (data.pia, data.ubar, data.e) == (pw.pia, pw.ubar, pw.e)
+            assert data.pia.base == u.cod and data.ubar.cod == data.pia.total
+            assert data.e.cod == a.dom
+
+
 def test_distribute_identity_u(c2, f2, rng):
     a = random_slice(rng, f2, 4).arrow
     data, rep = distribute(identity_gmap(f2), a, probes=[slice_identity(a.dom)])
     assert rep.passed
-    assert slice_iso(SliceObject(data.pia), SliceObject(a)) is not None
+    assert slice_iso(data.pia, SliceObject(a)) is not None
     assert data.e.is_bijective()
 
 
 def test_distribute_identity_a(c2, f2, u2):
     data, rep = distribute(u2, identity_gmap(f2), probes=[slice_identity(f2)])
     assert rep.passed
-    assert data.pia.dom.size == 1 and data.pia.cod.size == 1
+    assert data.pia.arrow.dom.size == 1 and data.pia.arrow.cod.size == 1
 
 
 def test_distribute_anchored_sections(c2, f2, u2):
@@ -141,10 +158,10 @@ def test_distribute_anchored_sections(c2, f2, u2):
     a = cop.cotuple(identity_gmap(f2), identity_gmap(f2))
     data, rep = distribute(u2, a, probes=[slice_identity(cop.sum)])
     assert rep.passed
-    assert data.pia.dom.size == 4
+    assert data.pia.arrow.dom.size == 4
     from spanpoly.finact import canonical_form
     expected = coproduct(coproduct(terminal_gset(c2), terminal_gset(c2)).sum, f2).sum
-    assert canonical_form(data.pia.dom) == canonical_form(expected)
+    assert canonical_form(data.pia.arrow.dom) == canonical_form(expected)
 
 
 def test_distribute_naturality_squares(c2, rng):
@@ -157,7 +174,7 @@ def test_distribute_naturality_squares(c2, rng):
         a = random_slice(rng, u.dom, 4, allow_empty=False).arrow
         x = slice_identity(a.dom)
         data, _ = distribute(u, a)
-        out_outer = data.pia
+        out_outer = data.pia.arrow
         out_inner = CompletionObject(data.ubar, delta(data.e, x))
         side1 = CompletionObject(out_outer, out_inner)
         f = random_slice(rng, u.cod, 4, allow_empty=False).arrow  # V -> U
@@ -171,7 +188,7 @@ def test_distribute_naturality_squares(c2, rng):
         a_f = pb_a.proj2
         x_f = delta(pb_a.proj1, x)
         data2, _ = distribute(u_f, a_f)
-        side2 = CompletionObject(data2.pia,
+        side2 = CompletionObject(data2.pia.arrow,
                                  CompletionObject(data2.ubar, delta(data2.e, x_f)))
         flat2 = mu_flatten(side2)
         assert completion_iso(e_cat, r1, flat2) is not None
@@ -276,8 +293,7 @@ def test_transcript_steps_preserve_action(c2, f2, pt2, u2, rng):
 def _random_word(rng, group, length, size):
     """A random boundary-consistent generator word, built from the inside out."""
     from spanpoly.finact import GSet
-    from spanpoly.sampling import random_gmap, random_gset_with_fixed_point
-    from spanpoly.sampling import random_map_into
+    from spanpoly.sampling import random_gmap
     cur = random_gset_with_fixed_point(rng, group, size)
     start = cur
     gens = []

@@ -16,7 +16,6 @@ from spanpoly.finact import GMap, GSet, SliceObject, identity_gmap, regular_gset
 from spanpoly.groups import FiniteGroup, cyclic_group
 from spanpoly.mackey import BurnsideTable
 from spanpoly.poly import (
-    DistributeData,
     Gen,
     PolyMorphism,
     Polynomial,
@@ -82,8 +81,6 @@ FROZEN = [
     (SpanSpan2Cell, lambda: (_spanspan(), _spanspan(), _gmap(), _span(), _gmap()),
      ("src", "tgt", "apex_map", "composite", "lam"),
      ("src", "tgt", "apex_map", "composite", "lam")),
-    (DistributeData, lambda: (_gmap(), _gmap(), _gmap()), ("pia", "ubar", "e"),
-     ("pia", "ubar", "e")),
     (Gen, lambda: ("Sigma", _gmap()), ("kind", "f"), ("kind", "f")),
     (CompletionObject, lambda: (_gmap(), (0, 1)), ("u", "x"), ("u", "x")),
     (BurnsideTable, lambda: ("C2", ("C2/C2", "C2/1"), (1, 2), (((1, 0),), ((0, 1),))),
@@ -169,7 +166,7 @@ def test_copy_and_pickle_round_trip(cls, make, fields):
 def test_records_of_different_classes_never_compare_equal():
     g = _gmap()
     assert Span(g, g) != Gen(g, g) and Gen(g, g) != Span(g, g)
-    assert DistributeData(g, g, g) != Polynomial(g, g, g)
+    assert SpanOfSpans(g, g, g) != Polynomial(g, g, g)
     assert Check("x", True) != ("x", True, "")
 
 

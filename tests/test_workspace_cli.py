@@ -45,13 +45,13 @@ def test_builtin_workspace_is_fresh_each_time():
     """Entries loaded into one builtin workspace do not reach the next one."""
     first = builtin_workspace()
     load_entries([{"kind": "group", "name": "Z2", "generators": [[1, 0]]},
-                  {"kind": "gset", "name": "C2.pt", "group": "Z2", "size": 1,
+                  {"kind": "gset", "name": "Z2.pt", "group": "Z2", "size": 1,
                    "action": [[0], [0]]}], first)
-    assert first.gset("C2.pt").group.name == "Z2"
+    assert first.gset("Z2.pt").group.name == "Z2"
     load_entries([{"kind": "group", "name": "Z3", "generators": [[1, 2, 0]]}])
     second = builtin_workspace()
     assert "Z2" not in second.groups and "Z3" not in second.groups
-    assert second.gset("C2.pt").group.name == "C2"
+    assert "Z2.pt" not in second.gsets and second.gsets.keys() == first.gsets.keys() - {"Z2.pt"}
     assert second.gset("C2.pt") is builtin_workspace().gset("C2.pt")
 
 
@@ -227,7 +227,7 @@ def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     """Each main() call answers as a fresh process would, whatever ran before it."""
     _write(tmp_path, "extra.json", [
         {"kind": "group", "name": "Z2", "generators": [[1, 0]]},
-        {"kind": "gset", "name": "C2.regular", "group": "Z2", "size": 1,
+        {"kind": "gset", "name": "Z2.pt", "group": "Z2", "size": 1,
          "action": [[0], [0]]}])
     runs = [["validate", "--workspace", str(tmp_path), "--format", "json"],
             ["validate", "--format", "json"],
@@ -386,6 +386,45 @@ def test_cli_span_names_a_workspace_class(tmp_path, capsys):
     capsys.readouterr()
     ws = load_dir(str(tmp_path))
     assert ws.span("loop").apex.size == ws.span("plain").apex.size == 2
+
+
+_C3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+_NEW_GSET = {"kind": "gset", "name": "pt", "group": "C2", "size": 1, "action": [[0], [0]]}
+_NEW_GMAP = {"kind": "gmap", "name": "to-pt", "dom": "C2.regular", "cod": "C2.pt",
+           "table": [0, 0]}
+_NEW_SPAN = {"kind": "span", "name": "loop", "left": "C2.regular_to_pt",
+            "right": "C2.regular_to_pt"}
+_NEW_POLY = {"kind": "poly", "name": "free", "r": "C2.regular_to_pt", "n": "C2.regular_to_pt",
+            "t": "C2.id_pt"}
+_NEW_CLASS = {"kind": "class", "name": "mine", "maps": ["C2.regular_to_pt"]}
+
+
+@pytest.mark.parametrize("kind, name, entries", [
+    ("group", "C2", [{"kind": "group", "name": "C2", "mult": _C3_TABLE}]),
+    ("group", "G", [{"kind": "group", "name": "G", "generators": [[1, 0]]},
+                    {"kind": "group", "name": "G", "mult": _C3_TABLE}]),
+    ("gset", "C2.pt", [{**_NEW_GSET, "name": "C2.pt"}]),
+    ("gset", "pt", [_NEW_GSET, _NEW_GSET]),
+    ("gmap", "C2.regular_to_pt", [{**_NEW_GMAP, "name": "C2.regular_to_pt"}]),
+    ("gmap", "to-pt", [_NEW_GMAP, _NEW_GMAP]),
+    ("span", "C2.free-span", [{**_NEW_SPAN, "name": "C2.free-span"}]),
+    ("span", "loop", [_NEW_SPAN, _NEW_SPAN]),
+    ("poly", "C2.free-poly", [{**_NEW_POLY, "name": "C2.free-poly"}]),
+    ("poly", "free", [_NEW_POLY, _NEW_POLY]),
+    ("class", "mine", [_NEW_CLASS, _NEW_CLASS]),
+], ids=lambda v: v if isinstance(v, str) else str(len(v)))
+def test_cli_workspace_names_are_taken_once(tmp_path, capsys, kind, name, entries):
+    """An entry may not reuse a name its kind already holds, whether a builtin
+    or an earlier entry gave it: the last entry no longer silently wins."""
+    _write(tmp_path, "ws.json", entries)
+    code = main(["validate", "--workspace", str(tmp_path), "--format", "json"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "WorkspaceError"
+    assert doc["error"]["message"].startswith(f"{kind} {name!r}: the name is already taken")
+    # each entry alone, under a fresh name, loads
+    for e in entries:
+        load_entries([{**e, "name": "fresh"}])
 
 
 @pytest.mark.parametrize("builtin", ["all", "injective", "surjective", "iso"])
