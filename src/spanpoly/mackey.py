@@ -81,6 +81,10 @@ def _atoms(base: GSet) -> tuple[AtomLabel, ...]:
     group = base.group
     labs = set()
     for o in orbit_cosets(base):
+        if len(o.stab) == group.order:
+            # a fixed point: every g.rep is rep, so the label of G/H is (class key of H, rep)
+            labs.update((k, o.rep) for k in subgroup_class_reps(group))
+            continue
         stab, img = frozenset(o.stab), [o.points[i] for i in o.cosets.coset]  # img[g] = g.rep
         labs.update(atom_label(group, h, img) for h in subgroups(group) if h <= stab)
     return tuple(sorted(labs))
@@ -331,13 +335,6 @@ class BurnsideTable(FrozenRecord):
         }
 
 
-def _point_atoms(group: FiniteGroup) -> list[AtomLabel]:
-    """`atoms(terminal_gset(group))`, read off the subgroup classes: the atom
-    G/H over the point is labelled (class key of H, 0), with no coset table
-    built for a subgroup that is not a class representative."""
-    return [(k, 0) for k in sorted(subgroup_class_reps(group))]
-
-
 def _atom_names(group: FiniteGroup, labs: Sequence[AtomLabel]) -> tuple[str, ...]:
     sizes = [group.order // len(l[0]) for l in labs]
     names = []
@@ -386,9 +383,9 @@ def burnside_table(group: FiniteGroup) -> BurnsideTable:
     back-substitution from the largest subgroups down: each coefficient is
     what the rows already found leave in its column, divided exactly by its
     diagonal mark |N_G(H_j) : H_j|, and its own row is then subtracted.
-    Builds no G-set.
+    Builds no G-set beyond the atom labels of the point.
     """
-    labs = _point_atoms(group)
+    labs = atoms(terminal_gset(group))
     hs = [frozenset(l[0]) for l in labs]
     marks = table_of_marks(group, hs)
     n = len(hs)
@@ -426,7 +423,7 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
     machinery above.
     """
     pt = terminal_gset(group)
-    labs = _point_atoms(group)
+    labs = atoms(pt)
     reps = [atom_slice(pt, l).total for l in labs]
     index = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
     class_of = {h: index[subgroup_class_key(group, h)] for h in subgroups(group)}
@@ -456,7 +453,8 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
 
 def burnside_table_double_cosets(group: FiniteGroup) -> BurnsideTable:
     """Third route: the double-coset expansion of products of coset actions."""
-    labs = _point_atoms(group)
+    pt = terminal_gset(group)
+    labs = atoms(pt)
     class_of = {tuple(sorted(l[0])): i for i, l in enumerate(labs)}
     entries = []
     for la in labs:
