@@ -35,6 +35,7 @@ from .finact import (
     equivariant_maps,
     identity_gmap,
     initial_gset,
+    invert_gmap,
     pi_slice,
     product,
     product_gmap,
@@ -42,21 +43,11 @@ from .finact import (
     sigma,
     slice_homs,
     slice_iso,
-    slice_sum,
 )
 from .groups import FiniteGroup
 from .record import FrozenRecord
 from .report import Check, Report
 from .spans import Span, compose_spans
-
-
-def invert_gmap(f: GMap) -> GMap:
-    if not f.is_bijective():
-        raise InvalidStructure("cannot invert a non-bijective map")
-    inv = [0] * f.cod.size
-    for p, q in enumerate(f.table):
-        inv[q] = p
-    return GMap(f.cod, f.dom, tuple(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +100,7 @@ class SliceIndexed:
     def act_mor(self, f: GMap, a: SliceObject, b: SliceObject, m: GMap) -> GMap:
         lf = self.lift(f)
         da = pullback(a.arrow, lf)
-        db = pullback(b.arrow, lf)
-        table = tuple(map(db.index_of, map(m.table.__getitem__, da.proj1.table),
-                          da.proj2.table))
-        return GMap(da.gset, db.gset, table)
+        return pullback(b.arrow, lf).mediator(compose_gmaps(m, da.proj1), da.proj2)
 
     def push_obj(self, f: GMap, x: SliceObject) -> SliceObject:
         return sigma(self.lift(f), x)
@@ -126,21 +114,12 @@ class SliceIndexed:
         d1 = pullback(a.arrow, lf)
         d2 = pullback(d1.proj2, lg)
         d12 = pullback(a.arrow, compose_gmaps(lf, lg))
-        table = tuple(map(d12.index_of, map(d1.proj1.table.__getitem__, d2.proj1.table),
-                          d2.proj2.table))
-        return GMap(d2.gset, d12.gset, table)
+        return d12.mediator(compose_gmaps(d1.proj1, d2.proj1), d2.proj2)
 
     def sum_obj(self, cop: CoproductDiagram, a: SliceObject, b: SliceObject) -> SliceObject:
-        if self.at is None:
-            return slice_sum(cop, a, b)
-        pu = product(cop.left, self.at)
-        pv = product(cop.right, self.at)
-        psum = product(cop.sum, self.at)
-        cd = coproduct(a.total, b.total)
-        table = tuple(psum.index_of(inj.table[pr.proj1.table[i]], pr.proj2.table[i])
-                      for pr, inj, s in ((pu, cop.inj1, a), (pv, cop.inj2, b))
-                      for i in s.arrow.table)
-        return SliceObject(GMap(cd.sum, psum.prod, table))
+        return SliceObject(coproduct(a.total, b.total).cotuple(
+            compose_gmaps(self.lift(cop.inj1), a.arrow),
+            compose_gmaps(self.lift(cop.inj2), b.arrow)))
 
 
 def terminal_indexed(group: FiniteGroup) -> SliceIndexed:

@@ -306,6 +306,16 @@ def compose_gmaps(g: GMap, f: GMap) -> GMap:
     return GMap(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
+def invert_gmap(f: GMap) -> GMap:
+    """The inverse of a bijective map."""
+    if not f.is_bijective():
+        raise InvalidStructure("cannot invert a non-bijective map")
+    inv = [0] * f.cod.size
+    for p, q in enumerate(f.table):
+        inv[q] = p
+    return GMap(f.cod, f.dom, tuple(inv))
+
+
 def slice_identity(u: GSet) -> SliceObject:
     return SliceObject(identity_gmap(u))
 
@@ -703,12 +713,21 @@ class Pullback:
         return self._start[a] + self._rank[b]
 
     def mediator(self, q1: GMap, q2: GMap) -> GMap:
-        """The unique map into the apex from a commuting cone (q1, q2)."""
+        """The unique map into the apex from a commuting cone (q1, q2).
+
+        Every map into a pullback is built here.  Each point is sent to the
+        pair of its images, and pairing is the check that the cone
+        commutes: a pair off the pullback refuses the cone.
+        """
         if q1.dom != q2.dom:
             raise BoundaryMismatch("mediator cone legs have different domains")
-        if compose_gmaps(self.f, q1).table != compose_gmaps(self.g, q2).table:
-            raise BoundaryMismatch("mediator cone does not commute")
-        return GMap(q1.dom, self.gset, tuple(map(self.index_of, q1.table, q2.table)))
+        if q1.cod != self.f.dom or q2.cod != self.g.dom:
+            raise BoundaryMismatch("compose_gmaps: codomain of f is not domain of g")
+        try:
+            table = tuple(map(self.index_of, q1.table, q2.table))
+        except KeyError:
+            raise BoundaryMismatch("mediator cone does not commute") from None
+        return GMap(q1.dom, self.gset, table)
 
 
 def pullback(f: GMap, g: GMap) -> Pullback:
@@ -811,9 +830,7 @@ def product_gmap(prod_dom: ProductDiagram, prod_cod: ProductDiagram,
         raise BoundaryMismatch("product_gmap domains do not match")
     if f.cod != prod_cod.proj1.cod or g.cod != prod_cod.proj2.cod:
         raise BoundaryMismatch("product_gmap codomains do not match")
-    table = tuple(map(prod_cod.index_of, map(f.table.__getitem__, prod_dom.proj1.table),
-                      map(g.table.__getitem__, prod_dom.proj2.table)))
-    return GMap(prod_dom.prod, prod_cod.prod, table)
+    return prod_cod.mediator(compose_gmaps(f, prod_dom.proj1), compose_gmaps(g, prod_dom.proj2))
 
 
 # ---------------------------------------------------------------------------

@@ -419,8 +419,9 @@ def burnside_table_bruteforce(group: FiniteGroup) -> BurnsideTable:
     each found from its least unseen point y as the images g.y, g in S,
     read from y's column of the full action table, and classified by the
     conjugacy class of the pair stabilizer S & stab(y).  Point stabilizers
-    are built once per atom.  Shares no code with the marks or the slice
-    machinery above.
+    are built once per atom.  Shares no code with the marks; from the slice
+    machinery above it reads only the atoms of the point, `atoms(pt)`, and
+    their representatives, built by `atom_slice` through `from_labels`.
     """
     pt = terminal_gset(group)
     labs = atoms(pt)

@@ -283,27 +283,15 @@ def normalize_word(word: Word) -> tuple[Word, list[dict]]:
     cur = list(word)
     transcript: list[dict] = []
     while True:
-        hit = None
         for i in range(len(cur) - 2, -1, -1):  # innermost (rightmost) pair first
             step = _rewrite_pair(cur[i], cur[i + 1])
             if step is not None:
-                hit = (i, step)
                 break
-        if hit is None:
-            # lone identity generators can survive without an adjacent pair
-            solo = next((i for i, g in enumerate(cur)
-                         if g.f.is_identity() and len(cur) > 1), None)
-            if solo is None:
-                break
-            rule, i, repl = "drop-identity", solo, ()
         else:
-            i, (rule, repl) = hit
-            repl = list(repl)
+            break
+        rule, repl = step
         before = [g.describe() for g in cur]
-        if hit is None:
-            cur = cur[:i] + cur[i + 1:]
-        else:
-            cur = cur[:i] + list(repl) + cur[i + 2:]
+        cur = cur[:i] + list(repl) + cur[i + 2:]
         transcript.append({"rule": rule, "pos": i,
                            "before": before,
                            "after": [g.describe() for g in cur]})

@@ -18,6 +18,7 @@ from .finact import (
     coproduct,
     from_labels,
     initial_gset,
+    invert_gmap,
     orbit_candidates,
     point_images,
     product,
@@ -25,7 +26,7 @@ from .finact import (
     terminal_gset,
 )
 from .groups import FiniteGroup, subgroups
-from .mackey import atom_label
+from .mackey import atom_label, slice_of_atoms
 from .poly import Polynomial, polynomial
 from .spans import Span
 
@@ -77,11 +78,8 @@ def random_slice(rng: Rng, base: GSet, max_size: int,
         if size + orb_size > max_size:
             continue
         size += orb_size
-        s, v = atom_label(base.group, h, img)
-        pieces.append((s, (v,)))
-    # sorted piece labels are the orbit labels: the canonical representative
-    _, (arrow,) = from_labels(base.group, (base,), sorted(pieces))
-    return SliceObject(arrow)
+        pieces.append(atom_label(base.group, h, img))
+    return slice_of_atoms(base, pieces)
 
 
 def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:
@@ -96,9 +94,9 @@ def random_gmap(rng: Rng, x: GSet, y: GSet) -> Optional[GMap]:
     return GMap(x, y, tuple(table))
 
 
-def random_map_into(rng: Rng, base: GSet, max_size: int,
-                    allow_empty: bool = False) -> GMap:
-    return random_slice(rng, base, max_size, allow_empty=allow_empty).arrow
+def random_map_into(rng: Rng, base: GSet, max_size: int) -> GMap:
+    """The arrow of a random slice over the base with at least one orbit drawn."""
+    return random_slice(rng, base, max_size, allow_empty=False).arrow
 
 
 def random_span(rng: Rng, u: GSet, v: GSet, max_apex: int) -> Span:
@@ -111,18 +109,14 @@ def random_span(rng: Rng, u: GSet, v: GSet, max_apex: int) -> Span:
 def shuffle_span(rng: Rng, p: Span) -> Span:
     perm = list(range(p.apex.size))
     rng.shuffle(perm)
-    copy, _ = relabel_gset(p.apex, perm)
-    inv = [0] * len(perm)
-    for a, b in enumerate(perm):
-        inv[b] = a
-    return Span(GMap(copy, p.src, tuple(p.left.table[inv[q]] for q in range(copy.size))),
-                GMap(copy, p.tgt, tuple(p.right.table[inv[q]] for q in range(copy.size))))
+    back = invert_gmap(relabel_gset(p.apex, perm)[1])
+    return Span(compose_gmaps(p.left, back), compose_gmaps(p.right, back))
 
 
 def random_cospan(rng: Rng, group: FiniteGroup, max_size: int) -> tuple[GMap, GMap]:
     w = random_gset(rng, group, max_size)
-    f = random_map_into(rng, w, max_size, allow_empty=False)
-    g = random_map_into(rng, w, max_size, allow_empty=False)
+    f = random_map_into(rng, w, max_size)
+    g = random_map_into(rng, w, max_size)
     return f, g
 
 

@@ -85,8 +85,7 @@ def suite_compat(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
                for _ in range(6)]
     pi_samples = []
     for _ in range(6):
-        r = random_map_into(rng, random_gset(rng, group, size_bound), size_bound,
-                            allow_empty=False)
+        r = random_map_into(rng, random_gset(rng, group, size_bound), size_bound)
         v = random_map_into(rng, r.dom, size_bound)
         pi_samples.append((r, v))
     rep_max = calib.check_compatible_pair(ALL_MAPS, ALL_MAPS, samples, pi_samples)
@@ -128,7 +127,7 @@ def suite_span_laws(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         checks.append(Check(f"iso-search[{k}]", spans.span_iso(p, shuffled) is not None))
     for k in range(4):
         u = random_gset(rng, group, size_bound)
-        r = random_map_into(rng, u, size_bound, allow_empty=False)
+        r = random_map_into(rng, u, size_bound)
         checks.append(Check(f"adjunction[{k}]", spans.check_adjunction(r).passed))
     for k in range(3):
         x = random_gset(rng, group, size_bound)
@@ -178,7 +177,7 @@ def suite_distlaw(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     checks = []
     for k in range(6):
         s = random_gset(rng, group, size_bound)
-        u = random_map_into(rng, s, size_bound, allow_empty=False)
+        u = random_map_into(rng, s, size_bound)
         a = random_map_into(rng, u.dom, size_bound)
         probes = [random_slice(rng, a.dom, size_bound) for _ in range(2)]
         _, rep = poly.distribute(u, a, probes=probes)
@@ -235,7 +234,7 @@ def suite_tambara(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         reports.append(tambara.check_tambara_functoriality(t, p, q, probes))
     for k in range(3):
         s = random_gset(rng, group, size_bound)
-        u = random_map_into(rng, s, size_bound, allow_empty=False)
+        u = random_map_into(rng, s, size_bound)
         a = random_map_into(rng, u.dom, size_bound)
         probes = [random_slice(rng, a.dom, size_bound) for _ in range(2)]
         reports.append(tambara.check_norm_of_sum(t, u, a, probes))
@@ -294,7 +293,7 @@ def _adjunction_triangles(group: FiniteGroup, rng: Rng, size_bound: int) -> Repo
     triangles = []
     for k in range(2):
         w = random_gset(rng, group, size_bound)
-        u = random_map_into(rng, w, size_bound, allow_empty=False)
+        u = random_map_into(rng, w, size_bound)
         doms = [random_slice(rng, u.dom, size_bound) for _ in range(2)]
         cods = [random_slice(rng, w, size_bound) for _ in range(2)]
         triangles += [Check(f"u[{k}]/{name}", ok)
@@ -335,8 +334,7 @@ def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     targets = [random_slice(rng, u, size_bound) for _ in range(2)]
     reports.append(completion.check_fiber_coproduct(e, u, x, y, targets))
     for _ in range(2):
-        r = random_map_into(rng, random_gset(rng, group, size_bound), size_bound,
-                            allow_empty=False)
+        r = random_map_into(rng, random_gset(rng, group, size_bound), size_bound)
         leg = random_map_into(rng, r.dom, size_bound)
         o = completion.completion_obj(e, leg, random_slice(rng, leg.dom, size_bound))
         leg2 = random_map_into(rng, r.cod, size_bound)

@@ -17,7 +17,6 @@ from spanpoly.completion import (
     CompletionObject,
     SliceIndexed,
     completion_homs,
-    invert_gmap,
 )
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
@@ -31,6 +30,7 @@ from spanpoly.finact import (
     equivariant_maps,
     identity_gmap,
     initial_gset,
+    invert_gmap,
     orbit_cosets,
     orbit_labels,
     pi_slice,

@@ -155,7 +155,7 @@ def test_criterion_04_adjunction_triangles():
     for group in (C2, S3):
         for _ in range(27):
             w = random_gset(rng, group, 5)
-            r = random_map_into(rng, w, 5, allow_empty=False)
+            r = random_map_into(rng, w, 5)
             count += 1
             if check_adjunction(r).passed:
                 passed += 1
@@ -190,7 +190,7 @@ def test_criterion_06_distributive_law():
     count, ok_all = 0, True
     for _ in range(52):
         s = random_gset(rng, C2, 4)
-        u = random_map_into(rng, s, 4, allow_empty=False)
+        u = random_map_into(rng, s, 4)
         a = random_map_into(rng, u.dom, 4)
         probes = [random_slice(rng, a.dom, 3) for _ in range(2)]
         count += 1
@@ -361,7 +361,7 @@ def test_criterion_12_protocalibration_checker():
                      and any(c.detail for c in broken_rep.failures()))
     pi_samples = []
     for _ in range(5):
-        r = random_map_into(rng, random_gset(rng, C2, 4), 4, allow_empty=False)
+        r = random_map_into(rng, random_gset(rng, C2, 4), 4)
         v = random_map_into(rng, r.dom, 4)
         pi_samples.append((r, v))
     accept = check_compatible_pair(INJECTIVE_MAPS, ALL_MAPS, samples, pi_samples).passed

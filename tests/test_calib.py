@@ -58,7 +58,7 @@ def test_compatible_pairs(c2, rng):
     samples = _samples(rng, c2)
     pi_samples = []
     for _ in range(5):
-        r = random_map_into(rng, random_gset(rng, c2, 5), 5, allow_empty=False)
+        r = random_map_into(rng, random_gset(rng, c2, 5), 5)
         v = random_map_into(rng, r.dom, 5)
         pi_samples.append((r, v))
     assert check_compatible_pair(ALL_MAPS, ALL_MAPS, samples, pi_samples).passed

@@ -129,7 +129,7 @@ def test_distribute_returns_the_section_evaluation(c2, s3, rng):
     for group in (c2, s3):
         for _ in range(3):
             s = random_gset(rng, group, 4)
-            u = random_map_into(rng, s, 4, allow_empty=False)
+            u = random_map_into(rng, s, 4)
             a = random_map_into(rng, u.dom, 4)
             data, rep = distribute(u, a, probes=[slice_identity(a.dom)])
             pw = section_eval(u, SliceObject(a))
@@ -300,7 +300,7 @@ def _random_word(rng, group, length, size):
     for _ in range(length):
         kind = rng.choice(["Delta", "Sigma", "Pi"])
         if kind == "Delta":
-            f = random_map_into(rng, cur, size, allow_empty=False)
+            f = random_map_into(rng, cur, size)
             gens.append(Gen("Delta", f))
             cur = f.dom
         else:

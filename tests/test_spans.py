@@ -13,6 +13,7 @@ from spanpoly.finact import (
     slice_iso,
     unique_to_terminal,
 )
+from spanpoly import spans
 from spanpoly.groups import symmetric_group
 from spanpoly.mackey import canonical_slice
 from spanpoly.spans import (
@@ -63,7 +64,7 @@ def test_free_span_self_composition(c2, f2, pt2, u2):
 
 
 def test_lower_star_functorial(c2, f2, pt2, u2, rng):
-    r = random_map_into(rng, f2, 5, allow_empty=False)
+    r = random_map_into(rng, f2, 5)
     s = u2
     comp = compose_spans(lower_star(r), lower_star(s))
     assert span_iso(comp, lower_star(compose_gmaps(s, r))) is not None
@@ -100,9 +101,39 @@ def test_adjunction_random(c2, s3, rng):
     for group in (c2, s3):
         for _ in range(5):
             w = random_gset(rng, group, 6)
-            r = random_map_into(rng, w, 6, allow_empty=False)
+            r = random_map_into(rng, w, 6)
             rep = check_adjunction(r)
             assert rep.passed, rep.render_text()
+
+
+def test_triangles_compose_the_associator(c2, s3, rng, monkeypatch):
+    """With the associator's table reversed, a triangle fails: the triangles
+    certify the cell that the span-law checks use."""
+    true_associator = spans.associator
+
+    def reversed_associator(p, q, r):
+        left, right, cell = true_associator(p, q, r)
+        return left, right, GMap(cell.dom, cell.cod, cell.table[::-1])
+
+    monkeypatch.setattr(spans, "associator", reversed_associator)
+    seen = 0
+    for group in (c2, s3):
+        for _ in range(5):
+            r = random_map_into(rng, random_gset(rng, group, 6), 6)
+            if r.dom.size > 1:
+                seen += 1
+                failed = {c.name for c in check_adjunction(r).failures()}
+                assert failed and failed <= {"triangle-lower", "triangle-upper"}
+    assert seen > 0
+
+
+def test_whiskering_identity_cells_is_the_identity(c2, s3, rng):
+    for group in (c2, s3):
+        u, v, w = (random_gset(rng, group, 5) for _ in range(3))
+        p, q = random_span(rng, u, v, 5), random_span(rng, v, w, 5)
+        comp = compose_data(p, q)
+        ident = spans._whisker(comp, comp, identity_gmap(p.apex), identity_gmap(q.apex))
+        assert ident == identity_gmap(comp.span.apex)
 
 
 def test_decompose_roundtrip(c2, f2, pt2, u2, rng):

@@ -182,7 +182,7 @@ def test_additive_reduct_matches_mackey(c2, rng):
     for _ in range(4):
         x = random_gset(rng, c2, 4)
         y = random_gset(rng, c2, 4)
-        f = random_map_into(rng, y, 4, allow_empty=False)
+        f = random_map_into(rng, y, 4)
         gens_y = atoms(y)
         # transfer along a map into y, compared on every atom generator
         for i, lab in enumerate(atoms(f.dom)):
