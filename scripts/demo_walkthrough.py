@@ -35,7 +35,6 @@ from spanpoly import (
 from spanpoly.finact import SliceObject, slice_identity, unique_to_terminal
 from spanpoly.groups import symmetric_group
 from spanpoly.mackey import atoms
-from spanpoly.util_linear import mat_apply
 
 
 def main() -> None:
@@ -69,12 +68,12 @@ def main() -> None:
     fp = FixedPointMackey(c2)
     mat = eval_span(fp, loop)
     mat2 = eval_span(fp, squared)
-    print(f"   fixed-point functor: c -> {mat_apply(mat, (1,))[0]}c on the loop, "
-          f"c -> {mat_apply(mat2, (1,))[0]}c on its square")
+    print(f"   fixed-point functor: c -> {mat((1,))[0]}c on the loop, "
+          f"c -> {mat2((1,))[0]}c on its square")
     bm = BurnsideMackey(c2)
     gens = atoms(pt)
     basis = tuple(1 if g == (tuple(c2.elements()), 0) else 0 for g in gens)
-    print(f"   burnside functor sends the point class to {mat_apply(eval_span(bm, loop), basis)}")
+    print(f"   burnside functor sends the point class to {eval_span(bm, loop)(basis)}")
 
     print("== polynomial composition with a rewrite transcript")
     p = polynomial(u, identity_gmap(free), u)       # transfer-style

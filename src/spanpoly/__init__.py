@@ -22,11 +22,10 @@ _EXPORTS = {
                "canonical_slice", "eval_span"),
     "poly": ("Polynomial", "compose_poly", "distribute", "eval_semiring", "poly_to_spanspan",
              "polynomial", "spanspan_to_poly"),
-    "completion": ("CompletionMorphism", "CompletionObject", "check_CB", "check_CB_fiber",
-                   "completion_homs", "completion_homs_dual", "completion_obj",
+    "completion": ("CompletionMorphism", "CompletionObject", "SliceIndexed", "check_CB",
+                   "check_CB_fiber", "completion_homs", "completion_homs_dual", "completion_obj",
                    "extend_to_spans", "fiber_coproduct", "hom_bijection", "hom_bijection_dual",
-                   "pushforward", "reindex", "representable_indexed", "slice_indexed",
-                   "terminal_indexed"),
+                   "pushforward", "reindex", "terminal_indexed"),
     "semirings": ("BOOLEANS", "NATURALS", "CommSemiring"),
     "spans": ("Span", "compose_spans", "identity_span", "lower_star", "span",
               "span_canonical_form", "span_iso", "upper_star"),

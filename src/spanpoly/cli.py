@@ -27,7 +27,6 @@ from .poly import compose_poly
 from .report import Report, merge_reports
 from .semirings import builtin_semiring
 from .spans import compose_spans, span_canonical_form
-from .util_linear import mat_apply
 from .workspace import (
     Workspace,
     builtin_workspace,
@@ -222,7 +221,7 @@ def cmd_eval(args) -> int:
         raise SpanPolyError("mackey evaluation needs --span")
     p = _over(group, "span", args.span, ws.span(args.span))
     mat = eval_span(m, p)
-    vec = mat_apply(mat, _vector(value, mat.src))
+    vec = mat(_vector(value, mat.src))
     gens = m.value_gens(p.tgt)
     _emit(args, lambda: f"value: {list(vec)} over generators {list(map(str, gens))}",
           lambda: {"value": list(vec), "generators": [str(g) for g in gens]})

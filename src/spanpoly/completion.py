@@ -5,11 +5,14 @@ objects and finite hom-sets are produced on demand, and to every map a
 reindexing functor.  Values are never materialized: every check below takes
 explicit probe objects and reports exactly what it examined.
 
-Shipped instances, all of them `SliceIndexed`: the self-indexing by slices,
-and for each G-set K the slices over (- x K), which present the hom into K
-in a form that admits both adjoints to reindexing.  The terminal instance
-is the case K = 0: slices over (- x 0) are slices over the empty G-set,
-one object and one morphism in every fiber.
+There is one indexed category, `SliceIndexed`: `SliceIndexed()` is the
+self-indexing by slices, and `SliceIndexed(k)` for a G-set K the slices over
+(- x K), which present the hom into K in a form that admits both adjoints to
+reindexing.  The terminal instance, `terminal_indexed`, is the case K = 0:
+slices over (- x 0) are slices over the empty G-set, one object and one
+morphism in every fiber.  Its fibers are slice categories, so their homs,
+composites and isos are `slice_homs`, `compose_gmaps` and `slice_iso`,
+called directly.  A span acts on the fibers through `span_action`.
 
 Objects of the coproduct completion over U are pairs (u : S -> U, x in
 X(S)), any map serving as the leg; the product completion uses the
@@ -19,7 +22,8 @@ one side, a right adjoint on the other).
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import finact
 from .errors import BoundaryMismatch, InvalidStructure, ProbeFailure, ResourceLimit
@@ -82,18 +86,6 @@ class SliceIndexed:
         return product_gmap(product(f.dom, self.at), product(f.cod, self.at),
                             f, identity_gmap(self.at))
 
-    def validate_obj(self, u: GSet, x) -> bool:
-        return isinstance(x, SliceObject) and x.base == self.carrier(u)
-
-    def fiber_hom(self, a: SliceObject, b: SliceObject) -> list[GMap]:
-        return list(slice_homs(a, b))
-
-    def fiber_comp(self, g: GMap, f: GMap) -> GMap:
-        return compose_gmaps(g, f)
-
-    def fiber_iso(self, a: SliceObject, b: SliceObject) -> Optional[GMap]:
-        return slice_iso(a, b)
-
     def act_obj(self, f: GMap, x: SliceObject) -> SliceObject:
         return delta(self.lift(f), x)
 
@@ -127,14 +119,6 @@ def terminal_indexed(group: FiniteGroup) -> SliceIndexed:
     return SliceIndexed(at=initial_gset(group))
 
 
-def slice_indexed() -> SliceIndexed:
-    return SliceIndexed()
-
-
-def representable_indexed(k: GSet) -> SliceIndexed:
-    return SliceIndexed(at=k)
-
-
 # ---------------------------------------------------------------------------
 # completion objects
 # ---------------------------------------------------------------------------
@@ -165,7 +149,7 @@ class CompletionMorphism(NamedTuple):
 
 
 def completion_obj(xcat: SliceIndexed, u: GMap, x) -> CompletionObject:
-    if not xcat.validate_obj(u.dom, x):
+    if not (isinstance(x, SliceObject) and x.base == xcat.carrier(u.dom)):
         raise InvalidStructure(f"object invalid in fiber over {u.dom.size}-point stage")
     return CompletionObject(u, x)
 
@@ -205,7 +189,7 @@ def completion_homs(xcat: SliceIndexed, o: CompletionObject,
     out = []
     for w in equivariant_maps(o.stage, o2.stage, ((o.u, o2.u),)):
         xw = xcat.act_obj(w, o2.x)
-        for xi in xcat.fiber_hom(o.x, xw):
+        for xi in slice_homs(o.x, xw):
             out.append(CompletionMorphism(w, xi))
             if len(out) > finact.MAX_MAPS:
                 raise _hom_total_over_limit("completion hom-set", o, o2)
@@ -223,7 +207,7 @@ def completion_homs_dual(xcat: SliceIndexed, o: CompletionObject,
     out = []
     for w in equivariant_maps(o2.stage, o.stage, ((o2.u, o.u),)):
         xw = xcat.act_obj(w, o.x)
-        for zeta in xcat.fiber_hom(xw, o2.x):
+        for zeta in slice_homs(xw, o2.x):
             out.append(CompletionMorphism(w, zeta))
             if len(out) > finact.MAX_MAPS:
                 raise _hom_total_over_limit("dual hom-set", o, o2)
@@ -248,7 +232,7 @@ def hom_bijection_dual(xcat: SliceIndexed, o: CompletionObject,
         w = compose_gmaps(pb.proj1, wt)
         coh = xcat.compose_witness(pb.proj1, wt, o2.x)
         coh_inv = invert_gmap(coh)
-        zeta2 = xcat.fiber_comp(zeta, coh_inv)
+        zeta2 = compose_gmaps(zeta, coh_inv)
         images.append(CompletionMorphism(w, zeta2))
     return Report("hom-bijection-dual", _bijection_checks(lhs, rhs, images))
 
@@ -272,7 +256,7 @@ def hom_bijection_map(xcat: SliceIndexed, o: CompletionObject,
     for (w, xi) in lhs:
         wt = pb.mediator(w, o.u)
         coh = xcat.compose_witness(pb.proj1, wt, o2.x)
-        xi2 = xcat.fiber_comp(invert_gmap(coh), xi)
+        xi2 = compose_gmaps(invert_gmap(coh), xi)
         images.append(CompletionMorphism(wt, xi2))
     return lhs, rhs, images
 
@@ -349,7 +333,7 @@ def check_CB_fiber(xcat: SliceIndexed, f: GMap, g: GMap, samples: Sequence,
     for k, x in enumerate(samples):
         side1 = xcat.act_obj(g, one(f, x))
         side2 = one(f_g, xcat.act_obj(g_f, x))
-        ok = xcat.fiber_iso(side1, side2) is not None
+        ok = slice_iso(side1, side2) is not None
         checks.append(Check(f"{mode}-mate[{k}]", ok, "" if ok else "fiber iso missing"))
     return Report(f"CB-fiber-{mode}:{xcat.name}", tuple(checks))
 
@@ -374,12 +358,12 @@ def check_fiber_coproduct(xcat: SliceIndexed, u: GSet, x, y,
     z = fiber_coproduct(xcat, u, x, y)
     checks = []
     for k, w in enumerate(targets):
-        homs = xcat.fiber_hom(z, w)
-        target = len(xcat.fiber_hom(x, w)) * len(xcat.fiber_hom(y, w))
+        homs = list(slice_homs(z, w))
+        target = len(list(slice_homs(x, w))) * len(list(slice_homs(y, w)))
         checks.append(Check(f"universality[{k}]", len(homs) == target,
                             "" if len(homs) == target
                             else f"{len(homs)} maps out vs {target} pairs"))
-    inj = len(xcat.fiber_hom(x, z)) >= 1 and len(xcat.fiber_hom(y, z)) >= 1
+    inj = len(list(slice_homs(x, z))) >= 1 and len(list(slice_homs(y, z))) >= 1
     checks.append(Check("injections-exist", inj))
     return Report(f"fiber-coproduct:{xcat.name}", tuple(checks))
 
@@ -388,24 +372,15 @@ def check_fiber_coproduct(xcat: SliceIndexed, u: GSet, x, y,
 # extension to spans
 # ---------------------------------------------------------------------------
 
-class SpanExtension:
-    """Action of a coproduct-complete indexed category on a span.
-
-    The span U <- S -> V acts on the fiber over V by reindexing along the
-    right leg and pushing along the left one.
-    """
-
-    def __init__(self, xcat: SliceIndexed, p: Span):
-        self.xcat = xcat
-        self.p = p
-
-    def __call__(self, x):
-        return self.xcat.push_obj(self.p.left, self.xcat.act_obj(self.p.right, x))
+def span_action(xcat: SliceIndexed, p: Span, x: SliceObject) -> SliceObject:
+    """The span U <- S -> V acting on x over V: reindex along the right leg,
+    then push along the left one."""
+    return xcat.push_obj(p.left, xcat.act_obj(p.right, x))
 
 
 def extend_to_spans(xcat: SliceIndexed, p: Span,
                     probe_squares: Sequence[tuple[GMap, GMap]] = (),
-                    probe_objects: Sequence = ()) -> SpanExtension:
+                    probe_objects: Sequence = ()) -> Callable[[SliceObject], SliceObject]:
     """Span action of an indexed category, gated on sampled cocompleteness probes.
 
     The first failed probe raises ProbeFailure naming it.
@@ -417,20 +392,18 @@ def extend_to_spans(xcat: SliceIndexed, p: Span,
             probe = f"{rep.title}/{failed.name}"
             raise ProbeFailure(f"cocompleteness probe {probe} failed ({failed.detail}); "
                                f"cannot extend to spans", probe)
-    return SpanExtension(xcat, p)
+    return partial(span_action, xcat, p)
 
 
 def check_extension_composition(xcat: SliceIndexed, p: Span, q: Span,
                                 probes: Sequence) -> Report:
     """Composition preservation of the span action on probe objects."""
-    ext_pq = SpanExtension(xcat, compose_spans(p, q))
-    ext_p = SpanExtension(xcat, p)
-    ext_q = SpanExtension(xcat, q)
+    pq = compose_spans(p, q)
     checks = []
     for k, x in enumerate(probes):
-        a = ext_pq(x)
-        b = ext_p(ext_q(x))
-        ok = xcat.fiber_iso(a, b) is not None
+        a = span_action(xcat, pq, x)
+        b = span_action(xcat, p, span_action(xcat, q, x))
+        ok = slice_iso(a, b) is not None
         checks.append(Check(f"probe[{k}]", ok, "" if ok else "composite action differs"))
     return Report(f"span-extension:{xcat.name}", tuple(checks))
 
@@ -452,18 +425,16 @@ def check_biproduct_preservation(xcat: SliceIndexed, u: GSet, v: GSet,
     glued = []
     for k, (a, b) in enumerate(sample_pairs):
         z = xcat.sum_obj(cop, a, b)
-        glued.append(z)
         za = xcat.act_obj(cop.inj1, z)
         zb = xcat.act_obj(cop.inj2, z)
-        ok = (xcat.fiber_iso(za, a) is not None and xcat.fiber_iso(zb, b) is not None)
+        glued.append((z, za, zb))
+        ok = (slice_iso(za, a) is not None and slice_iso(zb, b) is not None)
         checks.append(Check(f"ess-surj[{k}]", ok,
                             "" if ok else "restrictions do not recover the pair"))
-    for i, z in enumerate(glued):
-        for j, z2 in enumerate(glued):
-            homs = xcat.fiber_hom(z, z2)
-            za, zb = xcat.act_obj(cop.inj1, z), xcat.act_obj(cop.inj2, z)
-            za2, zb2 = xcat.act_obj(cop.inj1, z2), xcat.act_obj(cop.inj2, z2)
-            target = len(xcat.fiber_hom(za, za2)) * len(xcat.fiber_hom(zb, zb2))
+    for i, (z, za, zb) in enumerate(glued):
+        for j, (z2, za2, zb2) in enumerate(glued):
+            homs = list(slice_homs(z, z2))
+            target = len(list(slice_homs(za, za2))) * len(list(slice_homs(zb, zb2)))
             imgs = {(xcat.act_mor(cop.inj1, z, z2, h).table,
                      xcat.act_mor(cop.inj2, z, z2, h).table) for h in homs}
             ok = len(homs) == target and len(imgs) == len(homs)

@@ -721,8 +721,10 @@ class Pullback:
         """
         if q1.dom != q2.dom:
             raise BoundaryMismatch("mediator cone legs have different domains")
-        if q1.cod != self.f.dom or q2.cod != self.g.dom:
-            raise BoundaryMismatch("compose_gmaps: codomain of f is not domain of g")
+        if q1.cod != self.f.dom:
+            raise BoundaryMismatch("mediator: q1 does not land in the domain of f")
+        if q2.cod != self.g.dom:
+            raise BoundaryMismatch("mediator: q2 does not land in the domain of g")
         try:
             table = tuple(map(self.index_of, q1.table, q2.table))
         except KeyError:

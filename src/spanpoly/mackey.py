@@ -57,7 +57,7 @@ from .groups import (
 from .record import FrozenRecord
 from .report import Check, Report
 from .spans import Span, compose_spans
-from .util_linear import Matrix, lin_map, mat_add, mat_compose, mat_equal, mat_identity
+from .util_linear import LinMap, lin_map, mat_add, mat_compose, mat_identity
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,11 @@ class MackeyFunctor:
     def value_gens(self, x: GSet) -> tuple:
         raise NotImplementedError
 
-    def res_matrix(self, f: GMap) -> Matrix:
+    def res_matrix(self, f: GMap) -> LinMap:
         """Linear map value(cod f) -> value(dom f)."""
         raise NotImplementedError
 
-    def tr_matrix(self, u: GMap) -> Matrix:
+    def tr_matrix(self, u: GMap) -> LinMap:
         """Linear map value(dom u) -> value(cod u)."""
         raise NotImplementedError
 
@@ -165,7 +165,7 @@ class BurnsideMackey(MackeyFunctor):
     def value_gens(self, x: GSet) -> tuple:
         return atoms(x)
 
-    def res_matrix(self, f: GMap) -> Matrix:
+    def res_matrix(self, f: GMap) -> LinMap:
         src = self.value_gens(f.cod)
         tgt = self.value_gens(f.dom)
         index = {g: j for j, g in enumerate(tgt)}
@@ -180,7 +180,7 @@ class BurnsideMackey(MackeyFunctor):
             rows.append(row)
         return lin_map(rows, len(src), len(tgt))
 
-    def tr_matrix(self, u: GMap) -> Matrix:
+    def tr_matrix(self, u: GMap) -> LinMap:
         src = self.value_gens(u.dom)
         tgt = self.value_gens(u.cod)
         index = {g: j for j, g in enumerate(tgt)}
@@ -228,7 +228,7 @@ class FixedPointMackey(MackeyFunctor):
     def value_gens(self, x: GSet) -> tuple:
         return self._orbit_pairs(x)[1]
 
-    def res_matrix(self, f: GMap) -> Matrix:
+    def res_matrix(self, f: GMap) -> LinMap:
         pairs_b, gens_b = self._orbit_pairs(f.cod)
         gens_a = self.value_gens(f.dom)
         index_b = {g: i for i, g in enumerate(gens_b)}
@@ -237,7 +237,7 @@ class FixedPointMackey(MackeyFunctor):
             rows[index_b[pairs_b[f.table[a]][k]]][j] = 1
         return lin_map(rows, len(gens_b), len(gens_a))
 
-    def tr_matrix(self, u: GMap) -> Matrix:
+    def tr_matrix(self, u: GMap) -> LinMap:
         pairs_a, gens_a = self._orbit_pairs(u.dom)
         gens_b = self.value_gens(u.cod)
         index_a = {g: i for i, g in enumerate(gens_a)}
@@ -253,7 +253,7 @@ class FixedPointMackey(MackeyFunctor):
 # evaluation and law checks
 # ---------------------------------------------------------------------------
 
-def eval_span(m: MackeyFunctor, p: Span) -> Matrix:
+def eval_span(m: MackeyFunctor, p: Span) -> LinMap:
     """Matrix of the span action value(src) -> value(tgt): restrict, then transfer."""
     return mat_compose(m.tr_matrix(p.right), m.res_matrix(p.left))
 
@@ -262,7 +262,7 @@ def check_functoriality(m: MackeyFunctor, p: Span, q: Span) -> Report:
     comp = compose_spans(p, q)
     lhs = eval_span(m, comp)
     rhs = mat_compose(eval_span(m, q), eval_span(m, p))
-    ok = mat_equal(lhs, rhs)
+    ok = lhs == rhs
     return Report(f"mackey-functoriality:{m.name}",
                   (Check("composite-matrix", ok,
                          "" if ok else f"{lhs.rows} != {rhs.rows}"),))
@@ -273,7 +273,7 @@ def check_double_coset(m: MackeyFunctor, f: GMap, g: GMap) -> Report:
     pb = pullback(f, g)
     lhs = mat_compose(m.tr_matrix(pb.proj2), m.res_matrix(pb.proj1))
     rhs = mat_compose(m.res_matrix(g), m.tr_matrix(f))
-    ok = mat_equal(lhs, rhs)
+    ok = lhs == rhs
     return Report(f"double-coset:{m.name}", (Check("exchange", ok),))
 
 
@@ -285,9 +285,9 @@ def check_additivity(m: MackeyFunctor, x: GSet, y: GSet) -> Report:
     n_sum = len(m.value_gens(cop.sum))
     n_x, n_y = len(m.value_gens(x)), len(m.value_gens(y))
     total = mat_add(mat_compose(t1, r1), mat_compose(t2, r2))
-    checks = [Check("sum-recovers", mat_equal(total, mat_identity(n_sum)))]
-    checks.append(Check("x-component", mat_equal(mat_compose(r1, t1), mat_identity(n_x))))
-    checks.append(Check("y-component", mat_equal(mat_compose(r2, t2), mat_identity(n_y))))
+    checks = [Check("sum-recovers", total == mat_identity(n_sum))]
+    checks.append(Check("x-component", mat_compose(r1, t1) == mat_identity(n_x)))
+    checks.append(Check("y-component", mat_compose(r2, t2) == mat_identity(n_y)))
     checks.append(Check("cross-vanishes",
                         all(v == 0 for row in mat_compose(r2, t1).rows for v in row)
                         and all(v == 0 for row in mat_compose(r1, t2).rows for v in row)))

@@ -33,17 +33,13 @@ from .spans import Span
 Rng = random.Random
 
 
-def random_subgroup(rng: Rng, group: FiniteGroup) -> frozenset[int]:
-    return rng.choice(subgroups(group))
-
-
 def random_gset(rng: Rng, group: FiniteGroup, max_size: int) -> GSet:
     """A sum of 1-3 random coset orbits, each kept if it fits the size budget, in draw order."""
     if max_size <= 0:
         return initial_gset(group)
     labels: list[tuple] = []
     for _ in range(rng.randint(1, 3)):
-        h = random_subgroup(rng, group)
+        h = rng.choice(subgroups(group))
         if sum(group.order // len(k) for k, _ in labels) + group.order // len(h) <= max_size:
             labels.append((h, ()))
     if not labels:

@@ -97,10 +97,6 @@ class SpanComposite:
         self.pb = pb
 
 
-def compose_data(p: Span, q: Span) -> SpanComposite:
-    return SpanComposite(p, q)
-
-
 def compose_spans(p: Span, q: Span) -> Span:
     """p : U -/-> V followed by q : V -/-> W."""
     return SpanComposite(p, q).span
@@ -142,21 +138,21 @@ def span_canonical_form(p: Span) -> str:
 
 def lunitor(p: Span) -> tuple[SpanComposite, GMap]:
     """The composite 1 ; p and its canonical iso onto p."""
-    comp = compose_data(identity_span(p.src), p)
+    comp = SpanComposite(identity_span(p.src), p)
     return comp, GMap(comp.span.apex, p.apex, comp.pb.proj2.table)
 
 
 def runitor(p: Span) -> tuple[SpanComposite, GMap]:
-    comp = compose_data(p, identity_span(p.tgt))
+    comp = SpanComposite(p, identity_span(p.tgt))
     return comp, GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
 
 
 def associator(p: Span, q: Span, r: Span) -> tuple[SpanComposite, SpanComposite, GMap]:
     """Canonical iso apex((p;q);r) -> apex(p;(q;r)) by reassociating pairs."""
-    pq = compose_data(p, q)
-    left = compose_data(pq.span, r)
-    qr = compose_data(q, r)
-    right = compose_data(p, qr.span)
+    pq = SpanComposite(p, q)
+    left = SpanComposite(pq.span, r)
+    qr = SpanComposite(q, r)
+    right = SpanComposite(p, qr.span)
     first = left.pb.proj1
     inner = qr.pb.mediator(compose_gmaps(pq.pb.proj2, first), left.pb.proj2)
     return left, right, right.pb.mediator(compose_gmaps(pq.pb.proj1, first), inner)
@@ -177,14 +173,14 @@ def _whisker(src: SpanComposite, tgt: SpanComposite, alpha: GMap, beta: GMap) ->
 
 def adjunction_unit(r: GMap) -> tuple[SpanComposite, GMap]:
     """unit : identity span of U => r_* ; r^*  (the kernel-pair diagonal)."""
-    comp = compose_data(lower_star(r), upper_star(r))
+    comp = SpanComposite(lower_star(r), upper_star(r))
     one = identity_gmap(r.dom)
     return comp, comp.pb.mediator(one, one)
 
 
 def adjunction_counit(r: GMap) -> tuple[SpanComposite, GMap]:
     """counit : r^* ; r_* => identity span of V."""
-    comp = compose_data(upper_star(r), lower_star(r))
+    comp = SpanComposite(upper_star(r), lower_star(r))
     return comp, compose_gmaps(r, comp.pb.proj1)
 
 

@@ -146,9 +146,9 @@ def suite_span_laws(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
 
 
 def suite_cb(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
-    e = completion.slice_indexed()
+    e = completion.SliceIndexed()
     k = random_gset(rng, group, max(1, size_bound // 2))
-    rk = completion.representable_indexed(k)
+    rk = completion.SliceIndexed(k)
     one = completion.terminal_indexed(group)
     reports = []
     for i in range(5):
@@ -303,8 +303,8 @@ def _adjunction_triangles(group: FiniteGroup, rng: Rng, size_bound: int) -> Repo
 
 def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     small = max(1, size_bound // 2)
-    e = completion.slice_indexed()
-    rk = completion.representable_indexed(random_gset(rng, group, small))
+    e = completion.SliceIndexed()
+    rk = completion.SliceIndexed(random_gset(rng, group, small))
     reports = []
     for _ in range(3):
         u, v, w = (random_gset(rng, group, size_bound) for _ in range(3))

@@ -31,9 +31,6 @@ class LinMap(FrozenRecord):
         return tuple(out)
 
 
-Matrix = LinMap
-
-
 def lin_map(rows: Sequence[Sequence[int]], src: int, tgt: int) -> LinMap:
     return LinMap(src, tgt, tuple(tuple(r) for r in rows))
 
@@ -41,10 +38,6 @@ def lin_map(rows: Sequence[Sequence[int]], src: int, tgt: int) -> LinMap:
 def mat_identity(n: int) -> LinMap:
     return LinMap(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
                               for i in range(n)))
-
-
-def mat_apply(m: LinMap, v: Sequence[int]) -> tuple[int, ...]:
-    return m(v)
 
 
 def mat_compose(second: LinMap, first: LinMap) -> LinMap:
@@ -60,7 +53,3 @@ def mat_add(a: LinMap, b: LinMap) -> LinMap:
     return LinMap(a.src, a.tgt,
                   tuple(tuple(x + y for x, y in zip(ra, rb))
                         for ra, rb in zip(a.rows, b.rows)))
-
-
-def mat_equal(a: LinMap, b: LinMap) -> bool:
-    return a == b

@@ -356,7 +356,7 @@ def completion_compose(xcat: SliceIndexed,
     w = compose_gmaps(w2, w1)
     lifted = xcat.act_mor(w1, o2.x, xcat.act_obj(w2, o3.x), xi2)
     coh = xcat.compose_witness(w2, w1, o3.x)
-    return (w, xcat.fiber_comp(coh, xcat.fiber_comp(lifted, xi1)))
+    return (w, compose_gmaps(coh, compose_gmaps(lifted, xi1)))
 
 
 def reindex_mor(xcat: SliceIndexed, r: GMap,
@@ -371,7 +371,7 @@ def reindex_mor(xcat: SliceIndexed, r: GMap,
     c1 = xcat.compose_witness(w, pb2.proj1, o3.x)
     c2 = xcat.compose_witness(pb3.proj1, wbar, o3.x)
     c2_inv = invert_gmap(c2)
-    xibar = xcat.fiber_comp(c2_inv, xcat.fiber_comp(c1, step))
+    xibar = compose_gmaps(c2_inv, compose_gmaps(c1, step))
     return (wbar, xibar)
 
 

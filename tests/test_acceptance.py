@@ -20,12 +20,7 @@ from spanpoly.calib import (
     check_protocalibration,
 )
 from spanpoly.cli import main
-from spanpoly.completion import (
-    check_CB,
-    completion_obj,
-    representable_indexed,
-    slice_indexed,
-)
+from spanpoly.completion import SliceIndexed, check_CB, completion_obj
 from spanpoly.finact import (
     canonical_form,
     compose_gmaps,
@@ -81,7 +76,6 @@ from spanpoly.spans import (
     span_iso,
 )
 from spanpoly.tambara import check_tambara_functoriality, check_semiring_matches_oracle
-from spanpoly.util_linear import mat_apply
 
 C2 = cyclic_group(2)
 S3 = symmetric_group(3)
@@ -166,11 +160,11 @@ def test_criterion_04_adjunction_triangles():
 def test_criterion_05_chevalley_beck():
     started = time.monotonic()
     rng = random.Random(505)
-    e_cat = slice_indexed()
+    e_cat = SliceIndexed()
     squares, ok_all = 0, True
     for group in (C2, S3):
         k = random_gset(rng, group, 2)
-        rk = representable_indexed(k)
+        rk = SliceIndexed(k)
         for _ in range(51):
             f, g = random_cospan(rng, group, 4)
             squares += 1
@@ -260,8 +254,8 @@ def test_criterion_09_mackey_functoriality():
     f2 = regular_gset(C2)
     u2 = unique_to_terminal(f2)
     p = Span(u2, u2)
-    anchored = (mat_apply(eval_span(fp, p), (1,)) == (2,)
-                and mat_apply(eval_span(fp, compose_spans(p, p)), (1,)) == (4,))
+    anchored = (eval_span(fp, p)((1,)) == (2,)
+                and eval_span(fp, compose_spans(p, p))((1,)) == (4,))
     rng = random.Random(909)
     count, ok_all = 0, True
     for group in (C2, S3):

@@ -17,9 +17,8 @@ from spanpoly.completion import (
     hom_bijection_map,
     pushforward,
     reindex,
-    representable_indexed,
-    slice_indexed,
-    SpanExtension,
+    SliceIndexed,
+    span_action,
     terminal_indexed,
 )
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
@@ -34,14 +33,14 @@ from spanpoly.finact import (
     iso_gsets,
     pi_slice,
     sigma,
+    slice_homs,
     slice_identity,
     slice_iso,
 )
 from spanpoly.groups import builtin_group
 from spanpoly.mackey import BurnsideMackey, atoms, eval_span
 from spanpoly.sampling import random_cospan, random_gset, random_map_into, random_slice
-from spanpoly.spans import Span
-from spanpoly.util_linear import mat_apply
+from spanpoly.spans import Span, lower_star, upper_star
 
 from helpers import (
     ForgetfulReindexing,
@@ -57,7 +56,7 @@ from helpers import (
 
 @pytest.fixture
 def e_cat():
-    return slice_indexed()
+    return SliceIndexed()
 
 
 def test_reindex_identity(e_cat, f2, rng):
@@ -90,7 +89,7 @@ def test_terminal_instance_is_one_object_and_one_morphism(name):
         assert one.carrier(u) == initial_gset(group)
         # a slice over the empty carrier has an empty total: the one object
         assert random_slice(rng, one.carrier(u), 6) == star
-        assert one.fiber_hom(star, star) == [empty]
+        assert list(slice_homs(star, star)) == [empty]
         assert one.act_obj(f, star) == star
         assert one.push_obj(f, star) == star
         assert one.norm_obj(f, star) == star
@@ -246,7 +245,7 @@ def test_check_cb_fails_on_a_forgetful_reindexing(e_cat, name):
 
 def test_check_cb_representable(c2, rng):
     k = random_gset(rng, c2, 3)
-    rk = representable_indexed(k)
+    rk = SliceIndexed(k)
     for _ in range(3):
         f, g = random_cospan(rng, c2, 4)
         leg = random_map_into(rng, f.dom, 3)
@@ -292,9 +291,9 @@ def test_dual_cb_fiber(e_cat, c2, rng):
 
 
 def test_extend_identity_span(e_cat, f2, rng):
-    ext = SpanExtension(e_cat, Span(identity_gmap(f2), identity_gmap(f2)))
+    one = Span(identity_gmap(f2), identity_gmap(f2))
     x = random_slice(rng, f2, 4)
-    assert slice_iso(ext(x), x) is not None
+    assert slice_iso(span_action(e_cat, one, x), x) is not None
 
 
 def test_extend_matches_burnside_transfer_restriction(e_cat, c2, f2, pt2, u2):
@@ -310,7 +309,7 @@ def test_extend_matches_burnside_transfer_restriction(e_cat, c2, f2, pt2, u2):
         from spanpoly.mackey import atom_slice
         image = ext(atom_slice(pt2, g))
         basis = tuple(1 if j == i else 0 for j in range(len(gens)))
-        assert vectorize_slice(image, gens) == mat_apply(mat, basis)
+        assert vectorize_slice(image, gens) == mat(basis)
 
 
 def test_extension_respects_iso_classes(e_cat, c2, rng):
@@ -319,11 +318,10 @@ def test_extension_respects_iso_classes(e_cat, c2, rng):
     v = random_gset(rng, c2, 4)
     p = random_span(rng, u, v, 4)
     q = shuffle_span(rng, p)
-    ext_p = SpanExtension(e_cat, p)
-    ext_q = SpanExtension(e_cat, q)
     x = random_slice(rng, v, 4)
-    assert slice_iso(ext_p(x), ext_q(x)) is not None
-    assert slice_iso(ext_p(x), ext_p(shuffle_slice(rng, x))) is not None
+    px = span_action(e_cat, p, x)
+    assert slice_iso(px, span_action(e_cat, q, x)) is not None
+    assert slice_iso(px, span_action(e_cat, p, shuffle_slice(rng, x))) is not None
 
 
 def test_extension_composition_random(e_cat, c2, rng):
@@ -353,15 +351,49 @@ def test_biproduct_preservation_instances(e_cat, c2, f2, pt2, rng):
     star_pair = (slice_identity(one.carrier(f2)), slice_identity(one.carrier(pt2)))
     assert check_biproduct_preservation(one, f2, pt2, [star_pair]).passed
     k = random_gset(rng, c2, 3)
-    rk = representable_indexed(k)
+    rk = SliceIndexed(k)
     pairs_k = [(random_slice(rng, rk.carrier(f2), 4),
                 random_slice(rng, rk.carrier(pt2), 4)) for _ in range(2)]
     assert check_biproduct_preservation(rk, f2, pt2, pairs_k).passed
 
 
+class CountingReindexing(SliceIndexed):
+    """Slices whose reindexing counts its calls."""
+
+    def __init__(self, at=None):
+        super().__init__(at)
+        self.act_obj_calls = 0
+
+    def act_obj(self, f, x):
+        self.act_obj_calls += 1
+        return super().act_obj(f, x)
+
+
+def test_biproduct_preservation_restricts_each_glued_object_once(c2, f2, pt2, rng):
+    """One restriction along each injection per glued object, none per pair."""
+    for xcat in (CountingReindexing(), CountingReindexing(random_gset(rng, c2, 3))):
+        pairs = [(random_slice(rng, xcat.carrier(f2), 4), random_slice(rng, xcat.carrier(pt2), 4))
+                 for _ in range(3)]
+        assert check_biproduct_preservation(xcat, f2, pt2, pairs).passed
+        assert xcat.act_obj_calls == 2 * len(pairs)
+
+
+@pytest.mark.parametrize("name", ["C2", "S3"])
+def test_span_action_on_map_presentations(e_cat, name):
+    """lower_star(u) acts as the reindexing Δ_u, upper_star(u) as the dependent sum Σ_u."""
+    group = builtin_group(name)
+    rng = random.Random(7)
+    for _ in range(6):
+        u = random_map_into(rng, random_gset(rng, group, 6), 6)
+        x = random_slice(rng, u.cod, 6)
+        assert slice_iso(span_action(e_cat, lower_star(u), x), delta(u, x)) is not None
+        y = random_slice(rng, u.dom, 6)
+        assert slice_iso(span_action(e_cat, upper_star(u), y), sigma(u, y)) is not None
+
+
 def test_hom_bijection_representable(c2, f2, pt2, u2, rng):
     k = random_gset(rng, c2, 2)
-    rk = representable_indexed(k)
+    rk = SliceIndexed(k)
     leg = random_map_into(rng, f2, 3)
     o = completion_obj(rk, leg, random_slice(rng, rk.carrier(leg.dom), 3))
     leg2 = random_map_into(rng, pt2, 3)
@@ -371,7 +403,7 @@ def test_hom_bijection_representable(c2, f2, pt2, u2, rng):
 
 def test_dual_cb_fiber_representable(c2, rng):
     k = random_gset(rng, c2, 2)
-    rk = representable_indexed(k)
+    rk = SliceIndexed(k)
     f, g = random_cospan(rng, c2, 3)
     xs = [random_slice(rng, rk.carrier(f.dom), 3) for _ in range(2)]
     assert check_CB_fiber(rk, f, g, xs, mode="norm").passed
@@ -392,12 +424,11 @@ def _assert_maps_guard(err, limit):
 
 def test_fiber_hom_resource_guard(c2, pt2, monkeypatch):
     from spanpoly.errors import ResourceLimit
-    from spanpoly.completion import SliceIndexed
     monkeypatch.setattr(finact, "MAX_MAPS", 10)
     _, leg = _four_points_over(pt2)
     a = SliceObject(leg)
     with pytest.raises(ResourceLimit) as err:
-        SliceIndexed().fiber_hom(a, a)
+        list(slice_homs(a, a))
     _assert_maps_guard(err, 10)
 
 

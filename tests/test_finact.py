@@ -127,10 +127,12 @@ def test_pullback_mediator_refusals(c2, f2, pt2, u2):
     swap = GMap(f2, f2, (1, 0))
     with pytest.raises(BoundaryMismatch, match="^mediator cone legs have different domains$"):
         pb.mediator(identity_gmap(f2), coproduct(f2, f2).cotuple(swap, swap))
-    for q1, q2 in ((u2, identity_gmap(f2)), (identity_gmap(f2), u2)):
-        with pytest.raises(BoundaryMismatch,
-                           match="^compose_gmaps: codomain of f is not domain of g$"):
-            pb.mediator(q1, q2)
+    with pytest.raises(BoundaryMismatch,
+                       match="^mediator: q1 does not land in the domain of f$"):
+        pb.mediator(u2, identity_gmap(f2))
+    with pytest.raises(BoundaryMismatch,
+                       match="^mediator: q2 does not land in the domain of g$"):
+        pb.mediator(identity_gmap(f2), u2)
     with pytest.raises(BoundaryMismatch, match="^mediator cone does not commute$"):
         pullback(identity_gmap(f2), identity_gmap(f2)).mediator(identity_gmap(f2), swap)
 

@@ -48,7 +48,7 @@ from spanpoly.sampling import (
     shuffle_span,
 )
 from spanpoly.spans import Span, compose_spans, identity_span
-from spanpoly.util_linear import mat_apply, mat_identity
+from spanpoly.util_linear import mat_identity
 
 from helpers import (
     burnside_pair_codes,
@@ -137,10 +137,10 @@ def test_fixed_point_anchored_values(c2, f2, pt2, u2):
     m = FixedPointMackey(c2)
     p = Span(u2, u2)
     mat = eval_span(m, p)
-    assert mat_apply(mat, (1,)) == (2,)
-    assert mat_apply(mat, (5,)) == (10,)
+    assert mat((1,)) == (2,)
+    assert mat((5,)) == (10,)
     mat2 = eval_span(m, compose_spans(p, p))
-    assert mat_apply(mat2, (1,)) == (4,)
+    assert mat2((1,)) == (4,)
 
 
 def test_burnside_point_to_free(c2, f2, pt2, u2):
@@ -151,7 +151,7 @@ def test_burnside_point_to_free(c2, f2, pt2, u2):
     pt_atom = gens.index((tuple(c2.elements()), 0))
     free_atom = gens.index(((0,), 0))
     basis = tuple(1 if j == pt_atom else 0 for j in range(len(gens)))
-    image = mat_apply(mat, basis)
+    image = mat(basis)
     assert image[free_atom] == 1 and sum(image) == 1
 
 
@@ -210,7 +210,7 @@ def test_fixed_point_module_parameter(c2, f2, pt2, u2):
     # value(pt) = equivariant functions pt -> N^2 with swap action: one orbit
     assert len(m.value_gens(pt2)) == 1
     mat = eval_span(m, Span(u2, u2))
-    assert mat_apply(mat, (1,)) == (2,)
+    assert mat((1,)) == (2,)
 
 
 # ---------------------------------------------------------------------------

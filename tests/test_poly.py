@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanpoly import finact
-from spanpoly.completion import CompletionObject, reindex, slice_indexed
+from spanpoly.completion import CompletionObject, SliceIndexed, reindex
 from spanpoly.errors import BoundaryMismatch, InvalidStructure
 from spanpoly.finact import (
     GMap,
@@ -167,7 +167,7 @@ def test_distribute_anchored_sections(c2, f2, u2):
 def test_distribute_naturality_squares(c2, rng):
     """Reindexing the exchange output matches exchanging the reindexed input,
     after flattening both nested families."""
-    e_cat = slice_indexed()
+    e_cat = SliceIndexed()
     for _ in range(4):
         s = random_gset(rng, c2, 4)
         u = random_slice(rng, s, 4, allow_empty=False).arrow

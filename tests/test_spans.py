@@ -18,9 +18,9 @@ from spanpoly.groups import symmetric_group
 from spanpoly.mackey import canonical_slice
 from spanpoly.spans import (
     Span,
+    SpanComposite,
     associator,
     check_adjunction,
-    compose_data,
     compose_spans,
     identity_span,
     is_span_morphism,
@@ -131,7 +131,7 @@ def test_whiskering_identity_cells_is_the_identity(c2, s3, rng):
     for group in (c2, s3):
         u, v, w = (random_gset(rng, group, 5) for _ in range(3))
         p, q = random_span(rng, u, v, 5), random_span(rng, v, w, 5)
-        comp = compose_data(p, q)
+        comp = SpanComposite(p, q)
         ident = spans._whisker(comp, comp, identity_gmap(p.apex), identity_gmap(q.apex))
         assert ident == identity_gmap(comp.span.apex)
 
@@ -139,7 +139,7 @@ def test_whiskering_identity_cells_is_the_identity(c2, s3, rng):
 def test_decompose_roundtrip(c2, f2, pt2, u2, rng):
     """Each span p is (its right leg)_* after (its left leg)^*, by the first projection."""
     for p in (identity_span(f2), lower_star(u2), random_span(rng, f2, pt2, 6)):
-        comp = compose_data(upper_star(p.left), lower_star(p.right))
+        comp = SpanComposite(upper_star(p.left), lower_star(p.right))
         cert = GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
         assert is_span_morphism(comp.span, p, cert)
         assert cert.is_bijective()
