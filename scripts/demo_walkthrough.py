@@ -45,7 +45,7 @@ def main() -> None:
 
     print("== pullback of the free projection against itself")
     pb = pullback(u, u)
-    print(f"   apex has {pb.apex.size} points: {canonical_form(pb.apex)}")
+    print(f"   apex has {pb.gset.size} points: {canonical_form(pb.gset)}")
 
     print("== sections of the doubled free orbit (the exchange data)")
     cop = coproduct(free, free)

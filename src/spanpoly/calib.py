@@ -117,7 +117,7 @@ def check_protocalibration(rclass: MorphismClass, samples: Sequence[GMap]) -> Re
                 checks.append(Check(
                     f"P/pullback[{k}.{m}]", rclass(pb.proj2),
                     "" if rclass(pb.proj2)
-                    else f"pullback of member along sample map ({pb.apex.size} points) rejected"))
+                    else f"pullback of member along sample map ({pb.gset.size} points) rejected"))
     notes = (f"samples: {len(samples)} maps, {len(isos)} isos",
              "G: automatic, every map over a one-dimensional base qualifies")
     return Report(f"protocalibration:{rclass.name}", tuple(checks), notes)

@@ -78,7 +78,7 @@ class SliceIndexed:
     def carrier(self, u: GSet) -> GSet:
         if self.at is None:
             return u
-        return product(u, self.at).prod
+        return product(u, self.at).gset
 
     def lift(self, f: GMap) -> GMap:
         if self.at is None:
@@ -297,7 +297,8 @@ def check_CB(xcat: SliceIndexed, f: GMap, g: GMap,
     w : (s, v) -> (s, (u(s), v)) is a bijection commuting with the legs,
     and xi, the inverse of the coherence iso of reindexing along w and then
     the projection to S, is a bijection from the first side's fiber object
-    onto X(w) of the second's, commuting with their arrows.
+    onto X(w) of the second's, commuting with their arrows.  A failing
+    check's detail names the first of these conditions that fails.
     """
     if f.cod != g.cod:
         raise BoundaryMismatch("check_CB needs a cospan")
@@ -311,12 +312,21 @@ def check_CB(xcat: SliceIndexed, f: GMap, g: GMap,
         w = pb2.mediator(pb1.proj1, pb.mediator(compose_gmaps(o.u, pb1.proj1), pb1.proj2))
         coh = xcat.compose_witness(pb2.proj1, w, o.x)
         xw = xcat.act_obj(w, side2.x)
-        ok = (w.is_bijective() and compose_gmaps(side2.u, w).table == side1.u.table
-              and coh.is_bijective() and (coh.cod, coh.dom) == (side1.x.total, xw.total)
-              and compose_gmaps(xw.arrow, invert_gmap(coh)).table == side1.x.arrow.table)
-        checks.append(Check(f"mate[{k}]", ok, "" if ok else "no connecting iso found"))
+        if not w.is_bijective():
+            failed = "w is not bijective"
+        elif compose_gmaps(side2.u, w).table != side1.u.table:
+            failed = "w does not commute with the legs"
+        elif not coh.is_bijective():
+            failed = "the coherence iso is not bijective"
+        elif (coh.cod, coh.dom) != (side1.x.total, xw.total):
+            failed = "the coherence iso does not join the two fiber objects"
+        elif compose_gmaps(xw.arrow, invert_gmap(coh)).table != side1.x.arrow.table:
+            failed = "xi does not commute with the arrows"
+        else:
+            failed = ""
+        checks.append(Check(f"mate[{k}]", not failed, failed))
     return Report(f"CB:{xcat.name}", tuple(checks),
-                  (f"square {f.dom.size}->{f.cod.size}<-{g.dom.size}, apex {pb.apex.size}",))
+                  (f"square {f.dom.size}->{f.cod.size}<-{g.dom.size}, apex {pb.gset.size}",))
 
 
 def check_CB_fiber(xcat: SliceIndexed, f: GMap, g: GMap, samples: Sequence,

@@ -8,19 +8,22 @@ point along the group's breadth-first words (`GroupData.words`).
 orbit and lays its points out along the coset table of the least point's
 stabilizer.  The full table `GSet.action` is derived on first use, for
 outside readers and validation.
-Every constructed G-set (pullback, product, dependent product, the parts
-of a map into a coproduct) comes from the one builder `build_gset`, and
-its position is its point.  Each construction numbers its elements by
-position arithmetic on its factors and computes the same way the position
-of each generator's image of each element: a pullback's pair (a, b) is the
-point start[a] + rank[b], so pairs come in lexicographic order; a section
-over x is start[x] plus mixed-radix digits, so each fiber's sections come
-in `itertools.product` order; a part of a map into a coproduct keeps its
-points ascending.  That arithmetic is the one way to find a point:
+Every constructed G-set (pullback, product, dependent product) comes from
+the one builder `build_gset`, and its position is its point.  Each
+construction numbers its elements by position arithmetic on its factors
+and computes the same way the position of each generator's image of each
+element: a pullback's pair (a, b) is the point start[a] + rank[b], so
+pairs come in lexicographic order; a section over x is start[x] plus
+mixed-radix digits, so each fiber's sections come in `itertools.product`
+order.  That arithmetic is the one way to find a point:
 `Pullback.index_of` and `PiData.index_of_section` run it forwards, the
 evaluation of `SectionEvalData` reads the sections' values off the same
 `itertools.product` order, and no point keeps a descriptor.  A binary
-product is the pullback over the terminal G-set.  Coproducts keep
+product is the pullback over the terminal G-set.  The part of a map
+f : R -> U + V over a summand is its pullback along that summand's
+injection (the base is extensive): each point of R has at most one pair,
+so the part's points are R's points over the summand, ascending, proj1 is
+their inclusion into R and proj2 their map to the summand.  Coproducts keep
 the tagging order, all left-summand points first, so that injections are
 plain shifts.  All values are immutable; every operation is pure.
 
@@ -176,9 +179,13 @@ class GSet(FrozenRecord):
         every generator s and every element h.
         """
         gens, size = generating_set(self.group), self.size
-        if len(self.rows) != len(gens) or any(sorted(row) != list(range(size))
-                                              for row in self.rows):
-            raise InvalidStructure("action needs one permutation row per generator")
+        if len(self.rows) != len(gens):
+            raise InvalidStructure("action needs one permutation row per generator: "
+                                   f"{len(self.rows)} rows, expected {len(gens)}")
+        for k, row in enumerate(self.rows):
+            if sorted(row) != list(range(size)):
+                raise InvalidStructure("action needs one permutation row per generator: "
+                                       f"row {k} is not a permutation of 0..{size - 1}")
         action, mult = self.action, self.group.mult
         for s, srow in zip(gens, self.rows):
             for h, hrow in enumerate(action):
@@ -634,17 +641,6 @@ def build_gset(group: FiniteGroup, n: int, rows: list[Sequence[int]]) -> BuiltGS
     return BuiltGSet(GSet(group, n, tuple(map(tuple, rows))))
 
 
-def sub_gset(x: GSet, pts: Sequence[int]) -> tuple[GSet, GMap]:
-    """The part of x on pts, an action-closed ascending point list, and its inclusion.
-
-    Point i of the part is pts[i], so the part keeps the order of x.
-    """
-    where = {p: i for i, p in enumerate(pts)}
-    built = build_gset(x.group, len(pts),
-                       [list(map(where.__getitem__, map(row.__getitem__, pts))) for row in x.rows])
-    return built.gset, GMap(built.gset, x, tuple(pts))
-
-
 # ---------------------------------------------------------------------------
 # pullbacks
 # ---------------------------------------------------------------------------
@@ -701,10 +697,6 @@ class Pullback:
         self.proj2 = GMap(self.gset, xb, right)
         self._start, self._rank = start, rank
 
-    @property
-    def apex(self) -> GSet:
-        return self.gset
-
     def index_of(self, a: int, b: int) -> int:
         """The point of the pair (a, b); KeyError unless f(a) = g(b)."""
         ft, gt = self.f.table, self.g.table
@@ -738,19 +730,6 @@ def pullback(f: GMap, g: GMap) -> Pullback:
 
 def _pullback_points(pb: Pullback, *args) -> int:
     return pb.f.dom.size + pb.g.dom.size + pb.f.cod.size + pb.gset.size
-
-
-def is_pullback_square(f: GMap, g: GMap, p1: GMap, p2: GMap) -> bool:
-    """Whether (p1, p2) exhibit their domain as the pullback of f against g."""
-    if p1.dom != p2.dom or p1.cod != f.dom or p2.cod != g.dom:
-        return False
-    if compose_gmaps(f, p1).table != compose_gmaps(g, p2).table:
-        return False
-    pairs = set(zip(p1.table, p2.table))
-    if len(pairs) != p1.dom.size:
-        return False
-    over = _fibers(g)
-    return pairs == {(a, b) for a, v in enumerate(f.table) for b in over[v]}
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +770,7 @@ def sum_gmap(cop_dom: CoproductDiagram, cop_cod: CoproductDiagram,
         raise BoundaryMismatch("sum_gmap domains do not match")
     if f.cod != cop_cod.left or g.cod != cop_cod.right:
         raise BoundaryMismatch("sum_gmap codomains do not match")
-    table = tuple(cop_cod.inj1.table[v] for v in f.table) + \
-        tuple(cop_cod.inj2.table[v] for v in g.table)
-    return GMap(cop_dom.sum, cop_cod.sum, table)
+    return cop_dom.cotuple(compose_gmaps(cop_cod.inj1, f), compose_gmaps(cop_cod.inj2, g))
 
 
 def slice_sum(cop: CoproductDiagram, a: SliceObject, b: SliceObject) -> SliceObject:
@@ -815,10 +792,6 @@ class ProductDiagram(Pullback):
         if x.group != y.group:
             raise GroupMismatch("product over different groups")
         super().__init__(unique_to_terminal(x), unique_to_terminal(y))
-
-    @property
-    def prod(self) -> GSet:
-        return self.gset
 
 
 def product(x: GSet, y: GSet) -> ProductDiagram:
@@ -1068,29 +1041,3 @@ def lextensive_factor(f: GMap,
     r = GMap(dom_cop.left, cod_cop.left, tuple(r_table))
     s = GMap(dom_cop.right, cod_cop.right, tuple(s_table))
     return r, s
-
-
-class CoproductPullbackData:
-    """Decomposition of f : R -> U+V into its parts over the two summands."""
-
-    __slots__ = ("part1", "part2", "incl1", "incl2", "over1", "over2")
-
-    def __init__(self, f: GMap, cop: CoproductDiagram):
-        if f.cod != cop.sum:
-            raise BoundaryMismatch("decompose: codomain is not the given coproduct")
-        split = cop.left.size
-        lo = [p for p in f.dom.points() if f.table[p] < split]
-        hi = [p for p in f.dom.points() if f.table[p] >= split]
-        self.part1, self.incl1 = sub_gset(f.dom, lo)
-        self.part2, self.incl2 = sub_gset(f.dom, hi)
-        self.over1 = GMap(self.part1, cop.left, tuple(f.table[p] for p in lo))
-        self.over2 = GMap(self.part2, cop.right, tuple(f.table[p] - split for p in hi))
-
-
-def coproduct_pullback_decompose(f: GMap, cop: CoproductDiagram) -> CoproductPullbackData:
-    data = CoproductPullbackData(f, cop)
-    if not is_pullback_square(cop.inj1, f, data.over1, data.incl1):
-        raise InvalidStructure("left square is not a pullback")
-    if not is_pullback_square(cop.inj2, f, data.over2, data.incl2):
-        raise InvalidStructure("right square is not a pullback")
-    return data

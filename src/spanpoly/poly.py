@@ -127,7 +127,7 @@ def poly_morphism(src: Polynomial, tgt: Polynomial, g: GMap, ell: GMap) -> PolyM
     if g.dom != src.n.cod or g.cod != tgt.n.cod:
         raise BoundaryMismatch("g must map the sum legs' domains")
     pb = pullback(tgt.n, g)
-    if ell.dom != pb.apex or ell.cod != src.n.dom:
+    if ell.dom != pb.gset or ell.cod != src.n.dom:
         raise BoundaryMismatch("ell must map the canonical pullback into the source")
     if compose_gmaps(tgt.t, g).table != src.t.table:
         raise InvalidStructure("poly_morphism: sum-leg triangle does not commute")
@@ -143,7 +143,7 @@ def enumerate_poly_morphisms(src: Polynomial, tgt: Polynomial) -> Iterator[PolyM
     for g in equivariant_maps(src.n.cod, tgt.n.cod, ((src.t, tgt.t),)):
         pb = pullback(tgt.n, g)
         legs = ((pb.proj2, src.n), (compose_gmaps(tgt.r, pb.proj1), src.r))
-        for ell in equivariant_maps(pb.apex, src.n.dom, legs):
+        for ell in equivariant_maps(pb.gset, src.n.dom, legs):
             yield PolyMorphism(src, tgt, g, ell)
 
 
@@ -182,7 +182,7 @@ def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[Span
         pb = pullback(s2.left.left, g)
         comp = Span(pb.proj2, compose_gmaps(s2.left.right, pb.proj1))
         legs = ((comp.left, s1.left.left), (comp.right, s1.left.right))
-        for lam in equivariant_maps(pb.apex, s1.left.apex, legs):
+        for lam in equivariant_maps(pb.gset, s1.left.apex, legs):
             yield SpanSpan2Cell(s1, s2, g, comp, lam)
 
 

@@ -98,7 +98,7 @@ def random_map_into(rng: Rng, base: GSet, max_size: int) -> GMap:
 def random_span(rng: Rng, u: GSet, v: GSet, max_apex: int) -> Span:
     """A random span, drawn as a slice over the product composed with projections."""
     pr = product(u, v)
-    s = random_slice(rng, pr.prod, max_apex)
+    s = random_slice(rng, pr.gset, max_apex)
     return Span(compose_gmaps(pr.proj1, s.arrow), compose_gmaps(pr.proj2, s.arrow))
 
 

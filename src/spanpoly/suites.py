@@ -27,9 +27,9 @@ from .finact import (
     check_adjunction_triangles,
     compose_gmaps,
     coproduct,
-    coproduct_pullback_decompose,
     identity_gmap,
     lextensive_factor,
+    pullback,
     regular_gset,
     sharing,
     slice_identity,
@@ -281,9 +281,8 @@ def suite_lextensive(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         v = random_gset(rng, group, size_bound)
         cop = coproduct(u, v)
         f = random_map_into(rng, cop.sum, size_bound)
-        data = coproduct_pullback_decompose(f, cop)
-        glue = coproduct(data.part1, data.part2)
-        together = glue.cotuple(data.incl1, data.incl2)
+        part1, part2 = pullback(f, cop.inj1), pullback(f, cop.inj2)
+        together = coproduct(part1.gset, part2.gset).cotuple(part1.proj1, part2.proj1)
         checks.append(Check(f"decompose[{k}]", together.is_bijective()))
     return Report("lextensive", tuple(checks))
 

@@ -185,17 +185,6 @@ def _parse_group(name: str, obj: dict) -> FiniteGroup:
         raise WorkspaceError(f"{where}: {exc}") from exc
 
 
-def _generator_rows(group: FiniteGroup, size: int,
-                    gen_perms: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    if len(gen_perms) != len(group.generators):
-        raise WorkspaceError("action_by_generator length does not match the group's generators")
-    for perm in gen_perms:
-        if sorted(perm) != list(range(size)):
-            raise WorkspaceError(f"action_by_generator row {perm!r} is not a permutation "
-                                 f"of 0..{size - 1}")
-    return tuple(map(tuple, gen_perms))
-
-
 def _parse_gset(name: str, obj: dict, ws: Workspace) -> GSet:
     where = f"gset {name!r}"
     group = ws.group(_need_name(obj, "group", where))
@@ -209,7 +198,7 @@ def _parse_gset(name: str, obj: dict, ws: Workspace) -> GSet:
             return gset(group, size, table)
         if not group.generators:
             raise WorkspaceError(f"group {group.name!r} has no designated generators")
-        x = GSet(group, size, _generator_rows(group, size, table))
+        x = GSet(group, size, tuple(map(tuple, table)))
         x.validate()
         return x
     except Exception as exc:

@@ -3,10 +3,11 @@
 Besides small constructions, it holds the helpers that tests use to check
 library code and that no command, suite or script runs: the slice action
 of a polynomial and of a generator word, the forgetful functor to plain
-sets, atom-count vectors, seeded relabellings, the list of all isos, the
-composite and the reindexing of completion morphisms, an iso of completion
-objects by brute force, a deliberately broken indexed category, orbit
-and stabilizer readers, and a raw pair enumeration of Burnside tables.
+sets, atom-count vectors, seeded relabellings, the list of all isos, a
+pullback-square oracle by pair enumeration, the composite and the
+reindexing of completion morphisms, an iso of completion objects by brute
+force, a deliberately broken indexed category, orbit and stabilizer
+readers, and a raw pair enumeration of Burnside tables.
 """
 import itertools
 from operator import add, mul
@@ -83,6 +84,19 @@ def relabelled_group(name, group, perm):
 def pairs(pb):
     """The pair (a, b) of each point of a pullback or product, read off its projections."""
     return list(zip(pb.proj1.table, pb.proj2.table))
+
+
+def is_pullback_square(f: GMap, g: GMap, p1: GMap, p2: GMap) -> bool:
+    """Whether (p1, p2) exhibit their domain as the pullback of f against g.
+
+    The pairs (p1(x), p2(x)) must be distinct and be every pair (a, b) with
+    f(a) = g(b), found by scanning all pairs.
+    """
+    if p1.dom != p2.dom or p1.cod != f.dom or p2.cod != g.dom:
+        return False
+    cone = list(zip(p1.table, p2.table))
+    matching = {(a, b) for a in f.dom.points() for b in g.dom.points() if f(a) == g(b)}
+    return len(set(cone)) == len(cone) and set(cone) == matching
 
 
 def sections(pd):

@@ -238,7 +238,7 @@ def test_check_cb_fails_on_a_forgetful_reindexing(e_cat, name):
         rep = check_CB(ForgetfulReindexing(), f, g, [o])
         assert [c.name for c in rep.checks] == ["mate[0]"]
         if not rep.passed:
-            assert rep.checks[0].detail == "no connecting iso found"
+            assert rep.checks[0].detail == "the coherence iso does not join the two fiber objects"
         verdicts.append(rep.passed)
     assert verdicts == FORGETFUL_CB_VERDICTS[name]
 

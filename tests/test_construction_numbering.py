@@ -1,15 +1,15 @@
 """Constructed G-sets against a reference numbering that shares no code with `build_gset`.
 
-Pullbacks, products, dependent products and the parts of a map into a
-coproduct number their points by position arithmetic, and find a point the
-same way.  Here each is rebuilt from descriptors alone (pairs (a, b),
-sections (x, values), points of a part): point i is the i-th descriptor in
-sorted order, and each generator row is read by moving every descriptor and
-looking it up in a dict.  The generator rows and the projection tables must
-agree, the lookups `index_of` and `index_of_section` must find descriptor i
-at point i, the test reader `helpers.section_values` must give back its
-values, and a pair or section that is not in the construction must raise
-KeyError.
+Pullbacks, products and dependent products number their points by position
+arithmetic, and find a point the same way; the parts of a map into a
+coproduct are its pullbacks along the injections.  Here each is rebuilt
+from descriptors alone (pairs (a, b), sections (x, values), the points of a
+part over its summand): point i is the i-th descriptor in sorted order,
+and each generator row is read by moving every descriptor and looking it up
+in a dict.  The generator rows and the projection tables must agree, the
+lookups `index_of` and `index_of_section` must find descriptor i at point
+i, the test reader `helpers.section_values` must give back its values, and
+a pair or section that is not in the construction must raise KeyError.
 """
 import itertools
 import random
@@ -19,7 +19,6 @@ import pytest
 from spanpoly.finact import (
     SliceObject,
     coproduct,
-    coproduct_pullback_decompose,
     identity_gmap,
     initial_gset,
     compose_gmaps,
@@ -136,15 +135,14 @@ def check_pi(u, a):
 
 
 def check_parts(f, cop):
-    d = coproduct_pullback_decompose(f, cop)
     r, split = f.dom, cop.left.size
-    for part, incl, over, side, shift in ((d.part1, d.incl1, d.over1, False, 0),
-                                          (d.part2, d.incl2, d.over2, True, split)):
+    for part, side, shift in ((pullback(f, cop.inj1), False, 0),
+                              (pullback(f, cop.inj2), True, split)):
         descs = [p for p in r.points() if (f.table[p] >= split) == side]
         rows, elems = reference(r.group, descs, lambda k, p: r.rows[k][p])
-        assert part.rows == rows
-        assert incl.table == tuple(elems)
-        assert over.table == tuple(f.table[p] - shift for p in elems)
+        assert part.gset.rows == rows
+        assert part.proj1.table == tuple(elems)
+        assert part.proj2.table == tuple(f.table[p] - shift for p in elems)
 
 
 @pytest.mark.parametrize("name", list(GROUPS))

@@ -204,10 +204,10 @@ class ProductFixedPoint:
         pr = product(x, self.coords)
         descs = pairs(pr)
         orbit_of = {}
-        for i, o in enumerate(orbits(pr.prod)):
+        for i, o in enumerate(orbits(pr.gset)):
             for p in o:
                 orbit_of[descs[p]] = i
-        gens = tuple(descs[o[0]] for o in orbits(pr.prod))
+        gens = tuple(descs[o[0]] for o in orbits(pr.gset))
         return gens, orbit_of
 
     def value_gens(self, x):

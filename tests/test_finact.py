@@ -14,14 +14,12 @@ from spanpoly.finact import (
     check_adjunction_triangles,
     compose_gmaps,
     coproduct,
-    coproduct_pullback_decompose,
     delta,
     equivariant_maps,
     gmap,
     gset,
     identity_gmap,
     initial_gset,
-    is_pullback_square,
     iso_gsets,
     lextensive_factor,
     orbit_labels,
@@ -50,7 +48,15 @@ from spanpoly.groups import (
 )
 from spanpoly.sampling import random_gset, random_map_into, random_slice
 
-from helpers import coset_sum, orbits, pairs, sections, seeded_map, unique_from_initial
+from helpers import (
+    coset_sum,
+    is_pullback_square,
+    orbits,
+    pairs,
+    sections,
+    seeded_map,
+    unique_from_initial,
+)
 
 
 
@@ -61,7 +67,7 @@ from helpers import coset_sum, orbits, pairs, sections, seeded_map, unique_from_
 def test_pullback_of_identities(f2):
     i = identity_gmap(f2)
     pb = pullback(i, i)
-    assert iso_gsets(pb.apex, f2) is not None
+    assert iso_gsets(pb.gset, f2) is not None
 
 
 def test_pullback_free_square(c2, f2, u2):
@@ -74,16 +80,16 @@ def test_pullback_free_square(c2, f2, u2):
     assert len(pairs) == 4 and len(orbs) == 2 and all(len(o) == 2 for o in orbs)
 
     pb = pullback(u2, u2)
-    assert pb.apex.size == 4
-    assert len(orbits(pb.apex)) == 2
-    assert all(len(o) == 2 for o in orbits(pb.apex))
-    assert iso_gsets(pb.apex, coproduct(f2, f2).sum) is not None
+    assert pb.gset.size == 4
+    assert len(orbits(pb.gset)) == 2
+    assert all(len(o) == 2 for o in orbits(pb.gset))
+    assert iso_gsets(pb.gset, coproduct(f2, f2).sum) is not None
 
 
 def test_pullback_strict_initial(f2, c2):
     z = unique_from_initial(f2)
     pb = pullback(z, identity_gmap(f2))
-    assert pb.apex.size == 0
+    assert pb.gset.size == 0
 
 
 def test_pullback_errors(f2, pt2, c3):
@@ -101,7 +107,7 @@ def test_pullback_boundary_checks(c2, c3):
     f = unique_to_terminal(regular_gset(c2))
     g = unique_to_terminal(regular_gset(c2))
     assert f.cod is not g.cod and f.cod == g.cod
-    assert pullback(f, g).apex.size == 4
+    assert pullback(f, g).gset.size == 4
     with pytest.raises(BoundaryMismatch, match="^pullback needs a common codomain$"):
         pullback(f, identity_gmap(regular_gset(c2)))
     with pytest.raises(GroupMismatch, match="^pullback over different groups$"):
@@ -115,7 +121,7 @@ def test_pullback_mediator_unique(c2, f2, u2, rng):
     med = pb.mediator(q1, q2)
     assert compose_gmaps(pb.proj1, med).table == q1.table
     assert compose_gmaps(pb.proj2, med).table == q2.table
-    others = [m for m in equivariant_maps(f2, pb.apex)
+    others = [m for m in equivariant_maps(f2, pb.gset)
               if compose_gmaps(pb.proj1, m).table == q1.table
               and compose_gmaps(pb.proj2, m).table == q2.table]
     assert others == [med]
@@ -155,8 +161,8 @@ def test_coproduct_free(f2):
 
 def test_product_free_splits(f2):
     pr = product(f2, f2)
-    assert pr.prod.size == 4
-    assert iso_gsets(pr.prod, coproduct(f2, f2).sum) is not None
+    assert pr.gset.size == 4
+    assert iso_gsets(pr.gset, coproduct(f2, f2).sum) is not None
 
 
 def test_product_pairing(f2):
@@ -432,29 +438,45 @@ def test_lextensive_factor_random_unique(c2, rng):
 
 
 def test_lextensive_factor_rejects_summand_swap(c2, f2, pt2, u2):
-    """A swap of identical summands can never satisfy the triangle premise:
-    it moves the first summand into the second, so the legs disagree on
-    tags.  The factorizer must refuse rather than split it."""
+    """A swap of identical summands is refused rather than split.  Over a
+    base that tells the summands apart the triangle premise fails; with
+    both legs into a point the triangle commutes, and the summand check
+    refuses the swap."""
     dom_cop = coproduct(f2, f2)
     base_cop = coproduct(pt2, pt2)
     leg = sum_gmap(dom_cop, base_cop, u2, u2)
     swap = GMap(dom_cop.sum, dom_cop.sum, (2, 3, 0, 1))
     swap.validate()
-    with pytest.raises(InvalidStructure):
+    with pytest.raises(InvalidStructure,
+                       match="^lextensive_factor: triangle does not commute$"):
         lextensive_factor(swap, dom_cop, dom_cop, leg, leg)
+    to_point = unique_to_terminal(dom_cop.sum)
+    with pytest.raises(InvalidStructure,
+                       match="^lextensive_factor: f does not respect the summands$"):
+        lextensive_factor(swap, dom_cop, dom_cop, to_point, to_point)
+
+
+def test_sum_gmap_refusals(f2, pt2, u2):
+    """A leg that does not start at its summand, or does not land in its
+    summand, is refused before the cotuple is built."""
+    cop_dom, cop_cod = coproduct(f2, f2), coproduct(pt2, pt2)
+    with pytest.raises(BoundaryMismatch, match="^sum_gmap domains do not match$"):
+        sum_gmap(cop_dom, cop_cod, u2, identity_gmap(pt2))
+    with pytest.raises(BoundaryMismatch, match="^sum_gmap codomains do not match$"):
+        sum_gmap(cop_dom, cop_cod, u2, identity_gmap(f2))
 
 
 def test_decompose_inj1(f2, c2):
     cop = coproduct(f2, initial_gset(c2))
-    data = coproduct_pullback_decompose(cop.inj1, cop)
-    assert data.part1.size == f2.size and data.part2.size == 0
+    part1, part2 = pullback(cop.inj1, cop.inj1), pullback(cop.inj1, cop.inj2)
+    assert part1.gset.size == f2.size and part2.gset.size == 0
 
 
 def test_decompose_constant_on_first(c2, f2, u2, pt2):
     cop = coproduct(pt2, pt2)
     f = compose_gmaps(cop.inj1, u2)
-    data = coproduct_pullback_decompose(f, cop)
-    assert data.part1.size == 2 and data.part2.size == 0
+    part1, part2 = pullback(f, cop.inj1), pullback(f, cop.inj2)
+    assert part1.gset.size == 2 and part2.gset.size == 0
 
 
 def test_decompose_random(c2, rng):
@@ -463,11 +485,11 @@ def test_decompose_random(c2, rng):
         v = random_gset(rng, c2, 5)
         cop = coproduct(u, v)
         f = random_map_into(rng, cop.sum, 6)
-        data = coproduct_pullback_decompose(f, cop)
-        assert is_pullback_square(cop.inj1, f, data.over1, data.incl1)
-        assert is_pullback_square(cop.inj2, f, data.over2, data.incl2)
-        glue = coproduct(data.part1, data.part2)
-        assert glue.cotuple(data.incl1, data.incl2).is_bijective()
+        part1, part2 = pullback(f, cop.inj1), pullback(f, cop.inj2)
+        assert is_pullback_square(f, cop.inj1, part1.proj1, part1.proj2)
+        assert is_pullback_square(f, cop.inj2, part2.proj1, part2.proj2)
+        glue = coproduct(part1.gset, part2.gset)
+        assert glue.cotuple(part1.proj1, part2.proj1).is_bijective()
 
 
 # ---------------------------------------------------------------------------

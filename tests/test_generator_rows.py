@@ -8,6 +8,7 @@ from the factors' actions.  The readers `point_images`, `stabilizer`,
 `orbits` and `orbit_cosets` are checked against full-table scans.
 """
 import random
+import re
 
 import pytest
 
@@ -183,6 +184,21 @@ def test_generator_rows_must_satisfy_the_relations():
     with pytest.raises(WorkspaceError, match="gset 'X': action not compatible"):
         load_entries([{"kind": "gset", "name": "X", "group": "D8", "size": 3,
                        "action_by_generator": [[1, 2, 0], [0, 1, 2]]}], ws)
+
+
+@pytest.mark.parametrize("rows, detail", [
+    ([[1, 0, 2]], "1 rows, expected 2"),
+    ([[1, 2, 3, 0], [0, 1, 2, 2]], "row 1 is not a permutation of 0..3"),
+], ids=["row-count", "not-a-permutation"])
+def test_workspace_generator_row_refusals_name_the_row(rows, detail):
+    """A loaded G-set's rows are checked by `GSet.validate` alone, whose
+    refusal names the row count or the offending row."""
+    ws = builtin_workspace()
+    ws.groups["D8"] = GROUPS["D8"]
+    message = f"gset 'Y': action needs one permutation row per generator: {detail}"
+    with pytest.raises(WorkspaceError, match=f"^{re.escape(message)}$"):
+        load_entries([{"kind": "gset", "name": "Y", "group": "D8", "size": len(rows[0]),
+                       "action_by_generator": rows}], ws)
 
 
 @pytest.mark.parametrize("seed", range(3))

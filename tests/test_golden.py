@@ -27,7 +27,6 @@ from spanpoly.finact import (
     canonical_form,
     codiagonal,
     coproduct,
-    coproduct_pullback_decompose,
     coset_gset,
     equivariant_maps,
     from_labels,
@@ -83,14 +82,15 @@ def _constructions(group, base, left, right, k, seed):
     pr = product(g.dom, coset_gset(group, reps[k]))
     pd = pi(g, SliceObject(codiagonal(g.dom)[1]))
     cop = coproduct(x, g.dom)
-    d = coproduct_pullback_decompose(seeded_map(rng, f.dom, cop.sum), cop)
+    into = seeded_map(rng, f.dom, cop.sum)
+    part1, part2 = pullback(into, cop.inj1), pullback(into, cop.inj2)
     f2 = _shuffled(rng, f)
     draws = [random_gmap(rng, f.dom, g.dom).table for _ in range(4)]
     return {
         "pullback": (tuple(pairs(pb)), _pin(pb.gset)),
         "product": (tuple(pairs(pr)), _pin(pr.gset)),
         "pi": (tuple(sections(pd)), _pin(pd.con.gset)),
-        "decompose": (_pin(d.part1), d.incl1.table, _pin(d.part2), d.incl2.table),
+        "decompose": (_pin(part1.gset), part1.proj1.table, _pin(part2.gset), part2.proj1.table),
         "maps": (_tables(equivariant_maps(f.dom, g.dom)),
                  _tables(slice_homs(SliceObject(f), SliceObject(g)))),
         "isos": (_tables(isos(f.dom, f2.dom)), _tables(isos(f.dom, f2.dom, ((f, f2),)))),

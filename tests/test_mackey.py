@@ -378,7 +378,7 @@ def test_product_of_atoms_matches_burnside_table(s3):
         for i, a in enumerate(reps):
             for j, b in enumerate(reps):
                 pr = product(a.total, b.total)
-                over_pt = SliceObject(GMap(pr.prod, pt, (0,) * pr.prod.size))
+                over_pt = SliceObject(GMap(pr.gset, pt, (0,) * pr.gset.size))
                 assert vectorize_slice(over_pt, labs) == t.entries[i][j], (group.name, i, j)
 
 

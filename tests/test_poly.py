@@ -100,7 +100,7 @@ def test_spanspan_shape_violation(c2, f2, u2):
 def test_identity_2cell_translates(c2, f2, u2):
     p = polynomial(u2, identity_gmap(f2), u2)
     pb = pullback(p.n, identity_gmap(p.n.cod))
-    m = poly_morphism(p, p, identity_gmap(p.n.cod), GMap(pb.apex, p.n.dom, pb.proj1.table))
+    m = poly_morphism(p, p, identity_gmap(p.n.cod), GMap(pb.gset, p.n.dom, pb.proj1.table))
     cell = translate_2cell(m)
     assert translate_2cell_inverse(cell) == m
 

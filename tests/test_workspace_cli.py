@@ -262,7 +262,8 @@ def test_cli_compose_span(capsys, tmp_path):
                  "--out", out]) == 0
     text = capsys.readouterr().out
     assert "composed span: 1 <- 4 -> 1" in text
-    doc = json.loads(open(out).read())
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["kind"] == "span"
 
 
