@@ -50,9 +50,9 @@ def main() -> None:
     print("== sections of the doubled free orbit (the exchange data)")
     cop = coproduct(free, free)
     fold = cop.cotuple(identity_gmap(free), identity_gmap(free))
-    data, report = distribute(u, fold, probes=[slice_identity(cop.sum)])
-    print(f"   dependent product has {data.pia.size} sections:"
-          f" {canonical_form(data.pia.total)}")
+    (pia, _, _), report = distribute(u, fold, probes=[slice_identity(cop.sum)])
+    print(f"   dependent product has {pia.dom.size} sections:"
+          f" {canonical_form(pia.dom)}")
     print(f"   exchange certificates: {'ok' if report.passed else 'FAILED'}")
 
     print("== span composition")

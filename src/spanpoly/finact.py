@@ -16,9 +16,10 @@ element: a pullback's pair (a, b) is the point start[a] + rank[b], so
 pairs come in lexicographic order; a section over x is start[x] plus
 mixed-radix digits, so each fiber's sections come in `itertools.product`
 order.  That arithmetic is the one way to find a point:
-`Pullback.index_of` and `PiData.index_of_section` run it forwards, the
-evaluation of `SectionEvalData` reads the sections' values off the same
-`itertools.product` order, and no point keeps a descriptor.  A binary
+`Pullback.index_of` and `PiData.index_of_section` run it forwards,
+`PiData.evaluation` reads the sections' values off the same
+`itertools.product` order and `PiData.transpose` reads a map's values off
+the pairs' order, and no point keeps a descriptor.  A binary
 product is the pullback over the terminal G-set.  The part of a map
 f : R -> U + V over a summand is its pullback along that summand's
 injection (the base is extensive): each point of R has at most one pair,
@@ -43,7 +44,8 @@ representatives.
 
 Along u, Sigma_u a composes with u, Delta_u b is `pullback(b.arrow, u)`
 (read as a slice by its second projection; readers of its pairs take the
-`Pullback`), and Pi_u a is `pi`, whose evaluation data `section_eval` holds.
+`Pullback`), and Pi_u a is `pi`; `PiData.evaluation` is the counit of
+Delta_u -| Pi_u and `PiData.transpose` its hom bijection.
 
 The dependent-product construction `pi` enumerates sections fiber by fiber
 and can explode exponentially.  Two module constants bound the work, read
@@ -63,7 +65,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cached_property
 from operator import add, ne
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BoundaryMismatch,
@@ -835,7 +837,9 @@ class PiData:
     values' ranks in their fibers of a, read as mixed-radix digits with the
     last one fastest, so each fiber's sections come in the order of
     `itertools.product`.  `index_of_section` runs that arithmetic
-    forwards; con is the `BuiltGSet` of the sections.
+    forwards; con is the `BuiltGSet` of the sections.  The two structure
+    maps of Delta_u -| Pi_u are `evaluation`, the counit at a, and
+    `transpose`, the hom bijection into Pi_u a.
     """
 
     __slots__ = ("u", "a", "con", "slice", "fibers", "_pre", "_start", "_rank", "_weight")
@@ -891,6 +895,36 @@ class PiData:
         rank, weight = self._rank, self._weight
         return self._start[x] + sum([rank[v] * weight[p] for p, v in zip(fibers[x], values)])
 
+    def evaluation(self) -> tuple[Pullback, GMap]:
+        """The counit Delta_u Pi_u a -> a: the pullback P of the sections
+        along u, whose proj1 is ubar : P -> B, and e : P -> A, evaluating a
+        section at a point of its fiber.  Built anew on each call."""
+        pull = pullback(self.slice.arrow, self.u)
+        # the pairs (b, p) come section by section, each section's fiber
+        # points ascending, and the sections over each x in the order of
+        # `itertools.product` over the fibers of a: chained, those products
+        # list e
+        pre = self._pre
+        e = GMap(pull.gset, self.a.total, tuple(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.product(*map(pre.__getitem__, fib))
+                                          for fib in self.fibers))))
+        # evaluation triangle: a after e equals the projection to S
+        if compose_gmaps(self.a.arrow, e).table != pull.proj2.table:
+            raise InvalidStructure("evaluation triangle failed to commute")
+        return pull, e
+
+    def transpose(self, c: SliceObject, m: GMap) -> GMap:
+        """The map c -> Pi_u a over U sending y over x to the section p -> m(y, p),
+        for m : Delta_u c -> a; KeyError (from `index_of_section`) if some
+        y gives no section."""
+        if m.dom != pullback(c.arrow, self.u).gset or m.cod != self.a.total:
+            raise BoundaryMismatch("transpose: m does not run from Delta_u c to a")
+        # the pairs (y, p) come y by y, each fiber of u ascending
+        values, fibers = iter(m.table), self.fibers
+        return GMap(c.total, self.con.gset, tuple([
+            self.index_of_section(x, list(itertools.islice(values, len(fibers[x]))))
+            for x in c.arrow.table]))
+
 
 def pi(u: GMap, a: SliceObject) -> PiData:
     return _shared(PiData, _pi_points, u, a)
@@ -904,42 +938,6 @@ def pi_slice(u: GMap, a: SliceObject) -> SliceObject:
     return pi(u, a).slice
 
 
-class SectionEvalData:
-    """The evaluation data of the dependent product.
-
-    pia     : the slice Pi_u(a) with total space B over U
-    pull    : pullback P of pia along u, with ubar : P -> B; its second
-              projection P -> S is Delta_u(Pi_u a)
-    e       : P -> A, evaluating a section at the underlying fiber point
-    """
-
-    __slots__ = ("pidata", "pia", "pull", "ubar", "e")
-
-    def __init__(self, u: GMap, a: SliceObject):
-        pd = pi(u, a)
-        pull = pullback(pd.slice.arrow, u)
-        # the pairs (b, p) come section by section, each section's fiber
-        # points ascending, and the sections over each x in the order of
-        # `itertools.product` over the fibers of a: chained, those products
-        # list e
-        pre = pd._pre
-        e = GMap(pull.gset, a.total, tuple(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(itertools.product(*map(pre.__getitem__, fib))
-                                          for fib in pd.fibers))))
-        self.pidata = pd
-        self.pia = pd.slice
-        self.pull = pull
-        self.ubar = pull.proj1
-        self.e = e
-        # evaluation triangle: a after e equals the projection to S
-        if compose_gmaps(a.arrow, e).table != pull.proj2.table:
-            raise InvalidStructure("evaluation triangle failed to commute")
-
-
-def section_eval(u: GMap, a: SliceObject) -> SectionEvalData:
-    return SectionEvalData(u, a)
-
-
 # ---------------------------------------------------------------------------
 # adjunction triangle checks
 # ---------------------------------------------------------------------------
@@ -949,56 +947,45 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
     """Verify the four unit/counit triangle identities on sample slices.
 
     samples_dom live over dom(u) (probing Sigma_u and Pi_u), samples_cod
-    over cod(u) (probing Delta_u).  Each identity is checked point by point,
-    chasing every point through the constructions' `index_of` and
-    projections; a chase that reaches a pair or section that does not exist
-    fails.  A unit into Pi_u is read off as its values, so no dependent
-    product of a dependent product is built.  Returns (name, passed) pairs.
+    over cod(u) (probing Delta_u).  Each identity is a composite of units
+    and counits, checked to be the identity map: the units and counits of
+    Sigma_u -| Delta_u are pullback projections and mediators, the counit of
+    Delta_u -| Pi_u is `PiData.evaluation` and a map into Pi_u is a
+    `PiData.transpose`, so no dependent product of a dependent product is
+    built.  A cone that does not commute or a value that is not a section
+    fails the triangle.  Returns (name, passed) pairs.
     """
-    def holds(points: Iterable[bool]) -> bool:
+    def holds(composite: Callable[[], GMap]) -> bool:
         try:
-            return all(points)
-        except KeyError:
+            return composite().is_identity()
+        except (KeyError, BoundaryMismatch):
             return False
 
     results: list[tuple[str, bool]] = []
     for k, a in enumerate(samples_dom):
-        # counit of Sigma -| Delta on Sigma_u a, precomposed with Sigma of the unit
+        # the counit of Sigma -| Delta on Sigma_u a after Sigma of the unit at a
         pb = pullback(sigma(u, a).arrow, u)
-        eps = pb.proj1.table
-        results.append((f"sigma-delta/left[{k}]", holds(
-            eps[pb.index_of(x, a.arrow.table[x])] == x for x in a.total.points())))
+        results.append((f"sigma-delta/left[{k}]", holds(lambda: compose_gmaps(
+            pb.proj1, pb.mediator(identity_gmap(a.total), a.arrow)))))
 
-        # Pi(counit) after unit on Pi_u a: the unit sends b over x to the
-        # section p -> (b, p) of Delta_u Pi_u a, and Pi(counit) evaluates it
-        pw = section_eval(u, a)
-        pd, e, pull = pw.pidata, pw.e.table, pw.pull
-        results.append((f"delta-pi/right[{k}]", holds(
-            pd.index_of_section(x, [e[pull.index_of(b, p)] for p in pd.fibers[x]]) == b
-            for b, x in enumerate(pw.pia.arrow.table))))
+        # Pi(counit) after the unit on Pi_u a is the transpose of the counit
+        pd = pi(u, a)
+        _, e = pd.evaluation()
+        results.append((f"delta-pi/right[{k}]", holds(lambda: pd.transpose(pd.slice, e))))
 
     for k, b in enumerate(samples_cod):
-        # Delta(counit) after unit on Delta_u b: the point i = (y, s) goes to
-        # (i, s) and then to (top(i), s)
+        # Delta of the counit of Sigma -| Delta after the unit on Delta_u b
         db = pullback(b.arrow, u)
         d2 = pullback(compose_gmaps(u, db.proj2), u)
-        top, over = db.proj1.table, db.proj2.table
-        back1, back2 = d2.proj1.table, d2.proj2.table
-        unit = map(d2.index_of, range(len(over)), over)
-        results.append((f"sigma-delta/right[{k}]", holds(
-            db.index_of(top[back1[j]], back2[j]) == i for i, j in enumerate(unit))))
+        results.append((f"sigma-delta/right[{k}]", holds(lambda: compose_gmaps(
+            db.mediator(compose_gmaps(db.proj1, d2.proj1), d2.proj2),
+            d2.mediator(identity_gmap(db.gset), db.proj2)))))
 
-        # counit of Delta -| Pi on Delta_u b, precomposed with Delta of the unit:
-        # (y, s) goes to (the section p -> (y, p) over u(s), s) and is evaluated
-        pw = section_eval(u, SliceObject(db.proj2))
-        pd, e, pull = pw.pidata, pw.e.table, pw.pull
-
-        def unit_section(y: int, s: int) -> int:
-            x = u.table[s]
-            return pd.index_of_section(x, [db.index_of(y, p) for p in pd.fibers[x]])
-        results.append((f"delta-pi/left[{k}]", holds(
-            e[pull.index_of(unit_section(y, s), s)] == i
-            for i, (y, s) in enumerate(zip(top, over)))))
+        # the counit of Delta -| Pi on Delta_u b after Delta of the unit at b
+        pd = pi(u, SliceObject(db.proj2))
+        pull, e = pd.evaluation()
+        results.append((f"delta-pi/left[{k}]", holds(lambda: compose_gmaps(e, pull.mediator(
+            compose_gmaps(pd.transpose(b, identity_gmap(db.gset)), db.proj1), db.proj2)))))
     return results
 
 

@@ -29,13 +29,12 @@ from .errors import BoundaryMismatch, InvalidStructure
 from .finact import (
     GMap,
     GSet,
-    SectionEvalData,
     SliceObject,
     compose_gmaps,
     delta,
     equivariant_maps,
     identity_gmap,
-    section_eval,
+    pi,
     pi_slice,
     pullback,
     sigma,
@@ -191,28 +190,31 @@ def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[Span
 # ---------------------------------------------------------------------------
 
 def distribute(u: GMap, a: GMap,
-               probes: Sequence[SliceObject] = ()) -> tuple[SectionEvalData, Report]:
+               probes: Sequence[SliceObject] = ()) -> tuple[tuple[GMap, GMap, GMap], Report]:
     """Exchange a dependent product past a dependent sum, with certificates.
 
-    For u : S -> U and a : A -> S the exchange data is the section
-    evaluation of a along u (`finact.section_eval`): pia.arrow : B -> U is
-    the dependent product of a along u, ubar : P -> B its pullback back over
-    S, and e : P -> A evaluates sections.  The returned report certifies
-    that on each probe slice m over A the two routes  product(u) . sum(a)
-    and  sum(pia) . product(ubar) . restrict(e)  agree up to an explicit
-    slice iso.
+    For u : S -> U and a : A -> S the exchanged word is read off the
+    dependent product of a along u and its counit (`PiData.evaluation`):
+    returns the maps (pia, ubar, e), where pia : B -> U is the dependent
+    product, ubar : P -> B its pullback back over S, and e : P -> A
+    evaluates sections.  The returned report certifies that on each probe
+    slice m over A the two routes  product(u) . sum(a)  and
+    sum(pia) . product(ubar) . restrict(e)  agree up to an explicit slice
+    iso.
     """
     if a.cod != u.dom:
         raise BoundaryMismatch("distribute: a must land in dom(u)")
-    data = section_eval(u, SliceObject(a))
+    pd = pi(u, SliceObject(a))
+    pull, e = pd.evaluation()
+    pia, ubar = pd.slice.arrow, pull.proj1
     checks = []
     for k, m in enumerate(probes):
         lhs = pi_slice(u, sigma(a, m))
-        rhs = sigma(data.pia.arrow, pi_slice(data.ubar, delta(data.e, m)))
+        rhs = sigma(pia, pi_slice(ubar, delta(e, m)))
         w = slice_iso(lhs, rhs)
         checks.append(Check(f"slice-iso[{k}]", w is not None,
                             "" if w else "exchange routes disagree on probe"))
-    return data, Report("distribute", tuple(checks))
+    return (pia, ubar, e), Report("distribute", tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +274,8 @@ def _rewrite_pair(a: Gen, b: Gen) -> Optional[tuple[str, tuple[Gen, ...]]]:
         rule = "exchange-restriction-sum" if b.kind == SIGMA else "exchange-restriction-product"
         return (rule, (Gen(b.kind, pb.proj2), Gen(DELTA, pb.proj1)))
     # a is a product, b a sum: the distributive-law step
-    data, _ = distribute(a.f, b.f)
-    return ("distribute-product-past-sum",
-            (Gen(SIGMA, data.pia.arrow), Gen(PI, data.ubar), Gen(DELTA, data.e)))
+    (pia, ubar, e), _ = distribute(a.f, b.f)
+    return ("distribute-product-past-sum", (Gen(SIGMA, pia), Gen(PI, ubar), Gen(DELTA, e)))
 
 
 def normalize_word(word: Word) -> tuple[Word, list[dict]]:

@@ -187,9 +187,9 @@ def suite_distlaw(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     cop = coproduct(regular_gset(group), regular_gset(group))
     a = cop.cotuple(identity_gmap(regular_gset(group)),
                     identity_gmap(regular_gset(group)))
-    data, rep = poly.distribute(u, a, probes=[slice_identity(cop.sum)])
+    (pia, _, _), rep = poly.distribute(u, a, probes=[slice_identity(cop.sum)])
     checks.append(Check("anchored-free-instance", rep.passed
-                        and data.pia.size == 2 ** regular_gset(group).size))
+                        and pia.dom.size == 2 ** regular_gset(group).size))
     return Report("distlaw", tuple(checks))
 
 

@@ -79,7 +79,7 @@ class BurnsideTambara(TambaraFunctor):
     def res(self, f, v):
         """Restrict each orbit of v as an atom, by `restrict_atom`."""
         if v.base != f.cod:
-            raise BoundaryMismatch("delta: slice is not over the codomain of u")
+            raise BoundaryMismatch("res: slice is not over the codomain of f")
         group, arrow = f.group, v.arrow.table
         labels = [lab for o in orbit_cosets(v.total)
                   for lab in restrict_atom(f, (o.stab, arrow[o.rep]))]
@@ -89,7 +89,7 @@ class BurnsideTambara(TambaraFunctor):
     def tr(self, u, v):
         """Move each orbit's atom along u: G/H -> x becomes G/H -> u(x)."""
         if v.base != u.dom:
-            raise BoundaryMismatch("sigma: slice is not over the domain of u")
+            raise BoundaryMismatch("tr: slice is not over the domain of u")
         group, arrow = u.group, v.arrow.table
         return slice_of_atoms(u.cod, [
             atom_label(group, o.stab, point_images(u.cod, u.table[arrow[o.rep]]))
@@ -167,11 +167,11 @@ def check_norm_of_sum(t: TambaraFunctor, u: GMap, a: GMap, probes: Sequence) -> 
     naturals this is the expansion of a product of sums into a sum of
     products of choices.
     """
-    data, _ = distribute(u, a)
+    (pia, ubar, e), _ = distribute(u, a)
     checks = []
     for k, v in enumerate(probes):
         lhs = t.norm(u, t.tr(a, v))
-        rhs = t.tr(data.pia.arrow, t.norm(data.ubar, t.res(data.e, v)))
+        rhs = t.tr(pia, t.norm(ubar, t.res(e, v)))
         ok = t.eq(lhs, rhs)
         checks.append(Check(f"probe[{k}]", ok,
                             "" if ok else f"{t.describe(lhs)} != {t.describe(rhs)}"))

@@ -400,3 +400,27 @@ class ForgetfulReindexing(SliceIndexed):
 
     def act_obj(self, f, x):
         return SliceObject(product(f.dom, x.total).proj1)
+
+
+class ConstantWitness(SliceIndexed):
+    """Slices whose coherence iso is collapsed to a constant map, so it is
+    not bijective once its domain has two points."""
+
+    def compose_witness(self, f, g, a):
+        w = super().compose_witness(f, g, a)
+        return GMap(w.dom, w.cod, w.table[:1] * w.dom.size)
+
+
+class TwistedWitness(SliceIndexed):
+    """Slices whose coherence iso is followed by the action of t.  For t
+    central, such as C2's non-identity element, that action is an
+    automorphism of every G-set, so the witness stays a bijection between
+    the same fiber objects but no longer commutes with their arrows."""
+
+    def __init__(self, t):
+        super().__init__()
+        self.t = t
+
+    def compose_witness(self, f, g, a):
+        w = super().compose_witness(f, g, a)
+        return GMap(w.dom, w.cod, tuple(w.cod.act(self.t, q) for q in w.table))

@@ -196,11 +196,11 @@ def test_criterion_06_distributive_law():
     u2 = unique_to_terminal(f2)
     cop = coproduct(f2, f2)
     a2 = cop.cotuple(identity_gmap(f2), identity_gmap(f2))
-    data, rep = distribute(u2, a2, probes=[slice_identity(cop.sum)])
+    (pia, _, _), rep = distribute(u2, a2, probes=[slice_identity(cop.sum)])
     pt2 = terminal_gset(C2)
     expected = coproduct(coproduct(pt2, pt2).sum, f2).sum
-    anchored = (rep.passed and data.pia.arrow.dom.size == 4
-                and canonical_form(data.pia.arrow.dom) == canonical_form(expected))
+    anchored = (rep.passed and pia.dom.size == 4
+                and canonical_form(pia.dom) == canonical_form(expected))
     _report(6, f"product-past-sum exchange witnessed on {count} probes + anchor",
             count >= 50 and ok_all and anchored, started)
 

@@ -1,9 +1,10 @@
 """Completions of indexed categories: adjoints, exchange laws, span extension."""
 import random
+from collections import Counter
 
 import pytest
 
-from spanpoly import finact
+from spanpoly import completion, finact
 from spanpoly.completion import (
     CompletionObject,
     check_biproduct_preservation,
@@ -43,7 +44,9 @@ from spanpoly.sampling import random_cospan, random_gset, random_map_into, rando
 from spanpoly.spans import Span, lower_star, upper_star
 
 from helpers import (
+    ConstantWitness,
     ForgetfulReindexing,
+    TwistedWitness,
     completion_compose,
     completion_iso,
     mu_flatten,
@@ -241,6 +244,63 @@ def test_check_cb_fails_on_a_forgetful_reindexing(e_cat, name):
             assert rep.checks[0].detail == "the coherence iso does not join the two fiber objects"
         verdicts.append(rep.passed)
     assert verdicts == FORGETFUL_CB_VERDICTS[name]
+
+
+def _c2_flip():
+    """C2's non-identity element."""
+    c2 = builtin_group("C2")
+    return next(g for g in c2.elements() if g != c2.identity)
+
+
+def _c2_cb_draws():
+    """40 seeded C2 cospans f, g of size 6 with a sample o over dom(f)."""
+    group, draws = builtin_group("C2"), []
+    for seed in range(40):
+        rng = random.Random(f"cb/C2/{seed}")
+        f, g = random_cospan(rng, group, 6)
+        leg = random_map_into(rng, f.dom, 6)
+        draws.append((f, g, CompletionObject(leg, random_slice(rng, leg.dom, 6))))
+    return draws
+
+
+def _cb_details(xcat, draws):
+    """check_CB's detail per draw: the first failing condition, or ''."""
+    details = []
+    for f, g, o in draws:
+        assert check_CB(SliceIndexed(), f, g, [o]).passed
+        (check,) = check_CB(xcat, f, g, [o]).checks
+        details.append(check.detail)
+    return Counter(details)
+
+
+@pytest.mark.parametrize("xcat, detail, failures", [
+    (ConstantWitness(), "the coherence iso is not bijective", 23),
+    (TwistedWitness(_c2_flip()), "xi does not commute with the arrows", 21),
+], ids=["collapsed", "twisted"])
+def test_check_cb_fails_on_a_wrong_coherence_iso(xcat, detail, failures):
+    assert _cb_details(xcat, _c2_cb_draws()) == Counter({detail: failures, "": 40 - failures})
+
+
+def test_check_cb_fails_on_legs_moved_by_reindexing(monkeypatch):
+    """Four of check_CB's five conditions are reached by a failing draw: the
+    coherence iso's two by the witnesses above, the join of the fiber
+    objects by `ForgetfulReindexing`, and the legs here, by a reindexing
+    along g that moves its leg by C2's non-identity element.  The first,
+    that w is bijective, is reached by none: w is built from finact's
+    pullbacks alone, so no indexed category can make it non-bijective."""
+    real, t, details = completion.reindex, _c2_flip(), Counter()
+    for f, g, o in _c2_cb_draws():
+        def moved(xcat, r, o2, g=g):
+            out = real(xcat, r, o2)
+            if r != g:
+                return out
+            u = out.u
+            return CompletionObject(GMap(u.dom, u.cod, tuple(u.cod.act(t, v) for v in u.table)),
+                                    out.x)
+        monkeypatch.setattr(completion, "reindex", moved)
+        (check,) = check_CB(SliceIndexed(), f, g, [o]).checks
+        details[check.detail] += 1
+    assert details == Counter({"w does not commute with the legs": 22, "": 18})
 
 
 def test_check_cb_representable(c2, rng):

@@ -25,7 +25,6 @@ from spanpoly.finact import (
     pi,
     product,
     pullback,
-    section_eval,
     sum_gmap,
 )
 from spanpoly.groups import (
@@ -205,7 +204,7 @@ def test_empty_constructions_match_the_reference(name):
 @pytest.mark.parametrize("name", ["C2", "S3", "S4"])
 @pytest.mark.parametrize("seed", range(3))
 def test_section_evaluation_reads_the_section_values(name, seed):
-    """`section_eval`'s e, read off the section order, against the arithmetic reader.
+    """`PiData.evaluation`'s e, read off the section order, against the arithmetic reader.
 
     u : S1 + S2 -> (U1 + U2) + U3 sends S1 to U1 and S2 to U2, so the points
     of U3 have empty fibers (one empty section each); a covers S1 and
@@ -229,8 +228,8 @@ def test_section_evaluation_reads_the_section_values(name, seed):
     a = SliceObject(compose_gmaps(cs.inj1, onto))
     assert set(ext.inj2.table).isdisjoint(u.table)
     assert set(cs.inj2.table).isdisjoint(a.arrow.table)
-    pw = section_eval(u, a)
-    pd, pull = pw.pidata, pw.pull
+    pd = pi(u, a)
+    pull, e = pd.evaluation()
     # the points of U with sections are those whose whole fiber lies in S1
     covered = set(cs.inj1.table)
     with_sections = {x for x in u.cod.points()
@@ -239,6 +238,6 @@ def test_section_evaluation_reads_the_section_values(name, seed):
     assert with_sections.issuperset(ext.inj2.table)
     assert not with_sections.issuperset(u.table[p] for p in cs.inj2.table)
     assert pull.gset.size > 0
-    assert pw.e.table == section_values(pd, pull.proj1.table, pull.proj2.table)
-    assert compose_gmaps(a.arrow, pw.e).table == pull.proj2.table
+    assert e.table == section_values(pd, pull.proj1.table, pull.proj2.table)
+    assert compose_gmaps(a.arrow, e).table == pull.proj2.table
 

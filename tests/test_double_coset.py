@@ -140,9 +140,9 @@ def test_tambara_routes_keep_boundary_errors():
     t = BurnsideTambara(c2)
     f = finact.unique_to_terminal(regular_gset(c2))
     over_dom = SliceObject(finact.identity_gmap(f.dom))
-    with pytest.raises(BoundaryMismatch, match="delta: slice is not over the codomain of u"):
+    with pytest.raises(BoundaryMismatch, match="res: slice is not over the codomain of f"):
         t.res(f, over_dom)
-    with pytest.raises(BoundaryMismatch, match="sigma: slice is not over the domain of u"):
+    with pytest.raises(BoundaryMismatch, match="tr: slice is not over the domain of u"):
         t.tr(f, SliceObject(finact.identity_gmap(f.cod)))
 
 

@@ -23,7 +23,6 @@ from spanpoly.finact import (
     iso_gsets,
     lextensive_factor,
     orbit_labels,
-    section_eval,
     pi,
     pi_slice,
     product,
@@ -33,6 +32,7 @@ from spanpoly.finact import (
     relabel_gset,
     sigma,
     slice_identity,
+    slice_homs,
     slice_iso,
     sum_gmap,
     terminal_gset,
@@ -53,6 +53,7 @@ from helpers import (
     is_pullback_square,
     orbits,
     pairs,
+    section_values,
     sections,
     seeded_map,
     unique_from_initial,
@@ -304,17 +305,17 @@ def test_delta_is_the_second_projection_of_the_pullback(c2, f2, u2, rng):
 
 def test_counit_identity_is_iso(f2, rng):
     a = random_slice(rng, f2, 6)
-    pw = section_eval(identity_gmap(f2), a)
-    assert pw.e.is_bijective() and pw.ubar.is_bijective()
+    pull, e = pi(identity_gmap(f2), a).evaluation()
+    assert e.is_bijective() and pull.proj1.is_bijective()
 
 
 def test_counit_triangle_and_surjectivity(c2, f2, u2):
     cop = coproduct(f2, f2)
     a = SliceObject(cop.cotuple(identity_gmap(f2), identity_gmap(f2)))
-    pw = section_eval(u2, a)
-    # triangle is asserted inside section_eval; evaluation hits every point here
-    assert pw.e.is_surjective()
-    assert compose_gmaps(a.arrow, pw.e).table == pw.pull.proj2.table
+    pull, e = pi(u2, a).evaluation()
+    # triangle is asserted inside evaluation; evaluation hits every point here
+    assert e.is_surjective()
+    assert compose_gmaps(a.arrow, e).table == pull.proj2.table
 
 
 def test_adjunction_triangles_identity(f2, rng):
@@ -333,14 +334,13 @@ def test_adjunction_triangles_free(c2, f2, u2, pt2, rng):
 
 
 def _wrong_evaluation(monkeypatch, wrong):
-    """Have section_eval hand out e replaced by wrong(e)."""
-    real = finact.section_eval
+    """Have `PiData.evaluation` hand out e replaced by wrong(e)."""
+    real = finact.PiData.evaluation
 
-    def patched(u, a):
-        pw = real(u, a)
-        pw.e = GMap(pw.e.dom, pw.e.cod, wrong(pw.e.table))
-        return pw
-    monkeypatch.setattr(finact, "section_eval", patched)
+    def patched(pd):
+        pull, e = real(pd)
+        return pull, GMap(e.dom, e.cod, wrong(e.table))
+    monkeypatch.setattr(finact.PiData, "evaluation", patched)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -349,13 +349,78 @@ def _wrong_evaluation(monkeypatch, wrong):
     # every value in the first copy over the first point: no longer a section
     lambda table: (0,) * len(table),
 ], ids=["swapped-within-fibers", "not-a-section"])
-def test_delta_pi_right_fails_on_a_wrong_evaluation(f2, u2, monkeypatch, wrong):
+def test_delta_pi_right_fails_on_a_wrong_evaluation(f2, pt2, u2, monkeypatch, wrong):
+    """Delta_u of the codomain sample b = pt + pt is a, so both Pi triangles
+    evaluate the same wrong e."""
     cop = coproduct(f2, f2)
     a = SliceObject(cop.cotuple(identity_gmap(f2), identity_gmap(f2)))
-    assert dict(check_adjunction_triangles(u2, [a], []))["delta-pi/right[0]"]
+    b = SliceObject(coproduct(pt2, pt2).cotuple(identity_gmap(pt2), identity_gmap(pt2)))
+    assert delta(u2, b) == a
+    assert all(dict(check_adjunction_triangles(u2, [a], [b])).values())
     _wrong_evaluation(monkeypatch, wrong)
-    assert dict(check_adjunction_triangles(u2, [a], [])) == {
-        "sigma-delta/left[0]": True, "delta-pi/right[0]": False}
+    assert dict(check_adjunction_triangles(u2, [a], [b])) == {
+        "sigma-delta/left[0]": True, "delta-pi/right[0]": False,
+        "sigma-delta/right[0]": True, "delta-pi/left[0]": False}
+
+
+def test_sigma_delta_left_fails_on_a_twisted_sigma(c2, f2, u2, monkeypatch):
+    """A sigma whose arrow is moved by C2's non-identity element t is no
+    longer left adjoint: the unit's cone does not commute at a free point."""
+    a = SliceObject(identity_gmap(f2))
+    assert dict(check_adjunction_triangles(identity_gmap(f2), [a], []))["sigma-delta/left[0]"]
+    real, t = finact.sigma, next(g for g in c2.elements() if g != c2.identity)
+
+    def twisted(u, a):
+        arrow = real(u, a).arrow
+        return SliceObject(GMap(arrow.dom, arrow.cod,
+                                tuple(arrow.cod.act(t, y) for y in arrow.table)))
+    monkeypatch.setattr(finact, "sigma", twisted)
+    assert dict(check_adjunction_triangles(identity_gmap(f2), [a], [])) == {
+        "sigma-delta/left[0]": False, "delta-pi/right[0]": True}
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), symmetric_group(3), symmetric_group(4)],
+                         ids=["C2", "S3", "S4"])
+def test_transpose_sends_each_point_to_its_values(group):
+    """`PiData.transpose` against the arithmetic reader `helpers.section_values`:
+    the transpose of m sends y to the section whose value at each p of its
+    fiber is m(y, p).  U has a fixed point, so every map below exists, and a
+    covers S, so every fiber has sections."""
+    rng = random.Random(f"transpose/{group.name}")
+    reps = subgroup_class_reps(group)
+    small = [i for i, h in enumerate(reps) if group.order // len(h) <= 4]
+
+    def sum_of(k):
+        return coset_sum(group, reps, [rng.choice(small) for _ in range(k)])
+
+    count = 0
+    for _ in range(3):
+        base = coproduct(terminal_gset(group), sum_of(1)).sum
+        s = sum_of(2)
+        u = seeded_map(rng, s, base)
+        cover = coproduct(s, sum_of(1))
+        a = SliceObject(cover.cotuple(identity_gmap(s), seeded_map(rng, cover.right, s)))
+        c = SliceObject(seeded_map(rng, sum_of(2), base))
+        pd, pb = pi(u, a), pullback(c.arrow, u)
+        for m in slice_homs(SliceObject(pb.proj2), a):
+            t = pd.transpose(c, m)
+            assert compose_gmaps(pd.slice.arrow, t) == c.arrow
+            assert section_values(pd, [t(y) for y in pb.proj1.table],
+                                  pb.proj2.table) == m.table
+            count += 1
+    assert count >= 6
+
+
+def test_transpose_refuses_a_map_that_is_not_a_section(f2, u2):
+    cop = coproduct(f2, f2)
+    a = SliceObject(cop.cotuple(identity_gmap(f2), identity_gmap(f2)))
+    pd = pi(u2, a)
+    pull, e = pd.evaluation()
+    assert pd.transpose(pd.slice, e).is_identity()
+    with pytest.raises(KeyError):
+        pd.transpose(pd.slice, GMap(e.dom, e.cod, (0,) * e.dom.size))
+    with pytest.raises(BoundaryMismatch, match="transpose: m does not run from Delta_u c to a"):
+        pd.transpose(pd.slice, identity_gmap(pull.gset))
 
 
 def test_adjunction_triangles_random(c2, rng):
@@ -390,9 +455,10 @@ def test_slice_distributivity(c2, rng):
         u = random_map_into(rng, s, 5)
         a = random_map_into(rng, u.dom, 5)
         m = random_slice(rng, a.dom, 4)
-        pw = section_eval(u, SliceObject(a))
+        pd = pi(u, SliceObject(a))
+        pull, e = pd.evaluation()
         lhs = pi_slice(u, sigma(a, m))
-        rhs = sigma(pw.pia.arrow, pi_slice(pw.ubar, delta(pw.e, m)))
+        rhs = sigma(pd.slice.arrow, pi_slice(pull.proj1, delta(e, m)))
         assert slice_iso(lhs, rhs) is not None
 
 

@@ -14,8 +14,8 @@ from spanpoly.finact import (
     coproduct,
     delta,
     identity_gmap,
+    pi,
     pullback,
-    section_eval,
     slice_identity,
     slice_iso,
     terminal_gset,
@@ -131,37 +131,38 @@ def test_distribute_returns_the_section_evaluation(c2, s3, rng):
             s = random_gset(rng, group, 4)
             u = random_map_into(rng, s, 4)
             a = random_map_into(rng, u.dom, 4)
-            data, rep = distribute(u, a, probes=[slice_identity(a.dom)])
-            pw = section_eval(u, SliceObject(a))
+            (pia, ubar, e), rep = distribute(u, a, probes=[slice_identity(a.dom)])
+            pd = pi(u, SliceObject(a))
+            pull, e_pd = pd.evaluation()
             assert rep.passed
-            assert (data.pia, data.ubar, data.e) == (pw.pia, pw.ubar, pw.e)
-            assert data.pia.base == u.cod and data.ubar.cod == data.pia.total
-            assert data.e.cod == a.dom
+            assert (pia, ubar, e) == (pd.slice.arrow, pull.proj1, e_pd)
+            assert pia.cod == u.cod and ubar.cod == pia.dom
+            assert e.cod == a.dom
 
 
 def test_distribute_identity_u(c2, f2, rng):
     a = random_slice(rng, f2, 4).arrow
-    data, rep = distribute(identity_gmap(f2), a, probes=[slice_identity(a.dom)])
+    (pia, _, e), rep = distribute(identity_gmap(f2), a, probes=[slice_identity(a.dom)])
     assert rep.passed
-    assert slice_iso(data.pia, SliceObject(a)) is not None
-    assert data.e.is_bijective()
+    assert slice_iso(SliceObject(pia), SliceObject(a)) is not None
+    assert e.is_bijective()
 
 
 def test_distribute_identity_a(c2, f2, u2):
-    data, rep = distribute(u2, identity_gmap(f2), probes=[slice_identity(f2)])
+    (pia, _, _), rep = distribute(u2, identity_gmap(f2), probes=[slice_identity(f2)])
     assert rep.passed
-    assert data.pia.arrow.dom.size == 1 and data.pia.arrow.cod.size == 1
+    assert pia.dom.size == 1 and pia.cod.size == 1
 
 
 def test_distribute_anchored_sections(c2, f2, u2):
     cop = coproduct(f2, f2)
     a = cop.cotuple(identity_gmap(f2), identity_gmap(f2))
-    data, rep = distribute(u2, a, probes=[slice_identity(cop.sum)])
+    (pia, _, _), rep = distribute(u2, a, probes=[slice_identity(cop.sum)])
     assert rep.passed
-    assert data.pia.arrow.dom.size == 4
+    assert pia.dom.size == 4
     from spanpoly.finact import canonical_form
     expected = coproduct(coproduct(terminal_gset(c2), terminal_gset(c2)).sum, f2).sum
-    assert canonical_form(data.pia.arrow.dom) == canonical_form(expected)
+    assert canonical_form(pia.dom) == canonical_form(expected)
 
 
 def test_distribute_naturality_squares(c2, rng):
@@ -173,9 +174,9 @@ def test_distribute_naturality_squares(c2, rng):
         u = random_slice(rng, s, 4, allow_empty=False).arrow
         a = random_slice(rng, u.dom, 4, allow_empty=False).arrow
         x = slice_identity(a.dom)
-        data, _ = distribute(u, a)
-        out_outer = data.pia.arrow
-        out_inner = CompletionObject(data.ubar, delta(data.e, x))
+        (pia, ubar, e), _ = distribute(u, a)
+        out_outer = pia
+        out_inner = CompletionObject(ubar, delta(e, x))
         side1 = CompletionObject(out_outer, out_inner)
         f = random_slice(rng, u.cod, 4, allow_empty=False).arrow  # V -> U
         flat1 = mu_flatten(side1)
@@ -187,9 +188,8 @@ def test_distribute_naturality_squares(c2, rng):
         pb_a = pullback(a, f_u)
         a_f = pb_a.proj2
         x_f = delta(pb_a.proj1, x)
-        data2, _ = distribute(u_f, a_f)
-        side2 = CompletionObject(data2.pia.arrow,
-                                 CompletionObject(data2.ubar, delta(data2.e, x_f)))
+        (pia2, ubar2, e2), _ = distribute(u_f, a_f)
+        side2 = CompletionObject(pia2, CompletionObject(ubar2, delta(e2, x_f)))
         flat2 = mu_flatten(side2)
         assert completion_iso(e_cat, r1, flat2) is not None
 
