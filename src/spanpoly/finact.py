@@ -40,7 +40,7 @@ with legs in this sense.  `orbit_candidates` lists the admissible images of
 each orbit's least point, checking the legs at that point only
 (equivariance carries the check to the whole orbit), and map enumeration
 and random sampling fill each orbit from its image along the coset
-representatives.
+representatives; `count_maps` multiplies the lists' lengths instead.
 
 Along u, Sigma_u a composes with u, Delta_u b is `pullback(b.arrow, u)`
 (read as a slice by its second projection; readers of its pairs take the
@@ -524,6 +524,11 @@ def _check_legs(x: GSet, y: GSet, legs: Legs) -> None:
         raise BoundaryMismatch("legs must run from x and y into a common G-set")
 
 
+def count_maps(x: GSet, y: GSet, legs: Legs = ()) -> int:
+    """How many maps `equivariant_maps` yields; unguarded, as none is built."""
+    return math.prod(len(c) for _, c in orbit_candidates(x, y, legs))
+
+
 def equivariant_maps(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     """All equivariant maps x -> y commuting with the legs, one per choice of `orbit_candidates`.
 
@@ -1003,7 +1008,8 @@ def lextensive_factor(f: GMap,
     left_leg : dom_cop.sum -> base, right_leg : cod_cop.sum -> base must both
     be summand-respecting maps into a constructed coproduct base, with
     right_leg after f equal to left_leg.  Returns the unique (r, s) with
-    f = r + s.
+    f = r + s, read off the pullbacks of f along the injections of cod_cop:
+    f respects the summands iff each one's points are dom_cop's summand.
     """
     if f.dom != dom_cop.sum or f.cod != cod_cop.sum:
         raise BoundaryMismatch("lextensive_factor: f does not match the coproducts")
@@ -1013,18 +1019,10 @@ def lextensive_factor(f: GMap,
         raise BoundaryMismatch("lextensive_factor: legs land in different bases")
     if compose_gmaps(right_leg, f).table != left_leg.table:
         raise InvalidStructure("lextensive_factor: triangle does not commute")
-    na, na2 = dom_cop.left.size, cod_cop.left.size
-    r_table, s_table = [], []
-    for p in range(na):
-        q = f.table[p]
-        if q >= na2:
+    parts = []
+    for dinj, cinj in ((dom_cop.inj1, cod_cop.inj1), (dom_cop.inj2, cod_cop.inj2)):
+        part = pullback(f, cinj)
+        if part.proj1.table != dinj.table:
             raise InvalidStructure("lextensive_factor: f does not respect the summands")
-        r_table.append(q)
-    for p in range(dom_cop.right.size):
-        q = f.table[na + p]
-        if q < na2:
-            raise InvalidStructure("lextensive_factor: f does not respect the summands")
-        s_table.append(q - na2)
-    r = GMap(dom_cop.left, cod_cop.left, tuple(r_table))
-    s = GMap(dom_cop.right, cod_cop.right, tuple(s_table))
-    return r, s
+        parts.append(GMap(dinj.dom, cinj.dom, part.proj2.table))
+    return parts[0], parts[1]

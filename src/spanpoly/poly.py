@@ -18,7 +18,10 @@ every step strictly decreases the measure (product/sum inversions,
 restriction inversions, word length) lexicographically, so normalization
 terminates regardless of strategy; the innermost reducible pair is taken
 first.  Over the one-point group the result is validated against an
-independent sum-of-products evaluator.
+independent sum-of-products evaluator.  Morphisms of polynomials (the
+two-cells of span-of-spans presentations) are searched by
+`enumerate_poly_morphisms` and counted by `count_poly_morphisms`, a closed
+form that shares no code with the search.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .finact import (
     identity_gmap,
     pi,
     pi_slice,
+    point_images,
     pullback,
     sigma,
     slice_iso,
@@ -146,6 +150,45 @@ def enumerate_poly_morphisms(src: Polynomial, tgt: Polynomial) -> Iterator[PolyM
             yield PolyMorphism(src, tgt, g, ell)
 
 
+def count_poly_morphisms(src: Polynomial, tgt: Polynomial) -> int:
+    """The number of morphisms src -> tgt, by a product formula in stabilizers.
+
+    The independent count of `enumerate_poly_morphisms`: it reads stabilizers
+    and orbits off `point_images` only.  It multiplies, over the orbits of B
+    at their least points b with H = G_b, the sum over the b' with
+    t'(b') = t(b) and H <= G_b' of the product over the H-orbits of
+    n'^-1(b'), at a point a' with K = H & G_a', of the number of a over b with
+    K <= G_a and r(a) = r'(a'): the choices of g(b), and of ell on each orbit
+    of the pullback over b.
+    """
+    if src.src != tgt.src or src.tgt != tgt.tgt:
+        raise BoundaryMismatch("count_poly_morphisms needs parallel polynomials")
+    b_imgs, a_imgs, b2_imgs, a2_imgs = ([point_images(x, p) for p in x.points()]
+                                        for x in (src.n.cod, src.n.dom, tgt.n.cod, tgt.n.dom))
+    stab_b, stab_a, stab_b2, stab_a2 = (
+        [frozenset(g for g, q in enumerate(i) if q == p) for p, i in enumerate(imgs)]
+        for imgs in (b_imgs, a_imgs, b2_imgs, a2_imgs))
+    total = 1
+    for b, h in enumerate(stab_b):
+        if b != min(b_imgs[b]):
+            continue  # one factor per orbit of B, taken at its least point
+        over = [a for a, nb in enumerate(src.n.table) if nb == b]
+        ways = 0
+        for b2, h2 in enumerate(stab_b2):
+            if tgt.t.table[b2] != src.t.table[b] or not h <= h2:
+                continue
+            term = 1
+            for a2, k2 in enumerate(stab_a2):
+                # one factor per H-orbit of the fiber over b2, at its least point
+                if tgt.n.table[a2] == b2 and a2 == min(a2_imgs[a2][g] for g in h):
+                    k = h & k2
+                    term *= sum(1 for a in over
+                                if k <= stab_a[a] and src.r.table[a] == tgt.r.table[a2])
+            ways += term
+        total *= ways
+    return total
+
+
 class SpanSpan2Cell(FrozenRecord):
     """Two-cell data in the span-of-spans picture.
 
@@ -173,16 +216,6 @@ def translate_2cell_inverse(c: SpanSpan2Cell) -> PolyMorphism:
     src = spanspan_to_poly(c.src)
     tgt = spanspan_to_poly(c.tgt)
     return poly_morphism(src, tgt, c.apex_map, c.lam)
-
-
-def enumerate_spanspan_2cells(s1: SpanOfSpans, s2: SpanOfSpans) -> Iterator[SpanSpan2Cell]:
-    """All two-cells between span-of-spans presentations (small inputs only)."""
-    for g in equivariant_maps(s1.apex, s2.apex, ((s1.right.right, s2.right.right),)):
-        pb = pullback(s2.left.left, g)
-        comp = Span(pb.proj2, compose_gmaps(s2.left.right, pb.proj1))
-        legs = ((comp.left, s1.left.left), (comp.right, s1.left.right))
-        for lam in equivariant_maps(pb.gset, s1.left.apex, legs):
-            yield SpanSpan2Cell(s1, s2, g, comp, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -359,14 +359,11 @@ def suite_plycorrespondence(group: FiniteGroup, rng: Rng, size_bound: int) -> Re
         y = random_gset_with_fixed_point(rng, group, 2)
         p = random_polynomial(rng, x, y, 3)
         q = random_polynomial(rng, x, y, 3)
-        cells_p = list(poly.enumerate_poly_morphisms(p, q))
-        cells_s = list(poly.enumerate_spanspan_2cells(poly.poly_to_spanspan(p),
-                                                      poly.poly_to_spanspan(q)))
-        ok = len(cells_p) == len(cells_s)
-        ok = ok and all(poly.translate_2cell_inverse(poly.translate_2cell(m)) == m
-                        for m in cells_p)
-        checks.append(Check(f"2cells[{k}]", ok,
-                            "" if ok else f"{len(cells_p)} vs {len(cells_s)}"))
+        cells = list(poly.enumerate_poly_morphisms(p, q))
+        count = poly.count_poly_morphisms(p, q)
+        ok = len(cells) == count and all(
+            poly.translate_2cell_inverse(poly.translate_2cell(m)) == m for m in cells)
+        checks.append(Check(f"2cells[{k}]", ok, "" if ok else f"{len(cells)} vs {count}"))
     for k in range(3):
         xs, ys, zs = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         p0 = random_trivial_polynomial(rng, xs, ys, 4, trivial_group())

@@ -530,6 +530,27 @@ def test_fiber_coproduct_universality(e_cat, c2, f2, rng):
     assert z.size == x.size + y.size
 
 
+def test_counted_fiber_hom_sets_build_no_maps(e_cat, c2, f2, pt2, rng, monkeypatch):
+    """The fiber-coproduct check counts every hom-set it reads; the biproduct
+    probe builds only the homs out of glued objects, one search per pair."""
+    from spanpoly.completion import check_fiber_coproduct
+    searches = []
+    real = finact.equivariant_maps
+
+    def counted(x, y, legs=()):
+        searches.append((x, y))
+        return real(x, y, legs)
+
+    monkeypatch.setattr(finact, "equivariant_maps", counted)
+    x, y = random_slice(rng, f2, 3), random_slice(rng, f2, 3)
+    targets = [random_slice(rng, f2, 3) for _ in range(2)]
+    assert check_fiber_coproduct(e_cat, f2, x, y, targets).passed
+    assert searches == []
+    pairs = [(random_slice(rng, f2, 4), random_slice(rng, pt2, 4)) for _ in range(3)]
+    assert check_biproduct_preservation(e_cat, f2, pt2, pairs).passed
+    assert len(searches) == len(pairs) ** 2
+
+
 def test_mu_associativity_exact(e_cat, c2, f2, rng):
     leg1 = random_map_into(rng, f2, 4)
     leg2 = random_map_into(rng, leg1.dom, 4)

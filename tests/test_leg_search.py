@@ -8,15 +8,20 @@ labels (`equivariant_iso`, `slice_iso`, `span_iso`) is None iff the
 filtered list of isos is empty, and otherwise one of them.  G-sets are
 drawn with shuffled point numbers, so that orbits are not blocks of
 consecutive points, and also over a copy of S3 whose identity is element 3.
+`count_maps` must count what the search yields.
 """
 import random
 
 import pytest
 
-from spanpoly.errors import BoundaryMismatch
+from spanpoly import finact
+from spanpoly.errors import BoundaryMismatch, ResourceLimit
 from spanpoly.finact import (
+    GMap,
     SliceObject,
     compose_gmaps,
+    coproduct,
+    count_maps,
     equivariant_iso,
     equivariant_maps,
     identity_gmap,
@@ -85,6 +90,34 @@ def test_maps_under_legs_are_the_filtered_maps(name):
         assert maps == _filtered(equivariant_maps, x, y, legs)
         found.add(bool(maps))
     assert found == {True, False}
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_count_maps_counts_the_maps_the_search_yields(name):
+    """With legs and without, none of the maps built."""
+    found = set()
+    for seed in SEEDS:
+        rng = random.Random(f"count/{name}/{seed}")
+        x, _ = _shuffled(rng, random_gset(rng, GROUPS[name], 6))
+        y, _ = _shuffled(rng, random_gset_with_fixed_point(rng, GROUPS[name], 6))
+        legs = _legs(rng, x, y, random_gmap(rng, x, y))
+        for some in ((), legs):
+            n = count_maps(x, y, some)
+            assert n == len(list(equivariant_maps(x, y, some)))
+            found.add(min(n, 2))
+    assert found == {0, 1, 2}
+
+
+def test_count_maps_is_not_bounded_by_the_maps_guard(monkeypatch):
+    """The search raises above MAX_MAPS; the count, which builds nothing, does not."""
+    c2 = cyclic_group(2)
+    pt = terminal_gset(c2)
+    four = coproduct(coproduct(pt, pt).sum, coproduct(pt, pt).sum).sum
+    leg = GMap(four, pt, (0,) * 4)
+    monkeypatch.setattr(finact, "MAX_MAPS", 255)  # 4^4 maps over the point
+    with pytest.raises(ResourceLimit):
+        next(equivariant_maps(four, four, ((leg, leg),)))
+    assert count_maps(four, four, ((leg, leg),)) == count_maps(four, four) == 256
 
 
 @pytest.mark.parametrize("name", list(GROUPS))

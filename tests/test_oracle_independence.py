@@ -42,7 +42,9 @@ REPO = Path(__file__).resolve().parents[1]
 ORACLES = {
     "mackey.burnside_table_bruteforce": ("mackey.table_of_marks", "mackey.burnside_table"),
     "mackey.burnside_table_double_cosets": ("mackey.table_of_marks", "mackey.burnside_table"),
-    "poly.enumerate_spanspan_2cells": ("poly.enumerate_poly_morphisms", "poly.poly_morphism"),
+    "poly.count_poly_morphisms": ("finact.equivariant_maps", "finact.orbit_candidates",
+                                  "finact.orbit_cosets", "finact.pullback",
+                                  "poly.enumerate_poly_morphisms", "poly.poly_morphism"),
     "poly.eval_semiring": ("poly.compose_poly", "poly.normalize_word", "poly._rewrite_pair",
                            "poly.distribute"),
 }

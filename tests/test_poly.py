@@ -20,13 +20,13 @@ from spanpoly.finact import (
     slice_iso,
     terminal_gset,
 )
-from spanpoly.groups import trivial_group
+from spanpoly.groups import BUILTIN_GROUPS, builtin_group, trivial_group
 from spanpoly.poly import (
     Gen,
     compose_poly,
+    count_poly_morphisms,
     distribute,
     enumerate_poly_morphisms,
-    enumerate_spanspan_2cells,
     eval_semiring,
     normalize_word,
     poly_morphism,
@@ -48,6 +48,7 @@ from spanpoly.sampling import (
 )
 from spanpoly.semirings import BOOLEANS, NATURALS
 from spanpoly.spans import Span, compose_spans, span_iso
+from spanpoly.suites import run_suite
 
 from helpers import (
     apply_polynomial,
@@ -106,18 +107,60 @@ def test_identity_2cell_translates(c2, f2, u2):
 
 
 def test_2cell_translation_bijective_small(c2, rng):
+    """Every morphism round-trips through its two-cell, distinct morphisms
+    give distinct two-cells, and there are as many as the closed form counts."""
     for _ in range(4):
         x = random_gset_with_fixed_point(rng, c2, 2)
         y = random_gset_with_fixed_point(rng, c2, 2)
         p = random_polynomial(rng, x, y, 3)
         q = random_polynomial(rng, x, y, 3)
         ms = list(enumerate_poly_morphisms(p, q))
-        cells = list(enumerate_spanspan_2cells(poly_to_spanspan(p), poly_to_spanspan(q)))
-        assert len(ms) == len(cells)
-        for m in ms:
-            assert translate_2cell_inverse(translate_2cell(m)) == m
-        keyed = {(c.apex_map.table, c.lam.table) for c in cells}
-        assert {(m.g.table, m.ell.table) for m in ms} == keyed
+        cells = [translate_2cell(m) for m in ms]
+        for m, cell in zip(ms, cells):
+            assert translate_2cell_inverse(cell) == m
+        assert len(set(cells)) == len(ms) == count_poly_morphisms(p, q)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_count_poly_morphisms_matches_the_enumeration(name):
+    """The closed form counts what the search enumerates, on p against
+    itself and against a fresh q, with some count above 1 in every group."""
+    group, counts = builtin_group(name), []
+    for seed in range(40):
+        for size in (2, 3, 4):
+            rng = random.Random(seed)
+            x = random_gset_with_fixed_point(rng, group, size)
+            y = random_gset_with_fixed_point(rng, group, size)
+            p = random_polynomial(rng, x, y, size)
+            q = random_polynomial(rng, x, y, size)
+            for tgt in (p, q):
+                n = count_poly_morphisms(p, tgt)
+                assert n == len(list(enumerate_poly_morphisms(p, tgt)))
+                counts.append(n)
+    assert max(counts) > 1
+
+
+def test_count_poly_morphisms_refuses_polynomials_that_are_not_parallel(c2, f2, pt2, u2):
+    p = polynomial(u2, identity_gmap(f2), u2)
+    q = polynomial(identity_gmap(f2), identity_gmap(f2), identity_gmap(f2))
+    with pytest.raises(BoundaryMismatch, match="^count_poly_morphisms needs parallel"):
+        count_poly_morphisms(p, q)
+
+
+def test_2cells_check_catches_a_search_that_drops_candidates(monkeypatch):
+    """A search that drops the last admissible image of every orbit with two
+    or more misses morphisms, and `2cells[k]` sees it on C4 seed 1.  This
+    test fails where the check compared the search with a second search
+    built on the same candidate lists, as both lost the same morphisms."""
+    real = finact.orbit_candidates
+
+    def dropped(x, y, legs=()):
+        return [(o, c[:-1] if len(c) >= 2 else c) for o, c in real(x, y, legs)]
+
+    assert run_suite("plycorrespondence", builtin_group("C4"), 1, 6).passed
+    monkeypatch.setattr(finact, "orbit_candidates", dropped)
+    rep = run_suite("plycorrespondence", builtin_group("C4"), 1, 6)
+    assert [(c.name, c.detail) for c in rep.failures()] == [("2cells[1]", "0 vs 1")]
 
 
 # ---------------------------------------------------------------------------
