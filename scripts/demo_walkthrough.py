@@ -89,8 +89,8 @@ def main() -> None:
     from spanpoly.sampling import random_trivial_polynomial
     import random
     rng = random.Random(6)
-    p0 = random_trivial_polynomial(rng, 2, 2, 3, triv)
-    q0 = random_trivial_polynomial(rng, 2, 2, 3, triv)
+    p0 = random_trivial_polynomial(rng, 2, 2, 3)
+    q0 = random_trivial_polynomial(rng, 2, 2, 3)
     c0, _ = compose_poly(p0, q0)
     fam = (2, 3)
     print(f"   family {fam}: composite gives {eval_semiring(c0, fam, NATURALS)},"

@@ -19,13 +19,18 @@ X(S)), any map serving as the leg; the product completion uses the
 same objects with morphisms reversed, so one representation serves both and
 only the adjoints differ (pushforward is a left adjoint to reindexing on
 one side, a right adjoint on the other).
+Each hom-set has one search and one count that shares no code with it:
+`completion_homs` and `count_completion_homs`, which with identity legs
+also counts fiber hom-sets.  For slices the product completion is the
+category of polynomials 1 <- X -> S -> U and its morphisms, reversed, are
+polynomial morphisms, searched and counted by `poly`.
 """
 from __future__ import annotations
 
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import finact
+from . import finact, poly
 from .errors import BoundaryMismatch, InvalidStructure, ProbeFailure, ResourceLimit
 from .finact import (
     CoproductDiagram,
@@ -35,19 +40,20 @@ from .finact import (
     codiagonal,
     compose_gmaps,
     coproduct,
-    count_maps,
     delta,
     equivariant_maps,
     identity_gmap,
     initial_gset,
     invert_gmap,
     pi_slice,
+    point_images,
     product,
     product_gmap,
     pullback,
     sigma,
     slice_homs,
     slice_iso,
+    unique_to_terminal,
 )
 from .groups import FiniteGroup
 from .record import FrozenRecord
@@ -197,49 +203,81 @@ def completion_homs(xcat: SliceIndexed, o: CompletionObject,
     return out
 
 
-def completion_homs_dual(xcat: SliceIndexed, o: CompletionObject,
-                         o2: CompletionObject) -> list[CompletionMorphism]:
-    """Morphisms o -> o2 of the product completion: legs point backwards.
+def count_completion_homs(o: CompletionObject, o2: CompletionObject) -> int:
+    """The number of morphisms o -> o2 of the coproduct completion of slices.
 
-    A morphism is (w : S2 -> S1 with u1.w = u2, zeta : X(w)(x1) -> x2).
+    The independent count of `completion_homs` for `SliceIndexed()`, none
+    built and no guard.  By the pullback's universal property a morphism
+    (w, xi : x -> X(w)(x')) is a pair (w, phi : X -> X') with u'.w = u and
+    x'.phi = w.x.  Reading stabilizers and orbits off `point_images` only,
+    as `poly.count_poly_morphisms` does, it multiplies, over the orbits of S
+    at their least points s with H = G_s, the sum over the s' with
+    u'(s') = u(s) and H <= G_s' of the product over the H-orbits of
+    x^-1(s), at a point a, of #{a' over s' : G_a <= G_a'}: the choices of
+    w(s), and of phi on each orbit of X over the orbit of s.  With identity
+    legs it counts the slice maps x -> x'.
     """
     if o.base != o2.base:
-        raise BoundaryMismatch("completion_homs_dual: different bases")
-    out = []
-    for w in equivariant_maps(o2.stage, o.stage, ((o2.u, o.u),)):
-        xw = xcat.act_obj(w, o.x)
-        for zeta in slice_homs(xw, o2.x):
-            out.append(CompletionMorphism(w, zeta))
-            if len(out) > finact.MAX_MAPS:
-                raise _hom_total_over_limit("dual hom-set", o, o2)
-    return out
+        raise BoundaryMismatch("count_completion_homs: different bases")
+    s_imgs, a_imgs, s2_imgs, a2_imgs = ([point_images(y, p) for p in y.points()]
+                                        for y in (o.stage, o.x.total, o2.stage, o2.x.total))
+    stab_s, stab_a, stab_s2, stab_a2 = (
+        [frozenset(g for g, q in enumerate(i) if q == p) for p, i in enumerate(imgs)]
+        for imgs in (s_imgs, a_imgs, s2_imgs, a2_imgs))
+    total = 1
+    for s, h in enumerate(stab_s):
+        if s != min(s_imgs[s]):
+            continue  # one factor per orbit of S, taken at its least point
+        # one point per H-orbit of the fiber over s, its least
+        reps = [a for a, xa in enumerate(o.x.arrow.table)
+                if xa == s and a == min(a_imgs[a][g] for g in h)]
+        ways = 0
+        for s2, h2 in enumerate(stab_s2):
+            if o2.u.table[s2] == o.u.table[s] and h <= h2:
+                over = [stab_a2[a2] for a2, xa2 in enumerate(o2.x.arrow.table) if xa2 == s2]
+                term = 1
+                for a in reps:
+                    term *= sum(1 for k2 in over if stab_a[a] <= k2)
+                ways += term
+        total *= ways
+    return total
 
 
-def hom_bijection_dual(xcat: SliceIndexed, o: CompletionObject,
-                       o2: CompletionObject, r: GMap) -> Report:
+def _polynomial(o: CompletionObject) -> poly.Polynomial:
+    """The polynomial 1 <- X -> S -> U of o = (u : S -> U, x : X -> S)."""
+    return poly.polynomial(unique_to_terminal(o.x.total), o.x.arrow, o.u)
+
+
+def hom_bijection_dual(o: CompletionObject, o2: CompletionObject, r: GMap) -> Report:
     """Mirror adjunction: pushing the leg is right adjoint to reindexing.
 
     o lives over V = dom(r), o2 over U = cod(r).  Dual morphisms from the
     reindexed o2 to o downstairs correspond to dual morphisms from o2 to
-    the pushed o upstairs.
+    the pushed o upstairs.  A dual morphism a -> b, (w, zeta), is the
+    polynomial morphism P(b) -> P(a) with g = w and ell = zeta.
     """
-    pushed = pushforward(xcat, r, o)
-    back = reindex(xcat, r, o2)
-    lhs = completion_homs_dual(xcat, back, o)
-    rhs = completion_homs_dual(xcat, o2, pushed)
+    xcat = SliceIndexed()
+    pushed, back = pushforward(xcat, r, o), reindex(xcat, r, o2)
     pb = pullback(o2.u, r)
     images = []
-    for (wt, zeta) in lhs:
-        w = compose_gmaps(pb.proj1, wt)
-        coh = xcat.compose_witness(pb.proj1, wt, o2.x)
-        coh_inv = invert_gmap(coh)
-        zeta2 = compose_gmaps(zeta, coh_inv)
-        images.append(CompletionMorphism(w, zeta2))
-    return Report("hom-bijection-dual", _bijection_checks(lhs, rhs, images))
+    for m in poly.enumerate_poly_morphisms(_polynomial(o), _polynomial(back)):
+        coh = xcat.compose_witness(pb.proj1, m.g, o2.x)
+        images.append(CompletionMorphism(compose_gmaps(pb.proj1, m.g),
+                                          compose_gmaps(m.ell, invert_gmap(coh))))
+        if len(images) > finact.MAX_MAPS:
+            raise _hom_total_over_limit("dual hom-set", back, o)
+    src, tgt = _polynomial(pushed), _polynomial(o2)
+    try:
+        for im in images:
+            poly.poly_morphism(src, tgt, *im)
+        lands = True
+    except (BoundaryMismatch, InvalidStructure):
+        lands = False
+    return Report("hom-bijection-dual", _bijection_checks(
+        poly.count_poly_morphisms(src, tgt), lands, images))
 
 
-def hom_bijection_map(xcat: SliceIndexed, o: CompletionObject,
-                      o2: CompletionObject, r: GMap):
+def hom_bijection_map(o: CompletionObject, o2: CompletionObject, r: GMap):
     """The adjunction correspondence on hom-sets, elementwise.
 
     o lives over V = dom(r), o2 over U = cod(r).  Returns (lhs, rhs, images)
@@ -248,10 +286,9 @@ def hom_bijection_map(xcat: SliceIndexed, o: CompletionObject,
     element: the leg pairs into the pullback, the fiber part rides the
     coherence witness.
     """
-    pushed = pushforward(xcat, r, o)
-    lhs = completion_homs(xcat, pushed, o2)
-    back = reindex(xcat, r, o2)
-    rhs = completion_homs(xcat, o, back)
+    xcat = SliceIndexed()
+    lhs = completion_homs(xcat, pushforward(xcat, r, o), o2)
+    rhs = completion_homs(xcat, o, reindex(xcat, r, o2))
     pb = pullback(o2.u, r)
     images = []
     for (w, xi) in lhs:
@@ -262,21 +299,21 @@ def hom_bijection_map(xcat: SliceIndexed, o: CompletionObject,
     return lhs, rhs, images
 
 
-def hom_bijection(xcat: SliceIndexed, o: CompletionObject,
-                  o2: CompletionObject, r: GMap) -> Report:
+def hom_bijection(o: CompletionObject, o2: CompletionObject, r: GMap) -> Report:
     """The adjunction bijection between hom-sets, exhibited and verified."""
-    lhs, rhs, images = hom_bijection_map(xcat, o, o2, r)
-    return Report("hom-bijection", _bijection_checks(lhs, rhs, images),
-                  (f"hom sizes {len(lhs)}={len(rhs)}" if len(lhs) == len(rhs)
-                   else "size mismatch",))
+    _, rhs, images = hom_bijection_map(o, o2, r)
+    n, m = len(images), count_completion_homs(o, reindex(SliceIndexed(), r, o2))
+    return Report("hom-bijection", _bijection_checks(m, set(images) <= set(rhs), images),
+                  (f"hom sizes {n}={m}" if n == m else "size mismatch",))
 
 
-def _bijection_checks(lhs: list, rhs: list, images: list) -> tuple[Check, ...]:
-    """The transported images form a bijection lhs -> rhs: equal sizes, into rhs, injective."""
+def _bijection_checks(m: int, lands: bool, images: list) -> tuple[Check, ...]:
+    """The transported images form a bijection onto the m morphisms of the
+    target side: equal sizes, into the target, injective."""
     keys = {(im[0].table, im[1].table) for im in images}
     return (
-        Check("counts", len(lhs) == len(rhs), f"{len(lhs)} vs {len(rhs)}"),
-        Check("lands-in-target", all(any(im == rh for rh in rhs) for im in images)),
+        Check("counts", len(images) == m, f"{len(images)} vs {m}"),
+        Check("lands-in-target", lands),
         Check("injective", len(keys) == len(images)),
     )
 
@@ -354,8 +391,10 @@ def check_CB_fiber(xcat: SliceIndexed, f: GMap, g: GMap, samples: Sequence,
 # ---------------------------------------------------------------------------
 
 def _count_homs(a: SliceObject, b: SliceObject) -> int:
-    """The number of fiber maps a -> b, none of them built."""
-    return count_maps(a.total, b.total, ((a.arrow, b.arrow),))
+    """The number of fiber maps a -> b, none of them built: the completion
+    hom-set of (1_V, a) and (1_V, b) over their common base V."""
+    return count_completion_homs(CompletionObject(identity_gmap(a.base), a),
+                                 CompletionObject(identity_gmap(b.base), b))
 
 
 def fiber_coproduct(xcat: SliceIndexed, u: GSet, x, y):
@@ -370,7 +409,7 @@ def check_fiber_coproduct(xcat: SliceIndexed, u: GSet, x, y,
 
     Morphisms out of the glued object must correspond bijectively to pairs
     of morphisms out of the two pieces; injections must exist.  Each count
-    is read off `count_maps`; no map is built.
+    is read off `count_completion_homs`; no map is built.
     """
     z = fiber_coproduct(xcat, u, x, y)
     checks = []
@@ -434,7 +473,8 @@ def check_biproduct_preservation(xcat: SliceIndexed, u: GSet, v: GSet,
 
     Essential surjectivity: each pair is hit, up to fiber iso, by the glued
     object.  Fullness and faithfulness: homs out of glued objects biject
-    with pairs of homs between the restrictions, counted by `count_maps`.
+    with pairs of homs between the restrictions, counted by
+    `count_completion_homs`.
     """
     cop = coproduct(u, v)
     checks = []

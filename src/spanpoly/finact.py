@@ -40,7 +40,7 @@ with legs in this sense.  `orbit_candidates` lists the admissible images of
 each orbit's least point, checking the legs at that point only
 (equivariance carries the check to the whole orbit), and map enumeration
 and random sampling fill each orbit from its image along the coset
-representatives; `count_maps` multiplies the lists' lengths instead.
+representatives; the closed-form hom-set counts read `point_images` only.
 
 Along u, Sigma_u a composes with u, Delta_u b is `pullback(b.arrow, u)`
 (read as a slice by its second projection; readers of its pairs take the
@@ -524,11 +524,6 @@ def _check_legs(x: GSet, y: GSet, legs: Legs) -> None:
         raise BoundaryMismatch("legs must run from x and y into a common G-set")
 
 
-def count_maps(x: GSet, y: GSet, legs: Legs = ()) -> int:
-    """How many maps `equivariant_maps` yields; unguarded, as none is built."""
-    return math.prod(len(c) for _, c in orbit_candidates(x, y, legs))
-
-
 def equivariant_maps(x: GSet, y: GSet, legs: Legs = ()) -> Iterator[GMap]:
     """All equivariant maps x -> y commuting with the legs, one per choice of `orbit_candidates`.
 
@@ -918,17 +913,18 @@ class PiData:
             raise InvalidStructure("evaluation triangle failed to commute")
         return pull, e
 
-    def transpose(self, c: SliceObject, m: GMap) -> GMap:
+    def transpose(self, pull: Pullback, m: GMap) -> GMap:
         """The map c -> Pi_u a over U sending y over x to the section p -> m(y, p),
-        for m : Delta_u c -> a; KeyError (from `index_of_section`) if some
-        y gives no section."""
-        if m.dom != pullback(c.arrow, self.u).gset or m.cod != self.a.total:
+        for pull = Delta_u c, the pullback of c's arrow along u, and
+        m : Delta_u c -> a; KeyError (from `index_of_section`) if some y
+        gives no section."""
+        if pull.g != self.u or m.dom != pull.gset or m.cod != self.a.total:
             raise BoundaryMismatch("transpose: m does not run from Delta_u c to a")
         # the pairs (y, p) come y by y, each fiber of u ascending
         values, fibers = iter(m.table), self.fibers
-        return GMap(c.total, self.con.gset, tuple([
+        return GMap(pull.f.dom, self.con.gset, tuple([
             self.index_of_section(x, list(itertools.islice(values, len(fibers[x]))))
-            for x in c.arrow.table]))
+            for x in pull.f.table]))
 
 
 def pi(u: GMap, a: SliceObject) -> PiData:
@@ -975,8 +971,8 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
 
         # Pi(counit) after the unit on Pi_u a is the transpose of the counit
         pd = pi(u, a)
-        _, e = pd.evaluation()
-        results.append((f"delta-pi/right[{k}]", holds(lambda: pd.transpose(pd.slice, e))))
+        pull, e = pd.evaluation()
+        results.append((f"delta-pi/right[{k}]", holds(lambda: pd.transpose(pull, e))))
 
     for k, b in enumerate(samples_cod):
         # Delta of the counit of Sigma -| Delta after the unit on Delta_u b
@@ -990,7 +986,7 @@ def check_adjunction_triangles(u: GMap, samples_dom: Sequence[SliceObject],
         pd = pi(u, SliceObject(db.proj2))
         pull, e = pd.evaluation()
         results.append((f"delta-pi/left[{k}]", holds(lambda: compose_gmaps(e, pull.mediator(
-            compose_gmaps(pd.transpose(b, identity_gmap(db.gset)), db.proj1), db.proj2)))))
+            compose_gmaps(pd.transpose(db, identity_gmap(db.gset)), db.proj1), db.proj2)))))
     return results
 
 

@@ -103,7 +103,7 @@ def poly_to_spanspan(p: Polynomial) -> SpanOfSpans:
 
 
 def spanspan_to_poly(s: SpanOfSpans) -> Polynomial:
-    if s.left.apex != s.left.left.dom or s.left.left.cod != s.apex:
+    if s.left.left.cod != s.apex:
         raise InvalidStructure("left inner span does not hang off the outer apex")
     if not s.right.left.is_identity() or s.right.left.cod != s.apex:
         raise InvalidStructure("right outer leg must be an identity-legged span")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .errors import InvalidStructure
 from .finact import (
     GMap,
     GSet,
@@ -25,7 +24,7 @@ from .finact import (
     relabel_gset,
     terminal_gset,
 )
-from .groups import FiniteGroup, subgroups
+from .groups import FiniteGroup, subgroups, trivial_group
 from .mackey import atom_label, slice_of_atoms
 from .poly import Polynomial, polynomial
 from .spans import Span
@@ -128,10 +127,10 @@ def random_polynomial(rng: Rng, x: GSet, y: GSet, max_size: int) -> Polynomial:
 
 
 def random_trivial_polynomial(rng: Rng, x_size: int, y_size: int,
-                              max_size: int, group: FiniteGroup) -> Polynomial:
+                              max_size: int) -> Polynomial:
     """Random polynomial over the one-point group with plain-set boundaries."""
-    if group.order != 1:
-        raise InvalidStructure("a plain-set polynomial needs the trivial group")
+    group = trivial_group()
+
     def tset(n: int) -> GSet:
         return GSet(group, n, ())
     x, y = tset(x_size), tset(y_size)

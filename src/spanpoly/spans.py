@@ -139,12 +139,12 @@ def span_canonical_form(p: Span) -> str:
 def lunitor(p: Span) -> tuple[SpanComposite, GMap]:
     """The composite 1 ; p and its canonical iso onto p."""
     comp = SpanComposite(identity_span(p.src), p)
-    return comp, GMap(comp.span.apex, p.apex, comp.pb.proj2.table)
+    return comp, comp.pb.proj2
 
 
 def runitor(p: Span) -> tuple[SpanComposite, GMap]:
     comp = SpanComposite(p, identity_span(p.tgt))
-    return comp, GMap(comp.span.apex, p.apex, comp.pb.proj1.table)
+    return comp, comp.pb.proj1
 
 
 def associator(p: Span, q: Span, r: Span) -> tuple[SpanComposite, SpanComposite, GMap]:

@@ -36,7 +36,7 @@ from .finact import (
     sum_gmap,
     unique_to_terminal,
 )
-from .groups import FiniteGroup, trivial_group
+from .groups import FiniteGroup
 from .report import Check, Report, merge_reports
 from .sampling import (
     Rng,
@@ -243,10 +243,9 @@ def suite_tambara(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
     pairs = [(random_slice(rng, x, size_bound), random_slice(rng, y, size_bound))
              for _ in range(3)]
     reports.append(tambara.check_fp_preservation(t, x, y, pairs))
-    triv = trivial_group()
     for k in range(4):
         xs, ys = rng.randint(1, 4), rng.randint(1, 4)
-        p0 = random_trivial_polynomial(rng, xs, ys, min(4, max(1, size_bound)), triv)
+        p0 = random_trivial_polynomial(rng, xs, ys, min(4, max(1, size_bound)))
         fams = [tuple(rng.randint(0, 3) for _ in range(xs)) for _ in range(3)]
         reports.append(tambara.check_semiring_matches_oracle(NATURALS, p0, fams))
     return merge_reports("tambara", reports)
@@ -338,8 +337,8 @@ def suite_objective(group: FiniteGroup, rng: Rng, size_bound: int) -> Report:
         o = completion.completion_obj(e, leg, random_slice(rng, leg.dom, size_bound))
         leg2 = random_map_into(rng, r.cod, size_bound)
         o2 = completion.completion_obj(e, leg2, random_slice(rng, leg2.dom, size_bound))
-        reports.append(completion.hom_bijection(e, o, o2, r))
-        reports.append(completion.hom_bijection_dual(e, o, o2, r))
+        reports.append(completion.hom_bijection(o, o2, r))
+        reports.append(completion.hom_bijection_dual(o, o2, r))
     # half size, as pinned: at full size, S3 seed 2's Pi_u Delta_u b passes MAX_POINTS
     reports.append(_adjunction_triangles(group, rng, small))
     reports += [check_semiring_laws(sr) for sr in (NATURALS, BOOLEANS)]
@@ -366,8 +365,8 @@ def suite_plycorrespondence(group: FiniteGroup, rng: Rng, size_bound: int) -> Re
         checks.append(Check(f"2cells[{k}]", ok, "" if ok else f"{len(cells)} vs {count}"))
     for k in range(3):
         xs, ys, zs = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
-        p0 = random_trivial_polynomial(rng, xs, ys, 4, trivial_group())
-        q0 = random_trivial_polynomial(rng, ys, zs, 4, trivial_group())
+        p0 = random_trivial_polynomial(rng, xs, ys, 4)
+        q0 = random_trivial_polynomial(rng, ys, zs, 4)
         rep = poly.check_poly_oracle(p0, q0, [NATURALS, BOOLEANS])
         checks.append(Check(f"compose-oracle[{k}]", rep.passed))
     return Report("plycorrespondence", tuple(checks))

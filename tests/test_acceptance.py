@@ -35,7 +35,7 @@ from spanpoly.finact import (
     terminal_gset,
     unique_to_terminal,
 )
-from spanpoly.groups import cyclic_group, symmetric_group, trivial_group
+from spanpoly.groups import cyclic_group, symmetric_group
 from spanpoly.mackey import (
     BurnsideMackey,
     FixedPointMackey,
@@ -80,7 +80,6 @@ from helpers import is_pullback_square
 
 C2 = cyclic_group(2)
 S3 = symmetric_group(3)
-TRIV = trivial_group()
 
 
 def _report(num: int, desc: str, ok: bool, started: float) -> None:
@@ -238,8 +237,8 @@ def test_criterion_08_poly_composition_oracle():
     count, ok_all = 0, True
     for _ in range(102):
         xs, ys, zs = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        p = random_trivial_polynomial(rng, xs, ys, 4, TRIV)
-        q = random_trivial_polynomial(rng, ys, zs, 4, TRIV)
+        p = random_trivial_polynomial(rng, xs, ys, 4)
+        q = random_trivial_polynomial(rng, ys, zs, 4)
         count += 1
         ok_all = ok_all and check_poly_oracle(p, q, [NATURALS, BOOLEANS]).passed
     elapsed = time.monotonic() - started
@@ -289,7 +288,7 @@ def test_criterion_10_tambara_functoriality():
     oracle_ok = True
     for _ in range(20):
         xs, ys = rng.randint(1, 4), rng.randint(1, 4)
-        p0 = random_trivial_polynomial(rng, xs, ys, 4, TRIV)
+        p0 = random_trivial_polynomial(rng, xs, ys, 4)
         for sr in (NATURALS, BOOLEANS):
             fams = list(itertools.product(sr.sample_elements[:2], repeat=xs))
             oracle_ok = oracle_ok and check_semiring_matches_oracle(

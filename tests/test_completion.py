@@ -13,6 +13,7 @@ from spanpoly.completion import (
     check_extension_composition,
     completion_homs,
     completion_obj,
+    count_completion_homs,
     extend_to_spans,
     hom_bijection,
     hom_bijection_map,
@@ -29,6 +30,7 @@ from spanpoly.finact import (
     compose_gmaps,
     coproduct,
     delta,
+    equivariant_maps,
     identity_gmap,
     initial_gset,
     iso_gsets,
@@ -37,9 +39,11 @@ from spanpoly.finact import (
     slice_homs,
     slice_identity,
     slice_iso,
+    unique_to_terminal,
 )
-from spanpoly.groups import builtin_group
+from spanpoly.groups import BUILTIN_GROUPS, builtin_group
 from spanpoly.mackey import BurnsideMackey, atoms, eval_span
+from spanpoly.poly import enumerate_poly_morphisms, polynomial
 from spanpoly.sampling import random_cospan, random_gset, random_map_into, random_slice
 from spanpoly.spans import Span, lower_star, upper_star
 
@@ -130,7 +134,7 @@ def test_hom_bijection_identity(e_cat, f2, rng):
     o2 = completion_obj(e_cat, random_map_into(rng, f2, 4),
                         random_slice(rng, f2, 0))
     o2 = CompletionObject(o2.u, random_slice(rng, o2.stage, 4))
-    rep = hom_bijection(e_cat, o, o2, identity_gmap(f2))
+    rep = hom_bijection(o, o2, identity_gmap(f2))
     assert rep.passed
 
 
@@ -140,7 +144,7 @@ def test_hom_bijection_free(e_cat, c2, f2, pt2, u2, rng):
         o = completion_obj(e_cat, leg, random_slice(rng, leg.dom, 4))
         leg2 = random_map_into(rng, pt2, 4)
         o2 = completion_obj(e_cat, leg2, random_slice(rng, leg2.dom, 4))
-        rep = hom_bijection(e_cat, o, o2, u2)
+        rep = hom_bijection(o, o2, u2)
         assert rep.passed, rep.render_text()
 
 
@@ -148,13 +152,13 @@ def test_hom_bijection_empty_side(e_cat, c2, f2, pt2, u2):
     zero = initial_gset(c2)
     o = completion_obj(e_cat, unique_from_initial(f2), slice_identity(zero))
     o2 = completion_obj(e_cat, identity_gmap(pt2), slice_identity(pt2))
-    lhs, rhs, _ = hom_bijection_map(e_cat, o, o2, u2)
+    lhs, rhs, _ = hom_bijection_map(o, o2, u2)
     assert len(lhs) == len(rhs) == 1  # the empty stage maps in exactly one way
     # genuinely empty hom-sets on both sides: no fiber map into an empty slice
     o3 = completion_obj(e_cat, identity_gmap(f2), slice_identity(f2))
     o4 = completion_obj(e_cat, identity_gmap(pt2),
                         SliceObject(unique_from_initial(pt2)))
-    lhs2, rhs2, _ = hom_bijection_map(e_cat, o3, o4, u2)
+    lhs2, rhs2, _ = hom_bijection_map(o3, o4, u2)
     assert len(lhs2) == len(rhs2) == 0
 
 
@@ -168,8 +172,8 @@ def test_hom_bijection_naturality_second_argument(e_cat, c2, f2, pt2, u2, rng):
     psis = completion_homs(e_cat, o2, o3)
     assert psis
     pushed = pushforward(e_cat, u2, o)
-    lhs2, _, img2 = hom_bijection_map(e_cat, o, o2, u2)
-    lhs3, _, img3 = hom_bijection_map(e_cat, o, o3, u2)
+    lhs2, _, img2 = hom_bijection_map(o, o2, u2)
+    lhs3, _, img3 = hom_bijection_map(o, o3, u2)
     to3 = {(w.table, xi.table): im for (w, xi), im in zip(lhs3, img3)}
     back2 = reindex(e_cat, u2, o2)
     back3 = reindex(e_cat, u2, o3)
@@ -187,20 +191,76 @@ def test_hom_bijection_naturality_second_argument(e_cat, c2, f2, pt2, u2, rng):
 
 def test_hom_bijection_dual(e_cat, c2, f2, pt2, u2, rng):
     """Pushing the leg is right adjoint to reindexing on the product side."""
-    from spanpoly.completion import completion_homs_dual, hom_bijection_dual
+    from spanpoly.completion import hom_bijection_dual
     for _ in range(4):
         leg = random_map_into(rng, f2, 3)
         o = completion_obj(e_cat, leg, random_slice(rng, leg.dom, 3))
         leg2 = random_map_into(rng, pt2, 3)
         o2 = completion_obj(e_cat, leg2, random_slice(rng, leg2.dom, 3))
-        rep = hom_bijection_dual(e_cat, o, o2, u2)
+        rep = hom_bijection_dual(o, o2, u2)
         assert rep.passed, rep.render_text()
     # identity case: both sides are the dual endomorphisms
     leg = random_map_into(rng, f2, 3)
     o = completion_obj(e_cat, leg, random_slice(rng, leg.dom, 3))
-    assert hom_bijection_dual(e_cat, o, o, identity_gmap(f2)).passed
-    homs = completion_homs_dual(e_cat, o, o)
-    assert homs  # at least the identity morphism
+    rep = hom_bijection_dual(o, o, identity_gmap(f2))
+    assert rep.passed
+    n, m = map(int, rep.checks[0].detail.split(" vs "))
+    assert n == m >= 1  # at least the identity morphism
+
+
+def _draw_pair(rng, group, size):
+    """Two completion objects of slices over one random base."""
+    e, base = SliceIndexed(), random_gset(rng, group, size)
+    objs = []
+    for _ in range(2):
+        leg = random_map_into(rng, base, size)
+        objs.append(completion_obj(e, leg, random_slice(rng, leg.dom, size)))
+    return objs
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_count_completion_homs_counts_the_completion_hom_set(e_cat, name):
+    """The closed form agrees with the search on draws that reach counts
+    above 1 on every group; S4 reaches them at size 24."""
+    counts = []
+    for seed in range(20):
+        for size in (6, 24):
+            o, o2 = _draw_pair(random.Random(f"count/{name}/{seed}/{size}"),
+                               builtin_group(name), size)
+            counts.append(count_completion_homs(o, o2))
+            assert counts[-1] == len(completion_homs(e_cat, o, o2))
+    assert max(counts) > 1 and min(counts) == 0
+
+
+def test_count_completion_homs_refuses_different_bases(e_cat, f2, pt2):
+    o = completion_obj(e_cat, identity_gmap(f2), slice_identity(f2))
+    o2 = completion_obj(e_cat, identity_gmap(pt2), slice_identity(pt2))
+    with pytest.raises(BoundaryMismatch, match="^count_completion_homs: different bases"):
+        count_completion_homs(o, o2)
+
+
+def _poly(o):
+    """The polynomial 1 <- X -> S -> U of o = (u : S -> U, x : X -> S)."""
+    return polynomial(unique_to_terminal(o.x.total), o.x.arrow, o.u)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_product_completion_morphisms_are_polynomial_morphisms(name):
+    """The product-completion morphisms o1 -> o2, (w : S2 -> S1, zeta :
+    X(w)(x1) -> x2), searched leg by leg and fiber by fiber, are in order the
+    polynomial morphisms P(o2) -> P(o1), with w as g and zeta as ell."""
+    e, found = SliceIndexed(), []
+    for seed in range(20):
+        for size in (6, 24):
+            o1, o2 = _draw_pair(random.Random(f"dual/{name}/{seed}/{size}"),
+                                builtin_group(name), size)
+            searched = [(w, zeta)
+                        for w in equivariant_maps(o2.stage, o1.stage, ((o2.u, o1.u),))
+                        for zeta in slice_homs(e.act_obj(w, o1.x), o2.x)]
+            assert searched == [(m.g, m.ell)
+                                for m in enumerate_poly_morphisms(_poly(o2), _poly(o1))]
+            found.append(len(searched))
+    assert max(found) > 1
 
 
 def test_check_cb_identity_square(e_cat, f2, rng):
@@ -452,13 +512,15 @@ def test_span_action_on_map_presentations(e_cat, name):
 
 
 def test_hom_bijection_representable(c2, f2, pt2, u2, rng):
+    """Over SliceIndexed(k) the two sides of the hom bijection have equal sizes."""
     k = random_gset(rng, c2, 2)
     rk = SliceIndexed(k)
     leg = random_map_into(rng, f2, 3)
     o = completion_obj(rk, leg, random_slice(rng, rk.carrier(leg.dom), 3))
     leg2 = random_map_into(rng, pt2, 3)
     o2 = completion_obj(rk, leg2, random_slice(rng, rk.carrier(leg2.dom), 3))
-    assert hom_bijection(rk, o, o2, u2).passed
+    assert len(completion_homs(rk, pushforward(rk, u2, o), o2)) == \
+        len(completion_homs(rk, o, reindex(rk, u2, o2)))
 
 
 def test_dual_cb_fiber_representable(c2, rng):
@@ -493,30 +555,35 @@ def test_fiber_hom_resource_guard(c2, pt2, monkeypatch):
 
 
 def test_completion_homs_resource_guard(e_cat, c2, pt2, monkeypatch):
+    """The coproduct side's search, and the dual hom bijection's one search
+    (its searched side; the counted side builds nothing), trip the guards."""
     from spanpoly.errors import ResourceLimit
-    from spanpoly.completion import completion_homs_dual
+    from spanpoly.completion import hom_bijection_dual
+    pt = identity_gmap(pt2)
     four, leg = _four_points_over(pt2)
     o = completion_obj(e_cat, leg, slice_identity(four))
     monkeypatch.setattr(finact, "MAX_MAPS", 10)
-    for homs in (completion_homs, completion_homs_dual):
+    for homs in (lambda: completion_homs(e_cat, o, o), lambda: hom_bijection_dual(o, o, pt)):
         with pytest.raises(ResourceLimit) as err:
-            homs(e_cat, o, o)
+            homs()
         _assert_maps_guard(err, 10)
     # 4 legs of two fixed points over the point, 16 fiber maps each: only the total is over 20
     two = coproduct(pt2, pt2).sum
     o = completion_obj(e_cat, GMap(two, pt2, (0, 0)), SliceObject(finact.codiagonal(two)[1]))
     monkeypatch.setattr(finact, "MAX_MAPS", 20)
-    for homs, name in ((completion_homs, "completion hom-set"),
-                       (completion_homs_dual, "dual hom-set")):
+    for homs, name in ((lambda: completion_homs(e_cat, o, o), "completion hom-set"),
+                       (lambda: hom_bijection_dual(o, o, pt), "dual hom-set")):
         with pytest.raises(ResourceLimit, match="exceeds limit 20") as err:
-            homs(e_cat, o, o)
+            homs()
         e = err.value
         # the total stops at the first morphism over the limit
         assert (e.construction, e.sizes, e.projected, e.limit) == \
             (name, {"dom": 2, "cod": 2}, 21, 20)
         assert str(e) == f"{name} exceeds limit 20"
     monkeypatch.setattr(finact, "MAX_MAPS", 64)
-    assert len(completion_homs(e_cat, o, o)) == len(completion_homs_dual(e_cat, o, o)) == 64
+    assert len(completion_homs(e_cat, o, o)) == 64
+    rep = hom_bijection_dual(o, o, pt)
+    assert rep.passed and rep.checks[0].detail == "64 vs 64"
 
 
 def test_fiber_coproduct_universality(e_cat, c2, f2, rng):

@@ -403,7 +403,7 @@ def test_transpose_sends_each_point_to_its_values(group):
         c = SliceObject(seeded_map(rng, sum_of(2), base))
         pd, pb = pi(u, a), pullback(c.arrow, u)
         for m in slice_homs(SliceObject(pb.proj2), a):
-            t = pd.transpose(c, m)
+            t = pd.transpose(pb, m)
             assert compose_gmaps(pd.slice.arrow, t) == c.arrow
             assert section_values(pd, [t(y) for y in pb.proj1.table],
                                   pb.proj2.table) == m.table
@@ -416,11 +416,11 @@ def test_transpose_refuses_a_map_that_is_not_a_section(f2, u2):
     a = SliceObject(cop.cotuple(identity_gmap(f2), identity_gmap(f2)))
     pd = pi(u2, a)
     pull, e = pd.evaluation()
-    assert pd.transpose(pd.slice, e).is_identity()
+    assert pd.transpose(pull, e).is_identity()
     with pytest.raises(KeyError):
-        pd.transpose(pd.slice, GMap(e.dom, e.cod, (0,) * e.dom.size))
+        pd.transpose(pull, GMap(e.dom, e.cod, (0,) * e.dom.size))
     with pytest.raises(BoundaryMismatch, match="transpose: m does not run from Delta_u c to a"):
-        pd.transpose(pd.slice, identity_gmap(pull.gset))
+        pd.transpose(pull, identity_gmap(pull.gset))
 
 
 def test_adjunction_triangles_random(c2, rng):

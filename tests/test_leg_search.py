@@ -8,20 +8,21 @@ labels (`equivariant_iso`, `slice_iso`, `span_iso`) is None iff the
 filtered list of isos is empty, and otherwise one of them.  G-sets are
 drawn with shuffled point numbers, so that orbits are not blocks of
 consecutive points, and also over a copy of S3 whose identity is element 3.
-`count_maps` must count what the search yields.
+The closed count of slice maps, `completion.count_completion_homs` with
+identity legs, must count what the search yields.
 """
 import random
 
 import pytest
 
 from spanpoly import finact
+from spanpoly.completion import CompletionObject, count_completion_homs
 from spanpoly.errors import BoundaryMismatch, ResourceLimit
 from spanpoly.finact import (
     GMap,
     SliceObject,
     compose_gmaps,
     coproduct,
-    count_maps,
     equivariant_iso,
     equivariant_maps,
     identity_gmap,
@@ -29,6 +30,7 @@ from spanpoly.finact import (
     relabel_gset,
     slice_iso,
     terminal_gset,
+    unique_to_terminal,
 )
 from spanpoly.groups import cyclic_group, symmetric_group, trivial_group
 from spanpoly.sampling import random_gmap, random_gset, random_gset_with_fixed_point
@@ -92,18 +94,25 @@ def test_maps_under_legs_are_the_filtered_maps(name):
     assert found == {True, False}
 
 
+def _count_slice_maps(a, b):
+    """The slice maps a -> b over the common base V, counted in closed form as
+    the completion hom-set of (1_V, a) and (1_V, b)."""
+    return count_completion_homs(CompletionObject(identity_gmap(a.cod), SliceObject(a)),
+                                 CompletionObject(identity_gmap(b.cod), SliceObject(b)))
+
+
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_count_maps_counts_the_maps_the_search_yields(name):
-    """With legs and without, none of the maps built."""
+    """Over each leg pair and over the point, none of the maps built."""
     found = set()
     for seed in SEEDS:
         rng = random.Random(f"count/{name}/{seed}")
         x, _ = _shuffled(rng, random_gset(rng, GROUPS[name], 6))
         y, _ = _shuffled(rng, random_gset_with_fixed_point(rng, GROUPS[name], 6))
         legs = _legs(rng, x, y, random_gmap(rng, x, y))
-        for some in ((), legs):
-            n = count_maps(x, y, some)
-            assert n == len(list(equivariant_maps(x, y, some)))
+        for a, b in ((unique_to_terminal(x), unique_to_terminal(y)),) + legs:
+            n = _count_slice_maps(a, b)
+            assert n == len(list(equivariant_maps(x, y, ((a, b),))))
             found.add(min(n, 2))
     assert found == {0, 1, 2}
 
@@ -117,7 +126,7 @@ def test_count_maps_is_not_bounded_by_the_maps_guard(monkeypatch):
     monkeypatch.setattr(finact, "MAX_MAPS", 255)  # 4^4 maps over the point
     with pytest.raises(ResourceLimit):
         next(equivariant_maps(four, four, ((leg, leg),)))
-    assert count_maps(four, four, ((leg, leg),)) == count_maps(four, four) == 256
+    assert _count_slice_maps(leg, leg) == 256
 
 
 @pytest.mark.parametrize("name", list(GROUPS))

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from spanpoly import completion, suites
+from spanpoly import completion, finact, suites
 from spanpoly.cli import main
 from spanpoly.completion import SliceIndexed
 from spanpoly.errors import ClassViolation, ProbeFailure, ResourceLimit
@@ -62,6 +62,30 @@ def test_objective_suite_fails_when_a_sum_drops_its_second_summand(group, monkey
     assert failing <= {"biproducts:slices", "biproducts:hom-into-K",
                        "fiber-coproduct:slices"}, failing
     assert "biproducts:slices" in failing
+
+
+def test_objective_counts_catch_a_search_that_drops_candidates(monkeypatch):
+    """A search that drops the last admissible image of every orbit with two
+    or more loses maps, and the closed-form counts see it on C2 seed 0.  This
+    test fails where every count went through `orbit_candidates` on both
+    sides (a second search, or a product of the candidate lists' lengths),
+    as both sides lost the same maps."""
+    real = finact.orbit_candidates
+
+    def dropped(x, y, legs=()):
+        return [(o, c[:-1] if len(c) >= 2 else c) for o, c in real(x, y, legs)]
+
+    assert run_suite("objective", builtin_group("C2"), 0, 6).passed
+    monkeypatch.setattr(finact, "orbit_candidates", dropped)
+    rep = run_suite("objective", builtin_group("C2"), 0, 6)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("biproducts:slices/full-faithful[0,0]", "1 homs vs 2 pairs"),
+        ("biproducts:slices/full-faithful[0,1]", "1 homs vs 2 pairs"),
+        ("biproducts:slices/full-faithful[1,1]", "1 homs vs 4 pairs"),
+        ("biproducts:hom-into-K[3]/full-faithful[1,1]", "2 homs vs 3 pairs"),
+        ("hom-bijection/counts", "1 vs 4"),
+        ("hom-bijection/counts", "1 vs 9"),
+        ("hom-bijection-dual/counts", "4 vs 9")]
 
 
 def test_objective_suite_records_a_failed_cocompleteness_gate(monkeypatch):

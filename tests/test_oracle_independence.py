@@ -40,6 +40,9 @@ REPO = Path(__file__).resolve().parents[1]
 
 # oracle -> the engine functions it checks and must not reach
 ORACLES = {
+    "completion.count_completion_homs": ("finact.equivariant_maps", "finact.orbit_candidates",
+                                         "finact.orbit_cosets", "finact.pullback",
+                                         "finact.slice_homs", "completion.completion_homs"),
     "mackey.burnside_table_bruteforce": ("mackey.table_of_marks", "mackey.burnside_table"),
     "mackey.burnside_table_double_cosets": ("mackey.table_of_marks", "mackey.burnside_table"),
     "poly.count_poly_morphisms": ("finact.equivariant_maps", "finact.orbit_candidates",

@@ -21,9 +21,9 @@ EXPORTS = {
     "poly": ("Polynomial", "compose_poly", "distribute", "eval_semiring", "poly_to_spanspan",
              "polynomial", "spanspan_to_poly"),
     "completion": ("CompletionMorphism", "CompletionObject", "SliceIndexed", "check_CB",
-                   "check_CB_fiber", "completion_homs", "completion_homs_dual", "completion_obj",
-                   "extend_to_spans", "fiber_coproduct", "hom_bijection", "hom_bijection_dual",
-                   "pushforward", "reindex", "terminal_indexed"),
+                   "check_CB_fiber", "completion_homs", "completion_obj", "extend_to_spans",
+                   "fiber_coproduct", "hom_bijection", "hom_bijection_dual", "pushforward",
+                   "reindex", "terminal_indexed"),
     "semirings": ("BOOLEANS", "NATURALS", "CommSemiring"),
     "spans": ("Span", "compose_spans", "identity_span", "lower_star", "span",
               "span_canonical_form", "span_iso", "upper_star"),

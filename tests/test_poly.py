@@ -20,7 +20,7 @@ from spanpoly.finact import (
     slice_iso,
     terminal_gset,
 )
-from spanpoly.groups import BUILTIN_GROUPS, builtin_group, trivial_group
+from spanpoly.groups import BUILTIN_GROUPS, builtin_group
 from spanpoly.poly import (
     Gen,
     compose_poly,
@@ -427,11 +427,11 @@ def test_oracle_identity_and_span_pairs(triv, rng):
     assert check_poly_oracle(q, identity_polynomial(tset(triv, 2)), [NATURALS]).passed
 
 
-def test_oracle_random_pairs(triv, rng):
+def test_oracle_random_pairs(rng):
     for _ in range(25):
         xs, ys, zs = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        p = random_trivial_polynomial(rng, xs, ys, 4, triv)
-        q = random_trivial_polynomial(rng, ys, zs, 4, triv)
+        p = random_trivial_polynomial(rng, xs, ys, 4)
+        q = random_trivial_polynomial(rng, ys, zs, 4)
         rep = check_poly_oracle(p, q, [NATURALS, BOOLEANS])
         assert rep.passed, rep.render_text()
 
@@ -440,17 +440,10 @@ def test_oracle_random_pairs(triv, rng):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_oracle_hypothesis(seed):
     rng = random.Random(seed)
-    triv = trivial_group()
     xs, ys, zs = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
-    p = random_trivial_polynomial(rng, xs, ys, 3, triv)
-    q = random_trivial_polynomial(rng, ys, zs, 3, triv)
+    p = random_trivial_polynomial(rng, xs, ys, 3)
+    q = random_trivial_polynomial(rng, ys, zs, 3)
     assert check_poly_oracle(p, q, [NATURALS, BOOLEANS]).passed
-
-
-def test_random_trivial_polynomial_rejects_a_nontrivial_group(c2, rng):
-    """The group check raises, so it holds under python -O too."""
-    with pytest.raises(InvalidStructure, match="trivial group"):
-        random_trivial_polynomial(rng, 2, 2, 3, c2)
 
 
 def test_forgetful_pass_commutes(c2, rng):
