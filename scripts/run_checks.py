@@ -24,7 +24,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-size", type=int, default=6)
-    ap.add_argument("--groups", default="triv,C2,C3,S3")
+    ap.add_argument("--groups", default="triv,C2,C3,C4,S3")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
 

@@ -215,8 +215,6 @@ def cmd_eval(args) -> int:
         _emit(args, lambda: f"value class: {form}",
               lambda: {"value_class": form, "total_size": out.size})
         return 0
-    else:
-        raise SpanPolyError(f"unknown functor {args.functor!r}")
     if not args.span:
         raise SpanPolyError("mackey evaluation needs --span")
     p = _over(group, "span", args.span, ws.span(args.span))
@@ -274,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a functor on a span or polynomial")
     common(p)
     p.add_argument("--functor", required=True,
-                   help="burnside | fixed-point | semiring:naturals | semiring:booleans"
-                        " | tambara-burnside")
+                   choices=("burnside", "fixed-point", "semiring:naturals",
+                            "semiring:booleans", "tambara-burnside"))
     p.add_argument("--group", default="C2")
     p.add_argument("--span", help="span name (mackey functors)")
     p.add_argument("--poly", help="polynomial name (semiring and tambara-burnside functors)")

@@ -17,9 +17,9 @@ Every step replaces a sub-composite by a canonically isomorphic one, and
 every step strictly decreases the measure (product/sum inversions,
 restriction inversions, word length) lexicographically, so normalization
 terminates regardless of strategy; the innermost reducible pair is taken
-first.  Over the one-point group the result is validated against an
-independent sum-of-products evaluator.  Morphisms of polynomials (the
-two-cells of span-of-spans presentations) are searched by
+first.  The result is validated against an independent sum-of-products
+evaluator on the points of the underlying sets.  Morphisms of polynomials
+(the two-cells of span-of-spans presentations) are searched by
 `enumerate_poly_morphisms` and counted by `count_poly_morphisms`, a closed
 form that shares no code with the search.
 """
@@ -373,14 +373,14 @@ def compose_poly(p: Polynomial, q: Polynomial) -> tuple[Polynomial, list[dict]]:
 # ---------------------------------------------------------------------------
 
 def eval_semiring(p: Polynomial, q: Sequence, sr: CommSemiring) -> tuple:
-    """Sum-of-products value of a polynomial over the one-point group.
+    """Sum-of-products value of a polynomial on the points of its underlying sets.
 
     val(y) = sum over t-fiber of y of the product over n-fibers of q at r.
-    Completely independent of the slice machinery; serves as ground truth
-    for composition.
+    It reads only map tables, so it works over any group: forgetting the
+    action preserves pullbacks, sums and dependent products.  Completely
+    independent of the slice machinery; serves as ground truth for
+    composition.
     """
-    if p.group.order != 1:
-        raise InvalidStructure("semiring evaluation needs the trivial group")
     if len(q) != p.src.size:
         raise InvalidStructure("input family has wrong length")
     a_of_b = [[] for _ in range(p.n.cod.size)]

@@ -14,14 +14,15 @@ orbit, each orbit an atom, by the double-coset formula of
 `mackey.restrict_atom` and by moving the atom's point, and rebuild the
 canonical slice from the resulting labels once; restriction keeps the size
 guard of the pullback it replaces.  The norm is still the dependent product
-`pi_slice`.  Over the one-point group the semiring
-instance must agree exactly with the independent sum-of-products oracle.
+`pi_slice`.  The semiring instance reads only map tables, so it works on
+the points of a G-set over any group, and it must agree exactly with the
+independent sum-of-products oracle.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BoundaryMismatch, InvalidStructure
+from .errors import BoundaryMismatch
 from .finact import (
     CoproductDiagram,
     GMap,
@@ -42,7 +43,7 @@ from .semirings import CommSemiring
 
 
 class TambaraFunctor:
-    """Interface: elementwise res / tr / norm with decidable value equality."""
+    """Interface: elementwise res / tr / norm; values compare with ==."""
 
     name: str = "abstract"
 
@@ -56,9 +57,6 @@ class TambaraFunctor:
 
     def norm(self, n: GMap, v):
         """value(dom n) -> value(cod n), multiplicative."""
-        raise NotImplementedError
-
-    def eq(self, a, b) -> bool:
         raise NotImplementedError
 
     def describe(self, v) -> str:
@@ -98,9 +96,6 @@ class BurnsideTambara(TambaraFunctor):
     def norm(self, n, v):
         return canonical_slice(pi_slice(n, v))
 
-    def eq(self, a, b):
-        return a == b
-
     def describe(self, v):
         return slice_canonical_form(v)
 
@@ -109,32 +104,27 @@ class BurnsideTambara(TambaraFunctor):
 
 
 class SemiringTambara(TambaraFunctor):
-    """Value families over plain finite sets, with sums and products over fibers."""
+    """A value at each point, with sums and products over fibers, over any group.
+
+    Forgetting the action preserves pullbacks, sums and dependent products,
+    so the laws hold pointwise; on values constant on orbits this is the
+    fixed-point functor of the semiring.
+    """
 
     def __init__(self, sr: CommSemiring):
         self.sr = sr
         self.name = f"semiring:{sr.name}"
 
-    def _check_group(self, f: GMap) -> None:
-        if f.group.order != 1:
-            raise InvalidStructure("semiring functor needs the trivial group")
-
     def res(self, f, v):
-        self._check_group(f)
         return tuple(v[f.table[a]] for a in range(f.dom.size))
 
     def tr(self, u, v):
-        self._check_group(u)
         return tuple(self.sr.sum(v[a] for a in range(u.dom.size) if u.table[a] == b)
                      for b in range(u.cod.size))
 
     def norm(self, n, v):
-        self._check_group(n)
         return tuple(self.sr.prod(v[a] for a in range(n.dom.size) if n.table[a] == b)
                      for b in range(n.cod.size))
-
-    def eq(self, a, b):
-        return a == b
 
     def glue(self, cop, vx, vy):
         return tuple(vx) + tuple(vy)
@@ -153,7 +143,7 @@ def check_tambara_functoriality(t: TambaraFunctor, p: Polynomial, q: Polynomial,
     for k, v in enumerate(probes):
         lhs = eval_poly(t, comp, v)
         rhs = eval_poly(t, q, eval_poly(t, p, v))
-        ok = t.eq(lhs, rhs)
+        ok = lhs == rhs
         checks.append(Check(f"probe[{k}]", ok,
                             "" if ok else f"{t.describe(lhs)} != {t.describe(rhs)}"))
     return Report(f"tambara-functoriality:{t.name}", tuple(checks))
@@ -172,7 +162,7 @@ def check_norm_of_sum(t: TambaraFunctor, u: GMap, a: GMap, probes: Sequence) -> 
     for k, v in enumerate(probes):
         lhs = t.norm(u, t.tr(a, v))
         rhs = t.tr(pia, t.norm(ubar, t.res(e, v)))
-        ok = t.eq(lhs, rhs)
+        ok = lhs == rhs
         checks.append(Check(f"probe[{k}]", ok,
                             "" if ok else f"{t.describe(lhs)} != {t.describe(rhs)}"))
     return Report(f"norm-of-sum:{t.name}", tuple(checks))
@@ -185,13 +175,13 @@ def check_fp_preservation(t: TambaraFunctor, x: GSet, y: GSet,
     checks = []
     for k, (vx, vy) in enumerate(probe_pairs):
         v = t.glue(cop, vx, vy)
-        ok = (t.eq(t.res(cop.inj1, v), vx) and t.eq(t.res(cop.inj2, v), vy))
+        ok = t.res(cop.inj1, v) == vx and t.res(cop.inj2, v) == vy
         checks.append(Check(f"glue-split[{k}]", ok,
                             "" if ok else "restrictions do not recover the pair"))
     for k, (vx, vy) in enumerate(probe_pairs):
         v = t.glue(cop, vx, vy)
         w = t.glue(cop, t.res(cop.inj1, v), t.res(cop.inj2, v))
-        checks.append(Check(f"split-glue[{k}]", t.eq(v, w)))
+        checks.append(Check(f"split-glue[{k}]", v == w))
     return Report(f"fp-preservation:{t.name}", tuple(checks))
 
 

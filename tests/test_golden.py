@@ -347,7 +347,7 @@ GOLDEN_SUITES = {
     "triv plycorrespondence": "93e442b327001e00cff67cf565d990a7a7cebdcce6a691d7c993c743985d9ba3",
     "triv protocalib": "42e22a4dda1e8504e44b8c5e0fa9e0e584ad6c5ac8d9759ed6504c42552de5cb",
     "triv span-laws": "b4389701d4f1f350ac619978d26555d322f5e404cf0697c6f6028131f0ade94c",
-    "triv tambara": "2dd6995d7b7c4f38a0e543de7c10353763f7534db7c46b2e067bf7c88bde8116",
+    "triv tambara": "f7d9a2b7cbe6a0ed72ec2a883c776c590d58ff4d60f18c54860322c816e034a7",
     "C2 cb": "234c5889c3cfd24ba863c56de37906f6a60555ad932c5570b9ac2bba3e5611a6",
     "C2 compat": "9ea3a5479837afab66310b1af3aabb5012c1bd0a76f7be52aaa263b1873ba7f7",
     "C2 distlaw": "a5d8443e2912c8eb725bc8e0c12df203c5fbacfbcf3ae54734ead481c27af0da",
@@ -357,7 +357,7 @@ GOLDEN_SUITES = {
     "C2 plycorrespondence": "ca1dd1b2ce1b454ad78bda78c3c722d456de36078b5d5994582a5f552e2bcc7d",
     "C2 protocalib": "cf68331c7f51b881075dcb4672054929dab64c3434f3ffa8bbd0fea54a395eaa",
     "C2 span-laws": "36350f8f97710fb120edae31366df45566598fb3973535984cf7a1ce0512cb6b",
-    "C2 tambara": "c9b9ff1baa3e4bb4cae400ecc3779c0df3a9ace23761961754475a162c362e25",
+    "C2 tambara": "a432a2e6aca3987ea9be9d848a1bf6906381d6d59bc0438d932df309d19b15d3",
     "C3 cb": "882f1b8784783a437130dc687a96d9517d8da4ef8ba7c532e6d714118625ab18",
     "C3 compat": "f2151726cabf8e210c93678c353c44f8821c343b0a4948058ae91121ccb54846",
     "C3 distlaw": "6e0a27e501f902e1891c55f74fb6d165d75c3272c4bd6c98679df562830f5c30",
@@ -367,7 +367,7 @@ GOLDEN_SUITES = {
     "C3 plycorrespondence": "1298ceeb7adeab07740a685760d7d4ce91951ba6046c0b9a1c87704e28390207",
     "C3 protocalib": "19ad8c2f0fd692914b489845c47ef9faf8ac5393b5bb0041126742d1cfb09123",
     "C3 span-laws": "d2690979ac6fd52b37884470f9ed81a2604df52c4eb859c0cb77aee4b25d1027",
-    "C3 tambara": "4c0f4b3028861e39be519e5fd4f44e3a93da3c85806e4ad1af08e303a206982d",
+    "C3 tambara": "19a1d9610c1fe96d0906c786379e7d9b2e7417c7adadb66755f512af3be77e92",
     "C4 cb": "32e6d903767f2cc8bb1bf68d870479ebc80fdf635c634a91ff001e171e2648a7",
     "C4 compat": "ff921e50b1dcfc2b771d98594ccc6f92deb08a540aae5405c669d9ee32861d3c",
     "C4 distlaw": "f30ed6f1a4c1c3c7669be9d1feb5bd2acac33102de2af0f58f4ebde93824e577",
@@ -377,7 +377,7 @@ GOLDEN_SUITES = {
     "C4 plycorrespondence": "89caca20e0706b803f92f00fb74cc0cb0f70b227c51f7e5f8da5f527ce6630af",
     "C4 protocalib": "e97f33fb6267d140674ad7f44fce8c177531f46f855edf6a702599d976d5f38e",
     "C4 span-laws": "f6b721c867fd20edf9c8972289091ffc2016197c93d4cd8ded06c42f0e2d6bcd",
-    "C4 tambara": "5549d6ca053a3e91adaa73c94ce1b9471b4efbabce5414c15aabc5f1e45becfb",
+    "C4 tambara": "8e87a0184a6ae52b2f8ffddb1e57926ba8fdb03f0e6b10a850b6bc9b89d702ad",
     "S3 cb": "de91f3042b389b9dbe4fdf89493f5a43dcf4c07f776355d0dc4e52a29db490f6",
     "S3 compat": "6d376cf43907b5e2e09863f29e8cf3b11af7717b6dfea4f9ec378fbffedf0c77",
     "S3 distlaw": "49d6fc05e8dca829c8a605e212608f92200c16ded705bb9bd28dd8095efde516",
@@ -387,7 +387,7 @@ GOLDEN_SUITES = {
     "S3 plycorrespondence": "be721e93cbf1e9b90dce3ae15b2a53c01573d1ae7d2d75303cf68f4167acc096",
     "S3 protocalib": "44146af589111217896b6f5d0e435ddde6ea1e10230f45c834f1ee037ead5651",
     "S3 span-laws": "f1feb033882d8ad8a55c83623efaa307ded9cc9d41cd49a72fbcb9d241ac0fdc",
-    "S3 tambara": "a93231e7c640642b1705aff4bf5ce5a3b60dd8d4ddb8721e291e45090e9a65fd",
+    "S3 tambara": "a36ee2cedb70d2a11399a9f8434f6fd2130bf79bd0f173a7a64f5dd34976aefd",
     "S4 cb": "10de3ec52f844175b87737f6b00c95693eedbfd4233bc8b677df4510608e28c5",
     "S4 compat": "1cada932f758c7f95f8f3d65da28ddbfc34b3e059a211541fe501d56c78f8cbd",
     "S4 lextensive": "422da2738b0673a5e49ed30d846c1b12f56b018803fd51814a220208c8077517",
@@ -396,7 +396,7 @@ GOLDEN_SUITES = {
     "S4 plycorrespondence": "1f76efe4f492787c6372e51aef573798eae11489b038148ae895edb6e45bf10f",
     "S4 protocalib": "a1bd5272184242274102fb9d09742a61b41db4950a9e67f5bf6cc631f599f47f",
     "S4 span-laws": "ce8c8367443e6431f62ab951bda5b950402a197c1c2d53ba41c06d902f6519f0",
-    "S4 tambara": "911fed6a548d4daf99bb4b6fa473cd2955a2a8fe50f55a5b14ba35074c824494",
+    "S4 tambara": "bd91db859c53dc90c5a791652f300f51532a64d453db11e352b1f64ad975f0fb",
 }
 
 

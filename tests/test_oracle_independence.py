@@ -50,6 +50,8 @@ ORACLES = {
                                   "poly.enumerate_poly_morphisms", "poly.poly_morphism"),
     "poly.eval_semiring": ("poly.compose_poly", "poly.normalize_word", "poly._rewrite_pair",
                            "poly.distribute"),
+    "tambara.SemiringTambara": ("finact.pi", "finact.pi_slice", "finact.pullback",
+                                "poly.distribute", "poly.compose_poly", "poly.normalize_word"),
 }
 
 # engine entry point -> an engine function the graph must see it reach

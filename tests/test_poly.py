@@ -412,12 +412,6 @@ def test_eval_semiring_anchored(triv):
     assert eval_semiring(pid, (5, 7, 11), NATURALS) == (5, 7, 11)
 
 
-def test_eval_semiring_needs_trivial_group(c2, f2, u2):
-    p = polynomial(u2, identity_gmap(f2), u2)
-    with pytest.raises(InvalidStructure):
-        eval_semiring(p, (1,), NATURALS)
-
-
 def test_oracle_identity_and_span_pairs(triv, rng):
     x = tset(triv, 2)
     p = identity_polynomial(x)

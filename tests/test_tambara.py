@@ -1,10 +1,12 @@
 """Tambara-style evaluation: norms, the distributive law, oracle consistency."""
 import itertools
+import random
 
 import pytest
 
-from spanpoly.errors import InvalidStructure
+from spanpoly import tambara
 from spanpoly.finact import (
+    GMap,
     SliceObject,
     coproduct,
     identity_gmap,
@@ -14,6 +16,7 @@ from spanpoly.finact import (
     terminal_gset,
     unique_to_terminal,
 )
+from spanpoly.groups import BUILTIN_GROUPS, builtin_group
 from spanpoly.mackey import BurnsideMackey, atoms, atom_slice, canonical_slice
 from spanpoly.poly import eval_semiring, polynomial
 from spanpoly.sampling import (
@@ -25,6 +28,7 @@ from spanpoly.sampling import (
     random_trivial_polynomial,
 )
 from spanpoly.semirings import BOOLEANS, NATURALS, check_semiring_laws
+from spanpoly.suites import run_suite
 from spanpoly.tambara import (
     BurnsideTambara,
     SemiringTambara,
@@ -131,7 +135,7 @@ def test_norm_of_sum_identity_u(c2, f2, rng):
     rep = check_norm_of_sum(t, identity_gmap(f2), a, probes)
     assert rep.passed
     for v in probes:
-        assert t.eq(t.norm(identity_gmap(f2), t.tr(a, v)), t.tr(a, v))
+        assert t.norm(identity_gmap(f2), t.tr(a, v)) == t.tr(a, v)
 
 
 def test_norm_of_sum_binomial(triv):
@@ -207,13 +211,59 @@ def test_cb_exchange_for_generators(c2, rng):
         for v in [canonical_slice(random_slice(rng, f.dom, 3)) for _ in range(2)]:
             lhs = t.res(g, t.tr(f, v))
             rhs = t.tr(pb.proj2, t.res(pb.proj1, v))
-            assert t.eq(lhs, rhs)
+            assert lhs == rhs
             lhs_n = t.res(g, t.norm(f, v))
             rhs_n = t.norm(pb.proj2, t.res(pb.proj1, v))
-            assert t.eq(lhs_n, rhs_n)
+            assert lhs_n == rhs_n
 
 
-def test_semiring_needs_trivial_group(c2, f2, u2):
-    t = SemiringTambara(NATURALS)
-    with pytest.raises(InvalidStructure):
-        t.tr(u2, (1, 1))
+def _point_values(sr, size, k):
+    """Semiring elements that change from one point to the next."""
+    pool = sr.sample_elements
+    return tuple(pool[(i + k) % len(pool)] for i in range(size))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_semiring_functor_on_the_points_of_every_group(name):
+    """The semiring functor reads only map tables, so on values that differ
+    from point to point it agrees with the sum-of-products oracle and passes
+    functoriality and norm-of-sum over every group."""
+    group = builtin_group(name)
+    rng = random.Random(f"semiring-points/{name}")
+    for sr in (NATURALS, BOOLEANS):
+        t = SemiringTambara(sr)
+        for _ in range(2):
+            x, y, z = (random_gset_with_fixed_point(rng, group, 4) for _ in range(3))
+            p = random_polynomial(rng, x, y, 4)
+            q = random_polynomial(rng, y, z, 4)
+            probes = [_point_values(sr, x.size, k) for k in range(2)]
+            for v in probes:
+                assert eval_poly(t, p, v) == eval_semiring(p, v, sr)
+            rep = check_tambara_functoriality(t, p, q, probes)
+            assert rep.passed, rep.render_text()
+            u = random_map_into(rng, random_gset(rng, group, 4), 4)
+            a = random_map_into(rng, u.dom, 4)
+            rep = check_norm_of_sum(t, u, a, [_point_values(sr, a.dom.size, k)
+                                              for k in range(2)])
+            assert rep.passed, rep.render_text()
+
+
+def test_tambara_suite_sees_a_twisted_evaluation(monkeypatch):
+    """An evaluation map e moved by C2's non-identity element t is still
+    equivariant, and the exchanged word keeps its iso class, so every
+    Burnside check of the tambara suite on C2 seed 1 passes.  The semiring
+    norm-of-sum on the points of the same draws fails.  While the suite ran
+    its semiring checks on trivial-group polynomials only, none of its
+    checks failed here."""
+    group = builtin_group("C2")
+    t = next(g for g in group.elements() if g != group.identity)
+    real = tambara.distribute
+
+    def twisted(u, a, probes=()):
+        (pia, ubar, e), rep = real(u, a, probes)
+        e = GMap(e.dom, e.cod, tuple(e.cod.act(t, y) for y in e.table))
+        return (pia, ubar, e), rep
+    monkeypatch.setattr(tambara, "distribute", twisted)
+    rep = run_suite("tambara", group, 1, 6)
+    failing = {c.name.split("/")[0] for c in rep.checks if not c.passed}
+    assert failing == {"norm-of-sum:semiring:naturals"}

@@ -299,6 +299,13 @@ def test_cli_eval_semiring_poly(capsys):
     assert doc["value"] == [5]
 
 
+def test_cli_eval_semiring_over_a_nontrivial_group(capsys):
+    """One value per point of the source; C2.free-poly sums over the two points of C2."""
+    assert main(["eval", "--functor", "semiring:naturals", "--group", "C2",
+                 "--poly", "C2.free-poly", "--input", "[3]"]) == 0
+    assert capsys.readouterr().out == "value: [6]\n"
+
+
 def test_cli_eval_tambara_burnside(capsys):
     assert main(["eval", "--functor", "tambara-burnside", "--group", "C2",
                  "--poly", "C2.free-poly", "--slice-input", "C2.id_pt",
@@ -320,10 +327,18 @@ def _eval_functor_names():
 def test_cli_eval_help_names_every_functor():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    help_ = next(a.help for a in sub.choices["eval"]._actions if a.dest == "functor")
+    choices = next(a.choices for a in sub.choices["eval"]._actions if a.dest == "functor")
     names = _eval_functor_names()
     assert names >= {"burnside", "fixed-point", "tambara-burnside"}
-    assert names <= set(help_.split(" | "))
+    assert names == set(choices)
+
+
+def test_cli_eval_refuses_an_unknown_functor_before_reading_input(capsys):
+    """The parser names the bad functor; --input, here not even JSON, is never read."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--functor", "bogus", "--input", "[1"])
+    assert exit_.value.code == 2
+    assert "argument --functor: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_readme_suites_list_names_every_suite():
